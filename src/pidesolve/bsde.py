@@ -97,6 +97,11 @@ class PolynomialBasis:
                     out[:, j] *= z[:, k] ** pw[k]
         return out
 
+    def prepare(self, x):
+        """Regression setup on the point set x (design, ridged Gram, fit info);
+        its ``fit(targets)`` and ``predict(coeffs)`` reuse it."""
+        return _PolyRegression(self, x)
+
     def fit(self, x, targets):
         """Least squares of each target column on the basis.
 
@@ -104,21 +109,41 @@ class PolynomialBasis:
         Degenerate designs (all points numerically equal) fall back to an
         intercept-only fit.
         """
-        targets = _as_columns(targets)
-        x = np.atleast_2d(np.asarray(x, float))
-        _check_floor(self.n_features, x.shape[0])
-        if _is_degenerate(x):
-            coeffs = np.zeros((self.n_features, targets.shape[1]))
-            coeffs[0] = targets.mean(axis=0)
-            return coeffs, {"cond": 1.0, "degenerate": True, "ridge": 0.0}
-        phi = self.design(x)
-        return _solve_normal(phi, targets, self.ridge_scale)
+        return self.prepare(x).fit(targets)
 
     def predict(self, coeffs, x):
-        single = coeffs.ndim == 1
-        c = coeffs[:, None] if single else coeffs
-        out = self.design(x) @ c
-        return out[:, 0] if single else out
+        return _poly_predict(self.design(x), coeffs)
+
+
+def _poly_predict(phi, coeffs):
+    single = coeffs.ndim == 1
+    out = phi @ (coeffs[:, None] if single else coeffs)
+    return out[:, 0] if single else out
+
+
+class _PolyRegression:
+    def __init__(self, basis, x):
+        x = np.atleast_2d(np.asarray(x, float))
+        _check_floor(basis.n_features, x.shape[0])
+        self.phi = basis.design(x)
+        self.info = {"cond": 1.0, "degenerate": True, "ridge": 0.0}
+        if not _is_degenerate(x):
+            gram = self.phi.T @ self.phi
+            ridge = basis.ridge_scale * np.trace(gram) / gram.shape[0]
+            self.ridged = gram + ridge * np.eye(gram.shape[0])
+            self.info = {"cond": float(np.linalg.cond(self.ridged)),
+                         "degenerate": False, "ridge": float(ridge)}
+
+    def fit(self, targets):
+        targets = _as_columns(targets)
+        if self.info["degenerate"]:
+            coeffs = np.zeros((self.phi.shape[1], targets.shape[1]))
+            coeffs[0] = targets.mean(axis=0)
+            return coeffs, self.info
+        return _solve_ridged(self.ridged, self.phi.T @ targets), self.info
+
+    def predict(self, coeffs):
+        return _poly_predict(self.phi, coeffs)
 
 
 class LocalAffineBasis:
@@ -126,9 +151,9 @@ class LocalAffineBasis:
 
     The normal equations decompose into per-cell (dim+1) x (dim+1) blocks,
     so fitting is O(n_paths) regardless of the number of cells.  Cells with
-    too few points degrade to their mean; empty cells borrow the nearest
-    fitted cell so the field stays defined on the whole box.  Single-target
-    coefficients have shape (n_cells, dim+1).
+    too few points degrade to their mean; empty cells borrow the mean of the
+    filled cell with the nearest centre so the field stays defined on the
+    whole box.  Single-target coefficients have shape (n_cells, dim+1).
     """
 
     kind = "local"
@@ -160,79 +185,97 @@ class LocalAffineBasis:
         pad = 1e-9 * (self.hi - self.lo)
         return np.all((x >= self.lo - pad) & (x <= self.hi + pad), axis=1)
 
-    def cell_index(self, x):
-        widths = (self.hi - self.lo) / self.cells
-        idx = np.clip(((x - self.lo) / widths).astype(int), 0, self.cells - 1)
-        flat = idx[:, 0]
-        for k in range(1, self.dim):
-            flat = flat * self.cells[k] + idx[:, k]
-        return flat
-
     def _features(self, x):
+        """Flat cell index of each point and its affine features [1, z]."""
         widths = (self.hi - self.lo) / self.cells
         idx = np.clip(((x - self.lo) / widths).astype(int), 0, self.cells - 1)
         centers = self.lo + (idx + 0.5) * widths
         z = 2.0 * (x - centers) / widths
-        return np.concatenate([np.ones((x.shape[0], 1)), z], axis=1)
+        cell = np.ravel_multi_index(tuple(idx.T), self.cells)
+        return cell, np.concatenate([np.ones((x.shape[0], 1)), z], axis=1)
+
+    def _donors(self, filled):
+        """Empty cells and, for each, the filled cell with the nearest centre.
+        Offsets are whole cell steps times widths, so ties go to the lowest index."""
+        empty, full = np.nonzero(~filled)[0], np.nonzero(filled)[0]
+        widths = (self.hi - self.lo) / self.cells
+        pos = np.stack(np.unravel_index(np.arange(self.n_cells), self.cells), axis=1)
+        donor = np.empty_like(empty)
+        for s in range(0, empty.size, 128):  # bounds the (empty x filled) block
+            gap = (pos[empty[s:s + 128], None, :] - pos[None, full, :]) * widths
+            donor[s:s + 128] = full[np.argmin(np.sum(gap**2, axis=2), axis=1)]
+        return empty, donor
+
+    def prepare(self, x):
+        """Regression setup on the point set x (cell features, ridged Gram
+        blocks, thin/full/empty cells, fit info); see PolynomialBasis.prepare."""
+        return _LocalRegression(self, x)
 
     def fit(self, x, targets):
-        targets = _as_columns(targets)
-        m, r = targets.shape
-        x = np.atleast_2d(np.asarray(x, float))
-        _check_floor(self.n_features, m)
-        p = self.dim + 1
-        if _is_degenerate(x):
-            coeffs = np.zeros((self.n_cells, p, r))
-            coeffs[:, 0, :] = targets.mean(axis=0)
-            return coeffs, {"cond": 1.0, "degenerate": True, "ridge": 0.0}
-        cell = self.cell_index(x)
-        feats = self._features(x)
-
-        gram = np.zeros((self.n_cells, p, p))
-        rhs = np.zeros((self.n_cells, p, r))
-        for a in range(p):
-            for b in range(a, p):
-                np.add.at(gram[:, a, b], cell, feats[:, a] * feats[:, b])
-            np.add.at(rhs[:, a, :], cell, feats[:, a, None] * targets)
-        iu = np.triu_indices(p, 1)
-        gram[:, iu[1], iu[0]] = gram[:, iu[0], iu[1]]
-
-        counts = gram[:, 0, 0]
-        coeffs = np.zeros((self.n_cells, p, r))
-        filled = counts >= 1
-        thin = filled & (counts < self.min_points)
-        full = filled & ~thin
-        coeffs[thin, 0, :] = rhs[thin, 0, :] / counts[thin, None]
-        max_cond = 1.0
-        if np.any(full):
-            g = gram[full]
-            ridge = self.ridge_scale * np.trace(g, axis1=1, axis2=2) / p
-            g = g + ridge[:, None, None] * np.eye(p)
-            try:
-                coeffs[full] = np.linalg.solve(g, rhs[full])
-            except np.linalg.LinAlgError as exc:
-                raise SingularRegressionError(
-                    "local regression block singular beyond ridge repair") from exc
-            eig = np.linalg.eigvalsh(g)
-            max_cond = float(np.max(eig[:, -1] / np.maximum(eig[:, 0], 1e-300)))
-        if not np.all(np.isfinite(coeffs)):
-            raise SingularRegressionError("non-finite local regression coefficients")
-        if not filled.all() and filled.any():
-            fitted_idx = np.nonzero(filled)[0]
-            for c in np.nonzero(~filled)[0]:
-                nearest = fitted_idx[np.argmin(np.abs(fitted_idx - c))]
-                coeffs[c, 0, :] = coeffs[nearest, 0, :]
-                coeffs[c, 1:, :] = 0.0
-        return coeffs, {"cond": max_cond, "degenerate": False, "ridge": 0.0}
+        return self.prepare(x).fit(targets)
 
     def predict(self, coeffs, x):
-        single = coeffs.ndim == 2
-        c = coeffs[..., None] if single else coeffs
+        return _local_predict(*self._features(np.atleast_2d(np.asarray(x, float))), coeffs)
+
+
+def _local_predict(cell, feats, coeffs):
+    single = coeffs.ndim == 2
+    c = coeffs[..., None] if single else coeffs
+    out = np.einsum("mp,mpr->mr", feats, c[cell])
+    return out[:, 0] if single else out
+
+
+class _LocalRegression:
+    def __init__(self, basis, x):
         x = np.atleast_2d(np.asarray(x, float))
-        cell = self.cell_index(x)
-        feats = self._features(x)
-        out = np.einsum("mp,mpr->mr", feats, c[cell])
-        return out[:, 0] if single else out
+        _check_floor(basis.n_features, x.shape[0])
+        self.n_cells = basis.n_cells
+        self.cell, self.feats = basis._features(x)
+        self.info = {"cond": 1.0, "degenerate": True, "ridge": 0.0}
+        if _is_degenerate(x):
+            return
+        p = basis.dim + 1
+        gram = np.empty((self.n_cells, p, p))
+        for a in range(p):
+            for b in range(a, p):
+                gram[:, a, b] = gram[:, b, a] = self._cell_sums(self.feats[:, a] * self.feats[:, b])
+        self.counts = gram[:, 0, 0]
+        filled = self.counts >= 1
+        self.thin = filled & (self.counts < basis.min_points)
+        self.full = filled & ~self.thin
+        g = gram[self.full]
+        ridge = basis.ridge_scale * np.trace(g, axis1=1, axis2=2) / p
+        self.blocks = g + ridge[:, None, None] * np.eye(p)
+        eig = np.linalg.eigvalsh(self.blocks)
+        cond = np.max(eig[:, -1] / np.maximum(eig[:, 0], 1e-300), initial=1.0)
+        self.info = {"cond": float(cond), "degenerate": False,
+                     "ridge": float(ridge.max(initial=0.0))}
+        self.empty, self.donor = basis._donors(filled)
+
+    def _cell_sums(self, w):
+        # bincount sums each cell in point order: reproducible bit for bit
+        return np.bincount(self.cell, weights=w, minlength=self.n_cells)
+
+    def fit(self, targets):
+        targets = _as_columns(targets)
+        p, r = self.feats.shape[1], targets.shape[1]
+        coeffs = np.zeros((self.n_cells, p, r))
+        if self.info["degenerate"]:
+            coeffs[:, 0, :] = targets.mean(axis=0)
+            return coeffs, self.info
+        rhs = np.empty((self.n_cells, p, r))
+        for a in range(p):
+            for j in range(r):
+                rhs[:, a, j] = self._cell_sums(self.feats[:, a] * targets[:, j])
+        coeffs[self.thin, 0, :] = rhs[self.thin, 0, :] / self.counts[self.thin, None]
+        coeffs[self.full] = _solve_ridged(self.blocks, rhs[self.full])
+        if not np.all(np.isfinite(coeffs)):
+            raise SingularRegressionError("non-finite local regression coefficients")
+        coeffs[self.empty, 0, :] = coeffs[self.donor, 0, :]
+        return coeffs, self.info
+
+    def predict(self, coeffs):
+        return _local_predict(self.cell, self.feats, coeffs)
 
 
 def make_basis(kind, box, degree=4, cells=40, ridge_scale=_RIDGE_SCALE):
@@ -263,21 +306,19 @@ def _total_degree_powers(dim, degree):
     return np.array(powers, dtype=int)
 
 
-def _solve_normal(phi, targets, ridge_scale):
-    gram = phi.T @ phi
-    rhs = phi.T @ targets
-    b = gram.shape[0]
-    ridge = ridge_scale * np.trace(gram) / b
-    for _ in range(4):
-        try:
-            coeffs = np.linalg.solve(gram + ridge * np.eye(b), rhs)
-        except np.linalg.LinAlgError:
-            coeffs = None
-        if coeffs is not None and np.all(np.isfinite(coeffs)):
-            cond = float(np.linalg.cond(gram + ridge * np.eye(b)))
-            return coeffs, {"cond": cond, "degenerate": False, "ridge": float(ridge)}
-        ridge = max(ridge * 100.0, 1e-12 * np.trace(gram) / b)
-    raise SingularRegressionError("regression normal system singular beyond ridge repair")
+def _solve_ridged(gram, rhs):
+    """Solve ridged normal equations (one system or a stack of blocks).
+
+    The ridge makes every system positive definite, so a failure can only
+    come from non-finite data, which no larger ridge repairs.
+    """
+    try:
+        coeffs = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularRegressionError("regression normal system singular") from exc
+    if not np.all(np.isfinite(coeffs)):
+        raise SingularRegressionError("non-finite regression coefficients")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +460,10 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
 
     for k in range(n - 1, -1, -1):
         xk = paths.states[k]
-        cy, info = basis.fit(xk, y)
+        reg = basis.prepare(xk)
+        cy, info = reg.fit(y)
         cy = cy[..., 0]
-        cond_exp = basis.predict(cy, xk)
+        cond_exp = reg.predict(cy)
         # center the martingale-increment regressions on the fitted
         # conditional expectation: same projection, exact on constants,
         # much lower variance
@@ -430,8 +472,9 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
         targets[:, :d] = resid[:, None] * paths.brownian[k]
         for i in range(q):
             targets[:, d + i] = resid * dmu[i, k]
-        czv, info2 = basis.fit(xk, targets)
-        pred = basis.predict(czv, xk)
+        czv, _ = reg.fit(targets)
+        pred = reg.predict(czv)
+        del reg  # one step's features at a time
         z = pred[:, :d] / dt
         vb = pred[:, d:] / dt
 
@@ -440,9 +483,6 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
             coef_z[k, j] = czv[..., j] / dt
         for i in range(q):
             coef_v[k, i] = czv[..., d + i] / dt
-        info = {"cond": max(info["cond"], info2["cond"]),
-                "degenerate": info["degenerate"],
-                "ridge": max(info["ridge"], info2["ridge"])}
 
         t_k = grid.nodes[k]
         h_k = obstacle(t_k, xk) if obstacle is not None else None
@@ -460,7 +500,7 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
 
         diag["cond"][k] = info["cond"]
         diag["degenerate"][k] = info["degenerate"]
-        diag["ridge"][k] = info.get("ridge", 0.0)
+        diag["ridge"][k] = info["ridge"]
         diag["resid"][k] = float(np.sqrt(np.mean((y - cond_exp) ** 2)))
         diag["clamped"][k] = n_clamped
 
@@ -584,7 +624,7 @@ def check_apriori_estimate(solutions, terminal, driver, weight, x_weights=None):
     x0s = np.array([float(np.atleast_1d(key)[0]) for key, _ in items])
     sols = [v for _, v in items]
     if x_weights is None:
-        x_weights = _trapezoid_weights(x0s)
+        x_weights = trapezoid_weights(x0s)
     grid = sols[0].grid
     dt = grid.dt
     n = grid.n_steps
@@ -616,7 +656,8 @@ def check_apriori_estimate(solutions, terminal, driver, weight, x_weights=None):
     return numerator / denom
 
 
-def _trapezoid_weights(x):
+def trapezoid_weights(x):
+    """Trapezoid quadrature weights on the sorted nodes x."""
     if x.size == 1:
         return np.ones(1)
     w = np.empty_like(x)

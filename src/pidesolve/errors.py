@@ -30,7 +30,7 @@ class ContractionError(SolverError):
 
 
 class SingularRegressionError(SolverError):
-    """A regression normal system stayed singular after ridge escalation."""
+    """A ridged regression normal system was singular or gave non-finite values."""
 
     code = "E_SINGULAR"
 

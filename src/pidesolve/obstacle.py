@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BsdeSolution, evaluate_u, solve_bsde
+from .bsde import BsdeSolution, evaluate_u, solve_bsde, trapezoid_weights
 from .errors import NoConvergenceError
 
 __all__ = [
@@ -66,11 +66,11 @@ def penalty_increments(sol, obstacle_values):
     return sol.penalty_level * np.maximum(gap, 0.0) * dt
 
 
-def obstacle_along_paths(obstacle, sol):
-    """Obstacle values h(t_k, X_k) on the solution's paths, (N+1, M)."""
-    times = sol.grid.nodes
-    return np.stack([np.asarray(obstacle(times[k], sol.states[k]), float)
-                     for k in range(sol.n_steps + 1)])
+def obstacle_along_paths(obstacle, paths):
+    """Obstacle values h(t_k, X_k) along a bundle's (or solution's) paths, (N+1, M)."""
+    times = paths.grid.nodes
+    return np.stack([np.asarray(obstacle(times[k], paths.states[k]), float)
+                     for k in range(paths.grid.n_steps + 1)])
 
 
 def _u_field(sol, eval_x):
@@ -90,7 +90,7 @@ def penalty_norm(u_field, h_field, weight, eval_x, dt, cover=None):
     if cover is not None:
         neg = neg * cover
     rho = weight(np.asarray(eval_x, float)[:, None])
-    wx = _trap_weights(np.asarray(eval_x, float))
+    wx = trapezoid_weights(np.asarray(eval_x, float))
     space = np.sum(neg**2 * rho * wx, axis=1)
     wt = np.full(space.size, dt)
     wt[0] *= 0.5
@@ -110,16 +110,6 @@ def coverage_mask(states, eval_x, quantiles=(0.005, 0.995), margin=None):
     lo = np.quantile(states[:, :, 0], quantiles[0], axis=1) - margin
     hi = np.quantile(states[:, :, 0], quantiles[1], axis=1) + margin
     return (eval_x[None, :] >= lo[:, None]) & (eval_x[None, :] <= hi[:, None])
-
-
-def _trap_weights(x):
-    if x.size == 1:
-        return np.ones(1)
-    w = np.empty_like(x)
-    w[0] = (x[1] - x[0]) / 2
-    w[-1] = (x[-1] - x[-2]) / 2
-    w[1:-1] = (x[2:] - x[:-2]) / 2
-    return w
 
 
 @dataclass
@@ -234,7 +224,7 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     hfield = np.stack([np.asarray(obstacle(paths.grid.nodes[k], eval_x[:, None]), float)
                        for k in range(paths.grid.n_steps + 1)])
     rho = weight(eval_x[:, None])
-    wx = _trap_weights(eval_x)
+    wx = trapezoid_weights(eval_x)
     wt = np.full(paths.grid.n_steps + 1, dt)
     wt[0] *= 0.5
     wt[-1] *= 0.5
@@ -244,12 +234,12 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     trace = []
     converged = False
     sol = None
-    lvals = None
     dk = None
+    # the obstacle along the paths does not depend on the penalty level
+    lvals = obstacle_along_paths(obstacle, paths)
     for level in schedule:
         sol = solve_penalized(model, driver, terminal, obstacle, paths, basis,
                               level, picard_iters=picard_iters, clamp=clamp)
-        lvals = obstacle_along_paths(obstacle, sol)
         dk = penalty_increments(sol, lvals)
         ufield = _u_field(sol, eval_x)
         pnorm = penalty_norm(ufield, hfield, weight, eval_x, dt, cover)

@@ -68,6 +68,34 @@ def test_local_basis_empty_cells_borrow():
     assert np.all(np.isfinite(pred))
 
 
+def test_local_basis_empty_cells_borrow_nearest_centre_2d():
+    # in a 4x4 grid cell (1,0) sits next to (2,0) but right after (0,3) in
+    # flat order; it must take the mean of the cell whose centre is nearest
+    basis = LocalAffineBasis((4, 4), ([0.0, 0.0], [4.0, 4.0]))
+    rng = np.random.default_rng(4)
+    far = rng.uniform([0.0, 3.0], [1.0, 4.0], size=(300, 2))   # cell (0,3)
+    near = rng.uniform([2.0, 0.0], [3.0, 1.0], size=(300, 2))  # cell (2,0)
+    x = np.vstack([far, near])
+    target = np.r_[np.full(300, 1.0), np.full(300, 5.0)]
+    coef, _ = basis.fit(x, target)
+    pred = basis.predict(coef[..., 0], np.array([[1.5, 0.5]]))
+    assert pred[0] == pytest.approx(5.0, abs=1e-6)
+
+
+def test_local_basis_reports_applied_ridge(heat_model, small_heat_bundle):
+    basis = LocalAffineBasis(4, (0.0, 4.0))
+    x = np.random.default_rng(5).uniform(0.0, 4.0, size=(1000, 1))
+    _, info = basis.fit(x, x[:, 0])
+    # per cell: ridge_scale * trace([1, z]^T [1, z]) / 2 with z = 2 (x - c)
+    z = 2.0 * (x[:, 0] - (np.floor(x[:, 0]) + 0.5))
+    traces = [np.sum(1.0 + z[np.floor(x[:, 0]) == c] ** 2) for c in range(4)]
+    assert info["ridge"] > 0.0
+    assert info["ridge"] == pytest.approx(1e-8 * max(traces) / 2, rel=1e-12)
+    sol = solve_bsde(heat_model, zero_driver(), lambda X: X[:, 0], small_heat_bundle,
+                     LocalAffineBasis(10, (-6.0, 6.0)))
+    assert np.all(sol.diagnostics["ridge"][1:] > 0.0)
+
+
 def test_make_basis():
     assert make_basis("poly", (-1, 1), degree=2).kind == "poly"
     assert make_basis("local", (-1, 1), cells=5).kind == "local"
@@ -249,6 +277,26 @@ def test_evaluate_u_domain_guard(heat_model, heat_bundle, poly_basis):
         evaluate_u(sol, 5, np.array([[100.0]]))
     with pytest.raises(ValueError):
         evaluate_u(sol, 99, np.array([[0.0]]))
+
+
+@pytest.mark.parametrize("kind", ["poly", "local"])
+@pytest.mark.parametrize("mode", ["plain", "penalized", "reflected"])
+def test_evaluate_u_reproduces_path_values(kind, mode):
+    # evaluate_u on the bundle's own states repeats the backward step bit
+    # for bit, so the fitted field and the path values are one quantity
+    from pidesolve.model import ObstacleSpec
+    model = named_model("merton")
+    x0 = math.log(100.0)
+    paths = simulate_paths(model, TimeGrid(0, 1, 10), x0, 4000, seed=17)
+    box = (float(paths.states.min()) - 0.5, float(paths.states.max()) + 0.5)
+    basis = make_basis(kind, box, degree=4, cells=20)
+    put = lambda X: np.maximum(100.0 - np.exp(X[:, 0]), 0.0)
+    obstacle = ObstacleSpec(h=lambda t, X: put(X), iota=101.0, kappa=1.0)
+    extra = {"plain": {}, "penalized": {"penalty_level": 64.0, "obstacle": obstacle},
+             "reflected": {"reflect": True, "obstacle": obstacle}}[mode]
+    sol = solve_bsde(model, discount_driver(0.05), put, paths, basis, **extra)
+    for k in range(sol.n_steps + 1):
+        assert np.array_equal(evaluate_u(sol, k, paths.states[k]), sol.y[k]), k
 
 
 def test_evaluate_u_terminal_slice(heat_model, heat_bundle, poly_basis):
