@@ -219,9 +219,14 @@ class LocalAffineBasis:
 
 
 def _local_predict(cell, feats, coeffs):
+    # one row gather of each point's cell coefficients, then a multiply-add
+    # over the features in order: every target column is summed alike, so a
+    # multi-target column equals the single-target predict bit for bit
     single = coeffs.ndim == 2
-    c = coeffs[..., None] if single else coeffs
-    out = np.einsum("mp,mpr->mr", feats, c[cell])
+    g = np.take(coeffs[..., None] if single else coeffs, cell, axis=0)
+    out = feats[:, :1] * g[:, 0]
+    for a in range(1, feats.shape[1]):
+        out += feats[:, a:a + 1] * g[:, a]
     return out[:, 0] if single else out
 
 
@@ -331,7 +336,10 @@ class BsdeSolution:
 
     ``y`` has shape (n_steps+1, n_paths); ``z`` (n_steps, n_paths, dim);
     ``vbar`` (n_steps, n_paths, q).  Coefficient arrays are scaled so that
-    ``basis.predict`` returns the corresponding field directly.  For
+    ``basis.predict`` returns the corresponding field directly; the z and
+    vbar path values are predicted from exactly these dt-scaled
+    coefficients, so ``evaluate_u`` on the bundle's own states repeats the
+    backward step bit for bit, whatever the driver.  For
     penalized solves ``penalty_level``/``obstacle`` record the penalty and
     evaluation applies the same closed-form resolution; for direct-reflection
     solves ``reflected`` is set and evaluation applies the pointwise max.
@@ -472,17 +480,17 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
         targets[:, :d] = resid[:, None] * paths.brownian[k]
         for i in range(q):
             targets[:, d + i] = resid * dmu[i, k]
-        czv, _ = reg.fit(targets)
+        # scale before predicting: the path values come from exactly the
+        # stored coefficients, as in evaluate_u
+        czv = reg.fit(targets)[0] / dt
         pred = reg.predict(czv)
         del reg  # one step's features at a time
-        z = pred[:, :d] / dt
-        vb = pred[:, d:] / dt
+        z = pred[:, :d]
+        vb = pred[:, d:]
 
         coef_y[k] = cy
-        for j in range(d):
-            coef_z[k, j] = czv[..., j] / dt
-        for i in range(q):
-            coef_v[k, i] = czv[..., d + i] / dt
+        coef_z[k] = np.moveaxis(czv[..., :d], -1, 0)
+        coef_v[k] = np.moveaxis(czv[..., d:], -1, 0)
 
         t_k = grid.nodes[k]
         h_k = obstacle(t_k, xk) if obstacle is not None else None
@@ -540,12 +548,9 @@ def evaluate_u(sol, k, x):
     if not 0 <= k < n:
         raise ValueError(f"step {k} outside 0..{n}")
     d = sol.states.shape[2]
-    q = sol.vbar.shape[2]
     cond_exp = sol.basis.predict(sol.coef_y[k], x)
-    z = (np.column_stack([sol.basis.predict(sol.coef_z[k, j], x) for j in range(d)])
-         if d else np.zeros((x.shape[0], 0)))
-    vb = (np.column_stack([sol.basis.predict(sol.coef_v[k, i], x) for i in range(q)])
-          if q else np.zeros((x.shape[0], 0)))
+    pred = sol.basis.predict(_zv_coeffs(sol, k), x)
+    z, vb = pred[:, :d], pred[:, d:]
     dt = sol.grid.dt
     t_k = sol.grid.nodes[k]
     h_k = sol.obstacle(t_k, x) if sol.obstacle is not None else None
@@ -560,11 +565,17 @@ def evaluate_u(sol, k, x):
     return y
 
 
+def _zv_coeffs(sol, k):
+    """Step k's z and vbar coefficients as the one multi-target array the
+    backward step predicted from, so predictions repeat it bit for bit."""
+    zv = np.concatenate([sol.coef_z[k], sol.coef_v[k]])
+    return np.ascontiguousarray(np.moveaxis(zv, 0, -1))
+
+
 def evaluate_z(sol, k, x):
     """Fitted z-field (regression representation) at (t_k, x)."""
     x = np.atleast_2d(np.asarray(x, float))
-    d = sol.states.shape[2]
-    return np.column_stack([sol.basis.predict(sol.coef_z[k, j], x) for j in range(d)])
+    return sol.basis.predict(_zv_coeffs(sol, k), x)[:, :sol.states.shape[2]]
 
 
 def check_z_representation(sol, model, fd_step_rel=1e-3, weight=None, max_steps=None):

@@ -395,6 +395,12 @@ def _norm_compare(block):
         raise ConfigError("compare.oracle is required")
     out = {"oracle": _norm_oracle(block["oracle"]),
            "tol_rel": _expect_num(block.get("tol_rel", 0.01), "compare.tol_rel")}
+    # the solver grid spans [0, 1]; an oracle on another horizon would
+    # answer a different problem
+    if out["oracle"].get("horizon", 1.0) != 1.0:
+        raise ConfigError(
+            f"compare.oracle.horizon = {out['oracle']['horizon']} but the "
+            f"solver horizon is 1.0; set it to 1.0 or drop it")
     if out["tol_rel"] <= 0:
         raise ConfigError("compare.tol_rel must be positive")
     region = block.get("region")

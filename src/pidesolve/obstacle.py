@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BsdeSolution, evaluate_u, solve_bsde, trapezoid_weights
+from .bsde import (BsdeSolution, default_clamp_bound, evaluate_u, solve_bsde,
+                   trapezoid_weights)
 from .errors import NoConvergenceError
 
 __all__ = [
@@ -194,6 +195,11 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     (y <- max(y, h) inside the backward loop) on the same paths and reports
     the gap between the two u fields.  With ``strict`` the exhausted
     schedule raises; otherwise the result is returned flagged.
+
+    Without ``clamp``, one a-priori bound (``default_clamp_bound`` with the
+    obstacle) serves every level and the direct solve.  A schedule that
+    starts at level 0 thus clamps that level with the obstacle-inclusive
+    bound, which is never tighter than the bound of a plain solve.
     """
     from .model import WeightFunction
 
@@ -235,8 +241,11 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     converged = False
     sol = None
     dk = None
-    # the obstacle along the paths does not depend on the penalty level
+    # the obstacle along the paths and the clamp bound do not depend on the
+    # penalty level
     lvals = obstacle_along_paths(obstacle, paths)
+    if clamp is None:
+        clamp = default_clamp_bound(driver, terminal, paths, obstacle)
     for level in schedule:
         sol = solve_penalized(model, driver, terminal, obstacle, paths, basis,
                               level, picard_iters=picard_iters, clamp=clamp)

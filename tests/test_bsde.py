@@ -96,6 +96,44 @@ def test_local_basis_reports_applied_ridge(heat_model, small_heat_bundle):
     assert np.all(sol.diagnostics["ridge"][1:] > 0.0)
 
 
+@pytest.fixture(scope="module")
+def local_2d():
+    # 2-d local basis with thin and empty cells, beyond what the workloads reach
+    basis = LocalAffineBasis((6, 5), ([-2.0, -1.0], [2.0, 3.0]))
+    rng = np.random.default_rng(6)
+    x = rng.normal([0.0, 1.0], [0.5, 0.5], size=(3000, 2))
+    x = np.clip(x, basis.lo, basis.hi)
+    targets = np.column_stack([np.sin(x[:, 0]) * x[:, 1], x[:, 0] ** 2, np.exp(-x[:, 1])])
+    reg = basis.prepare(x)
+    coeffs, _ = reg.fit(targets)
+    return basis, x, reg, coeffs
+
+
+def test_local_predict_multi_target_columns_bitwise(local_2d):
+    # each column of a multi-target predict is the single-target predict of
+    # that column, and prepare(x).predict is basis.predict on x
+    basis, x, reg, coeffs = local_2d
+    multi = reg.predict(coeffs)
+    assert multi.shape == (x.shape[0], 3)
+    assert np.array_equal(multi, basis.predict(coeffs, x))
+    for j in range(coeffs.shape[-1]):
+        assert np.array_equal(multi[:, j], reg.predict(coeffs[..., j])), j
+        assert np.array_equal(multi[:, j], basis.predict(coeffs[..., j], x)), j
+
+
+def test_local_predict_matches_per_point_evaluation(local_2d):
+    basis, x, _, coeffs = local_2d
+    xq = np.random.default_rng(7).uniform(basis.lo, basis.hi, size=(200, 2))
+    widths = (basis.hi - basis.lo) / basis.cells
+    expect = np.empty((xq.shape[0], coeffs.shape[-1]))
+    for i, pt in enumerate(xq):
+        idx = np.minimum(((pt - basis.lo) // widths).astype(int), basis.cells - 1)
+        c = coeffs[idx[0] * basis.cells[1] + idx[1]]
+        zk = 2.0 * (pt - (basis.lo + (idx + 0.5) * widths)) / widths
+        expect[i] = c[0] + zk[0] * c[1] + zk[1] * c[2]
+    assert np.allclose(basis.predict(coeffs, xq), expect, rtol=0.0, atol=1e-12)
+
+
 def test_make_basis():
     assert make_basis("poly", (-1, 1), degree=2).kind == "poly"
     assert make_basis("local", (-1, 1), cells=5).kind == "local"
@@ -218,7 +256,7 @@ def test_zero_jump_reduction_bit_for_bit(heat_model, heat_bundle, poly_basis):
         cond = poly_basis.predict(cy[:, 0], xk)
         resid = y - cond
         czv, _ = poly_basis.fit(xk, resid[:, None] * heat_bundle.brownian[k][:, :1])
-        z = poly_basis.predict(czv[:, 0], xk)[:, None] / dt
+        z = poly_basis.predict(czv[:, 0] / dt, xk)[:, None]
         ynew = cond.copy()
         for _ in range(3):
             ynew = cond + dt * drv.f(grid.nodes[k], xk, ynew, z, np.zeros((len(y), 0)))
@@ -283,8 +321,9 @@ def test_evaluate_u_domain_guard(heat_model, heat_bundle, poly_basis):
 @pytest.mark.parametrize("mode", ["plain", "penalized", "reflected"])
 def test_evaluate_u_reproduces_path_values(kind, mode):
     # evaluate_u on the bundle's own states repeats the backward step bit
-    # for bit, so the fitted field and the path values are one quantity
-    from pidesolve.model import ObstacleSpec
+    # for bit, so the fitted field and the path values are one quantity; the
+    # borrowing driver depends on z, so z must be formed alike on both sides
+    from pidesolve.model import ObstacleSpec, borrowing_rate_driver
     model = named_model("merton")
     x0 = math.log(100.0)
     paths = simulate_paths(model, TimeGrid(0, 1, 10), x0, 4000, seed=17)
@@ -294,9 +333,12 @@ def test_evaluate_u_reproduces_path_values(kind, mode):
     obstacle = ObstacleSpec(h=lambda t, X: put(X), iota=101.0, kappa=1.0)
     extra = {"plain": {}, "penalized": {"penalty_level": 64.0, "obstacle": obstacle},
              "reflected": {"reflect": True, "obstacle": obstacle}}[mode]
-    sol = solve_bsde(model, discount_driver(0.05), put, paths, basis, **extra)
-    for k in range(sol.n_steps + 1):
-        assert np.array_equal(evaluate_u(sol, k, paths.states[k]), sol.y[k]), k
+    for driver in (discount_driver(0.05), borrowing_rate_driver(0.05, 0.08, 0.1)):
+        sol = solve_bsde(model, driver, put, paths, basis, **extra)
+        for k in range(sol.n_steps + 1):
+            assert np.array_equal(evaluate_u(sol, k, paths.states[k]), sol.y[k]), k
+        for k in range(sol.n_steps):
+            assert np.array_equal(evaluate_z(sol, k, paths.states[k]), sol.z[k]), k
 
 
 def test_evaluate_u_terminal_slice(heat_model, heat_bundle, poly_basis):

@@ -85,6 +85,29 @@ def test_task_requirements():
         validate_config({"task": "oracle", "seed": 1})
 
 
+def test_compare_horizon_must_match_solver():
+    # the solver grid spans [0, 1]: a compare oracle on another horizon
+    # would be checked against a different problem
+    oracle = {"kind": "binomial", "s0": 100, "strike": 100, "rate": 0.05,
+              "sigma": 0.2, "horizon": 0.5, "steps": 200, "option": "put"}
+    raw = {"task": "compare", "seed": 1,
+           "model": {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}},
+           "driver": {"name": "discount", "params": {"rate": 0.05}},
+           "terminal": {"name": "put", "params": {"strike": 100}},
+           "compare": {"oracle": oracle}}
+    with pytest.raises(ConfigError, match="horizon") as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+    oracle["horizon"] = 1.0
+    validate_config(raw)
+    del oracle["horizon"]
+    validate_config(raw)
+    # the standalone oracle task answers its own problem and keeps its horizon
+    cfg = validate_config({"task": "oracle", "seed": 1,
+                           "oracle": dict(oracle, horizon=0.5)})
+    assert cfg.raw["oracle"]["horizon"] == 0.5
+
+
 def test_config_hash_semantics(tmp_path):
     a = validate_config(heat_solve_config())
     reordered = json.loads(json.dumps(heat_solve_config(), sort_keys=True))

@@ -240,3 +240,29 @@ def test_schedule_validation(bs_put_setup):
     with pytest.raises(ValueError):
         solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(),
                         paths, basis, schedule=(1, 2), tol=-1, weight=RHO4)
+
+
+def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
+    # the a-priori bound does not depend on the level: computed once, it
+    # clamps every level and the direct solve alike
+    import pidesolve.bsde as bsde_mod
+    import pidesolve.obstacle as obstacle_mod
+    model, paths, basis = bs_put_setup
+    bound, bounds, clamps = bsde_mod.default_clamp_bound, [], []
+
+    def counted_bound(*args, **kwargs):
+        bounds.append(bound(*args, **kwargs))
+        return bounds[-1]
+
+    def recorded_solve(*args, **kwargs):
+        clamps.append(kwargs.get("clamp"))
+        return solve_bsde(*args, **kwargs)
+
+    monkeypatch.setattr(obstacle_mod, "default_clamp_bound", counted_bound)
+    monkeypatch.setattr(bsde_mod, "default_clamp_bound", counted_bound)
+    monkeypatch.setattr(obstacle_mod, "solve_bsde", recorded_solve)
+    refl = solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(),
+                           paths, basis, schedule=(0, 1, 2), tol=1e-12, weight=RHO4)
+    assert len(bounds) == 1
+    assert len(clamps) == 4 and all(c == bounds[0] for c in clamps)
+    assert refl.solution.clamp_bound == refl.direct.clamp_bound == bounds[0]
