@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (ContractionError, DomainError, NumericError,
                      SingularRegressionError, ZeroDenominatorError)
+from .model import _fd_jacobian, trapezoid_weights
 
 __all__ = [
     "PolynomialBasis",
@@ -53,7 +54,25 @@ def _is_degenerate(x):
 # regression bases
 # ---------------------------------------------------------------------------
 
-class PolynomialBasis:
+class _BoxBasis:
+    """The box [lo, hi] a basis is defined on, with its ridge scale."""
+
+    def __init__(self, box, ridge_scale):
+        lo = np.atleast_1d(np.asarray(box[0], float))
+        hi = np.atleast_1d(np.asarray(box[1], float))
+        if np.any(hi <= lo):
+            raise ValueError("box must have positive extent")
+        self.lo, self.hi = lo, hi
+        self.dim = lo.size
+        self.ridge_scale = ridge_scale
+
+    def contains(self, x):
+        x = np.atleast_2d(np.asarray(x, float))
+        pad = 1e-9 * (self.hi - self.lo)
+        return np.all((x >= self.lo - pad) & (x <= self.hi + pad), axis=1)
+
+
+class PolynomialBasis(_BoxBasis):
     """Global polynomial basis of bounded total degree over a box.
 
     Coordinates are affinely mapped to [-1, 1] before forming monomials so
@@ -64,14 +83,8 @@ class PolynomialBasis:
     kind = "poly"
 
     def __init__(self, degree, box, ridge_scale=_RIDGE_SCALE):
+        super().__init__(box, ridge_scale)
         self.degree = int(degree)
-        lo = np.atleast_1d(np.asarray(box[0], float))
-        hi = np.atleast_1d(np.asarray(box[1], float))
-        if np.any(hi <= lo):
-            raise ValueError("box must have positive extent")
-        self.lo, self.hi = lo, hi
-        self.dim = lo.size
-        self.ridge_scale = ridge_scale
         self._powers = _total_degree_powers(self.dim, self.degree)
 
     @property
@@ -81,11 +94,6 @@ class PolynomialBasis:
     @property
     def coef_shape(self):
         return (self.n_features,)
-
-    def contains(self, x):
-        x = np.atleast_2d(np.asarray(x, float))
-        pad = 1e-9 * (self.hi - self.lo)
-        return np.all((x >= self.lo - pad) & (x <= self.hi + pad), axis=1)
 
     def design(self, x):
         x = np.atleast_2d(np.asarray(x, float))
@@ -146,7 +154,7 @@ class _PolyRegression:
         return _poly_predict(self.phi, coeffs)
 
 
-class LocalAffineBasis:
+class LocalAffineBasis(_BoxBasis):
     """Partition of the box into cells with one affine function per cell.
 
     The normal equations decompose into per-cell (dim+1) x (dim+1) blocks,
@@ -159,17 +167,11 @@ class LocalAffineBasis:
     kind = "local"
 
     def __init__(self, cells, box, ridge_scale=_RIDGE_SCALE, min_points=8):
-        lo = np.atleast_1d(np.asarray(box[0], float))
-        hi = np.atleast_1d(np.asarray(box[1], float))
-        if np.any(hi <= lo):
-            raise ValueError("box must have positive extent")
-        self.lo, self.hi = lo, hi
-        self.dim = lo.size
+        super().__init__(box, ridge_scale)
         self.cells = np.broadcast_to(np.asarray(cells, int), (self.dim,)).copy()
         if np.any(self.cells < 1):
             raise ValueError("need at least one cell per axis")
         self.n_cells = int(np.prod(self.cells))
-        self.ridge_scale = ridge_scale
         self.min_points = min_points
 
     @property
@@ -179,11 +181,6 @@ class LocalAffineBasis:
     @property
     def coef_shape(self):
         return (self.n_cells, self.dim + 1)
-
-    def contains(self, x):
-        x = np.atleast_2d(np.asarray(x, float))
-        pad = 1e-9 * (self.hi - self.lo)
-        return np.all((x >= self.lo - pad) & (x <= self.hi + pad), axis=1)
 
     def _features(self, x):
         """Flat cell index of each point and its affine features [1, z]."""
@@ -338,11 +335,12 @@ class BsdeSolution:
     ``vbar`` (n_steps, n_paths, q).  Coefficient arrays are scaled so that
     ``basis.predict`` returns the corresponding field directly; the z and
     vbar path values are predicted from exactly these dt-scaled
-    coefficients, so ``evaluate_u`` on the bundle's own states repeats the
-    backward step bit for bit, whatever the driver.  For
-    penalized solves ``penalty_level``/``obstacle`` record the penalty and
-    evaluation applies the same closed-form resolution; for direct-reflection
-    solves ``reflected`` is set and evaluation applies the pointwise max.
+    coefficients, and ``evaluate_u`` runs the same backward step
+    (``_step_value``), so on the bundle's own states it repeats the path
+    values bit for bit, whatever the driver.  For penalized solves
+    ``penalty_level``/``obstacle`` record the penalty; for direct-reflection
+    solves ``reflected`` is set.  ``obstacle`` is None when neither uses it.
+    ``clamp_bound`` is the bound |Y| <= B the step clamps to.
     """
 
     grid: object
@@ -358,10 +356,10 @@ class BsdeSolution:
     states: np.ndarray
     diagnostics: dict
     picard_iters: int
+    clamp_bound: float
     penalty_level: float = 0.0
     obstacle: Optional[object] = None
     reflected: bool = False
-    clamp_bound: Optional[float] = None
 
     @property
     def n_steps(self):
@@ -412,6 +410,28 @@ def _resolve_penalty(a, obstacle_vals, level_dt):
     return np.maximum(a, lifted)
 
 
+def _step_value(driver, t, x, cond_exp, z, vbar, dt, picard_iters, h, level_dt,
+                reflect, clamp):
+    """The value of one backward step at the points x, and how many were clamped.
+
+    Solves y = cond_exp + dt * f(t, x, y, z, vbar) by ``picard_iters``
+    sweeps, resolving the penalty level_dt * (y - h)^- in closed form inside
+    each sweep when level_dt > 0; ``reflect`` then applies y = max(y, h) and
+    finally |y| is clamped to ``clamp``.
+    """
+    y = cond_exp.copy()
+    for _ in range(picard_iters):
+        y = cond_exp + dt * np.asarray(driver.f(t, x, y, z, vbar), dtype=float)
+        if level_dt > 0:
+            y = _resolve_penalty(y, h, level_dt)
+    if reflect:
+        y = np.maximum(y, h)
+    n_clamped = int(np.sum(np.abs(y) > clamp))
+    if n_clamped:
+        y = np.clip(y, -clamp, clamp)
+    return y, n_clamped
+
+
 def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
                clamp=None, penalty_level=0.0, obstacle=None, reflect=False):
     """Backward induction over a path bundle.
@@ -423,7 +443,8 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
     by ``picard_iters`` fixed-point sweeps.  ``penalty_level`` > 0 adds the
     obstacle penalty, resolved in closed form inside each sweep; ``reflect``
     instead applies the direct pointwise reflection y = max(y, h) after the
-    driver update.
+    driver update.  An obstacle that neither uses is ignored, also by the
+    default clamp bound.
 
     Requires dt * lipschitz(f) < 1 for the sweeps to contract.
     """
@@ -434,7 +455,11 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
             f"dt * C_f = {dt * driver.lipschitz:.3g} >= 1; refine the grid")
     if picard_iters < 1:
         raise ValueError("picard_iters must be >= 1")
-    if (penalty_level > 0 or reflect) and obstacle is None:
+    if penalty_level < 0:
+        raise ValueError("penalty level must be >= 0")
+    if not (penalty_level > 0 or reflect):
+        obstacle = None
+    elif obstacle is None:
         raise ValueError("penalty or reflection requires an obstacle")
 
     n, m, d = grid.n_steps, paths.n_paths, paths.dim
@@ -494,15 +519,8 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
 
         t_k = grid.nodes[k]
         h_k = obstacle(t_k, xk) if obstacle is not None else None
-        ynew = cond_exp.copy()
-        for _ in range(picard_iters):
-            a = cond_exp + dt * np.asarray(driver.f(t_k, xk, ynew, z, vb), dtype=float)
-            ynew = _resolve_penalty(a, h_k, level_dt) if penalty_level > 0 else a
-        if reflect:
-            ynew = np.maximum(ynew, h_k)
-        n_clamped = int(np.sum(np.abs(ynew) > clamp))
-        if n_clamped:
-            ynew = np.clip(ynew, -clamp, clamp)
+        ynew, n_clamped = _step_value(driver, t_k, xk, cond_exp, z, vb, dt,
+                                      picard_iters, h_k, level_dt, reflect, clamp)
         if not np.isfinite(ynew).all():
             raise NumericError(f"non-finite backward value at step {k}")
 
@@ -521,19 +539,17 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
         grid=grid, basis=basis, driver=driver, terminal=terminal,
         coef_y=coef_y, coef_z=coef_z, coef_v=coef_v,
         y=y_all, z=z_all, vbar=v_all, states=paths.states,
-        diagnostics=diag, picard_iters=picard_iters,
-        penalty_level=penalty_level,
-        obstacle=obstacle if (penalty_level > 0 or reflect) else None,
-        reflected=reflect, clamp_bound=clamp,
+        diagnostics=diag, picard_iters=picard_iters, clamp_bound=clamp,
+        penalty_level=penalty_level, obstacle=obstacle, reflected=reflect,
     )
 
 
 def evaluate_u(sol, k, x):
     """Fitted value function at (t_k, x); x is a point or (m, dim) batch.
 
-    Applies the same frozen-coefficient driver correction (and penalty or
-    reflection, when recorded) as the backward pass.  Refuses to extrapolate
-    outside the basis box.
+    Runs the backward pass's own step on the frozen coefficients: driver
+    sweeps, the recorded penalty or reflection, and the clamp.  Refuses to
+    extrapolate outside the basis box.
     """
     x = np.atleast_2d(np.asarray(x, float))
     if x.shape[1] != sol.states.shape[2]:
@@ -554,15 +570,8 @@ def evaluate_u(sol, k, x):
     dt = sol.grid.dt
     t_k = sol.grid.nodes[k]
     h_k = sol.obstacle(t_k, x) if sol.obstacle is not None else None
-    y = cond_exp.copy()
-    for _ in range(sol.picard_iters):
-        a = cond_exp + dt * np.asarray(sol.driver.f(t_k, x, y, z, vb), dtype=float)
-        y = _resolve_penalty(a, h_k, sol.penalty_level * dt) if sol.penalty_level > 0 else a
-    if sol.reflected:
-        y = np.maximum(y, h_k)
-    if sol.clamp_bound is not None:
-        y = np.clip(y, -sol.clamp_bound, sol.clamp_bound)
-    return y
+    return _step_value(sol.driver, t_k, x, cond_exp, z, vb, dt, sol.picard_iters, h_k,
+                       sol.penalty_level * dt, sol.reflected, sol.clamp_bound)[0]
 
 
 def _zv_coeffs(sol, k):
@@ -587,7 +596,6 @@ def check_z_representation(sol, model, fd_step_rel=1e-3, weight=None, max_steps=
     designs are skipped; returns 0 when both sides vanish.
     """
     n = sol.n_steps
-    d = sol.states.shape[2]
     steps = [k for k in range(n) if not sol.diagnostics["degenerate"][k]]
     if max_steps is not None and len(steps) > max_steps:
         steps = steps[:: max(1, len(steps) // max_steps)]
@@ -601,12 +609,7 @@ def check_z_representation(sol, model, fd_step_rel=1e-3, weight=None, max_steps=
         if not mask.any():
             continue
         x = xk[mask]
-        grad = np.empty((x.shape[0], d))
-        for j in range(d):
-            step = np.zeros_like(x)
-            step[:, j] = fd_step_rel * (1.0 + np.abs(x[:, j]))
-            grad[:, j] = (evaluate_u(sol, k, x + step) - evaluate_u(sol, k, x - step)) \
-                / (2.0 * step[:, j])
+        grad = _fd_jacobian(lambda xx: evaluate_u(sol, k, xx), x, h[mask])
         sig = np.asarray(model.diffusion(x), dtype=float)
         zg = np.einsum("mji,mj->mi", sig, grad)
         w = weight(x) if weight is not None else np.ones(x.shape[0])
@@ -665,14 +668,3 @@ def check_apriori_estimate(solutions, terminal, driver, weight, x_weights=None):
         raise ZeroDenominatorError(
             "zero data norm with nonzero solution energy; inconsistent inputs")
     return numerator / denom
-
-
-def trapezoid_weights(x):
-    """Trapezoid quadrature weights on the sorted nodes x."""
-    if x.size == 1:
-        return np.ones(1)
-    w = np.empty_like(x)
-    w[0] = (x[1] - x[0]) / 2
-    w[-1] = (x[-1] - x[-2]) / 2
-    w[1:-1] = (x[2:] - x[:-2]) / 2
-    return w

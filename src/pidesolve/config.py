@@ -16,6 +16,7 @@ from .errors import ConfigError, SchemaError
 from .model import (JumpMeasure, ObstacleSpec, WeightFunction,
                     borrowing_rate_driver, discount_driver, named_model,
                     scalar_model, zero_driver)
+from .obstacle import default_schedule
 
 __all__ = ["ExperimentConfig", "validate_config", "TASKS"]
 
@@ -32,6 +33,8 @@ _NUMERIC_DEFAULTS = {
     "dump_paths": "none",
 }
 _BASIS_DEFAULTS = {"kind": "poly", "degree": 4, "cells": 40, "box": None}
+_NORMCHECK_DEFAULTS = {"radius": 9.0, "n_panels": 18, "nodes_per_panel": 8,
+                       "s_list": (0.1, 0.5, 1.0)}
 
 
 def _type_name(v):
@@ -53,6 +56,12 @@ def _expect_num(value, path):
     return float(value)
 
 
+def _expect_count(value, path, minimum=1):
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise SchemaError(f"{path}: expected int >= {minimum}")
+    return value
+
+
 def _check_keys(block, allowed, path):
     for key in block:
         if key not in allowed:
@@ -70,10 +79,6 @@ class ExperimentConfig:
     @property
     def numerics(self):
         return self.raw["numerics"]
-
-    @property
-    def weight_exponent(self):
-        return self.raw["weight"]["p"]
 
     def canonical_json(self):
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -118,7 +123,7 @@ class ExperimentConfig:
         num = self.numerics
         if num.get("schedule"):
             return tuple(num["schedule"])
-        return tuple(2**k for k in range(num["schedule_max_exp"] + 1))
+        return default_schedule(num["schedule_max_exp"])
 
 
 def _build_payoff(name, params, path):
@@ -232,6 +237,8 @@ def validate_config(raw):
     _expect(weight_block, dict, "weight")
     _check_keys(weight_block, {"p"}, "weight")
     out["weight"] = {"p": _expect_num(weight_block.get("p", 4.0), "weight.p")}
+    if out["weight"]["p"] <= 0:
+        raise ConfigError("weight.p must be positive")
 
     out["numerics"] = _norm_numerics(raw.get("numerics", {}))
 
@@ -310,10 +317,7 @@ def _norm_numerics(block):
             raise ConfigError("numerics.schedule must be increasing")
         num["schedule"] = vals
     if "eval_points" in block:
-        val = block["eval_points"]
-        if isinstance(val, bool) or not isinstance(val, int) or val < 2:
-            raise SchemaError("numerics.eval_points: expected int >= 2")
-        num["eval_points"] = val
+        num["eval_points"] = _expect_count(block["eval_points"], "numerics.eval_points", 2)
     basis = dict(_BASIS_DEFAULTS)
     if "basis" in block:
         bb = _expect(block["basis"], dict, "numerics.basis")
@@ -324,10 +328,7 @@ def _norm_numerics(block):
             basis["kind"] = bb["kind"]
         for key in ("degree", "cells"):
             if key in bb:
-                val = bb[key]
-                if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-                    raise SchemaError(f"numerics.basis.{key}: expected int >= 1")
-                basis[key] = val
+                basis[key] = _expect_count(bb[key], f"numerics.basis.{key}")
         if bb.get("box") is not None:
             box = _expect(bb["box"], list, "numerics.basis.box")
             if len(box) != 2:
@@ -353,10 +354,7 @@ def _norm_oracle(block):
             out[key] = _expect_num(block[key], f"oracle.{key}")
     for key in ("steps", "n_space", "n_time", "n_terms"):
         if key in block:
-            val = block[key]
-            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-                raise SchemaError(f"oracle.{key}: expected int >= 1")
-            out[key] = val
+            out[key] = _expect_count(block[key], f"oracle.{key}")
     if "option" in block:
         opt = _expect(block["option"], str, "oracle.option")
         if opt not in ("call", "put"):
@@ -372,16 +370,13 @@ def _norm_oracle(block):
 
 def _norm_normcheck(block):
     _expect(block, dict, "normcheck")
-    _check_keys(block, {"radius", "n_panels", "nodes_per_panel", "s_list"}, "normcheck")
-    out = {"radius": 9.0, "n_panels": 18, "nodes_per_panel": 8, "s_list": [0.1, 0.5, 1.0]}
+    _check_keys(block, set(_NORMCHECK_DEFAULTS), "normcheck")
+    out = dict(_NORMCHECK_DEFAULTS)
     if "radius" in block:
         out["radius"] = _expect_num(block["radius"], "normcheck.radius")
     for key in ("n_panels", "nodes_per_panel"):
         if key in block:
-            val = block[key]
-            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-                raise SchemaError(f"normcheck.{key}: expected int >= 1")
-            out[key] = val
+            out[key] = _expect_count(block[key], f"normcheck.{key}")
     if "s_list" in block:
         sl = _expect(block["s_list"], list, "normcheck.s_list")
         out["s_list"] = [_expect_num(v, f"normcheck.s_list[{i}]") for i, v in enumerate(sl)]
@@ -410,13 +405,7 @@ def _norm_compare(block):
             raise SchemaError("compare.region: expected [lo, hi]")
         out["region"] = [_expect_num(region[0], "compare.region[0]"),
                          _expect_num(region[1], "compare.region[1]")]
-    if "x_grid_n" in block:
-        val = block["x_grid_n"]
-        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-            raise SchemaError("compare.x_grid_n: expected int >= 1")
-        out["x_grid_n"] = val
-    else:
-        out["x_grid_n"] = 1
+    out["x_grid_n"] = _expect_count(block.get("x_grid_n", 1), "compare.x_grid_n")
     return out
 
 
@@ -434,11 +423,11 @@ def _check_task_requirements(task, out):
         need("compare")
     if task == "oracle":
         need("oracle")
-    if task in ("solve-obstacle",) or (task == "compare" and "obstacle" in out):
-        kappa = out["obstacle"].get("params", {}).get("kappa", 1.0)
-        dim = 1
-        floor = kappa + dim + 1
-        if out["weight"]["p"] < floor - 1e-12:
+    if task == "solve-obstacle" or (task == "compare" and "obstacle" in out):
+        kappa = out["obstacle"]["params"].get("kappa", 1.0)
+        weight = WeightFunction(out["weight"]["p"])
+        if not weight.admits_obstacle(1, kappa):
             raise ConfigError(
-                f"weight.p = {out['weight']['p']} below the obstacle floor "
-                f"kappa + dim + 1 = {floor}; raise the weight exponent")
+                f"weight.p = {weight.p} below the obstacle floor "
+                f"kappa + dim + 1 = {weight.exponent_floor(1, kappa)}; "
+                f"raise the weight exponent")

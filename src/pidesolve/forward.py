@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridError, NumericError
+from .model import _fd_jacobian
 
 __all__ = [
     "TimeGrid",
@@ -132,45 +133,20 @@ def _step_stream(seed, key):
 def _drift_jacobian(model, x):
     if model.drift_jac is not None:
         return np.asarray(model.drift_jac(x), dtype=float)
-    return _fd_jacobian(lambda xx: np.asarray(model.drift(xx), dtype=float), x)
+    return _fd_jacobian(model.drift, x)
 
 
 def _diffusion_jacobian(model, x):
     # returns (..., d, d, d): entry [i, j, k] = d sigma^{ij} / d x_k
     if model.diffusion_jac is not None:
         return np.asarray(model.diffusion_jac(x), dtype=float)
-    d = x.shape[-1]
-    out = np.empty(x.shape[:-1] + (d, d, d))
-    for k in range(d):
-        h = 1e-5 * (1.0 + np.abs(x[..., k]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[..., k] += h
-        xm[..., k] -= h
-        out[..., :, :, k] = (
-            np.asarray(model.diffusion(xp), dtype=float)
-            - np.asarray(model.diffusion(xm), dtype=float)
-        ) / (2.0 * h)[..., None, None]
-    return out
+    return _fd_jacobian(model.diffusion, x)
 
 
 def _jump_jacobian(model, x, e):
     if model.jump_coeff_jac is not None:
         return np.asarray(model.jump_coeff_jac(x, e), dtype=float)
-    return _fd_jacobian(lambda xx: np.asarray(model.jump_coeff(xx, e), dtype=float), x)
-
-
-def _fd_jacobian(fn, x):
-    d = x.shape[-1]
-    out = np.empty(x.shape[:-1] + (d, d))
-    for k in range(d):
-        h = 1e-5 * (1.0 + np.abs(x[..., k]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[..., k] += h
-        xm[..., k] -= h
-        out[..., :, k] = (fn(xp) - fn(xm)) / (2.0 * h)[..., None]
-    return out
+    return _fd_jacobian(lambda xx: model.jump_coeff(xx, e), x)
 
 
 def _compensator_jacobian(model, x):

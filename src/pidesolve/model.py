@@ -495,7 +495,7 @@ class TerminalSpec:
         """Numerical check that g^2 * rho is integrable (1-d helper)."""
         x = np.linspace(-radius, radius, n)[:, None]
         vals = self(x) ** 2 * weight(x)
-        total = np.trapezoid(vals, dx=2 * radius / (n - 1))
+        total = np.sum(vals * trapezoid_weights(x[:, 0]))
         tail = vals[-20:].mean() * radius
         if not np.isfinite(total) or (total > 0 and tail > 0.05 * total):
             raise QuadratureError("terminal condition is not square integrable "
@@ -555,24 +555,57 @@ class WeightFunction:
 
 
 # ---------------------------------------------------------------------------
-# derivatives of user fields
+# quadrature and derivatives of user fields
 # ---------------------------------------------------------------------------
+
+def trapezoid_weights(x):
+    """Trapezoid quadrature weights on the sorted nodes x."""
+    if x.size == 1:
+        return np.ones(1)
+    w = np.empty_like(x)
+    w[0] = (x[1] - x[0]) / 2
+    w[-1] = (x[-1] - x[-2]) / 2
+    w[1:-1] = (x[2:] - x[:-2]) / 2
+    return w
+
+
+def time_weights(n_steps, dt):
+    """Trapezoid quadrature weights on a uniform grid of n_steps steps of dt."""
+    w = np.full(n_steps + 1, dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
 
 def fd_step(x):
     """Default relative finite-difference step 1e-4 * (1 + |x|)."""
     return 1e-4 * (1.0 + np.abs(np.asarray(x, dtype=float)))
 
 
-def numerical_gradient(phi, x, h=None):
+def _fd_jacobian(fn, x, h=None):
+    """Central-difference Jacobian of fn at the points x (..., d).
+
+    ``fn`` maps x to outputs of any rank (a scalar per point included);
+    the derivatives d fn / d x_k are stacked along a new last axis.  ``h``
+    is the step, a scalar or one per coordinate of x, by default
+    1e-5 * (1 + |x|).
+    """
     x = np.asarray(x, dtype=float)
-    h = fd_step(x) if h is None else np.broadcast_to(np.asarray(h, float), x.shape).copy()
-    grad = np.empty_like(x)
-    for i in range(x.size):
+    h = 1e-5 * (1.0 + np.abs(x)) if h is None else np.broadcast_to(np.asarray(h, float), x.shape)
+    cols = []
+    for k in range(x.shape[-1]):
+        hk = h[..., k]
         xp, xm = x.copy(), x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        grad[i] = (phi(xp) - phi(xm)) / (2.0 * h[i])
-    return grad
+        xp[..., k] += hk
+        xm[..., k] -= hk
+        diff = np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)
+        step = np.reshape(2.0 * hk, np.shape(hk) + (1,) * (np.ndim(diff) - np.ndim(hk)))
+        cols.append(diff / step)
+    return np.stack(cols, axis=-1)
+
+
+def numerical_gradient(phi, x, h=None):
+    return _fd_jacobian(phi, x, fd_step(x) if h is None else h)
 
 
 def numerical_hessian(phi, x, h=None):
@@ -710,17 +743,7 @@ def check_jump_map(model, e, box, grid_pts=64):
     marks = np.full(mesh.shape[0], float(e))
     images = mesh + np.asarray(model.jump_coeff(mesh, marks), dtype=float)
 
-    # finite-difference Jacobian of the displacement
-    min_det = np.inf
-    h = 1e-5 * (hi - lo)
-    jac = np.empty((mesh.shape[0], d, d))
-    for k in range(d):
-        xp = mesh.copy()
-        xm = mesh.copy()
-        xp[:, k] += h
-        xm[:, k] -= h
-        db = (np.asarray(model.jump_coeff(xp, marks)) - np.asarray(model.jump_coeff(xm, marks))) / (2 * h)
-        jac[:, :, k] = db
+    jac = _fd_jacobian(lambda x: model.jump_coeff(x, marks), mesh, 1e-5 * (hi - lo))
     dets = np.linalg.det(np.eye(d)[None, :, :] + jac)
     min_det = float(dets.min())
 

@@ -17,8 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import GridError, QuadratureError
 from .forward import TimeGrid, simulate_paths
+from .model import time_weights
 
 __all__ = [
     "XQuadrature",
@@ -85,7 +86,12 @@ class NormRatioReport:
 
 
 def _grid_containing(t, s_list, max_steps=4000):
-    """Smallest uniform grid from t whose nodes contain every s."""
+    """Smallest uniform grid from t whose nodes contain every s.
+
+    A grid over ``max_steps`` steps is halved while it can be; a grid
+    still over the cap, or a horizon that is then no longer a node, raises
+    GridError.
+    """
     fracs = [Fraction(s - t).limit_denominator(10**6) for s in s_list]
     denom = 1
     for f in fracs:
@@ -94,10 +100,20 @@ def _grid_containing(t, s_list, max_steps=4000):
     n = int(round((smax - t) * denom))
     while n > max_steps and n % 2 == 0:
         n //= 2
-        denom //= 2
     if n < 1:
         raise ValueError("horizons collapse onto the start time")
-    return TimeGrid(t, smax, n)
+    if n > max_steps:
+        raise GridError(f"horizons {list(s_list)} need a grid of {n} steps from {t}, "
+                        f"over the cap of {max_steps} steps")
+    grid = TimeGrid(t, smax, n)
+    for s in s_list:
+        try:
+            grid.node_index(s)
+        except GridError:
+            raise GridError(
+                f"horizon {s} is not a node of the {n}-step grid on [{t}, {smax}]; "
+                f"grids are coarsened to at most {max_steps} steps") from None
+    return grid
 
 
 def _tail_check(fn, weight, quad, label):
@@ -115,12 +131,30 @@ def _tail_check(fn, weight, quad, label):
     return base
 
 
-def _node_means(vals):
-    """Per-node path averages; exact when all path values at a node coincide."""
+def _dispersed_paths(model, grid, quad, n_paths, seed):
+    """One simulation from the quadrature nodes: n_paths // n_nodes paths
+    per node, grouped node by node."""
+    if model.dim != 1:
+        raise ValueError("norm checks are implemented for 1-d models")
+    m_per = n_paths // quad.size
+    if m_per < 2:
+        raise ValueError(f"need at least 2 paths per quadrature node, "
+                         f"got {n_paths} paths for {quad.size} nodes")
+    x0 = np.repeat(quad.nodes, m_per)[:, None]
+    return simulate_paths(model, grid, x0, quad.size * m_per, seed)
+
+
+def _node_moments(vals, w):
+    """Quadrature with weights w of the per-node means of the path values
+    vals (in the order of ``_dispersed_paths``) and the Monte-Carlo variance
+    of that sum.  A node whose path values all coincide gets that value as
+    its exact mean."""
+    vals = vals.reshape(w.size, -1)
     mean = vals.mean(axis=1)
     same = np.ptp(vals, axis=1) == 0.0
     mean[same] = vals[same, 0]
-    return mean
+    var = vals.var(axis=1, ddof=1)
+    return float(np.sum(w * mean)), float(np.sum(w**2 * var / vals.shape[1]))
 
 
 def norm_ratio(model, weight, phi_family, t, s_list, x_quadrature, n_paths, seed):
@@ -130,29 +164,18 @@ def norm_ratio(model, weight, phi_family, t, s_list, x_quadrature, n_paths, seed
     nodes (n_paths split evenly across nodes) and are read off at each s.
     The zero model gives ratio exactly 1 for every phi by construction.
     """
-    if model.dim != 1:
-        raise ValueError("norm checks are implemented for 1-d models")
     quad = x_quadrature
-    m_per = n_paths // quad.size
-    if m_per < 2:
-        raise ValueError(f"need at least 2 paths per quadrature node, "
-                         f"got {n_paths} paths for {quad.size} nodes")
     grid = _grid_containing(t, list(s_list))
-    x0 = np.repeat(quad.nodes, m_per)[:, None]
-    bundle = simulate_paths(model, grid, x0, quad.size * m_per, seed)
-    rho = weight(quad.nodes[:, None])
+    bundle = _dispersed_paths(model, grid, quad, n_paths, seed)
+    w = quad.weights * weight(quad.nodes[:, None])
 
     rows = []
     for pid, phi in phi_family:
         denom = _tail_check(phi, weight, quad, pid)
         for s in s_list:
             k = grid.node_index(s)
-            vals = np.abs(phi(bundle.states[k][:, 0])).reshape(quad.size, m_per)
-            node_mean = _node_means(vals)
-            node_var = vals.var(axis=1, ddof=1)
-            num = float(np.sum(quad.weights * rho * node_mean))
-            se = math.sqrt(float(np.sum((quad.weights * rho) ** 2 * node_var / m_per)))
-            rows.append((pid, float(s), num / denom, se / denom))
+            num, var = _node_moments(np.abs(phi(bundle.states[k][:, 0])), w)
+            rows.append((pid, float(s), num / denom, math.sqrt(var) / denom))
     return NormRatioReport(rows=tuple(rows))
 
 
@@ -163,19 +186,11 @@ def spacetime_norm_ratio(model, weight, psi_family, t, horizon, x_quadrature,
     For time-independent integrands this reproduces the weighted time
     average of the per-horizon ratios exactly (same paths, same rule).
     """
-    if model.dim != 1:
-        raise ValueError("norm checks are implemented for 1-d models")
     quad = x_quadrature
-    m_per = n_paths // quad.size
-    if m_per < 2:
-        raise ValueError("need at least 2 paths per quadrature node")
     grid = TimeGrid(t, horizon, n_steps)
-    x0 = np.repeat(quad.nodes, m_per)[:, None]
-    bundle = simulate_paths(model, grid, x0, quad.size * m_per, seed)
-    rho = weight(quad.nodes[:, None])
-    wt = np.full(n_steps + 1, grid.dt)
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
+    bundle = _dispersed_paths(model, grid, quad, n_paths, seed)
+    w = quad.weights * weight(quad.nodes[:, None])
+    wt = time_weights(n_steps, grid.dt)
 
     rows = []
     for pid, psi in psi_family:
@@ -183,12 +198,10 @@ def spacetime_norm_ratio(model, weight, psi_family, t, horizon, x_quadrature,
         den = 0.0
         var_acc = 0.0
         for k, s in enumerate(grid.nodes):
-            vals = np.abs(psi(s, bundle.states[k][:, 0])).reshape(quad.size, m_per)
-            node_mean = _node_means(vals)
-            node_var = vals.var(axis=1, ddof=1)
-            num += wt[k] * float(np.sum(quad.weights * rho * node_mean))
-            var_acc += wt[k] ** 2 * float(np.sum((quad.weights * rho) ** 2 * node_var / m_per))
-            den += wt[k] * float(np.sum(quad.weights * rho * np.abs(psi(s, quad.nodes))))
+            mean_k, var_k = _node_moments(np.abs(psi(s, bundle.states[k][:, 0])), w)
+            num += wt[k] * mean_k
+            var_acc += wt[k] ** 2 * var_k
+            den += wt[k] * float(np.sum(w * np.abs(psi(s, quad.nodes))))
         if den <= 0:
             raise QuadratureError(f"{pid}: vanishing reference integral")
         rows.append((pid, float(horizon), num / den, math.sqrt(var_acc) / den))

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (BsdeSolution, default_clamp_bound, evaluate_u, solve_bsde,
-                   trapezoid_weights)
+from .bsde import BsdeSolution, default_clamp_bound, evaluate_u, solve_bsde
 from .errors import NoConvergenceError
+from .model import WeightFunction, time_weights, trapezoid_weights
 
 __all__ = [
     "ReflectedSolution",
@@ -48,14 +48,8 @@ def solve_penalized(model, driver, terminal, obstacle, paths, basis, level,
     resolved in closed form inside the backward step, so arbitrarily large
     levels stay stable.
     """
-    if level < 0:
-        raise ValueError("penalty level must be >= 0")
-    if level == 0:
-        return solve_bsde(model, driver, terminal, paths, basis,
-                          picard_iters=picard_iters, clamp=clamp)
-    return solve_bsde(model, driver, terminal, paths, basis,
-                      picard_iters=picard_iters, clamp=clamp,
-                      penalty_level=level, obstacle=obstacle)
+    return solve_bsde(model, driver, terminal, paths, basis, picard_iters=picard_iters,
+                      clamp=clamp, penalty_level=level, obstacle=obstacle)
 
 
 def penalty_increments(sol, obstacle_values):
@@ -93,10 +87,7 @@ def penalty_norm(u_field, h_field, weight, eval_x, dt, cover=None):
     rho = weight(np.asarray(eval_x, float)[:, None])
     wx = trapezoid_weights(np.asarray(eval_x, float))
     space = np.sum(neg**2 * rho * wx, axis=1)
-    wt = np.full(space.size, dt)
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
-    return float(math.sqrt(np.sum(space * wt)))
+    return float(math.sqrt(np.sum(space * time_weights(space.size - 1, dt))))
 
 
 def coverage_mask(states, eval_x, quantiles=(0.005, 0.995), margin=None):
@@ -157,7 +148,7 @@ class SkorokhodReport:
     normalized: float
 
 
-def skorokhod_gap(sol_or_reflected, obstacle_values=None, k_increments=None):
+def skorokhod_gap(sol, obstacle_values, k_increments):
     """Discrete flat-off defect of a penalized solution.
 
     Averages sum_k |Y_k - L_k| dK_k over paths: the magnitude of the signed
@@ -165,19 +156,13 @@ def skorokhod_gap(sol_or_reflected, obstacle_values=None, k_increments=None):
     to zero.  (Pairing dK with the positive part at the same step is zero by
     construction, since the penalty acts only below the obstacle.)  The
     headline diagnostic is the defect normalized by mean K_T times the
-    largest |Y - L|.
+    largest |Y - L|.  ``obstacle_values`` are L along the paths (N+1, M) and
+    ``k_increments`` the increments dK (N, M).
     """
-    if isinstance(sol_or_reflected, ReflectedSolution):
-        sol = sol_or_reflected.solution
-        lvals = sol_or_reflected.obstacle_values
-        dk = sol_or_reflected.k_increments
-    else:
-        sol = sol_or_reflected
-        lvals = obstacle_values
-        dk = k_increments
-    raw = float(np.mean(np.sum(np.abs(sol.y[:-1] - lvals[:-1]) * dk, axis=0)))
-    k_total = float(np.mean(dk.sum(axis=0)))
-    sup_gap = float(np.abs(sol.y - lvals).max())
+    raw = float(np.mean(np.sum(np.abs(sol.y[:-1] - obstacle_values[:-1]) * k_increments,
+                               axis=0)))
+    k_total = float(np.mean(k_increments.sum(axis=0)))
+    sup_gap = float(np.abs(sol.y - obstacle_values).max())
     denom = k_total * sup_gap
     normalized = raw / denom if denom > 0 else 0.0
     return SkorokhodReport(raw=raw, normalized=normalized)
@@ -201,8 +186,6 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     starts at level 0 thus clamps that level with the obstacle-inclusive
     bound, which is never tighter than the bound of a plain solve.
     """
-    from .model import WeightFunction
-
     schedule = tuple(schedule) if schedule is not None else default_schedule()
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be nonempty and increasing")
@@ -231,9 +214,11 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
                        for k in range(paths.grid.n_steps + 1)])
     rho = weight(eval_x[:, None])
     wx = trapezoid_weights(eval_x)
-    wt = np.full(paths.grid.n_steps + 1, dt)
-    wt[0] *= 0.5
-    wt[-1] *= 0.5
+    wt = time_weights(paths.grid.n_steps, dt)
+
+    def weighted_sum(field):
+        # space-time trapezoid with the weight over the (times x eval_x) grid
+        return float(np.sum(wt[:, None] * field * rho[None, :] * wx[None, :]))
 
     levels = []
     fields = []
@@ -253,8 +238,7 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         ufield = _u_field(sol, eval_x)
         pnorm = penalty_norm(ufield, hfield, weight, eval_x, dt, cover)
         sk = skorokhod_gap(sol, lvals, dk)
-        neg = np.maximum(hfield - ufield, 0.0) * cover
-        pi_n = float(level * np.sum(wt[:, None] * neg * rho[None, :] * wx[None, :]))
+        pi_n = level * weighted_sum(np.maximum(hfield - ufield, 0.0) * cover)
         levels.append(level)
         fields.append(ufield)
         trace.append({"level": level, "penalty_norm": pnorm,
@@ -272,11 +256,10 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
                         picard_iters=picard_iters, clamp=clamp,
                         obstacle=obstacle, reflect=True)
     dfield = _u_field(direct, eval_x)
-    diff2 = np.sum(wt[:, None] * cover * (fields[-1] - dfield) ** 2
-                   * rho[None, :] * wx[None, :])
-    base2 = np.sum(wt[:, None] * cover * dfield**2 * rho[None, :] * wx[None, :])
-    gap = float(math.sqrt(diff2))
-    gap_rel = float(math.sqrt(diff2 / base2)) if base2 > 0 else 0.0
+    diff2 = weighted_sum(cover * (fields[-1] - dfield) ** 2)
+    base2 = weighted_sum(cover * dfield**2)
+    gap = math.sqrt(diff2)
+    gap_rel = math.sqrt(diff2 / base2) if base2 > 0 else 0.0
 
     return ReflectedSolution(
         solution=sol, obstacle=obstacle, obstacle_values=lvals,
@@ -340,11 +323,7 @@ def estimate_reflection_measure(reflected, weight=None, t_bins=10, x_bins=20):
         gmean[nz] /= cnt[nz]
         dens = dens.reshape(t_bins, x_bins)
         gmean = gmean.reshape(t_bins, x_bins)
-        centers = 0.5 * (x_edges[:-1] + x_edges[1:])
-        rho = weight(centers[:, None])
-        areas = np.outer(np.diff(t_edges), np.diff(x_edges))
-        pi = float(np.sum(dens * rho[None, :] * areas))
-        return dens, gmean, pi
+        return dens, gmean, float(np.sum(_cell_masses(dens, t_edges, x_edges, weight)))
 
     pis = []
     density = gap_mean = None
@@ -355,6 +334,13 @@ def estimate_reflection_measure(reflected, weight=None, t_bins=10, x_bins=20):
         t_edges=t_edges, x_edges=x_edges, density=density, gap_mean=gap_mean,
         pi_total=pis[-1], pi_sequence=tuple(pis), level=reflected.final_level,
     )
+
+
+def _cell_masses(density, t_edges, x_edges, weight):
+    """Weighted mass of each (t, x) cell: density * rho(x centre) * area."""
+    centers = 0.5 * (x_edges[:-1] + x_edges[1:])
+    areas = np.outer(np.diff(t_edges), np.diff(x_edges))
+    return density * weight(centers[:, None])[None, :] * areas
 
 
 @dataclass(frozen=True)
@@ -373,10 +359,8 @@ def support_check(reflected, measure, delta):
         raise ValueError("delta must be positive")
     if measure.pi_total <= 0:
         return SupportReport(fraction=0.0, trivial_mass=True)
-    centers = 0.5 * (measure.x_edges[:-1] + measure.x_edges[1:])
-    rho = reflected.weight(centers[:, None]) if reflected.weight is not None else np.ones_like(centers)
-    areas = np.outer(np.diff(measure.t_edges), np.diff(measure.x_edges))
-    contrib = measure.density * rho[None, :] * areas
+    contrib = _cell_masses(measure.density, measure.t_edges, measure.x_edges,
+                           reflected.weight)
     off = measure.gap_mean > delta
     frac = float(contrib[off].sum() / measure.pi_total)
     return SupportReport(fraction=frac, trivial_mass=False)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forward, normcheck, obstacle as obstacle_mod, oracle as oracle_mod
-from .bsde import LocalAffineBasis, PolynomialBasis, evaluate_u, solve_bsde
-from .config import ExperimentConfig, validate_config
+from .bsde import _zv_coeffs, evaluate_u, make_basis, solve_bsde
+from .config import _NORMCHECK_DEFAULTS, ExperimentConfig, validate_config
 from .errors import ConfigError, GridMismatchError, SolverError
 from .forward import TimeGrid, simulate_paths
 
@@ -163,9 +163,7 @@ def _basis_from(cfg, paths):
     else:
         lo = float(paths.states.min()) - 1e-6
         hi = float(paths.states.max()) + 1e-6
-    if bb["kind"] == "poly":
-        return PolynomialBasis(bb["degree"], (lo, hi))
-    return LocalAffineBasis(bb["cells"], (lo, hi))
+    return make_basis(bb["kind"], (lo, hi), bb["degree"], bb["cells"])
 
 
 def _simulate(cfg, model, driver=None):
@@ -177,25 +175,29 @@ def _simulate(cfg, model, driver=None):
                           functionals=functionals)
 
 
+def _backward_problem(cfg):
+    """Model, driver, terminal, simulated paths and basis of a solving task."""
+    model = cfg.build_model()
+    driver = cfg.build_driver()
+    paths = _simulate(cfg, model, driver)
+    return model, driver, cfg.build_terminal(), paths, _basis_from(cfg, paths)
+
+
 def _solution_csv(path, sol, eval_x):
-    q = sol.vbar.shape[2]
+    d, q = sol.states.shape[2], sol.vbar.shape[2]
     with open(path, "w") as fh:
         head = "step,time,x,u,z" + "".join(f",vbar_{i+1}" for i in range(q))
         fh.write(head + "\n")
         pts = eval_x[:, None]
         for k in range(sol.n_steps + 1):
             u = evaluate_u(sol, k, pts)
-            if k < sol.n_steps:
-                z = np.column_stack([sol.basis.predict(sol.coef_z[k, j], pts)
-                                     for j in range(sol.states.shape[2])])[:, 0]
-                vb = [sol.basis.predict(sol.coef_v[k, i], pts) for i in range(q)]
-            else:
-                z = np.zeros(eval_x.size)
-                vb = [np.zeros(eval_x.size) for _ in range(q)]
+            # z (first coordinate) and vbar from one predict, as evaluate_z does
+            zv = (sol.basis.predict(_zv_coeffs(sol, k), pts) if k < sol.n_steps
+                  else np.zeros((eval_x.size, d + q)))
             t = sol.grid.nodes[k]
             for j, xj in enumerate(eval_x):
-                extras = "".join(f",{vb[i][j]:.17g}" for i in range(q))
-                fh.write(f"{k},{t:.17g},{xj:.17g},{u[j]:.17g},{z[j]:.17g}{extras}\n")
+                extras = "".join(f",{v:.17g}" for v in zv[j, d:])
+                fh.write(f"{k},{t:.17g},{xj:.17g},{u[j]:.17g},{zv[j, 0]:.17g}{extras}\n")
 
 
 def _eval_grid(cfg, paths):
@@ -230,11 +232,7 @@ def _task_simulate(cfg, out_dir):
 
 
 def _task_solve(cfg, out_dir):
-    model = cfg.build_model()
-    driver = cfg.build_driver()
-    terminal = cfg.build_terminal()
-    paths = _simulate(cfg, model, driver)
-    basis = _basis_from(cfg, paths)
+    model, driver, terminal, paths, basis = _backward_problem(cfg)
     sol = solve_bsde(model, driver, terminal, paths, basis,
                      picard_iters=cfg.numerics["picard"])
     eval_x = _eval_grid(cfg, paths)
@@ -257,13 +255,9 @@ def _task_solve(cfg, out_dir):
 
 
 def _task_solve_obstacle(cfg, out_dir):
-    model = cfg.build_model()
-    driver = cfg.build_driver()
-    terminal = cfg.build_terminal()
+    model, driver, terminal, paths, basis = _backward_problem(cfg)
     obst = cfg.build_obstacle()
     weight = cfg.build_weight()
-    paths = _simulate(cfg, model, driver)
-    basis = _basis_from(cfg, paths)
     eval_x = _eval_grid(cfg, paths)
     refl = obstacle_mod.solve_reflected(
         model, driver, terminal, obst, paths, basis,
@@ -302,38 +296,32 @@ def _task_solve_obstacle(cfg, out_dir):
 
 
 def _oracle_eval(spec, cfg, out_dir, tag=""):
+    """Run the oracle; returns (payload, artifacts, u0_at), where u0_at(x)
+    is the oracle's value at time 0 on the points x."""
     kind = spec["kind"]
     prefix = f"oracle{tag}"
-    if kind == "merton":
-        price = oracle_mod.merton_price(
-            spec.get("s0", 100.0), spec.get("strike", 100.0), spec.get("rate", 0.05),
-            spec.get("sigma", 0.2), spec.get("horizon", 1.0),
-            spec.get("intensity", 0.0), spec.get("jump_mean", 0.0),
-            spec.get("jump_sd", 1e-8), n_terms=spec.get("n_terms", 60),
-            kind=spec.get("option", "call"))
-        payload = {"price": price, "error_estimate": 1e-10}
+    if kind in ("merton", "binomial"):
+        market = (spec.get("s0", 100.0), spec.get("strike", 100.0), spec.get("rate", 0.05),
+                  spec.get("sigma", 0.2), spec.get("horizon", 1.0))
+        if kind == "merton":
+            price = oracle_mod.merton_price(
+                *market, spec.get("intensity", 0.0), spec.get("jump_mean", 0.0),
+                spec.get("jump_sd", 1e-8), n_terms=spec.get("n_terms", 60),
+                kind=spec.get("option", "call"))
+            error = 1e-10
+        else:
+            steps, option = spec.get("steps", 2000), spec.get("option", "put")
+            price = oracle_mod.binomial_american(*market, steps, option)
+            error = abs(price - oracle_mod.binomial_american(*market, steps // 2, option))
+        payload = {"price": price, "error_estimate": error}
         with open(os.path.join(out_dir, f"{prefix}_price.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
-        return payload, [f"{prefix}_price.json"]
-    if kind == "binomial":
-        steps = spec.get("steps", 2000)
-        price = oracle_mod.binomial_american(
-            spec.get("s0", 100.0), spec.get("strike", 100.0), spec.get("rate", 0.05),
-            spec.get("sigma", 0.2), spec.get("horizon", 1.0), steps,
-            spec.get("option", "put"))
-        half = oracle_mod.binomial_american(
-            spec.get("s0", 100.0), spec.get("strike", 100.0), spec.get("rate", 0.05),
-            spec.get("sigma", 0.2), spec.get("horizon", 1.0), steps // 2,
-            spec.get("option", "put"))
-        payload = {"price": price, "error_estimate": abs(price - half)}
-        with open(os.path.join(out_dir, f"{prefix}_price.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        return payload, [f"{prefix}_price.json"]
+        return payload, [f"{prefix}_price.json"], lambda x: np.full(x.size, price)
     # finite difference
     model = cfg.build_model()
     driver = cfg.build_driver()
     terminal = cfg.build_terminal()
-    obst = cfg.build_obstacle() if "obstacle" in cfg.raw else None
+    obst = cfg.build_obstacle()
     grid = oracle_mod.FdGrid(
         spec.get("x_lo", -8.0), spec.get("x_hi", 8.0),
         spec.get("n_space", 800), spec.get("n_time", 400),
@@ -349,20 +337,18 @@ def _oracle_eval(spec, cfg, out_dir, tag=""):
                 fh.write(f"{fd.times[i]:.17g},{xj:.17g},{uj:.17g}\n")
     payload = {"u0_mid": float(fd.interp(0.0, 0.5 * (grid.x_lo + grid.x_hi))),
                "cfl": fd.diagnostics["cfl"]}
-    return payload, [name], fd
+    return payload, [name], lambda x: fd.interp(0.0, x)
 
 
 def _task_oracle(cfg, out_dir):
-    result = _oracle_eval(cfg.raw["oracle"], cfg, out_dir)
-    payload, artifacts = result[0], result[1]
+    payload, artifacts, _ = _oracle_eval(cfg.raw["oracle"], cfg, out_dir)
     return dict(payload), [], artifacts
 
 
 def _task_normcheck(cfg, out_dir):
     model = cfg.build_model()
     weight = cfg.build_weight()
-    nc = cfg.raw.get("normcheck", {"radius": 9.0, "n_panels": 18,
-                                   "nodes_per_panel": 8, "s_list": [0.1, 0.5, 1.0]})
+    nc = cfg.raw.get("normcheck", _NORMCHECK_DEFAULTS)
     quad = normcheck.gauss_legendre_panels(nc["radius"], nc["n_panels"],
                                            nc["nodes_per_panel"])
     fam = normcheck.shipped_phi_family()
@@ -384,13 +370,9 @@ def _task_normcheck(cfg, out_dir):
 
 def _task_compare(cfg, out_dir):
     cmp_block = cfg.raw["compare"]
-    model = cfg.build_model()
-    driver = cfg.build_driver()
-    terminal = cfg.build_terminal()
-    obst = cfg.build_obstacle() if "obstacle" in cfg.raw else None
+    model, driver, terminal, paths, basis = _backward_problem(cfg)
+    obst = cfg.build_obstacle()
     weight = cfg.build_weight()
-    paths = _simulate(cfg, model, driver)
-    basis = _basis_from(cfg, paths)
 
     region = cmp_block.get("region")
     n_grid = cmp_block["x_grid_n"]
@@ -402,27 +384,17 @@ def _task_compare(cfg, out_dir):
     if obst is None:
         sol = solve_bsde(model, driver, terminal, paths, basis,
                          picard_iters=cfg.numerics["picard"])
-        u_solver = evaluate_u(sol, 0, xq[:, None])
     else:
-        refl = obstacle_mod.solve_reflected(
+        sol = obstacle_mod.solve_reflected(
             model, driver, terminal, obst, paths, basis,
             schedule=cfg.schedule(), tol=cfg.numerics["tol"],
-            weight=weight, picard_iters=cfg.numerics["picard"])
-        u_solver = evaluate_u(refl.solution, 0, xq[:, None])
+            weight=weight, picard_iters=cfg.numerics["picard"]).solution
+    u_solver = evaluate_u(sol, 0, xq[:, None])
     _write_xu_csv(os.path.join(out_dir, "solver_u0.csv"), xq, u_solver)
 
-    spec = cmp_block["oracle"]
-    artifacts = ["solver_u0.csv", "oracle_u0.csv", "compare.csv"]
-    if spec["kind"] == "fd":
-        result = _oracle_eval(spec, cfg, out_dir, tag="_cmp")
-        fd = result[2]
-        u_oracle = fd.interp(0.0, xq)
-        artifacts.extend(result[1])
-    else:
-        payload, extra = _oracle_eval(spec, cfg, out_dir, tag="_cmp")
-        u_oracle = np.full(xq.size, payload["price"])
-        artifacts.extend(extra)
-    _write_xu_csv(os.path.join(out_dir, "oracle_u0.csv"), xq, u_oracle)
+    _, oracle_artifacts, u0_at = _oracle_eval(cmp_block["oracle"], cfg, out_dir, tag="_cmp")
+    artifacts = ["solver_u0.csv", "oracle_u0.csv", "compare.csv"] + oracle_artifacts
+    _write_xu_csv(os.path.join(out_dir, "oracle_u0.csv"), xq, u0_at(xq))
 
     table = compare_report(os.path.join(out_dir, "solver_u0.csv"),
                            os.path.join(out_dir, "oracle_u0.csv"),

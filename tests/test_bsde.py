@@ -308,6 +308,24 @@ def test_default_clamp_bound(heat_model, heat_bundle):
     assert b >= gmax
 
 
+def test_unused_obstacle_is_ignored(heat_model, heat_bundle, poly_basis):
+    # without penalty or reflection the obstacle plays no part, not even in
+    # the default clamp bound
+    from pidesolve.model import ObstacleSpec
+    g = lambda X: X[:, 0] ** 2
+    high = ObstacleSpec(h=lambda t, X: np.full(X.shape[0], 50.0), iota=50.0, kappa=1.0)
+    plain = solve_bsde(heat_model, discount_driver(0.05), g, heat_bundle, poly_basis)
+    unused = solve_bsde(heat_model, discount_driver(0.05), g, heat_bundle, poly_basis,
+                        obstacle=high)
+    assert unused.clamp_bound == plain.clamp_bound
+    assert unused.obstacle is None
+    for name in ("y", "z", "vbar", "coef_y", "coef_z"):
+        assert np.array_equal(getattr(unused, name), getattr(plain, name)), name
+    with pytest.raises(ValueError, match="penalty level"):
+        solve_bsde(heat_model, discount_driver(0.05), g, heat_bundle, poly_basis,
+                   penalty_level=-1, obstacle=high)
+
+
 def test_evaluate_u_domain_guard(heat_model, heat_bundle, poly_basis):
     sol = solve_bsde(heat_model, zero_driver(), lambda X: X[:, 0] ** 2,
                      heat_bundle, poly_basis)

@@ -77,6 +77,15 @@ def test_obstacle_weight_floor_rule():
     validate_config(raw)
 
 
+@pytest.mark.parametrize("p", [-1, 0])
+def test_nonpositive_weight_exponent_rejected(p):
+    raw = {"task": "normcheck", "seed": 1, "model": {"name": "toy-uniform"},
+           "weight": {"p": p}}
+    with pytest.raises(ConfigError, match="weight.p") as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+
+
 def test_task_requirements():
     with pytest.raises(ConfigError, match="terminal"):
         validate_config({"task": "solve", "seed": 1, "model": {"name": "bs"},

@@ -252,3 +252,44 @@ def test_named_model_unknown():
         named_model("does-not-exist")
     with pytest.raises(ValueError):
         named_model("bs", bogus=1)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference Jacobian
+# ---------------------------------------------------------------------------
+
+def _field(x):
+    # a 2-d field of rank 1 per point: (sin x0 * x1, x0^2 + exp(x1))
+    return np.stack([np.sin(x[..., 0]) * x[..., 1], x[..., 0] ** 2 + np.exp(x[..., 1])], -1)
+
+
+def _field_jac(x):
+    x0, x1 = x[..., 0], x[..., 1]
+    return np.stack([np.stack([np.cos(x0) * x1, np.sin(x0)], -1),
+                     np.stack([2 * x0, np.exp(x1)], -1)], -2)
+
+
+@pytest.mark.parametrize("h", [None, 1e-5])
+def test_fd_jacobian_matches_analytic(h):
+    from pidesolve.model import _fd_jacobian
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (50, 2))
+    jac = _field_jac(x)
+    # rank-1 output per point: (m, 2) -> (m, 2, 2)
+    assert np.allclose(_fd_jacobian(_field, x, h), jac, rtol=0, atol=1e-7)
+    # rank-2 output per point, as a diffusion matrix: (m, 2, 2) -> (m, 2, 2, 2)
+    outer = lambda xx: _field(xx)[..., :, None] * _field(xx)[..., None, :]
+    f = _field(x)
+    want = jac[..., :, None, :] * f[..., None, :, None] + f[..., :, None, None] * jac[..., None, :, :]
+    assert np.allclose(_fd_jacobian(outer, x, h), want, rtol=0, atol=1e-7)
+
+
+def test_fd_jacobian_scalar_field_of_one_point():
+    # the numerical_gradient contract: phi of one point returns a Python float
+    from pidesolve.model import _fd_jacobian, numerical_gradient
+    phi = lambda x: float(np.sin(x[0]) * x[1])
+    x = np.array([0.3, -1.2])
+    grad = np.array([np.cos(0.3) * -1.2, np.sin(0.3)])
+    for h in (None, 1e-5):
+        assert _fd_jacobian(phi, x, h).shape == (2,)
+        assert np.allclose(_fd_jacobian(phi, x, h), grad, rtol=0, atol=1e-7)
+    assert np.allclose(numerical_gradient(phi, x), grad, rtol=0, atol=1e-7)

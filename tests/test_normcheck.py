@@ -126,3 +126,22 @@ def test_paths_per_node_guard(merton_model, quad):
     with pytest.raises(ValueError):
         norm_ratio(merton_model, RHO4, shipped_phi_family(), 0.0, [0.5], quad,
                    100, seed=12)
+
+
+def test_dropped_horizon_fails_before_simulating(merton_model, quad, monkeypatch):
+    # 0.0001 and 1.0 need 10 000 steps; halving to 2 500 steps loses 0.0001,
+    # which must be reported before any path is simulated.  1/4001 needs an
+    # odd 4 001 steps, which no halving brings under the cap
+    import pidesolve.normcheck as normcheck_mod
+    from pidesolve.errors import GridError
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking the horizons")
+
+    monkeypatch.setattr(normcheck_mod, "simulate_paths", no_simulation)
+    with pytest.raises(GridError, match=r"horizon 0\.0001 .*4000 steps"):
+        norm_ratio(merton_model, RHO4, shipped_phi_family(), 0.0, [0.0001, 1.0],
+                   quad, 2_000, seed=13)
+    with pytest.raises(GridError, match="4001 steps .*cap of 4000"):
+        norm_ratio(merton_model, RHO4, shipped_phi_family(), 0.0, [1 / 4001, 1.0],
+                   quad, 2_000, seed=13)
