@@ -66,6 +66,15 @@ class _BoxBasis:
         self.dim = lo.size
         self.ridge_scale = ridge_scale
 
+    def fit(self, x, targets):
+        """Least squares of each target column on the basis.
+
+        Returns (coeffs, info); the coefficients carry one trailing target
+        axis.  Degenerate designs (all points numerically equal) fall back
+        to an intercept-only fit.
+        """
+        return self.prepare(x).fit(targets)
+
     def contains(self, x):
         x = np.atleast_2d(np.asarray(x, float))
         pad = 1e-9 * (self.hi - self.lo)
@@ -109,15 +118,6 @@ class PolynomialBasis(_BoxBasis):
         """Regression setup on the point set x (design, ridged Gram, fit info);
         its ``fit(targets)`` and ``predict(coeffs)`` reuse it."""
         return _PolyRegression(self, x)
-
-    def fit(self, x, targets):
-        """Least squares of each target column on the basis.
-
-        Returns (coeffs, info); coeffs has shape (n_features, n_targets).
-        Degenerate designs (all points numerically equal) fall back to an
-        intercept-only fit.
-        """
-        return self.prepare(x).fit(targets)
 
     def predict(self, coeffs, x):
         return _poly_predict(self.design(x), coeffs)
@@ -207,9 +207,6 @@ class LocalAffineBasis(_BoxBasis):
         """Regression setup on the point set x (cell features, ridged Gram
         blocks, thin/full/empty cells, fit info); see PolynomialBasis.prepare."""
         return _LocalRegression(self, x)
-
-    def fit(self, x, targets):
-        return self.prepare(x).fit(targets)
 
     def predict(self, coeffs, x):
         return _local_predict(*self._features(np.atleast_2d(np.asarray(x, float))), coeffs)

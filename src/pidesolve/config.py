@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .model import (JumpMeasure, ObstacleSpec, WeightFunction,
+from .model import (PRESET_PARAMS, JumpMeasure, ObstacleSpec, WeightFunction,
                     borrowing_rate_driver, discount_driver, named_model,
                     scalar_model, zero_driver)
 from .obstacle import default_schedule
@@ -35,6 +35,26 @@ _NUMERIC_DEFAULTS = {
 _BASIS_DEFAULTS = {"kind": "poly", "degree": 4, "cells": 40, "box": None}
 _NORMCHECK_DEFAULTS = {"radius": 9.0, "n_panels": 18, "nodes_per_panel": 8,
                        "s_list": (0.1, 0.5, 1.0)}
+# the params each named block accepts; driver params default to 0 and an
+# obstacle also takes its growth constants iota and kappa
+_DRIVER_PARAMS = {"zero": (), "discount": ("rate",),
+                  "borrowing": ("rate", "borrow_rate", "risk_premium")}
+_DRIVERS = {"zero": zero_driver, "discount": discount_driver,
+            "borrowing": borrowing_rate_driver}
+_PAYOFF_PARAMS = {"square": (), "constant": ("value",), "call": ("strike",),
+                  "put": ("strike",), "exp-call": ("strike",), "exp-put": ("strike",)}
+_OBSTACLE_PARAMS = {name: keys + ("iota", "kappa")
+                    for name, keys in _PAYOFF_PARAMS.items() if name != "square"}
+# the custom model's params: affine drift and diffusion, and a jump part
+# made of a jump kind and a measure whose keys and defaults depend on its kind
+_CUSTOM_KEYS = {"drift", "diffusion", "measure", "jump", "k_jump", "k_coef"}
+_CUSTOM_JUMPS = {"none": None,
+                 "translation": lambda x, e: np.broadcast_to(e, x.shape).astype(float),
+                 "proportional-exp": lambda x, e: x * (np.exp(e) - 1.0)}
+_CUSTOM_MEASURES = {"uniform": (JumpMeasure.uniform, {"lo": -1.0, "hi": 1.0}),
+                    "gaussian": (JumpMeasure.gaussian, {"mean": 0.0, "sd": 1.0}),
+                    "two-point": (JumpMeasure.two_point,
+                                  {"down": -0.1, "up": 0.1, "p_up": 0.5})}
 
 
 def _type_name(v):
@@ -54,6 +74,13 @@ def _expect_num(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected number, got {_type_name(value)}")
     return float(value)
+
+
+def _expect_choice(value, choices, path):
+    """A string among the choices; anything else is rejected with the choices."""
+    if _expect(value, str, path) not in choices:
+        raise ConfigError(f"{path} must be one of {sorted(choices)}, got {value!r}")
+    return value
 
 
 def _expect_count(value, path, minimum=1):
@@ -91,16 +118,9 @@ class ExperimentConfig:
 
     def build_driver(self):
         block = self.raw.get("driver") or {"name": "zero", "params": {}}
-        name, params = block["name"], dict(block.get("params", {}))
-        if name == "zero":
-            return zero_driver()
-        if name == "discount":
-            return discount_driver(params.get("rate", 0.0))
-        if name == "borrowing":
-            return borrowing_rate_driver(params.get("rate", 0.0),
-                                         params.get("borrow_rate", 0.0),
-                                         params.get("risk_premium", 0.0))
-        raise ConfigError(f"unknown driver preset {name!r}")
+        name = block["name"]
+        params = {**dict.fromkeys(_DRIVER_PARAMS[name], 0.0), **block.get("params", {})}
+        return _DRIVERS[name](**params)
 
     def build_terminal(self):
         block = self.raw["terminal"]
@@ -145,42 +165,23 @@ def _build_payoff(name, params, path):
 
 
 def _build_custom_model(params):
-    def coef(spec, default_slope, default_icpt, path):
+    def coef(spec, default_slope, default_icpt):
         if spec is None:
             return lambda x: default_slope * x + default_icpt
         slope = spec.get("slope", 0.0)
         icpt = spec.get("intercept", 0.0)
         return lambda x: slope * x + icpt
 
-    drift = coef(params.get("drift"), 0.0, 0.0, "drift")
-    diffusion = coef(params.get("diffusion"), 0.0, 1.0, "diffusion")
-    measure_spec = params.get("measure")
-    jump_kind = params.get("jump", "none")
-    measure = JumpMeasure.none()
-    jump = None
-    if measure_spec and jump_kind != "none":
-        kind = measure_spec.get("kind", "uniform")
-        intensity = measure_spec.get("intensity", 1.0)
-        if kind == "uniform":
-            measure = JumpMeasure.uniform(measure_spec.get("lo", -1.0),
-                                          measure_spec.get("hi", 1.0), intensity)
-        elif kind == "gaussian":
-            measure = JumpMeasure.gaussian(measure_spec.get("mean", 0.0),
-                                           measure_spec.get("sd", 1.0), intensity)
-        elif kind == "two-point":
-            measure = JumpMeasure.two_point(measure_spec.get("down", -0.1),
-                                            measure_spec.get("up", 0.1),
-                                            measure_spec.get("p_up", 0.5), intensity)
-        else:
-            raise ConfigError(f"unknown measure kind {kind!r}")
-        if jump_kind == "translation":
-            jump = lambda x, e: np.broadcast_to(e, x.shape).astype(float)
-        elif jump_kind == "proportional-exp":
-            jump = lambda x, e: x * (np.exp(e) - 1.0)
-        else:
-            raise ConfigError(f"unknown jump kind {jump_kind!r}")
-    return scalar_model(drift=drift, diffusion=diffusion, jump=jump,
-                        jump_measure=measure,
+    measure, jump = JumpMeasure.none(), None
+    spec = params.get("measure")
+    if spec:  # validation pairs a measure with a jump kind other than none
+        make, defaults = _CUSTOM_MEASURES[spec.get("kind", "uniform")]
+        measure = make(*(spec.get(k, v) for k, v in defaults.items()),
+                       intensity=spec.get("intensity", 1.0))
+        jump = _CUSTOM_JUMPS[params["jump"]]
+    return scalar_model(drift=coef(params.get("drift"), 0.0, 0.0),
+                        diffusion=coef(params.get("diffusion"), 0.0, 1.0),
+                        jump=jump, jump_measure=measure,
                         k_jump=params.get("k_jump", 4.0),
                         k_coef=params.get("k_coef", 1.0))
 
@@ -208,9 +209,7 @@ def validate_config(raw):
     _expect(raw, dict, "config")
     _check_keys(raw, _TOP_KEYS, "")
 
-    task = _expect(raw.get("task"), str, "task")
-    if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+    task = _expect_choice(raw.get("task"), TASKS, "task")
     if "seed" not in raw:
         raise ConfigError("seed is required (no silent nondeterminism)")
     seed = raw["seed"]
@@ -222,17 +221,10 @@ def validate_config(raw):
         out["output"] = _expect(raw["output"], str, "output")
 
     out["model"] = _norm_model(raw.get("model"), task)
-    if "driver" in raw:
-        out["driver"] = _norm_named_block(raw["driver"], "driver",
-                                          {"zero", "discount", "borrowing"})
-    if "terminal" in raw:
-        out["terminal"] = _norm_named_block(raw["terminal"], "terminal",
-                                            {"square", "constant", "call", "put",
-                                             "exp-call", "exp-put"})
-    if "obstacle" in raw:
-        out["obstacle"] = _norm_named_block(raw["obstacle"], "obstacle",
-                                            {"call", "put", "exp-call", "exp-put",
-                                             "constant"})
+    for path, known in (("driver", _DRIVER_PARAMS), ("terminal", _PAYOFF_PARAMS),
+                        ("obstacle", _OBSTACLE_PARAMS)):
+        if path in raw:
+            out[path] = _norm_named_block(raw[path], path, known)
     weight_block = raw.get("weight", {"p": 4.0})
     _expect(weight_block, dict, "weight")
     _check_keys(weight_block, {"p"}, "weight")
@@ -260,26 +252,51 @@ def _norm_model(block, task):
         raise ConfigError("model block is required")
     _expect(block, dict, "model")
     _check_keys(block, {"name", "params"}, "model")
-    name = _expect(block.get("name"), str, "model.name")
-    known = {"bs", "merton", "kou", "toy-uniform", "custom"}
-    if name not in known:
-        raise ConfigError(f"model.name must be one of {sorted(known)}, got {name!r}")
+    name = _expect_choice(block.get("name"), {*PRESET_PARAMS, "custom"}, "model.name")
     params = block.get("params", {})
-    _expect(params, dict, "model.params")
+    if name == "custom":
+        _check_custom_params(params, "model.params")
+    else:
+        _check_params(params, PRESET_PARAMS[name], "model.params")
+        if "n_nodes" in params:
+            _expect_count(params["n_nodes"], "model.params.n_nodes")
     return {"name": name, "params": params}
+
+
+def _check_params(block, allowed, path, other=()):
+    """A params block: only the allowed keys, each a number unless in other."""
+    _expect(block, dict, path)
+    _check_keys(block, allowed, path)
+    for key, val in block.items():
+        if key not in other:
+            _expect_num(val, f"{path}.{key}")
+    return block
+
+
+def _check_custom_params(params, path):
+    """Reject keys the custom model would ignore, also inside its blocks."""
+    _check_params(params, _CUSTOM_KEYS, path, other=("drift", "diffusion", "measure", "jump"))
+    for key in ("drift", "diffusion"):
+        if key in params:
+            _check_params(params[key], ("slope", "intercept"), f"{path}.{key}")
+    jump = _expect_choice(params.get("jump", "none"), _CUSTOM_JUMPS, f"{path}.jump")
+    measure = _expect(params.get("measure", {}), dict, f"{path}.measure")
+    if measure:
+        kind = _expect_choice(measure.get("kind", "uniform"), _CUSTOM_MEASURES,
+                              f"{path}.measure.kind")
+        _check_params(measure, {"kind", "intensity", *_CUSTOM_MEASURES[kind][1]},
+                      f"{path}.measure", other=("kind",))
+    # the model has jumps only with both a jump kind and a measure
+    if (jump != "none") != bool(measure):
+        raise ConfigError(f"{path}: jump {jump!r} {'with' if measure else 'without'} "
+                          f"a measure; jumps need both a jump kind and a measure")
 
 
 def _norm_named_block(block, path, known):
     _expect(block, dict, path)
     _check_keys(block, {"name", "params"}, path)
-    name = _expect(block.get("name"), str, f"{path}.name")
-    if name not in known:
-        raise ConfigError(f"{path}.name must be one of {sorted(known)}, got {name!r}")
-    params = block.get("params", {})
-    _expect(params, dict, f"{path}.params")
-    for key, val in params.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise SchemaError(f"{path}.params.{key}: expected number, got {_type_name(val)}")
+    name = _expect_choice(block.get("name"), known, f"{path}.name")
+    params = _check_params(block.get("params", {}), known[name], f"{path}.params")
     return {"name": name, "params": dict(params)}
 
 
@@ -302,10 +319,8 @@ def _norm_numerics(block):
     if num["tol"] <= 0:
         raise ConfigError("numerics.tol must be positive")
     if "dump_paths" in block:
-        v = _expect(block["dump_paths"], str, "numerics.dump_paths")
-        if v not in ("none", "csv", "binary"):
-            raise ConfigError("numerics.dump_paths must be none|csv|binary")
-        num["dump_paths"] = v
+        num["dump_paths"] = _expect_choice(block["dump_paths"], ("none", "csv", "binary"),
+                                           "numerics.dump_paths")
     if "schedule" in block:
         sched = _expect(block["schedule"], list, "numerics.schedule")
         vals = []
@@ -323,9 +338,7 @@ def _norm_numerics(block):
         bb = _expect(block["basis"], dict, "numerics.basis")
         _check_keys(bb, set(_BASIS_DEFAULTS), "numerics.basis")
         if "kind" in bb:
-            if bb["kind"] not in ("poly", "local"):
-                raise ConfigError("numerics.basis.kind must be poly|local")
-            basis["kind"] = bb["kind"]
+            basis["kind"] = _expect_choice(bb["kind"], ("poly", "local"), "numerics.basis.kind")
         for key in ("degree", "cells"):
             if key in bb:
                 basis[key] = _expect_count(bb[key], f"numerics.basis.{key}")
@@ -345,26 +358,16 @@ def _norm_oracle(block):
                "option", "intensity", "jump_mean", "jump_sd", "n_terms",
                "x_lo", "x_hi", "n_space", "n_time", "bc"}
     _check_keys(block, allowed, "oracle")
-    kind = _expect(block.get("kind"), str, "oracle.kind")
-    if kind not in ("fd", "merton", "binomial"):
-        raise ConfigError("oracle.kind must be fd|merton|binomial")
-    out = {"kind": kind}
+    out = {"kind": _expect_choice(block.get("kind"), ("fd", "merton", "binomial"), "oracle.kind")}
     for key in allowed - {"kind", "option", "bc", "steps", "n_space", "n_time", "n_terms"}:
         if key in block:
             out[key] = _expect_num(block[key], f"oracle.{key}")
     for key in ("steps", "n_space", "n_time", "n_terms"):
         if key in block:
             out[key] = _expect_count(block[key], f"oracle.{key}")
-    if "option" in block:
-        opt = _expect(block["option"], str, "oracle.option")
-        if opt not in ("call", "put"):
-            raise ConfigError("oracle.option must be call|put")
-        out["option"] = opt
-    if "bc" in block:
-        bc = _expect(block["bc"], str, "oracle.bc")
-        if bc not in ("dirichlet", "linear"):
-            raise ConfigError("oracle.bc must be dirichlet|linear")
-        out["bc"] = bc
+    for key, choices in (("option", ("call", "put")), ("bc", ("dirichlet", "linear"))):
+        if key in block:
+            out[key] = _expect_choice(block[key], choices, f"oracle.{key}")
     return out
 
 

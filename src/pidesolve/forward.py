@@ -6,7 +6,8 @@ iid from the measure's sampler, and the compensator drift is applied
 continuously between events.  Noise for step ``k`` comes from a dedicated
 counter-based stream keyed by ``(seed, k + key_offset)``, so a simulation
 restarted at an interior node with the matching key offset replays the same
-randomness bit for bit; the flow-composition check exploits exactly this.
+randomness bit for bit, and simulations from different starts draw the same
+noise; the flow-composition check and the tangent flow exploit exactly this.
 """
 
 from __future__ import annotations
@@ -130,39 +131,8 @@ def _step_stream(seed, key):
     return np.random.Generator(np.random.Philox(key=bits))
 
 
-def _drift_jacobian(model, x):
-    if model.drift_jac is not None:
-        return np.asarray(model.drift_jac(x), dtype=float)
-    return _fd_jacobian(model.drift, x)
-
-
-def _diffusion_jacobian(model, x):
-    # returns (..., d, d, d): entry [i, j, k] = d sigma^{ij} / d x_k
-    if model.diffusion_jac is not None:
-        return np.asarray(model.diffusion_jac(x), dtype=float)
-    return _fd_jacobian(model.diffusion, x)
-
-
-def _jump_jacobian(model, x, e):
-    if model.jump_coeff_jac is not None:
-        return np.asarray(model.jump_coeff_jac(x, e), dtype=float)
-    return _fd_jacobian(lambda xx: model.jump_coeff(xx, e), x)
-
-
-def _compensator_jacobian(model, x):
-    if not model.has_jumps:
-        return np.zeros(x.shape[:-1] + (x.shape[-1], x.shape[-1]))
-    nodes = model.jump_measure.nodes
-    weights = model.jump_measure.weights
-    out = np.zeros(x.shape[:-1] + (x.shape[-1], x.shape[-1]))
-    for e_j, w_j in zip(nodes, weights):
-        marks = np.full(x.shape[:-1], e_j)
-        out += w_j * _jump_jacobian(model, x, marks)
-    return out
-
-
-def _euler_segment(model, x, tau, xi, tangent):
-    """One diffusion segment: state update, Brownian increment, tangent update.
+def _euler_segment(model, x, tau, xi):
+    """One diffusion segment: state update and Brownian increment.
 
     ``tau`` is (g, 1), ``xi`` standard normal (g, d).  The effective drift is
     drift minus the compensator drift of the jump part.
@@ -170,26 +140,15 @@ def _euler_segment(model, x, tau, xi, tangent):
     dw = np.sqrt(tau) * xi
     b = np.asarray(model.drift(x), dtype=float) - model.compensator_drift(x)
     sig = np.asarray(model.diffusion(x), dtype=float)
-    new_x = x + b * tau + np.einsum("gij,gj->gi", sig, dw)
-    new_tangent = None
-    if tangent is not None:
-        d = x.shape[-1]
-        amat = np.broadcast_to(np.eye(d), tangent.shape).copy()
-        jb = _drift_jacobian(model, x) - _compensator_jacobian(model, x)
-        amat += jb * tau[..., None]
-        dsig = _diffusion_jacobian(model, x)
-        amat += np.einsum("gijk,gj->gik", dsig, dw)
-        new_tangent = amat @ tangent
-    return new_x, dw, new_tangent
+    return x + b * tau + np.einsum("gij,gj->gi", sig, dw), dw
 
 
-def _advance(model, x, dt, rng, tangent):
+def _advance(model, x, dt, rng):
     """Advance all paths over one step of length dt.
 
-    Returns (new_x, dW, counts, jump_paths, jump_offsets, jump_marks,
-    new_tangent).  Draw order is fixed: Poisson counts, jump time offsets,
-    marks, then one standard normal block per diffusion segment laid out in
-    path-major order.
+    Returns (new_x, dW, counts, jump_paths, jump_offsets, jump_marks).  Draw
+    order is fixed: Poisson counts, jump time offsets, marks, then one
+    standard normal block per diffusion segment laid out in path-major order.
     """
     m, d = x.shape
     lam = model.jump_measure.total_intensity if model.has_jumps else 0.0
@@ -211,7 +170,6 @@ def _advance(model, x, dt, rng, tangent):
 
     new_x = np.empty_like(x)
     dW = np.zeros((m, d))
-    new_tangent = tangent.copy() if tangent is not None else None
     sorted_offsets = offsets.copy()
     sorted_marks = marks.copy()
 
@@ -221,12 +179,7 @@ def _advance(model, x, dt, rng, tangent):
         if c == 0:
             xi = normals[seg_start[idx]]
             tau = np.full((g, 1), dt)
-            tan = new_tangent[idx] if tangent is not None else None
-            nx, dw, tan = _euler_segment(model, x[idx], tau, xi, tan)
-            new_x[idx] = nx
-            dW[idx] = dw
-            if tangent is not None:
-                new_tangent[idx] = tan
+            new_x[idx], dW[idx] = _euler_segment(model, x[idx], tau, xi)
             continue
         jcols = jump_start[idx][:, None] + np.arange(c)
         times = offsets[jcols]
@@ -239,22 +192,16 @@ def _advance(model, x, dt, rng, tangent):
         seg_len = np.diff(bounds, axis=1)
         xi_rows = normals[seg_start[idx][:, None] + np.arange(c + 1)]
         cur = x[idx]
-        tan = new_tangent[idx] if tangent is not None else None
         for s in range(c + 1):
             tau = np.maximum(seg_len[:, s][:, None], 0.0)
-            cur, dw, tan = _euler_segment(model, cur, tau, xi_rows[:, s, :], tan)
+            cur, dw = _euler_segment(model, cur, tau, xi_rows[:, s, :])
             dW[idx] += dw
             if s < c:
-                e_s = mk[:, s]
-                if tangent is not None:
-                    tan = (np.eye(d)[None] + _jump_jacobian(model, cur, e_s)) @ tan
-                cur = cur + np.asarray(model.jump_coeff(cur, e_s), dtype=float)
+                cur = cur + np.asarray(model.jump_coeff(cur, mk[:, s]), dtype=float)
         new_x[idx] = cur
-        if tangent is not None:
-            new_tangent[idx] = tan
 
     jump_paths = np.repeat(np.arange(m), counts)
-    return new_x, dW, counts, jump_paths, sorted_offsets, sorted_marks, new_tangent
+    return new_x, dW, counts, jump_paths, sorted_offsets, sorted_marks
 
 
 def _as_start(x0, n_paths, dim):
@@ -270,7 +217,13 @@ def _as_start(x0, n_paths, dim):
     return x0.copy()
 
 
-def _simulate(model, grid, x0, n_paths, seed, key_offset, functionals, with_tangent):
+def simulate_paths(model, grid, x0, n_paths, seed, functionals=(), key_offset=0):
+    """Simulate the forward jump diffusion on the grid.
+
+    ``x0`` is a point (all paths start there) or an (n_paths, dim) array of
+    per-path starts for dispersed-start experiments.  Identical
+    (model, grid, x0, n_paths, seed, key_offset) give a bit-identical bundle.
+    """
     if n_paths < 1:
         raise ValueError("need at least one path")
     dt = grid.dt
@@ -281,12 +234,10 @@ def _simulate(model, grid, x0, n_paths, seed, key_offset, functionals, with_tang
     brownian = np.empty((n, n_paths, model.dim))
     counts_all = np.empty((n, n_paths), dtype=np.int64)
     jp, jt, jm = [], [], []
-    tangent = np.broadcast_to(np.eye(model.dim), (n_paths, model.dim, model.dim)).copy() \
-        if with_tangent else None
 
     for k in range(n):
         rng = _step_stream(seed, k + key_offset)
-        x, dw, counts, paths_k, offs_k, marks_k, tangent = _advance(model, x, dt, rng, tangent)
+        x, dw, counts, paths_k, offs_k, marks_k = _advance(model, x, dt, rng)
         if not np.isfinite(x).all():
             bad = np.argwhere(~np.isfinite(x))
             p, comp = bad[0]
@@ -306,17 +257,6 @@ def _simulate(model, grid, x0, n_paths, seed, key_offset, functionals, with_tang
     )
     if functionals:
         bundle.dmu = bundle.compensated_increments(functionals, model.jump_measure)
-    return bundle, tangent
-
-
-def simulate_paths(model, grid, x0, n_paths, seed, functionals=(), key_offset=0):
-    """Simulate the forward jump diffusion on the grid.
-
-    ``x0`` is a point (all paths start there) or an (n_paths, dim) array of
-    per-path starts for dispersed-start experiments.  Identical
-    (model, grid, x0, n_paths, seed, key_offset) give a bit-identical bundle.
-    """
-    bundle, _ = _simulate(model, grid, x0, n_paths, seed, key_offset, functionals, False)
     return bundle
 
 
@@ -374,17 +314,22 @@ class TangentFlowReport:
 
 
 def tangent_flow(model, grid, x0, n_paths, seed):
-    """Simulate the linearized flow alongside the state and report det stats.
+    """Mean, standard error and values of det(dX_{t0,t1}/dx) over paths.
 
-    The tangent alternates the Jacobian of the Euler map between jumps (the
-    derivative of the effective drift includes the compensator term) and
-    I + d beta/dx at jumps.  Returns mean and standard error of
-    det(dX_{t0,t1}) over paths.
+    The Jacobian of the simulated flow x -> X_{t0,t1}(x) is taken by central
+    differences (``model._fd_jacobian``) of whole simulations from the
+    shifted starts.  Jump counts, times, marks and Brownian normals come
+    from per-step streams keyed by the seed and the step, never by the state, so
+    both sides of each difference move along the same noise and the quotient
+    differentiates one realization of the flow, jumps included.
     """
-    _, tangent = _simulate(model, grid, x0, n_paths, seed, 0, (), True)
-    if not np.isfinite(tangent).all():
+    def flow(x):
+        return simulate_paths(model, grid, x, n_paths, seed).states[-1]
+
+    jac = _fd_jacobian(flow, _as_start(x0, n_paths, model.dim))
+    if not np.isfinite(jac).all():
         raise NumericError("non-finite tangent flow")
-    dets = np.linalg.det(tangent)
+    dets = np.linalg.det(jac)
     se = float(dets.std(ddof=1) / math.sqrt(dets.size)) if dets.size > 1 else 0.0
     return TangentFlowReport(mean_det=float(dets.mean()), stderr=se, determinants=dets)
 

@@ -185,10 +185,10 @@ class ModelSpec:
 
     ``k_jump`` is the user-declared bound in |beta(x, e)| <= k_jump * (1 ^ |e|)
     and ``k_coef`` a joint Lipschitz/growth constant for (drift, diffusion);
-    both are spot-checked, not proven.  Optional analytic Jacobians
-    (``drift_jac``, ``diffusion_jac``, ``jump_coeff_jac``) are used by the
-    tangent-flow simulation when present; central finite differences
-    otherwise.
+    both are spot-checked, not proven.  The spec holds no Jacobians:
+    ``forward.tangent_flow`` differentiates the simulated flow itself and
+    ``check_jump_map`` the jump coefficient, both by the central differences
+    of ``_fd_jacobian``.
     """
 
     dim: int
@@ -198,9 +198,6 @@ class ModelSpec:
     jump_measure: JumpMeasure = field(default_factory=JumpMeasure.none)
     k_jump: float = 1.0
     k_coef: float = 1.0
-    drift_jac: Optional[Callable] = None
-    diffusion_jac: Optional[Callable] = None
-    jump_coeff_jac: Optional[Callable] = None
     sample_box: tuple = (-1.0, 1.0)
 
     def __post_init__(self):
@@ -279,6 +276,18 @@ def scalar_model(drift, diffusion, jump=None, jump_measure=None, **kw):
                      jump_measure=jm, **kw)
 
 
+# default parameters of each preset; ``named_model`` and config validation
+# accept exactly these keys
+PRESET_PARAMS = {
+    "bs": {"r": 0.05, "sigma": 0.2},
+    "merton": {"r": 0.05, "sigma": 0.2, "intensity": 1.0, "n_nodes": 32,
+               "jump_mean": -0.1, "jump_sd": 0.15},
+    "kou": {"r": 0.05, "sigma": 0.2, "intensity": 1.0,
+            "down": -0.1, "up": 0.1, "p_up": 0.5},
+    "toy-uniform": {"intensity": 1.0, "half_width": 1.0, "n_nodes": 32},
+}
+
+
 def named_model(name, **params):
     """Built-in model presets selectable by string key.
 
@@ -289,60 +298,28 @@ def named_model(name, **params):
     * ``"kou"``         log-price dynamics with two-point jump sizes.
     * ``"toy-uniform"`` unit diffusion plus translation jumps with marks
                         uniform on [-1, 1] at unit intensity.
+
+    ``params`` override the defaults in ``PRESET_PARAMS``; any other key is
+    rejected.
     """
     name = name.lower()
+    if name not in PRESET_PARAMS:
+        raise ValueError(f"unknown model preset: {name!r}")
+    unknown = sorted(set(params) - set(PRESET_PARAMS[name]))
+    if unknown:
+        raise ValueError(f"unknown parameters for preset {name!r}: {unknown}")
+    p = {**PRESET_PARAMS[name], **params}
     if name == "bs":
-        r = params.pop("r", 0.05)
-        sigma = params.pop("sigma", 0.2)
-        _reject_extra(params, name)
+        r, sigma = p["r"], p["sigma"]
         return scalar_model(
             drift=lambda x: r * x,
             diffusion=lambda x: sigma * x,
             k_coef=max(abs(r), sigma, 1e-6),
-            drift_jac=_const_jac_1d(r),
-            diffusion_jac=_const_dsig_1d(sigma),
             sample_box=(1.0, 200.0),
         )
-    if name in ("merton", "kou"):
-        r = params.pop("r", 0.05)
-        sigma = params.pop("sigma", 0.2)
-        intensity = params.pop("intensity", 1.0)
-        n_nodes = params.pop("n_nodes", 32)
-        if name == "merton":
-            jump_mean = params.pop("jump_mean", -0.1)
-            jump_sd = params.pop("jump_sd", 0.15)
-            jm = JumpMeasure.gaussian(jump_mean, jump_sd, intensity, n_nodes)
-            kbar = math.exp(jump_mean + 0.5 * jump_sd**2) - 1.0
-            mbar = jump_mean
-        else:
-            down = params.pop("down", -0.1)
-            up = params.pop("up", 0.1)
-            p_up = params.pop("p_up", 0.5)
-            jm = JumpMeasure.two_point(down, up, p_up, intensity)
-            kbar = (1 - p_up) * (math.exp(down) - 1) + p_up * (math.exp(up) - 1)
-            mbar = (1 - p_up) * down + p_up * up
-        _reject_extra(params, name)
-        # log-price drift chosen so the compensated dynamics reproduce the
-        # risk-neutral process: effective drift = r - sigma^2/2 - lambda*kbar
-        b = r - 0.5 * sigma**2 - intensity * kbar + intensity * mbar
-        return scalar_model(
-            drift=lambda x: np.full_like(x, b),
-            diffusion=lambda x: np.full_like(x, sigma),
-            jump=lambda x, e: np.broadcast_to(e, x.shape).astype(float),
-            jump_measure=jm,
-            k_jump=4.0,
-            k_coef=max(abs(b), sigma, 1e-6),
-            drift_jac=_const_jac_1d(0.0),
-            diffusion_jac=_const_dsig_1d(0.0),
-            jump_coeff_jac=_zero_jump_jac_1d(),
-            sample_box=(2.0, 7.0),
-        )
     if name == "toy-uniform":
-        intensity = params.pop("intensity", 1.0)
-        half_width = params.pop("half_width", 1.0)
-        n_nodes = params.pop("n_nodes", 32)
-        _reject_extra(params, name)
-        jm = JumpMeasure.uniform(-half_width, half_width, intensity, n_nodes)
+        half_width = p["half_width"]
+        jm = JumpMeasure.uniform(-half_width, half_width, p["intensity"], p["n_nodes"])
         return scalar_model(
             drift=lambda x: np.zeros_like(x),
             diffusion=lambda x: np.ones_like(x),
@@ -350,39 +327,31 @@ def named_model(name, **params):
             jump_measure=jm,
             k_jump=max(1.0, half_width),
             k_coef=1.0,
-            drift_jac=_const_jac_1d(0.0),
-            diffusion_jac=_const_dsig_1d(0.0),
-            jump_coeff_jac=_zero_jump_jac_1d(),
             sample_box=(-3.0, 3.0),
         )
-    raise ValueError(f"unknown model preset: {name!r}")
-
-
-def _reject_extra(params, name):
-    if params:
-        raise ValueError(f"unknown parameters for preset {name!r}: {sorted(params)}")
-
-
-def _const_jac_1d(c):
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1] + (1, 1), float(c))
-    return jac
-
-
-def _const_dsig_1d(c):
-    # d sigma^{ij} / d x_k, shape (..., d, d, d)
-    def jac(x):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1] + (1, 1, 1), float(c))
-    return jac
-
-
-def _zero_jump_jac_1d():
-    def jac(x, e):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (1, 1))
-    return jac
+    r, sigma, intensity = p["r"], p["sigma"], p["intensity"]
+    if name == "merton":
+        jump_mean, jump_sd = p["jump_mean"], p["jump_sd"]
+        jm = JumpMeasure.gaussian(jump_mean, jump_sd, intensity, p["n_nodes"])
+        kbar = math.exp(jump_mean + 0.5 * jump_sd**2) - 1.0
+        mbar = jump_mean
+    else:
+        down, up, p_up = p["down"], p["up"], p["p_up"]
+        jm = JumpMeasure.two_point(down, up, p_up, intensity)
+        kbar = (1 - p_up) * (math.exp(down) - 1) + p_up * (math.exp(up) - 1)
+        mbar = (1 - p_up) * down + p_up * up
+    # log-price drift chosen so the compensated dynamics reproduce the
+    # risk-neutral process: effective drift = r - sigma^2/2 - lambda*kbar
+    b = r - 0.5 * sigma**2 - intensity * kbar + intensity * mbar
+    return scalar_model(
+        drift=lambda x: np.full_like(x, b),
+        diffusion=lambda x: np.full_like(x, sigma),
+        jump=lambda x, e: np.broadcast_to(e, x.shape).astype(float),
+        jump_measure=jm,
+        k_jump=4.0,
+        k_coef=max(abs(b), sigma, 1e-6),
+        sample_box=(2.0, 7.0),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -110,19 +110,20 @@ class ReflectedSolution:
 
     ``solution`` is the final penalized level; ``k_increments`` its
     compensation increments (N, M); ``level_fields`` the fitted u of every
-    level on (times x eval_x).  ``direct`` is the direct-reflection solve on
-    the same paths and ``direct_gap`` the weighted L2 distance between the
-    two u fields (the mutual-validation diagnostic).
+    level and ``obstacle_field`` the obstacle h, both on (times x eval_x).
+    ``direct`` is the direct-reflection solve on the same paths and
+    ``direct_gap`` the weighted L2 distance between the two u fields (the
+    mutual-validation diagnostic).
     """
 
     solution: BsdeSolution
-    obstacle: object
     obstacle_values: np.ndarray
     k_increments: np.ndarray
     eval_x: np.ndarray
     cover: np.ndarray
     levels: tuple
     level_fields: list
+    obstacle_field: np.ndarray
     trace: list
     converged: bool
     direct: BsdeSolution
@@ -262,10 +263,11 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     gap_rel = math.sqrt(diff2 / base2) if base2 > 0 else 0.0
 
     return ReflectedSolution(
-        solution=sol, obstacle=obstacle, obstacle_values=lvals,
+        solution=sol, obstacle_values=lvals,
         k_increments=dk, eval_x=eval_x, cover=cover, levels=tuple(levels),
-        level_fields=fields, trace=trace, converged=converged,
-        direct=direct, direct_gap=gap, direct_gap_rel=gap_rel, weight=weight,
+        level_fields=fields, obstacle_field=hfield, trace=trace,
+        converged=converged, direct=direct, direct_gap=gap,
+        direct_gap_rel=gap_rel, weight=weight,
     )
 
 
@@ -302,9 +304,7 @@ def estimate_reflection_measure(reflected, weight=None, t_bins=10, x_bins=20):
     x = reflected.eval_x
     t_edges = np.linspace(times[0], times[-1], t_bins + 1)
     x_edges = np.linspace(x[0], x[-1], x_bins + 1)
-
-    hfield = np.stack([np.asarray(reflected.obstacle(times[k], x[:, None]), float)
-                       for k in range(sol.n_steps + 1)])
+    hfield = reflected.obstacle_field
 
     t_idx = np.clip(np.searchsorted(t_edges, times, side="right") - 1, 0, t_bins - 1)
     x_idx = np.clip(np.searchsorted(x_edges, x, side="right") - 1, 0, x_bins - 1)

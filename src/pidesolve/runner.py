@@ -459,16 +459,11 @@ def run_experiment(cfg, out_dir=None, flags=None):
             body["artifacts"] = sorted(artifacts + ["report.json"])
             code = EXIT_OK if all(c["passed"] for c in criteria) else EXIT_CRITERION
             body["status"] = "ok" if code == EXIT_OK else "criterion-failure"
-        except SolverError as exc:
-            body["status"] = "error"
-            body["error"] = {"code": exc.code, "message": str(exc)}
-            body["criteria"] = []
-            body["artifacts"] = ["report.json"]
-            code = EXIT_ERROR
         except Exception as exc:  # noqa: BLE001 - report, then fail with code 1
             body["status"] = "error"
-            body["error"] = {"code": "E_ERROR",
-                             "message": f"{type(exc).__name__}: {exc}"}
+            body["error"] = ({"code": exc.code, "message": str(exc)}
+                             if isinstance(exc, SolverError) else
+                             {"code": "E_ERROR", "message": f"{type(exc).__name__}: {exc}"})
             body["criteria"] = []
             body["artifacts"] = ["report.json"]
             code = EXIT_ERROR

@@ -65,6 +65,109 @@ def test_type_mismatches():
         validate_config("{not json")
 
 
+def _solve_with_model(model, **blocks):
+    raw = {"task": "solve", "seed": 1, "model": model,
+           "driver": {"name": "zero"}, "terminal": {"name": "square"}}
+    raw.update(blocks)
+    return raw
+
+
+@pytest.mark.parametrize("params, path", [
+    ({"drfit": {"slope": 1.0}}, "model.params.drfit"),
+    ({"drift": {"slop": 5}}, "model.params.drift.slop"),
+    ({"diffusion": {"intercept": 1.0, "slpoe": 0.0}}, "model.params.diffusion.slpoe"),
+    ({"jump": "translation", "measure": {"kind": "uniform", "sd": 1.0}},
+     "model.params.measure.sd"),
+    ({"jump": "translation", "measure": {"kind": "gaussian", "lo": -1.0}},
+     "model.params.measure.lo"),
+    ({"jump": "translation", "measure": {"kind": "levy"}}, "model.params.measure.kind"),
+    ({"jump": "shift", "measure": {"kind": "uniform"}}, "model.params.jump"),
+])
+def test_custom_model_unknown_params_rejected(params, path):
+    # before validation named them, these ran silently with the defaults
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.")) as err:
+        validate_config(_solve_with_model({"name": "custom", "params": params}))
+    assert err.value.code == "E_CONFIG"
+
+
+@pytest.mark.parametrize("params", [
+    {"jump": "translation"},
+    {"measure": {"kind": "uniform", "lo": -1.0, "hi": 1.0}},
+])
+def test_custom_model_jumps_need_kind_and_measure(params):
+    # one without the other used to give a model without jumps
+    with pytest.raises(ConfigError, match="jump kind and a measure"):
+        validate_config(_solve_with_model({"name": "custom", "params": params}))
+
+
+def test_custom_model_with_jumps_builds():
+    params = {"drift": {"slope": -0.5}, "jump": "translation",
+              "measure": {"kind": "two-point", "down": -0.2, "up": 0.1,
+                          "p_up": 0.25, "intensity": 2.0}}
+    model = validate_config(_solve_with_model({"name": "custom",
+                                               "params": params})).build_model()
+    assert model.has_jumps
+    assert model.jump_measure.total_intensity == 2.0
+    assert np.allclose(model.jump_measure.nodes, [-0.2, 0.1])
+    assert np.allclose(model.drift(np.array([[2.0]])), [[-1.0]])
+
+
+@pytest.mark.parametrize("model, path", [
+    ({"name": "bs", "params": {"sigmaa": 0.2}}, "model.params.sigmaa"),
+    ({"name": "kou", "params": {"n_nodes": 16}}, "model.params.n_nodes"),
+    ({"name": "merton", "params": {"jump_sd": 0.1, "jump_std": 0.2}},
+     "model.params.jump_std"),
+])
+def test_preset_unknown_params_rejected_at_validation(model, path):
+    # a preset typo used to fail only at run time, as E_ERROR
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.")) as err:
+        validate_config(_solve_with_model(model))
+    assert err.value.code == "E_CONFIG"
+
+
+def test_model_param_types_checked():
+    with pytest.raises(SchemaError, match="model.params.sigma"):
+        validate_config(_solve_with_model({"name": "bs", "params": {"sigma": "0.2"}}))
+    with pytest.raises(SchemaError, match="model.params.n_nodes"):
+        validate_config(_solve_with_model({"name": "merton", "params": {"n_nodes": 32.0}}))
+    with pytest.raises(SchemaError, match="model.params.drift"):
+        validate_config(_solve_with_model({"name": "custom", "params": {"drift": 1.0}}))
+
+
+@pytest.mark.parametrize("blocks, path", [
+    ({"driver": {"name": "discount", "params": {"rat": 0.05}}}, "driver.params.rat"),
+    ({"terminal": {"name": "put", "params": {"strik": 100}}}, "terminal.params.strik"),
+    ({"terminal": {"name": "square", "params": {"strike": 100}}},
+     "terminal.params.strike"),
+])
+def test_named_block_unknown_params_rejected(blocks, path):
+    # these used to run silently with the default rate 0 or strike 1
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+        validate_config(_solve_with_model({"name": "bs"}, **blocks))
+
+
+def test_obstacle_unknown_params_rejected():
+    raw = {"task": "solve-obstacle", "seed": 1, "model": {"name": "bs"},
+           "driver": {"name": "discount", "params": {"rate": 0.05}},
+           "terminal": {"name": "put", "params": {"strike": 100}},
+           "obstacle": {"name": "put", "params": {"strike": 100, "kapa": 1.0}},
+           "weight": {"p": 4.0}}
+    with pytest.raises(ConfigError, match=r"obstacle\.params\.kapa"):
+        validate_config(raw)
+    raw["obstacle"]["params"] = {"strike": 100, "kappa": 1.0, "iota": 101.0}
+    validate_config(raw)
+
+
+def test_driver_params_default_to_zero():
+    cfg = validate_config(_solve_with_model(
+        {"name": "bs"}, driver={"name": "borrowing", "params": {"borrow_rate": 0.1}}))
+    drv = cfg.build_driver()
+    y = np.array([-1.0, 2.0])
+    z = np.zeros((2, 1))
+    # rate = risk_premium = 0: f = -0.1 * min(y, 0)
+    assert np.array_equal(drv.f(0.0, None, y, z, None), [0.1, -0.0])
+
+
 def test_obstacle_weight_floor_rule():
     raw = {"task": "solve-obstacle", "seed": 1, "model": {"name": "bs"},
            "driver": {"name": "discount", "params": {"rate": 0.05}},

@@ -7,7 +7,7 @@ from pidesolve.errors import GridError, NumericError
 from pidesolve.forward import (TimeGrid, check_flow_property, dump_paths_binary,
                                dump_paths_csv, load_paths_binary, moment_report,
                                simulate_paths, tangent_flow)
-from pidesolve.model import JumpMeasure, named_model, scalar_model
+from pidesolve.model import JumpMeasure, ModelSpec, named_model, scalar_model
 
 
 def test_grid_basics():
@@ -180,6 +180,21 @@ def test_tangent_flow_small_time_scaling():
     # fitted scale from the coarse horizons bounds the finest ones
     k_hat = ratios[2:].max()
     assert np.all(ratios <= 2 * k_hat + 1e-6)
+
+
+def test_tangent_flow_linear_2d():
+    # Euler on a linear drift with constant diffusion is the affine map
+    # x -> (I + A dt) x + noise, so every path's flow Jacobian is (I + A dt)^n
+    a = np.array([[-0.4, 0.3], [0.2, -0.1]])
+    sig = np.array([[0.3, 0.0], [0.1, 0.2]])
+    m = ModelSpec(dim=2, drift=lambda x: x @ a.T,
+                  diffusion=lambda x: np.broadcast_to(sig, x.shape[:-1] + (2, 2)))
+    grid = TimeGrid(0.0, 1.0, 50)
+    rep = tangent_flow(m, grid, np.array([0.5, -1.0]), 200, seed=4)
+    expected = np.linalg.det(np.linalg.matrix_power(np.eye(2) + a * grid.dt, 50))
+    assert rep.determinants.shape == (200,)
+    assert np.max(np.abs(rep.determinants - expected)) <= 1e-9
+    assert rep.mean_det == pytest.approx(expected, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

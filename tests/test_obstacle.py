@@ -181,6 +181,27 @@ def test_reflection_measure_masses(reflected_put):
     assert meas6.pi_total < meas.pi_total
 
 
+def test_reflection_measure_reads_the_solve_obstacle_field(bs_put_setup):
+    # the histogram uses the obstacle field the reflected solve evaluated on
+    # (times x eval_x); it calls the obstacle no more
+    model, paths, basis = bs_put_setup
+    calls = []
+
+    def h(t, X):
+        calls.append(t)
+        return np.maximum(K - X[:, 0], 0.0)
+
+    obst = ObstacleSpec(h=h, iota=K + 1, kappa=1.0)
+    refl = solve_reflected(model, discount_driver(0.05), put_payoff, obst, paths,
+                           basis, schedule=(1, 16), tol=1e-12, weight=RHO4)
+    x = refl.eval_x[:, None]
+    expect = np.stack([h(t, x) for t in paths.grid.nodes])
+    assert np.array_equal(refl.obstacle_field, expect)
+    n_calls = len(calls)
+    estimate_reflection_measure(refl, t_bins=5, x_bins=10)
+    assert len(calls) == n_calls
+
+
 def test_support_concentrates_on_contact(reflected_put):
     meas = estimate_reflection_measure(reflected_put, t_bins=8, x_bins=16)
     rep = support_check(reflected_put, meas, delta=0.5)
