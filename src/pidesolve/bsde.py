@@ -337,7 +337,10 @@ class BsdeSolution:
     values bit for bit, whatever the driver.  For penalized solves
     ``penalty_level``/``obstacle`` record the penalty; for direct-reflection
     solves ``reflected`` is set.  ``obstacle`` is None when neither uses it.
-    ``clamp_bound`` is the bound |Y| <= B the step clamps to.
+    ``clamp_bound`` is the bound |Y| <= B the step clamps to.  The penalty
+    levels that ``solve_reflected`` does not return keep only their
+    coefficients (``y``, ``z`` and ``vbar`` are None); ``evaluate_u`` needs
+    no more.
     """
 
     grid: object
@@ -360,7 +363,7 @@ class BsdeSolution:
 
     @property
     def n_steps(self):
-        return self.y.shape[0] - 1
+        return self.grid.n_steps
 
     @property
     def times(self):
@@ -445,6 +448,101 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
 
     Requires dt * lipschitz(f) < 1 for the sweeps to contract.
     """
+    (sol,) = _backward_pass(model, driver, terminal, paths, basis,
+                            [(penalty_level, reflect, True)], picard_iters, clamp, obstacle)
+    return _solution(sol)
+
+
+def _solution(result):
+    """A variant's solution from ``_backward_pass``, or raise what stopped it."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+class _Variant:
+    """One variant of a backward pass: its penalty level and reflection, the
+    current values, and the per-step coefficients and diagnostics.  Path
+    arrays are stored only when ``keep`` is set."""
+
+    def __init__(self, penalty_level, reflect, keep, y, n, d, q, cshape):
+        self.penalty_level, self.reflect = penalty_level, reflect
+        self.y = y
+        self.error = None
+        self.coef_y = np.zeros((n,) + cshape)
+        self.coef_z = np.zeros((n, d) + cshape)
+        self.coef_v = np.zeros((n, q) + cshape)
+        self.diag = {"cond": np.zeros(n), "resid": np.zeros(n),
+                     "clamped": np.zeros(n, dtype=int),
+                     "degenerate": np.zeros(n, dtype=bool), "ridge": np.zeros(n)}
+        self.y_all = self.z_all = self.v_all = None
+        if keep:
+            self.y_all = np.empty((n + 1, y.size))
+            self.y_all[n] = y
+            self.z_all = np.zeros((n, y.size, d))
+            self.v_all = np.zeros((n, y.size, q))
+
+    def step(self, k, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp):
+        """Step k of this variant on the shared regression setup ``reg``."""
+        dt = paths.grid.dt
+        d = paths.dim
+        y = self.y
+        cy, info = reg.fit(y)
+        cy = cy[..., 0]
+        cond_exp = reg.predict(cy)
+        # center the martingale-increment regressions on the fitted
+        # conditional expectation: same projection, exact on constants,
+        # much lower variance
+        resid = y - cond_exp
+        targets = np.empty((y.size, d + dmu.shape[0]))
+        targets[:, :d] = resid[:, None] * paths.brownian[k]
+        for i in range(dmu.shape[0]):
+            targets[:, d + i] = resid * dmu[i, k]
+        # scale before predicting: the path values come from exactly the
+        # stored coefficients, as in evaluate_u
+        czv = reg.fit(targets)[0] / dt
+        pred = reg.predict(czv)
+        z = pred[:, :d]
+        vb = pred[:, d:]
+
+        self.coef_y[k] = cy
+        self.coef_z[k] = np.moveaxis(czv[..., :d], -1, 0)
+        self.coef_v[k] = np.moveaxis(czv[..., d:], -1, 0)
+
+        ynew, n_clamped = _step_value(driver, t_k, paths.states[k], cond_exp, z, vb, dt,
+                                      picard_iters, h_k, self.penalty_level * dt,
+                                      self.reflect, clamp)
+        if not np.isfinite(ynew).all():
+            raise NumericError(f"non-finite backward value at step {k}")
+
+        self.diag["cond"][k] = info["cond"]
+        self.diag["degenerate"][k] = info["degenerate"]
+        self.diag["ridge"][k] = info["ridge"]
+        self.diag["resid"][k] = float(np.sqrt(np.mean(resid ** 2)))
+        self.diag["clamped"][k] = n_clamped
+
+        self.y = ynew
+        if self.y_all is not None:
+            self.y_all[k] = ynew
+            self.z_all[k] = z
+            self.v_all[k] = vb
+
+
+def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters,
+                   clamp, obstacle, observe=None):
+    """Backward induction for several (penalty_level, reflect, keep) variants.
+
+    Each step builds the regression setup ``basis.prepare(x_k)`` and the
+    obstacle values h(t_k, x_k) once; every variant then runs its own fits,
+    predictions and ``_step_value`` on them, so its coefficients and values
+    are those of a pass of its own, bit for bit.  Only variants with
+    ``keep`` store their path arrays; the others come back with
+    ``y``/``z``/``vbar`` None.  A variant that goes non-finite stops updating
+    and comes back as the error that stopped it; the others go on.
+    ``observe(k, h_k, ys)``, if given, sees every step's obstacle values and
+    each variant's new values (None once stopped).  Without ``clamp`` one
+    default bound, with the obstacle if any variant uses it, serves all.
+    """
     grid = paths.grid
     dt = grid.dt
     if dt * driver.lipschitz >= 1.0:
@@ -452,9 +550,10 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
             f"dt * C_f = {dt * driver.lipschitz:.3g} >= 1; refine the grid")
     if picard_iters < 1:
         raise ValueError("picard_iters must be >= 1")
-    if penalty_level < 0:
+    if any(level < 0 for level, _, _ in variants):
         raise ValueError("penalty level must be >= 0")
-    if not (penalty_level > 0 or reflect):
+    uses = [level > 0 or reflect for level, reflect, _ in variants]
+    if not any(uses):
         obstacle = None
     elif obstacle is None:
         raise ValueError("penalty or reflection requires an obstacle")
@@ -470,75 +569,36 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
     if clamp is None:
         clamp = default_clamp_bound(driver, terminal, paths, obstacle)
 
-    cshape = basis.coef_shape
-    coef_y = np.zeros((n,) + cshape)
-    coef_z = np.zeros((n, d) + cshape)
-    coef_v = np.zeros((n, q) + cshape)
-
-    y_all = np.empty((n + 1, m))
-    z_all = np.zeros((n, m, d))
-    v_all = np.zeros((n, m, q))
-    diag = {"cond": np.zeros(n), "resid": np.zeros(n),
-            "clamped": np.zeros(n, dtype=int),
-            "degenerate": np.zeros(n, dtype=bool), "ridge": np.zeros(n)}
-
     y = np.asarray(terminal(paths.states[-1]), dtype=float).reshape(m)
     if not np.isfinite(y).all():
         raise NumericError("non-finite terminal values")
-    y_all[n] = y
-    level_dt = penalty_level * dt
+    runs = [_Variant(level, reflect, keep, y, n, d, q, basis.coef_shape)
+            for level, reflect, keep in variants]
 
     for k in range(n - 1, -1, -1):
+        live = [v for v in runs if v.error is None]
+        if not live:
+            break
         xk = paths.states[k]
-        reg = basis.prepare(xk)
-        cy, info = reg.fit(y)
-        cy = cy[..., 0]
-        cond_exp = reg.predict(cy)
-        # center the martingale-increment regressions on the fitted
-        # conditional expectation: same projection, exact on constants,
-        # much lower variance
-        resid = y - cond_exp
-        targets = np.empty((m, d + q))
-        targets[:, :d] = resid[:, None] * paths.brownian[k]
-        for i in range(q):
-            targets[:, d + i] = resid * dmu[i, k]
-        # scale before predicting: the path values come from exactly the
-        # stored coefficients, as in evaluate_u
-        czv = reg.fit(targets)[0] / dt
-        pred = reg.predict(czv)
-        del reg  # one step's features at a time
-        z = pred[:, :d]
-        vb = pred[:, d:]
-
-        coef_y[k] = cy
-        coef_z[k] = np.moveaxis(czv[..., :d], -1, 0)
-        coef_v[k] = np.moveaxis(czv[..., d:], -1, 0)
-
         t_k = grid.nodes[k]
+        reg = basis.prepare(xk)
         h_k = obstacle(t_k, xk) if obstacle is not None else None
-        ynew, n_clamped = _step_value(driver, t_k, xk, cond_exp, z, vb, dt,
-                                      picard_iters, h_k, level_dt, reflect, clamp)
-        if not np.isfinite(ynew).all():
-            raise NumericError(f"non-finite backward value at step {k}")
+        for v in live:
+            try:
+                v.step(k, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp)
+            except (NumericError, SingularRegressionError) as exc:
+                v.error = exc
+        del reg  # one step's features at a time
+        if observe is not None:
+            observe(k, h_k, [v.y if v.error is None else None for v in runs])
 
-        diag["cond"][k] = info["cond"]
-        diag["degenerate"][k] = info["degenerate"]
-        diag["ridge"][k] = info["ridge"]
-        diag["resid"][k] = float(np.sqrt(np.mean((y - cond_exp) ** 2)))
-        diag["clamped"][k] = n_clamped
-
-        y = ynew
-        y_all[k] = y
-        z_all[k] = z
-        v_all[k] = vb
-
-    return BsdeSolution(
+    return [v.error if v.error is not None else BsdeSolution(
         grid=grid, basis=basis, driver=driver, terminal=terminal,
-        coef_y=coef_y, coef_z=coef_z, coef_v=coef_v,
-        y=y_all, z=z_all, vbar=v_all, states=paths.states,
-        diagnostics=diag, picard_iters=picard_iters, clamp_bound=clamp,
-        penalty_level=penalty_level, obstacle=obstacle, reflected=reflect,
-    )
+        coef_y=v.coef_y, coef_z=v.coef_z, coef_v=v.coef_v,
+        y=v.y_all, z=v.z_all, vbar=v.v_all, states=paths.states,
+        diagnostics=v.diag, picard_iters=picard_iters, clamp_bound=clamp,
+        penalty_level=v.penalty_level, obstacle=obstacle if used else None,
+        reflected=v.reflect) for v, used in zip(runs, uses)]
 
 
 def evaluate_u(sol, k, x):

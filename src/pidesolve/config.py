@@ -35,6 +35,14 @@ _NUMERIC_DEFAULTS = {
 _BASIS_DEFAULTS = {"kind": "poly", "degree": 4, "cells": 40, "box": None}
 _NORMCHECK_DEFAULTS = {"radius": 9.0, "n_panels": 18, "nodes_per_panel": 8,
                        "s_list": (0.1, 0.5, 1.0)}
+# the market of the closed-form oracles (merton series, binomial tree): the
+# values the runner uses for keys an oracle block leaves out
+_ORACLE_MARKET = {"s0": 100.0, "strike": 100.0, "rate": 0.05, "sigma": 0.2,
+                  "horizon": 1.0, "intensity": 0.0, "jump_mean": 0.0, "jump_sd": 1e-8}
+# the model parameter a compare oracle's market key must equal, by oracle kind
+_ORACLE_MODEL_KEYS = {"binomial": {"rate": "r", "sigma": "sigma"},
+                      "merton": {"rate": "r", "sigma": "sigma", "intensity": "intensity",
+                                 "jump_mean": "jump_mean", "jump_sd": "jump_sd"}}
 # the params each named block accepts; driver params default to 0 and an
 # obstacle also takes its growth constants iota and kappa
 _DRIVER_PARAMS = {"zero": (), "discount": ("rate",),
@@ -412,6 +420,27 @@ def _norm_compare(block):
     return out
 
 
+def _check_compare_oracle(out):
+    """A closed-form compare oracle must price the problem the solver solves:
+    its rate, volatility and jump law equal the model's (and the rate a
+    discount driver's), defaults filled in on both sides."""
+    oracle = out["compare"]["oracle"]
+    pairs = _ORACLE_MODEL_KEYS.get(oracle["kind"], {})
+    model = out["model"]
+    preset = PRESET_PARAMS.get(model["name"], {})
+    checks = [(key, "model.params." + pkey, model["params"].get(pkey, preset[pkey]))
+              for key, pkey in pairs.items() if pkey in preset]
+    driver = out["driver"]
+    if "rate" in pairs and driver["name"] == "discount":
+        checks.append(("rate", "driver.params.rate", driver["params"].get("rate", 0.0)))
+    for key, path, value in checks:
+        theirs = oracle.get(key, _ORACLE_MARKET[key])
+        if float(value) != theirs:
+            raise ConfigError(
+                f"compare.oracle.{key} = {theirs} but {path} = {value}; the oracle "
+                f"would price another problem")
+
+
 def _check_task_requirements(task, out):
     def need(block):
         if block not in out:
@@ -426,6 +455,8 @@ def _check_task_requirements(task, out):
         need("compare")
     if task == "oracle":
         need("oracle")
+    if task == "compare":
+        _check_compare_oracle(out)
     if task == "solve-obstacle" or (task == "compare" and "obstacle" in out):
         kappa = out["obstacle"]["params"].get("kappa", 1.0)
         weight = WeightFunction(out["weight"]["p"])

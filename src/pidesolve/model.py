@@ -656,18 +656,19 @@ def pide_residual(model, driver, u, t, x, t_step=None):
     """
     x = np.asarray(x, dtype=float).reshape(model.dim)
     ht = 1e-6 * (1.0 + abs(t)) if t_step is None else t_step
-    ut = (u(t + ht, x) - u(t, x)) / ht
+    u0 = u(t, x)
+    ut = (u(t + ht, x) - u0) / ht
 
     def phi(xx):
         return u(t, xx)
 
+    # one central-difference gradient serves both generator parts and z
     grad = numerical_gradient(phi, x)
-    val_local = generator_local(model, phi, x)
+    val_local = generator_local(model, phi, x, grad=lambda _x: grad)
     val_jump = generator_jump(model, phi, x, grad=lambda _x: grad)
 
     sig = np.asarray(model.diffusion(x[None, :]), dtype=float)[0]
     z = (sig.T @ grad)[None, :]
-    u0 = u(t, x)
     q = max(1, driver.n_functionals)
     vbar = np.zeros((1, q))
     if driver.n_functionals and model.has_jumps:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BsdeSolution, default_clamp_bound, evaluate_u, solve_bsde
+from .bsde import BsdeSolution, _backward_pass, _solution, evaluate_u, solve_bsde
 from .errors import NoConvergenceError
 from .model import WeightFunction, time_weights, trapezoid_weights
 
@@ -54,11 +54,14 @@ def solve_penalized(model, driver, terminal, obstacle, paths, basis, level,
 
 def penalty_increments(sol, obstacle_values):
     """Per path and step compensation increments n (Y_k - L_k)^- dt, (N, M)."""
-    if sol.penalty_level <= 0:
-        return np.zeros((sol.n_steps, sol.y.shape[1]))
-    dt = sol.grid.dt
-    gap = obstacle_values[:-1] - sol.y[:-1]
-    return sol.penalty_level * np.maximum(gap, 0.0) * dt
+    return _increments(sol.penalty_level, sol.grid.dt, obstacle_values[:-1], sol.y[:-1])
+
+
+def _increments(level, dt, h, y):
+    # n (y - h)^- dt elementwise, for whole paths or one step
+    if level <= 0:
+        return np.zeros(np.shape(y))
+    return level * np.maximum(h - y, 0.0) * dt
 
 
 def obstacle_along_paths(obstacle, paths):
@@ -158,15 +161,34 @@ def skorokhod_gap(sol, obstacle_values, k_increments):
     construction, since the penalty acts only below the obstacle.)  The
     headline diagnostic is the defect normalized by mean K_T times the
     largest |Y - L|.  ``obstacle_values`` are L along the paths (N+1, M) and
-    ``k_increments`` the increments dK (N, M).
+    ``k_increments`` the increments dK (N, M).  The sums run backward in
+    time, as in the backward pass of ``solve_reflected``.
     """
-    raw = float(np.mean(np.sum(np.abs(sol.y[:-1] - obstacle_values[:-1]) * k_increments,
-                               axis=0)))
-    k_total = float(np.mean(k_increments.sum(axis=0)))
-    sup_gap = float(np.abs(sol.y - obstacle_values).max())
-    denom = k_total * sup_gap
-    normalized = raw / denom if denom > 0 else 0.0
-    return SkorokhodReport(raw=raw, normalized=normalized)
+    defect = _FlatOffDefect(sol.y[-1], obstacle_values[-1])
+    for k in range(sol.n_steps - 1, -1, -1):
+        defect.add(sol.y[k], obstacle_values[k], k_increments[k])
+    return defect.report()
+
+
+class _FlatOffDefect:
+    """Running flat-off defect, fed one step at a time: per-path sums of
+    |Y_k - L_k| dK_k and of dK_k, and the running max of |Y_k - L_k|."""
+
+    def __init__(self, y_terminal, h_terminal):
+        self.raw = np.zeros(np.shape(y_terminal))
+        self.k_total = np.zeros(np.shape(y_terminal))
+        self.sup_gap = float(np.abs(y_terminal - h_terminal).max())
+
+    def add(self, y, h, dk):
+        gap = np.abs(y - h)
+        self.raw += gap * dk
+        self.k_total += dk
+        self.sup_gap = max(self.sup_gap, float(gap.max()))
+
+    def report(self):
+        raw = float(np.mean(self.raw))
+        denom = float(np.mean(self.k_total)) * self.sup_gap
+        return SkorokhodReport(raw=raw, normalized=raw / denom if denom > 0 else 0.0)
 
 
 def solve_reflected(model, driver, terminal, obstacle, paths, basis,
@@ -177,10 +199,18 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     Stops when the weighted space-time norm of (u_n - h)^- falls below
     ``tol`` or the schedule is exhausted; the trace records per level the
     penalty norm, flat-off defect, weighted measure mass and the value at
-    the initial time.  Also runs the direct-reflection cross-check
-    (y <- max(y, h) inside the backward loop) on the same paths and reports
-    the gap between the two u fields.  With ``strict`` the exhausted
-    schedule raises; otherwise the result is returned flagged.
+    the initial time, and after the first level ``min_step_up``, the least
+    u_n - u_{n-1} on the path-covered evaluation grid.  Also runs the
+    direct-reflection cross-check (y <- max(y, h) inside the backward loop)
+    on the same paths and reports the gap between the two u fields.  With
+    ``strict`` the exhausted schedule raises; otherwise the result is
+    returned flagged.
+
+    The levels and the direct solve run as variants of one backward pass,
+    which builds each step's regression setup and obstacle values once.
+    A level after the one that meets ``tol`` cannot change the result or
+    raise; the level that meets it, if not the last, is solved once more
+    alone for its path arrays.
 
     Without ``clamp``, one a-priori bound (``default_clamp_bound`` with the
     obstacle) serves every level and the direct solve.  A schedule that
@@ -201,50 +231,63 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
 
     # compatibility of the data: the obstacle may not exceed the terminal
     # condition at the horizon, else the limit problem is ill-posed
+    n, dt = paths.grid.n_steps, paths.grid.dt
     g_T = np.asarray(terminal(paths.states[-1]), float)
-    h_T = np.asarray(obstacle(paths.grid.t1, paths.states[-1]), float)
-    bad = float(np.mean(h_T > g_T + 1e-9 * (1 + np.abs(g_T))))
+    lvals = np.empty((n + 1, paths.n_paths))
+    lvals[n] = obstacle(paths.grid.nodes[n], paths.states[-1])
+    bad = float(np.mean(lvals[n] > g_T + 1e-9 * (1 + np.abs(g_T))))
     if bad > 0.001:
         raise ValueError(
             f"obstacle exceeds the terminal condition at the horizon on "
             f"{bad:.1%} of the cloud; reflected problems require h(T, .) <= g")
 
-    dt = paths.grid.dt
     cover = coverage_mask(paths.states, eval_x)
     hfield = np.stack([np.asarray(obstacle(paths.grid.nodes[k], eval_x[:, None]), float)
-                       for k in range(paths.grid.n_steps + 1)])
+                       for k in range(n + 1)])
     rho = weight(eval_x[:, None])
     wx = trapezoid_weights(eval_x)
-    wt = time_weights(paths.grid.n_steps, dt)
+    wt = time_weights(n, dt)
 
     def weighted_sum(field):
         # space-time trapezoid with the weight over the (times x eval_x) grid
         return float(np.sum(wt[:, None] * field * rho[None, :] * wx[None, :]))
 
+    # one backward pass runs every level and the direct reflection on the
+    # same per-step regression setup and obstacle values; per level it keeps
+    # coefficients, u0 and a running flat-off defect, and path arrays only
+    # for the last level and the direct solve
+    defects = [_FlatOffDefect(g_T, lvals[n]) for _ in schedule]
+    u0s = [None] * len(schedule)
+
+    def observe(k, h_k, ys):
+        lvals[k] = h_k
+        for i, level in enumerate(schedule):
+            if ys[i] is not None:
+                defects[i].add(ys[i], lvals[k], _increments(level, dt, lvals[k], ys[i]))
+                if k == 0:
+                    u0s[i] = float(ys[i].mean())
+
+    variants = [(level, False, i == len(schedule) - 1) for i, level in enumerate(schedule)]
+    runs = _backward_pass(model, driver, terminal, paths, basis,
+                          variants + [(0.0, True, True)], picard_iters, clamp, obstacle,
+                          observe)
+
     levels = []
     fields = []
     trace = []
     converged = False
-    sol = None
-    dk = None
-    # the obstacle along the paths and the clamp bound do not depend on the
-    # penalty level
-    lvals = obstacle_along_paths(obstacle, paths)
-    if clamp is None:
-        clamp = default_clamp_bound(driver, terminal, paths, obstacle)
-    for level in schedule:
-        sol = solve_penalized(model, driver, terminal, obstacle, paths, basis,
-                              level, picard_iters=picard_iters, clamp=clamp)
-        dk = penalty_increments(sol, lvals)
-        ufield = _u_field(sol, eval_x)
+    for i, level in enumerate(schedule):
+        ufield = _u_field(_solution(runs[i]), eval_x)
         pnorm = penalty_norm(ufield, hfield, weight, eval_x, dt, cover)
-        sk = skorokhod_gap(sol, lvals, dk)
         pi_n = level * weighted_sum(np.maximum(hfield - ufield, 0.0) * cover)
+        entry = {"level": level, "penalty_norm": pnorm,
+                 "skorokhod": defects[i].report().normalized, "pi": pi_n, "u0": u0s[i]}
+        if fields:
+            # monotonicity in the level: u_n - u_{n-1} on path-covered samples
+            entry["min_step_up"] = float(np.min((ufield - fields[-1])[cover], initial=np.inf))
         levels.append(level)
         fields.append(ufield)
-        trace.append({"level": level, "penalty_norm": pnorm,
-                      "skorokhod": sk.normalized, "pi": pi_n,
-                      "u0": sol.u0()})
+        trace.append(entry)
         if pnorm < tol:
             converged = True
             break
@@ -253,9 +296,16 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
             f"penalty norm {trace[-1]['penalty_norm']:.3g} above tol {tol:.3g} "
             f"after level {levels[-1]}", trace=trace)
 
-    direct = solve_bsde(model, driver, terminal, paths, basis,
-                        picard_iters=picard_iters, clamp=clamp,
-                        obstacle=obstacle, reflect=True)
+    direct = _solution(runs[-1])
+    sol = runs[len(levels) - 1]
+    if sol.y is None:
+        # an earlier level met tol: solve it alone for its path arrays, after
+        # releasing those of the last level
+        del runs
+        sol = solve_bsde(model, driver, terminal, paths, basis, picard_iters=picard_iters,
+                         clamp=direct.clamp_bound, penalty_level=levels[-1],
+                         obstacle=obstacle)
+    dk = penalty_increments(sol, lvals)
     dfield = _u_field(direct, eval_x)
     diff2 = weighted_sum(cover * (fields[-1] - dfield) ** 2)
     base2 = weighted_sum(cover * dfield**2)

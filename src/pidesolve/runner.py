@@ -20,7 +20,7 @@ import numpy as np
 
 from . import forward, normcheck, obstacle as obstacle_mod, oracle as oracle_mod
 from .bsde import _zv_coeffs, evaluate_u, make_basis, solve_bsde
-from .config import _NORMCHECK_DEFAULTS, ExperimentConfig, validate_config
+from .config import _NORMCHECK_DEFAULTS, _ORACLE_MARKET, ExperimentConfig, validate_config
 from .errors import ConfigError, GridMismatchError, SolverError
 from .forward import TimeGrid, simulate_paths
 
@@ -301,13 +301,12 @@ def _oracle_eval(spec, cfg, out_dir, tag=""):
     kind = spec["kind"]
     prefix = f"oracle{tag}"
     if kind in ("merton", "binomial"):
-        market = (spec.get("s0", 100.0), spec.get("strike", 100.0), spec.get("rate", 0.05),
-                  spec.get("sigma", 0.2), spec.get("horizon", 1.0))
+        spec = {**_ORACLE_MARKET, **spec}
+        market = tuple(spec[key] for key in ("s0", "strike", "rate", "sigma", "horizon"))
         if kind == "merton":
             price = oracle_mod.merton_price(
-                *market, spec.get("intensity", 0.0), spec.get("jump_mean", 0.0),
-                spec.get("jump_sd", 1e-8), n_terms=spec.get("n_terms", 60),
-                kind=spec.get("option", "call"))
+                *market, spec["intensity"], spec["jump_mean"], spec["jump_sd"],
+                n_terms=spec.get("n_terms", 60), kind=spec.get("option", "call"))
             error = 1e-10
         else:
             steps, option = spec.get("steps", 2000), spec.get("option", "put")
@@ -427,9 +426,10 @@ _TASK_FNS = {
 def run_experiment(cfg, out_dir=None, flags=None):
     """Run one experiment; returns (Report, exit_code) and writes report.json.
 
-    A lock file serializes experiments per output directory.  Flags (seed,
-    threads, deterministic) are echoed into the hashed body; timestamps and
-    paths stay in the unhashed meta block.
+    A lock file holding the running process's pid serializes experiments
+    per output directory; a lock left by a process that no longer runs is
+    removed.  Flags (seed, threads, deterministic) are echoed into the
+    hashed body; timestamps and paths stay in the unhashed meta block.
     """
     if not isinstance(cfg, ExperimentConfig):
         cfg = validate_config(cfg)
@@ -437,11 +437,7 @@ def run_experiment(cfg, out_dir=None, flags=None):
     out_dir = out_dir or cfg.raw.get("output") or "out"
     os.makedirs(out_dir, exist_ok=True)
     lock_path = os.path.join(out_dir, ".lock")
-    try:
-        lock_fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(f"output directory {out_dir!r} is locked by another "
-                          f"experiment (remove {lock_path} if stale)")
+    lock_fd = _take_lock(lock_path, out_dir)
     start = time.time()
     try:
         config_hash = hashlib.sha256(cfg.canonical_json().encode()).hexdigest()
@@ -476,6 +472,50 @@ def run_experiment(cfg, out_dir=None, flags=None):
     finally:
         os.close(lock_fd)
         os.unlink(lock_path)
+
+
+def _take_lock(lock_path, out_dir):
+    """Create the lock file with this process's pid and return its descriptor.
+
+    An existing lock whose pid no longer runs is stale: it is removed and
+    the lock taken again.  A lock of a running process, or one without a
+    readable pid, is refused with ``ConfigError``.
+    """
+    for _ in range(2):
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            if not _lock_is_stale(lock_path):
+                break
+            try:
+                os.unlink(lock_path)
+            except FileNotFoundError:  # another run removed it first
+                pass
+            continue
+        os.write(fd, str(os.getpid()).encode())
+        return fd
+    raise ConfigError(f"output directory {out_dir!r} is locked by another "
+                      f"experiment (remove {lock_path} if stale)")
+
+
+def _lock_is_stale(lock_path):
+    """True when the lock names a pid that no longer runs, or is gone."""
+    try:
+        with open(lock_path) as fh:
+            pid = int(fh.read().strip())
+    except FileNotFoundError:
+        return True
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:  # 0 and negative pids name process groups
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):  # runs under another user; no pid
+        pass
+    return False
 
 
 def run_config_file(path, out_dir=None, flags=None, seed_override=None):

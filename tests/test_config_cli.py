@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,6 +222,58 @@ def test_compare_horizon_must_match_solver():
     assert cfg.raw["oracle"]["horizon"] == 0.5
 
 
+def merton_compare_config(**oracle):
+    # the README example: a merton call against the closed-form series
+    return {"task": "compare", "seed": 11,
+            "model": {"name": "merton", "params": {"r": 0.05, "sigma": 0.2,
+                      "intensity": 1.0, "jump_mean": -0.1, "jump_sd": 0.15}},
+            "driver": {"name": "discount", "params": {"rate": 0.05}},
+            "terminal": {"name": "exp-call", "params": {"strike": 100}},
+            "numerics": {"grid_n": 50, "paths": 100000, "x0": 4.60517},
+            "compare": {"oracle": dict({"kind": "merton", "s0": 100, "strike": 100,
+                                        "rate": 0.05, "sigma": 0.2, "horizon": 1.0,
+                                        "intensity": 1.0, "jump_mean": -0.1,
+                                        "jump_sd": 0.15}, **oracle),
+                        "tol_rel": 0.01}}
+
+
+def test_compare_oracle_must_describe_the_model():
+    validate_config(merton_compare_config())
+    raw = merton_compare_config()
+    raw["model"]["params"]["sigma"] = 0.3
+    with pytest.raises(ConfigError, match="compare.oracle.sigma.*model.params.sigma") as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+    for key, value, path in (("rate", 0.04, "model.params.r"),
+                             ("intensity", 2.0, "model.params.intensity"),
+                             ("jump_mean", 0.0, "model.params.jump_mean"),
+                             ("jump_sd", 0.2, "model.params.jump_sd")):
+        with pytest.raises(ConfigError, match=f"compare.oracle.{key}.*{path}"):
+            validate_config(merton_compare_config(**{key: value}))
+    # a discount driver's rate, and defaults on both sides: the model's
+    # sigma 0.2 against the oracle's default 0.2 agrees, its jump law
+    # against the oracle's default (no jumps) does not
+    raw = merton_compare_config()
+    raw["driver"]["params"]["rate"] = 0.03
+    with pytest.raises(ConfigError, match="compare.oracle.rate.*driver.params.rate"):
+        validate_config(raw)
+    raw = merton_compare_config()
+    del raw["model"]["params"]["sigma"], raw["compare"]["oracle"]["sigma"]
+    validate_config(raw)
+    del raw["compare"]["oracle"]["intensity"]
+    with pytest.raises(ConfigError, match="compare.oracle.intensity.*model.params.intensity"):
+        validate_config(raw)
+    # a binomial oracle checks rate and sigma only
+    raw = {"task": "compare", "seed": 1, "model": {"name": "bs", "params": {"sigma": 0.3}},
+           "driver": {"name": "discount", "params": {"rate": 0.05}},
+           "terminal": {"name": "put", "params": {"strike": 100}},
+           "compare": {"oracle": {"kind": "binomial", "sigma": 0.2}}}
+    with pytest.raises(ConfigError, match="compare.oracle.sigma.*model.params.sigma"):
+        validate_config(raw)
+    raw["compare"]["oracle"]["sigma"] = 0.3
+    validate_config(raw)
+
+
 def test_config_hash_semantics(tmp_path):
     a = validate_config(heat_solve_config())
     reordered = json.loads(json.dumps(heat_solve_config(), sort_keys=True))
@@ -256,6 +310,37 @@ def test_lock_file_serializes(tmp_path):
     (tmp_path / ".lock").unlink()
     run_experiment(heat_solve_config(), out_dir=tmp_path)
     assert not (tmp_path / ".lock").exists()
+
+
+def test_stale_lock_is_removed(tmp_path):
+    # a lock whose pid no longer runs is stale: it is removed and the run
+    # goes ahead; a running pid's lock is still refused
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    (tmp_path / ".lock").write_text(str(child.pid))
+    report, code = run_experiment(heat_solve_config(), out_dir=tmp_path)
+    assert code == EXIT_OK
+    assert not (tmp_path / ".lock").exists()
+    for content in (str(os.getpid()), "not a pid", "0"):
+        (tmp_path / ".lock").write_text(content)
+        with pytest.raises(ConfigError, match="locked") as err:
+            run_experiment(heat_solve_config(), out_dir=tmp_path)
+        assert err.value.code == "E_CONFIG"
+        assert (tmp_path / ".lock").read_text() == content
+
+
+def test_lock_holds_the_running_pid(tmp_path, monkeypatch):
+    import pidesolve.runner as runner_mod
+    seen = []
+    task = runner_mod._TASK_FNS["solve"]
+
+    def spy(cfg, out_dir):
+        seen.append((tmp_path / ".lock").read_text())
+        return task(cfg, out_dir)
+
+    monkeypatch.setitem(runner_mod._TASK_FNS, "solve", spy)
+    run_experiment(heat_solve_config(), out_dir=tmp_path)
+    assert seen == [str(os.getpid())]
 
 
 def test_exit_code_on_criterion_failure(tmp_path):

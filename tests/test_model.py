@@ -168,6 +168,29 @@ def test_residual_toy_jump_solution(toy_model):
         == pytest.approx(0.0, abs=1e-6)
 
 
+def test_residual_shares_gradient_and_value(merton_model):
+    # one central-difference gradient for both generator parts and one value
+    # u(t, x) for the time difference and the driver: 1 + 1 + 2 + 3 + 33
+    # calls on the 32-node merton quadrature
+    calls = []
+
+    def u(t, x):
+        calls.append(t)
+        x = np.asarray(x, float)
+        return float(math.exp(-t) * math.sin(x[0]) + 0.1 * x[0] ** 2)
+
+    drv = discount_driver(0.05)
+    t, x = 0.3, np.array([4.6])
+    res = pide_residual(merton_model, drv, u, t, x)
+    assert len(calls) == 40
+    # the same residual from its parts, each taking its own derivatives
+    phi = lambda xx: u(t, xx)
+    ht = 1e-6 * (1.0 + t)
+    ref = ((u(t + ht, x) - u(t, x)) / ht + generator_local(merton_model, phi, x)
+           + generator_jump(merton_model, phi, x) + -0.05 * u(t, x))
+    assert res == ref
+
+
 # ---------------------------------------------------------------------------
 # jump map diagnostics (spec examples)
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from pidesolve.bsde import LocalAffineBasis, evaluate_u, solve_bsde
-from pidesolve.errors import NoConvergenceError
+from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis, default_clamp_bound,
+                            evaluate_u, solve_bsde)
+from pidesolve.errors import DomainError, NoConvergenceError, NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (ObstacleSpec, WeightFunction, discount_driver,
                              named_model, zero_driver)
 from pidesolve.obstacle import (default_schedule, estimate_reflection_measure,
-                                obstacle_along_paths, penalty_increments,
+                                obstacle_along_paths, penalty_increments, penalty_norm,
                                 skorokhod_gap, solve_penalized, solve_reflected,
                                 support_check)
 from pidesolve.oracle import binomial_american
@@ -265,25 +268,132 @@ def test_schedule_validation(bs_put_setup):
 
 def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
     # the a-priori bound does not depend on the level: computed once, it
-    # clamps every level and the direct solve alike
+    # clamps every level and the direct solve alike, also a level that meets
+    # tol early and is solved again alone
     import pidesolve.bsde as bsde_mod
-    import pidesolve.obstacle as obstacle_mod
     model, paths, basis = bs_put_setup
-    bound, bounds, clamps = bsde_mod.default_clamp_bound, [], []
+    bound, step, bounds, clamps = bsde_mod.default_clamp_bound, bsde_mod._step_value, [], []
 
     def counted_bound(*args, **kwargs):
         bounds.append(bound(*args, **kwargs))
         return bounds[-1]
 
-    def recorded_solve(*args, **kwargs):
-        clamps.append(kwargs.get("clamp"))
-        return solve_bsde(*args, **kwargs)
+    def recorded_step(*args):
+        clamps.append(args[-1])
+        return step(*args)
 
-    monkeypatch.setattr(obstacle_mod, "default_clamp_bound", counted_bound)
     monkeypatch.setattr(bsde_mod, "default_clamp_bound", counted_bound)
-    monkeypatch.setattr(obstacle_mod, "solve_bsde", recorded_solve)
-    refl = solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(),
-                           paths, basis, schedule=(0, 1, 2), tol=1e-12, weight=RHO4)
-    assert len(bounds) == 1
-    assert len(clamps) == 4 and all(c == bounds[0] for c in clamps)
-    assert refl.solution.clamp_bound == refl.direct.clamp_bound == bounds[0]
+    monkeypatch.setattr(bsde_mod, "_step_value", recorded_step)
+    for tol, n_levels in ((1e-12, 3), (1e12, 1)):
+        bounds.clear()
+        clamps.clear()
+        refl = solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(),
+                               paths, basis, schedule=(0, 1, 2), tol=tol, weight=RHO4)
+        assert len(refl.levels) == n_levels
+        assert len(bounds) == 1
+        assert clamps and all(c == bounds[0] for c in clamps)
+        assert refl.solution.clamp_bound == refl.direct.clamp_bound == bounds[0]
+
+
+def test_trace_records_the_step_up_between_levels(reflected_put):
+    trace, fields, cover = reflected_put.trace, reflected_put.level_fields, reflected_put.cover
+    assert "min_step_up" not in trace[0]
+    for i in range(1, len(trace)):
+        assert trace[i]["min_step_up"] == float(np.min((fields[i] - fields[i - 1])[cover]))
+
+
+@pytest.fixture(scope="module")
+def small_put():
+    model = named_model("bs")
+    paths = simulate_paths(model, TimeGrid(0, 1, 20), 100.0, 5000, seed=7)
+    box = (float(paths.states.min()) - 1.0, float(paths.states.max()) + 1.0)
+    return model, paths, box
+
+
+@pytest.mark.parametrize("kind", ["local", "poly"])
+def test_one_pass_equals_per_level_solves(small_put, kind):
+    # the schedule run as separate solves, one penalized solve per level up to
+    # the one that meets tol and then the direct reflection, gives the same bits
+    model, paths, box = small_put
+    basis = LocalAffineBasis(20, box) if kind == "local" else PolynomialBasis(3, box)
+    drv, obst, dt = discount_driver(0.05), put_obstacle(), paths.grid.dt
+    clamp = default_clamp_bound(drv, put_payoff, paths, obst)
+    lvals = obstacle_along_paths(obst, paths)
+    direct = solve_bsde(model, drv, put_payoff, paths, basis, clamp=clamp, obstacle=obst,
+                        reflect=True)
+    for schedule, tol in (((1, 4, 16, 64), 1e-12), ((0, 1, 4), 1e-12),
+                          ((1, 4, 16, 64), 1e12)):
+        refl = solve_reflected(model, drv, put_payoff, obst, paths, basis,
+                               schedule=schedule, tol=tol, weight=RHO4)
+        x = refl.eval_x[:, None]
+        for i, level in enumerate(schedule):
+            sol = solve_penalized(model, drv, put_payoff, obst, paths, basis, level,
+                                  clamp=clamp)
+            field = np.stack([evaluate_u(sol, k, x) for k in range(paths.grid.n_steps + 1)])
+            pnorm = penalty_norm(field, refl.obstacle_field, RHO4, refl.eval_x, dt, refl.cover)
+            assert np.array_equal(refl.level_fields[i], field)
+            assert refl.trace[i]["penalty_norm"] == pnorm
+            assert refl.trace[i]["u0"] == sol.u0()
+            if pnorm < tol:
+                break
+        assert refl.levels == schedule[:i + 1]
+        for got, want in ((refl.solution, sol), (refl.direct, direct)):
+            for name in ("y", "z", "vbar", "coef_y", "coef_z", "coef_v"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert got.clamp_bound == want.clamp_bound
+        assert np.array_equal(refl.obstacle_values, lvals)
+        assert np.array_equal(refl.k_increments, penalty_increments(sol, lvals))
+        assert refl.trace[-1]["skorokhod"] == skorokhod_gap(sol, lvals,
+                                                            refl.k_increments).normalized
+
+
+def test_one_setup_and_obstacle_call_per_step(small_put, monkeypatch):
+    model, paths, box = small_put
+    prepared, along = [], []
+    prepare = LocalAffineBasis.prepare
+
+    def counted_prepare(self, x):
+        prepared.append(x.shape[0])
+        return prepare(self, x)
+
+    def h(t, X):
+        if X.shape[0] == paths.n_paths:
+            along.append(t)
+        return np.maximum(K - X[:, 0], 0.0)
+
+    monkeypatch.setattr(LocalAffineBasis, "prepare", counted_prepare)
+    obst = ObstacleSpec(h=h, iota=K + 1, kappa=1.0)
+    # an explicit clamp: the default bound reads the obstacle on its own
+    refl = solve_reflected(model, discount_driver(0.05), put_payoff, obst, paths,
+                           LocalAffineBasis(20, box), tol=1e-12, weight=RHO4, clamp=1e6)
+    assert len(refl.levels) == 13
+    assert len(prepared) == paths.grid.n_steps
+    # each time node once along the paths, the horizon check included
+    assert np.array_equal(np.sort(along), paths.grid.nodes)
+
+
+def test_later_levels_cannot_change_or_break_the_result(small_put):
+    model, paths, box = small_put
+    args = (model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
+            LocalAffineBasis(20, box))
+    ref = solve_reflected(*args, schedule=(1,), tol=1e12, weight=RHO4)
+    # an infinite level goes non-finite at its first step and stops there
+    with np.errstate(invalid="ignore"):
+        refl = solve_reflected(*args, schedule=(1, 2, math.inf), tol=1e12, weight=RHO4)
+        assert refl.levels == (1,)
+        assert refl.trace == ref.trace
+        assert np.array_equal(refl.level_fields[0], ref.level_fields[0])
+        for got, want in ((refl.solution, ref.solution), (refl.direct, ref.direct)):
+            for name in ("y", "z", "vbar"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        # a schedule that reaches the level raises, as its own solve would
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_reflected(*args, schedule=(1, 2, math.inf), tol=1e-12, weight=RHO4)
+
+
+def test_eval_grid_outside_the_box_raises(small_put):
+    model, paths, box = small_put
+    with pytest.raises(DomainError):
+        solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
+                        LocalAffineBasis(20, box), schedule=(1, 2), weight=RHO4,
+                        eval_x=np.linspace(box[0] - 5.0, box[1], 50))
