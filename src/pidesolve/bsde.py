@@ -463,7 +463,8 @@ def _solution(result):
 class _Variant:
     """One variant of a backward pass: its penalty level and reflection, the
     current values, and the per-step coefficients and diagnostics.  Path
-    arrays are stored only when ``keep`` is set."""
+    arrays are stored only when ``keep`` is set, in new arrays or in the
+    (y, z, vbar) arrays ``keep`` gives."""
 
     def __init__(self, penalty_level, reflect, keep, y, n, d, q, cshape):
         self.penalty_level, self.reflect = penalty_level, reflect
@@ -476,11 +477,12 @@ class _Variant:
                      "clamped": np.zeros(n, dtype=int),
                      "degenerate": np.zeros(n, dtype=bool), "ridge": np.zeros(n)}
         self.y_all = self.z_all = self.v_all = None
+        if keep is True:
+            keep = (np.empty((n + 1, y.size)), np.zeros((n, y.size, d)),
+                    np.zeros((n, y.size, q)))
         if keep:
-            self.y_all = np.empty((n + 1, y.size))
+            self.y_all, self.z_all, self.v_all = keep
             self.y_all[n] = y
-            self.z_all = np.zeros((n, y.size, d))
-            self.v_all = np.zeros((n, y.size, q))
 
     def step(self, k, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp):
         """Step k of this variant on the shared regression setup ``reg``."""
@@ -529,19 +531,21 @@ class _Variant:
 
 
 def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters,
-                   clamp, obstacle, observe=None):
+                   clamp, obstacle, observe=None, obstacle_values=None):
     """Backward induction for several (penalty_level, reflect, keep) variants.
 
     Each step builds the regression setup ``basis.prepare(x_k)`` and the
-    obstacle values h(t_k, x_k) once; every variant then runs its own fits,
-    predictions and ``_step_value`` on them, so its coefficients and values
-    are those of a pass of its own, bit for bit.  Only variants with
-    ``keep`` store their path arrays; the others come back with
-    ``y``/``z``/``vbar`` None.  A variant that goes non-finite stops updating
+    obstacle values h(t_k, x_k) once (or reads them from
+    ``obstacle_values``, h along the paths); every variant then runs its
+    own fits, predictions and ``_step_value`` on them, so its coefficients
+    and values are those of a pass of its own, bit for bit.  Only variants
+    with ``keep`` store their path arrays; the others come back with
+    ``y``/``z``/``vbar`` None.  ``keep`` may also be the path arrays of a
+    solution that is done with, which the variant then overwrites.  A variant that goes non-finite stops updating
     and comes back as the error that stopped it; the others go on.
-    ``observe(k, h_k, ys)``, if given, sees every step's obstacle values and
-    each variant's new values (None once stopped).  Without ``clamp`` one
-    default bound, with the obstacle if any variant uses it, serves all.
+    ``observe(k, ys)``, if given, sees each variant's new values at every
+    step (None once stopped).  Without ``clamp`` one default bound, with
+    the obstacle if any variant uses it, serves all.
     """
     grid = paths.grid
     dt = grid.dt
@@ -582,7 +586,9 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
         xk = paths.states[k]
         t_k = grid.nodes[k]
         reg = basis.prepare(xk)
-        h_k = obstacle(t_k, xk) if obstacle is not None else None
+        h_k = None
+        if obstacle is not None:
+            h_k = obstacle(t_k, xk) if obstacle_values is None else obstacle_values[k]
         for v in live:
             try:
                 v.step(k, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp)
@@ -590,7 +596,7 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
                 v.error = exc
         del reg  # one step's features at a time
         if observe is not None:
-            observe(k, h_k, [v.y if v.error is None else None for v in runs])
+            observe(k, [v.y if v.error is None else None for v in runs])
 
     return [v.error if v.error is not None else BsdeSolution(
         grid=grid, basis=basis, driver=driver, terminal=terminal,

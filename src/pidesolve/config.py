@@ -39,10 +39,6 @@ _NORMCHECK_DEFAULTS = {"radius": 9.0, "n_panels": 18, "nodes_per_panel": 8,
 # values the runner uses for keys an oracle block leaves out
 _ORACLE_MARKET = {"s0": 100.0, "strike": 100.0, "rate": 0.05, "sigma": 0.2,
                   "horizon": 1.0, "intensity": 0.0, "jump_mean": 0.0, "jump_sd": 1e-8}
-# the model parameter a compare oracle's market key must equal, by oracle kind
-_ORACLE_MODEL_KEYS = {"binomial": {"rate": "r", "sigma": "sigma"},
-                      "merton": {"rate": "r", "sigma": "sigma", "intensity": "intensity",
-                                 "jump_mean": "jump_mean", "jump_sd": "jump_sd"}}
 # the params each named block accepts; driver params default to 0 and an
 # obstacle also takes its growth constants iota and kappa
 _DRIVER_PARAMS = {"zero": (), "discount": ("rate",),
@@ -423,21 +419,40 @@ def _norm_compare(block):
 def _check_compare_oracle(out):
     """A closed-form compare oracle must price the problem the solver solves:
     its rate, volatility and jump law equal the model's (and the rate a
-    discount driver's), defaults filled in on both sides."""
+    discount driver's), defaults filled in on both sides.  A binomial tree
+    has no jumps, nor has a model without a jump intensity."""
     oracle = out["compare"]["oracle"]
-    pairs = _ORACLE_MODEL_KEYS.get(oracle["kind"], {})
-    model = out["model"]
-    preset = PRESET_PARAMS.get(model["name"], {})
-    checks = [(key, "model.params." + pkey, model["params"].get(pkey, preset[pkey]))
-              for key, pkey in pairs.items() if pkey in preset]
-    driver = out["driver"]
-    if "rate" in pairs and driver["name"] == "discount":
+    if oracle["kind"] not in ("merton", "binomial"):
+        return
+    theirs = {**_ORACLE_MARKET, **oracle}
+    if oracle["kind"] == "binomial":
+        theirs["intensity"] = 0.0
+    model, driver = out["model"], out["driver"]
+    if model["name"] == "custom":
+        measure = model["params"].get("measure")
+        values = {}
+        intensity = ("model.params.measure.intensity",
+                     measure.get("intensity", 1.0) if measure else 0.0)
+    else:
+        values = {**PRESET_PARAMS[model["name"]], **model["params"]}
+        intensity = (("model.params.intensity", values["intensity"]) if "intensity" in values
+                     else (f"the intensity of model {model['name']!r}", 0.0))
+    checks = [(key, "model.params." + pkey, values[pkey])
+              for key, pkey in (("rate", "r"), ("sigma", "sigma")) if pkey in values]
+    if driver["name"] == "discount":
         checks.append(("rate", "driver.params.rate", driver["params"].get("rate", 0.0)))
+    checks.append(("intensity",) + intensity)
+    if intensity[1] > 0:
+        checks += [(key, "model.params." + key, values.get(key))
+                   for key in ("jump_mean", "jump_sd")]
     for key, path, value in checks:
-        theirs = oracle.get(key, _ORACLE_MARKET[key])
-        if float(value) != theirs:
+        if value is None:
             raise ConfigError(
-                f"compare.oracle.{key} = {theirs} but {path} = {value}; the oracle "
+                f"compare.oracle prices lognormal jumps but model {model['name']!r} "
+                f"has other jumps; the oracle would price another problem")
+        if float(value) != theirs[key]:
+            raise ConfigError(
+                f"compare.oracle.{key} = {theirs[key]} but {path} = {value}; the oracle "
                 f"would price another problem")
 
 

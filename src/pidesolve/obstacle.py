@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BsdeSolution, _backward_pass, _solution, evaluate_u, solve_bsde
+from .bsde import (BsdeSolution, _backward_pass, _solution, default_clamp_bound,
+                   evaluate_u, solve_bsde)
 from .errors import NoConvergenceError
 from .model import WeightFunction, time_weights, trapezoid_weights
 
@@ -206,11 +207,12 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     ``strict`` the exhausted schedule raises; otherwise the result is
     returned flagged.
 
-    The levels and the direct solve run as variants of one backward pass,
-    which builds each step's regression setup and obstacle values once.
-    A level after the one that meets ``tol`` cannot change the result or
-    raise; the level that meets it, if not the last, is solved once more
-    alone for its path arrays.
+    The schedule runs in chunks of levels, each chunk one backward pass
+    that builds each step's regression setup once for all its levels (see
+    ``_chunk_end``); the first chunk, the first level, also runs the direct
+    solve.  A level after the one that meets ``tol`` cannot change the
+    result or raise; if a chunk runs past the level that meets it, that
+    level is solved once more alone for its path arrays.
 
     Without ``clamp``, one a-priori bound (``default_clamp_bound`` with the
     obstacle) serves every level and the direct solve.  A schedule that
@@ -233,13 +235,14 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     # condition at the horizon, else the limit problem is ill-posed
     n, dt = paths.grid.n_steps, paths.grid.dt
     g_T = np.asarray(terminal(paths.states[-1]), float)
-    lvals = np.empty((n + 1, paths.n_paths))
-    lvals[n] = obstacle(paths.grid.nodes[n], paths.states[-1])
+    lvals = obstacle_along_paths(obstacle, paths)
     bad = float(np.mean(lvals[n] > g_T + 1e-9 * (1 + np.abs(g_T))))
     if bad > 0.001:
         raise ValueError(
             f"obstacle exceeds the terminal condition at the horizon on "
             f"{bad:.1%} of the cloud; reflected problems require h(T, .) <= g")
+    if clamp is None:
+        clamp = default_clamp_bound(driver, terminal, paths, obstacle)
 
     cover = coverage_mask(paths.states, eval_x)
     hfield = np.stack([np.asarray(obstacle(paths.grid.nodes[k], eval_x[:, None]), float)
@@ -252,59 +255,69 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         # space-time trapezoid with the weight over the (times x eval_x) grid
         return float(np.sum(wt[:, None] * field * rho[None, :] * wx[None, :]))
 
-    # one backward pass runs every level and the direct reflection on the
-    # same per-step regression setup and obstacle values; per level it keeps
-    # coefficients, u0 and a running flat-off defect, and path arrays only
-    # for the last level and the direct solve
-    defects = [_FlatOffDefect(g_T, lvals[n]) for _ in schedule]
-    u0s = [None] * len(schedule)
-
-    def observe(k, h_k, ys):
-        lvals[k] = h_k
-        for i, level in enumerate(schedule):
-            if ys[i] is not None:
-                defects[i].add(ys[i], lvals[k], _increments(level, dt, lvals[k], ys[i]))
-                if k == 0:
-                    u0s[i] = float(ys[i].mean())
-
-    variants = [(level, False, i == len(schedule) - 1) for i, level in enumerate(schedule)]
-    runs = _backward_pass(model, driver, terminal, paths, basis,
-                          variants + [(0.0, True, True)], picard_iters, clamp, obstacle,
-                          observe)
-
     levels = []
     fields = []
     trace = []
     converged = False
-    for i, level in enumerate(schedule):
-        ufield = _u_field(_solution(runs[i]), eval_x)
-        pnorm = penalty_norm(ufield, hfield, weight, eval_x, dt, cover)
-        pi_n = level * weighted_sum(np.maximum(hfield - ufield, 0.0) * cover)
-        entry = {"level": level, "penalty_norm": pnorm,
-                 "skorokhod": defects[i].report().normalized, "pi": pi_n, "u0": u0s[i]}
-        if fields:
-            # monotonicity in the level: u_n - u_{n-1} on path-covered samples
-            entry["min_step_up"] = float(np.min((ufield - fields[-1])[cover], initial=np.inf))
-        levels.append(level)
-        fields.append(ufield)
-        trace.append(entry)
-        if pnorm < tol:
-            converged = True
-            break
+    direct = sol = None
+    start = 0
+    while start < len(schedule) and not converged:
+        # one backward pass per chunk; per level it keeps coefficients, u0
+        # and a running flat-off defect, and path arrays only for the
+        # chunk's last level and the direct solve.  The last level fills the
+        # path arrays of the previous chunk's: fresh ones would add to the
+        # peak memory what the freed ones leave fragmented
+        chunk = schedule[start:_chunk_end(schedule, start, trace, tol)]
+        defects = [_FlatOffDefect(g_T, lvals[n]) for _ in chunk]
+        u0s = [None] * len(chunk)
+
+        def observe(k, ys):
+            for i, level in enumerate(chunk):
+                if ys[i] is not None:
+                    defects[i].add(ys[i], lvals[k], _increments(level, dt, lvals[k], ys[i]))
+                    if k == 0:
+                        u0s[i] = float(ys[i].mean())
+
+        keep = True if sol is None else (sol.y, sol.z, sol.vbar)
+        variants = [(level, False, i == len(chunk) - 1 and keep)
+                    for i, level in enumerate(chunk)]
+        if direct is None:
+            variants.append((0.0, True, True))
+        sol = None
+        runs = _backward_pass(model, driver, terminal, paths, basis, variants,
+                              picard_iters, clamp, obstacle, observe, lvals)
+        if direct is None:
+            direct = runs.pop()
+        for i, level in enumerate(chunk):
+            ufield = _u_field(_solution(runs[i]), eval_x)
+            pnorm = penalty_norm(ufield, hfield, weight, eval_x, dt, cover)
+            pi_n = level * weighted_sum(np.maximum(hfield - ufield, 0.0) * cover)
+            entry = {"level": level, "penalty_norm": pnorm,
+                     "skorokhod": defects[i].report().normalized, "pi": pi_n, "u0": u0s[i]}
+            if fields:
+                # monotonicity in the level: u_n - u_{n-1} on path-covered samples
+                entry["min_step_up"] = float(np.min((ufield - fields[-1])[cover],
+                                                    initial=np.inf))
+            levels.append(level)
+            fields.append(ufield)
+            trace.append(entry)
+            if pnorm < tol:
+                converged = True
+                break
+        sol = runs[i]
+        del runs
+        start += len(chunk)
     if not converged and strict:
         raise NoConvergenceError(
             f"penalty norm {trace[-1]['penalty_norm']:.3g} above tol {tol:.3g} "
             f"after level {levels[-1]}", trace=trace)
 
-    direct = _solution(runs[-1])
-    sol = runs[len(levels) - 1]
+    direct = _solution(direct)
     if sol.y is None:
-        # an earlier level met tol: solve it alone for its path arrays, after
-        # releasing those of the last level
-        del runs
+        # the chunk ran past the level that met tol: solve it alone for its
+        # path arrays
         sol = solve_bsde(model, driver, terminal, paths, basis, picard_iters=picard_iters,
-                         clamp=direct.clamp_bound, penalty_level=levels[-1],
-                         obstacle=obstacle)
+                         clamp=clamp, penalty_level=levels[-1], obstacle=obstacle)
     dk = penalty_increments(sol, lvals)
     dfield = _u_field(direct, eval_x)
     diff2 = weighted_sum(cover * (fields[-1] - dfield) ** 2)
@@ -319,6 +332,22 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         converged=converged, direct=direct, direct_gap=gap,
         direct_gap_rel=gap_rel, weight=weight,
     )
+
+
+def _chunk_end(schedule, start, trace, tol):
+    """Where the chunk of levels from ``schedule[start]`` ends.
+
+    The first chunk is the first level alone, and so is the level after 0.
+    A later chunk ends at the first level n at which the last level m's
+    penalty norm p_m, falling like m p_m / n (the 1/n rate of the
+    penalization error), would meet ``tol``.  While the norm falls no
+    faster than that, no chunk runs past the level that meets ``tol``.
+    """
+    if not trace or trace[-1]["level"] == 0:
+        return start + 1
+    reach = trace[-1]["level"] * trace[-1]["penalty_norm"] / tol
+    return next((j + 1 for j in range(start, len(schedule)) if schedule[j] > reach),
+                len(schedule))
 
 
 @dataclass

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 criterion failure, 1 error.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import math
@@ -470,27 +471,37 @@ def run_experiment(cfg, out_dir=None, flags=None):
         report.write(os.path.join(out_dir, "report.json"))
         return report, code
     finally:
-        os.close(lock_fd)
-        os.unlink(lock_path)
+        _release_lock(lock_fd, lock_path)
 
 
 def _take_lock(lock_path, out_dir):
     """Create the lock file with this process's pid and return its descriptor.
 
     An existing lock whose pid no longer runs is stale: it is removed and
-    the lock taken again.  A lock of a running process, or one without a
-    readable pid, is refused with ``ConfigError``.
+    the lock taken again.  The verdict and the removal happen under an
+    exclusive ``flock`` of the output directory, so of two runs that find
+    the same stale lock the second finds the first's new one.  A lock of a
+    running process, or one without a readable pid, is refused with
+    ``ConfigError``.
     """
     for _ in range(2):
         try:
             fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            if not _lock_is_stale(lock_path):
-                break
+            dir_fd = os.open(out_dir, os.O_RDONLY)
             try:
-                os.unlink(lock_path)
-            except FileNotFoundError:  # another run removed it first
-                pass
+                fcntl.flock(dir_fd, fcntl.LOCK_EX)
+                stale = _lock_is_stale(lock_path)
+                if stale:
+                    os.unlink(lock_path)
+            except FileNotFoundError:
+                # its run ended meanwhile; another run may create the lock
+                # now, so nothing is removed
+                stale = True
+            finally:
+                os.close(dir_fd)  # and with it the flock
+            if not stale:
+                break
             continue
         os.write(fd, str(os.getpid()).encode())
         return fd
@@ -498,13 +509,25 @@ def _take_lock(lock_path, out_dir):
                       f"experiment (remove {lock_path} if stale)")
 
 
+def _release_lock(fd, lock_path):
+    """Close the lock and remove it if it is still the file this run created."""
+    try:
+        mine = os.path.samestat(os.fstat(fd), os.stat(lock_path))
+    except FileNotFoundError:
+        mine = False
+    if mine:
+        os.unlink(lock_path)
+    os.close(fd)
+
+
 def _lock_is_stale(lock_path):
-    """True when the lock names a pid that no longer runs, or is gone."""
+    """True when the lock names a pid that no longer runs; raises
+    ``FileNotFoundError`` when it is gone."""
     try:
         with open(lock_path) as fh:
             pid = int(fh.read().strip())
     except FileNotFoundError:
-        return True
+        raise
     except (OSError, ValueError):
         return False
     if pid <= 0:  # 0 and negative pids name process groups

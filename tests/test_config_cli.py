@@ -272,6 +272,33 @@ def test_compare_oracle_must_describe_the_model():
         validate_config(raw)
     raw["compare"]["oracle"]["sigma"] = 0.3
     validate_config(raw)
+    # the model side is what the solver uses: a model without jumps has
+    # intensity 0, a binomial tree too, and only a merton preset has the
+    # oracle's lognormal jump law
+    raw = merton_compare_config()
+    raw["model"] = {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}}
+    with pytest.raises(ConfigError, match="compare.oracle.intensity.*model 'bs'"):
+        validate_config(raw)
+    raw["compare"]["oracle"]["intensity"] = 0.0
+    validate_config(raw)
+    raw = merton_compare_config()
+    raw["model"] = {"name": "kou", "params": {"r": 0.05, "sigma": 0.2}}
+    with pytest.raises(ConfigError, match="lognormal jumps but model 'kou'"):
+        validate_config(raw)
+    raw = merton_compare_config(kind="binomial", steps=200, option="call")
+    for key in ("intensity", "jump_mean", "jump_sd"):
+        del raw["compare"]["oracle"][key]
+    with pytest.raises(ConfigError, match="compare.oracle.intensity.*model.params.intensity"):
+        validate_config(raw)
+    raw = merton_compare_config()
+    raw["model"] = {"name": "custom", "params": {
+        "jump": "translation", "measure": {"kind": "gaussian", "intensity": 2.0}}}
+    with pytest.raises(ConfigError,
+                       match="compare.oracle.intensity.*model.params.measure.intensity"):
+        validate_config(raw)
+    raw["model"]["params"]["measure"]["intensity"] = 1.0
+    with pytest.raises(ConfigError, match="lognormal jumps but model 'custom'"):
+        validate_config(raw)
 
 
 def test_config_hash_semantics(tmp_path):
@@ -312,12 +339,16 @@ def test_lock_file_serializes(tmp_path):
     assert not (tmp_path / ".lock").exists()
 
 
+def _dead_pid():
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
 def test_stale_lock_is_removed(tmp_path):
     # a lock whose pid no longer runs is stale: it is removed and the run
     # goes ahead; a running pid's lock is still refused
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    (tmp_path / ".lock").write_text(str(child.pid))
+    (tmp_path / ".lock").write_text(str(_dead_pid()))
     report, code = run_experiment(heat_solve_config(), out_dir=tmp_path)
     assert code == EXIT_OK
     assert not (tmp_path / ".lock").exists()
@@ -327,6 +358,80 @@ def test_stale_lock_is_removed(tmp_path):
             run_experiment(heat_solve_config(), out_dir=tmp_path)
         assert err.value.code == "E_CONFIG"
         assert (tmp_path / ".lock").read_text() == content
+
+
+def test_two_takers_of_one_stale_lock(tmp_path, monkeypatch):
+    # one run takes a stale lock while another sits between its own stale
+    # verdict and the takeover: afterwards exactly one of them holds it
+    import threading
+    import pidesolve.runner as runner_mod
+    lock = str(tmp_path / ".lock")
+    (tmp_path / ".lock").write_text(str(_dead_pid()))
+    checking, other_done = threading.Event(), threading.Event()
+    is_stale = runner_mod._lock_is_stale
+
+    def slow_first_verdict(path):
+        stale = is_stale(path)
+        if not checking.is_set():
+            checking.set()
+            other_done.wait(timeout=1.0)
+        return stale
+
+    monkeypatch.setattr(runner_mod, "_lock_is_stale", slow_first_verdict)
+    held = []
+
+    def take():
+        try:
+            held.append(runner_mod._take_lock(lock, str(tmp_path)))
+        except ConfigError:
+            pass
+
+    first = threading.Thread(target=take)
+    first.start()
+    checking.wait()
+    take()
+    other_done.set()
+    first.join()
+    assert len(held) == 1
+    assert (tmp_path / ".lock").read_text() == str(os.getpid())
+    runner_mod._release_lock(held[0], lock)
+    assert not (tmp_path / ".lock").exists()
+
+
+def test_lock_created_after_the_verdict_is_kept(tmp_path, monkeypatch):
+    # the lock is gone when a run looks at it, and another run creates its
+    # own before the first acts on the verdict: that new lock stays and
+    # the first run is refused
+    import pidesolve.runner as runner_mod
+    lock = tmp_path / ".lock"
+    lock.write_text(str(_dead_pid()))
+    is_stale, looked = runner_mod._lock_is_stale, []
+
+    def gone_then_created(path):
+        if looked:
+            return is_stale(path)
+        looked.append(path)
+        lock.unlink()
+        try:
+            return is_stale(path)
+        finally:
+            lock.write_text("other")
+
+    monkeypatch.setattr(runner_mod, "_lock_is_stale", gone_then_created)
+    with pytest.raises(ConfigError, match="locked"):
+        runner_mod._take_lock(str(lock), str(tmp_path))
+    assert lock.read_text() == "other"
+
+
+def test_lock_of_another_run_is_not_removed(tmp_path):
+    # a run whose lock file was replaced leaves the other run's lock alone
+    import pidesolve.runner as runner_mod
+    lock = str(tmp_path / ".lock")
+    fd = runner_mod._take_lock(lock, str(tmp_path))
+    os.unlink(lock)
+    (tmp_path / ".lock").write_text("other")
+    runner_mod._release_lock(fd, lock)
+    assert (tmp_path / ".lock").read_text() == "other"
 
 
 def test_lock_holds_the_running_pid(tmp_path, monkeypatch):

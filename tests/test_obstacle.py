@@ -271,6 +271,7 @@ def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
     # clamps every level and the direct solve alike, also a level that meets
     # tol early and is solved again alone
     import pidesolve.bsde as bsde_mod
+    import pidesolve.obstacle as obstacle_mod
     model, paths, basis = bs_put_setup
     bound, step, bounds, clamps = bsde_mod.default_clamp_bound, bsde_mod._step_value, [], []
 
@@ -282,6 +283,7 @@ def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
         clamps.append(args[-1])
         return step(*args)
 
+    monkeypatch.setattr(obstacle_mod, "default_clamp_bound", counted_bound)
     monkeypatch.setattr(bsde_mod, "default_clamp_bound", counted_bound)
     monkeypatch.setattr(bsde_mod, "_step_value", recorded_step)
     for tol, n_levels in ((1e-12, 3), (1e12, 1)):
@@ -310,8 +312,16 @@ def small_put():
     return model, paths, box
 
 
+def _one_chunk(monkeypatch):
+    # the whole schedule in one pass, so that levels run past the one that
+    # meets tol
+    import pidesolve.obstacle as obstacle_mod
+    monkeypatch.setattr(obstacle_mod, "_chunk_end", lambda schedule, *_: len(schedule))
+
+
+@pytest.mark.parametrize("one_chunk", [False, True], ids=["chunks", "one-chunk"])
 @pytest.mark.parametrize("kind", ["local", "poly"])
-def test_one_pass_equals_per_level_solves(small_put, kind):
+def test_one_pass_equals_per_level_solves(small_put, kind, one_chunk, monkeypatch):
     # the schedule run as separate solves, one penalized solve per level up to
     # the one that meets tol and then the direct reflection, gives the same bits
     model, paths, box = small_put
@@ -321,8 +331,10 @@ def test_one_pass_equals_per_level_solves(small_put, kind):
     lvals = obstacle_along_paths(obst, paths)
     direct = solve_bsde(model, drv, put_payoff, paths, basis, clamp=clamp, obstacle=obst,
                         reflect=True)
+    if one_chunk:
+        _one_chunk(monkeypatch)
     for schedule, tol in (((1, 4, 16, 64), 1e-12), ((0, 1, 4), 1e-12),
-                          ((1, 4, 16, 64), 1e12)):
+                          ((1, 4, 16, 64), 3e-4), ((1, 4, 16, 64), 1e12)):
         refl = solve_reflected(model, drv, put_payoff, obst, paths, basis,
                                schedule=schedule, tol=tol, weight=RHO4)
         x = refl.eval_x[:, None]
@@ -347,14 +359,26 @@ def test_one_pass_equals_per_level_solves(small_put, kind):
                                                             refl.k_increments).normalized
 
 
-def test_one_setup_and_obstacle_call_per_step(small_put, monkeypatch):
+def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
+    # each pass builds one regression setup per step for all its levels, and
+    # the obstacle is read once per time node along the paths.  The first
+    # pass runs the first level and the direct solve; while the penalty norm
+    # falls no faster than 1/n in the level (as here), a run that stops early
+    # makes exactly the backward steps of separate solves of its levels and
+    # the direct solve, and fewer setups
+    import pidesolve.bsde as bsde_mod
     model, paths, box = small_put
-    prepared, along = [], []
-    prepare = LocalAffineBasis.prepare
+    n = paths.grid.n_steps
+    prepared, steps, along = [], [], []
+    prepare, step = LocalAffineBasis.prepare, bsde_mod._Variant.step
 
     def counted_prepare(self, x):
         prepared.append(x.shape[0])
         return prepare(self, x)
+
+    def counted_step(self, *args):
+        steps.append(self.penalty_level)
+        return step(self, *args)
 
     def h(t, X):
         if X.shape[0] == paths.n_paths:
@@ -362,21 +386,30 @@ def test_one_setup_and_obstacle_call_per_step(small_put, monkeypatch):
         return np.maximum(K - X[:, 0], 0.0)
 
     monkeypatch.setattr(LocalAffineBasis, "prepare", counted_prepare)
+    monkeypatch.setattr(bsde_mod._Variant, "step", counted_step)
     obst = ObstacleSpec(h=h, iota=K + 1, kappa=1.0)
-    # an explicit clamp: the default bound reads the obstacle on its own
-    refl = solve_reflected(model, discount_driver(0.05), put_payoff, obst, paths,
-                           LocalAffineBasis(20, box), tol=1e-12, weight=RHO4, clamp=1e6)
-    assert len(refl.levels) == 13
-    assert len(prepared) == paths.grid.n_steps
-    # each time node once along the paths, the horizon check included
-    assert np.array_equal(np.sort(along), paths.grid.nodes)
+    for tol, n_levels, n_passes in ((1e12, 1, 1), (1e-4, 7, 3), (1e-12, 13, 2)):
+        prepared.clear()
+        steps.clear()
+        along.clear()
+        # an explicit clamp: the default bound reads the obstacle on its own
+        refl = solve_reflected(model, discount_driver(0.05), put_payoff, obst, paths,
+                               LocalAffineBasis(20, box), tol=tol, weight=RHO4, clamp=1e6)
+        assert len(refl.levels) == n_levels
+        assert len(prepared) == n_passes * n
+        assert len(steps) == (n_levels + 1) * n
+        # each time node once along the paths, the horizon check included
+        assert np.array_equal(np.sort(along), paths.grid.nodes)
 
 
-def test_later_levels_cannot_change_or_break_the_result(small_put):
+@pytest.mark.parametrize("one_chunk", [False, True], ids=["chunks", "one-chunk"])
+def test_later_levels_cannot_change_or_break_the_result(small_put, one_chunk, monkeypatch):
     model, paths, box = small_put
     args = (model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
             LocalAffineBasis(20, box))
     ref = solve_reflected(*args, schedule=(1,), tol=1e12, weight=RHO4)
+    if one_chunk:
+        _one_chunk(monkeypatch)
     # an infinite level goes non-finite at its first step and stops there
     with np.errstate(invalid="ignore"):
         refl = solve_reflected(*args, schedule=(1, 2, math.inf), tol=1e12, weight=RHO4)
