@@ -614,6 +614,11 @@ def evaluate_u(sol, k, x):
     sweeps, the recorded penalty or reflection, and the clamp.  Refuses to
     extrapolate outside the basis box.
     """
+    return _evaluate_u(sol, k, x)
+
+
+def _evaluate_u(sol, k, x, h_k=None):
+    """``evaluate_u`` with the obstacle at (t_k, x), ``h_k``, when the caller has it."""
     x = np.atleast_2d(np.asarray(x, float))
     if x.shape[1] != sol.states.shape[2]:
         raise ValueError("point dimension does not match the solution")
@@ -632,7 +637,8 @@ def evaluate_u(sol, k, x):
     z, vb = pred[:, :d], pred[:, d:]
     dt = sol.grid.dt
     t_k = sol.grid.nodes[k]
-    h_k = sol.obstacle(t_k, x) if sol.obstacle is not None else None
+    if h_k is None and sol.obstacle is not None:
+        h_k = sol.obstacle(t_k, x)
     return _step_value(sol.driver, t_k, x, cond_exp, z, vb, dt, sol.picard_iters, h_k,
                        sol.penalty_level * dt, sol.reflected, sol.clamp_bound)[0]
 

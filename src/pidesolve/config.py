@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, SchemaError
 from .model import (PRESET_PARAMS, JumpMeasure, ObstacleSpec, WeightFunction,
                     borrowing_rate_driver, discount_driver, named_model,
-                    scalar_model, zero_driver)
+                    scalar_model, translation_jump, zero_driver)
 from .obstacle import default_schedule
 
 __all__ = ["ExperimentConfig", "validate_config", "TASKS"]
@@ -53,7 +53,7 @@ _OBSTACLE_PARAMS = {name: keys + ("iota", "kappa")
 # made of a jump kind and a measure whose keys and defaults depend on its kind
 _CUSTOM_KEYS = {"drift", "diffusion", "measure", "jump", "k_jump", "k_coef"}
 _CUSTOM_JUMPS = {"none": None,
-                 "translation": lambda x, e: np.broadcast_to(e, x.shape).astype(float),
+                 "translation": translation_jump,
                  "proportional-exp": lambda x, e: x * (np.exp(e) - 1.0)}
 _CUSTOM_MEASURES = {"uniform": (JumpMeasure.uniform, {"lo": -1.0, "hi": 1.0}),
                     "gaussian": (JumpMeasure.gaussian, {"mean": 0.0, "sd": 1.0}),

@@ -36,6 +36,7 @@ __all__ = [
     "WeightFunction",
     "JumpMapReport",
     "scalar_model",
+    "translation_jump",
     "named_model",
     "generator_local",
     "generator_jump",
@@ -207,6 +208,15 @@ class ModelSpec:
             raise ValueError("declared constants must be positive")
         if self.jump_measure.is_active and self.jump_coeff is None:
             raise ValueError("active jump measure requires a jump coefficient")
+        # a translation jump's compensator sum_j w_j e_j is one constant, summed
+        # from 0.0 in node order as the quadrature loop of ``compensator_drift``
+        # sums it, so the drift keeps its bits
+        constant = None
+        if self.has_jumps and self.jump_coeff is translation_jump:
+            constant = 0.0
+            for e_j, w_j in zip(self.jump_measure.nodes, self.jump_measure.weights):
+                constant = constant + w_j * e_j
+        object.__setattr__(self, "_compensator", constant)
 
     @property
     def has_jumps(self):
@@ -226,6 +236,8 @@ class ModelSpec:
         x = np.asarray(x, dtype=float)
         if not self.has_jumps:
             return np.zeros_like(x)
+        if self._compensator is not None:
+            return np.full_like(x, self._compensator)
         nodes = self.jump_measure.nodes
         weights = self.jump_measure.weights
         out = np.zeros_like(x)
@@ -250,11 +262,18 @@ class ModelSpec:
         return float(np.max(np.linalg.norm(beta, axis=-1) / denom))
 
 
+def translation_jump(x, e):
+    """beta(x, e) = e: the jump shifts every coordinate of x by the mark."""
+    x = np.asarray(x, dtype=float)
+    return np.broadcast_to(np.asarray(e, dtype=float)[..., None], x.shape).astype(float)
+
+
 def scalar_model(drift, diffusion, jump=None, jump_measure=None, **kw):
     """Build a 1-d ModelSpec from plain scalar callables.
 
     ``drift`` and ``diffusion`` map a batch ``(m,)`` of states to ``(m,)``
     values; ``jump(x, e)`` maps batched states and marks to displacements.
+    ``translation_jump`` is passed on as it is.
     """
     jm = jump_measure if jump_measure is not None else JumpMeasure.none()
 
@@ -266,8 +285,8 @@ def scalar_model(drift, diffusion, jump=None, jump_measure=None, **kw):
         x = np.asarray(x, dtype=float)
         return np.asarray(_f(x[..., 0]), dtype=float)[..., None, None]
 
-    _jump = None
-    if jump is not None:
+    _jump = jump
+    if jump is not None and jump is not translation_jump:
         def _jump(x, e, _f=jump):
             x = np.asarray(x, dtype=float)
             return np.asarray(_f(x[..., 0], np.asarray(e, dtype=float)), dtype=float)[..., None]
@@ -323,7 +342,7 @@ def named_model(name, **params):
         return scalar_model(
             drift=lambda x: np.zeros_like(x),
             diffusion=lambda x: np.ones_like(x),
-            jump=lambda x, e: np.broadcast_to(e, x.shape).astype(float),
+            jump=translation_jump,
             jump_measure=jm,
             k_jump=max(1.0, half_width),
             k_coef=1.0,
@@ -346,7 +365,7 @@ def named_model(name, **params):
     return scalar_model(
         drift=lambda x: np.full_like(x, b),
         diffusion=lambda x: np.full_like(x, sigma),
-        jump=lambda x, e: np.broadcast_to(e, x.shape).astype(float),
+        jump=translation_jump,
         jump_measure=jm,
         k_jump=4.0,
         k_coef=max(abs(b), sigma, 1e-6),

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (BsdeSolution, _backward_pass, _solution, default_clamp_bound,
-                   evaluate_u, solve_bsde)
+from .bsde import (BsdeSolution, _backward_pass, _evaluate_u, _solution,
+                   default_clamp_bound, solve_bsde)
 from .errors import NoConvergenceError
 from .model import WeightFunction, time_weights, trapezoid_weights
 
@@ -72,10 +72,10 @@ def obstacle_along_paths(obstacle, paths):
                      for k in range(paths.grid.n_steps + 1)])
 
 
-def _u_field(sol, eval_x):
-    """Fitted u on (times x eval grid), including the terminal slice."""
+def _u_field(sol, eval_x, hfield):
+    """Fitted u on (times x eval grid), terminal slice included; ``hfield`` is h there."""
     pts = np.asarray(eval_x, float)[:, None]
-    rows = [evaluate_u(sol, k, pts) for k in range(sol.n_steps + 1)]
+    rows = [_evaluate_u(sol, k, pts, hfield[k]) for k in range(sol.n_steps + 1)]
     return np.stack(rows)
 
 
@@ -289,7 +289,7 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         if direct is None:
             direct = runs.pop()
         for i, level in enumerate(chunk):
-            ufield = _u_field(_solution(runs[i]), eval_x)
+            ufield = _u_field(_solution(runs[i]), eval_x, hfield)
             pnorm = penalty_norm(ufield, hfield, weight, eval_x, dt, cover)
             pi_n = level * weighted_sum(np.maximum(hfield - ufield, 0.0) * cover)
             entry = {"level": level, "penalty_norm": pnorm,
@@ -319,7 +319,7 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         sol = solve_bsde(model, driver, terminal, paths, basis, picard_iters=picard_iters,
                          clamp=clamp, penalty_level=levels[-1], obstacle=obstacle)
     dk = penalty_increments(sol, lvals)
-    dfield = _u_field(direct, eval_x)
+    dfield = _u_field(direct, eval_x, hfield)
     diff2 = weighted_sum(cover * (fields[-1] - dfield) ** 2)
     base2 = weighted_sum(cover * dfield**2)
     gap = math.sqrt(diff2)

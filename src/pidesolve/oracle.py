@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.sparse import csr_matrix
 from scipy.stats import norm
 
 from .errors import BoundaryError, StabilityError, TailError
@@ -88,9 +89,10 @@ def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
                   picard_sweeps=2):
     """Solve the 1-d PIDE backward from ``horizon`` to 0 on the grid.
 
-    Implicit drift/diffusion step (tridiagonal solve), explicit quadrature of
-    the nonlocal part with linear interpolation at the shifted nodes, driver
-    handled by frozen-gradient Picard sweeps; with an obstacle the field is
+    Implicit drift/diffusion step (banded solve), explicit quadrature of the
+    nonlocal part with linear interpolation at the shifted nodes (sparse
+    operators built once, before the time loop), driver handled by
+    frozen-gradient Picard sweeps; with an obstacle the field is
     projected onto {u >= h} after every step.  The grid is padded by the
     largest jump shift so shifted evaluations interpolate instead of
     extrapolate.
@@ -104,13 +106,9 @@ def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
 
     # padding so every shift from a base node lands inside the padded grid
     if model.has_jumps:
-        nodes = model.jump_measure.nodes
-        max_up = 0.0
-        max_dn = 0.0
-        for e in nodes:
-            b = np.asarray(model.jump_coeff(x_base[:, None], np.full(x_base.size, e)), float)[:, 0]
-            max_up = max(max_up, float(b.max(initial=0.0)))
-            max_dn = max(max_dn, float((-b).max(initial=0.0)))
+        b = _jump_table(model, x_base)
+        max_up = float(b.max(initial=0.0))
+        max_dn = float((-b).max(initial=0.0))
         width = grid.x_hi - grid.x_lo
         if max(max_up, max_dn) > grid.pad_margin * width:
             raise BoundaryError(
@@ -135,59 +133,22 @@ def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
     # so the local part uses the raw drift
     b_eff = np.asarray(model.drift(xp[:, None]), float)[:, 0]
 
-    # tridiagonal implicit operator rows for the interior
-    lower = np.zeros(jp)
-    diag = np.ones(jp)
-    upper = np.zeros(jp)
-    interior = slice(1, jp - 1)
-    ai = a_diag[interior]
-    bi = b_eff[interior]
-    lower[interior] = -dt * (0.5 * ai / dx**2 - 0.5 * bi / dx)
-    diag[interior] = 1.0 + dt * ai / dx**2
-    upper[interior] = -dt * (0.5 * ai / dx**2 + 0.5 * bi / dx)
-
-    banded = np.zeros((3, jp))
-    banded[0, 1:] = upper[:-1]
-    banded[1, :] = diag
-    banded[2, :-1] = lower[1:]
-    full_matrix = None
+    # the implicit operator in banded form, ab[w + i - j, j] = A[i, j]: central
+    # differences inside; "dirichlet" keeps identity end rows, while the
+    # zero-curvature end rows [1, -2, 1] of "linear" reach one column past
+    # the tridiagonal band, so that system keeps two bands on each side
+    w = 1 if grid.bc == "dirichlet" else 2
+    ab = np.zeros((2 * w + 1, jp))
+    ab[w] = 1.0
+    ai, bi = a_diag[1:-1], b_eff[1:-1]
+    ab[w - 1, 2:] = -dt * (0.5 * ai / dx**2 + 0.5 * bi / dx)
+    ab[w, 1:-1] = 1.0 + dt * ai / dx**2
+    ab[w + 1, :-2] = -dt * (0.5 * ai / dx**2 - 0.5 * bi / dx)
     if grid.bc == "linear":
-        # zero second derivative at the ends breaks the tridiagonal band;
-        # fall back to one dense factorable matrix built once
-        full_matrix = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
-        full_matrix[0, :3] = [1.0, -2.0, 1.0]
-        full_matrix[-1, -3:] = [1.0, -2.0, 1.0]
+        ab[[2, 1, 0], [0, 1, 2]] = ab[[4, 3, 2], [jp - 3, jp - 2, jp - 1]] = 1.0, -2.0, 1.0
 
-    # precompute shifted positions per quadrature node
-    if model.has_jumps:
-        q_nodes = model.jump_measure.nodes
-        q_weights = model.jump_measure.weights
-        shifted = np.empty((q_nodes.size, jp))
-        beta_tab = np.empty((q_nodes.size, jp))
-        for j, e in enumerate(q_nodes):
-            b = np.asarray(model.jump_coeff(xp[:, None], np.full(jp, e)), float)[:, 0]
-            beta_tab[j] = b
-            shifted[j] = xp + b
-
-    gammas = tuple(driver.functionals)
-    q = len(gammas)
-    if q and model.has_jumps:
-        gamma_tab = np.array([[float(g(np.array([e]))[0]) if np.ndim(g(np.array([e]))) else float(g(np.array([e])))
-                               for e in q_nodes] for g in gammas])
+    nonlocal_term = _nonlocal_term(model, driver.functionals, xp)
     sig_xp = np.asarray(model.diffusion(xp[:, None]), float)[:, 0, 0]
-
-    def nonlocal_term(u):
-        if not model.has_jumps:
-            return np.zeros(jp), np.zeros((jp, max(1, q)))
-        du = np.gradient(u, dx)
-        k2 = np.zeros(jp)
-        vbar = np.zeros((jp, max(1, q)))
-        for j in range(q_nodes.size):
-            u_shift = np.interp(shifted[j], xp, u)
-            k2 += q_weights[j] * (u_shift - u - beta_tab[j] * du)
-            for i in range(q):
-                vbar[:, i] += q_weights[j] * gamma_tab[i, j] * (u_shift - u)
-        return k2, vbar
 
     u = np.asarray(terminal(xp[:, None]), float).reshape(jp)
     if obstacle is not None:
@@ -202,18 +163,13 @@ def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
         u_next = u
         u_star = u_next
         for _ in range(max(1, picard_sweeps)):
-            k2, vbar = nonlocal_term(u_star)
             du = np.gradient(u_star, dx)
+            k2, vbar = nonlocal_term(u_star, du)
             z = (sig_xp * du)[:, None]
             fval = np.asarray(driver.f(t_k, xp[:, None], u_star, z, vbar), float).reshape(jp)
             rhs = u_next + dt * (k2 + fval)
-            if grid.bc == "dirichlet":
-                rhs[0], rhs[-1] = g_ends
-                u_star = solve_banded((1, 1), banded, rhs)
-            else:
-                rhs[0] = 0.0
-                rhs[-1] = 0.0
-                u_star = np.linalg.solve(full_matrix, rhs)
+            rhs[0], rhs[-1] = g_ends if grid.bc == "dirichlet" else (0.0, 0.0)
+            u_star = solve_banded((w, w), ab, rhs)
         u = u_star
         if obstacle is not None:
             u = np.maximum(u, np.asarray(obstacle(t_k, xp[:, None]), float).reshape(jp))
@@ -226,6 +182,56 @@ def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
         x_padded=xp, values_padded=out,
         diagnostics={"cfl": cfl, "dt": dt, "dx": dx, "n_pad": (n_lo, n_hi)},
     )
+
+
+def _nonlocal_term(model, functionals, xp):
+    """The explicit nonlocal part on the padded grid xp as a function of
+    (u, u'), its operators built once: k2 = sum_j w_j [u(x + beta_j) - u -
+    beta_j u'] = J u - (sum w) u - (sum w beta) u' and vbar_i = G_i u -
+    (sum_j w_j gamma_i(e_j)) u, with J and G_i sparse sums of interpolations."""
+    jp = xp.size
+    q = len(functionals)
+    if not model.has_jumps:
+        return lambda u, du: (np.zeros(jp), np.zeros((jp, max(1, q))))
+    q_nodes = model.jump_measure.nodes
+    q_weights = model.jump_measure.weights
+    beta_tab = _jump_table(model, xp)
+    shifted = xp + beta_tab
+    jump_op = _interp_operator(xp, shifted, q_weights)
+    w_total = float(q_weights.sum())
+    w_beta = q_weights @ beta_tab
+    gamma_w = [q_weights * np.broadcast_to(np.asarray(g(q_nodes), float), q_nodes.shape)
+               for g in functionals]
+    gamma_ops = [(_interp_operator(xp, shifted, gw), float(gw.sum())) for gw in gamma_w]
+
+    def term(u, du):
+        k2 = jump_op @ u - w_total * u - w_beta * du
+        vbar = np.zeros((jp, max(1, q)))
+        for i, (op, total) in enumerate(gamma_ops):
+            vbar[:, i] = op @ u - total * u
+        return k2, vbar
+
+    return term
+
+
+def _jump_table(model, x):
+    """beta(x, e_j) on the 1-d nodes x for every quadrature mark, (n_marks, x.size)."""
+    marks = model.jump_measure.nodes
+    xx = np.broadcast_to(x[None, :, None], (marks.size, x.size, 1))
+    ee = np.broadcast_to(marks[:, None], (marks.size, x.size))
+    return np.asarray(model.jump_coeff(xx, ee), float)[..., 0]
+
+
+def _interp_operator(xp, shifted, coefs):
+    """Sparse sum_j coefs_j P_j, where P_j u interpolates u linearly at
+    shifted[j]; values off the grid clamp to its end values, as np.interp."""
+    jp = xp.size
+    left = np.clip(np.searchsorted(xp, shifted, side="right") - 1, 0, jp - 2)
+    frac = np.clip((shifted - xp[left]) / (xp[left + 1] - xp[left]), 0.0, 1.0)
+    rows = np.broadcast_to(np.arange(jp), (2,) + shifted.shape)
+    data = coefs[:, None] * np.stack([1.0 - frac, frac])
+    return csr_matrix((data.ravel(), (rows.ravel(), np.stack([left, left + 1]).ravel())),
+                      shape=(jp, jp))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from pidesolve.config import _build_custom_model
 from pidesolve.errors import GridError, NumericError
 from pidesolve.forward import (TimeGrid, check_flow_property, dump_paths_binary,
                                dump_paths_csv, load_paths_binary, moment_report,
@@ -257,3 +259,23 @@ def test_kou_preset_risk_neutral():
     disc = s_t.mean() * math.exp(-0.05)
     se = s_t.std(ddof=1) / math.sqrt(s_t.size) * math.exp(-0.05)
     assert abs(disc - 100.0) < 4 * se
+
+
+@pytest.mark.parametrize("model, x0", [
+    (named_model("merton"), math.log(100.0)),
+    (named_model("kou"), math.log(100.0)),
+    (named_model("toy-uniform"), 0.0),
+    (_build_custom_model({"jump": "translation",
+                          "measure": {"kind": "two-point", "down": -0.2, "up": 0.1,
+                                      "p_up": 0.25, "intensity": 2.0}}), 0.5),
+], ids=["merton", "kou", "toy-uniform", "custom"])
+def test_constant_compensator_keeps_paths_bitwise(model, x0):
+    # the same jump map behind another callable falls back to the quadrature
+    # loop; the constant compensator must give the same paths bit for bit
+    looped = dataclasses.replace(model, jump_coeff=lambda x, e: model.jump_coeff(x, e))
+    assert model._compensator is not None and looped._compensator is None
+    grid = TimeGrid(0.0, 1.0, 10)
+    fast = simulate_paths(model, grid, x0, 3000, seed=17)
+    slow = simulate_paths(looped, grid, x0, 3000, seed=17)
+    assert fast.total_jumps_per_path().sum() > 0
+    assert np.array_equal(fast.states, slow.states)

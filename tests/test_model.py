@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from pidesolve.config import _build_custom_model
 from pidesolve.errors import NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (DriverSpec, JumpMeasure, ObstacleSpec,
                              TerminalSpec, WeightFunction, check_jump_map,
                              discount_driver, borrowing_rate_driver,
                              generator_jump, generator_local, named_model,
-                             pide_residual, scalar_model, zero_driver)
+                             pide_residual, scalar_model, translation_jump,
+                             zero_driver)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +270,39 @@ def test_weight_function():
     assert w(np.array([[1.0]])) == pytest.approx(2.0**-4)
     assert w.admits_obstacle(dim=1, kappa=1.0)
     assert not WeightFunction(2).admits_obstacle(dim=1, kappa=1.0)
+
+
+def quadrature_compensator(model, x):
+    # sum_j w_j beta(x, e_j), one node at a time from zero
+    out = np.zeros_like(x)
+    for e_j, w_j in zip(model.jump_measure.nodes, model.jump_measure.weights):
+        out = out + w_j * np.asarray(model.jump_coeff(x, np.full(x.shape[:-1], e_j)))
+    return out
+
+
+@pytest.mark.parametrize("model", [
+    named_model("merton"), named_model("kou"), named_model("toy-uniform"),
+    _build_custom_model({"jump": "translation",
+                         "measure": {"kind": "gaussian", "mean": -0.1, "sd": 0.2,
+                                     "intensity": 2.0}}),
+], ids=["merton", "kou", "toy-uniform", "custom"])
+def test_translation_compensator_is_one_constant(model):
+    assert model.jump_coeff is translation_jump
+    x = np.linspace(-3.0, 6.0, 13)[:, None]
+    comp = model.compensator_drift(x)
+    assert comp.shape == x.shape and np.all(comp == comp[0, 0])
+    assert np.array_equal(comp, quadrature_compensator(model, x))
+
+
+def test_compensator_state_dependent_jumps_is_the_quadrature():
+    model = _build_custom_model({"jump": "proportional-exp", "drift": {"slope": 0.05},
+                                 "diffusion": {"slope": 0.2},
+                                 "measure": {"kind": "uniform", "lo": -0.2, "hi": 0.2}})
+    x = np.linspace(50.0, 150.0, 9)[:, None]
+    comp = model.compensator_drift(x)
+    assert np.array_equal(comp, quadrature_compensator(model, x))
+    # a state-dependent jump has a state-dependent compensator
+    assert comp[0, 0] != comp[-1, 0]
 
 
 def test_named_model_unknown():

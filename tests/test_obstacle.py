@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -197,9 +198,14 @@ def test_reflection_measure_reads_the_solve_obstacle_field(bs_put_setup):
     obst = ObstacleSpec(h=h, iota=K + 1, kappa=1.0)
     refl = solve_reflected(model, discount_driver(0.05), put_payoff, obst, paths,
                            basis, schedule=(1, 16), tol=1e-12, weight=RHO4)
+    # once per time node along the paths, for the clamp bound and on eval_x,
+    # however many levels: the u fields reuse the obstacle field
+    assert max(Counter(calls).values()) <= 3
     x = refl.eval_x[:, None]
     expect = np.stack([h(t, x) for t in paths.grid.nodes])
     assert np.array_equal(refl.obstacle_field, expect)
+    for k in range(paths.grid.n_steps + 1):
+        assert np.array_equal(refl.level_fields[-1][k], evaluate_u(refl.solution, k, x))
     n_calls = len(calls)
     estimate_reflection_measure(refl, t_bins=5, x_bins=10)
     assert len(calls) == n_calls

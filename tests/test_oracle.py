@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from pidesolve.config import _build_custom_model
 from pidesolve.errors import BoundaryError, StabilityError, TailError
 from pidesolve.model import (JumpMeasure, ObstacleSpec, discount_driver,
                              named_model, scalar_model, zero_driver)
-from pidesolve.oracle import (FdGrid, binomial_american, binomial_european,
-                              black_scholes, fd_solve_pide, merton_price)
+from pidesolve.oracle import (FdGrid, _nonlocal_term, binomial_american,
+                              binomial_european, black_scholes, fd_solve_pide,
+                              merton_price)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +99,70 @@ def test_fd_linear_bc_variant(heat_model):
     # interior matches the exact parabola-plus-time solution
     mask = np.abs(sol.x) <= 2
     assert np.abs(sol.values[0] - (sol.x**2 + 1.0))[mask].max() < 0.05
+
+
+def test_fd_linear_bc_banded_matches_dense():
+    # the implicit step of bc="linear" against a dense solve of the same
+    # system: central differences inside, zero-curvature rows [1, -2, 1] at
+    # the ends, right-hand side zero there
+    model = scalar_model(drift=lambda x: 0.3 - 0.2 * x, diffusion=lambda x: 0.5 + 0.1 * x**2)
+    g = lambda X: np.exp(-X[:, 0] ** 2) + 0.2 * X[:, 0]
+    grid = FdGrid(-3.0, 3.0, 61, 3, bc="linear")
+    sol = fd_solve_pide(model, zero_driver(), g, grid, picard_sweeps=1)
+    x, dt, dx = sol.x_padded, 1.0 / grid.n_time, grid.dx
+    a = 0.5 + 0.1 * x**2
+    a, b = a**2, 0.3 - 0.2 * x
+    lower = -dt * (0.5 * a / dx**2 - 0.5 * b / dx)
+    upper = -dt * (0.5 * a / dx**2 + 0.5 * b / dx)
+    dense = (np.diag(1.0 + dt * a / dx**2) + np.diag(upper[:-1], 1)
+             + np.diag(lower[1:], -1))
+    dense[0, :] = 0.0
+    dense[-1, :] = 0.0
+    dense[0, :3] = [1.0, -2.0, 1.0]
+    dense[-1, -3:] = [1.0, -2.0, 1.0]
+    u = g(x[:, None])
+    for step in range(grid.n_time - 1, -1, -1):
+        rhs = u.copy()
+        rhs[0] = rhs[-1] = 0.0
+        u = np.linalg.solve(dense, rhs)
+        assert np.abs(sol.values_padded[step] - u).max() <= 1e-10 * np.abs(u).max()
+
+
+def _looped_nonlocal_term(model, functionals, xp, u, du):
+    # the nonlocal part as one interpolation per quadrature node
+    nodes, weights = model.jump_measure.nodes, model.jump_measure.weights
+    k2 = np.zeros(xp.size)
+    vbar = np.zeros((xp.size, max(1, len(functionals))))
+    for e_j, w_j in zip(nodes, weights):
+        beta = np.asarray(model.jump_coeff(xp[:, None], np.full(xp.size, e_j)), float)[:, 0]
+        u_shift = np.interp(xp + beta, xp, u)
+        k2 += w_j * (u_shift - u - beta * du)
+        for i, gamma in enumerate(functionals):
+            vbar[:, i] += w_j * float(gamma(np.array([e_j]))[0]) * (u_shift - u)
+    return k2, vbar
+
+
+@pytest.mark.parametrize("model, lo, hi", [
+    (named_model("merton"), math.log(100.0) - 1.0, math.log(100.0) + 1.0),
+    (_build_custom_model({"jump": "proportional-exp", "drift": {"slope": 0.05},
+                          "diffusion": {"slope": 0.2},
+                          "measure": {"kind": "uniform", "lo": -0.3, "hi": 0.3}}),
+     60.0, 140.0),
+], ids=["merton", "proportional-exp"])
+def test_fd_jump_operators_match_interpolation_loop(model, lo, hi):
+    # the sparse operators against one np.interp per node, shifts that leave
+    # the grid (clamped to its end values) included
+    functionals = (lambda e: np.ones_like(e), lambda e: e, lambda e: np.exp(e) - 1.0)
+    xp = np.linspace(lo, hi, 241)
+    dx = xp[1] - xp[0]
+    s = (xp - lo) / (hi - lo)
+    u = np.sin(3.0 * s) + np.exp(-4.0 * (s - 0.4) ** 2)
+    du = np.gradient(u, dx)
+    k2, vbar = _nonlocal_term(model, functionals, xp)(u, du)
+    k2_ref, vbar_ref = _looped_nonlocal_term(model, functionals, xp, u, du)
+    assert np.abs(k2 - k2_ref).max() <= 1e-12
+    assert np.abs(vbar - vbar_ref).max() <= 1e-12
+    assert np.abs(vbar_ref).max() > 0.1
 
 
 # ---------------------------------------------------------------------------
