@@ -11,6 +11,7 @@ arbitrarily large penalty levels.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -67,18 +68,68 @@ class _BoxBasis:
         self.ridge_scale = ridge_scale
 
     def fit(self, x, targets):
-        """Least squares of each target column on the basis.
-
-        Returns (coeffs, info); the coefficients carry one trailing target
-        axis.  Degenerate designs (all points numerically equal) fall back
-        to an intercept-only fit.
-        """
+        """Least squares of each target column on the basis: (coeffs, info),
+        the coefficients with one trailing target axis.  Degenerate designs
+        (all points numerically equal) fall back to an intercept-only fit."""
         return self.prepare(x).fit(targets)
+
+    def prepare(self, x):
+        """Regression setup on the point set x (features, ridged Gram, fit
+        info); its ``fit(targets)`` and ``predict(coeffs)`` reuse it."""
+        return self._setup(self, x)
+
+    def predict(self, coeffs, x):
+        return self._setup(self, x, gram=False).predict(coeffs)
 
     def contains(self, x):
         x = np.atleast_2d(np.asarray(x, float))
         pad = 1e-9 * (self.hi - self.lo)
         return np.all((x >= self.lo - pad) & (x <= self.hi + pad), axis=1)
+
+
+class _Regression:
+    """A basis's features at the points x (``_features``), for ``predict``;
+    with ``gram`` also the floor check, the ridged Gram (``_gram``: its
+    condition number and ridge) and ``fit``, which solves on it (``_solve``)
+    or fits degenerate data by their mean alone."""
+
+    def __init__(self, basis, x, gram=True):
+        x = np.atleast_2d(np.asarray(x, float))
+        if gram:
+            _check_floor(basis.n_features, x.shape[0])
+        self.coef_shape = basis.coef_shape
+        self._features(basis, x)
+        self.info = {"cond": 1.0, "degenerate": True, "ridge": 0.0}
+        if gram and not _is_degenerate(x):
+            cond, ridge = self._gram(basis)
+            self.info = {"cond": float(cond), "degenerate": False, "ridge": float(ridge)}
+
+    def fit(self, targets):
+        targets = _as_columns(targets)
+        if self.info["degenerate"]:
+            coeffs = np.zeros(self.coef_shape + targets.shape[1:])
+            coeffs[..., 0, :] = targets.mean(axis=0)
+            return coeffs, self.info
+        return self._solve(targets), self.info
+
+
+class _PolyRegression(_Regression):
+    def _features(self, basis, x):
+        self.phi = basis.design(x)
+
+    def _gram(self, basis):
+        gram = self.phi.T @ self.phi
+        ridge = basis.ridge_scale * np.trace(gram) / gram.shape[0]
+        self.ridged = gram + ridge * np.eye(gram.shape[0])
+        return np.linalg.cond(self.ridged), ridge
+
+    def _solve(self, targets):
+        return _solve_ridged(self.ridged, self.phi.T @ targets)
+
+    def predict(self, coeffs):
+        single = coeffs.ndim == 1
+        out = self.phi @ (coeffs[:, None] if single else coeffs)
+        return out[:, 0] if single else out
 
 
 class PolynomialBasis(_BoxBasis):
@@ -90,11 +141,18 @@ class PolynomialBasis(_BoxBasis):
     """
 
     kind = "poly"
+    _setup = _PolyRegression
 
     def __init__(self, degree, box, ridge_scale=_RIDGE_SCALE):
         super().__init__(box, ridge_scale)
         self.degree = int(degree)
         self._powers = _total_degree_powers(self.dim, self.degree)
+        # each monomial after the constant is an earlier one, its powers with
+        # the first nonzero exponent lowered by one, times that coordinate
+        row = {tuple(pw): j for j, pw in enumerate(self._powers)}
+        unit = np.eye(self.dim, dtype=int)
+        first = np.argmax(self._powers[1:] > 0, axis=1)
+        self._parents = [(row[tuple(pw - unit[k])], k) for pw, k in zip(self._powers[1:], first)]
 
     @property
     def n_features(self):
@@ -105,53 +163,69 @@ class PolynomialBasis(_BoxBasis):
         return (self.n_features,)
 
     def design(self, x):
+        """The (m, n_features) design at x, an F-order view of feature rows:
+        row 0 is ones and every other row its parent row times one
+        coordinate, so no monomial takes a power."""
         x = np.atleast_2d(np.asarray(x, float))
-        z = 2.0 * (x - self.lo) / (self.hi - self.lo) - 1.0
-        out = np.ones((x.shape[0], self.n_features))
-        for j, pw in enumerate(self._powers):
-            for k in range(self.dim):
-                if pw[k]:
-                    out[:, j] *= z[:, k] ** pw[k]
-        return out
-
-    def prepare(self, x):
-        """Regression setup on the point set x (design, ridged Gram, fit info);
-        its ``fit(targets)`` and ``predict(coeffs)`` reuse it."""
-        return _PolyRegression(self, x)
-
-    def predict(self, coeffs, x):
-        return _poly_predict(self.design(x), coeffs)
+        z = np.ascontiguousarray((2.0 * (x - self.lo) / (self.hi - self.lo) - 1.0).T)
+        rows = np.empty((self.n_features, x.shape[0]))
+        rows[0] = 1.0
+        for j, (parent, k) in enumerate(self._parents, start=1):
+            np.multiply(rows[parent], z[k], out=rows[j])
+        return rows.T
 
 
-def _poly_predict(phi, coeffs):
-    single = coeffs.ndim == 1
-    out = phi @ (coeffs[:, None] if single else coeffs)
-    return out[:, 0] if single else out
+class _LocalRegression(_Regression):
+    def _features(self, basis, x):
+        self.n_cells = basis.n_cells
+        self.cell, self.feats = basis._features(x)
 
+    def _gram(self, basis):
+        p = basis.dim + 1
+        gram = np.empty((self.n_cells, p, p))
+        for a in range(p):
+            for b in range(a, p):
+                gram[:, a, b] = gram[:, b, a] = self._cell_sums(self.feats[:, a] * self.feats[:, b])
+        self.counts = gram[:, 0, 0]
+        filled = self.counts >= 1
+        self.thin = filled & (self.counts < basis.min_points)
+        self.full = filled & ~self.thin
+        g = gram[self.full]
+        ridge = basis.ridge_scale * np.trace(g, axis1=1, axis2=2) / p
+        self.blocks = g + ridge[:, None, None] * np.eye(p)
+        self.empty, self.donor = basis._donors(filled)
+        eig = np.linalg.eigvalsh(self.blocks)
+        return (np.max(eig[:, -1] / np.maximum(eig[:, 0], 1e-300), initial=1.0),
+                ridge.max(initial=0.0))
 
-class _PolyRegression:
-    def __init__(self, basis, x):
-        x = np.atleast_2d(np.asarray(x, float))
-        _check_floor(basis.n_features, x.shape[0])
-        self.phi = basis.design(x)
-        self.info = {"cond": 1.0, "degenerate": True, "ridge": 0.0}
-        if not _is_degenerate(x):
-            gram = self.phi.T @ self.phi
-            ridge = basis.ridge_scale * np.trace(gram) / gram.shape[0]
-            self.ridged = gram + ridge * np.eye(gram.shape[0])
-            self.info = {"cond": float(np.linalg.cond(self.ridged)),
-                         "degenerate": False, "ridge": float(ridge)}
+    def _cell_sums(self, w):
+        # bincount sums each cell in point order: reproducible bit for bit
+        return np.bincount(self.cell, weights=w, minlength=self.n_cells)
 
-    def fit(self, targets):
-        targets = _as_columns(targets)
-        if self.info["degenerate"]:
-            coeffs = np.zeros((self.phi.shape[1], targets.shape[1]))
-            coeffs[0] = targets.mean(axis=0)
-            return coeffs, self.info
-        return _solve_ridged(self.ridged, self.phi.T @ targets), self.info
+    def _solve(self, targets):
+        p, r = self.feats.shape[1], targets.shape[1]
+        coeffs = np.zeros((self.n_cells, p, r))
+        rhs = np.empty((self.n_cells, p, r))
+        for a in range(p):
+            for j in range(r):
+                rhs[:, a, j] = self._cell_sums(self.feats[:, a] * targets[:, j])
+        coeffs[self.thin, 0, :] = rhs[self.thin, 0, :] / self.counts[self.thin, None]
+        coeffs[self.full] = _solve_ridged(self.blocks, rhs[self.full])
+        if not np.all(np.isfinite(coeffs)):
+            raise SingularRegressionError("non-finite local regression coefficients")
+        coeffs[self.empty, 0, :] = coeffs[self.donor, 0, :]
+        return coeffs
 
     def predict(self, coeffs):
-        return _poly_predict(self.phi, coeffs)
+        # one row gather of each point's cell coefficients, then a multiply-add
+        # over the features in order: every target column is summed alike, so
+        # a multi-target column equals the single-target predict bit for bit
+        single = coeffs.ndim == 2
+        g = np.take(coeffs[..., None] if single else coeffs, self.cell, axis=0)
+        out = self.feats[:, :1] * g[:, 0]
+        for a in range(1, self.feats.shape[1]):
+            out += self.feats[:, a:a + 1] * g[:, a]
+        return out[:, 0] if single else out
 
 
 class LocalAffineBasis(_BoxBasis):
@@ -165,6 +239,7 @@ class LocalAffineBasis(_BoxBasis):
     """
 
     kind = "local"
+    _setup = _LocalRegression
 
     def __init__(self, cells, box, ridge_scale=_RIDGE_SCALE, min_points=8):
         super().__init__(box, ridge_scale)
@@ -203,79 +278,6 @@ class LocalAffineBasis(_BoxBasis):
             donor[s:s + 128] = full[np.argmin(np.sum(gap**2, axis=2), axis=1)]
         return empty, donor
 
-    def prepare(self, x):
-        """Regression setup on the point set x (cell features, ridged Gram
-        blocks, thin/full/empty cells, fit info); see PolynomialBasis.prepare."""
-        return _LocalRegression(self, x)
-
-    def predict(self, coeffs, x):
-        return _local_predict(*self._features(np.atleast_2d(np.asarray(x, float))), coeffs)
-
-
-def _local_predict(cell, feats, coeffs):
-    # one row gather of each point's cell coefficients, then a multiply-add
-    # over the features in order: every target column is summed alike, so a
-    # multi-target column equals the single-target predict bit for bit
-    single = coeffs.ndim == 2
-    g = np.take(coeffs[..., None] if single else coeffs, cell, axis=0)
-    out = feats[:, :1] * g[:, 0]
-    for a in range(1, feats.shape[1]):
-        out += feats[:, a:a + 1] * g[:, a]
-    return out[:, 0] if single else out
-
-
-class _LocalRegression:
-    def __init__(self, basis, x):
-        x = np.atleast_2d(np.asarray(x, float))
-        _check_floor(basis.n_features, x.shape[0])
-        self.n_cells = basis.n_cells
-        self.cell, self.feats = basis._features(x)
-        self.info = {"cond": 1.0, "degenerate": True, "ridge": 0.0}
-        if _is_degenerate(x):
-            return
-        p = basis.dim + 1
-        gram = np.empty((self.n_cells, p, p))
-        for a in range(p):
-            for b in range(a, p):
-                gram[:, a, b] = gram[:, b, a] = self._cell_sums(self.feats[:, a] * self.feats[:, b])
-        self.counts = gram[:, 0, 0]
-        filled = self.counts >= 1
-        self.thin = filled & (self.counts < basis.min_points)
-        self.full = filled & ~self.thin
-        g = gram[self.full]
-        ridge = basis.ridge_scale * np.trace(g, axis1=1, axis2=2) / p
-        self.blocks = g + ridge[:, None, None] * np.eye(p)
-        eig = np.linalg.eigvalsh(self.blocks)
-        cond = np.max(eig[:, -1] / np.maximum(eig[:, 0], 1e-300), initial=1.0)
-        self.info = {"cond": float(cond), "degenerate": False,
-                     "ridge": float(ridge.max(initial=0.0))}
-        self.empty, self.donor = basis._donors(filled)
-
-    def _cell_sums(self, w):
-        # bincount sums each cell in point order: reproducible bit for bit
-        return np.bincount(self.cell, weights=w, minlength=self.n_cells)
-
-    def fit(self, targets):
-        targets = _as_columns(targets)
-        p, r = self.feats.shape[1], targets.shape[1]
-        coeffs = np.zeros((self.n_cells, p, r))
-        if self.info["degenerate"]:
-            coeffs[:, 0, :] = targets.mean(axis=0)
-            return coeffs, self.info
-        rhs = np.empty((self.n_cells, p, r))
-        for a in range(p):
-            for j in range(r):
-                rhs[:, a, j] = self._cell_sums(self.feats[:, a] * targets[:, j])
-        coeffs[self.thin, 0, :] = rhs[self.thin, 0, :] / self.counts[self.thin, None]
-        coeffs[self.full] = _solve_ridged(self.blocks, rhs[self.full])
-        if not np.all(np.isfinite(coeffs)):
-            raise SingularRegressionError("non-finite local regression coefficients")
-        coeffs[self.empty, 0, :] = coeffs[self.donor, 0, :]
-        return coeffs, self.info
-
-    def predict(self, coeffs):
-        return _local_predict(self.cell, self.feats, coeffs)
-
 
 def make_basis(kind, box, degree=4, cells=40, ridge_scale=_RIDGE_SCALE):
     if kind == "poly":
@@ -291,18 +293,8 @@ def _as_columns(targets):
 
 
 def _total_degree_powers(dim, degree):
-    powers = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == dim:
-            powers.append(tuple(prefix))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k)
-
-    rec([], degree)
-    powers.sort(key=lambda pw: (sum(pw), pw))
-    return np.array(powers, dtype=int)
+    powers = [pw for pw in itertools.product(range(degree + 1), repeat=dim) if sum(pw) <= degree]
+    return np.array(sorted(powers, key=lambda pw: (sum(pw), pw)), dtype=int)
 
 
 def _solve_ridged(gram, rhs):
@@ -614,26 +606,32 @@ def evaluate_u(sol, k, x):
     sweeps, the recorded penalty or reflection, and the clamp.  Refuses to
     extrapolate outside the basis box.
     """
-    return _evaluate_u(sol, k, x)
+    return _evaluate_u(sol, k, *_eval_points(sol.basis, sol.states.shape[2], x))
 
 
-def _evaluate_u(sol, k, x, h_k=None):
-    """``evaluate_u`` with the obstacle at (t_k, x), ``h_k``, when the caller has it."""
+def _eval_points(basis, dim, x):
+    """The points x as an (m, dim) batch inside the basis box, and the basis
+    features there: a caller that evaluates many fits at them builds both once."""
     x = np.atleast_2d(np.asarray(x, float))
-    if x.shape[1] != sol.states.shape[2]:
+    if x.shape[1] != dim:
         raise ValueError("point dimension does not match the solution")
-    inside = sol.basis.contains(x)
-    if not inside.all():
-        bad = x[~inside][0]
-        raise DomainError(f"evaluation point {bad!r} outside the basis domain box")
+    outside = ~basis.contains(x)
+    if outside.any():
+        raise DomainError(f"evaluation point {x[outside][0]!r} outside the basis domain box")
+    return x, basis._setup(basis, x, gram=False)
+
+
+def _evaluate_u(sol, k, x, at, h_k=None):
+    """``evaluate_u`` at the points and features of ``_eval_points``, with
+    the obstacle at (t_k, x), ``h_k``, when the caller has it."""
     n = sol.n_steps
     if k == n:
         return np.asarray(sol.terminal(x), dtype=float).reshape(x.shape[0])
     if not 0 <= k < n:
         raise ValueError(f"step {k} outside 0..{n}")
     d = sol.states.shape[2]
-    cond_exp = sol.basis.predict(sol.coef_y[k], x)
-    pred = sol.basis.predict(_zv_coeffs(sol, k), x)
+    cond_exp = at.predict(sol.coef_y[k])
+    pred = at.predict(_zv_coeffs(sol, k))
     z, vb = pred[:, :d], pred[:, d:]
     dt = sol.grid.dt
     t_k = sol.grid.nodes[k]
@@ -652,7 +650,6 @@ def _zv_coeffs(sol, k):
 
 def evaluate_z(sol, k, x):
     """Fitted z-field (regression representation) at (t_k, x)."""
-    x = np.atleast_2d(np.asarray(x, float))
     return sol.basis.predict(_zv_coeffs(sol, k), x)[:, :sol.states.shape[2]]
 
 

@@ -173,7 +173,7 @@ def _advance(model, x, dt, rng):
     sorted_offsets = offsets.copy()
     sorted_marks = marks.copy()
 
-    for c in np.unique(counts):
+    for c in np.flatnonzero(np.bincount(counts)):
         idx = np.nonzero(counts == c)[0]
         g = idx.size
         if c == 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (BsdeSolution, _backward_pass, _evaluate_u, _solution,
+from .bsde import (BsdeSolution, _backward_pass, _eval_points, _evaluate_u, _solution,
                    default_clamp_bound, solve_bsde)
 from .errors import NoConvergenceError
 from .model import WeightFunction, time_weights, trapezoid_weights
@@ -72,11 +72,10 @@ def obstacle_along_paths(obstacle, paths):
                      for k in range(paths.grid.n_steps + 1)])
 
 
-def _u_field(sol, eval_x, hfield):
-    """Fitted u on (times x eval grid), terminal slice included; ``hfield`` is h there."""
-    pts = np.asarray(eval_x, float)[:, None]
-    rows = [_evaluate_u(sol, k, pts, hfield[k]) for k in range(sol.n_steps + 1)]
-    return np.stack(rows)
+def _u_field(sol, points, hfield):
+    """Fitted u on (times x eval grid), terminal slice included; ``points``
+    holds the grid and its features (``_eval_points``), ``hfield`` h there."""
+    return np.stack([_evaluate_u(sol, k, *points, hfield[k]) for k in range(sol.n_steps + 1)])
 
 
 def penalty_norm(u_field, h_field, weight, eval_x, dt, cover=None):
@@ -244,6 +243,8 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     if clamp is None:
         clamp = default_clamp_bound(driver, terminal, paths, obstacle)
 
+    # the evaluation grid is checked against the box and featurized once
+    points = _eval_points(basis, paths.dim, eval_x[:, None])
     cover = coverage_mask(paths.states, eval_x)
     hfield = np.stack([np.asarray(obstacle(paths.grid.nodes[k], eval_x[:, None]), float)
                        for k in range(n + 1)])
@@ -289,7 +290,7 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         if direct is None:
             direct = runs.pop()
         for i, level in enumerate(chunk):
-            ufield = _u_field(_solution(runs[i]), eval_x, hfield)
+            ufield = _u_field(_solution(runs[i]), points, hfield)
             pnorm = penalty_norm(ufield, hfield, weight, eval_x, dt, cover)
             pi_n = level * weighted_sum(np.maximum(hfield - ufield, 0.0) * cover)
             entry = {"level": level, "penalty_norm": pnorm,
@@ -319,7 +320,7 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         sol = solve_bsde(model, driver, terminal, paths, basis, picard_iters=picard_iters,
                          clamp=clamp, penalty_level=levels[-1], obstacle=obstacle)
     dk = penalty_increments(sol, lvals)
-    dfield = _u_field(direct, eval_x, hfield)
+    dfield = _u_field(direct, points, hfield)
     diff2 = weighted_sum(cover * (fields[-1] - dfield) ** 2)
     base2 = weighted_sum(cover * dfield**2)
     gap = math.sqrt(diff2)

@@ -41,6 +41,36 @@ def test_poly_basis_degenerate_design_mean_fit():
     assert basis.predict(coef[:, 0], np.zeros((1, 1)))[0] == pytest.approx(3.3)
 
 
+@pytest.mark.parametrize("dim,degree", [(1, 4), (2, 4), (3, 3)])
+def test_poly_design_matches_powers(dim, degree):
+    # the design builds each monomial as a product of an earlier one and one
+    # coordinate; it must agree with the monomials taken by powers, column
+    # for column in the order of _powers
+    basis = PolynomialBasis(degree, (-np.ones(dim), np.ones(dim)))
+    rng = np.random.default_rng(dim)
+    x = np.vstack([rng.uniform(-1.0, 1.0, (2000, dim)), -np.ones(dim), np.ones(dim)])
+    z = 2.0 * (x - basis.lo) / (basis.hi - basis.lo) - 1.0
+    powers = basis._powers
+    assert powers.shape[0] == math.comb(dim + degree, dim)
+    assert np.all(np.diff(powers.sum(axis=1)) >= 0) and not powers[0].any()
+    ref = np.stack([np.prod(z ** pw, axis=1) for pw in powers], axis=1)
+    phi = basis.design(x)
+    assert phi.shape == (x.shape[0], basis.n_features)
+    assert np.allclose(phi, ref, rtol=0.0, atol=1e-15)
+
+
+def test_poly_predict_is_prepare_predict_bitwise():
+    basis = PolynomialBasis(4, ([-1.0, 0.0], [2.0, 3.0]))
+    rng = np.random.default_rng(3)
+    x = rng.uniform(basis.lo, basis.hi, (500, 2))
+    targets = np.column_stack([np.sin(x[:, 0]) * x[:, 1], np.exp(-x[:, 1])])
+    reg = basis.prepare(x)
+    coeffs, _ = reg.fit(targets)
+    assert coeffs.shape == (basis.n_features, 2)
+    assert np.array_equal(reg.predict(coeffs), basis.predict(coeffs, x))
+    assert np.array_equal(reg.predict(coeffs[:, 0]), basis.predict(coeffs[:, 0], x))
+
+
 def test_basis_floor_enforced():
     basis = PolynomialBasis(9, (-1.0, 1.0))  # 10 features
     x = np.random.default_rng(1).uniform(-1, 1, (50, 1))

@@ -9,7 +9,8 @@ from pidesolve.errors import GridError, NumericError
 from pidesolve.forward import (TimeGrid, check_flow_property, dump_paths_binary,
                                dump_paths_csv, load_paths_binary, moment_report,
                                simulate_paths, tangent_flow)
-from pidesolve.model import JumpMeasure, ModelSpec, named_model, scalar_model
+from pidesolve.model import (JumpMeasure, ModelSpec, named_model, scalar_model,
+                             translation_jump)
 
 
 def test_grid_basics():
@@ -71,6 +72,28 @@ def test_determinism_bit_identical(toy_model):
     assert all(np.array_equal(x, y) for x, y in zip(a.jump_marks, b.jump_marks))
     c = simulate_paths(toy_model, TimeGrid(0, 1, 10), 0.0, 2000, seed=8)
     assert not np.array_equal(a.states, c.states)
+
+
+def test_many_jumps_per_step_group_by_count():
+    # lambda * dt = 3: the paths of one step fall into many count groups,
+    # with gaps among the counts, and every group is simulated in its turn
+    m = scalar_model(drift=lambda x: 0.1 * x, diffusion=lambda x: 0.2 + 0 * x,
+                     jump=translation_jump, jump_measure=JumpMeasure.uniform(-0.1, 0.1, 30.0))
+    grid = TimeGrid(0.0, 1.0, 10)
+    a = simulate_paths(m, grid, 1.0, 300, seed=21)
+    b = simulate_paths(m, grid, 1.0, 300, seed=21)
+    assert any(0 in np.bincount(c)[:c.max()] for c in a.jump_counts)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.brownian, b.brownian)
+    for k, counts in enumerate(a.jump_counts):
+        n_k = int(counts.sum())
+        assert a.jump_paths[k].size == a.jump_times[k].size == a.jump_marks[k].size == n_k
+        assert np.array_equal(a.jump_paths[k], np.repeat(np.arange(300), counts))
+        # each path's jumps sorted in time: its count group ran
+        same = np.diff(a.jump_paths[k]) == 0
+        assert np.all(np.diff(a.jump_times[k])[same] >= 0)
+        for arr, ref in ((a.jump_times, b.jump_times), (a.jump_marks, b.jump_marks)):
+            assert np.array_equal(arr[k], ref[k])
 
 
 def test_compensated_increments_martingale(toy_model):
