@@ -3,7 +3,8 @@
 A 1-d finite-difference PIDE solver with optional obstacle projection
 (implicit local part, explicit quadrature of the nonlocal part), the
 closed-form jump-diffusion call series, and a CRR binomial tree.  None of
-these share code with the Monte-Carlo pipeline.
+these share code with the Monte-Carlo pipeline.  The closed forms need only
+``math``; SciPy serves the finite-difference solver alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.sparse import csr_matrix
-from scipy.stats import norm
 
 from .errors import BoundaryError, StabilityError, TailError
 
@@ -238,8 +238,15 @@ def _interp_operator(xp, shifted, coefs):
 # closed forms
 # ---------------------------------------------------------------------------
 
+def _norm_cdf(x):
+    """Standard normal CDF of a scalar."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def black_scholes(s0, strike, rate, sigma, horizon, kind="call"):
     """Black-Scholes European price."""
+    if kind not in ("call", "put"):
+        raise ValueError("kind must be 'call' or 'put'")
     if horizon <= 0 or sigma <= 0:
         intrinsic = max(s0 - strike, 0.0) if kind == "call" else max(strike - s0, 0.0)
         return float(intrinsic)
@@ -247,8 +254,8 @@ def black_scholes(s0, strike, rate, sigma, horizon, kind="call"):
     d1 = (math.log(s0 / strike) + (rate + 0.5 * sigma**2) * horizon) / sq
     d2 = d1 - sq
     if kind == "call":
-        return float(s0 * norm.cdf(d1) - strike * math.exp(-rate * horizon) * norm.cdf(d2))
-    return float(strike * math.exp(-rate * horizon) * norm.cdf(-d2) - s0 * norm.cdf(-d1))
+        return float(s0 * _norm_cdf(d1) - strike * math.exp(-rate * horizon) * _norm_cdf(d2))
+    return float(strike * math.exp(-rate * horizon) * _norm_cdf(-d2) - s0 * _norm_cdf(-d1))
 
 
 def merton_price(s0, strike, rate, sigma, horizon, jump_intensity,
@@ -320,6 +327,10 @@ def binomial_american(s0, strike, rate, sigma, horizon, steps, kind="put"):
 
 def binomial_european(s0, strike, rate, sigma, horizon, steps, kind="put"):
     """Same tree without early exercise (for the r = 0 equivalence check)."""
+    if steps < 1:
+        raise ValueError("need at least one step")
+    if kind not in ("call", "put"):
+        raise ValueError("kind must be 'call' or 'put'")
     dt = horizon / steps
     u = math.exp(sigma * math.sqrt(dt))
     d = 1.0 / u

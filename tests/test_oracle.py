@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pidesolve
 from pidesolve.config import _build_custom_model
 from pidesolve.errors import BoundaryError, StabilityError, TailError
 from pidesolve.model import (JumpMeasure, ObstacleSpec, discount_driver,
                              named_model, scalar_model, zero_driver)
-from pidesolve.oracle import (FdGrid, _nonlocal_term, binomial_american,
+from pidesolve.oracle import (FdGrid, _nonlocal_term, _norm_cdf, binomial_american,
                               binomial_european, black_scholes, fd_solve_pide,
                               merton_price)
 
@@ -195,6 +200,60 @@ def test_merton_put_call_sanity():
     put = merton_price(100, 90, 0.05, 0.2, 1.0, 1.0, -0.1, 0.15, kind="put")
     # put-call parity for the jump-diffusion model
     assert call - put == pytest.approx(100 - 90 * math.exp(-0.05), abs=1e-8)
+
+
+def test_norm_cdf_matches_scipy():
+    from scipy.stats import norm
+    x = np.linspace(-38.0, 38.0, 20_001)
+    ours = np.array([_norm_cdf(v) for v in x])
+    ref = norm.cdf(x)
+    assert np.abs(ours - ref).max() <= 1e-15
+    # relative accuracy where scipy's value is a normal float: below about
+    # -37.5 it is subnormal, then 0
+    normal = ref >= np.finfo(float).tiny
+    assert x[normal][0] < -37.0
+    assert (np.abs(ours - ref)[normal] / ref[normal]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("s0, strike, rate, sigma, horizon", [
+    (100, 100, 0.05, 0.2, 1.0), (100, 60, 0.0, 0.5, 2.0), (80, 120, 0.1, 0.05, 0.25),
+])
+def test_black_scholes_put_call_parity(s0, strike, rate, sigma, horizon):
+    call = black_scholes(s0, strike, rate, sigma, horizon, "call")
+    put = black_scholes(s0, strike, rate, sigma, horizon, "put")
+    assert abs(call - put - (s0 - strike * math.exp(-rate * horizon))) <= 1e-12
+
+
+def test_merton_price_benchmark_value():
+    # the euro-merton-poly oracle, as scipy.stats.norm.cdf gave it
+    price = merton_price(100, 100, 0.05, 0.2, 1.0, 1.0, -0.1, 0.15)
+    assert price == pytest.approx(12.761288593628754, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("price", [
+    lambda: black_scholes(100, 100, 0.05, 0.2, 1.0, kind="Call"),
+    lambda: black_scholes(100, 100, 0.05, 0.2, 0.0, kind="Call"),
+    lambda: merton_price(100, 100, 0.05, 0.2, 1.0, 1.0, -0.1, 0.15, kind="calll"),
+    lambda: binomial_european(100, 100, 0.05, 0.2, 1.0, 50, kind="Put"),
+    lambda: binomial_european(100, 100, 0.05, 0.2, 1.0, 0),
+    lambda: binomial_american(100, 100, 0.05, 0.2, 1.0, 50, kind="Put"),
+], ids=["bs", "bs-expired", "merton", "binomial-european", "binomial-european-steps",
+        "binomial-american"])
+def test_closed_forms_reject_bad_input(price):
+    with pytest.raises(ValueError):
+        price()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a cold import; the package must not load it
+    src = str(Path(pidesolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, pidesolve, pidesolve.cli; "
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_merton_matches_fd(merton_model):
