@@ -176,16 +176,20 @@ class PolynomialBasis(_BoxBasis):
 
 
 class _LocalRegression(_Regression):
+    # the affine features are [1, z]: the constant one is never stored or
+    # multiplied, and z keeps one contiguous row per coordinate
     def _features(self, basis, x):
         self.n_cells = basis.n_cells
-        self.cell, self.feats = basis._features(x)
+        self.cell, self.z = basis._features(x)
 
     def _gram(self, basis):
         p = basis.dim + 1
         gram = np.empty((self.n_cells, p, p))
-        for a in range(p):
+        gram[:, 0, 0] = np.bincount(self.cell, minlength=self.n_cells)
+        for a in range(1, p):
+            gram[:, 0, a] = gram[:, a, 0] = self._cell_sums(self.z[a - 1])
             for b in range(a, p):
-                gram[:, a, b] = gram[:, b, a] = self._cell_sums(self.feats[:, a] * self.feats[:, b])
+                gram[:, a, b] = gram[:, b, a] = self._cell_sums(self.z[a - 1] * self.z[b - 1])
         self.counts = gram[:, 0, 0]
         filled = self.counts >= 1
         self.thin = filled & (self.counts < basis.min_points)
@@ -203,12 +207,13 @@ class _LocalRegression(_Regression):
         return np.bincount(self.cell, weights=w, minlength=self.n_cells)
 
     def _solve(self, targets):
-        p, r = self.feats.shape[1], targets.shape[1]
+        p, r = self.z.shape[0] + 1, targets.shape[1]
         coeffs = np.zeros((self.n_cells, p, r))
         rhs = np.empty((self.n_cells, p, r))
-        for a in range(p):
-            for j in range(r):
-                rhs[:, a, j] = self._cell_sums(self.feats[:, a] * targets[:, j])
+        for j, t in enumerate(np.ascontiguousarray(targets.T)):
+            rhs[:, 0, j] = self._cell_sums(t)
+            for a in range(1, p):
+                rhs[:, a, j] = self._cell_sums(self.z[a - 1] * t)
         coeffs[self.thin, 0, :] = rhs[self.thin, 0, :] / self.counts[self.thin, None]
         coeffs[self.full] = _solve_ridged(self.blocks, rhs[self.full])
         if not np.all(np.isfinite(coeffs)):
@@ -217,14 +222,14 @@ class _LocalRegression(_Regression):
         return coeffs
 
     def predict(self, coeffs):
-        # one row gather of each point's cell coefficients, then a multiply-add
-        # over the features in order: every target column is summed alike, so
-        # a multi-target column equals the single-target predict bit for bit
+        # c0[cell] + z c1[cell], one gather per feature and the products
+        # added in feature order: every target column is summed alike, so a
+        # multi-target column equals the single-target predict bit for bit
         single = coeffs.ndim == 2
-        g = np.take(coeffs[..., None] if single else coeffs, self.cell, axis=0)
-        out = self.feats[:, :1] * g[:, 0]
-        for a in range(1, self.feats.shape[1]):
-            out += self.feats[:, a:a + 1] * g[:, a]
+        c = coeffs[..., None] if single else coeffs
+        out = np.take(c[:, 0], self.cell, axis=0)
+        for a, za in enumerate(self.z, start=1):
+            out += za[:, None] * np.take(c[:, a], self.cell, axis=0)
         return out[:, 0] if single else out
 
 
@@ -258,13 +263,15 @@ class LocalAffineBasis(_BoxBasis):
         return (self.n_cells, self.dim + 1)
 
     def _features(self, x):
-        """Flat cell index of each point and its affine features [1, z]."""
-        widths = (self.hi - self.lo) / self.cells
-        idx = np.clip(((x - self.lo) / widths).astype(int), 0, self.cells - 1)
-        centers = self.lo + (idx + 0.5) * widths
-        z = 2.0 * (x - centers) / widths
-        cell = np.ravel_multi_index(tuple(idx.T), self.cells)
-        return cell, np.concatenate([np.ones((x.shape[0], 1)), z], axis=1)
+        """Flat cell index of each point and its offsets z from the cell
+        centre in half-widths, one (m,) row per coordinate: the affine
+        features are [1, z]."""
+        xt = x.T
+        lo = self.lo[:, None]
+        widths = ((self.hi - self.lo) / self.cells)[:, None]
+        idx = np.clip(((xt - lo) / widths).astype(int), 0, self.cells[:, None] - 1)
+        z = 2.0 * (xt - (lo + (idx + 0.5) * widths)) / widths
+        return np.ravel_multi_index(tuple(idx), self.cells), z
 
     def _donors(self, filled):
         """Empty cells and, for each, the filled cell with the nearest centre.
@@ -396,12 +403,6 @@ def default_clamp_bound(driver, terminal, paths, obstacle=None):
     return 1.1 * base * math.exp(driver.lipschitz * horizon) + 1e-12
 
 
-def _resolve_penalty(a, obstacle_vals, level_dt):
-    """Solve y = a + level*dt*(y - h)^- in closed form (semi-implicit penalty)."""
-    lifted = (a + level_dt * obstacle_vals) / (1.0 + level_dt)
-    return np.maximum(a, lifted)
-
-
 def _step_value(driver, t, x, cond_exp, z, vbar, dt, picard_iters, h, level_dt,
                 reflect, clamp):
     """The value of one backward step at the points x, and how many were clamped.
@@ -411,11 +412,14 @@ def _step_value(driver, t, x, cond_exp, z, vbar, dt, picard_iters, h, level_dt,
     each sweep when level_dt > 0; ``reflect`` then applies y = max(y, h) and
     finally |y| is clamped to ``clamp``.
     """
-    y = cond_exp.copy()
+    if level_dt > 0:
+        # y = a + level_dt (y - h)^- is y = max(a, (a + level_dt h) / (1 + level_dt))
+        level_h, lift = level_dt * h, 1.0 + level_dt
+    y = cond_exp
     for _ in range(picard_iters):
         y = cond_exp + dt * np.asarray(driver.f(t, x, y, z, vbar), dtype=float)
         if level_dt > 0:
-            y = _resolve_penalty(y, h, level_dt)
+            y = np.maximum(y, (y + level_h) / lift)
     if reflect:
         y = np.maximum(y, h)
     n_clamped = int(np.sum(np.abs(y) > clamp))

@@ -8,6 +8,11 @@ counter-based stream keyed by ``(seed, k + key_offset)``, so a simulation
 restarted at an interior node with the matching key offset replays the same
 randomness bit for bit, and simulations from different starts draw the same
 noise; the flow-composition check and the tangent flow exploit exactly this.
+
+Within a step, the first diffusion segment of every path (to its first jump,
+or over the whole step when it does not jump) is one Euler update of all
+paths together; only the paths that jump then go on, grouped by their number
+of jumps, through each jump and the segment after it.
 """
 
 from __future__ import annotations
@@ -134,21 +139,34 @@ def _step_stream(seed, key):
 def _euler_segment(model, x, tau, xi):
     """One diffusion segment: state update and Brownian increment.
 
-    ``tau`` is (g, 1), ``xi`` standard normal (g, d).  The effective drift is
-    drift minus the compensator drift of the jump part.
+    ``tau`` is a step length or a (g, 1) column of them, ``xi`` standard
+    normal (g, d).  The effective drift is drift minus the compensator drift
+    of the jump part.
     """
     dw = np.sqrt(tau) * xi
-    b = np.asarray(model.drift(x), dtype=float) - model.compensator_drift(x)
-    sig = np.asarray(model.diffusion(x), dtype=float)
-    return x + b * tau + np.einsum("gij,gj->gi", sig, dw), dw
+    # x + (b - c) * tau + sigma dw, summed in that order in the fresh array
+    # the compensator drift returns
+    step = model.compensator_drift(x)
+    np.subtract(np.asarray(model.drift(x), dtype=float), step, out=step)
+    step *= tau
+    step += x
+    step += np.einsum("gij,gj->gi", np.asarray(model.diffusion(x), dtype=float), dw)
+    return step, dw
 
 
 def _advance(model, x, dt, rng):
     """Advance all paths over one step of length dt.
 
-    Returns (new_x, dW, counts, jump_paths, jump_offsets, jump_marks).  Draw
-    order is fixed: Poisson counts, jump time offsets, marks, then one
-    standard normal block per diffusion segment laid out in path-major order.
+    Returns (new_x, dW, counts, jump_paths, jump_offsets, jump_marks), the
+    jumps sorted by path, then time.  Draw order is fixed: Poisson counts,
+    jump time offsets, marks, then one standard normal block per diffusion
+    segment laid out in path-major order, so path p's rows start at p plus
+    the jumps of the paths before it.
+
+    Every path's first segment, up to its first jump or to the end of the
+    step, runs in one Euler call over all paths in path order.  Only the
+    paths that jump, grouped by their number of jumps, then take each jump
+    and the segment after it, adding its increment to their dW.
     """
     m, d = x.shape
     lam = model.jump_measure.total_intensity if model.has_jumps else 0.0
@@ -157,51 +175,47 @@ def _advance(model, x, dt, rng):
     else:
         counts = np.zeros(m, dtype=np.int64)
     total = int(counts.sum())
-    if total:
-        offsets = rng.random(total) * dt
-        marks = np.asarray(model.jump_measure.mark_sampler(rng, total), dtype=float)
-    else:
-        offsets = np.empty(0)
-        marks = np.empty(0)
+    if not total:
+        new_x, dW = _euler_segment(model, x, dt, rng.standard_normal((m, d)))
+        return new_x, dW, counts, np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
+    offsets = rng.random(total) * dt
+    marks = np.array(model.jump_measure.mark_sampler(rng, total), dtype=float)
     normals = rng.standard_normal((m + total, d))
 
-    jump_start = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    seg_start = np.arange(m) + jump_start
-
-    new_x = np.empty_like(x)
-    dW = np.zeros((m, d))
-    sorted_offsets = offsets.copy()
-    sorted_marks = marks.copy()
-
-    for c in np.flatnonzero(np.bincount(counts)):
-        idx = np.nonzero(counts == c)[0]
-        g = idx.size
-        if c == 0:
-            xi = normals[seg_start[idx]]
-            tau = np.full((g, 1), dt)
-            new_x[idx], dW[idx] = _euler_segment(model, x[idx], tau, xi)
-            continue
-        jcols = jump_start[idx][:, None] + np.arange(c)
+    seg_start = np.cumsum(counts)
+    seg_start -= counts
+    seg_start += np.arange(m)
+    jumped = np.flatnonzero(counts > 0)
+    n_jumps = counts[jumped]
+    # sort each jumped path's jumps in time, in place in the drawn arrays; its
+    # first segment ends at the first of them
+    tau = np.full((m, 1), dt)
+    groups = []
+    for c in np.flatnonzero(np.bincount(n_jumps)):
+        idx = jumped[n_jumps == c]
+        jcols = (seg_start[idx] - idx)[:, None] + np.arange(c)
         times = offsets[jcols]
         order = np.argsort(times, axis=1)
         times = np.take_along_axis(times, order, axis=1)
         mk = np.take_along_axis(marks[jcols], order, axis=1)
-        sorted_offsets[jcols.ravel()] = times.ravel()
-        sorted_marks[jcols.ravel()] = mk.ravel()
-        bounds = np.concatenate([np.zeros((g, 1)), times, np.full((g, 1), dt)], axis=1)
-        seg_len = np.diff(bounds, axis=1)
-        xi_rows = normals[seg_start[idx][:, None] + np.arange(c + 1)]
-        cur = x[idx]
-        for s in range(c + 1):
-            tau = np.maximum(seg_len[:, s][:, None], 0.0)
-            cur, dw = _euler_segment(model, cur, tau, xi_rows[:, s, :])
-            dW[idx] += dw
-            if s < c:
-                cur = cur + np.asarray(model.jump_coeff(cur, mk[:, s]), dtype=float)
-        new_x[idx] = cur
+        offsets[jcols] = times
+        marks[jcols] = mk
+        tau[idx, 0] = times[:, 0]
+        groups.append((idx, times, mk))
 
-    jump_paths = np.repeat(np.arange(m), counts)
-    return new_x, dW, counts, jump_paths, sorted_offsets, sorted_marks
+    new_x, dW = _euler_segment(model, x, tau, np.take(normals, seg_start, axis=0))
+    for idx, times, mk in groups:
+        c = times.shape[1]
+        rows = seg_start[idx]
+        cur = new_x[idx]
+        for s in range(1, c + 1):
+            cur = cur + np.asarray(model.jump_coeff(cur, mk[:, s - 1]), dtype=float)
+            end = times[:, s] if s < c else dt
+            seg = np.maximum(end - times[:, s - 1], 0.0)[:, None]
+            cur, dw = _euler_segment(model, cur, seg, np.take(normals, rows + s, axis=0))
+            dW[idx] += dw
+        new_x[idx] = cur
+    return new_x, dW, counts, np.repeat(jumped, n_jumps), offsets, marks
 
 
 def _as_start(x0, n_paths, dim):
@@ -301,8 +315,12 @@ def moment_report(bundle, x0, p, n_boot=200, boot_seed=0):
     ratio = float(sup_p.mean() / denom)
     rng = np.random.Generator(np.random.Philox(key=np.array([boot_seed, 0xB0507], dtype=np.uint64)))
     m = sup_p.size
-    idx = rng.integers(0, m, size=(n_boot, m))
-    boots = sup_p[idx].mean(axis=1) / denom
+    boots = np.empty(n_boot)
+    # resamples drawn and averaged 16 at a time bound the memory; the chunks
+    # continue one index stream, so they draw what one (n_boot, m) call draws
+    for s in range(0, n_boot, 16):
+        idx = rng.integers(0, m, size=(min(16, n_boot - s), m))
+        boots[s:s + idx.shape[0]] = sup_p[idx].mean(axis=1) / denom
     return MomentReport(ratio=ratio, stderr=float(boots.std(ddof=1)))
 
 

@@ -231,7 +231,8 @@ class ModelSpec:
         """Quadrature of the jump coefficient: sum_j w_j beta(x, e_j).
 
         This is the drift the simulator subtracts between jumps so that the
-        jump part is integrated against the compensated measure.
+        jump part is integrated against the compensated measure.  The result
+        is always a new array; the simulator's Euler update writes into it.
         """
         x = np.asarray(x, dtype=float)
         if not self.has_jumps:

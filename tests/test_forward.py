@@ -166,6 +166,22 @@ def test_moment_report_heat_oracle(heat_model):
     assert continuous - rep.ratio < 0.25
 
 
+def test_moment_report_chunked_bootstrap_matches_one_shot(toy_model):
+    # the bootstrap draws its resamples in chunks; at a size where one
+    # (n_boot, m) draw is cheap, both give the same ratio and stderr bit for bit
+    b = simulate_paths(toy_model, TimeGrid(0, 1, 10), 0.3, 257, seed=14)
+    n_boot, p, boot_seed = 45, 3, 7
+    rep = moment_report(b, 0.3, p, n_boot=n_boot, boot_seed=boot_seed)
+
+    sup_p = np.linalg.norm(b.states - 0.3, axis=2).max(axis=0) ** p
+    denom = 1.0 * (1.0 + np.linalg.norm([0.3]) ** p)
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([boot_seed, 0xB0507], dtype=np.uint64)))
+    boots = sup_p[rng.integers(0, sup_p.size, size=(n_boot, sup_p.size))].mean(axis=1) / denom
+    assert rep.ratio == float(sup_p.mean() / denom)
+    assert rep.stderr == float(boots.std(ddof=1))
+
+
 def test_moment_report_monotone_denominator(heat_model):
     grid = TimeGrid(0, 1, 25)
     b0 = simulate_paths(heat_model, grid, 0.0, 30_000, seed=12)
@@ -248,6 +264,104 @@ def test_no_jump_reduction_bit_for_bit(heat_model):
         x = x + bdrift * np.full((m, 1), grid.dt) + np.einsum("gij,gj->gi", sig, dw)
         states.append(x.copy())
     assert np.array_equal(b.states, np.stack(states))
+
+
+def _per_path_reference(model, grid, x0, m, seed):
+    # redraw each step's stream in the documented order (counts, offsets,
+    # marks, path-major normals) and walk every path alone through its
+    # time-sorted jumps and the diffusion segments between them
+    d, dt = model.dim, grid.dt
+    lam = model.jump_measure.total_intensity
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (m, d)).copy()
+    states, brownian, counts_all, paths, times, marks = [x.copy()], [], [], [], [], []
+    for k in range(grid.n_steps):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, k], dtype=np.uint64)))
+        counts = rng.poisson(lam * dt, m)
+        total = int(counts.sum())
+        offs, mk = np.empty(0), np.empty(0)
+        if total:
+            offs = rng.random(total) * dt
+            mk = np.asarray(model.jump_measure.mark_sampler(rng, total), dtype=float)
+        normals = rng.standard_normal((m + total, d))
+        dw_k = np.zeros((m, d))
+        t_k, e_k = [], []
+        first = 0
+        for p in range(m):
+            c = int(counts[p])
+            order = np.argsort(offs[first:first + c], kind="stable")
+            t_p, e_p = offs[first:first + c][order], mk[first:first + c][order]
+            bounds = np.concatenate(([0.0], t_p, [dt]))
+            cur = x[p:p + 1]
+            for s in range(c + 1):
+                tau = np.full((1, 1), max(bounds[s + 1] - bounds[s], 0.0))
+                dw = np.sqrt(tau) * normals[p + first + s][None, :]
+                bdrift = np.asarray(model.drift(cur)) - model.compensator_drift(cur)
+                sig = np.asarray(model.diffusion(cur))
+                cur = cur + bdrift * tau + np.einsum("gij,gj->gi", sig, dw)
+                dw_k[p] += dw[0]
+                if s < c:
+                    cur = cur + np.asarray(model.jump_coeff(cur, e_p[s:s + 1]))
+            x[p] = cur[0]
+            t_k.append(t_p)
+            e_k.append(e_p)
+            first += c
+        states.append(x.copy())
+        brownian.append(dw_k)
+        counts_all.append(counts)
+        paths.append(np.repeat(np.arange(m), counts))
+        times.append(grid.t0 + k * dt + np.concatenate(t_k))
+        marks.append(np.concatenate(e_k))
+    return np.stack(states), np.stack(brownian), np.stack(counts_all), paths, times, marks
+
+
+def _diffusion_2d(x):
+    sig = np.zeros(x.shape[:-1] + (2, 2))
+    sig[..., 0, 0] = 0.2 + 0.05 * np.sin(x[..., 0])
+    sig[..., 0, 1] = 0.05 * np.cos(x[..., 1])
+    sig[..., 1, 0] = 0.03 * x[..., 0] / (1.0 + x[..., 0] ** 2)
+    sig[..., 1, 1] = 0.15 + 0.02 * np.tanh(x[..., 1])
+    return sig
+
+
+@pytest.mark.parametrize("case", ["sparse", "dense", "2d"])
+def test_jumped_paths_match_per_path_reference(case):
+    if case == "2d":
+        model = ModelSpec(
+            dim=2, drift=lambda x: -0.3 * x + 0.1 * x[..., ::-1],
+            diffusion=_diffusion_2d,
+            jump_coeff=lambda x, e: 0.1 * x * e[..., None],
+            jump_measure=JumpMeasure.gaussian(0.1, 0.5, 12.0))
+        x0, m, n_steps, seed = np.array([0.4, -0.7]), 40, 6, 51
+    else:
+        # lambda * dt = 0.01 leaves whole steps without a jump; 4.0 makes
+        # every path jump in a step, with counts of 4 and more
+        intensity = {"sparse": 0.06, "dense": 24.0}[case]
+        model = scalar_model(drift=lambda x: 0.2 - 0.5 * x,
+                             diffusion=lambda x: 0.3 * (1.0 + 0.5 * np.sin(x)),
+                             jump=lambda x, e: 0.1 * x * e,
+                             jump_measure=JumpMeasure.uniform(-1.0, 1.0, intensity))
+        x0, m, seed = 0.8, {"sparse": 60, "dense": 30}[case], 52
+        n_steps = 6
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    b = simulate_paths(model, grid, x0, m, seed=seed)
+    states, brownian, counts, paths, times, marks = _per_path_reference(
+        model, grid, x0, m, seed)
+
+    totals = counts.sum(axis=1)
+    if case == "sparse":
+        assert (totals == 0).any() and (totals > 0).any()
+    elif case == "dense":
+        assert (counts > 0).all(axis=1).any() and counts.max() >= 4
+    else:
+        assert (counts == 0).any() and counts.max() >= 2
+    assert np.array_equal(b.jump_counts, counts)
+    assert np.array_equal(b.states, states)
+    assert np.array_equal(b.brownian, brownian)
+    for k in range(n_steps):
+        assert np.array_equal(b.jump_paths[k], paths[k])
+        assert np.array_equal(b.jump_times[k], times[k])
+        assert np.array_equal(b.jump_marks[k], marks[k])
 
 
 def test_dumps_roundtrip(tmp_path, toy_model):
