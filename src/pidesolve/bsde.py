@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import (ContractionError, DomainError, NumericError,
                      SingularRegressionError, ZeroDenominatorError)
@@ -74,7 +75,7 @@ class _BoxBasis:
         return self.prepare(x).fit(targets)
 
     def prepare(self, x):
-        """Regression setup on the point set x (features, ridged Gram, fit
+        """Regression setup on the point set x (design, ridged Gram, fit
         info); its ``fit(targets)`` and ``predict(coeffs)`` reuse it."""
         return self._setup(self, x)
 
@@ -88,19 +89,22 @@ class _BoxBasis:
 
 
 class _Regression:
-    """A basis's features at the points x (``_features``), for ``predict``;
-    with ``gram`` also the floor check, the ridged Gram (``_gram``: its
-    condition number and ridge) and ``fit``, which solves on it (``_solve``)
-    or fits degenerate data by their mean alone."""
+    """A basis's design phi at the points x, for ``predict``; with ``gram``
+    also the floor check, the ridged Gram (``_gram``: its condition number
+    and ridge) and ``fit``, which solves the normal equations on it
+    (``_solve``) or fits degenerate data by their mean alone.  Both bases
+    share this fit and predict; only their Gram and its solve differ."""
 
     def __init__(self, basis, x, gram=True):
         x = np.atleast_2d(np.asarray(x, float))
         if gram:
             _check_floor(basis.n_features, x.shape[0])
         self.coef_shape = basis.coef_shape
-        self._features(basis, x)
+        self.phi = basis.design(x)
         self.info = {"cond": 1.0, "degenerate": True, "ridge": 0.0}
         if gram and not _is_degenerate(x):
+            # a sparse design builds its transpose anew on every .T
+            self.phi_t = self.phi.T
             cond, ridge = self._gram(basis)
             self.info = {"cond": float(cond), "degenerate": False, "ridge": float(ridge)}
 
@@ -110,26 +114,23 @@ class _Regression:
             coeffs = np.zeros(self.coef_shape + targets.shape[1:])
             coeffs[..., 0, :] = targets.mean(axis=0)
             return coeffs, self.info
-        return self._solve(targets), self.info
+        return self._solve(self.phi_t @ targets), self.info
+
+    def predict(self, coeffs):
+        single = coeffs.ndim == len(self.coef_shape)
+        out = self.phi @ coeffs.reshape(self.phi.shape[1], -1)
+        return out[:, 0] if single else out
 
 
 class _PolyRegression(_Regression):
-    def _features(self, basis, x):
-        self.phi = basis.design(x)
-
     def _gram(self, basis):
-        gram = self.phi.T @ self.phi
+        gram = self.phi_t @ self.phi
         ridge = basis.ridge_scale * np.trace(gram) / gram.shape[0]
         self.ridged = gram + ridge * np.eye(gram.shape[0])
         return np.linalg.cond(self.ridged), ridge
 
-    def _solve(self, targets):
-        return _solve_ridged(self.ridged, self.phi.T @ targets)
-
-    def predict(self, coeffs):
-        single = coeffs.ndim == 1
-        out = self.phi @ (coeffs[:, None] if single else coeffs)
-        return out[:, 0] if single else out
+    def _solve(self, rhs):
+        return _solve_ridged(self.ridged, rhs)
 
 
 class PolynomialBasis(_BoxBasis):
@@ -176,20 +177,12 @@ class PolynomialBasis(_BoxBasis):
 
 
 class _LocalRegression(_Regression):
-    # the affine features are [1, z]: the constant one is never stored or
-    # multiplied, and z keeps one contiguous row per coordinate
-    def _features(self, basis, x):
-        self.n_cells = basis.n_cells
-        self.cell, self.z = basis._features(x)
-
+    # the sparse design's products sum each cell over its points in point
+    # order, each product formed before it is added: reproducible bit for bit
     def _gram(self, basis):
         p = basis.dim + 1
-        gram = np.empty((self.n_cells, p, p))
-        gram[:, 0, 0] = np.bincount(self.cell, minlength=self.n_cells)
-        for a in range(1, p):
-            gram[:, 0, a] = gram[:, a, 0] = self._cell_sums(self.z[a - 1])
-            for b in range(a, p):
-                gram[:, a, b] = gram[:, b, a] = self._cell_sums(self.z[a - 1] * self.z[b - 1])
+        # row c*p + a of phi^T [1, z] is column a of cell c's block
+        gram = (self.phi_t @ self.phi.data.reshape(-1, p)).reshape(-1, p, p)
         self.counts = gram[:, 0, 0]
         filled = self.counts >= 1
         self.thin = filled & (self.counts < basis.min_points)
@@ -202,35 +195,15 @@ class _LocalRegression(_Regression):
         return (np.max(eig[:, -1] / np.maximum(eig[:, 0], 1e-300), initial=1.0),
                 ridge.max(initial=0.0))
 
-    def _cell_sums(self, w):
-        # bincount sums each cell in point order: reproducible bit for bit
-        return np.bincount(self.cell, weights=w, minlength=self.n_cells)
-
-    def _solve(self, targets):
-        p, r = self.z.shape[0] + 1, targets.shape[1]
-        coeffs = np.zeros((self.n_cells, p, r))
-        rhs = np.empty((self.n_cells, p, r))
-        for j, t in enumerate(np.ascontiguousarray(targets.T)):
-            rhs[:, 0, j] = self._cell_sums(t)
-            for a in range(1, p):
-                rhs[:, a, j] = self._cell_sums(self.z[a - 1] * t)
+    def _solve(self, rhs):
+        rhs = rhs.reshape(self.coef_shape + (-1,))
+        coeffs = np.zeros(rhs.shape)
         coeffs[self.thin, 0, :] = rhs[self.thin, 0, :] / self.counts[self.thin, None]
         coeffs[self.full] = _solve_ridged(self.blocks, rhs[self.full])
         if not np.all(np.isfinite(coeffs)):
             raise SingularRegressionError("non-finite local regression coefficients")
         coeffs[self.empty, 0, :] = coeffs[self.donor, 0, :]
         return coeffs
-
-    def predict(self, coeffs):
-        # c0[cell] + z c1[cell], one gather per feature and the products
-        # added in feature order: every target column is summed alike, so a
-        # multi-target column equals the single-target predict bit for bit
-        single = coeffs.ndim == 2
-        c = coeffs[..., None] if single else coeffs
-        out = np.take(c[:, 0], self.cell, axis=0)
-        for a, za in enumerate(self.z, start=1):
-            out += za[:, None] * np.take(c[:, a], self.cell, axis=0)
-        return out[:, 0] if single else out
 
 
 class LocalAffineBasis(_BoxBasis):
@@ -262,16 +235,24 @@ class LocalAffineBasis(_BoxBasis):
     def coef_shape(self):
         return (self.n_cells, self.dim + 1)
 
-    def _features(self, x):
-        """Flat cell index of each point and its offsets z from the cell
-        centre in half-widths, one (m,) row per coordinate: the affine
-        features are [1, z]."""
-        xt = x.T
-        lo = self.lo[:, None]
-        widths = ((self.hi - self.lo) / self.cells)[:, None]
-        idx = np.clip(((xt - lo) / widths).astype(int), 0, self.cells[:, None] - 1)
-        z = 2.0 * (xt - (lo + (idx + 0.5) * widths)) / widths
-        return np.ravel_multi_index(tuple(idx), self.cells), z
+    def design(self, x):
+        """The (m, n_features) design at x, a CSR matrix: row i holds [1, z_i]
+        in columns c*(dim+1) + a of its cell c, where z_i are its offsets from
+        the cell centre in half-widths, so coefficients of shape
+        (n_cells, dim+1[, r]) reshape onto the columns without a copy."""
+        x = np.atleast_2d(np.asarray(x, float))
+        m, p = x.shape[0], self.dim + 1
+        widths = (self.hi - self.lo) / self.cells
+        idx = np.clip(((x - self.lo) / widths).astype(int), 0, self.cells - 1)
+        data = np.empty((m, p))
+        data[:, 0] = 1.0
+        data[:, 1:] = 2.0 * (x - (self.lo + (idx + 0.5) * widths)) / widths
+        cols = np.empty((m, p), dtype=np.int32)
+        np.multiply(np.ravel_multi_index(tuple(idx.T), self.cells), p, out=cols[:, 0])
+        for a in range(1, p):
+            np.add(cols[:, 0], a, out=cols[:, a])
+        indptr = np.arange(0, m * p + 1, p, dtype=np.int32)
+        return csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(m, self.n_features))
 
     def _donors(self, filled):
         """Empty cells and, for each, the filled cell with the nearest centre.
@@ -590,7 +571,7 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
                 v.step(k, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp)
             except (NumericError, SingularRegressionError) as exc:
                 v.error = exc
-        del reg  # one step's features at a time
+        del reg  # one step's design at a time
         if observe is not None:
             observe(k, [v.y if v.error is None else None for v in runs])
 
@@ -615,7 +596,7 @@ def evaluate_u(sol, k, x):
 
 def _eval_points(basis, dim, x):
     """The points x as an (m, dim) batch inside the basis box, and the basis
-    features there: a caller that evaluates many fits at them builds both once."""
+    design there: a caller that evaluates many fits at them builds both once."""
     x = np.atleast_2d(np.asarray(x, float))
     if x.shape[1] != dim:
         raise ValueError("point dimension does not match the solution")
@@ -626,7 +607,7 @@ def _eval_points(basis, dim, x):
 
 
 def _evaluate_u(sol, k, x, at, h_k=None):
-    """``evaluate_u`` at the points and features of ``_eval_points``, with
+    """``evaluate_u`` at the points and design of ``_eval_points``, with
     the obstacle at (t_k, x), ``h_k``, when the caller has it."""
     n = sol.n_steps
     if k == n:

@@ -413,6 +413,12 @@ def _norm_compare(block):
         out["region"] = [_expect_num(region[0], "compare.region[0]"),
                          _expect_num(region[1], "compare.region[1]")]
     out["x_grid_n"] = _expect_count(block.get("x_grid_n", 1), "compare.x_grid_n")
+    # a closed-form oracle prices the one spot s0; every other grid point
+    # would be checked against that one price
+    if out["x_grid_n"] > 1 and out["oracle"]["kind"] != "fd":
+        raise ConfigError(
+            f"compare.x_grid_n = {out['x_grid_n']} but a {out['oracle']['kind']} oracle "
+            f"prices the one spot s0; use an fd oracle or x_grid_n = 1")
     return out
 
 

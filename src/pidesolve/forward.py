@@ -145,9 +145,8 @@ def _euler_segment(model, x, tau, xi):
     """
     dw = np.sqrt(tau) * xi
     # x + (b - c) * tau + sigma dw, summed in that order in the fresh array
-    # the compensator drift returns
-    step = model.compensator_drift(x)
-    np.subtract(np.asarray(model.drift(x), dtype=float), step, out=step)
+    # b - c; the coefficients themselves may be read-only broadcast views
+    step = np.subtract(np.asarray(model.drift(x), dtype=float), model.compensator_drift(x))
     step *= tau
     step += x
     step += np.einsum("gij,gj->gi", np.asarray(model.diffusion(x), dtype=float), dw)

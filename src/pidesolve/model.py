@@ -231,14 +231,14 @@ class ModelSpec:
         """Quadrature of the jump coefficient: sum_j w_j beta(x, e_j).
 
         This is the drift the simulator subtracts between jumps so that the
-        jump part is integrated against the compensated measure.  The result
-        is always a new array; the simulator's Euler update writes into it.
+        jump part is integrated against the compensated measure.  A constant
+        compensator comes back as a read-only broadcast view.
         """
         x = np.asarray(x, dtype=float)
         if not self.has_jumps:
-            return np.zeros_like(x)
+            return np.broadcast_to(0.0, x.shape)
         if self._compensator is not None:
-            return np.full_like(x, self._compensator)
+            return np.broadcast_to(self._compensator, x.shape)
         nodes = self.jump_measure.nodes
         weights = self.jump_measure.weights
         out = np.zeros_like(x)
@@ -364,8 +364,8 @@ def named_model(name, **params):
     # risk-neutral process: effective drift = r - sigma^2/2 - lambda*kbar
     b = r - 0.5 * sigma**2 - intensity * kbar + intensity * mbar
     return scalar_model(
-        drift=lambda x: np.full_like(x, b),
-        diffusion=lambda x: np.full_like(x, sigma),
+        drift=lambda x: np.broadcast_to(b, x.shape),
+        diffusion=lambda x: np.broadcast_to(sigma, x.shape),
         jump=translation_jump,
         jump_measure=jm,
         k_jump=4.0,

@@ -74,7 +74,7 @@ def obstacle_along_paths(obstacle, paths):
 
 def _u_field(sol, points, hfield):
     """Fitted u on (times x eval grid), terminal slice included; ``points``
-    holds the grid and its features (``_eval_points``), ``hfield`` h there."""
+    holds the grid and its design (``_eval_points``), ``hfield`` h there."""
     return np.stack([_evaluate_u(sol, k, *points, hfield[k]) for k in range(sol.n_steps + 1)])
 
 

@@ -136,13 +136,51 @@ def local_2d():
     targets = np.column_stack([np.sin(x[:, 0]) * x[:, 1], x[:, 0] ** 2, np.exp(-x[:, 1])])
     reg = basis.prepare(x)
     coeffs, _ = reg.fit(targets)
-    return basis, x, reg, coeffs
+    return basis, x, reg, coeffs, targets
+
+
+def test_local_design_matches_per_cell_sums(local_2d):
+    # reference: each cell's sums over its points by bincount, in point
+    # order; the sparse design's products must give them bit for bit
+    basis, x, reg, coeffs, targets = local_2d
+    m, p, n_cells = x.shape[0], basis.dim + 1, basis.n_cells
+    widths = (basis.hi - basis.lo) / basis.cells
+    idx = np.clip(((x - basis.lo) / widths).astype(int), 0, basis.cells - 1)
+    cell = np.ravel_multi_index(tuple(idx.T), basis.cells)
+    feats = np.column_stack([np.ones(m), 2.0 * (x - (basis.lo + (idx + 0.5) * widths)) / widths])
+    expect = np.zeros((m, n_cells, p))
+    expect[np.arange(m), cell] = feats
+    assert np.array_equal(basis.design(x).toarray(), expect.reshape(m, n_cells * p))
+
+    def cell_sums(w):
+        return np.bincount(cell, weights=w, minlength=n_cells)
+
+    gram = np.empty((n_cells, p, p))
+    gram[:, 0, 0] = np.bincount(cell, minlength=n_cells)
+    for a in range(1, p):
+        gram[:, 0, a] = gram[:, a, 0] = cell_sums(feats[:, a])
+        for b in range(a, p):
+            gram[:, a, b] = gram[:, b, a] = cell_sums(feats[:, a] * feats[:, b])
+    rhs = np.stack([np.stack([cell_sums(feats[:, a] * t) if a else cell_sums(t)
+                              for a in range(p)], axis=1) for t in targets.T], axis=2)
+    assert reg.thin.any() and reg.empty.size and reg.full.any()
+    assert np.array_equal(reg.counts, gram[:, 0, 0])
+    g = gram[reg.full]
+    ridge = basis.ridge_scale * np.trace(g, axis1=1, axis2=2) / p
+    assert np.array_equal(reg.blocks, g + ridge[:, None, None] * np.eye(p))
+    assert np.array_equal((reg.phi_t @ targets).reshape(rhs.shape), rhs)
+    # the fit on these sums: thin cells their mean, empty cells their donor's
+    expect = np.zeros_like(rhs)
+    expect[reg.thin, 0] = rhs[reg.thin, 0] / reg.counts[reg.thin, None]
+    expect[reg.full] = np.linalg.solve(reg.blocks, rhs[reg.full])
+    expect[reg.empty, 0] = expect[reg.donor, 0]
+    assert np.array_equal(coeffs, expect)
 
 
 def test_local_predict_multi_target_columns_bitwise(local_2d):
     # each column of a multi-target predict is the single-target predict of
     # that column, and prepare(x).predict is basis.predict on x
-    basis, x, reg, coeffs = local_2d
+    basis, x, reg, coeffs, _ = local_2d
     multi = reg.predict(coeffs)
     assert multi.shape == (x.shape[0], 3)
     assert np.array_equal(multi, basis.predict(coeffs, x))
@@ -152,7 +190,7 @@ def test_local_predict_multi_target_columns_bitwise(local_2d):
 
 
 def test_local_predict_matches_per_point_evaluation(local_2d):
-    basis, x, _, coeffs = local_2d
+    basis, x, _, coeffs, _ = local_2d
     xq = np.random.default_rng(7).uniform(basis.lo, basis.hi, size=(200, 2))
     widths = (basis.hi - basis.lo) / basis.cells
     expect = np.empty((xq.shape[0], coeffs.shape[-1]))

@@ -237,6 +237,27 @@ def merton_compare_config(**oracle):
                         "tol_rel": 0.01}}
 
 
+def test_closed_form_compare_oracle_prices_one_spot():
+    # a merton or binomial oracle prices s0 alone: on an x-grid every point
+    # would be checked against that one price
+    for kind in ("merton", "binomial"):
+        raw = merton_compare_config(kind=kind)
+        if kind == "binomial":
+            raw["model"] = {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}}
+            for key in ("intensity", "jump_mean", "jump_sd"):
+                del raw["compare"]["oracle"][key]
+        validate_config(raw)
+        raw["compare"].update(region=[4.5, 4.7], x_grid_n=5)
+        with pytest.raises(ConfigError, match="compare.x_grid_n") as err:
+            validate_config(raw)
+        assert err.value.code == "E_CONFIG"
+        raw["compare"]["x_grid_n"] = 1
+        validate_config(raw)
+    raw = merton_compare_config()
+    raw["compare"].update(oracle={"kind": "fd"}, region=[4.5, 4.7], x_grid_n=5)
+    assert validate_config(raw).raw["compare"]["x_grid_n"] == 5
+
+
 def test_compare_oracle_must_describe_the_model():
     validate_config(merton_compare_config())
     raw = merton_compare_config()
