@@ -32,10 +32,9 @@ def build_parser():
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's seed")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("SOLVER_THREADS", "1")),
-                       help="worker threads (echoed into the report; "
-                            "SOLVER_THREADS is the fallback)")
+        p.add_argument("--threads", default=None, metavar="K",
+                       help="worker threads, a positive integer (echoed into the "
+                            "report; SOLVER_THREADS is the fallback, then 1)")
         p.add_argument("--deterministic", action="store_true", default=True,
                        help="fixed-order reductions for bit-reproducible reports "
                             "(always on in this implementation)")
@@ -45,6 +44,15 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    source, text = (("--threads", args.threads) if args.threads is not None
+                    else ("SOLVER_THREADS", os.environ.get("SOLVER_THREADS", "1")))
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        print(f"error: {source} must be a positive integer, got {text!r}", file=sys.stderr)
+        return EXIT_ERROR
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -61,7 +69,7 @@ def main(argv=None):
             return EXIT_ERROR
         report, code = run_experiment(
             cfg, out_dir=args.out,
-            flags={"threads": args.threads, "deterministic": args.deterministic})
+            flags={"threads": threads, "deterministic": args.deterministic})
     except SolverError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_ERROR

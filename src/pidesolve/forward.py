@@ -13,11 +13,20 @@ Within a step, the first diffusion segment of every path (to its first jump,
 or over the whole step when it does not jump) is one Euler update of all
 paths together; only the paths that jump then go on, grouped by their number
 of jumps, through each jump and the segment after it.
+
+No step's draws depend on the state, so ``simulate_paths`` makes them on one
+helper thread, in step order and at most two steps ahead of the Euler and
+jump updates on the calling thread.  Only the generator and the measure's
+``mark_sampler`` run on the helper, never a model coefficient, and the
+bundle is bit-identical to drawing each step just before advancing it.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,6 +49,8 @@ __all__ = [
 ]
 
 _KEY_MASK = (1 << 64) - 1
+# steps the helper thread may draw ahead of the step being advanced
+_LOOKAHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -153,21 +164,15 @@ def _euler_segment(model, x, tau, xi):
     return step, dw
 
 
-def _advance(model, x, dt, rng):
-    """Advance all paths over one step of length dt.
+def _draw(model, m, d, dt, rng):
+    """All of one step's draws for m paths in dimension d, from its stream.
 
-    Returns (new_x, dW, counts, jump_paths, jump_offsets, jump_marks), the
-    jumps sorted by path, then time.  Draw order is fixed: Poisson counts,
-    jump time offsets, marks, then one standard normal block per diffusion
-    segment laid out in path-major order, so path p's rows start at p plus
-    the jumps of the paths before it.
-
-    Every path's first segment, up to its first jump or to the end of the
-    step, runs in one Euler call over all paths in path order.  Only the
-    paths that jump, grouped by their number of jumps, then take each jump
-    and the segment after it, adding its increment to their dW.
+    Returns (counts, offsets, marks, normals), drawn in that fixed order:
+    Poisson counts, jump time offsets in [0, dt), the marks, then one
+    standard normal row per diffusion segment, (m + total jumps, d), laid out
+    in path-major order, so path p's rows start at p plus the jumps of the
+    paths before it.  Offsets and marks are in draw order, grouped by path.
     """
-    m, d = x.shape
     lam = model.jump_measure.total_intensity if model.has_jumps else 0.0
     if lam > 0:
         counts = rng.poisson(lam * dt, m)
@@ -175,11 +180,29 @@ def _advance(model, x, dt, rng):
         counts = np.zeros(m, dtype=np.int64)
     total = int(counts.sum())
     if not total:
-        new_x, dW = _euler_segment(model, x, dt, rng.standard_normal((m, d)))
-        return new_x, dW, counts, np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
+        return counts, np.empty(0), np.empty(0), rng.standard_normal((m, d))
     offsets = rng.random(total) * dt
     marks = np.array(model.jump_measure.mark_sampler(rng, total), dtype=float)
-    normals = rng.standard_normal((m + total, d))
+    return counts, offsets, marks, rng.standard_normal((m + total, d))
+
+
+def _advance(model, x, dt, drawn):
+    """Advance all paths over one step of length dt on the step's draws.
+
+    ``drawn`` is what ``_draw`` returned for the step.  Returns (new_x, dW,
+    counts, jump_paths, jump_offsets, jump_marks), the jumps sorted by path,
+    then time.
+
+    Every path's first segment, up to its first jump or to the end of the
+    step, runs in one Euler call over all paths in path order.  Only the
+    paths that jump, grouped by their number of jumps, then take each jump
+    and the segment after it, adding its increment to their dW.
+    """
+    counts, offsets, marks, normals = drawn
+    m = x.shape[0]
+    if not offsets.size:
+        new_x, dW = _euler_segment(model, x, dt, normals)
+        return new_x, dW, counts, np.empty(0, dtype=np.intp), offsets, marks
 
     seg_start = np.cumsum(counts)
     seg_start -= counts
@@ -217,6 +240,47 @@ def _advance(model, x, dt, rng):
     return new_x, dW, counts, np.repeat(jumped, n_jumps), offsets, marks
 
 
+def _drawn_ahead(model, m, d, dt, seed, keys):
+    """Yield ``_draw``'s output for each key's stream, in key order.
+
+    One helper thread makes the draws, at most ``_LOOKAHEAD`` steps ahead of
+    the steps taken, while the caller advances the paths.  An exception
+    raised by a draw is raised here at the step it belongs to.  Closing the
+    generator stops the helper and joins it, so no thread outlives the
+    simulation, whether it returns or raises.
+    """
+    ready = collections.deque()
+    slots, filled = threading.Semaphore(_LOOKAHEAD), threading.Semaphore(0)
+    stop = threading.Event()
+
+    def produce():
+        try:
+            for key in keys:
+                slots.acquire()
+                if stop.is_set():
+                    return
+                ready.append(_draw(model, m, d, dt, _step_stream(seed, key)))
+                filled.release()
+        except BaseException as exc:
+            ready.append(exc)
+            filled.release()
+
+    helper = threading.Thread(target=produce, name="pidesolve-draw", daemon=True)
+    helper.start()
+    try:
+        for _ in keys:
+            filled.acquire()
+            drawn = ready.popleft()
+            slots.release()
+            if isinstance(drawn, BaseException):
+                raise drawn
+            yield drawn
+    finally:
+        stop.set()
+        slots.release()
+        helper.join()
+
+
 def _as_start(x0, n_paths, dim):
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 0:
@@ -248,20 +312,21 @@ def simulate_paths(model, grid, x0, n_paths, seed, functionals=(), key_offset=0)
     counts_all = np.empty((n, n_paths), dtype=np.int64)
     jp, jt, jm = [], [], []
 
-    for k in range(n):
-        rng = _step_stream(seed, k + key_offset)
-        x, dw, counts, paths_k, offs_k, marks_k = _advance(model, x, dt, rng)
-        if not np.isfinite(x).all():
-            bad = np.argwhere(~np.isfinite(x))
-            p, comp = bad[0]
-            raise NumericError(f"non-finite state at step {k + 1}, path {p} "
-                               f"(component {comp})")
-        states[k + 1] = x
-        brownian[k] = dw
-        counts_all[k] = counts
-        jp.append(paths_k)
-        jt.append(grid.t0 + k * dt + offs_k)
-        jm.append(marks_k)
+    keys = range(key_offset, key_offset + n)
+    with contextlib.closing(_drawn_ahead(model, n_paths, model.dim, dt, seed, keys)) as steps:
+        for k, drawn in enumerate(steps):
+            x, dw, counts, paths_k, offs_k, marks_k = _advance(model, x, dt, drawn)
+            if not np.isfinite(x).all():
+                bad = np.argwhere(~np.isfinite(x))
+                p, comp = bad[0]
+                raise NumericError(f"non-finite state at step {k + 1}, path {p} "
+                                   f"(component {comp})")
+            states[k + 1] = x
+            brownian[k] = dw
+            counts_all[k] = counts
+            jp.append(paths_k)
+            jt.append(grid.t0 + k * dt + offs_k)
+            jm.append(marks_k)
 
     bundle = PathBundle(
         grid=grid, states=states, brownian=brownian, jump_counts=counts_all,

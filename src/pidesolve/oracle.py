@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse import csr_matrix
 
-from .errors import BoundaryError, StabilityError, TailError
+from .errors import BoundaryError, NumericError, StabilityError, TailError
 
 __all__ = [
     "FdGrid",
@@ -89,12 +89,12 @@ def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
                   picard_sweeps=2):
     """Solve the 1-d PIDE backward from ``horizon`` to 0 on the grid.
 
-    Implicit drift/diffusion step (banded solve), explicit quadrature of the
-    nonlocal part with linear interpolation at the shifted nodes (sparse
-    operators built once, before the time loop), driver handled by
-    frozen-gradient Picard sweeps; with an obstacle the field is
-    projected onto {u >= h} after every step.  The grid is padded by the
-    largest jump shift so shifted evaluations interpolate instead of
+    Implicit drift/diffusion step (a banded matrix factored once, before the
+    time loop), explicit quadrature of the nonlocal part with linear
+    interpolation at the shifted nodes (sparse operators built once too),
+    driver handled by frozen-gradient Picard sweeps; with an obstacle the
+    field is projected onto {u >= h} after every step.  The grid is padded
+    by the largest jump shift so shifted evaluations interpolate instead of
     extrapolate.
     """
     if model.dim != 1:
@@ -147,6 +147,8 @@ def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
     if grid.bc == "linear":
         ab[[2, 1, 0], [0, 1, 2]] = ab[[4, 3, 2], [jp - 3, jp - 2, jp - 1]] = 1.0, -2.0, 1.0
 
+    solve = _banded_solver(ab, w)
+
     nonlocal_term = _nonlocal_term(model, driver.functionals, xp)
     sig_xp = np.asarray(model.diffusion(xp[:, None]), float)[:, 0, 0]
 
@@ -169,7 +171,10 @@ def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
             fval = np.asarray(driver.f(t_k, xp[:, None], u_star, z, vbar), float).reshape(jp)
             rhs = u_next + dt * (k2 + fval)
             rhs[0], rhs[-1] = g_ends if grid.bc == "dirichlet" else (0.0, 0.0)
-            u_star = solve_banded((w, w), ab, rhs)
+            if not np.isfinite(rhs).all():
+                raise NumericError(f"non-finite finite-difference right-hand side at "
+                                   f"time step {step}")
+            u_star = solve(rhs)
         u = u_star
         if obstacle is not None:
             u = np.maximum(u, np.asarray(obstacle(t_k, xp[:, None]), float).reshape(jp))
@@ -182,6 +187,32 @@ def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
         x_padded=xp, values_padded=out,
         diagnostics={"cfl": cfl, "dt": dt, "dx": dx, "n_pad": (n_lo, n_hi)},
     )
+
+
+def _banded_solver(ab, w):
+    """Factor the banded matrix ab[w + i - j, j] = A[i, j] once; return
+    rhs -> A^{-1} rhs.
+
+    LAPACK's gtsv and gbsv, behind ``scipy.linalg.solve_banded``, factor and
+    then solve; factoring once with gttrf (w = 1) or gbtrf and solving each
+    right-hand side with gttrs or gbtrs gives their answers bit for bit.
+    """
+    if not np.isfinite(ab).all():
+        raise NumericError("non-finite finite-difference implicit matrix")
+    if w == 1:
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (ab,))
+        *factors, info = gttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        solve = lambda rhs: gttrs(*factors, rhs)[0]  # noqa: E731
+    else:
+        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        # gbtrf keeps the fill-in of its row interchanges in w more rows on top
+        lu = np.zeros((3 * w + 1, ab.shape[1]))
+        lu[w:] = ab
+        lu, ipiv, info = gbtrf(lu, w, w)
+        solve = lambda rhs: gbtrs(lu, w, w, rhs, ipiv)[0]  # noqa: E731
+    if info > 0:
+        raise np.linalg.LinAlgError("singular finite-difference implicit matrix")
+    return solve
 
 
 def _nonlocal_term(model, functionals, xp):

@@ -638,3 +638,28 @@ def test_cli_threads_env_fallback(tmp_path, monkeypatch, capsys):
     payload = json.loads((tmp_path / "run" / "report.json").read_text())
     assert payload["body"]["flags"]["threads"] == 4
     assert payload["body"]["flags"]["deterministic"] is True
+
+
+@pytest.mark.parametrize("env, flag", [("abc", None), ("0", None), ("1", "-3"), ("2", "x")],
+                         ids=["env-text", "env-zero", "flag-negative", "flag-text"])
+def test_cli_threads_rejected(tmp_path, monkeypatch, capsys, env, flag):
+    # a thread count that is not a positive integer is an input error, from
+    # the flag or from its environment fallback, and no report is written
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(heat_solve_config()))
+    monkeypatch.setenv("SOLVER_THREADS", env)
+    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    if flag is not None:
+        argv += ["--threads", flag]
+    assert cli_main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("--threads" if flag else "SOLVER_THREADS") in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_help_with_bad_threads_env(monkeypatch, capsys):
+    monkeypatch.setenv("SOLVER_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--threads" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -65,7 +66,9 @@ def test_jump_counts_poisson():
 
 
 def test_determinism_bit_identical(toy_model):
+    before = set(threading.enumerate())
     a = simulate_paths(toy_model, TimeGrid(0, 1, 10), 0.0, 2000, seed=7)
+    assert set(threading.enumerate()) == before
     b = simulate_paths(toy_model, TimeGrid(0, 1, 10), 0.0, 2000, seed=7)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.brownian, b.brownian)
@@ -266,7 +269,7 @@ def test_no_jump_reduction_bit_for_bit(heat_model):
     assert np.array_equal(b.states, np.stack(states))
 
 
-def _per_path_reference(model, grid, x0, m, seed):
+def _per_path_reference(model, grid, x0, m, seed, key_offset=0):
     # redraw each step's stream in the documented order (counts, offsets,
     # marks, path-major normals) and walk every path alone through its
     # time-sorted jumps and the diffusion segments between them
@@ -276,7 +279,7 @@ def _per_path_reference(model, grid, x0, m, seed):
     states, brownian, counts_all, paths, times, marks = [x.copy()], [], [], [], [], []
     for k in range(grid.n_steps):
         rng = np.random.Generator(np.random.Philox(
-            key=np.array([seed, k], dtype=np.uint64)))
+            key=np.array([seed, k + key_offset], dtype=np.uint64)))
         counts = rng.poisson(lam * dt, m)
         total = int(counts.sum())
         offs, mk = np.empty(0), np.empty(0)
@@ -324,8 +327,9 @@ def _diffusion_2d(x):
     return sig
 
 
-@pytest.mark.parametrize("case", ["sparse", "dense", "2d"])
+@pytest.mark.parametrize("case", ["sparse", "dense", "2d", "one-step", "offset"])
 def test_jumped_paths_match_per_path_reference(case):
+    key_offset = 0
     if case == "2d":
         model = ModelSpec(
             dim=2, drift=lambda x: -0.3 * x + 0.1 * x[..., ::-1],
@@ -335,18 +339,21 @@ def test_jumped_paths_match_per_path_reference(case):
         x0, m, n_steps, seed = np.array([0.4, -0.7]), 40, 6, 51
     else:
         # lambda * dt = 0.01 leaves whole steps without a jump; 4.0 makes
-        # every path jump in a step, with counts of 4 and more
-        intensity = {"sparse": 0.06, "dense": 24.0}[case]
+        # every path jump in a step, with counts of 4 and more; the helper
+        # thread draws the streams keyed k + key_offset, for one step as for
+        # many
+        intensity = {"sparse": 0.06, "dense": 24.0, "one-step": 2.0, "offset": 6.0}[case]
         model = scalar_model(drift=lambda x: 0.2 - 0.5 * x,
                              diffusion=lambda x: 0.3 * (1.0 + 0.5 * np.sin(x)),
                              jump=lambda x, e: 0.1 * x * e,
                              jump_measure=JumpMeasure.uniform(-1.0, 1.0, intensity))
-        x0, m, seed = 0.8, {"sparse": 60, "dense": 30}[case], 52
-        n_steps = 6
+        x0, m, seed = 0.8, {"sparse": 60, "dense": 30}.get(case, 50), 52
+        n_steps = {"one-step": 1, "offset": 4}.get(case, 6)
+        key_offset = 9 if case == "offset" else 0
     grid = TimeGrid(0.0, 1.0, n_steps)
-    b = simulate_paths(model, grid, x0, m, seed=seed)
+    b = simulate_paths(model, grid, x0, m, seed=seed, key_offset=key_offset)
     states, brownian, counts, paths, times, marks = _per_path_reference(
-        model, grid, x0, m, seed)
+        model, grid, x0, m, seed, key_offset)
 
     totals = counts.sum(axis=1)
     if case == "sparse":
@@ -355,6 +362,7 @@ def test_jumped_paths_match_per_path_reference(case):
         assert (counts > 0).all(axis=1).any() and counts.max() >= 4
     else:
         assert (counts == 0).any() and counts.max() >= 2
+    assert b.key_offset == key_offset
     assert np.array_equal(b.jump_counts, counts)
     assert np.array_equal(b.states, states)
     assert np.array_equal(b.brownian, brownian)
@@ -362,6 +370,74 @@ def test_jumped_paths_match_per_path_reference(case):
         assert np.array_equal(b.jump_paths[k], paths[k])
         assert np.array_equal(b.jump_times[k], times[k])
         assert np.array_equal(b.jump_marks[k], marks[k])
+
+
+def _recording_model(m, drift_value, sampler):
+    # every step has jumps; the drift records the thread of each call and
+    # counts its calls over all m paths, which each step makes exactly once
+    # (its first segment), so the count is the number of steps advanced
+    calls = {"full": 0, "threads": set()}
+
+    def drift(x):
+        calls["threads"].add(threading.get_ident())
+        if x.shape[0] == m:
+            calls["full"] += 1
+        return np.full_like(x, drift_value(calls["full"] - 1))
+
+    measure = JumpMeasure(50.0, sampler, np.array([0.0]), np.array([50.0]))
+    model = scalar_model(drift=drift, diffusion=lambda x: np.full_like(x, 0.2),
+                         jump=translation_jump, jump_measure=measure)
+    return model, calls
+
+
+def test_draw_error_surfaces_at_its_step():
+    # a mark sampler that fails on the helper thread at step 7 of 10: the
+    # caller gets that exception after advancing steps 0..6, the coefficients
+    # ran on the calling thread only, and no thread is left behind
+    before = set(threading.enumerate())
+    sampled = []
+
+    def sampler(rng, n):
+        sampled.append(threading.get_ident())
+        if len(sampled) == 8:
+            raise LookupError("mark sampler failed")
+        return rng.uniform(-0.05, 0.05, n)
+
+    model, calls = _recording_model(40, lambda k: 0.1, sampler)
+    with pytest.raises(LookupError, match="mark sampler failed"):
+        simulate_paths(model, TimeGrid(0.0, 1.0, 10), 0.0, 40, seed=61)
+    assert calls["full"] == 7
+    assert calls["threads"] == {threading.get_ident()}
+    assert threading.get_ident() not in sampled
+    assert set(threading.enumerate()) == before
+
+
+def test_nonfinite_state_stops_draws_in_flight():
+    # the drift turns infinite at step 3 only once the helper has drawn the
+    # two steps after it; NumericError names step 4's state, the helper draws
+    # no further and is joined before the error reaches the caller
+    before = set(threading.enumerate())
+    sampled = []
+    ahead = threading.Event()
+
+    def sampler(rng, n):
+        sampled.append(n)
+        if len(sampled) == 6:
+            ahead.set()
+        return rng.uniform(-0.05, 0.05, n)
+
+    def drift_value(k):
+        if k == 3:
+            assert ahead.wait(timeout=30)
+            return np.inf
+        return 0.1
+
+    model, calls = _recording_model(40, drift_value, sampler)
+    with pytest.raises(NumericError, match="step 4"):
+        simulate_paths(model, TimeGrid(0.0, 1.0, 10), 0.0, 40, seed=62)
+    assert calls["full"] == 4
+    assert len(sampled) == 6
+    assert set(threading.enumerate()) == before
 
 
 def test_dumps_roundtrip(tmp_path, toy_model):

@@ -9,7 +9,7 @@ import pytest
 
 import pidesolve
 from pidesolve.config import _build_custom_model
-from pidesolve.errors import BoundaryError, StabilityError, TailError
+from pidesolve.errors import BoundaryError, NumericError, StabilityError, TailError
 from pidesolve.model import (JumpMeasure, ObstacleSpec, discount_driver,
                              named_model, scalar_model, zero_driver)
 from pidesolve.oracle import (FdGrid, _nonlocal_term, _norm_cdf, binomial_american,
@@ -94,6 +94,20 @@ def test_fd_boundary_guard():
     with pytest.raises(BoundaryError):
         fd_solve_pide(model, zero_driver(), lambda X: X[:, 0] ** 2,
                       FdGrid(-2, 2, 50, 50))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "linear"])
+def test_fd_nonfinite_inputs_rejected(heat_model, bc):
+    # the implicit matrix is factored once, yet every right-hand side is
+    # still checked: a NaN in the terminal values stops the first step back
+    grid = FdGrid(-2, 2, 40, 20, bc=bc)
+    nan_inside = lambda X: np.where(np.abs(X[:, 0]) < 0.1, np.nan, X[:, 0] ** 2)
+    with pytest.raises(NumericError, match="time step 19"):
+        fd_solve_pide(heat_model, zero_driver(), nan_inside, grid)
+    model = scalar_model(drift=lambda x: 0 * x,
+                         diffusion=lambda x: np.where(x > 1.0, np.nan, 1.0))
+    with pytest.raises(NumericError, match="implicit matrix"):
+        fd_solve_pide(model, zero_driver(), lambda X: X[:, 0] ** 2, grid)
 
 
 def test_fd_linear_bc_variant(heat_model):
