@@ -109,12 +109,29 @@ class _Regression:
             self.info = {"cond": float(cond), "degenerate": False, "ridge": float(ridge)}
 
     def fit(self, targets):
-        targets = _as_columns(targets)
+        (coeffs,) = self.fits([targets])
+        if isinstance(coeffs, Exception):
+            raise coeffs
+        return coeffs, self.info
+
+    def fits(self, targets):
+        """The coefficients of each target array of a batch, with one trailing
+        target axis, or the error of a target whose coefficients are not
+        finite.  Each target takes its own right-hand-side product, freed
+        before the next, and all take one solve, stacked on a leading axis:
+        bit for bit the separate fits (more right-hand-side columns would
+        not be).  A singular normal system raises for the whole batch."""
+        targets = (_as_columns(t) for t in targets)
         if self.info["degenerate"]:
-            coeffs = np.zeros(self.coef_shape + targets.shape[1:])
-            coeffs[..., 0, :] = targets.mean(axis=0)
-            return coeffs, self.info
-        return self._solve(self.phi_t @ targets), self.info
+            out = []
+            for t in targets:
+                coeffs = np.zeros(self.coef_shape + t.shape[1:])
+                coeffs[..., 0, :] = t.mean(axis=0)
+                out.append(coeffs)
+            return out
+        coeffs = self._solve(np.stack([self.phi_t @ t for t in targets]))
+        return [c if np.isfinite(c).all() else
+                SingularRegressionError("non-finite regression coefficients") for c in coeffs]
 
     def predict(self, coeffs):
         single = coeffs.ndim == len(self.coef_shape)
@@ -196,13 +213,12 @@ class _LocalRegression(_Regression):
                 ridge.max(initial=0.0))
 
     def _solve(self, rhs):
-        rhs = rhs.reshape(self.coef_shape + (-1,))
+        # rhs (batch, n_features, r); the blocks broadcast over the batch
+        rhs = rhs.reshape(rhs.shape[:1] + self.coef_shape + (-1,))
         coeffs = np.zeros(rhs.shape)
-        coeffs[self.thin, 0, :] = rhs[self.thin, 0, :] / self.counts[self.thin, None]
-        coeffs[self.full] = _solve_ridged(self.blocks, rhs[self.full])
-        if not np.all(np.isfinite(coeffs)):
-            raise SingularRegressionError("non-finite local regression coefficients")
-        coeffs[self.empty, 0, :] = coeffs[self.donor, 0, :]
+        coeffs[:, self.thin, 0, :] = rhs[:, self.thin, 0, :] / self.counts[self.thin, None]
+        coeffs[:, self.full] = _solve_ridged(self.blocks, rhs[:, self.full])
+        coeffs[:, self.empty, 0, :] = coeffs[:, self.donor, 0, :]
         return coeffs
 
 
@@ -286,18 +302,17 @@ def _total_degree_powers(dim, degree):
 
 
 def _solve_ridged(gram, rhs):
-    """Solve ridged normal equations (one system or a stack of blocks).
+    """Solve ridged normal equations (one system or a stack of blocks) for a
+    batch of right-hand sides.
 
     The ridge makes every system positive definite, so a failure can only
-    come from non-finite data, which no larger ridge repairs.
+    come from non-finite data, which no larger ridge repairs.  Non-finite
+    coefficients are the caller's to check, per right-hand side.
     """
     try:
-        coeffs = np.linalg.solve(gram, rhs)
+        return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularRegressionError("regression normal system singular") from exc
-    if not np.all(np.isfinite(coeffs)):
-        raise SingularRegressionError("non-finite regression coefficients")
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -386,27 +401,44 @@ def default_clamp_bound(driver, terminal, paths, obstacle=None):
 
 def _step_value(driver, t, x, cond_exp, z, vbar, dt, picard_iters, h, level_dt,
                 reflect, clamp):
-    """The value of one backward step at the points x, and how many were clamped.
+    """The value of one backward step at the points x, how many were clamped,
+    and whether it is finite.
 
     Solves y = cond_exp + dt * f(t, x, y, z, vbar) by ``picard_iters``
     sweeps, resolving the penalty level_dt * (y - h)^- in closed form inside
     each sweep when level_dt > 0; ``reflect`` then applies y = max(y, h) and
-    finally |y| is clamped to ``clamp``.
+    finally |y| is clamped to ``clamp``.  The sweeps run in two alternating
+    buffers, so the driver never reads the array being written, and the
+    penalty in one scratch buffer: a sweep allocates nothing beyond what the
+    driver returns, and does the operations of one that allocates, in the
+    same order.  One min/max pair of the result serves as the clamp test
+    and the finiteness check (a NaN shows in the pair); only a pair outside
+    the clamp counts and clips.
     """
     if level_dt > 0:
         # y = a + level_dt (y - h)^- is y = max(a, (a + level_dt h) / (1 + level_dt))
         level_h, lift = level_dt * h, 1.0 + level_dt
+        scratch = np.empty_like(cond_exp)
+    bufs = (np.empty_like(cond_exp), np.empty_like(cond_exp))
     y = cond_exp
-    for _ in range(picard_iters):
-        y = cond_exp + dt * np.asarray(driver.f(t, x, y, z, vbar), dtype=float)
+    for i in range(picard_iters):
+        out = bufs[i % 2]
+        np.multiply(dt, np.asarray(driver.f(t, x, y, z, vbar), dtype=float), out=out)
+        y = np.add(cond_exp, out, out=out)
         if level_dt > 0:
-            y = np.maximum(y, (y + level_h) / lift)
+            np.add(y, level_h, out=scratch)
+            np.divide(scratch, lift, out=scratch)
+            np.maximum(y, scratch, out=y)
     if reflect:
-        y = np.maximum(y, h)
-    n_clamped = int(np.sum(np.abs(y) > clamp))
-    if n_clamped:
-        y = np.clip(y, -clamp, clamp)
-    return y, n_clamped
+        np.maximum(y, h, out=y)
+    lo, hi = (y.min(), y.max()) if y.size else (0.0, 0.0)
+    n_clamped = 0
+    if not -clamp <= lo <= hi <= clamp:
+        n_clamped = int(np.count_nonzero(np.abs(y) > clamp))
+        if n_clamped:
+            np.clip(y, -clamp, clamp, out=y)
+            lo, hi = y.min(), y.max()
+    return y, n_clamped, bool(np.isfinite(lo) and np.isfinite(hi))
 
 
 def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
@@ -461,43 +493,49 @@ class _Variant:
             self.y_all, self.z_all, self.v_all = keep
             self.y_all[n] = y
 
-    def step(self, k, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp):
-        """Step k of this variant on the shared regression setup ``reg``."""
-        dt = paths.grid.dt
+    def targets(self, k, reg, cy, paths, dmu):
+        """Step k up to its second fit, from the y fit ``cy``: the conditional
+        expectation, kept for ``step``, and the z and jump-functional
+        regression targets, which it returns."""
         d = paths.dim
-        y = self.y
-        cy, info = reg.fit(y)
-        cy = cy[..., 0]
-        cond_exp = reg.predict(cy)
+        self.coef_y[k] = cy[..., 0]
+        self.cond_exp = reg.predict(self.coef_y[k])
         # center the martingale-increment regressions on the fitted
         # conditional expectation: same projection, exact on constants,
         # much lower variance
-        resid = y - cond_exp
-        targets = np.empty((y.size, d + dmu.shape[0]))
-        targets[:, :d] = resid[:, None] * paths.brownian[k]
+        resid = self.y - self.cond_exp
+        targets = np.empty((resid.size, d + dmu.shape[0]))
+        np.multiply(resid[:, None], paths.brownian[k], out=targets[:, :d])
         for i in range(dmu.shape[0]):
-            targets[:, d + i] = resid * dmu[i, k]
+            np.multiply(resid, dmu[i, k], out=targets[:, d + i])
+        self.diag["resid"][k] = float(np.sqrt(np.mean(np.square(resid, out=resid))))
+        return targets
+
+    def step(self, k, reg, czv, paths, driver, t_k, h_k, picard_iters, clamp):
+        """The rest of step k, from the fit ``czv`` of the ``targets``: the
+        z and jump-functional fields, ``_step_value`` and the diagnostics."""
+        dt = paths.grid.dt
+        d = paths.dim
         # scale before predicting: the path values come from exactly the
         # stored coefficients, as in evaluate_u
-        czv = reg.fit(targets)[0] / dt
+        czv = czv / dt
         pred = reg.predict(czv)
         z = pred[:, :d]
         vb = pred[:, d:]
 
-        self.coef_y[k] = cy
         self.coef_z[k] = np.moveaxis(czv[..., :d], -1, 0)
         self.coef_v[k] = np.moveaxis(czv[..., d:], -1, 0)
 
-        ynew, n_clamped = _step_value(driver, t_k, paths.states[k], cond_exp, z, vb, dt,
-                                      picard_iters, h_k, self.penalty_level * dt,
-                                      self.reflect, clamp)
-        if not np.isfinite(ynew).all():
+        ynew, n_clamped, finite = _step_value(driver, t_k, paths.states[k], self.cond_exp, z,
+                                              vb, dt, picard_iters, h_k,
+                                              self.penalty_level * dt, self.reflect, clamp)
+        self.cond_exp = None
+        if not finite:
             raise NumericError(f"non-finite backward value at step {k}")
 
-        self.diag["cond"][k] = info["cond"]
-        self.diag["degenerate"][k] = info["degenerate"]
-        self.diag["ridge"][k] = info["ridge"]
-        self.diag["resid"][k] = float(np.sqrt(np.mean(resid ** 2)))
+        self.diag["cond"][k] = reg.info["cond"]
+        self.diag["degenerate"][k] = reg.info["degenerate"]
+        self.diag["ridge"][k] = reg.info["ridge"]
         self.diag["clamped"][k] = n_clamped
 
         self.y = ynew
@@ -507,22 +545,47 @@ class _Variant:
             self.v_all[k] = vb
 
 
+def _fit_live(reg, live, targets):
+    """``reg.fits`` of one target per live variant: the (variant, coefficients)
+    pairs of the variants it fits, after a variant it cannot fit takes the
+    error that stops it (all of them, if the shared normal system is
+    singular)."""
+    try:
+        fits = reg.fits(targets)
+    except SingularRegressionError as exc:
+        fits = [exc] * len(live)
+    done = []
+    for v, coeffs in zip(live, fits):
+        if isinstance(coeffs, Exception):
+            v.error = coeffs
+        else:
+            done.append((v, coeffs))
+    return done
+
+
 def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters,
                    clamp, obstacle, observe=None, obstacle_values=None):
     """Backward induction for several (penalty_level, reflect, keep) variants.
 
     Each step builds the regression setup ``basis.prepare(x_k)`` and the
     obstacle values h(t_k, x_k) once (or reads them from
-    ``obstacle_values``, h along the paths); every variant then runs its
-    own fits, predictions and ``_step_value`` on them, so its coefficients
-    and values are those of a pass of its own, bit for bit.  Only variants
-    with ``keep`` store their path arrays; the others come back with
-    ``y``/``z``/``vbar`` None.  ``keep`` may also be the path arrays of a
-    solution that is done with, which the variant then overwrites.  A variant that goes non-finite stops updating
-    and comes back as the error that stopped it; the others go on.
-    ``observe(k, ys)``, if given, sees each variant's new values at every
-    step (None once stopped).  Without ``clamp`` one default bound, with
-    the obstacle if any variant uses it, serves all.
+    ``obstacle_values``, h along the paths), and runs the live variants in
+    two stages on them.  First all y fits, then, after each variant's
+    ``targets``, all fits of the z and jump-functional targets; each stage
+    takes one right-hand-side product per variant and one solve for all
+    (``fits``), and ``step`` finishes each variant.  A solve with a leading
+    variant axis repeats each variant's own solve, so every variant's
+    coefficients and values are those of a pass of its own, bit for bit.
+    A variant whose fit or value goes non-finite stops updating and comes
+    back as the error that stopped it; the others go on.  A singular shared
+    normal system stops them all.
+
+    Only variants with ``keep`` store their path arrays; the others come
+    back with ``y``/``z``/``vbar`` None.  ``keep`` may also be the path
+    arrays of a solution that is done with, which the variant then
+    overwrites.  ``observe(k, ys)``, if given, sees each variant's new
+    values at every step (None once stopped).  Without ``clamp`` one default
+    bound, with the obstacle if any variant uses it, serves all.
     """
     grid = paths.grid
     dt = grid.dt
@@ -566,10 +629,14 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
         h_k = None
         if obstacle is not None:
             h_k = obstacle(t_k, xk) if obstacle_values is None else obstacle_values[k]
-        for v in live:
+        fitted = _fit_live(reg, live, [v.y for v in live])
+        live = [v for v, _ in fitted]
+        # the targets are built one variant at a time, as the fit consumes them
+        for v, czv in _fit_live(reg, live, (v.targets(k, reg, cy, paths, dmu)
+                                            for v, cy in fitted)):
             try:
-                v.step(k, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp)
-            except (NumericError, SingularRegressionError) as exc:
+                v.step(k, reg, czv, paths, driver, t_k, h_k, picard_iters, clamp)
+            except NumericError as exc:
                 v.error = exc
         del reg  # one step's design at a time
         if observe is not None:

@@ -5,7 +5,7 @@
 
 Tasks: simulate, solve, solve-obstacle, oracle, normcheck, compare.  The
 task on the command line must match the config's task field.  Exit codes:
-0 success, 1 error, 2 criterion failure.
+0 success, 1 error (a usage error included), 2 criterion failure.
 """
 
 from __future__ import annotations
@@ -22,8 +22,17 @@ from .runner import EXIT_ERROR, run_experiment
 __all__ = ["main", "build_parser"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on the input-error exit code: its own
+    code, 2, is this CLI's criterion failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="solver",
         description="PIDE / obstacle-problem solver: declarative experiment runner.")
     sub = parser.add_subparsers(dest="task", required=True, metavar="task")

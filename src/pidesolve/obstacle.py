@@ -62,7 +62,11 @@ def _increments(level, dt, h, y):
     # n (y - h)^- dt elementwise, for whole paths or one step
     if level <= 0:
         return np.zeros(np.shape(y))
-    return level * np.maximum(h - y, 0.0) * dt
+    dk = np.subtract(h, y)
+    np.maximum(dk, 0.0, out=dk)
+    dk *= level
+    dk *= dt
+    return dk
 
 
 def obstacle_along_paths(obstacle, paths):
@@ -102,8 +106,9 @@ def coverage_mask(states, eval_x, quantiles=(0.005, 0.995), margin=None):
     eval_x = np.asarray(eval_x, float)
     if margin is None:
         margin = 2.0 * (eval_x[-1] - eval_x[0]) / max(eval_x.size - 1, 1)
-    lo = np.quantile(states[:, :, 0], quantiles[0], axis=1) - margin
-    hi = np.quantile(states[:, :, 0], quantiles[1], axis=1) + margin
+    lo, hi = np.quantile(states[:, :, 0], quantiles, axis=1)
+    lo -= margin
+    hi += margin
     return (eval_x[None, :] >= lo[:, None]) & (eval_x[None, :] <= hi[:, None])
 
 
@@ -180,10 +185,12 @@ class _FlatOffDefect:
         self.sup_gap = float(np.abs(y_terminal - h_terminal).max())
 
     def add(self, y, h, dk):
-        gap = np.abs(y - h)
-        self.raw += gap * dk
-        self.k_total += dk
+        gap = np.subtract(h, y)  # |h - y| is |y - h| exactly
+        np.abs(gap, out=gap)
         self.sup_gap = max(self.sup_gap, float(gap.max()))
+        gap *= dk
+        self.raw += gap
+        self.k_total += dk
 
     def report(self):
         raw = float(np.mean(self.raw))

@@ -339,8 +339,10 @@ def binomial_american(s0, strike, rate, sigma, horizon, steps, kind="put"):
     p = (math.exp(rate * dt) - d) / (u - d)
     p = min(max(p, 0.0), 1.0)
 
+    # s0 u^j and d^j once; step i's prices are (s0 u^j) d^(i-j), j = 0..i
     j = np.arange(steps + 1)
-    prices = s0 * u**j * d ** (steps - j)
+    up, down = s0 * u**j, d**j
+    prices = up * down[::-1]
     if kind == "call":
         payoff = lambda s: np.maximum(s - strike, 0.0)
     elif kind == "put":
@@ -350,8 +352,7 @@ def binomial_american(s0, strike, rate, sigma, horizon, steps, kind="put"):
     values = payoff(prices)
     for i in range(steps - 1, -1, -1):
         values = disc * (p * values[1:i + 2] + (1 - p) * values[:i + 1])
-        j = np.arange(i + 1)
-        prices = s0 * u**j * d ** (i - j)
+        prices = up[:i + 1] * down[i::-1]
         values = np.maximum(values, payoff(prices))
     return float(values[0])
 

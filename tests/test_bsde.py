@@ -8,7 +8,7 @@ from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis,
                             default_clamp_bound, evaluate_u, evaluate_z,
                             make_basis, solve_bsde)
 from pidesolve.errors import (ContractionError, DomainError,
-                              ZeroDenominatorError)
+                              SingularRegressionError, ZeroDenominatorError)
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (DriverSpec, WeightFunction, discount_driver,
                              named_model, scalar_model, zero_driver)
@@ -200,6 +200,71 @@ def test_local_predict_matches_per_point_evaluation(local_2d):
         zk = 2.0 * (pt - (basis.lo + (idx + 0.5) * widths)) / widths
         expect[i] = c[0] + zk[0] * c[1] + zk[1] * c[2]
     assert np.allclose(basis.predict(coeffs, xq), expect, rtol=0.0, atol=1e-12)
+
+
+def _fit_alone(reg, targets):
+    # one target's fit with its own right-hand side and its own solve, as
+    # before fits were batched: no leading batch axis anywhere
+    t = targets[:, None] if targets.ndim == 1 else targets
+    rhs = reg.phi_t @ t
+    if not hasattr(reg, "blocks"):
+        return np.linalg.solve(reg.ridged, rhs)
+    rhs = rhs.reshape(reg.coef_shape + (-1,))
+    coeffs = np.zeros(rhs.shape)
+    coeffs[reg.thin, 0, :] = rhs[reg.thin, 0, :] / reg.counts[reg.thin, None]
+    coeffs[reg.full] = np.linalg.solve(reg.blocks, rhs[reg.full])
+    coeffs[reg.empty, 0, :] = coeffs[reg.donor, 0, :]
+    return coeffs
+
+
+def _batch_case(kind, dim):
+    # points that leave the local basis thin and empty cells in 1-d and 2-d
+    rng = np.random.default_rng(10 + dim)
+    lo, hi = -3.0 * np.ones(dim), 3.0 * np.ones(dim)
+    x = np.vstack([rng.normal(0.0, 0.6, size=(3000, dim)), np.full((3, dim), 2.3)])
+    basis = (LocalAffineBasis(12 if dim == 1 else (6, 5), (lo, hi)) if kind == "local"
+             else PolynomialBasis(4 if dim == 1 else 3, (lo, hi)))
+    reg = basis.prepare(x)
+    if kind == "local":
+        assert reg.thin.any() and reg.empty.any() and reg.full.any()
+    return x, reg
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["local", "poly"])
+def test_batched_fits_equal_each_targets_own_fit(kind, dim, cols):
+    # one solve with a leading batch axis gives every target the bits of
+    # its own fit, and of a solve with no batch axis at all
+    x, reg = _batch_case(kind, dim)
+    rng = np.random.default_rng(cols)
+    batch = []
+    for i in range(5):
+        t = np.sin((i + 1) * x[:, :1] + rng.normal(size=(x.shape[0], cols))) * np.exp(x[:, -1:])
+        batch.append(t[:, 0] if cols == 1 else t)
+    fits = reg.fits(batch)
+    assert len(fits) == len(batch)
+    for t, coeffs in zip(batch, fits):
+        own, _ = reg.fit(t)
+        assert coeffs.shape == reg.coef_shape + (cols,)
+        assert np.array_equal(coeffs, own)
+        assert np.array_equal(coeffs, _fit_alone(reg, t))
+
+
+@pytest.mark.parametrize("kind", ["local", "poly"])
+def test_batched_fit_overflow_flags_only_its_target(kind):
+    # a target whose cell sums overflow to inf fails alone; the others keep
+    # the bits of their own fits
+    x, reg = _batch_case(kind, 1)
+    good = [np.cos(x[:, 0]), x[:, 0] ** 2]
+    huge = np.full(x.shape[0], 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fits = reg.fits([good[0], huge, good[1]])
+        with pytest.raises(SingularRegressionError):
+            reg.fit(huge)
+    assert isinstance(fits[1], SingularRegressionError)
+    for t, coeffs in zip(good, fits[::2]):
+        assert np.array_equal(coeffs, reg.fit(t)[0])
 
 
 def test_make_basis():
@@ -425,6 +490,8 @@ def test_evaluate_u_reproduces_path_values(kind, mode):
             assert np.array_equal(evaluate_u(sol, k, paths.states[k]), sol.y[k]), k
         for k in range(sol.n_steps):
             assert np.array_equal(evaluate_z(sol, k, paths.states[k]), sol.z[k]), k
+        # and on no points at all it returns no values
+        assert evaluate_u(sol, 0, np.empty((0, 1))).shape == (0,)
 
 
 def test_evaluate_u_terminal_slice(heat_model, heat_bundle, poly_basis):

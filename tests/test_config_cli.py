@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pidesolve
 from pidesolve.cli import main as cli_main
 from pidesolve.config import validate_config
 from pidesolve.errors import ConfigError, GridMismatchError, SchemaError
@@ -663,3 +665,32 @@ def test_cli_help_with_bad_threads_env(monkeypatch, capsys):
         cli_main(["solve", "--help"])
     assert exc.value.code == 0
     assert "--threads" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "x.json", "--seed", "abc"],
+    ["solve"],
+    ["solve", "--config", "x.json", "--bogus"],
+    ["nosuchtask", "--config", "x.json"],
+    [],
+], ids=["seed-text", "no-config", "unknown-option", "unknown-task", "no-task"])
+def test_cli_usage_error_is_an_input_error(argv, capsys):
+    # exit code 2 means a missed criterion, so a command line that does not
+    # parse must not exit with argparse's own 2
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("usage: solver") and "error: " in err
+
+
+def test_cli_usage_error_exit_status(tmp_path):
+    # the status a shell sees, through `python -m pidesolve.cli`
+    src = str(Path(pidesolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pidesolve.cli", "solve", "--config",
+                           str(tmp_path / "x.json"), "--seed", "abc"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_ERROR
+    assert "invalid int value: 'abc'" in proc.stderr

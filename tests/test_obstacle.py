@@ -10,7 +10,7 @@ from pidesolve.errors import DomainError, NoConvergenceError, NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (ObstacleSpec, WeightFunction, discount_driver,
                              named_model, zero_driver)
-from pidesolve.obstacle import (default_schedule, estimate_reflection_measure,
+from pidesolve.obstacle import (coverage_mask, default_schedule, estimate_reflection_measure,
                                 obstacle_along_paths, penalty_increments, penalty_norm,
                                 skorokhod_gap, solve_penalized, solve_reflected,
                                 support_check)
@@ -160,6 +160,39 @@ def test_skorokhod_trivia(bs_put_setup):
     dk = penalty_increments(pen, lvals)
     rep = skorokhod_gap(pen, lvals, dk)
     assert rep.raw == 0.0 and rep.normalized == 0.0
+
+
+def test_flat_off_defect_equals_its_formula(reflected_put):
+    # the in-place increments and defect against their formulas:
+    # dK = n (L - Y)^- dt, and sums of |Y - L| dK, of dK and the sup of |Y - L|
+    sol, lvals = reflected_put.solution, reflected_put.obstacle_values
+    dt = sol.grid.dt
+    dk = sol.penalty_level * np.maximum(lvals[:-1] - sol.y[:-1], 0.0) * dt
+    assert np.array_equal(penalty_increments(sol, lvals), dk)
+    raw, k_total = np.zeros(sol.y.shape[1]), np.zeros(sol.y.shape[1])
+    sup_gap = float(np.abs(sol.y[-1] - lvals[-1]).max())
+    for k in range(sol.n_steps - 1, -1, -1):
+        gap = np.abs(sol.y[k] - lvals[k])
+        raw += gap * dk[k]
+        k_total += dk[k]
+        sup_gap = max(sup_gap, float(gap.max()))
+    rep = skorokhod_gap(sol, lvals, dk)
+    assert rep.raw == float(np.mean(raw)) > 0.0
+    assert rep.normalized == rep.raw / (float(np.mean(k_total)) * sup_gap)
+
+
+@pytest.mark.parametrize("quantiles, margin", [((0.005, 0.995), None), ((0.1, 0.75), 0.3)])
+def test_coverage_mask_equals_separate_quantiles(bs_put_setup, quantiles, margin):
+    # one quantile call for both bounds gives the bounds of one call each
+    _, paths, _ = bs_put_setup
+    eval_x = np.linspace(60.0, 160.0, 101)
+    pad = 2.0 * (eval_x[-1] - eval_x[0]) / 100 if margin is None else margin
+    lo = np.quantile(paths.states[:, :, 0], quantiles[0], axis=1) - pad
+    hi = np.quantile(paths.states[:, :, 0], quantiles[1], axis=1) + pad
+    expect = (eval_x[None, :] >= lo[:, None]) & (eval_x[None, :] <= hi[:, None])
+    got = coverage_mask(paths.states, eval_x, quantiles, margin)
+    assert got.any() and not got.all()
+    assert np.array_equal(got, expect)
 
 
 def test_skorokhod_decreases_along_schedule(reflected_put):

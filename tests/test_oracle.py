@@ -289,6 +289,39 @@ def test_binomial_one_step_hand_value():
         == pytest.approx(0.0, abs=1e-9)
 
 
+def _binomial_american_by_powers(s0, strike, rate, sigma, horizon, steps, kind):
+    # the tree with each step's prices taken by their own powers
+    dt = horizon / steps
+    sigma = sigma if sigma > 0 else 1e-12
+    u = math.exp(sigma * math.sqrt(dt))
+    d = 1.0 / u
+    disc = math.exp(-rate * dt)
+    p = min(max((math.exp(rate * dt) - d) / (u - d), 0.0), 1.0)
+    if kind == "call":
+        payoff = lambda s: np.maximum(s - strike, 0.0)
+    else:
+        payoff = lambda s: np.maximum(strike - s, 0.0)
+    j = np.arange(steps + 1)
+    values = payoff(s0 * u**j * d ** (steps - j))
+    for i in range(steps - 1, -1, -1):
+        values = disc * (p * values[1:i + 2] + (1 - p) * values[:i + 1])
+        j = np.arange(i + 1)
+        values = np.maximum(values, payoff(s0 * u**j * d ** (i - j)))
+    return float(values[0])
+
+
+@pytest.mark.parametrize("steps", [1, 2, 777, 2000])
+@pytest.mark.parametrize("kind", ["put", "call"])
+def test_binomial_american_equals_per_step_powers(kind, steps):
+    # the tree takes u^j and d^j once and slices them per step; the prices
+    # must be the per-step powers bit for bit, also where sigma <= 0 stands in
+    # for a tiny volatility
+    for s0, strike, rate, sigma in ((100.0, 100.0, 0.05, 0.2), (90.0, 110.0, 0.03, 0.45),
+                                    (100.0, 95.0, 0.05, 0.0), (100.0, 105.0, 0.02, -0.1)):
+        got = binomial_american(s0, strike, rate, sigma, 1.0, steps, kind)
+        assert got == _binomial_american_by_powers(s0, strike, rate, sigma, 1.0, steps, kind)
+
+
 def test_binomial_american_dominates_european():
     for steps in (11, 100, 501):
         amer = binomial_american(100, 110, 0.05, 0.25, 1.0, steps, "put")
