@@ -602,13 +602,8 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     elif obstacle is None:
         raise ValueError("penalty or reflection requires an obstacle")
 
-    n, m, d = grid.n_steps, paths.n_paths, paths.dim
-    q = driver.n_functionals
-    if q:
-        dmu = paths.dmu if (paths.dmu is not None and paths.dmu.shape[0] == q) \
-            else paths.compensated_increments(driver.functionals, model.jump_measure)
-    else:
-        dmu = np.zeros((0, n, m))
+    n, m, d, q = grid.n_steps, paths.n_paths, paths.dim, driver.n_functionals
+    dmu = paths.compensated_increments(driver.functionals, model.jump_measure)
 
     if clamp is None:
         clamp = default_clamp_bound(driver, terminal, paths, obstacle)

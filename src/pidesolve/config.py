@@ -8,6 +8,7 @@ blocks resolve to model / driver / terminal / obstacle / weight objects.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,9 @@ _NUMERIC_DEFAULTS = {
 _BASIS_DEFAULTS = {"kind": "poly", "degree": 4, "cells": 40, "box": None}
 _NORMCHECK_DEFAULTS = {"radius": 9.0, "n_panels": 18, "nodes_per_panel": 8,
                        "s_list": (0.1, 0.5, 1.0)}
-# the market of the closed-form oracles (merton series, binomial tree): the
-# values the runner uses for keys an oracle block leaves out
+# the market keys of the oracle task's closed forms (merton series, binomial
+# tree) and the values the runner uses for keys its block leaves out; a
+# compare oracle's market is derived from the config (_compare_market)
 _ORACLE_MARKET = {"s0": 100.0, "strike": 100.0, "rate": 0.05, "sigma": 0.2,
                   "horizon": 1.0, "intensity": 0.0, "jump_mean": 0.0, "jump_sd": 1e-8}
 # the params each named block accepts; driver params default to 0 and an
@@ -239,7 +241,7 @@ def validate_config(raw):
     out["numerics"] = _norm_numerics(raw.get("numerics", {}))
 
     if "oracle" in raw:
-        out["oracle"] = _norm_oracle(raw["oracle"])
+        out["oracle"] = _norm_oracle(raw["oracle"], "oracle", (*_ORACLE_MARKET, "option"))
     if "normcheck" in raw:
         out["normcheck"] = _norm_normcheck(raw["normcheck"])
     if "compare" in raw:
@@ -356,22 +358,23 @@ def _norm_numerics(block):
     return num
 
 
-def _norm_oracle(block):
-    _expect(block, dict, "oracle")
-    allowed = {"kind", "strike", "s0", "rate", "sigma", "horizon", "steps",
-               "option", "intensity", "jump_mean", "jump_sd", "n_terms",
-               "x_lo", "x_hi", "n_space", "n_time", "bc"}
-    _check_keys(block, allowed, "oracle")
-    out = {"kind": _expect_choice(block.get("kind"), ("fd", "merton", "binomial"), "oracle.kind")}
+def _norm_oracle(block, path, market=()):
+    """An oracle block: its kind, grid and step counts, and the market keys
+    given; a compare oracle takes none (its market is the config's own)."""
+    _expect(block, dict, path)
+    allowed = {"kind", "horizon", "steps", "n_terms", "x_lo", "x_hi", "n_space",
+               "n_time", "bc", *market}
+    _check_keys(block, allowed, path)
+    out = {"kind": _expect_choice(block.get("kind"), ("fd", "merton", "binomial"), f"{path}.kind")}
     for key in allowed - {"kind", "option", "bc", "steps", "n_space", "n_time", "n_terms"}:
         if key in block:
-            out[key] = _expect_num(block[key], f"oracle.{key}")
+            out[key] = _expect_num(block[key], f"{path}.{key}")
     for key in ("steps", "n_space", "n_time", "n_terms"):
         if key in block:
-            out[key] = _expect_count(block[key], f"oracle.{key}")
+            out[key] = _expect_count(block[key], f"{path}.{key}")
     for key, choices in (("option", ("call", "put")), ("bc", ("dirichlet", "linear"))):
         if key in block:
-            out[key] = _expect_choice(block[key], choices, f"oracle.{key}")
+            out[key] = _expect_choice(block[key], choices, f"{path}.{key}")
     return out
 
 
@@ -395,7 +398,7 @@ def _norm_compare(block):
     _check_keys(block, {"oracle", "tol_rel", "region", "x_grid_n"}, "compare")
     if "oracle" not in block:
         raise ConfigError("compare.oracle is required")
-    out = {"oracle": _norm_oracle(block["oracle"]),
+    out = {"oracle": _norm_oracle(block["oracle"], "compare.oracle"),
            "tol_rel": _expect_num(block.get("tol_rel", 0.01), "compare.tol_rel")}
     # the solver grid spans [0, 1]; an oracle on another horizon would
     # answer a different problem
@@ -413,53 +416,54 @@ def _norm_compare(block):
         out["region"] = [_expect_num(region[0], "compare.region[0]"),
                          _expect_num(region[1], "compare.region[1]")]
     out["x_grid_n"] = _expect_count(block.get("x_grid_n", 1), "compare.x_grid_n")
-    # a closed-form oracle prices the one spot s0; every other grid point
+    # a closed-form oracle prices the one spot x0; every other grid point
     # would be checked against that one price
     if out["x_grid_n"] > 1 and out["oracle"]["kind"] != "fd":
         raise ConfigError(
             f"compare.x_grid_n = {out['x_grid_n']} but a {out['oracle']['kind']} oracle "
-            f"prices the one spot s0; use an fd oracle or x_grid_n = 1")
+            f"prices the one spot x0; use an fd oracle or x_grid_n = 1")
     return out
 
 
-def _check_compare_oracle(out):
-    """A closed-form compare oracle must price the problem the solver solves:
-    its rate, volatility and jump law equal the model's (and the rate a
-    discount driver's), defaults filled in on both sides.  A binomial tree
-    has no jumps, nor has a model without a jump intensity."""
-    oracle = out["compare"]["oracle"]
-    if oracle["kind"] not in ("merton", "binomial"):
-        return
-    theirs = {**_ORACLE_MARKET, **oracle}
-    if oracle["kind"] == "binomial":
-        theirs["intensity"] = 0.0
-    model, driver = out["model"], out["driver"]
-    if model["name"] == "custom":
-        measure = model["params"].get("measure")
-        values = {}
-        intensity = ("model.params.measure.intensity",
-                     measure.get("intensity", 1.0) if measure else 0.0)
-    else:
-        values = {**PRESET_PARAMS[model["name"]], **model["params"]}
-        intensity = (("model.params.intensity", values["intensity"]) if "intensity" in values
-                     else (f"the intensity of model {model['name']!r}", 0.0))
-    checks = [(key, "model.params." + pkey, values[pkey])
-              for key, pkey in (("rate", "r"), ("sigma", "sigma")) if pkey in values]
-    if driver["name"] == "discount":
-        checks.append(("rate", "driver.params.rate", driver["params"].get("rate", 0.0)))
-    checks.append(("intensity",) + intensity)
-    if intensity[1] > 0:
-        checks += [(key, "model.params." + key, values.get(key))
-                   for key in ("jump_mean", "jump_sd")]
-    for key, path, value in checks:
-        if value is None:
-            raise ConfigError(
-                f"compare.oracle prices lognormal jumps but model {model['name']!r} "
-                f"has other jumps; the oracle would price another problem")
-        if float(value) != theirs[key]:
-            raise ConfigError(
-                f"compare.oracle.{key} = {theirs[key]} but {path} = {value}; the oracle "
-                f"would price another problem")
+def _compare_market(out):
+    """The market a closed-form compare oracle prices, read off the config:
+    a ``bs`` model in price space, a ``merton`` one in log-price with its
+    jump law, the terminal's strike and option, the solver's horizon.  A
+    problem the closed form does not price is a ``ConfigError``."""
+    kind, name = out["compare"]["oracle"]["kind"], out["model"]["name"]
+    terminal, driver, obstacle = out["terminal"], out["driver"], out.get("obstacle")
+    if name not in ("bs", "merton"):
+        raise ConfigError(f"a {kind} compare oracle prices a bs or merton model, "
+                          f"not {name!r}; use an fd oracle")
+    params = {**PRESET_PARAMS[name], **out["model"]["params"]}
+    options = {("exp-" if name == "merton" else "") + o: o for o in ("call", "put")}
+    if terminal["name"] not in options:
+        raise ConfigError(f"a {kind} compare oracle prices a {' or '.join(options)} "
+                          f"terminal under model {name!r}, not {terminal['name']!r}")
+    rate = {"zero": 0.0, "discount": driver["params"].get("rate", 0.0)}.get(driver["name"])
+    if rate != params["r"]:
+        raise ConfigError(f"a {kind} compare oracle discounts at model.params.r = {params['r']}"
+                          f", driver {driver['name']!r} "
+                          + ("is not linear" if rate is None else f"at {rate}"))
+    x0 = out["numerics"]["x0"]
+    if name == "bs" and x0 <= 0:
+        raise ConfigError(f"a {kind} compare oracle needs a positive spot, not numerics.x0 = {x0}")
+    market = {"s0": math.exp(x0) if name == "merton" else x0,
+              "strike": terminal["params"].get("strike", 1.0), "rate": params["r"],
+              "sigma": params["sigma"], "horizon": 1.0,
+              "intensity": params.get("intensity", 0.0), "jump_mean": params.get("jump_mean", 0.0),
+              "jump_sd": params.get("jump_sd", 0.0), "option": options[terminal["name"]]}
+    if kind == "merton" and obstacle is not None:
+        raise ConfigError("a merton compare oracle prices a European claim; "
+                          "drop the obstacle or use a binomial or fd oracle")
+    if kind == "binomial" and (obstacle is None or obstacle["name"] != terminal["name"] or
+                               obstacle["params"].get("strike", 1.0) != market["strike"]):
+        raise ConfigError("a binomial compare oracle prices an American claim; "
+                          "the obstacle must be the terminal payoff, strike included")
+    if kind == "binomial" and market["intensity"] != 0:
+        raise ConfigError(f"a binomial compare oracle has no jumps but "
+                          f"model.params.intensity = {market['intensity']}")
+    return market
 
 
 def _check_task_requirements(task, out):
@@ -476,8 +480,8 @@ def _check_task_requirements(task, out):
         need("compare")
     if task == "oracle":
         need("oracle")
-    if task == "compare":
-        _check_compare_oracle(out)
+    if task == "compare" and out["compare"]["oracle"]["kind"] != "fd":
+        _compare_market(out)
     if task == "solve-obstacle" or (task == "compare" and "obstacle" in out):
         kappa = out["obstacle"]["params"].get("kappa", 1.0)
         weight = WeightFunction(out["weight"]["p"])

@@ -28,7 +28,6 @@ import contextlib
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -91,9 +90,7 @@ class PathBundle:
     ``states`` has shape (n_steps+1, n_paths, dim), ``brownian`` the per-step
     Brownian increments (n_steps, n_paths, dim).  Jumps are stored per step
     as parallel arrays (owning path index, absolute time, mark), sorted by
-    path then time.  ``dmu`` holds precomputed compensated functional
-    increments, shape (q, n_steps, n_paths), when functionals were supplied
-    at simulation time.
+    path then time.
     """
 
     grid: TimeGrid
@@ -105,7 +102,6 @@ class PathBundle:
     jump_marks: tuple
     seed: int
     key_offset: int = 0
-    dmu: Optional[np.ndarray] = None
 
     @property
     def n_paths(self):
@@ -294,7 +290,7 @@ def _as_start(x0, n_paths, dim):
     return x0.copy()
 
 
-def simulate_paths(model, grid, x0, n_paths, seed, functionals=(), key_offset=0):
+def simulate_paths(model, grid, x0, n_paths, seed, key_offset=0):
     """Simulate the forward jump diffusion on the grid.
 
     ``x0`` is a point (all paths start there) or an (n_paths, dim) array of
@@ -328,14 +324,11 @@ def simulate_paths(model, grid, x0, n_paths, seed, functionals=(), key_offset=0)
             jt.append(grid.t0 + k * dt + offs_k)
             jm.append(marks_k)
 
-    bundle = PathBundle(
+    return PathBundle(
         grid=grid, states=states, brownian=brownian, jump_counts=counts_all,
         jump_paths=tuple(jp), jump_times=tuple(jt), jump_marks=tuple(jm),
         seed=seed, key_offset=key_offset,
     )
-    if functionals:
-        bundle.dmu = bundle.compensated_increments(functionals, model.jump_measure)
-    return bundle
 
 
 def check_flow_property(model, t, s, r, x0, n_paths, seed, n_steps):

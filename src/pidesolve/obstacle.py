@@ -205,13 +205,12 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
 
     Stops when the weighted space-time norm of (u_n - h)^- falls below
     ``tol`` or the schedule is exhausted; the trace records per level the
-    penalty norm, flat-off defect, weighted measure mass and the value at
-    the initial time, and after the first level ``min_step_up``, the least
-    u_n - u_{n-1} on the path-covered evaluation grid.  Also runs the
-    direct-reflection cross-check (y <- max(y, h) inside the backward loop)
-    on the same paths and reports the gap between the two u fields.  With
-    ``strict`` the exhausted schedule raises; otherwise the result is
-    returned flagged.
+    penalty norm, flat-off defect and the value at the initial time, and
+    after the first level ``min_step_up``, the least u_n - u_{n-1} on the
+    path-covered evaluation grid.  Also runs the direct-reflection
+    cross-check (y <- max(y, h) inside the backward loop) on the same paths
+    and reports the gap between the two u fields.  With ``strict`` the
+    exhausted schedule raises; otherwise the result is returned flagged.
 
     The schedule runs in chunks of levels, each chunk one backward pass
     that builds each step's regression setup once for all its levels (see
@@ -299,9 +298,8 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         for i, level in enumerate(chunk):
             ufield = _u_field(_solution(runs[i]), points, hfield)
             pnorm = penalty_norm(ufield, hfield, weight, eval_x, dt, cover)
-            pi_n = level * weighted_sum(np.maximum(hfield - ufield, 0.0) * cover)
             entry = {"level": level, "penalty_norm": pnorm,
-                     "skorokhod": defects[i].report().normalized, "pi": pi_n, "u0": u0s[i]}
+                     "skorokhod": defects[i].report().normalized, "u0": u0s[i]}
             if fields:
                 # monotonicity in the level: u_n - u_{n-1} on path-covered samples
                 entry["min_step_up"] = float(np.min((ufield - fields[-1])[cover],

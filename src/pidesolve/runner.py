@@ -21,7 +21,8 @@ import numpy as np
 
 from . import forward, normcheck, obstacle as obstacle_mod, oracle as oracle_mod
 from .bsde import _zv_coeffs, evaluate_u, make_basis, solve_bsde
-from .config import _NORMCHECK_DEFAULTS, _ORACLE_MARKET, ExperimentConfig, validate_config
+from .config import (_NORMCHECK_DEFAULTS, _ORACLE_MARKET, ExperimentConfig, _compare_market,
+                     validate_config)
 from .errors import ConfigError, GridMismatchError, SolverError
 from .forward import TimeGrid, simulate_paths
 
@@ -167,20 +168,18 @@ def _basis_from(cfg, paths):
     return make_basis(bb["kind"], (lo, hi), bb["degree"], bb["cells"])
 
 
-def _simulate(cfg, model, driver=None):
+def _simulate(cfg, model):
     grid = _build_grid(cfg)
     rng = np.random.default_rng(cfg.seed)
     x0 = _starts(cfg, rng)
-    functionals = driver.functionals if driver is not None else ()
-    return simulate_paths(model, grid, x0, cfg.numerics["paths"], cfg.seed,
-                          functionals=functionals)
+    return simulate_paths(model, grid, x0, cfg.numerics["paths"], cfg.seed)
 
 
 def _backward_problem(cfg):
     """Model, driver, terminal, simulated paths and basis of a solving task."""
     model = cfg.build_model()
     driver = cfg.build_driver()
-    paths = _simulate(cfg, model, driver)
+    paths = _simulate(cfg, model)
     return model, driver, cfg.build_terminal(), paths, _basis_from(cfg, paths)
 
 
@@ -392,7 +391,10 @@ def _task_compare(cfg, out_dir):
     u_solver = evaluate_u(sol, 0, xq[:, None])
     _write_xu_csv(os.path.join(out_dir, "solver_u0.csv"), xq, u_solver)
 
-    _, oracle_artifacts, u0_at = _oracle_eval(cmp_block["oracle"], cfg, out_dir, tag="_cmp")
+    spec = cmp_block["oracle"]
+    if spec["kind"] != "fd":
+        spec = {**spec, **_compare_market(cfg.raw)}
+    _, oracle_artifacts, u0_at = _oracle_eval(spec, cfg, out_dir, tag="_cmp")
     artifacts = ["solver_u0.csv", "oracle_u0.csv", "compare.csv"] + oracle_artifacts
     _write_xu_csv(os.path.join(out_dir, "oracle_u0.csv"), xq, u0_at(xq))
 

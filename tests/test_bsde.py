@@ -300,8 +300,7 @@ def test_constant_terminal_exact(heat_model, heat_bundle, poly_basis):
 def test_constant_with_jumps_vbar_vanishes(toy_model):
     drv = DriverSpec(f=lambda t, x, y, z, v: np.zeros_like(y),
                      functionals=(lambda e: e,), lipschitz=0.0)
-    b = simulate_paths(toy_model, TimeGrid(0, 1, 25), 0.0, 20_000, seed=101,
-                       functionals=drv.functionals)
+    b = simulate_paths(toy_model, TimeGrid(0, 1, 25), 0.0, 20_000, seed=101)
     sol = solve_bsde(toy_model, drv, lambda X: np.full(X.shape[0], 2.0), b,
                      PolynomialBasis(4, (-6, 6)))
     assert np.allclose(sol.y, 2.0, atol=1e-9)

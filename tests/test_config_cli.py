@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,9 @@ import pytest
 
 import pidesolve
 from pidesolve.cli import main as cli_main
-from pidesolve.config import validate_config
+from pidesolve.config import _compare_market, validate_config
 from pidesolve.errors import ConfigError, GridMismatchError, SchemaError
+from pidesolve.oracle import binomial_american
 from pidesolve.runner import (EXIT_CRITERION, EXIT_ERROR, EXIT_OK,
                               compare_report, run_experiment)
 
@@ -201,27 +204,17 @@ def test_task_requirements():
         validate_config({"task": "oracle", "seed": 1})
 
 
-def test_compare_horizon_must_match_solver():
-    # the solver grid spans [0, 1]: a compare oracle on another horizon
-    # would be checked against a different problem
-    oracle = {"kind": "binomial", "s0": 100, "strike": 100, "rate": 0.05,
-              "sigma": 0.2, "horizon": 0.5, "steps": 200, "option": "put"}
-    raw = {"task": "compare", "seed": 1,
-           "model": {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}},
-           "driver": {"name": "discount", "params": {"rate": 0.05}},
-           "terminal": {"name": "put", "params": {"strike": 100}},
-           "compare": {"oracle": oracle}}
-    with pytest.raises(ConfigError, match="horizon") as err:
-        validate_config(raw)
-    assert err.value.code == "E_CONFIG"
-    oracle["horizon"] = 1.0
-    validate_config(raw)
-    del oracle["horizon"]
-    validate_config(raw)
-    # the standalone oracle task answers its own problem and keeps its horizon
-    cfg = validate_config({"task": "oracle", "seed": 1,
-                           "oracle": dict(oracle, horizon=0.5)})
-    assert cfg.raw["oracle"]["horizon"] == 0.5
+def american_put_compare_config(**oracle):
+    # an American put without jumps against the binomial tree
+    return {"task": "compare", "seed": 5,
+            "model": {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}},
+            "driver": {"name": "discount", "params": {"rate": 0.05}},
+            "terminal": {"name": "put", "params": {"strike": 100}},
+            "obstacle": {"name": "put", "params": {"strike": 100}},
+            "numerics": {"grid_n": 10, "paths": 3000, "x0": 100.0,
+                         "basis": {"kind": "poly", "degree": 3}},
+            "compare": {"oracle": dict({"kind": "binomial", "steps": 200}, **oracle),
+                        "tol_rel": 0.05}}
 
 
 def merton_compare_config(**oracle):
@@ -232,22 +225,43 @@ def merton_compare_config(**oracle):
             "driver": {"name": "discount", "params": {"rate": 0.05}},
             "terminal": {"name": "exp-call", "params": {"strike": 100}},
             "numerics": {"grid_n": 50, "paths": 100000, "x0": 4.60517},
-            "compare": {"oracle": dict({"kind": "merton", "s0": 100, "strike": 100,
-                                        "rate": 0.05, "sigma": 0.2, "horizon": 1.0,
-                                        "intensity": 1.0, "jump_mean": -0.1,
-                                        "jump_sd": 0.15}, **oracle),
-                        "tol_rel": 0.01}}
+            "compare": {"oracle": dict({"kind": "merton"}, **oracle), "tol_rel": 0.01}}
+
+
+def bs_call_compare_config(**blocks):
+    # a European call without jumps against the series (Black-Scholes)
+    raw = {"task": "compare", "seed": 1,
+           "model": {"name": "bs"},
+           "driver": {"name": "discount", "params": {"rate": 0.05}},
+           "terminal": {"name": "call", "params": {"strike": 100}},
+           "numerics": {"x0": 100.0},
+           "compare": {"oracle": {"kind": "merton"}}}
+    raw.update(blocks)
+    return raw
+
+
+def test_compare_horizon_must_match_solver():
+    # the solver grid spans [0, 1]: a compare oracle on another horizon
+    # would be checked against a different problem
+    raw = american_put_compare_config(horizon=0.5)
+    with pytest.raises(ConfigError, match="horizon") as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+    raw["compare"]["oracle"]["horizon"] = 1.0
+    validate_config(raw)
+    del raw["compare"]["oracle"]["horizon"]
+    validate_config(raw)
+    # the standalone oracle task answers its own problem and keeps its horizon
+    oracle = {"kind": "binomial", "s0": 100, "strike": 100, "rate": 0.05,
+              "sigma": 0.2, "horizon": 0.5, "steps": 200, "option": "put"}
+    cfg = validate_config({"task": "oracle", "seed": 1, "oracle": oracle})
+    assert cfg.raw["oracle"]["horizon"] == 0.5
 
 
 def test_closed_form_compare_oracle_prices_one_spot():
-    # a merton or binomial oracle prices s0 alone: on an x-grid every point
+    # a merton or binomial oracle prices x0 alone: on an x-grid every point
     # would be checked against that one price
-    for kind in ("merton", "binomial"):
-        raw = merton_compare_config(kind=kind)
-        if kind == "binomial":
-            raw["model"] = {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}}
-            for key in ("intensity", "jump_mean", "jump_sd"):
-                del raw["compare"]["oracle"][key]
+    for raw in (merton_compare_config(), american_put_compare_config()):
         validate_config(raw)
         raw["compare"].update(region=[4.5, 4.7], x_grid_n=5)
         with pytest.raises(ConfigError, match="compare.x_grid_n") as err:
@@ -260,68 +274,153 @@ def test_closed_form_compare_oracle_prices_one_spot():
     assert validate_config(raw).raw["compare"]["x_grid_n"] == 5
 
 
-def test_compare_oracle_must_describe_the_model():
-    validate_config(merton_compare_config())
+@pytest.mark.parametrize("key, value", [
+    ("s0", 100), ("strike", 100), ("rate", 0.05), ("sigma", 0.2), ("intensity", 1.0),
+    ("jump_mean", -0.1), ("jump_sd", 0.15), ("option", "call")])
+def test_compare_oracle_market_keys_rejected(key, value):
+    # a compare oracle's market is the config's own; the oracle task's is not
+    with pytest.raises(ConfigError, match=f"unknown key at compare.oracle.{key}") as err:
+        validate_config(merton_compare_config(**{key: value}))
+    assert err.value.code == "E_CONFIG"
+    cfg = validate_config({"task": "oracle", "seed": 1,
+                           "oracle": {"kind": "merton", key: value}})
+    assert cfg.raw["oracle"][key] == value
+
+
+def _merton_with(**changes):
     raw = merton_compare_config()
-    raw["model"]["params"]["sigma"] = 0.3
-    with pytest.raises(ConfigError, match="compare.oracle.sigma.*model.params.sigma") as err:
+    raw["model"]["params"].update(changes)
+    return raw
+
+
+def _american_put_with(obstacle_strike=100, **numerics):
+    raw = american_put_compare_config()
+    raw["obstacle"]["params"]["strike"] = obstacle_strike
+    raw["numerics"].update(numerics)
+    return raw
+
+
+def _without_obstacle(raw):
+    del raw["obstacle"]
+    return raw
+
+
+# each row was accepted by the check that compared copied keys with the
+# model, and then compared against another problem; a market the oracle
+# restates is now an unknown key, and a derived one must be priceable
+MOTIVATION_ROWS = {
+    "x0-110-vs-oracle-s0-100": (
+        dict(_american_put_with(x0=110.0), compare={"oracle": {
+            "kind": "binomial", "s0": 100}}), "unknown key at compare.oracle.s0"),
+    "strike-120-vs-oracle-strike-100": (
+        dict(american_put_compare_config(strike=100),
+             terminal={"name": "put", "params": {"strike": 120}},
+             obstacle={"name": "put", "params": {"strike": 120}}),
+        "unknown key at compare.oracle.strike"),
+    "call-terminal-vs-binomial-put": (
+        dict(american_put_compare_config(option="put"),
+             terminal={"name": "call", "params": {"strike": 100}},
+             obstacle={"name": "call", "params": {"strike": 100}}),
+        "unknown key at compare.oracle.option"),
+    "exp-put-terminal-vs-merton-call": (
+        dict(merton_compare_config(s0=100, strike=100, rate=0.05, sigma=0.2,
+                                   intensity=1.0, jump_mean=-0.1, jump_sd=0.15),
+             terminal={"name": "exp-put", "params": {"strike": 100}}),
+        "unknown key at compare.oracle"),
+    "zero-driver-vs-discounted-series": (
+        bs_call_compare_config(driver={"name": "zero"}), "driver 'zero' at 0.0"),
+    "borrowing-driver-vs-discounted-series": (
+        bs_call_compare_config(driver={"name": "borrowing", "params": {
+            "rate": 0.05, "borrow_rate": 0.1}}), "driver 'borrowing' is not linear"),
+    "european-series-vs-obstacle-solve": (
+        bs_call_compare_config(obstacle={"name": "call", "params": {"strike": 100}}),
+        "European claim"),
+    "american-tree-vs-solve-without-obstacle": (
+        _without_obstacle(american_put_compare_config()), "American claim"),
+    "tree-obstacle-strike-90-vs-payoff-100": (
+        _american_put_with(obstacle_strike=90), "American claim"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(MOTIVATION_ROWS))
+def test_closed_form_compare_of_another_problem_rejected(row, tmp_path):
+    raw, message = MOTIVATION_ROWS[row]
+    with pytest.raises(ConfigError, match=message) as err:
         validate_config(raw)
     assert err.value.code == "E_CONFIG"
-    for key, value, path in (("rate", 0.04, "model.params.r"),
-                             ("intensity", 2.0, "model.params.intensity"),
-                             ("jump_mean", 0.0, "model.params.jump_mean"),
-                             ("jump_sd", 0.2, "model.params.jump_sd")):
-        with pytest.raises(ConfigError, match=f"compare.oracle.{key}.*{path}"):
-            validate_config(merton_compare_config(**{key: value}))
-    # a discount driver's rate, and defaults on both sides: the model's
-    # sigma 0.2 against the oracle's default 0.2 agrees, its jump law
-    # against the oracle's default (no jumps) does not
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["compare", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_merton_with(r=0.04), "driver 'discount' at 0.05"),
+    (dict(merton_compare_config(), model={"name": "kou"}), "not 'kou'; use an fd oracle"),
+    (dict(merton_compare_config(), model={"name": "toy-uniform"}), "not 'toy-uniform'"),
+    (dict(merton_compare_config(), model={"name": "custom", "params": {}}), "not 'custom'"),
+    (dict(merton_compare_config(), terminal={"name": "call"}), "exp-call or exp-put"),
+    (bs_call_compare_config(terminal={"name": "exp-call"}), "a call or put terminal"),
+    (bs_call_compare_config(terminal={"name": "square"}), "not 'square'"),
+    (bs_call_compare_config(numerics={"x0": 0.0}), "positive spot"),
+    (dict(_merton_with(), terminal={"name": "exp-put", "params": {"strike": 100}},
+          obstacle={"name": "exp-put", "params": {"strike": 100}},
+          compare={"oracle": {"kind": "binomial"}}), "no jumps"),
+    (dict(_american_put_with(), obstacle={"name": "call", "params": {"strike": 100}}),
+     "American claim"),
+])
+def test_closed_form_compare_needs_a_problem_it_prices(raw, message):
+    with pytest.raises(ConfigError, match=message) as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+
+
+def test_compare_market_is_derived():
+    raw = dict(american_put_compare_config(),
+               model={"name": "bs", "params": {"sigma": 0.3}},
+               terminal={"name": "put", "params": {"strike": 110}},
+               obstacle={"name": "put", "params": {"strike": 110, "kappa": 0.5}})
+    assert _compare_market(validate_config(raw).raw) == {
+        "s0": 100.0, "strike": 110, "rate": 0.05, "sigma": 0.3, "horizon": 1.0,
+        "intensity": 0.0, "jump_mean": 0.0, "jump_sd": 0.0, "option": "put"}
     raw = merton_compare_config()
+    raw["model"]["params"] = {"r": 0.03, "intensity": 0.5, "jump_sd": 0.1}
     raw["driver"]["params"]["rate"] = 0.03
-    with pytest.raises(ConfigError, match="compare.oracle.rate.*driver.params.rate"):
-        validate_config(raw)
-    raw = merton_compare_config()
-    del raw["model"]["params"]["sigma"], raw["compare"]["oracle"]["sigma"]
-    validate_config(raw)
-    del raw["compare"]["oracle"]["intensity"]
-    with pytest.raises(ConfigError, match="compare.oracle.intensity.*model.params.intensity"):
-        validate_config(raw)
-    # a binomial oracle checks rate and sigma only
-    raw = {"task": "compare", "seed": 1, "model": {"name": "bs", "params": {"sigma": 0.3}},
-           "driver": {"name": "discount", "params": {"rate": 0.05}},
-           "terminal": {"name": "put", "params": {"strike": 100}},
-           "compare": {"oracle": {"kind": "binomial", "sigma": 0.2}}}
-    with pytest.raises(ConfigError, match="compare.oracle.sigma.*model.params.sigma"):
-        validate_config(raw)
-    raw["compare"]["oracle"]["sigma"] = 0.3
-    validate_config(raw)
-    # the model side is what the solver uses: a model without jumps has
-    # intensity 0, a binomial tree too, and only a merton preset has the
-    # oracle's lognormal jump law
-    raw = merton_compare_config()
-    raw["model"] = {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}}
-    with pytest.raises(ConfigError, match="compare.oracle.intensity.*model 'bs'"):
-        validate_config(raw)
-    raw["compare"]["oracle"]["intensity"] = 0.0
-    validate_config(raw)
-    raw = merton_compare_config()
-    raw["model"] = {"name": "kou", "params": {"r": 0.05, "sigma": 0.2}}
-    with pytest.raises(ConfigError, match="lognormal jumps but model 'kou'"):
-        validate_config(raw)
-    raw = merton_compare_config(kind="binomial", steps=200, option="call")
-    for key in ("intensity", "jump_mean", "jump_sd"):
-        del raw["compare"]["oracle"][key]
-    with pytest.raises(ConfigError, match="compare.oracle.intensity.*model.params.intensity"):
-        validate_config(raw)
-    raw = merton_compare_config()
-    raw["model"] = {"name": "custom", "params": {
-        "jump": "translation", "measure": {"kind": "gaussian", "intensity": 2.0}}}
-    with pytest.raises(ConfigError,
-                       match="compare.oracle.intensity.*model.params.measure.intensity"):
-        validate_config(raw)
-    raw["model"]["params"]["measure"]["intensity"] = 1.0
-    with pytest.raises(ConfigError, match="lognormal jumps but model 'custom'"):
-        validate_config(raw)
+    raw["terminal"]["params"]["strike"] = 90
+    raw["numerics"]["x0"] = math.log(95.0)
+    assert _compare_market(validate_config(raw).raw) == {
+        "s0": math.exp(math.log(95.0)),
+        "strike": 90, "rate": 0.03, "sigma": 0.2, "horizon": 1.0, "intensity": 0.5,
+        "jump_mean": -0.1, "jump_sd": 0.1, "option": "call"}
+    # a merton model without jumps has an American tree too
+    raw = dict(_merton_with(intensity=0.0),
+               terminal={"name": "exp-put", "params": {"strike": 100}},
+               obstacle={"name": "exp-put", "params": {"strike": 100}},
+               compare={"oracle": {"kind": "binomial"}})
+    assert _compare_market(validate_config(raw).raw)["option"] == "put"
+
+
+def test_binomial_compare_prices_the_configured_put(tmp_path):
+    raw = american_put_compare_config()
+    raw["model"]["params"] = {"r": 0.04, "sigma": 0.25}
+    raw["driver"]["params"]["rate"] = 0.04
+    raw["numerics"]["x0"] = 110.0
+    raw["terminal"]["params"]["strike"] = raw["obstacle"]["params"]["strike"] = 105
+    cfg = validate_config(raw)
+    assert cfg.raw["compare"]["oracle"] == {"kind": "binomial", "steps": 200}
+    report, code = run_experiment(cfg, out_dir=tmp_path)
+    assert report.body["status"] != "error"
+    payload = json.loads((tmp_path / "oracle_cmp_price.json").read_text())
+    assert payload["price"] == binomial_american(110.0, 105, 0.04, 0.25, 1.0, 200, "put")
+
+
+def test_readme_example_is_a_valid_config():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    cfg = validate_config(json.loads(blocks[0]))
+    assert cfg.task == "compare" and cfg.raw["compare"]["oracle"]["kind"] == "merton"
 
 
 def test_config_hash_semantics(tmp_path):
@@ -476,12 +575,10 @@ def test_exit_code_on_criterion_failure(tmp_path):
            "model": {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}},
            "driver": {"name": "discount", "params": {"rate": 0.05}},
            "terminal": {"name": "put", "params": {"strike": 100}},
+           "obstacle": {"name": "put", "params": {"strike": 100}},
            "numerics": {"grid_n": 10, "paths": 3000, "x0": 100.0,
                         "basis": {"kind": "poly", "degree": 3}},
-           "compare": {"oracle": {"kind": "binomial", "s0": 100, "strike": 100,
-                                  "rate": 0.05, "sigma": 0.2, "horizon": 1.0,
-                                  "steps": 200, "option": "put"},
-                       "tol_rel": 1e-9}}
+           "compare": {"oracle": {"kind": "binomial", "steps": 200}, "tol_rel": 1e-9}}
     report, code = run_experiment(cfg, out_dir=tmp_path)
     assert code == EXIT_CRITERION
     assert not report.passed

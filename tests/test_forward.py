@@ -101,11 +101,10 @@ def test_many_jumps_per_step_group_by_count():
 
 def test_compensated_increments_martingale(toy_model):
     gammas = (lambda e: np.ones_like(e), lambda e: e)
-    b = simulate_paths(toy_model, TimeGrid(0, 1, 10), 0.0, 50_000, seed=9,
-                       functionals=gammas)
-    assert b.dmu.shape == (2, 10, 50_000)
-    for i in range(2):
-        inc = b.dmu[i]
+    b = simulate_paths(toy_model, TimeGrid(0, 1, 10), 0.0, 50_000, seed=9)
+    dmu = b.compensated_increments(gammas, toy_model.jump_measure)
+    assert dmu.shape == (2, 10, 50_000)
+    for inc in dmu:
         se = inc.std(ddof=1) / math.sqrt(inc.size)
         assert abs(inc.mean()) < 4 * se
 
