@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -463,20 +465,75 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
 
 
 def _solution(result):
-    """A variant's solution from ``_backward_pass``, or raise what stopped it."""
-    if isinstance(result, Exception):
+    """A variant's solution from ``_backward_pass`` (or any result of
+    ``_caught``), or raise what stopped it."""
+    if isinstance(result, BaseException):
         raise result
     return result
 
 
-class _Variant:
-    """One variant of a backward pass: its penalty level and reflection, the
-    current values, and the per-step coefficients and diagnostics.  Path
-    arrays are stored only when ``keep`` is set, in new arrays or in the
-    (y, z, vbar) arrays ``keep`` gives."""
+def _caught(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except BaseException as exc:
+        return exc
 
-    def __init__(self, penalty_level, reflect, keep, y, n, d, q, cshape):
-        self.penalty_level, self.reflect = penalty_level, reflect
+
+def _cpu_count():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
+class _Helper:
+    """The helper thread of a multi-variant backward pass, named
+    ``pidesolve-backward``: ``submit(task)`` runs task() there and
+    ``result()`` waits for what it returned or raised.  It runs under the
+    NumPy error state of the thread that made it, which a new thread does
+    not inherit.  ``close`` ends and joins it."""
+
+    def __init__(self):
+        self._task = self._result = None
+        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, args=(np.geterr(),),
+                                        name="pidesolve-backward", daemon=True)
+        self._thread.start()
+
+    def _serve(self, errstate):
+        with np.errstate(**errstate):
+            while True:
+                self._go.acquire()
+                task = self._task
+                if task is None:
+                    return
+                self._result = _caught(task)
+                self._done.release()
+
+    def submit(self, task):
+        self._task = task
+        self._go.release()
+
+    def result(self):
+        self._done.acquire()
+        return self._result
+
+    def close(self):
+        self._task = None
+        self._go.release()
+        self._thread.join()
+
+
+class _Variant:
+    """One variant of a backward pass: its place in the pass, its penalty
+    level and reflection, the current values, and the per-step coefficients
+    and diagnostics.  Path arrays are stored only when ``keep`` is set, in
+    new arrays or in the (y, z, vbar) arrays ``keep`` gives."""
+
+    def __init__(self, index, penalty_level, reflect, keep, y, n, d, q, cshape):
+        self.index, self.penalty_level, self.reflect = index, penalty_level, reflect
         self.y = y
         self.error = None
         self.coef_y = np.zeros((n,) + cshape)
@@ -550,6 +607,8 @@ def _fit_live(reg, live, targets):
     pairs of the variants it fits, after a variant it cannot fit takes the
     error that stops it (all of them, if the shared normal system is
     singular)."""
+    if not live:
+        return []
     try:
         fits = reg.fits(targets)
     except SingularRegressionError as exc:
@@ -561,6 +620,23 @@ def _fit_live(reg, live, targets):
         else:
             done.append((v, coeffs))
     return done
+
+
+def _step_group(k, group, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp, observe):
+    """Step k of a group of live variants on the step's setup ``reg``: all
+    their y fits, then all fits of their ``targets``, then each ``step``,
+    and ``observe(k, i, y)`` for each variant i that it leaves live."""
+    fitted = _fit_live(reg, group, [v.y for v in group])
+    # the targets are built one variant at a time, as the fit consumes them
+    for v, czv in _fit_live(reg, [v for v, _ in fitted],
+                            (v.targets(k, reg, cy, paths, dmu) for v, cy in fitted)):
+        try:
+            v.step(k, reg, czv, paths, driver, t_k, h_k, picard_iters, clamp)
+        except NumericError as exc:
+            v.error = exc
+            continue
+        if observe is not None:
+            observe(k, v.index, v.y)
 
 
 def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters,
@@ -580,12 +656,23 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     back as the error that stopped it; the others go on.  A singular shared
     normal system stops them all.
 
+    With two or more variants and more than one CPU, each step splits its
+    live variants into two groups, each with its own two stages: the
+    calling thread runs the first, one helper thread (``_Helper``) the
+    rest, and then it builds the next step's setup ahead.
+    The outputs are those of one thread, bit for bit; the driver and
+    ``observe`` may be called from both threads at once.  An exception that
+    a group raises reaches the caller once both groups are done with the
+    step, the caller's first; one that the setup ahead raises, at the step
+    that needs it.  The helper is joined before the pass returns or raises.
+
     Only variants with ``keep`` store their path arrays; the others come
     back with ``y``/``z``/``vbar`` None.  ``keep`` may also be the path
     arrays of a solution that is done with, which the variant then
-    overwrites.  ``observe(k, ys)``, if given, sees each variant's new
-    values at every step (None once stopped).  Without ``clamp`` one default
-    bound, with the obstacle if any variant uses it, serves all.
+    overwrites.  ``observe(k, i, y)``, if given, sees variant i's new values
+    y at every step it leaves the variant live, on the thread that stepped
+    it.  Without ``clamp`` one default bound, with the obstacle if any
+    variant uses it, serves all.
     """
     grid = paths.grid
     dt = grid.dt
@@ -611,31 +698,42 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     y = np.asarray(terminal(paths.states[-1]), dtype=float).reshape(m)
     if not np.isfinite(y).all():
         raise NumericError("non-finite terminal values")
-    runs = [_Variant(level, reflect, keep, y, n, d, q, basis.coef_shape)
-            for level, reflect, keep in variants]
+    runs = [_Variant(i, level, reflect, keep, y, n, d, q, basis.coef_shape)
+            for i, (level, reflect, keep) in enumerate(variants)]
 
-    for k in range(n - 1, -1, -1):
-        live = [v for v in runs if v.error is None]
-        if not live:
-            break
-        xk = paths.states[k]
-        t_k = grid.nodes[k]
-        reg = basis.prepare(xk)
-        h_k = None
-        if obstacle is not None:
-            h_k = obstacle(t_k, xk) if obstacle_values is None else obstacle_values[k]
-        fitted = _fit_live(reg, live, [v.y for v in live])
-        live = [v for v, _ in fitted]
-        # the targets are built one variant at a time, as the fit consumes them
-        for v, czv in _fit_live(reg, live, (v.targets(k, reg, cy, paths, dmu)
-                                            for v, cy in fitted)):
-            try:
-                v.step(k, reg, czv, paths, driver, t_k, h_k, picard_iters, clamp)
-            except NumericError as exc:
-                v.error = exc
-        del reg  # one step's design at a time
-        if observe is not None:
-            observe(k, [v.y if v.error is None else None for v in runs])
+    helper = _Helper() if len(runs) > 1 and _cpu_count() > 1 else None
+    ahead = None  # this step's setup, or its error, if the helper built it
+    try:
+        for k in range(n - 1, -1, -1):
+            live = [v for v in runs if v.error is None]
+            if not live:
+                break
+            xk = paths.states[k]
+            t_k = grid.nodes[k]
+            reg = basis.prepare(xk) if ahead is None else _solution(ahead)
+            h_k = None
+            if obstacle is not None:
+                h_k = obstacle(t_k, xk) if obstacle_values is None else obstacle_values[k]
+            args = (reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp, observe)
+            if helper is None:
+                _step_group(k, live, *args)
+            else:
+                # the caller runs one more than half: the helper also builds
+                # the next setup, which costs about two variants' steps (so
+                # with two variants it builds only that)
+                cut = min((len(live) + 2) // 2, len(live))
+                helper.submit(lambda: (
+                    _caught(_step_group, k, live[cut:], *args),
+                    _caught(basis.prepare, paths.states[k - 1]) if k else None))
+                mine = _caught(_step_group, k, live[:cut], *args)
+                theirs, ahead = helper.result()
+                for err in (mine, theirs):
+                    if err is not None:
+                        raise err
+            del reg, args  # one step's design at a time, and the one built ahead
+    finally:
+        if helper is not None:
+            helper.close()
 
     return [v.error if v.error is not None else BsdeSolution(
         grid=grid, basis=basis, driver=driver, terminal=terminal,

@@ -41,6 +41,10 @@ _NORMCHECK_DEFAULTS = {"radius": 9.0, "n_panels": 18, "nodes_per_panel": 8,
 # compare oracle's market is derived from the config (_compare_market)
 _ORACLE_MARKET = {"s0": 100.0, "strike": 100.0, "rate": 0.05, "sigma": 0.2,
                   "horizon": 1.0, "intensity": 0.0, "jump_mean": 0.0, "jump_sd": 1e-8}
+_JUMP_KEYS = ("intensity", "jump_mean", "jump_sd")
+# the keys each oracle kind reads besides its kind, horizon and market
+_ORACLE_KEYS = {"fd": ("x_lo", "x_hi", "n_space", "n_time", "bc"),
+                "merton": ("n_terms",), "binomial": ("steps",)}
 # the params each named block accepts; driver params default to 0 and an
 # obstacle also takes its growth constants iota and kappa
 _DRIVER_PARAMS = {"zero": (), "discount": ("rate",),
@@ -359,13 +363,17 @@ def _norm_numerics(block):
 
 
 def _norm_oracle(block, path, market=()):
-    """An oracle block: its kind, grid and step counts, and the market keys
-    given; a compare oracle takes none (its market is the config's own)."""
+    """An oracle block: its kind, the horizon and the keys that kind reads,
+    and the market keys given that it prices with; a compare oracle takes
+    none (its market is the config's own), and the fd oracle prices the
+    config's model on its grid."""
     _expect(block, dict, path)
-    allowed = {"kind", "horizon", "steps", "n_terms", "x_lo", "x_hi", "n_space",
-               "n_time", "bc", *market}
+    kind = _expect_choice(block.get("kind"), _ORACLE_KEYS, f"{path}.kind")
+    market = {"fd": (), "merton": market,
+              "binomial": [k for k in market if k not in _JUMP_KEYS]}[kind]
+    allowed = {"kind", "horizon", *_ORACLE_KEYS[kind], *market}
     _check_keys(block, allowed, path)
-    out = {"kind": _expect_choice(block.get("kind"), ("fd", "merton", "binomial"), f"{path}.kind")}
+    out = {"kind": kind}
     for key in allowed - {"kind", "option", "bc", "steps", "n_space", "n_time", "n_terms"}:
         if key in block:
             out[key] = _expect_num(block[key], f"{path}.{key}")

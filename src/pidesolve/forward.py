@@ -240,28 +240,31 @@ def _drawn_ahead(model, m, d, dt, seed, keys):
     """Yield ``_draw``'s output for each key's stream, in key order.
 
     One helper thread makes the draws, at most ``_LOOKAHEAD`` steps ahead of
-    the steps taken, while the caller advances the paths.  An exception
-    raised by a draw is raised here at the step it belongs to.  Closing the
-    generator stops the helper and joins it, so no thread outlives the
-    simulation, whether it returns or raises.
+    the steps taken, while the caller advances the paths.  It draws under
+    the caller's NumPy error state, which a new thread does not inherit.  An
+    exception raised by a draw is raised here at the step it belongs to.
+    Closing the generator stops the helper and joins it, so no thread
+    outlives the simulation, whether it returns or raises.
     """
     ready = collections.deque()
     slots, filled = threading.Semaphore(_LOOKAHEAD), threading.Semaphore(0)
     stop = threading.Event()
 
-    def produce():
+    def produce(errstate):
         try:
-            for key in keys:
-                slots.acquire()
-                if stop.is_set():
-                    return
-                ready.append(_draw(model, m, d, dt, _step_stream(seed, key)))
-                filled.release()
+            with np.errstate(**errstate):
+                for key in keys:
+                    slots.acquire()
+                    if stop.is_set():
+                        return
+                    ready.append(_draw(model, m, d, dt, _step_stream(seed, key)))
+                    filled.release()
         except BaseException as exc:
             ready.append(exc)
             filled.release()
 
-    helper = threading.Thread(target=produce, name="pidesolve-draw", daemon=True)
+    helper = threading.Thread(target=produce, args=(np.geterr(),), name="pidesolve-draw",
+                              daemon=True)
     helper.start()
     try:
         for _ in keys:

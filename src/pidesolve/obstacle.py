@@ -278,12 +278,13 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         defects = [_FlatOffDefect(g_T, lvals[n]) for _ in chunk]
         u0s = [None] * len(chunk)
 
-        def observe(k, ys):
-            for i, level in enumerate(chunk):
-                if ys[i] is not None:
-                    defects[i].add(ys[i], lvals[k], _increments(level, dt, lvals[k], ys[i]))
-                    if k == 0:
-                        u0s[i] = float(ys[i].mean())
+        def observe(k, i, y):
+            # called per level from the thread that stepped it (the direct
+            # solve, variant len(chunk), keeps no trace)
+            if i < len(chunk):
+                defects[i].add(y, lvals[k], _increments(chunk[i], dt, lvals[k], y))
+                if k == 0:
+                    u0s[i] = float(y.mean())
 
         keep = True if sol is None else (sol.y, sol.z, sol.vbar)
         variants = [(level, False, i == len(chunk) - 1 and keep)

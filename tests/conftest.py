@@ -1,8 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 
 from pidesolve.model import named_model, scalar_model
 from pidesolve.forward import TimeGrid, simulate_paths
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    # the simulator's draw thread and the backward pass's helper are joined
+    # before the call that started them returns or raises
+    yield
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("pidesolve-")]
+    assert not alive, f"threads left running: {alive}"
 
 
 @pytest.fixture(scope="session")

@@ -267,6 +267,18 @@ def test_batched_fit_overflow_flags_only_its_target(kind):
         assert np.array_equal(coeffs, reg.fit(t)[0])
 
 
+@pytest.mark.parametrize("kind", ["local", "poly"])
+def test_solve_whose_only_fit_overflows_raises_singular(heat_model, kind):
+    # with no variant left after the y fit, the pass stops with that fit's
+    # error instead of stacking an empty batch of residual targets
+    paths = simulate_paths(heat_model, TimeGrid(0, 1, 5), 0.0, 2000, seed=1)
+    basis = make_basis(kind, (-6.0, 6.0), degree=2, cells=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularRegressionError, match="non-finite"):
+            solve_bsde(heat_model, zero_driver(), lambda X: np.full(X.shape[0], 1e308),
+                       paths, basis, clamp=math.inf)
+
+
 def test_make_basis():
     assert make_basis("poly", (-1, 1), degree=2).kind == "poly"
     assert make_basis("local", (-1, 1), cells=5).kind == "local"

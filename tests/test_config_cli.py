@@ -287,6 +287,65 @@ def test_compare_oracle_market_keys_rejected(key, value):
     assert cfg.raw["oracle"][key] == value
 
 
+ORACLE_TASK = {"task": "oracle", "seed": 1}
+
+
+@pytest.mark.parametrize("task, oracle, key", [
+    ("oracle", {"kind": "binomial", "steps": 200, "intensity": 1.0}, "intensity"),
+    ("oracle", {"kind": "binomial", "jump_mean": -0.1}, "jump_mean"),
+    ("oracle", {"kind": "binomial", "jump_sd": 0.15}, "jump_sd"),
+    ("oracle", {"kind": "binomial", "n_terms": 60}, "n_terms"),
+    ("oracle", {"kind": "binomial", "n_space": 400}, "n_space"),
+    ("oracle", {"kind": "merton", "steps": 200}, "steps"),
+    ("oracle", {"kind": "merton", "bc": "linear"}, "bc"),
+    ("oracle", {"kind": "fd", "s0": 100.0}, "s0"),
+    ("oracle", {"kind": "fd", "strike": 100.0}, "strike"),
+    ("oracle", {"kind": "fd", "option": "put"}, "option"),
+    ("oracle", {"kind": "fd", "steps": 200}, "steps"),
+    ("compare", {"kind": "merton", "n_space": 400}, "n_space"),
+    ("compare", {"kind": "merton", "bc": "linear"}, "bc"),
+    ("compare", {"kind": "merton", "steps": 200}, "steps"),
+    ("compare", {"kind": "binomial", "n_terms": 60}, "n_terms"),
+    ("compare", {"kind": "binomial", "x_lo": 4.0}, "x_lo"),
+    ("compare", {"kind": "fd", "n_terms": 60}, "n_terms"),
+    ("compare", {"kind": "fd", "steps": 200}, "steps"),
+])
+def test_oracle_keys_belong_to_their_kind(task, oracle, key, tmp_path):
+    # each kind takes the keys it reads: a binomial tree has no jumps, a
+    # series no grid and an fd grid no market of its own
+    if task == "oracle":
+        raw = dict(ORACLE_TASK, oracle=oracle)
+    elif oracle["kind"] == "binomial":
+        raw = american_put_compare_config(**oracle)
+    else:
+        raw = merton_compare_config(**oracle)
+    path = f"{'compare.' if task == 'compare' else ''}oracle.{key}"
+    with pytest.raises(ConfigError, match=f"^unknown key at {re.escape(path)}$") as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main([task, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    assert not (tmp_path / "run").exists()
+
+
+def test_oracle_kinds_keep_their_own_keys():
+    binomial = {"kind": "binomial", "s0": 90, "strike": 100, "rate": 0.04, "sigma": 0.3,
+                "horizon": 0.5, "steps": 100, "option": "call"}
+    merton = {"kind": "merton", "s0": 90, "strike": 100, "rate": 0.04, "sigma": 0.3,
+              "horizon": 0.5, "intensity": 1.0, "jump_mean": -0.1, "jump_sd": 0.15,
+              "n_terms": 40, "option": "put"}
+    fd = {"kind": "fd", "x_lo": -4.0, "x_hi": 4.0, "n_space": 200, "n_time": 100,
+          "bc": "linear", "horizon": 0.5}
+    for oracle in (binomial, merton, fd):
+        assert validate_config(dict(ORACLE_TASK, oracle=oracle)).raw["oracle"] == oracle
+    for raw in (american_put_compare_config(steps=100, horizon=1.0),
+                merton_compare_config(n_terms=40, horizon=1.0),
+                merton_compare_config(**dict(fd, horizon=1.0))):
+        validate_config(raw)
+
+
 def _merton_with(**changes):
     raw = merton_compare_config()
     raw["model"]["params"].update(changes)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -437,6 +438,23 @@ def test_nonfinite_state_stops_draws_in_flight():
     assert calls["full"] == 4
     assert len(sampled) == 6
     assert set(threading.enumerate()) == before
+
+
+def test_draws_run_under_the_callers_error_state():
+    # the draw thread takes the caller's NumPy error state: an invalid
+    # operation in a mark sampler raises under "raise", as it would on the
+    # calling thread, and passes silently under "ignore"
+    def sampler(rng, n):
+        return np.sqrt(rng.uniform(-1.0, 1.0, n))
+
+    model, _ = _recording_model(40, lambda k: 0.1, sampler)
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            simulate_paths(model, TimeGrid(0.0, 1.0, 10), 0.0, 40, seed=63)
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="step 1"):
+            simulate_paths(model, TimeGrid(0.0, 1.0, 10), 0.0, 40, seed=63)
 
 
 def test_dumps_roundtrip(tmp_path, toy_model):

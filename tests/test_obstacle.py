@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import sys
+import threading
+import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -469,3 +474,212 @@ def test_eval_grid_outside_the_box_raises(small_put):
         solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
                         LocalAffineBasis(20, box), schedule=(1, 2), weight=RHO4,
                         eval_x=np.linspace(box[0] - 5.0, box[1], 50))
+
+
+# ---------------------------------------------------------------------------
+# the backward pass's helper thread
+# ---------------------------------------------------------------------------
+
+def _two_cpus(monkeypatch):
+    # the helper starts only with more than one CPU; make that so on any host
+    import pidesolve.bsde as bsde_mod
+    monkeypatch.setattr(bsde_mod, "_cpu_count", lambda: 2)
+
+
+def _thread_recording_driver(names):
+    drv = discount_driver(0.05)
+
+    def f(t, x, y, z, v):
+        names.add(threading.current_thread().name)
+        return drv.f(t, x, y, z, v)
+
+    return dataclasses.replace(drv, f=f)
+
+
+@pytest.mark.parametrize("levels", [(1, 4), default_schedule()], ids=["V3", "V14"])
+@pytest.mark.parametrize("kind", ["local", "poly"])
+def test_threaded_pass_equals_separate_solves(small_put, kind, levels, monkeypatch):
+    # the levels and the direct solve in one pass on two threads: each gives
+    # the bits of its own solve, and observe sees each (step, variant) once,
+    # with the values the variant keeps
+    from pidesolve.bsde import _backward_pass
+    _two_cpus(monkeypatch)
+    model, paths, box = small_put
+    basis = LocalAffineBasis(20, box) if kind == "local" else PolynomialBasis(3, box)
+    names, seen = set(), Counter()
+    drv, obst = _thread_recording_driver(names), put_obstacle()
+    clamp = default_clamp_bound(drv, put_payoff, paths, obst)
+    variants = [(level, False, True) for level in levels] + [(0.0, True, True)]
+    ys = {}
+
+    def observe(k, i, y):
+        seen[k, i] += 1
+        ys[k, i] = y.copy()
+
+    runs = _backward_pass(model, drv, put_payoff, paths, basis, variants, 3, clamp, obst,
+                          observe)
+    assert names == {"MainThread", "pidesolve-backward"}
+    n = paths.grid.n_steps
+    assert seen == Counter({(k, i): 1 for k in range(n) for i in range(len(variants))})
+    for i, (got, (level, reflect, _)) in enumerate(zip(runs, variants)):
+        want = solve_bsde(model, drv, put_payoff, paths, basis, clamp=clamp, obstacle=obst,
+                          penalty_level=level, reflect=reflect)
+        for name in ("y", "z", "vbar", "coef_y", "coef_z", "coef_v"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name, diag in want.diagnostics.items():
+            assert np.array_equal(got.diagnostics[name], diag)
+        for k in range(n):
+            assert np.array_equal(ys[k, i], want.y[k])
+
+
+def test_threaded_solve_under_frequent_thread_switches(small_put, monkeypatch):
+    # the two threads made to switch every microsecond: the reflected solve,
+    # its per-level trace included, still gives the bits of one thread
+    import pidesolve.bsde as bsde_mod
+    model, paths, box = small_put
+    args = (model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
+            LocalAffineBasis(20, box))
+    monkeypatch.setattr(bsde_mod, "_cpu_count", lambda: 1)
+    want = solve_reflected(*args, tol=1e-12, weight=RHO4)
+    _two_cpus(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = solve_reflected(*args, tol=1e-12, weight=RHO4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.trace == want.trace
+    for a, b in zip(got.level_fields, want.level_fields):
+        assert np.array_equal(a, b)
+    for name in ("k_increments", "obstacle_values"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert (got.direct_gap, got.direct_gap_rel) == (want.direct_gap, want.direct_gap_rel)
+
+
+def test_single_variant_and_one_cpu_stay_on_the_calling_thread(small_put, monkeypatch):
+    import pidesolve.bsde as bsde_mod
+    model, paths, box = small_put
+    names = set()
+    args = (model, _thread_recording_driver(names), put_payoff, put_obstacle(), paths,
+            LocalAffineBasis(20, box))
+    _two_cpus(monkeypatch)
+    solve_penalized(*args, 4.0)
+    assert names == {"MainThread"}
+    monkeypatch.setattr(bsde_mod, "_cpu_count", lambda: 1)
+    solve_reflected(*args, schedule=(1, 2, 4), tol=1e-12, weight=RHO4)
+    assert names == {"MainThread"}
+
+
+def test_helper_error_surfaces_from_solve_reflected(small_put, monkeypatch):
+    # a driver that fails on the helper only (the direct solve; the caller
+    # runs levels 1 and 2): the error reaches the caller once both groups
+    # are done with the step, and the helper is joined
+    _two_cpus(monkeypatch)
+    _one_chunk(monkeypatch)
+    model, paths, box = small_put
+    drv = discount_driver(0.05)
+    steps = Counter()
+
+    def f(t, x, y, z, v):
+        name = threading.current_thread().name
+        steps[name] += 1
+        if name == "pidesolve-backward":
+            raise LookupError("driver failed on the helper")
+        return drv.f(t, x, y, z, v)
+
+    with pytest.raises(LookupError, match="on the helper"):
+        solve_reflected(model, dataclasses.replace(drv, f=f), put_payoff, put_obstacle(),
+                        paths, LocalAffineBasis(20, box), schedule=(1, 2), weight=RHO4,
+                        clamp=1e6)
+    # the caller's group finished the three sweeps of each of its levels too
+    assert steps["MainThread"] == 6
+    assert steps["pidesolve-backward"] == 1
+    assert not [t for t in threading.enumerate() if t.name == "pidesolve-backward"]
+
+
+def test_callers_error_wins_when_both_groups_raise(small_put, monkeypatch):
+    _two_cpus(monkeypatch)
+    _one_chunk(monkeypatch)
+    model, paths, box = small_put
+    names = []
+
+    def f(t, x, y, z, v):
+        names.append(threading.current_thread().name)
+        raise LookupError(f"driver failed on {names[-1]}")
+
+    with pytest.raises(LookupError, match="on MainThread"):
+        solve_reflected(model, dataclasses.replace(discount_driver(0.05), f=f), put_payoff,
+                        put_obstacle(), paths, LocalAffineBasis(20, box), schedule=(1, 2),
+                        weight=RHO4, clamp=1e6)
+    assert sorted(names) == ["MainThread", "pidesolve-backward"]
+
+
+@pytest.mark.parametrize("ahead_fails", [False, True], ids=["built", "fails"])
+def test_variants_stopping_while_a_setup_is_built_ahead(small_put, ahead_fails, monkeypatch):
+    # every variant goes non-finite at step 12 while the helper still builds
+    # step 11's setup: the pass ends with each variant's error, whether that
+    # setup is built or fails, and joins the helper
+    from pidesolve.bsde import _backward_pass
+    _two_cpus(monkeypatch)
+    model, paths, box = small_put
+    t_stop = paths.grid.nodes[12]
+    building = []
+
+    class SlowAhead(LocalAffineBasis):
+        def prepare(self, x):
+            if np.shares_memory(x, paths.states[11]):
+                building.append(threading.current_thread().name)
+                time.sleep(0.2)
+                if ahead_fails:
+                    raise LookupError("setup ahead failed")
+            return super().prepare(x)
+
+    drv = discount_driver(0.05)
+    bad = dataclasses.replace(
+        drv, f=lambda t, x, y, z, v: drv.f(t, x, y, z, v) * (np.nan if t == t_stop else 1.0))
+    variants = [(1.0, False, True), (2.0, False, False), (0.0, True, True)]
+    with np.errstate(invalid="ignore"):
+        runs = _backward_pass(model, bad, put_payoff, paths, SlowAhead(20, box), variants, 3,
+                              None, put_obstacle())
+    assert building == ["pidesolve-backward"]
+    assert all(isinstance(r, NumericError) and "step 12" in str(r) for r in runs)
+    assert not [t for t in threading.enumerate() if t.name == "pidesolve-backward"]
+
+
+def test_setup_ahead_error_raises_at_the_step_that_needs_it(small_put, monkeypatch):
+    from pidesolve.bsde import _backward_pass
+    _two_cpus(monkeypatch)
+    model, paths, box = small_put
+    observed = set()
+
+    class FailsAhead(LocalAffineBasis):
+        def prepare(self, x):
+            if np.shares_memory(x, paths.states[11]):
+                raise LookupError("setup failed")
+            return super().prepare(x)
+
+    with pytest.raises(LookupError, match="setup failed"):
+        _backward_pass(model, discount_driver(0.05), put_payoff, paths, FailsAhead(20, box),
+                       [(1.0, False, True), (0.0, True, True)], 3, None, put_obstacle(),
+                       lambda k, i, y: observed.add(k))
+    # steps 19..12 ran; step 11 never started
+    assert observed == set(range(12, paths.grid.n_steps))
+
+
+def test_helper_carries_the_callers_error_state(small_put, monkeypatch):
+    # the infinite level runs on the helper (the caller's group is levels 2
+    # and 4): it raises FloatingPointError as its own solve does under
+    # "raise", and stops quietly under "ignore", also with warnings as errors
+    _two_cpus(monkeypatch)
+    model, paths, box = small_put
+    args = (model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
+            LocalAffineBasis(20, box))
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError):
+            solve_penalized(*args, math.inf)
+        with pytest.raises(FloatingPointError):
+            solve_reflected(*args, schedule=(1, 2, 4, math.inf), tol=1e-12, weight=RHO4)
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_reflected(*args, schedule=(1, 2, 4, math.inf), tol=1e-12, weight=RHO4)
