@@ -334,10 +334,9 @@ class BsdeSolution:
     values bit for bit, whatever the driver.  For penalized solves
     ``penalty_level``/``obstacle`` record the penalty; for direct-reflection
     solves ``reflected`` is set.  ``obstacle`` is None when neither uses it.
-    ``clamp_bound`` is the bound |Y| <= B the step clamps to.  The penalty
-    levels that ``solve_reflected`` does not return keep only their
-    coefficients (``y``, ``z`` and ``vbar`` are None); ``evaluate_u`` needs
-    no more.
+    ``clamp_bound`` is the bound |Y| <= B the step clamps to.  The level
+    solutions of ``solve_reflected`` keep only their coefficients (``y``,
+    ``z`` and ``vbar`` are None); ``evaluate_u`` needs no more.
     """
 
     grid: object
@@ -751,37 +750,25 @@ def evaluate_u(sol, k, x):
     sweeps, the recorded penalty or reflection, and the clamp.  Refuses to
     extrapolate outside the basis box.
     """
-    return _evaluate_u(sol, k, *_eval_points(sol.basis, sol.states.shape[2], x))
-
-
-def _eval_points(basis, dim, x):
-    """The points x as an (m, dim) batch inside the basis box, and the basis
-    design there: a caller that evaluates many fits at them builds both once."""
     x = np.atleast_2d(np.asarray(x, float))
-    if x.shape[1] != dim:
+    if x.shape[1] != sol.states.shape[2]:
         raise ValueError("point dimension does not match the solution")
-    outside = ~basis.contains(x)
+    outside = ~sol.basis.contains(x)
     if outside.any():
         raise DomainError(f"evaluation point {x[outside][0]!r} outside the basis domain box")
-    return x, basis._setup(basis, x, gram=False)
-
-
-def _evaluate_u(sol, k, x, at, h_k=None):
-    """``evaluate_u`` at the points and design of ``_eval_points``, with
-    the obstacle at (t_k, x), ``h_k``, when the caller has it."""
     n = sol.n_steps
     if k == n:
         return np.asarray(sol.terminal(x), dtype=float).reshape(x.shape[0])
     if not 0 <= k < n:
         raise ValueError(f"step {k} outside 0..{n}")
     d = sol.states.shape[2]
+    at = sol.basis._setup(sol.basis, x, gram=False)
     cond_exp = at.predict(sol.coef_y[k])
     pred = at.predict(_zv_coeffs(sol, k))
     z, vb = pred[:, :d], pred[:, d:]
     dt = sol.grid.dt
     t_k = sol.grid.nodes[k]
-    if h_k is None and sol.obstacle is not None:
-        h_k = sol.obstacle(t_k, x)
+    h_k = sol.obstacle(t_k, x) if sol.obstacle is not None else None
     return _step_value(sol.driver, t_k, x, cond_exp, z, vb, dt, sol.picard_iters, h_k,
                        sol.penalty_level * dt, sol.reflected, sol.clamp_bound)[0]
 

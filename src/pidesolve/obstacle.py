@@ -2,23 +2,26 @@
 
 Runs the backward solver with the penalty driver f + n (y - h)^- along an
 increasing schedule of levels, extracts the nondecreasing compensation
-process from the penalty terms, estimates the reflection measure as a
-space-time histogram of n (u_n - h)^-, and provides the flat-off
-(Skorokhod) and support diagnostics.  A direct-reflection solve on the same
-paths serves as a cross-check where no exact solution exists.
+process from the penalty terms, and measures the penalization along the
+simulated paths: the weighted norm of (Y_n - h)^-, the weighted mass of the
+reflection measure, the flat-off (Skorokhod) defect, a space-time histogram
+of n (Y_n - h)^- and the support check.  A direct-reflection solve on the
+same paths serves as a cross-check where no exact solution exists.  No step
+reads an evaluation grid, so the problem runs in any dimension.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (BsdeSolution, _backward_pass, _eval_points, _evaluate_u, _solution,
-                   default_clamp_bound, solve_bsde)
+from .bsde import BsdeSolution, _backward_pass, _solution, default_clamp_bound, solve_bsde
 from .errors import NoConvergenceError
-from .model import WeightFunction, time_weights, trapezoid_weights
+from .model import WeightFunction, time_weights
 
 __all__ = [
     "ReflectedSolution",
@@ -55,17 +58,12 @@ def solve_penalized(model, driver, terminal, obstacle, paths, basis, level,
 
 def penalty_increments(sol, obstacle_values):
     """Per path and step compensation increments n (Y_k - L_k)^- dt, (N, M)."""
-    return _increments(sol.penalty_level, sol.grid.dt, obstacle_values[:-1], sol.y[:-1])
-
-
-def _increments(level, dt, h, y):
-    # n (y - h)^- dt elementwise, for whole paths or one step
-    if level <= 0:
-        return np.zeros(np.shape(y))
-    dk = np.subtract(h, y)
+    if sol.penalty_level <= 0:
+        return np.zeros(sol.y[:-1].shape)
+    dk = np.subtract(obstacle_values[:-1], sol.y[:-1])
     np.maximum(dk, 0.0, out=dk)
-    dk *= level
-    dk *= dt
+    dk *= sol.penalty_level
+    dk *= sol.grid.dt
     return dk
 
 
@@ -76,40 +74,41 @@ def obstacle_along_paths(obstacle, paths):
                      for k in range(paths.grid.n_steps + 1)])
 
 
-def _u_field(sol, points, hfield):
-    """Fitted u on (times x eval grid), terminal slice included; ``points``
-    holds the grid and its design (``_eval_points``), ``hfield`` h there."""
-    return np.stack([_evaluate_u(sol, k, *points, hfield[k]) for k in range(sol.n_steps + 1)])
+def _shortfall(y, h):
+    """One step's h - y, the samples where it is positive (the only ones
+    with a shortfall (h - y)^+ or a compensation increment) and the
+    shortfall there."""
+    gap = np.subtract(h, y)
+    below = np.flatnonzero(gap > 0)
+    return gap, below, gap[below]
 
 
-def penalty_norm(u_field, h_field, weight, eval_x, dt, cover=None):
-    """Weighted space-time L2 norm of (u - h)^- on the evaluation grid.
+def _weighted_sums(short, rho, dk=None):
+    """Sums of rho short^2 and, given the increments ``dk``, of rho dk over
+    one step's samples below the obstacle, with rho the weight at their
+    states."""
+    t = np.multiply(rho, short)
+    t *= short
+    short2 = float(np.sum(t))
+    return short2, 0.0 if dk is None else float(np.sum(np.multiply(rho, dk, out=t)))
 
-    ``cover`` masks (time, x) samples to the region the paths actually
-    visit; the fitted field is not an estimate outside it.
+
+def penalty_norm(y, obstacle_values, states, weight, dt):
+    """Weighted space-time L2 norm of (Y - L)^- along the paths.
+
+    sqrt(sum_k w_k mean(rho(X_k) ((L_k - Y_k)^+)^2)) over the path arrays
+    ``y`` and ``obstacle_values`` (N+1, M) and ``states`` (N+1, M, d), with
+    the trapezoid time weights w_k of step dt.  The sum runs backward in
+    time, as in the backward pass of ``solve_reflected``, whose trace
+    reports exactly this value.
     """
-    neg = np.maximum(h_field - u_field, 0.0)
-    if cover is not None:
-        neg = neg * cover
-    rho = weight(np.asarray(eval_x, float)[:, None])
-    wx = trapezoid_weights(np.asarray(eval_x, float))
-    space = np.sum(neg**2 * rho * wx, axis=1)
-    return float(math.sqrt(np.sum(space * time_weights(space.size - 1, dt))))
-
-
-def coverage_mask(states, eval_x, quantiles=(0.005, 0.995), margin=None):
-    """Boolean (n_steps+1, n_eval): which grid points the cloud covers per time.
-
-    Uses per-time quantiles of the path cloud so that one stray path does
-    not declare a region estimable.
-    """
-    eval_x = np.asarray(eval_x, float)
-    if margin is None:
-        margin = 2.0 * (eval_x[-1] - eval_x[0]) / max(eval_x.size - 1, 1)
-    lo, hi = np.quantile(states[:, :, 0], quantiles, axis=1)
-    lo -= margin
-    hi += margin
-    return (eval_x[None, :] >= lo[:, None]) & (eval_x[None, :] <= hi[:, None])
+    n, m = y.shape[0] - 1, y.shape[1]
+    wt = time_weights(n, dt)
+    total = 0.0
+    for k in range(n, -1, -1):
+        _, below, short = _shortfall(y[k], obstacle_values[k])
+        total += wt[k] * (_weighted_sums(short, weight(states[k])[below])[0] / m)
+    return math.sqrt(total)
 
 
 @dataclass
@@ -117,21 +116,19 @@ class ReflectedSolution:
     """Penalized-limit solution with convergence trace and cross-checks.
 
     ``solution`` is the final penalized level; ``k_increments`` its
-    compensation increments (N, M); ``level_fields`` the fitted u of every
-    level and ``obstacle_field`` the obstacle h, both on (times x eval_x).
-    ``direct`` is the direct-reflection solve on the same paths and
-    ``direct_gap`` the weighted L2 distance between the two u fields (the
-    mutual-validation diagnostic).
+    compensation increments (N, M); ``level_solutions`` every level's
+    solution, coefficients only (``evaluate_u`` needs no more).  ``direct``
+    is the direct-reflection solve on the same paths and ``direct_gap`` the
+    weighted L2 distance between the two along the paths (the
+    mutual-validation diagnostic), ``direct_gap_rel`` that distance relative
+    to the direct solve's norm.
     """
 
     solution: BsdeSolution
     obstacle_values: np.ndarray
     k_increments: np.ndarray
-    eval_x: np.ndarray
-    cover: np.ndarray
     levels: tuple
-    level_fields: list
-    obstacle_field: np.ndarray
+    level_solutions: list
     trace: list
     converged: bool
     direct: BsdeSolution
@@ -166,51 +163,57 @@ def skorokhod_gap(sol, obstacle_values, k_increments):
     construction, since the penalty acts only below the obstacle.)  The
     headline diagnostic is the defect normalized by mean K_T times the
     largest |Y - L|.  ``obstacle_values`` are L along the paths (N+1, M) and
-    ``k_increments`` the increments dK (N, M).  The sums run backward in
-    time, as in the backward pass of ``solve_reflected``.
+    ``k_increments`` the increments dK (N, M), which vanish where Y >= L.
+    The sums run backward in time, as in the backward pass of
+    ``solve_reflected``.
     """
     defect = _FlatOffDefect(sol.y[-1], obstacle_values[-1])
     for k in range(sol.n_steps - 1, -1, -1):
-        defect.add(sol.y[k], obstacle_values[k], k_increments[k])
+        gap, below, short = _shortfall(sol.y[k], obstacle_values[k])
+        defect.add(gap, short, k_increments[k][below])
     return defect.report()
 
 
 class _FlatOffDefect:
-    """Running flat-off defect, fed one step at a time: per-path sums of
-    |Y_k - L_k| dK_k and of dK_k, and the running max of |Y_k - L_k|."""
+    """Running flat-off defect, fed one step at a time: the sums over paths
+    of |Y_k - L_k| dK_k and of dK_k, and the running max of |Y_k - L_k|."""
 
     def __init__(self, y_terminal, h_terminal):
-        self.raw = np.zeros(np.shape(y_terminal))
-        self.k_total = np.zeros(np.shape(y_terminal))
+        self.n_paths = np.size(y_terminal)
+        self.raw = self.k_total = 0.0
         self.sup_gap = float(np.abs(y_terminal - h_terminal).max())
 
-    def add(self, y, h, dk):
-        gap = np.subtract(h, y)  # |h - y| is |y - h| exactly
-        np.abs(gap, out=gap)
-        self.sup_gap = max(self.sup_gap, float(gap.max()))
-        gap *= dk
-        self.raw += gap
-        self.k_total += dk
+    def add(self, gap, short, dk):
+        """Step k's L - Y (``gap``), and the shortfall (L - Y)^+ (``short``)
+        and increments dK on the samples below the obstacle, from
+        ``_shortfall``; off them dK vanishes and adds nothing."""
+        self.sup_gap = max(self.sup_gap, float(gap.max()), -float(gap.min()))
+        self.raw += float(np.sum(short * dk))
+        self.k_total += float(np.sum(dk))
 
     def report(self):
-        raw = float(np.mean(self.raw))
-        denom = float(np.mean(self.k_total)) * self.sup_gap
+        raw = self.raw / self.n_paths
+        denom = self.k_total / self.n_paths * self.sup_gap
         return SkorokhodReport(raw=raw, normalized=raw / denom if denom > 0 else 0.0)
 
 
 def solve_reflected(model, driver, terminal, obstacle, paths, basis,
-                    schedule=None, tol=1e-3, eval_x=None, weight=None,
+                    schedule=None, tol=1e-3, weight=None,
                     picard_iters=3, clamp=None, strict=False):
     """Penalization scheme along an increasing schedule of levels.
 
-    Stops when the weighted space-time norm of (u_n - h)^- falls below
-    ``tol`` or the schedule is exhausted; the trace records per level the
-    penalty norm, flat-off defect and the value at the initial time, and
-    after the first level ``min_step_up``, the least u_n - u_{n-1} on the
-    path-covered evaluation grid.  Also runs the direct-reflection
-    cross-check (y <- max(y, h) inside the backward loop) on the same paths
-    and reports the gap between the two u fields.  With ``strict`` the
-    exhausted schedule raises; otherwise the result is returned flagged.
+    Stops when the penalty norm (``penalty_norm`` of the level's path
+    values) falls below ``tol`` or the schedule is exhausted.  The trace
+    records per level the penalty norm, the flat-off defect
+    (``skorokhod_gap``), the value at the initial time and ``pi``, the
+    weighted mass mean(sum_{k<N} rho(X_k) dK_k) of the reflection measure,
+    and after the first level ``min_step_up``, the least Y^n_k - Y^{n-1}_k
+    over the paths and the steps before the horizon.  Each is taken from the
+    path values as the backward pass steps them.  Also runs the
+    direct-reflection cross-check (y <- max(y, h) inside the backward loop)
+    on the same paths and reports the weighted distance between the two
+    along the paths.  With ``strict`` the exhausted schedule raises;
+    otherwise the result is returned flagged.
 
     The schedule runs in chunks of levels, each chunk one backward pass
     that builds each step's regression setup once for all its levels (see
@@ -231,14 +234,10 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         raise ValueError("tol must be positive")
     if weight is None:
         weight = WeightFunction(obstacle.kappa + model.dim + 1)
-    if eval_x is None:
-        lo, hi = float(basis.lo[0]), float(basis.hi[0])
-        eval_x = np.linspace(lo, hi, 101)
-    eval_x = np.asarray(eval_x, float)
 
     # compatibility of the data: the obstacle may not exceed the terminal
     # condition at the horizon, else the limit problem is ill-posed
-    n, dt = paths.grid.n_steps, paths.grid.dt
+    n, m, dt = paths.grid.n_steps, paths.n_paths, paths.grid.dt
     g_T = np.asarray(terminal(paths.states[-1]), float)
     lvals = obstacle_along_paths(obstacle, paths)
     bad = float(np.mean(lvals[n] > g_T + 1e-9 * (1 + np.abs(g_T))))
@@ -248,65 +247,88 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
             f"{bad:.1%} of the cloud; reflected problems require h(T, .) <= g")
     if clamp is None:
         clamp = default_clamp_bound(driver, terminal, paths, obstacle)
-
-    # the evaluation grid is checked against the box and featurized once
-    points = _eval_points(basis, paths.dim, eval_x[:, None])
-    cover = coverage_mask(paths.states, eval_x)
-    hfield = np.stack([np.asarray(obstacle(paths.grid.nodes[k], eval_x[:, None]), float)
-                       for k in range(n + 1)])
-    rho = weight(eval_x[:, None])
-    wx = trapezoid_weights(eval_x)
     wt = time_weights(n, dt)
-
-    def weighted_sum(field):
-        # space-time trapezoid with the weight over the (times x eval_x) grid
-        return float(np.sum(wt[:, None] * field * rho[None, :] * wx[None, :]))
+    # the horizon's term of every level's squared penalty norm
+    _, below, short = _shortfall(g_T, lvals[n])
+    norm2_T = wt[n] * (_weighted_sums(short, weight(paths.states[n])[below])[0] / m)
 
     levels = []
-    fields = []
+    level_sols = []
     trace = []
     converged = False
     direct = sol = None
     start = 0
     while start < len(schedule) and not converged:
         # one backward pass per chunk; per level it keeps coefficients, u0
-        # and a running flat-off defect, and path arrays only for the
+        # and the running sums of the trace, and path arrays only for the
         # chunk's last level and the direct solve.  The last level fills the
         # path arrays of the previous chunk's: fresh ones would add to the
         # peak memory what the freed ones leave fragmented
         chunk = schedule[start:_chunk_end(schedule, start, trace, tol)]
         defects = [_FlatOffDefect(g_T, lvals[n]) for _ in chunk]
+        norm2 = [norm2_T] * len(chunk)
+        pis = [0.0] * len(chunk)
         u0s = [None] * len(chunk)
+        step_up = [math.inf] * len(chunk)
+        # the values each level last left, (step, y), for the step up
+        # between adjacent levels; the previous chunk's last level is
+        # variant -1, read a step ahead of this pass, which overwrites it
+        latest = {} if sol is None else {-1: (n - 1, sol.y[n - 1].copy())}
+        lock = threading.Lock()
+        step_rho = [(None, None)]  # (k, rho(X_k)) of the step being run
 
         def observe(k, i, y):
             # called per level from the thread that stepped it (the direct
             # solve, variant len(chunk), keeps no trace)
-            if i < len(chunk):
-                defects[i].add(y, lvals[k], _increments(chunk[i], dt, lvals[k], y))
-                if k == 0:
-                    u0s[i] = float(y.mean())
+            if i == len(chunk):
+                return
+            gap, below, short = _shortfall(y, lvals[k])
+            dk = short * chunk[i]  # n (h - y)^+ dt, as penalty_increments forms it
+            dk *= dt
+            defects[i].add(gap, short, dk)
+            at, rho = step_rho[0]
+            if at != k:  # the step's first level evaluates it (either thread's serves)
+                rho = weight(paths.states[k])
+                step_rho[0] = (k, rho)
+            short2, mass = _weighted_sums(short, rho[below], dk)
+            norm2[i] += wt[k] * (short2 / m)
+            pis[i] += mass / m
+            if k == 0:
+                u0s[i] = float(y.mean())
+            with lock:
+                latest[i] = (k, y)
+                lower, upper = latest.get(i - 1), latest.get(i + 1)
+                if i == 0 and k and sol is not None:
+                    latest[-1] = (k - 1, sol.y[k - 1].copy())
+            # whichever of two adjacent levels comes second at step k takes
+            # their step up (in the spent gap's memory); the levels may run
+            # on two threads
+            if lower is not None and lower[0] == k:
+                step_up[i] = min(step_up[i], float(np.subtract(y, lower[1], out=gap).min()))
+            if upper is not None and upper[0] == k:
+                step_up[i + 1] = min(step_up[i + 1],
+                                     float(np.subtract(upper[1], y, out=gap).min()))
 
         keep = True if sol is None else (sol.y, sol.z, sol.vbar)
         variants = [(level, False, i == len(chunk) - 1 and keep)
                     for i, level in enumerate(chunk)]
         if direct is None:
             variants.append((0.0, True, True))
-        sol = None
         runs = _backward_pass(model, driver, terminal, paths, basis, variants,
                               picard_iters, clamp, obstacle, observe, lvals)
+        latest.clear()  # the levels' last values, which nothing else holds
         if direct is None:
             direct = runs.pop()
         for i, level in enumerate(chunk):
-            ufield = _u_field(_solution(runs[i]), points, hfield)
-            pnorm = penalty_norm(ufield, hfield, weight, eval_x, dt, cover)
+            pnorm = math.sqrt(norm2[i])
             entry = {"level": level, "penalty_norm": pnorm,
-                     "skorokhod": defects[i].report().normalized, "u0": u0s[i]}
-            if fields:
-                # monotonicity in the level: u_n - u_{n-1} on path-covered samples
-                entry["min_step_up"] = float(np.min((ufield - fields[-1])[cover],
-                                                    initial=np.inf))
+                     "skorokhod": defects[i].report().normalized, "u0": u0s[i],
+                     "pi": pis[i]}
+            level_sols.append(dataclasses.replace(_solution(runs[i]), y=None, z=None,
+                                                  vbar=None))
+            if levels:
+                entry["min_step_up"] = step_up[i]
             levels.append(level)
-            fields.append(ufield)
             trace.append(entry)
             if pnorm < tol:
                 converged = True
@@ -325,19 +347,18 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         # path arrays
         sol = solve_bsde(model, driver, terminal, paths, basis, picard_iters=picard_iters,
                          clamp=clamp, penalty_level=levels[-1], obstacle=obstacle)
-    dk = penalty_increments(sol, lvals)
-    dfield = _u_field(direct, points, hfield)
-    diff2 = weighted_sum(cover * (fields[-1] - dfield) ** 2)
-    base2 = weighted_sum(cover * dfield**2)
-    gap = math.sqrt(diff2)
-    gap_rel = math.sqrt(diff2 / base2) if base2 > 0 else 0.0
+    diff2 = base2 = 0.0
+    for k in range(n, -1, -1):
+        rho = weight(paths.states[k])
+        diff2 += wt[k] * float(np.mean(rho * (sol.y[k] - direct.y[k]) ** 2))
+        base2 += wt[k] * float(np.mean(rho * direct.y[k] ** 2))
 
     return ReflectedSolution(
         solution=sol, obstacle_values=lvals,
-        k_increments=dk, eval_x=eval_x, cover=cover, levels=tuple(levels),
-        level_fields=fields, obstacle_field=hfield, trace=trace,
-        converged=converged, direct=direct, direct_gap=gap,
-        direct_gap_rel=gap_rel, weight=weight,
+        k_increments=penalty_increments(sol, lvals), levels=tuple(levels),
+        level_solutions=level_sols, trace=trace, converged=converged, direct=direct,
+        direct_gap=math.sqrt(diff2),
+        direct_gap_rel=math.sqrt(diff2 / base2) if base2 > 0 else 0.0, weight=weight,
     )
 
 
@@ -359,74 +380,52 @@ def _chunk_end(schedule, start, trace, tol):
 
 @dataclass
 class ReflectionMeasureEstimate:
-    """Space-time histogram of the penalization measure n (u_n - h)^-.
+    """Space-time histogram of the penalization measure n (Y_n - h)^-.
 
-    ``density`` has shape (t_bins, x_bins) and approximates the measure's
-    Lebesgue density on each cell; ``pi_total`` is the weighted total mass
-    with the weight evaluated at cell centers; ``pi_sequence`` tracks the
-    mass over the whole penalty schedule.
+    ``density`` has shape (t_bins, x_bins) over (t, x_1) and approximates
+    the measure's Lebesgue density in time on each cell; ``pi_total`` is the
+    final level's weighted mass pi_n and ``pi_sequence`` the masses of every
+    level of the schedule, from the trace.
     """
 
     t_edges: np.ndarray
     x_edges: np.ndarray
     density: np.ndarray
-    gap_mean: np.ndarray
     pi_total: float
     pi_sequence: tuple
     level: float
 
 
-def estimate_reflection_measure(reflected, weight=None, t_bins=10, x_bins=20):
-    """Histogram the final-level penalty density on (t, x) cells.
+def estimate_reflection_measure(reflected, t_bins=10, x_bins=20):
+    """Histogram the final level's penalty density on (t, x_1) cells.
 
-    Cell values average n (u_n - h)^- over the evaluation-grid samples that
-    fall in the cell; the weighted mass pi_n uses the weight at cell centers
-    times cell areas.  The masses of every schedule level are reported so
-    their stabilization can be asserted.
+    The x_1 cells split the first coordinate of the basis box into equal
+    widths.  Cell values average n (h - Y_n)^+ over the final level's path
+    samples (t_k, X_k) that fall in the cell; the masses pi_n of every level
+    come from the trace, so their stabilization can be asserted.
     """
-    weight = weight if weight is not None else reflected.weight
     sol = reflected.solution
     times = sol.grid.nodes
-    x = reflected.eval_x
+    lo, hi = sol.basis.lo[0], sol.basis.hi[0]
     t_edges = np.linspace(times[0], times[-1], t_bins + 1)
-    x_edges = np.linspace(x[0], x[-1], x_bins + 1)
-    hfield = reflected.obstacle_field
-
+    x_edges = np.linspace(lo, hi, x_bins + 1)
     t_idx = np.clip(np.searchsorted(t_edges, times, side="right") - 1, 0, t_bins - 1)
-    x_idx = np.clip(np.searchsorted(x_edges, x, side="right") - 1, 0, x_bins - 1)
-    flat = (t_idx[:, None] * x_bins + x_idx[None, :]).ravel()
-    cover = reflected.cover.astype(float).ravel()
-    cnt = np.bincount(flat, weights=cover, minlength=t_bins * x_bins)
-
-    def mass_and_density(ufield, level):
-        # only path-covered samples enter the cell averages
-        neg = level * np.maximum(hfield - ufield, 0.0) * reflected.cover
-        gap = (ufield - hfield) * reflected.cover
-        dens = np.bincount(flat, weights=neg.ravel(), minlength=t_bins * x_bins)
-        gmean = np.bincount(flat, weights=gap.ravel(), minlength=t_bins * x_bins)
-        nz = cnt > 0
-        dens[nz] /= cnt[nz]
-        gmean[nz] /= cnt[nz]
-        dens = dens.reshape(t_bins, x_bins)
-        gmean = gmean.reshape(t_bins, x_bins)
-        return dens, gmean, float(np.sum(_cell_masses(dens, t_edges, x_edges, weight)))
-
-    pis = []
-    density = gap_mean = None
-    for lvl, uf in zip(reflected.levels, reflected.level_fields):
-        density, gap_mean, pi = mass_and_density(uf, lvl)
-        pis.append(pi)
+    counts = np.zeros((t_bins, x_bins))
+    density = np.zeros((t_bins, x_bins))
+    level = reflected.final_level
+    for k, row in enumerate(t_idx):
+        x_idx = ((sol.states[k, :, 0] - lo) * (x_bins / (hi - lo))).astype(np.intp)
+        np.clip(x_idx, 0, x_bins - 1, out=x_idx)
+        _, below, short = _shortfall(sol.y[k], reflected.obstacle_values[k])
+        counts[row] += np.bincount(x_idx, minlength=x_bins)
+        density[row] += np.bincount(x_idx[below], weights=level * short, minlength=x_bins)
+    filled = counts > 0
+    density[filled] /= counts[filled]
+    pis = tuple(entry["pi"] for entry in reflected.trace)
     return ReflectionMeasureEstimate(
-        t_edges=t_edges, x_edges=x_edges, density=density, gap_mean=gap_mean,
-        pi_total=pis[-1], pi_sequence=tuple(pis), level=reflected.final_level,
+        t_edges=t_edges, x_edges=x_edges, density=density, pi_total=pis[-1],
+        pi_sequence=pis, level=level,
     )
-
-
-def _cell_masses(density, t_edges, x_edges, weight):
-    """Weighted mass of each (t, x) cell: density * rho(x centre) * area."""
-    centers = 0.5 * (x_edges[:-1] + x_edges[1:])
-    areas = np.outer(np.diff(t_edges), np.diff(x_edges))
-    return density * weight(centers[:, None])[None, :] * areas
 
 
 @dataclass(frozen=True)
@@ -436,17 +435,26 @@ class SupportReport:
 
 
 def support_check(reflected, measure, delta):
-    """Fraction of the measure's mass on cells where u - h exceeds delta.
+    """Share of the measure's weighted mass where the reflected value exceeds
+    the obstacle by more than delta.
 
-    Small values certify that the measure charges only the contact region at
-    resolution delta.  Zero total mass is flagged, not an error.
+    The mass is rho(X_k) dK_k of the final level per path sample (k < N),
+    and the contact test reads the direct-reflection solve on the same
+    sample: Y^dir_k - h_k > delta.  Small values certify that the measure
+    charges only the contact region at resolution delta.  Zero total mass
+    is flagged, not an error.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if measure.pi_total <= 0:
         return SupportReport(fraction=0.0, trivial_mass=True)
-    contrib = _cell_masses(measure.density, measure.t_edges, measure.x_edges,
-                           reflected.weight)
-    off = measure.gap_mean > delta
-    frac = float(contrib[off].sum() / measure.pi_total)
-    return SupportReport(fraction=frac, trivial_mass=False)
+    sol = reflected.solution
+    total = off = 0.0
+    for k in range(sol.n_steps):
+        dk = reflected.k_increments[k]
+        charged = np.flatnonzero(dk > 0)
+        mass = reflected.weight(sol.states[k][charged]) * dk[charged]
+        gap = reflected.direct.y[k][charged] - reflected.obstacle_values[k][charged]
+        total += float(np.sum(mass))
+        off += float(np.sum(mass[gap > delta]))
+    return SupportReport(fraction=off / total, trivial_mass=False)

@@ -261,12 +261,13 @@ def _task_solve_obstacle(cfg, out_dir):
     eval_x = _eval_grid(cfg, paths)
     refl = obstacle_mod.solve_reflected(
         model, driver, terminal, obst, paths, basis,
-        schedule=cfg.schedule(), tol=cfg.numerics["tol"], eval_x=eval_x,
+        schedule=cfg.schedule(), tol=cfg.numerics["tol"],
         weight=weight, picard_iters=cfg.numerics["picard"])
     artifacts = []
-    for lvl, ufield in zip(refl.levels, refl.level_fields):
+    for lvl, lsol in zip(refl.levels, refl.level_solutions):
         name = f"u_level_{lvl:.0f}.csv"
-        _write_xu_csv(os.path.join(out_dir, name), eval_x, ufield[0])
+        u0 = evaluate_u(lsol, 0, eval_x[:, None])
+        _write_xu_csv(os.path.join(out_dir, name), eval_x, u0)
         artifacts.append(name)
     meas = obstacle_mod.estimate_reflection_measure(refl)
     with open(os.path.join(out_dir, "nu_histogram.csv"), "w") as fh:
@@ -282,7 +283,8 @@ def _task_solve_obstacle(cfg, out_dir):
     with open(os.path.join(out_dir, "trace.json"), "w") as fh:
         json.dump(trace, fh, indent=2, sort_keys=True)
     artifacts.append("trace.json")
-    _write_xu_csv(os.path.join(out_dir, "u0_grid.csv"), eval_x, refl.level_fields[-1][0])
+    _write_xu_csv(os.path.join(out_dir, "u0_grid.csv"), eval_x,
+                  evaluate_u(refl.solution, 0, eval_x[:, None]))
     artifacts.append("u0_grid.csv")
     headline = {"u0": refl.u0(), "converged": refl.converged,
                 "final_level": float(refl.final_level),

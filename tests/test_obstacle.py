@@ -9,13 +9,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis, default_clamp_bound,
-                            evaluate_u, solve_bsde)
-from pidesolve.errors import DomainError, NoConvergenceError, NumericError
+from pidesolve.bsde import LocalAffineBasis, PolynomialBasis, default_clamp_bound, solve_bsde
+from pidesolve.errors import NoConvergenceError, NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
-from pidesolve.model import (ObstacleSpec, WeightFunction, discount_driver,
+from pidesolve.model import (ModelSpec, ObstacleSpec, WeightFunction, discount_driver,
                              named_model, zero_driver)
-from pidesolve.obstacle import (coverage_mask, default_schedule, estimate_reflection_measure,
+from pidesolve.obstacle import (default_schedule, estimate_reflection_measure,
                                 obstacle_along_paths, penalty_increments, penalty_norm,
                                 skorokhod_gap, solve_penalized, solve_reflected,
                                 support_check)
@@ -121,10 +120,8 @@ def test_penalization_monotone_in_level(reflected_put):
     u0s = [tr["u0"] for tr in reflected_put.trace]
     se = 3 * reflected_put.solution.u0_stderr()
     assert all(b >= a - se for a, b in zip(u0s, u0s[1:]))
-    # monotone non-decreasing on the evaluation grid as well
-    fields = reflected_put.level_fields
-    for fa, fb in zip(fields, fields[1:]):
-        assert np.min(fb - fa) >= -3 * se
+    # monotone non-decreasing along the paths as well
+    assert all(tr["min_step_up"] >= -3 * se for tr in reflected_put.trace[1:])
 
 
 def test_penalty_norm_non_increasing(reflected_put):
@@ -136,16 +133,16 @@ def test_dominance_over_unreflected(bs_put_setup, reflected_put):
     model, paths, basis = bs_put_setup
     plain = solve_bsde(model, discount_driver(0.05), put_payoff, paths, basis)
     eps = 3 * (plain.u0_stderr() + reflected_put.solution.u0_stderr())
-    # interior steps where the point-start cloud has fanned out; restrict to
-    # path-covered grid points, the field is no estimate elsewhere
+    # along the paths at interior steps where the point-start cloud has
+    # fanned out, inside its central 99%: the fit is poor in the thin tails
     for k in (5, 12, 20):
-        xq = reflected_put.eval_x[reflected_put.cover[k]][::5][:, None]
-        u_refl = evaluate_u(reflected_put.solution, k, xq)
-        u_plain = evaluate_u(plain, k, xq)
-        assert np.all(u_refl >= u_plain - eps)
+        x = paths.states[k, :, 0]
+        lo, hi = np.quantile(x, (0.005, 0.995))
+        inside = (x >= lo) & (x <= hi)
+        u_refl = reflected_put.solution.y[k][inside]
+        assert np.all(u_refl >= plain.y[k][inside] - eps)
         # and sits above the obstacle there up to the penalization dip
-        h_k = put_obstacle()(reflected_put.solution.grid.nodes[k], xq)
-        assert np.all(u_refl >= h_k - 0.1)
+        assert np.all(u_refl >= reflected_put.obstacle_values[k][inside] - 0.1)
     # american value dominates the european one
     assert reflected_put.u0() >= plain.u0() - eps
 
@@ -169,35 +166,23 @@ def test_skorokhod_trivia(bs_put_setup):
 
 def test_flat_off_defect_equals_its_formula(reflected_put):
     # the in-place increments and defect against their formulas:
-    # dK = n (L - Y)^- dt, and sums of |Y - L| dK, of dK and the sup of |Y - L|
+    # dK = n (L - Y)^- dt, and sums of |Y - L| dK, of dK and the sup of |Y - L|,
+    # each step's sums over the samples below the obstacle, where dK lives
     sol, lvals = reflected_put.solution, reflected_put.obstacle_values
-    dt = sol.grid.dt
+    dt, m = sol.grid.dt, sol.y.shape[1]
     dk = sol.penalty_level * np.maximum(lvals[:-1] - sol.y[:-1], 0.0) * dt
     assert np.array_equal(penalty_increments(sol, lvals), dk)
-    raw, k_total = np.zeros(sol.y.shape[1]), np.zeros(sol.y.shape[1])
+    raw = k_total = 0.0
     sup_gap = float(np.abs(sol.y[-1] - lvals[-1]).max())
     for k in range(sol.n_steps - 1, -1, -1):
-        gap = np.abs(sol.y[k] - lvals[k])
-        raw += gap * dk[k]
-        k_total += dk[k]
-        sup_gap = max(sup_gap, float(gap.max()))
+        gap = lvals[k] - sol.y[k]
+        below = gap > 0
+        raw += float(np.sum(gap[below] * dk[k][below]))
+        k_total += float(np.sum(dk[k][below]))
+        sup_gap = max(sup_gap, float(np.abs(gap).max()))
     rep = skorokhod_gap(sol, lvals, dk)
-    assert rep.raw == float(np.mean(raw)) > 0.0
-    assert rep.normalized == rep.raw / (float(np.mean(k_total)) * sup_gap)
-
-
-@pytest.mark.parametrize("quantiles, margin", [((0.005, 0.995), None), ((0.1, 0.75), 0.3)])
-def test_coverage_mask_equals_separate_quantiles(bs_put_setup, quantiles, margin):
-    # one quantile call for both bounds gives the bounds of one call each
-    _, paths, _ = bs_put_setup
-    eval_x = np.linspace(60.0, 160.0, 101)
-    pad = 2.0 * (eval_x[-1] - eval_x[0]) / 100 if margin is None else margin
-    lo = np.quantile(paths.states[:, :, 0], quantiles[0], axis=1) - pad
-    hi = np.quantile(paths.states[:, :, 0], quantiles[1], axis=1) + pad
-    expect = (eval_x[None, :] >= lo[:, None]) & (eval_x[None, :] <= hi[:, None])
-    got = coverage_mask(paths.states, eval_x, quantiles, margin)
-    assert got.any() and not got.all()
-    assert np.array_equal(got, expect)
+    assert rep.raw == raw / m > 0.0
+    assert rep.normalized == rep.raw / (k_total / m * sup_gap)
 
 
 def test_skorokhod_decreases_along_schedule(reflected_put):
@@ -212,20 +197,40 @@ def test_american_put_against_tree(bs_put_setup, reflected_put):
     assert reflected_put.u0() == pytest.approx(bench, rel=0.02)
 
 
-def test_reflection_measure_masses(reflected_put):
+def test_reflected_put_in_two_dimensions():
+    # a second, independent asset that neither the payoff nor the obstacle
+    # reads: the reflected solve, its measure and its support check run in
+    # two dimensions, and u0 is the one-dimensional put's
+    model = ModelSpec(dim=2, drift=lambda x: 0.05 * x,
+                      diffusion=lambda x: 0.2 * x[..., :, None] * np.eye(2),
+                      k_coef=0.2, sample_box=(1.0, 200.0))
+    paths = simulate_paths(model, TimeGrid(0, 1, 25), np.array([100.0, 100.0]), 40_000,
+                           seed=1)
+    box = (paths.states.min(axis=(0, 1)) - 1.0, paths.states.max(axis=(0, 1)) + 1.0)
+    refl = solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
+                           LocalAffineBasis((40, 1), box), schedule=(1, 16, 256, 4096),
+                           tol=1e-12)
+    rep = support_check(refl, estimate_reflection_measure(refl), delta=0.5)
+    assert not rep.trivial_mass and rep.fraction <= 0.05
+    bench = binomial_american(100.0, K, 0.05, 0.2, 1.0, 2000, "put")
+    assert abs(refl.u0() - bench) <= 3 * refl.solution.u0_stderr()
+
+
+def test_reflection_measure_masses(bs_put_setup, reflected_put):
     meas = estimate_reflection_measure(reflected_put, t_bins=8, x_bins=16)
     assert np.all(meas.density >= 0.0)
     assert np.isfinite(meas.pi_total) and meas.pi_total > 0
-    assert len(meas.pi_sequence) == len(reflected_put.levels)
-    # heavier weight decay shrinks the weighted mass
-    meas6 = estimate_reflection_measure(reflected_put, weight=WeightFunction(6),
-                                        t_bins=8, x_bins=16)
-    assert meas6.pi_total < meas.pi_total
+    assert meas.pi_sequence == tuple(tr["pi"] for tr in reflected_put.trace)
+    # heavier weight decay shrinks the weighted mass of the same levels
+    model, paths, basis = bs_put_setup
+    refl6 = solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(),
+                            paths, basis, schedule=(1, 4), tol=1e-12, weight=WeightFunction(6))
+    assert all(0 < tr["pi"] < pi for tr, pi in zip(refl6.trace, meas.pi_sequence))
 
 
 def test_reflection_measure_reads_the_solve_obstacle_field(bs_put_setup):
-    # the histogram uses the obstacle field the reflected solve evaluated on
-    # (times x eval_x); it calls the obstacle no more
+    # the histogram bins the obstacle values the reflected solve took along
+    # the paths; it calls the obstacle no more
     model, paths, basis = bs_put_setup
     calls = []
 
@@ -236,17 +241,25 @@ def test_reflection_measure_reads_the_solve_obstacle_field(bs_put_setup):
     obst = ObstacleSpec(h=h, iota=K + 1, kappa=1.0)
     refl = solve_reflected(model, discount_driver(0.05), put_payoff, obst, paths,
                            basis, schedule=(1, 16), tol=1e-12, weight=RHO4)
-    # once per time node along the paths, for the clamp bound and on eval_x,
-    # however many levels: the u fields reuse the obstacle field
-    assert max(Counter(calls).values()) <= 3
-    x = refl.eval_x[:, None]
-    expect = np.stack([h(t, x) for t in paths.grid.nodes])
-    assert np.array_equal(refl.obstacle_field, expect)
-    for k in range(paths.grid.n_steps + 1):
-        assert np.array_equal(refl.level_fields[-1][k], evaluate_u(refl.solution, k, x))
+    # once per time node along the paths and for the clamp bound, however
+    # many levels
+    assert max(Counter(calls).values()) <= 2
     n_calls = len(calls)
-    estimate_reflection_measure(refl, t_bins=5, x_bins=10)
+    meas = estimate_reflection_measure(refl, t_bins=5, x_bins=10)
     assert len(calls) == n_calls
+    # each (t, x_1) cell over the basis box averages 16 (h - Y)^+ over the
+    # final level's path samples in it
+    sol = refl.solution
+    t = np.broadcast_to(sol.grid.nodes[:, None], sol.y.shape).ravel()
+    x1 = sol.states[..., 0].ravel()
+    bins = (meas.t_edges, meas.x_edges)
+    short = 16 * np.maximum(refl.obstacle_values - sol.y, 0.0)
+    total = np.histogram2d(t, x1, bins=bins, weights=short.ravel())[0]
+    count = np.histogram2d(t, x1, bins=bins)[0]
+    assert (meas.x_edges[0], meas.x_edges[-1]) == (basis.lo[0], basis.hi[0])
+    assert count.sum() == sol.y.size
+    assert np.allclose(meas.density, np.divide(total, count, out=np.zeros_like(total),
+                                               where=count > 0), rtol=1e-12, atol=0.0)
 
 
 def test_support_concentrates_on_contact(reflected_put):
@@ -341,11 +354,18 @@ def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
         assert refl.solution.clamp_bound == refl.direct.clamp_bound == bounds[0]
 
 
-def test_trace_records_the_step_up_between_levels(reflected_put):
-    trace, fields, cover = reflected_put.trace, reflected_put.level_fields, reflected_put.cover
+def test_trace_records_the_step_up_between_levels(bs_put_setup, reflected_put):
+    # the least Y^n - Y^{n-1} over the paths before the horizon, against the
+    # levels' own solves.  Levels 4 to 1024 run in one pass, whose caller
+    # steps 4, 16 and 64 and, with two CPUs, whose helper 256 and 1024
+    model, paths, basis = bs_put_setup
+    trace = reflected_put.trace
     assert "min_step_up" not in trace[0]
-    for i in range(1, len(trace)):
-        assert trace[i]["min_step_up"] == float(np.min((fields[i] - fields[i - 1])[cover]))
+    ys = [solve_penalized(model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
+                          basis, level, clamp=reflected_put.solution.clamp_bound).y
+          for level in (64, 256)] + [reflected_put.solution.y]
+    for tr, below, y in zip(trace[-2:], ys, ys[1:]):
+        assert tr["min_step_up"] == float(np.min(y[:-1] - below[:-1]))
 
 
 @pytest.fixture(scope="module")
@@ -363,11 +383,26 @@ def _one_chunk(monkeypatch):
     monkeypatch.setattr(obstacle_mod, "_chunk_end", lambda schedule, *_: len(schedule))
 
 
+def _mass(sol, lvals, states):
+    # pi = mean over paths of sum_{k<N} rho(X_k) dK_k, summed backward in time
+    # over each step's samples below the obstacle, as the trace sums it
+    dk = penalty_increments(sol, lvals)
+    pi = 0.0
+    for k in range(sol.n_steps - 1, -1, -1):
+        below = sol.y[k] < lvals[k]
+        pi += float(np.sum(RHO4(states[k])[below] * dk[k][below])) / sol.y.shape[1]
+    return pi
+
+
 @pytest.mark.parametrize("one_chunk", [False, True], ids=["chunks", "one-chunk"])
 @pytest.mark.parametrize("kind", ["local", "poly"])
 def test_one_pass_equals_per_level_solves(small_put, kind, one_chunk, monkeypatch):
     # the schedule run as separate solves, one penalized solve per level up to
-    # the one that meets tol and then the direct reflection, gives the same bits
+    # the one that meets tol and then the direct reflection, gives the same
+    # bits, the trace's path sums included.  Levels 16 and 64 run in one pass
+    # on two groups, the caller's and the helper's; with chunks, level 4
+    # starts a pass that overwrites level 1's path arrays
+    _two_cpus(monkeypatch)
     model, paths, box = small_put
     basis = LocalAffineBasis(20, box) if kind == "local" else PolynomialBasis(3, box)
     drv, obst, dt = discount_driver(0.05), put_obstacle(), paths.grid.dt
@@ -378,18 +413,24 @@ def test_one_pass_equals_per_level_solves(small_put, kind, one_chunk, monkeypatc
     if one_chunk:
         _one_chunk(monkeypatch)
     for schedule, tol in (((1, 4, 16, 64), 1e-12), ((0, 1, 4), 1e-12),
-                          ((1, 4, 16, 64), 3e-4), ((1, 4, 16, 64), 1e12)):
+                          ((1, 4, 16, 64), 3e-5), ((1, 4, 16, 64), 1e12)):
         refl = solve_reflected(model, drv, put_payoff, obst, paths, basis,
                                schedule=schedule, tol=tol, weight=RHO4)
-        x = refl.eval_x[:, None]
+        below = None
         for i, level in enumerate(schedule):
             sol = solve_penalized(model, drv, put_payoff, obst, paths, basis, level,
                                   clamp=clamp)
-            field = np.stack([evaluate_u(sol, k, x) for k in range(paths.grid.n_steps + 1)])
-            pnorm = penalty_norm(field, refl.obstacle_field, RHO4, refl.eval_x, dt, refl.cover)
-            assert np.array_equal(refl.level_fields[i], field)
+            for name in ("coef_y", "coef_z", "coef_v"):
+                assert np.array_equal(getattr(refl.level_solutions[i], name), getattr(sol, name))
+            pnorm = penalty_norm(sol.y, lvals, paths.states, RHO4, dt)
             assert refl.trace[i]["penalty_norm"] == pnorm
             assert refl.trace[i]["u0"] == sol.u0()
+            assert refl.trace[i]["pi"] == _mass(sol, lvals, paths.states)
+            if below is None:
+                assert "min_step_up" not in refl.trace[i]
+            else:
+                assert refl.trace[i]["min_step_up"] == float(np.min(sol.y[:-1] - below.y[:-1]))
+            below = sol
             if pnorm < tol:
                 break
         assert refl.levels == schedule[:i + 1]
@@ -432,7 +473,7 @@ def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
     monkeypatch.setattr(LocalAffineBasis, "prepare", counted_prepare)
     monkeypatch.setattr(bsde_mod._Variant, "step", counted_step)
     obst = ObstacleSpec(h=h, iota=K + 1, kappa=1.0)
-    for tol, n_levels, n_passes in ((1e12, 1, 1), (1e-4, 7, 3), (1e-12, 13, 2)):
+    for tol, n_levels, n_passes in ((1e12, 1, 1), (6e-6, 7, 3), (1e-12, 13, 2)):
         prepared.clear()
         steps.clear()
         along.clear()
@@ -459,21 +500,15 @@ def test_later_levels_cannot_change_or_break_the_result(small_put, one_chunk, mo
         refl = solve_reflected(*args, schedule=(1, 2, math.inf), tol=1e12, weight=RHO4)
         assert refl.levels == (1,)
         assert refl.trace == ref.trace
-        assert np.array_equal(refl.level_fields[0], ref.level_fields[0])
+        for name in ("coef_y", "coef_z", "coef_v"):
+            assert np.array_equal(getattr(refl.level_solutions[0], name),
+                                  getattr(ref.level_solutions[0], name))
         for got, want in ((refl.solution, ref.solution), (refl.direct, ref.direct)):
             for name in ("y", "z", "vbar"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
         # a schedule that reaches the level raises, as its own solve would
         with pytest.raises(NumericError, match="non-finite"):
             solve_reflected(*args, schedule=(1, 2, math.inf), tol=1e-12, weight=RHO4)
-
-
-def test_eval_grid_outside_the_box_raises(small_put):
-    model, paths, box = small_put
-    with pytest.raises(DomainError):
-        solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
-                        LocalAffineBasis(20, box), schedule=(1, 2), weight=RHO4,
-                        eval_x=np.linspace(box[0] - 5.0, box[1], 50))
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +584,9 @@ def test_threaded_solve_under_frequent_thread_switches(small_put, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got.trace == want.trace
-    for a, b in zip(got.level_fields, want.level_fields):
-        assert np.array_equal(a, b)
+    for a, b in zip(got.level_solutions, want.level_solutions):
+        for name in ("coef_y", "coef_z", "coef_v"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
     for name in ("k_increments", "obstacle_values"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     assert (got.direct_gap, got.direct_gap_rel) == (want.direct_gap, want.direct_gap_rel)
