@@ -11,10 +11,11 @@ arbitrarily large penalty levels.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,6 +41,8 @@ __all__ = [
 
 _RIDGE_SCALE = 1e-8
 _MIN_PATHS_PER_REGRESSOR = 10
+# a local cell with fewer points is fitted by its mean
+_MIN_POINTS = 8
 
 
 def _check_floor(n_features, m):
@@ -204,7 +207,7 @@ class _LocalRegression(_Regression):
         gram = (self.phi_t @ self.phi.data.reshape(-1, p)).reshape(-1, p, p)
         self.counts = gram[:, 0, 0]
         filled = self.counts >= 1
-        self.thin = filled & (self.counts < basis.min_points)
+        self.thin = filled & (self.counts < _MIN_POINTS)
         self.full = filled & ~self.thin
         g = gram[self.full]
         ridge = basis.ridge_scale * np.trace(g, axis1=1, axis2=2) / p
@@ -229,21 +232,20 @@ class LocalAffineBasis(_BoxBasis):
 
     The normal equations decompose into per-cell (dim+1) x (dim+1) blocks,
     so fitting is O(n_paths) regardless of the number of cells.  Cells with
-    too few points degrade to their mean; empty cells borrow the mean of the
-    filled cell with the nearest centre so the field stays defined on the
-    whole box.  Single-target coefficients have shape (n_cells, dim+1).
+    fewer than 8 points degrade to their mean; empty cells borrow the mean
+    of the filled cell with the nearest centre so the field stays defined on
+    the whole box.  Single-target coefficients have shape (n_cells, dim+1).
     """
 
     kind = "local"
     _setup = _LocalRegression
 
-    def __init__(self, cells, box, ridge_scale=_RIDGE_SCALE, min_points=8):
+    def __init__(self, cells, box, ridge_scale=_RIDGE_SCALE):
         super().__init__(box, ridge_scale)
         self.cells = np.broadcast_to(np.asarray(cells, int), (self.dim,)).copy()
         if np.any(self.cells < 1):
             raise ValueError("need at least one cell per axis")
         self.n_cells = int(np.prod(self.cells))
-        self.min_points = min_points
 
     @property
     def n_features(self):
@@ -464,19 +466,10 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
 
 
 def _solution(result):
-    """A variant's solution from ``_backward_pass`` (or any result of
-    ``_caught``), or raise what stopped it."""
+    """A variant's solution from ``_backward_pass``, or raise what stopped it."""
     if isinstance(result, BaseException):
         raise result
     return result
-
-
-def _caught(fn, *args):
-    """fn(*args), or the exception it raised."""
-    try:
-        return fn(*args)
-    except BaseException as exc:
-        return exc
 
 
 def _cpu_count():
@@ -485,44 +478,6 @@ def _cpu_count():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity outside Linux
         return os.cpu_count() or 1
-
-
-class _Helper:
-    """The helper thread of a multi-variant backward pass, named
-    ``pidesolve-backward``: ``submit(task)`` runs task() there and
-    ``result()`` waits for what it returned or raised.  It runs under the
-    NumPy error state of the thread that made it, which a new thread does
-    not inherit.  ``close`` ends and joins it."""
-
-    def __init__(self):
-        self._task = self._result = None
-        self._go, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, args=(np.geterr(),),
-                                        name="pidesolve-backward", daemon=True)
-        self._thread.start()
-
-    def _serve(self, errstate):
-        with np.errstate(**errstate):
-            while True:
-                self._go.acquire()
-                task = self._task
-                if task is None:
-                    return
-                self._result = _caught(task)
-                self._done.release()
-
-    def submit(self, task):
-        self._task = task
-        self._go.release()
-
-    def result(self):
-        self._done.acquire()
-        return self._result
-
-    def close(self):
-        self._task = None
-        self._go.release()
-        self._thread.join()
 
 
 class _Variant:
@@ -657,13 +612,14 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
 
     With two or more variants and more than one CPU, each step splits its
     live variants into two groups, each with its own two stages: the
-    calling thread runs the first, one helper thread (``_Helper``) the
-    rest, and then it builds the next step's setup ahead.
-    The outputs are those of one thread, bit for bit; the driver and
-    ``observe`` may be called from both threads at once.  An exception that
-    a group raises reaches the caller once both groups are done with the
-    step, the caller's first; one that the setup ahead raises, at the step
-    that needs it.  The helper is joined before the pass returns or raises.
+    calling thread runs the first, and a one-worker executor (thread
+    ``pidesolve-backward_0``, under the caller's NumPy error state) the
+    rest, and then the next step's setup ahead.  The outputs are those of
+    one thread, bit for bit; the driver and ``observe`` may be called from
+    both threads at once.  An exception that a group raises reaches the
+    caller once both groups are done with the step, the caller's first; one
+    that the setup ahead raises, at the step that needs it.  The worker is
+    joined before the pass returns or raises.
 
     Only variants with ``keep`` store their path arrays; the others come
     back with ``y``/``z``/``vbar`` None.  ``keep`` may also be the path
@@ -700,8 +656,11 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     runs = [_Variant(i, level, reflect, keep, y, n, d, q, basis.coef_shape)
             for i, (level, reflect, keep) in enumerate(variants)]
 
-    helper = _Helper() if len(runs) > 1 and _cpu_count() > 1 else None
-    ahead = None  # this step's setup, or its error, if the helper built it
+    pool = None
+    if len(runs) > 1 and _cpu_count() > 1:
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pidesolve-backward",
+                                  initializer=functools.partial(np.seterr, **np.geterr()))
+    ahead = None  # the future of this step's setup, if the worker built it
     try:
         for k in range(n - 1, -1, -1):
             live = [v for v in runs if v.error is None]
@@ -709,30 +668,29 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
                 break
             xk = paths.states[k]
             t_k = grid.nodes[k]
-            reg = basis.prepare(xk) if ahead is None else _solution(ahead)
+            reg = basis.prepare(xk) if ahead is None else ahead.result()
             h_k = None
             if obstacle is not None:
                 h_k = obstacle(t_k, xk) if obstacle_values is None else obstacle_values[k]
             args = (reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp, observe)
-            if helper is None:
+            if pool is None:
                 _step_group(k, live, *args)
             else:
-                # the caller runs one more than half: the helper also builds
+                # the caller runs one more than half: the worker also builds
                 # the next setup, which costs about two variants' steps (so
                 # with two variants it builds only that)
                 cut = min((len(live) + 2) // 2, len(live))
-                helper.submit(lambda: (
-                    _caught(_step_group, k, live[cut:], *args),
-                    _caught(basis.prepare, paths.states[k - 1]) if k else None))
-                mine = _caught(_step_group, k, live[:cut], *args)
-                theirs, ahead = helper.result()
-                for err in (mine, theirs):
-                    if err is not None:
-                        raise err
+                theirs = pool.submit(_step_group, k, live[cut:], *args)
+                ahead = pool.submit(basis.prepare, paths.states[k - 1]) if k else None
+                try:
+                    _step_group(k, live[:cut], *args)
+                finally:
+                    theirs.exception()  # the caller's error waits for their group
+                theirs.result()
             del reg, args  # one step's design at a time, and the one built ahead
     finally:
-        if helper is not None:
-            helper.close()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     return [v.error if v.error is not None else BsdeSolution(
         grid=grid, basis=basis, driver=driver, terminal=terminal,
@@ -831,7 +789,11 @@ def check_apriori_estimate(solutions, terminal, driver, weight, x_weights=None):
     path-mean squares.  Denominator: the same quadrature of g(x0)^2 +
     sum_k dt f(t_k, x0, 0,0,0)^2.  The useful assertion is boundedness and
     stability of the ratio across configurations, not a particular value.
+    The x0 quadrature is one-dimensional, so the states must be too.
     """
+    if any(sol.states.shape[2] > 1 for sol in solutions.values()):
+        raise ValueError("the start-point quadrature is one-dimensional; "
+                         "got solutions of a multi-dimensional state")
     items = sorted(solutions.items(), key=lambda kv: float(np.atleast_1d(kv[0])[0]))
     x0s = np.array([float(np.atleast_1d(key)[0]) for key, _ in items])
     sols = [v for _, v in items]
@@ -855,7 +817,7 @@ def check_apriori_estimate(solutions, terminal, driver, weight, x_weights=None):
 
     denom = 0.0
     for w, x0 in zip(qw, x0s):
-        point = np.array([[x0]]) if sols[0].states.shape[2] == 1 else np.atleast_2d(x0)
+        point = np.array([[x0]])
         gx = float(np.asarray(terminal(point)).ravel()[0])
         f0s = np.array([float(np.asarray(driver.f_zero(grid.nodes[k], point)).ravel()[0])
                         for k in range(n)])

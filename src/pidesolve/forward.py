@@ -14,19 +14,20 @@ or over the whole step when it does not jump) is one Euler update of all
 paths together; only the paths that jump then go on, grouped by their number
 of jumps, through each jump and the segment after it.
 
-No step's draws depend on the state, so ``simulate_paths`` makes them on one
-helper thread, in step order and at most two steps ahead of the Euler and
-jump updates on the calling thread.  Only the generator and the measure's
-``mark_sampler`` run on the helper, never a model coefficient, and the
+No step's draws depend on the state, so ``simulate_paths`` submits them to a
+one-worker executor, whose thread ``pidesolve-draw_0`` makes them in step
+order under the caller's NumPy error state, at most two steps ahead of the
+Euler and jump updates on the calling thread.  Only the generator and the
+measure's ``mark_sampler`` run there, never a model coefficient, and the
 bundle is bit-identical to drawing each step just before advancing it.
 """
 
 from __future__ import annotations
 
 import collections
-import contextlib
+import functools
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 _KEY_MASK = (1 << 64) - 1
-# steps the helper thread may draw ahead of the step being advanced
+# steps the draw thread may draw ahead of the step being advanced
 _LOOKAHEAD = 2
 
 
@@ -236,50 +237,6 @@ def _advance(model, x, dt, drawn):
     return new_x, dW, counts, np.repeat(jumped, n_jumps), offsets, marks
 
 
-def _drawn_ahead(model, m, d, dt, seed, keys):
-    """Yield ``_draw``'s output for each key's stream, in key order.
-
-    One helper thread makes the draws, at most ``_LOOKAHEAD`` steps ahead of
-    the steps taken, while the caller advances the paths.  It draws under
-    the caller's NumPy error state, which a new thread does not inherit.  An
-    exception raised by a draw is raised here at the step it belongs to.
-    Closing the generator stops the helper and joins it, so no thread
-    outlives the simulation, whether it returns or raises.
-    """
-    ready = collections.deque()
-    slots, filled = threading.Semaphore(_LOOKAHEAD), threading.Semaphore(0)
-    stop = threading.Event()
-
-    def produce(errstate):
-        try:
-            with np.errstate(**errstate):
-                for key in keys:
-                    slots.acquire()
-                    if stop.is_set():
-                        return
-                    ready.append(_draw(model, m, d, dt, _step_stream(seed, key)))
-                    filled.release()
-        except BaseException as exc:
-            ready.append(exc)
-            filled.release()
-
-    helper = threading.Thread(target=produce, args=(np.geterr(),), name="pidesolve-draw",
-                              daemon=True)
-    helper.start()
-    try:
-        for _ in keys:
-            filled.acquire()
-            drawn = ready.popleft()
-            slots.release()
-            if isinstance(drawn, BaseException):
-                raise drawn
-            yield drawn
-    finally:
-        stop.set()
-        slots.release()
-        helper.join()
-
-
 def _as_start(x0, n_paths, dim):
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 0:
@@ -311,9 +268,21 @@ def simulate_paths(model, grid, x0, n_paths, seed, key_offset=0):
     counts_all = np.empty((n, n_paths), dtype=np.int64)
     jp, jt, jm = [], [], []
 
-    keys = range(key_offset, key_offset + n)
-    with contextlib.closing(_drawn_ahead(model, n_paths, model.dim, dt, seed, keys)) as steps:
-        for k, drawn in enumerate(steps):
+    def draw(key):
+        return _draw(model, n_paths, model.dim, dt, _step_stream(seed, key))
+
+    # step k + _LOOKAHEAD is drawn on the worker while step k advances;
+    # .result() raises a draw's error at its own step, and the shutdown
+    # drops the draws not yet started and joins the worker
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pidesolve-draw",
+                              initializer=functools.partial(np.seterr, **np.geterr()))
+    try:
+        ahead = collections.deque(pool.submit(draw, key_offset + k)
+                                  for k in range(min(_LOOKAHEAD, n)))
+        for k in range(n):
+            drawn = ahead.popleft().result()
+            if k + _LOOKAHEAD < n:
+                ahead.append(pool.submit(draw, key_offset + k + _LOOKAHEAD))
             x, dw, counts, paths_k, offs_k, marks_k = _advance(model, x, dt, drawn)
             if not np.isfinite(x).all():
                 bad = np.argwhere(~np.isfinite(x))
@@ -326,6 +295,8 @@ def simulate_paths(model, grid, x0, n_paths, seed, key_offset=0):
             jp.append(paths_k)
             jt.append(grid.t0 + k * dt + offs_k)
             jm.append(marks_k)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     return PathBundle(
         grid=grid, states=states, brownian=brownian, jump_counts=counts_all,

@@ -64,7 +64,7 @@ class JumpMeasure:
 
     ``total_intensity`` is the expected number of jumps per unit time.
     ``mark_sampler(rng, n)`` draws ``n`` iid marks.  The simulator calls it
-    on its helper thread, one call at a time, so it must draw from the
+    on its draw thread, one call at a time, so it must draw from the
     generator it is given and from nothing else (no shared state of its
     own).  ``nodes``/``weights`` approximate integrals against the measure;
     the weights are nonnegative and sum to the intensity.  Marks are scalar.

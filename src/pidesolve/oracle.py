@@ -27,6 +27,9 @@ __all__ = [
     "binomial_american",
 ]
 
+# the padding jump shifts may request, at most, as a multiple of the base width
+_PAD_MARGIN = 3.0
+
 
 @dataclass(frozen=True)
 class FdGrid:
@@ -34,8 +37,7 @@ class FdGrid:
 
     ``bc`` selects the boundary rule: "dirichlet" holds the terminal
     condition's values at the padded ends, "linear" enforces zero curvature
-    there.  ``pad_margin`` caps the padding (as a multiple of the base
-    width) the jump shifts may request.
+    there.  The jump shifts may request padding of at most 3 base widths.
     """
 
     x_lo: float
@@ -43,7 +45,6 @@ class FdGrid:
     n_space: int
     n_time: int
     bc: str = "dirichlet"
-    pad_margin: float = 3.0
 
     def __post_init__(self):
         if self.n_space < 3:
@@ -110,10 +111,10 @@ def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
         max_up = float(b.max(initial=0.0))
         max_dn = float((-b).max(initial=0.0))
         width = grid.x_hi - grid.x_lo
-        if max(max_up, max_dn) > grid.pad_margin * width:
+        if max(max_up, max_dn) > _PAD_MARGIN * width:
             raise BoundaryError(
                 f"jump shifts need padding {max(max_up, max_dn):.3g}, more than "
-                f"{grid.pad_margin}x the base width {width:.3g}")
+                f"{_PAD_MARGIN}x the base width {width:.3g}")
         n_lo = int(math.ceil(max_dn / dx)) + 1
         n_hi = int(math.ceil(max_up / dx)) + 1
     else:

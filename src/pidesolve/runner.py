@@ -265,7 +265,7 @@ def _task_solve_obstacle(cfg, out_dir):
         weight=weight, picard_iters=cfg.numerics["picard"])
     artifacts = []
     for lvl, lsol in zip(refl.levels, refl.level_solutions):
-        name = f"u_level_{lvl:.0f}.csv"
+        name = f"u_level_{lvl:.17g}.csv"
         u0 = evaluate_u(lsol, 0, eval_x[:, None])
         _write_xu_csv(os.path.join(out_dir, name), eval_x, u0)
         artifacts.append(name)

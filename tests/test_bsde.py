@@ -10,7 +10,7 @@ from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis,
 from pidesolve.errors import (ContractionError, DomainError,
                               SingularRegressionError, ZeroDenominatorError)
 from pidesolve.forward import TimeGrid, simulate_paths
-from pidesolve.model import (DriverSpec, WeightFunction, discount_driver,
+from pidesolve.model import (DriverSpec, ModelSpec, WeightFunction, discount_driver,
                              named_model, scalar_model, zero_driver)
 
 RHO4 = WeightFunction(4)
@@ -550,6 +550,20 @@ def test_apriori_divzero_flagged(heat_model, heat_bundle, poly_basis):
     with pytest.raises(ZeroDenominatorError):
         check_apriori_estimate({0.0: sol}, lambda X: np.zeros(X.shape[0]),
                                zero_driver(), RHO4)
+
+
+def test_apriori_rejects_multidimensional_starts():
+    # the start-point quadrature is one dimensional: 2-d starts are refused
+    # up front instead of being keyed by their first coordinate
+    model = ModelSpec(dim=2, drift=lambda x: 0.0 * x,
+                      diffusion=lambda x: np.broadcast_to(np.eye(2), x.shape + (2,)))
+    g = lambda X: X[:, 0] * X[:, 1]
+    sols = {}
+    for x0 in [(0.0, 0.0), (0.0, 3.0), (1.0, 0.0)]:
+        b = simulate_paths(model, TimeGrid(0, 1, 4), np.array(x0), 200, seed=106)
+        sols[x0] = solve_bsde(model, zero_driver(), g, b, PolynomialBasis(2, ([-9, -9], [9, 9])))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        check_apriori_estimate(sols, g, zero_driver(), RHO4)
 
 
 def test_apriori_stability_and_scaling(heat_model):

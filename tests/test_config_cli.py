@@ -702,6 +702,27 @@ def test_solve_obstacle_task(tmp_path):
     assert {"u_level_1.csv", "nu_histogram.csv", "trace.json"} <= set(os.listdir(tmp_path))
 
 
+def test_fractional_levels_write_one_file_each(tmp_path):
+    # levels 1.2 and 1.4 round to the same integer; each still gets its own
+    # u_level file, and the report lists every artifact once
+    cfg = {"task": "solve-obstacle", "seed": 4,
+           "model": {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}},
+           "driver": {"name": "discount", "params": {"rate": 0.05}},
+           "terminal": {"name": "put", "params": {"strike": 100}},
+           "obstacle": {"name": "put", "params": {"strike": 100, "kappa": 1.0,
+                                                  "iota": 101.0}},
+           "weight": {"p": 4},
+           "numerics": {"grid_n": 10, "paths": 2000, "x0": 100.0, "tol": 1e-12,
+                        "basis": {"kind": "local", "cells": 12},
+                        "schedule": [1.2, 1.4]}}
+    report, _ = run_experiment(cfg, out_dir=tmp_path)
+    levels = sorted(f for f in os.listdir(tmp_path) if f.startswith("u_level_"))
+    assert levels == [f"u_level_{v:.17g}.csv" for v in (1.2, 1.4)]
+    artifacts = report.body["artifacts"]
+    assert len(artifacts) == len(set(artifacts))
+    assert set(levels) <= set(artifacts)
+
+
 # ---------------------------------------------------------------------------
 # compare fixtures
 # ---------------------------------------------------------------------------

@@ -553,7 +553,7 @@ def test_threaded_pass_equals_separate_solves(small_put, kind, levels, monkeypat
 
     runs = _backward_pass(model, drv, put_payoff, paths, basis, variants, 3, clamp, obst,
                           observe)
-    assert names == {"MainThread", "pidesolve-backward"}
+    assert names == {"MainThread", "pidesolve-backward_0"}
     n = paths.grid.n_steps
     assert seen == Counter({(k, i): 1 for k in range(n) for i in range(len(variants))})
     for i, (got, (level, reflect, _)) in enumerate(zip(runs, variants)):
@@ -619,7 +619,7 @@ def test_helper_error_surfaces_from_solve_reflected(small_put, monkeypatch):
     def f(t, x, y, z, v):
         name = threading.current_thread().name
         steps[name] += 1
-        if name == "pidesolve-backward":
+        if name == "pidesolve-backward_0":
             raise LookupError("driver failed on the helper")
         return drv.f(t, x, y, z, v)
 
@@ -629,8 +629,8 @@ def test_helper_error_surfaces_from_solve_reflected(small_put, monkeypatch):
                         clamp=1e6)
     # the caller's group finished the three sweeps of each of its levels too
     assert steps["MainThread"] == 6
-    assert steps["pidesolve-backward"] == 1
-    assert not [t for t in threading.enumerate() if t.name == "pidesolve-backward"]
+    assert steps["pidesolve-backward_0"] == 1
+    assert not [t for t in threading.enumerate() if t.name == "pidesolve-backward_0"]
 
 
 def test_callers_error_wins_when_both_groups_raise(small_put, monkeypatch):
@@ -647,7 +647,7 @@ def test_callers_error_wins_when_both_groups_raise(small_put, monkeypatch):
         solve_reflected(model, dataclasses.replace(discount_driver(0.05), f=f), put_payoff,
                         put_obstacle(), paths, LocalAffineBasis(20, box), schedule=(1, 2),
                         weight=RHO4, clamp=1e6)
-    assert sorted(names) == ["MainThread", "pidesolve-backward"]
+    assert sorted(names) == ["MainThread", "pidesolve-backward_0"]
 
 
 @pytest.mark.parametrize("ahead_fails", [False, True], ids=["built", "fails"])
@@ -677,9 +677,9 @@ def test_variants_stopping_while_a_setup_is_built_ahead(small_put, ahead_fails, 
     with np.errstate(invalid="ignore"):
         runs = _backward_pass(model, bad, put_payoff, paths, SlowAhead(20, box), variants, 3,
                               None, put_obstacle())
-    assert building == ["pidesolve-backward"]
+    assert building == ["pidesolve-backward_0"]
     assert all(isinstance(r, NumericError) and "step 12" in str(r) for r in runs)
-    assert not [t for t in threading.enumerate() if t.name == "pidesolve-backward"]
+    assert not [t for t in threading.enumerate() if t.name == "pidesolve-backward_0"]
 
 
 def test_setup_ahead_error_raises_at_the_step_that_needs_it(small_put, monkeypatch):
