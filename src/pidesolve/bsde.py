@@ -336,9 +336,15 @@ class BsdeSolution:
     values bit for bit, whatever the driver.  For penalized solves
     ``penalty_level``/``obstacle`` record the penalty; for direct-reflection
     solves ``reflected`` is set.  ``obstacle`` is None when neither uses it.
-    ``clamp_bound`` is the bound |Y| <= B the step clamps to.  The level
-    solutions of ``solve_reflected`` keep only their coefficients (``y``,
-    ``z`` and ``vbar`` are None); ``evaluate_u`` needs no more.
+    ``clamp_bound`` is the bound |Y| <= B the step clamps to.
+
+    Which path arrays a solution keeps depends on who reads them:
+    ``solve_bsde`` keeps all three; of the solutions of ``solve_reflected``,
+    the final level keeps all three, the direct-reflection solve only ``y``,
+    and the level solutions none.  A path array not kept is None; the
+    coefficients are always kept, and ``evaluate_u``/``evaluate_z`` need no
+    more.  ``u0``, ``check_z_representation`` and ``check_apriori_estimate``
+    read path arrays and raise ValueError on a solution without them.
     """
 
     grid: object
@@ -369,7 +375,8 @@ class BsdeSolution:
 
     def u0(self):
         """Value at the initial time, averaged over paths."""
-        return float(self.y[0].mean())
+        (y,) = _path_arrays(self, "y")
+        return float(y[0].mean())
 
     def u0_stderr(self):
         """Monte-Carlo scale for u0: stderr of the terminal payoff mean.
@@ -379,6 +386,16 @@ class BsdeSolution:
         """
         g = np.asarray(self.terminal(self.states[-1]), float)
         return float(g.std(ddof=1) / math.sqrt(g.size))
+
+
+def _path_arrays(sol, *names):
+    """The path arrays ``names`` of a solution, or a ValueError that names
+    those it does not keep."""
+    missing = [name for name in names if getattr(sol, name) is None]
+    if missing:
+        raise ValueError(f"the solution keeps no {' or '.join(missing)} path array "
+                         "(only its coefficients, which evaluate_u and evaluate_z read)")
+    return [getattr(sol, name) for name in names]
 
 
 def default_clamp_bound(driver, terminal, paths, obstacle=None):
@@ -484,7 +501,8 @@ class _Variant:
     """One variant of a backward pass: its place in the pass, its penalty
     level and reflection, the current values, and the per-step coefficients
     and diagnostics.  Path arrays are stored only when ``keep`` is set, in
-    new arrays or in the (y, z, vbar) arrays ``keep`` gives."""
+    new arrays or in the (y, z, vbar) arrays ``keep`` gives; one given as
+    None is not stored."""
 
     def __init__(self, index, penalty_level, reflect, keep, y, n, d, q, cshape):
         self.index, self.penalty_level, self.reflect = index, penalty_level, reflect
@@ -552,6 +570,7 @@ class _Variant:
         self.y = ynew
         if self.y_all is not None:
             self.y_all[k] = ynew
+        if self.z_all is not None:
             self.z_all[k] = z
             self.v_all[k] = vb
 
@@ -622,9 +641,10 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     joined before the pass returns or raises.
 
     Only variants with ``keep`` store their path arrays; the others come
-    back with ``y``/``z``/``vbar`` None.  ``keep`` may also be the path
-    arrays of a solution that is done with, which the variant then
-    overwrites.  ``observe(k, i, y)``, if given, sees variant i's new values
+    back with ``y``/``z``/``vbar`` None.  ``keep`` may also be a (y, z,
+    vbar) triple of arrays to fill, such as those of a solution that is done
+    with, which the variant then overwrites; an entry given as None is not
+    stored.  ``observe(k, i, y)``, if given, sees variant i's new values
     y at every step it leaves the variant live, on the thread that stepped
     it.  Without ``clamp`` one default bound, with the obstacle if any
     variant uses it, serves all.
@@ -751,6 +771,7 @@ def check_z_representation(sol, model, fd_step_rel=1e-3, weight=None, max_steps=
     rho-weighted relative L2 norm along the paths.  Steps with degenerate
     designs are skipped; returns 0 when both sides vanish.
     """
+    ys, zs = _path_arrays(sol, "y", "z")
     n = sol.n_steps
     steps = [k for k in range(n) if not sol.diagnostics["degenerate"][k]]
     if max_steps is not None and len(steps) > max_steps:
@@ -769,10 +790,10 @@ def check_z_representation(sol, model, fd_step_rel=1e-3, weight=None, max_steps=
         sig = np.asarray(model.diffusion(x), dtype=float)
         zg = np.einsum("mji,mj->mi", sig, grad)
         w = weight(x) if weight is not None else np.ones(x.shape[0])
-        diff = sol.z[k][mask] - zg
+        diff = zs[k][mask] - zg
         num += float(np.sum(w * np.sum(diff**2, axis=1)))
-        den += float(np.sum(w * np.sum(sol.z[k][mask] ** 2, axis=1)))
-        yscale += float(np.sum(w * sol.y[k][mask] ** 2))
+        den += float(np.sum(w * np.sum(zs[k][mask] ** 2, axis=1)))
+        yscale += float(np.sum(w * ys[k][mask] ** 2))
     # a z-field that is pure regression noise relative to the value scale
     # counts as zero on both sides (the constant-data convention)
     if den == 0.0 or den <= 1e-8 * yscale:
@@ -797,6 +818,7 @@ def check_apriori_estimate(solutions, terminal, driver, weight, x_weights=None):
     items = sorted(solutions.items(), key=lambda kv: float(np.atleast_1d(kv[0])[0]))
     x0s = np.array([float(np.atleast_1d(key)[0]) for key, _ in items])
     sols = [v for _, v in items]
+    paths = [_path_arrays(sol, "y", "z", "vbar") for sol in sols]
     if x_weights is None:
         x_weights = trapezoid_weights(x0s)
     grid = sols[0].grid
@@ -808,10 +830,10 @@ def check_apriori_estimate(solutions, terminal, driver, weight, x_weights=None):
 
     y_norms = np.zeros(n + 1)
     zv_sum = 0.0
-    for w, sol in zip(qw, sols):
-        y_norms += w * np.mean(sol.y**2, axis=1)
-        zsq = np.mean(np.sum(sol.z**2, axis=2), axis=1)
-        vsq = np.mean(np.sum(sol.vbar**2, axis=2), axis=1)
+    for w, (y, z, vbar) in zip(qw, paths):
+        y_norms += w * np.mean(y**2, axis=1)
+        zsq = np.mean(np.sum(z**2, axis=2), axis=1)
+        vsq = np.mean(np.sum(vbar**2, axis=2), axis=1)
         zv_sum += w * dt * float(np.sum(zsq + vsq))
     numerator = float(y_norms.max()) + zv_sum
 

@@ -91,13 +91,13 @@ class PathBundle:
     ``states`` has shape (n_steps+1, n_paths, dim), ``brownian`` the per-step
     Brownian increments (n_steps, n_paths, dim).  Jumps are stored per step
     as parallel arrays (owning path index, absolute time, mark), sorted by
-    path then time.
+    path then time.  These are the bundle's only path arrays: the per-step
+    jump counts are derived from ``jump_paths`` when read.
     """
 
     grid: TimeGrid
     states: np.ndarray
     brownian: np.ndarray
-    jump_counts: np.ndarray
     jump_paths: tuple
     jump_times: tuple
     jump_marks: tuple
@@ -112,8 +112,17 @@ class PathBundle:
     def dim(self):
         return self.states.shape[2]
 
+    @property
+    def jump_counts(self):
+        """Jumps per step and path, (n_steps, n_paths) int64, counted from
+        ``jump_paths``."""
+        counts = np.empty((self.grid.n_steps, self.n_paths), dtype=np.int64)
+        for k, paths in enumerate(self.jump_paths):
+            counts[k] = np.bincount(paths, minlength=self.n_paths)
+        return counts
+
     def total_jumps_per_path(self):
-        return self.jump_counts.sum(axis=0)
+        return np.bincount(np.concatenate(self.jump_paths), minlength=self.n_paths)
 
     def compensated_increments(self, functionals, jump_measure):
         """Per-step compensated jump functional increments, shape (q, N, M).
@@ -123,7 +132,7 @@ class PathBundle:
         """
         functionals = tuple(functionals)
         q = len(functionals)
-        n, m = self.jump_counts.shape
+        n, m = self.grid.n_steps, self.n_paths
         out = np.zeros((q, n, m))
         if q == 0:
             return out
@@ -187,8 +196,8 @@ def _advance(model, x, dt, drawn):
     """Advance all paths over one step of length dt on the step's draws.
 
     ``drawn`` is what ``_draw`` returned for the step.  Returns (new_x, dW,
-    counts, jump_paths, jump_offsets, jump_marks), the jumps sorted by path,
-    then time.
+    jump_paths, jump_offsets, jump_marks), the jumps sorted by path, then
+    time.
 
     Every path's first segment, up to its first jump or to the end of the
     step, runs in one Euler call over all paths in path order.  Only the
@@ -199,7 +208,7 @@ def _advance(model, x, dt, drawn):
     m = x.shape[0]
     if not offsets.size:
         new_x, dW = _euler_segment(model, x, dt, normals)
-        return new_x, dW, counts, np.empty(0, dtype=np.intp), offsets, marks
+        return new_x, dW, np.empty(0, dtype=np.intp), offsets, marks
 
     seg_start = np.cumsum(counts)
     seg_start -= counts
@@ -234,7 +243,7 @@ def _advance(model, x, dt, drawn):
             cur, dw = _euler_segment(model, cur, seg, np.take(normals, rows + s, axis=0))
             dW[idx] += dw
         new_x[idx] = cur
-    return new_x, dW, counts, np.repeat(jumped, n_jumps), offsets, marks
+    return new_x, dW, np.repeat(jumped, n_jumps), offsets, marks
 
 
 def _as_start(x0, n_paths, dim):
@@ -265,7 +274,6 @@ def simulate_paths(model, grid, x0, n_paths, seed, key_offset=0):
     states = np.empty((n + 1, n_paths, model.dim))
     states[0] = x
     brownian = np.empty((n, n_paths, model.dim))
-    counts_all = np.empty((n, n_paths), dtype=np.int64)
     jp, jt, jm = [], [], []
 
     def draw(key):
@@ -283,7 +291,7 @@ def simulate_paths(model, grid, x0, n_paths, seed, key_offset=0):
             drawn = ahead.popleft().result()
             if k + _LOOKAHEAD < n:
                 ahead.append(pool.submit(draw, key_offset + k + _LOOKAHEAD))
-            x, dw, counts, paths_k, offs_k, marks_k = _advance(model, x, dt, drawn)
+            x, dw, paths_k, offs_k, marks_k = _advance(model, x, dt, drawn)
             if not np.isfinite(x).all():
                 bad = np.argwhere(~np.isfinite(x))
                 p, comp = bad[0]
@@ -291,7 +299,6 @@ def simulate_paths(model, grid, x0, n_paths, seed, key_offset=0):
                                    f"(component {comp})")
             states[k + 1] = x
             brownian[k] = dw
-            counts_all[k] = counts
             jp.append(paths_k)
             jt.append(grid.t0 + k * dt + offs_k)
             jm.append(marks_k)
@@ -299,9 +306,8 @@ def simulate_paths(model, grid, x0, n_paths, seed, key_offset=0):
         pool.shutdown(cancel_futures=True)
 
     return PathBundle(
-        grid=grid, states=states, brownian=brownian, jump_counts=counts_all,
-        jump_paths=tuple(jp), jump_times=tuple(jt), jump_marks=tuple(jm),
-        seed=seed, key_offset=key_offset,
+        grid=grid, states=states, brownian=brownian, jump_paths=tuple(jp),
+        jump_times=tuple(jt), jump_marks=tuple(jm), seed=seed, key_offset=key_offset,
     )
 
 

@@ -58,9 +58,15 @@ def solve_penalized(model, driver, terminal, obstacle, paths, basis, level,
 
 def penalty_increments(sol, obstacle_values):
     """Per path and step compensation increments n (Y_k - L_k)^- dt, (N, M)."""
+    return _increments(sol, sol.y[:-1], obstacle_values[:-1])
+
+
+def _increments(sol, y, h):
+    """n (h - y)^+ dt of the penalized solution ``sol``, elementwise over
+    matching arrays of its values y and the obstacle values h."""
     if sol.penalty_level <= 0:
-        return np.zeros(sol.y[:-1].shape)
-    dk = np.subtract(obstacle_values[:-1], sol.y[:-1])
+        return np.zeros(np.shape(y))
+    dk = np.subtract(h, y)
     np.maximum(dk, 0.0, out=dk)
     dk *= sol.penalty_level
     dk *= sol.grid.dt
@@ -115,18 +121,20 @@ def penalty_norm(y, obstacle_values, states, weight, dt):
 class ReflectedSolution:
     """Penalized-limit solution with convergence trace and cross-checks.
 
-    ``solution`` is the final penalized level; ``k_increments`` its
-    compensation increments (N, M); ``level_solutions`` every level's
-    solution, coefficients only (``evaluate_u`` needs no more).  ``direct``
-    is the direct-reflection solve on the same paths and ``direct_gap`` the
-    weighted L2 distance between the two along the paths (the
-    mutual-validation diagnostic), ``direct_gap_rel`` that distance relative
-    to the direct solve's norm.
+    ``solution`` is the final penalized level, with all its path arrays;
+    ``obstacle_values`` the obstacle along the paths (N+1, M);
+    ``level_solutions`` every level's solution, coefficients only
+    (``evaluate_u`` needs no more).  ``direct`` is the direct-reflection
+    solve on the same paths, which keeps its ``y`` path array only (its z
+    comes from ``evaluate_z``), and ``direct_gap`` the weighted L2 distance
+    between the two along the paths (the mutual-validation diagnostic),
+    ``direct_gap_rel`` that distance relative to the direct solve's norm.
+    ``k_increments``, the final level's compensation increments (N, M), is
+    computed on each access, not stored.
     """
 
     solution: BsdeSolution
     obstacle_values: np.ndarray
-    k_increments: np.ndarray
     levels: tuple
     level_solutions: list
     trace: list
@@ -142,6 +150,11 @@ class ReflectedSolution:
 
     def u0(self):
         return self.solution.u0()
+
+    @property
+    def k_increments(self):
+        """The final level's increments dK (N, M), formed anew on each access."""
+        return penalty_increments(self.solution, self.obstacle_values)
 
     def k_terminal(self):
         """Total compensation per path, K_T, exactly the sum of increments."""
@@ -313,7 +326,8 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         variants = [(level, False, i == len(chunk) - 1 and keep)
                     for i, level in enumerate(chunk)]
         if direct is None:
-            variants.append((0.0, True, True))
+            # the direct solve's y is the one path array anything reads
+            variants.append((0.0, True, (np.empty((n + 1, m)), None, None)))
         runs = _backward_pass(model, driver, terminal, paths, basis, variants,
                               picard_iters, clamp, obstacle, observe, lvals)
         latest.clear()  # the levels' last values, which nothing else holds
@@ -354,8 +368,7 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         base2 += wt[k] * float(np.mean(rho * direct.y[k] ** 2))
 
     return ReflectedSolution(
-        solution=sol, obstacle_values=lvals,
-        k_increments=penalty_increments(sol, lvals), levels=tuple(levels),
+        solution=sol, obstacle_values=lvals, levels=tuple(levels),
         level_solutions=level_sols, trace=trace, converged=converged, direct=direct,
         direct_gap=math.sqrt(diff2),
         direct_gap_rel=math.sqrt(diff2 / base2) if base2 > 0 else 0.0, weight=weight,
@@ -439,10 +452,10 @@ def support_check(reflected, measure, delta):
     the obstacle by more than delta.
 
     The mass is rho(X_k) dK_k of the final level per path sample (k < N),
-    and the contact test reads the direct-reflection solve on the same
-    sample: Y^dir_k - h_k > delta.  Small values certify that the measure
-    charges only the contact region at resolution delta.  Zero total mass
-    is flagged, not an error.
+    with dK_k formed one step at a time, and the contact test reads the
+    direct-reflection solve on the same sample: Y^dir_k - h_k > delta.
+    Small values certify that the measure charges only the contact region
+    at resolution delta.  Zero total mass is flagged, not an error.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -451,7 +464,7 @@ def support_check(reflected, measure, delta):
     sol = reflected.solution
     total = off = 0.0
     for k in range(sol.n_steps):
-        dk = reflected.k_increments[k]
+        dk = _increments(sol, sol.y[k], reflected.obstacle_values[k])
         charged = np.flatnonzero(dk > 0)
         mass = reflected.weight(sol.states[k][charged]) * dk[charged]
         gap = reflected.direct.y[k][charged] - reflected.obstacle_values[k][charged]

@@ -202,8 +202,8 @@ def _solution_csv(path, sol, eval_x):
 
 def _eval_grid(cfg, paths):
     n_pts = cfg.numerics.get("eval_points", 101)
-    lo = float(np.quantile(paths.states, 0.005))
-    hi = float(np.quantile(paths.states, 0.995))
+    # both quantiles from one partitioned copy of the states
+    lo, hi = (float(v) for v in np.quantile(paths.states, [0.005, 0.995]))
     return np.linspace(lo, hi, n_pts)
 
 

@@ -66,6 +66,16 @@ def test_jump_counts_poisson():
     assert np.abs(per_step - lam_dt).max() < 4.5 * se
 
 
+def test_bundle_stores_no_step_by_path_array(merton_model):
+    # the states and Brownian increments are the bundle's only path arrays;
+    # the per-step jump counts are counted from the jump lists when read
+    b = simulate_paths(merton_model, TimeGrid(0, 1, 25), 0.0, 20_000, seed=3)
+    arrays = {name: v for name, v in vars(b).items() if isinstance(v, np.ndarray)}
+    assert sorted(arrays) == ["brownian", "states"]
+    assert sum(v.nbytes for v in arrays.values()) == b.states.nbytes + b.brownian.nbytes
+    assert b.total_jumps_per_path().sum() == b.jump_counts.sum() > 0
+
+
 def test_determinism_bit_identical(toy_model):
     before = set(threading.enumerate())
     a = simulate_paths(toy_model, TimeGrid(0, 1, 10), 0.0, 2000, seed=7)
@@ -363,7 +373,9 @@ def test_jumped_paths_match_per_path_reference(case):
     else:
         assert (counts == 0).any() and counts.max() >= 2
     assert b.key_offset == key_offset
+    assert b.jump_counts.dtype == np.int64
     assert np.array_equal(b.jump_counts, counts)
+    assert np.array_equal(b.total_jumps_per_path(), counts.sum(axis=0))
     assert np.array_equal(b.states, states)
     assert np.array_equal(b.brownian, brownian)
     for k in range(n_steps):

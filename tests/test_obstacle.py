@@ -9,7 +9,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pidesolve.bsde import LocalAffineBasis, PolynomialBasis, default_clamp_bound, solve_bsde
+from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis, check_apriori_estimate,
+                            check_z_representation, default_clamp_bound, evaluate_z,
+                            solve_bsde)
 from pidesolve.errors import NoConvergenceError, NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (ModelSpec, ObstacleSpec, WeightFunction, discount_driver,
@@ -435,9 +437,15 @@ def test_one_pass_equals_per_level_solves(small_put, kind, one_chunk, monkeypatc
                 break
         assert refl.levels == schedule[:i + 1]
         for got, want in ((refl.solution, sol), (refl.direct, direct)):
-            for name in ("y", "z", "vbar", "coef_y", "coef_z", "coef_v"):
+            for name in ("y", "coef_y", "coef_z", "coef_v"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             assert got.clamp_bound == want.clamp_bound
+        for name in ("z", "vbar"):
+            assert np.array_equal(getattr(refl.solution, name), getattr(sol, name))
+        # the direct solve keeps y alone; its coefficients give its z bit for bit
+        assert refl.direct.z is None and refl.direct.vbar is None
+        for k in range(paths.grid.n_steps):
+            assert np.array_equal(evaluate_z(refl.direct, k, paths.states[k]), direct.z[k]), k
         assert np.array_equal(refl.obstacle_values, lvals)
         assert np.array_equal(refl.k_increments, penalty_increments(sol, lvals))
         assert refl.trace[-1]["skorokhod"] == skorokhod_gap(sol, lvals,
@@ -719,3 +727,62 @@ def test_helper_carries_the_callers_error_state(small_put, monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="non-finite"):
             solve_reflected(*args, schedule=(1, 2, 4, math.inf), tol=1e-12, weight=RHO4)
+
+
+def test_reflected_solve_stores_only_the_path_arrays_it_reads(monkeypatch):
+    # in units of one (N+1, M) float array: after return the solve holds the
+    # obstacle values, the final level's y and z and the direct solve's y,
+    # and the support check forms no (N, M) array of increments
+    import tracemalloc
+    _two_cpus(monkeypatch)
+    model = named_model("bs")
+    paths = simulate_paths(model, TimeGrid(0, 1, 25), 100.0, 20_000, seed=11)
+    box = (float(paths.states.min()) - 1.0, float(paths.states.max()) + 1.0)
+    unit = paths.states[..., 0].nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        refl = solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
+                               LocalAffineBasis(20, box), schedule=(1, 4, 16, 64), tol=1e-9,
+                               weight=RHO4)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        support_check(refl, estimate_reflection_measure(refl), delta=0.5)
+        checked = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refl.levels == (1, 4, 16, 64)
+    assert (held - base) / unit < 4.5
+    assert (peak - base) / unit < 5.5
+    assert (checked - held) / unit < 0.5
+
+
+@pytest.fixture(scope="module")
+def coefficient_only(small_put):
+    # every level solution keeps coefficients only, the direct solve y alone
+    model, paths, box = small_put
+    return solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
+                           LocalAffineBasis(20, box), schedule=(1, 4), tol=1e-12, weight=RHO4)
+
+
+def test_u0_of_a_coefficient_only_solution_names_the_missing_array(coefficient_only):
+    with pytest.raises(ValueError, match="no y path array"):
+        coefficient_only.level_solutions[0].u0()
+    assert coefficient_only.direct.u0() == float(coefficient_only.direct.y[0].mean())
+
+
+def test_z_representation_names_the_missing_arrays(small_put, coefficient_only):
+    model = small_put[0]
+    with pytest.raises(ValueError, match="no y or z path array"):
+        check_z_representation(coefficient_only.level_solutions[0], model)
+    with pytest.raises(ValueError, match="no z path array"):
+        check_z_representation(coefficient_only.direct, model)
+
+
+def test_apriori_estimate_names_the_missing_arrays(coefficient_only):
+    drv = discount_driver(0.05)
+    with pytest.raises(ValueError, match="no y or z or vbar path array"):
+        check_apriori_estimate({90.0: coefficient_only.level_solutions[1]}, put_payoff, drv,
+                               RHO4)
+    with pytest.raises(ValueError, match="no z or vbar path array"):
+        check_apriori_estimate({90.0: coefficient_only.direct}, put_payoff, drv, RHO4)
