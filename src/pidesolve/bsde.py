@@ -478,7 +478,8 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
     Requires dt * lipschitz(f) < 1 for the sweeps to contract.
     """
     (sol,) = _backward_pass(model, driver, terminal, paths, basis,
-                            [(penalty_level, reflect, True)], picard_iters, clamp, obstacle)
+                            [(penalty_level, reflect, ("y", "z", "vbar"))], picard_iters,
+                            clamp, obstacle)
     return _solution(sol)
 
 
@@ -500,9 +501,8 @@ def _cpu_count():
 class _Variant:
     """One variant of a backward pass: its place in the pass, its penalty
     level and reflection, the current values, and the per-step coefficients
-    and diagnostics.  Path arrays are stored only when ``keep`` is set, in
-    new arrays or in the (y, z, vbar) arrays ``keep`` gives; one given as
-    None is not stored."""
+    and diagnostics.  Only the path arrays that ``keep`` names ("y", "z",
+    "vbar") are stored."""
 
     def __init__(self, index, penalty_level, reflect, keep, y, n, d, q, cshape):
         self.index, self.penalty_level, self.reflect = index, penalty_level, reflect
@@ -514,12 +514,10 @@ class _Variant:
         self.diag = {"cond": np.zeros(n), "resid": np.zeros(n),
                      "clamped": np.zeros(n, dtype=int),
                      "degenerate": np.zeros(n, dtype=bool), "ridge": np.zeros(n)}
-        self.y_all = self.z_all = self.v_all = None
-        if keep is True:
-            keep = (np.empty((n + 1, y.size)), np.zeros((n, y.size, d)),
-                    np.zeros((n, y.size, q)))
-        if keep:
-            self.y_all, self.z_all, self.v_all = keep
+        self.y_all = np.empty((n + 1, y.size)) if "y" in keep else None
+        self.z_all = np.zeros((n, y.size, d)) if "z" in keep else None
+        self.v_all = np.zeros((n, y.size, q)) if "vbar" in keep else None
+        if self.y_all is not None:
             self.y_all[n] = y
 
     def targets(self, k, reg, cy, paths, dmu):
@@ -572,6 +570,7 @@ class _Variant:
             self.y_all[k] = ynew
         if self.z_all is not None:
             self.z_all[k] = z
+        if self.v_all is not None:
             self.v_all[k] = vb
 
 
@@ -598,14 +597,16 @@ def _fit_live(reg, live, targets):
 def _step_group(k, group, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp, observe):
     """Step k of a group of live variants on the step's setup ``reg``: all
     their y fits, then all fits of their ``targets``, then each ``step``,
-    and ``observe(k, i, y)`` for each variant i that it leaves live."""
+    and ``observe(k, i, y)`` for each variant i that it leaves live.  A
+    ``NumericError`` or ``FloatingPointError`` (under a NumPy error state of
+    "raise") from a variant's ``step`` stops that variant alone."""
     fitted = _fit_live(reg, group, [v.y for v in group])
     # the targets are built one variant at a time, as the fit consumes them
     for v, czv in _fit_live(reg, [v for v, _ in fitted],
                             (v.targets(k, reg, cy, paths, dmu) for v, cy in fitted)):
         try:
             v.step(k, reg, czv, paths, driver, t_k, h_k, picard_iters, clamp)
-        except NumericError as exc:
+        except (NumericError, FloatingPointError) as exc:
             v.error = exc
             continue
         if observe is not None:
@@ -640,11 +641,9 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     that the setup ahead raises, at the step that needs it.  The worker is
     joined before the pass returns or raises.
 
-    Only variants with ``keep`` store their path arrays; the others come
-    back with ``y``/``z``/``vbar`` None.  ``keep`` may also be a (y, z,
-    vbar) triple of arrays to fill, such as those of a solution that is done
-    with, which the variant then overwrites; an entry given as None is not
-    stored.  ``observe(k, i, y)``, if given, sees variant i's new values
+    ``keep`` names the path arrays a variant stores, ``("y", "z", "vbar")``
+    or any of them, ``()`` for none; one not named comes back None.
+    ``observe(k, i, y)``, if given, sees variant i's new values
     y at every step it leaves the variant live, on the thread that stepped
     it.  Without ``clamp`` one default bound, with the obstacle if any
     variant uses it, serves all.

@@ -81,9 +81,17 @@ def _expect(value, types, path):
 
 
 def _expect_num(value, path):
+    """A finite number as float: JSON's NaN and Infinity, and integers beyond
+    the float range, are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected number, got {_type_name(value)}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{path}: expected finite number, got {number}")
+    return number
 
 
 def _expect_choice(value, choices, path):
@@ -326,7 +334,7 @@ def _norm_numerics(block):
     for key in ("x0", "x0_spread", "tol"):
         if key in block:
             num[key] = _expect_num(block[key], f"numerics.{key}")
-    if num["tol"] <= 0:
+    if not num["tol"] > 0:
         raise ConfigError("numerics.tol must be positive")
     if "dump_paths" in block:
         num["dump_paths"] = _expect_choice(block["dump_paths"], ("none", "csv", "binary"),
@@ -335,9 +343,9 @@ def _norm_numerics(block):
         sched = _expect(block["schedule"], list, "numerics.schedule")
         vals = []
         for i, v in enumerate(sched):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
+            vals.append(_expect_num(v, f"numerics.schedule[{i}]"))
+            if vals[-1] <= 0:
                 raise SchemaError(f"numerics.schedule[{i}]: expected positive number")
-            vals.append(float(v))
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ConfigError("numerics.schedule must be increasing")
         num["schedule"] = vals

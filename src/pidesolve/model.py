@@ -393,7 +393,6 @@ class DriverSpec:
     f: Callable
     functionals: tuple = ()
     lipschitz: float = 0.0
-    f0_bound: float = 0.0
 
     MAX_FUNCTIONALS = 8
 

@@ -215,8 +215,8 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
                     picard_iters=3, clamp=None, strict=False):
     """Penalization scheme along an increasing schedule of levels.
 
-    Stops when the penalty norm (``penalty_norm`` of the level's path
-    values) falls below ``tol`` or the schedule is exhausted.  The trace
+    The result is the first level whose penalty norm (``penalty_norm`` of
+    the level's path values) falls below ``tol``, else the last.  The trace
     records per level the penalty norm, the flat-off defect
     (``skorokhod_gap``), the value at the initial time and ``pi``, the
     weighted mass mean(sum_{k<N} rho(X_k) dK_k) of the reflection measure,
@@ -228,12 +228,13 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     along the paths.  With ``strict`` the exhausted schedule raises;
     otherwise the result is returned flagged.
 
-    The schedule runs in chunks of levels, each chunk one backward pass
-    that builds each step's regression setup once for all its levels (see
-    ``_chunk_end``); the first chunk, the first level, also runs the direct
-    solve.  A level after the one that meets ``tol`` cannot change the
-    result or raise; if a chunk runs past the level that meets it, that
-    level is solved once more alone for its path arrays.
+    The whole schedule and the direct solve run as one backward pass, which
+    builds each step's regression setup once for all of them; the level
+    that meets ``tol`` is picked from the trace after the pass.  A level
+    after it cannot change the result or raise (its error is kept, not
+    raised), but its steps are paid for: a loose ``tol`` costs the whole
+    schedule, and the level that meets it, if not the last, is solved once
+    more alone for its path arrays.
 
     Without ``clamp``, one a-priori bound (``default_clamp_bound`` with the
     obstacle) serves every level and the direct solve.  A schedule that
@@ -243,7 +244,7 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     schedule = tuple(schedule) if schedule is not None else default_schedule()
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be nonempty and increasing")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if weight is None:
         weight = WeightFunction(obstacle.kappa + model.dim + 1)
@@ -265,91 +266,72 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     _, below, short = _shortfall(g_T, lvals[n])
     norm2_T = wt[n] * (_weighted_sums(short, weight(paths.states[n])[below])[0] / m)
 
-    levels = []
+    # one backward pass for every level and the direct solve; per level it
+    # keeps coefficients, u0 and the running sums of the trace, and path
+    # arrays only for the last level and the direct solve (its y alone, the
+    # one path array anything reads)
+    defects = [_FlatOffDefect(g_T, lvals[n]) for _ in schedule]
+    norm2 = [norm2_T] * len(schedule)
+    pis = [0.0] * len(schedule)
+    u0s = [None] * len(schedule)
+    step_up = [math.inf] * len(schedule)
+    latest = {}  # the values each level last left, (step, y), for the step up
+    lock = threading.Lock()
+    step_rho = [(None, None)]  # (k, rho(X_k)) of the step being run
+
+    def observe(k, i, y):
+        # called per level from the thread that stepped it (the direct
+        # solve, the last variant, keeps no trace)
+        if i == len(schedule):
+            return
+        gap, below, short = _shortfall(y, lvals[k])
+        dk = short * schedule[i]  # n (h - y)^+ dt, as penalty_increments forms it
+        dk *= dt
+        defects[i].add(gap, short, dk)
+        at, rho = step_rho[0]
+        if at != k:  # the step's first level evaluates it (either thread's serves)
+            rho = weight(paths.states[k])
+            step_rho[0] = (k, rho)
+        short2, mass = _weighted_sums(short, rho[below], dk)
+        norm2[i] += wt[k] * (short2 / m)
+        pis[i] += mass / m
+        if k == 0:
+            u0s[i] = float(y.mean())
+        with lock:
+            latest[i] = (k, y)
+            lower, upper = latest.get(i - 1), latest.get(i + 1)
+        # whichever of two adjacent levels comes second at step k takes
+        # their step up (in the spent gap's memory); the levels may run on
+        # two threads
+        if lower is not None and lower[0] == k:
+            step_up[i] = min(step_up[i], float(np.subtract(y, lower[1], out=gap).min()))
+        if upper is not None and upper[0] == k:
+            step_up[i + 1] = min(step_up[i + 1],
+                                 float(np.subtract(upper[1], y, out=gap).min()))
+
+    every = ("y", "z", "vbar")
+    variants = [(level, False, every if i == len(schedule) - 1 else ())
+                for i, level in enumerate(schedule)] + [(0.0, True, ("y",))]
+    runs = _backward_pass(model, driver, terminal, paths, basis, variants,
+                          picard_iters, clamp, obstacle, observe, lvals)
+    latest.clear()  # the levels' last values, which nothing else holds
+    direct = runs.pop()
     level_sols = []
     trace = []
     converged = False
-    direct = sol = None
-    start = 0
-    while start < len(schedule) and not converged:
-        # one backward pass per chunk; per level it keeps coefficients, u0
-        # and the running sums of the trace, and path arrays only for the
-        # chunk's last level and the direct solve.  The last level fills the
-        # path arrays of the previous chunk's: fresh ones would add to the
-        # peak memory what the freed ones leave fragmented
-        chunk = schedule[start:_chunk_end(schedule, start, trace, tol)]
-        defects = [_FlatOffDefect(g_T, lvals[n]) for _ in chunk]
-        norm2 = [norm2_T] * len(chunk)
-        pis = [0.0] * len(chunk)
-        u0s = [None] * len(chunk)
-        step_up = [math.inf] * len(chunk)
-        # the values each level last left, (step, y), for the step up
-        # between adjacent levels; the previous chunk's last level is
-        # variant -1, read a step ahead of this pass, which overwrites it
-        latest = {} if sol is None else {-1: (n - 1, sol.y[n - 1].copy())}
-        lock = threading.Lock()
-        step_rho = [(None, None)]  # (k, rho(X_k)) of the step being run
-
-        def observe(k, i, y):
-            # called per level from the thread that stepped it (the direct
-            # solve, variant len(chunk), keeps no trace)
-            if i == len(chunk):
-                return
-            gap, below, short = _shortfall(y, lvals[k])
-            dk = short * chunk[i]  # n (h - y)^+ dt, as penalty_increments forms it
-            dk *= dt
-            defects[i].add(gap, short, dk)
-            at, rho = step_rho[0]
-            if at != k:  # the step's first level evaluates it (either thread's serves)
-                rho = weight(paths.states[k])
-                step_rho[0] = (k, rho)
-            short2, mass = _weighted_sums(short, rho[below], dk)
-            norm2[i] += wt[k] * (short2 / m)
-            pis[i] += mass / m
-            if k == 0:
-                u0s[i] = float(y.mean())
-            with lock:
-                latest[i] = (k, y)
-                lower, upper = latest.get(i - 1), latest.get(i + 1)
-                if i == 0 and k and sol is not None:
-                    latest[-1] = (k - 1, sol.y[k - 1].copy())
-            # whichever of two adjacent levels comes second at step k takes
-            # their step up (in the spent gap's memory); the levels may run
-            # on two threads
-            if lower is not None and lower[0] == k:
-                step_up[i] = min(step_up[i], float(np.subtract(y, lower[1], out=gap).min()))
-            if upper is not None and upper[0] == k:
-                step_up[i + 1] = min(step_up[i + 1],
-                                     float(np.subtract(upper[1], y, out=gap).min()))
-
-        keep = True if sol is None else (sol.y, sol.z, sol.vbar)
-        variants = [(level, False, i == len(chunk) - 1 and keep)
-                    for i, level in enumerate(chunk)]
-        if direct is None:
-            # the direct solve's y is the one path array anything reads
-            variants.append((0.0, True, (np.empty((n + 1, m)), None, None)))
-        runs = _backward_pass(model, driver, terminal, paths, basis, variants,
-                              picard_iters, clamp, obstacle, observe, lvals)
-        latest.clear()  # the levels' last values, which nothing else holds
-        if direct is None:
-            direct = runs.pop()
-        for i, level in enumerate(chunk):
-            pnorm = math.sqrt(norm2[i])
-            entry = {"level": level, "penalty_norm": pnorm,
-                     "skorokhod": defects[i].report().normalized, "u0": u0s[i],
-                     "pi": pis[i]}
-            level_sols.append(dataclasses.replace(_solution(runs[i]), y=None, z=None,
-                                                  vbar=None))
-            if levels:
-                entry["min_step_up"] = step_up[i]
-            levels.append(level)
-            trace.append(entry)
-            if pnorm < tol:
-                converged = True
-                break
-        sol = runs[i]
-        del runs
-        start += len(chunk)
+    for i, level in enumerate(schedule):
+        pnorm = math.sqrt(norm2[i])
+        entry = {"level": level, "penalty_norm": pnorm,
+                 "skorokhod": defects[i].report().normalized, "u0": u0s[i], "pi": pis[i]}
+        level_sols.append(dataclasses.replace(_solution(runs[i]), y=None, z=None, vbar=None))
+        if i:
+            entry["min_step_up"] = step_up[i]
+        trace.append(entry)
+        if pnorm < tol:
+            converged = True
+            break
+    levels, sol = schedule[:i + 1], runs[i]
+    del runs
     if not converged and strict:
         raise NoConvergenceError(
             f"penalty norm {trace[-1]['penalty_norm']:.3g} above tol {tol:.3g} "
@@ -357,10 +339,11 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
 
     direct = _solution(direct)
     if sol.y is None:
-        # the chunk ran past the level that met tol: solve it alone for its
-        # path arrays
-        sol = solve_bsde(model, driver, terminal, paths, basis, picard_iters=picard_iters,
-                         clamp=clamp, penalty_level=levels[-1], obstacle=obstacle)
+        # the level that met tol is not the last: solve it alone for its
+        # path arrays, on the obstacle values already taken
+        sol = _solution(_backward_pass(model, driver, terminal, paths, basis,
+                                       [(levels[-1], False, every)], picard_iters, clamp,
+                                       obstacle, obstacle_values=lvals)[0])
     diff2 = base2 = 0.0
     for k in range(n, -1, -1):
         rho = weight(paths.states[k])
@@ -368,27 +351,11 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         base2 += wt[k] * float(np.mean(rho * direct.y[k] ** 2))
 
     return ReflectedSolution(
-        solution=sol, obstacle_values=lvals, levels=tuple(levels),
+        solution=sol, obstacle_values=lvals, levels=levels,
         level_solutions=level_sols, trace=trace, converged=converged, direct=direct,
         direct_gap=math.sqrt(diff2),
         direct_gap_rel=math.sqrt(diff2 / base2) if base2 > 0 else 0.0, weight=weight,
     )
-
-
-def _chunk_end(schedule, start, trace, tol):
-    """Where the chunk of levels from ``schedule[start]`` ends.
-
-    The first chunk is the first level alone, and so is the level after 0.
-    A later chunk ends at the first level n at which the last level m's
-    penalty norm p_m, falling like m p_m / n (the 1/n rate of the
-    penalization error), would meet ``tol``.  While the norm falls no
-    faster than that, no chunk runs past the level that meets ``tol``.
-    """
-    if not trace or trace[-1]["level"] == 0:
-        return start + 1
-    reach = trace[-1]["level"] * trace[-1]["penalty_norm"] / tol
-    return next((j + 1 for j in range(start, len(schedule)) if schedule[j] > reach),
-                len(schedule))
 
 
 @dataclass

@@ -142,6 +142,23 @@ def test_model_param_types_checked():
 
 
 @pytest.mark.parametrize("blocks, path", [
+    ({"numerics": {"tol": "NaN"}}, "numerics.tol"),
+    ({"numerics": {"x0": "Infinity"}}, "numerics.x0"),
+    ({"numerics": {"basis": {"box": ["NaN", 200]}}}, r"numerics.basis.box\[0\]"),
+    ({"driver": {"name": "discount", "params": {"rate": "NaN"}}}, "driver.params.rate"),
+    ({"numerics": {"schedule": [1, 2, "Infinity"]}}, r"numerics.schedule\[2\]"),
+    ({"numerics": {"schedule": [1, 2, 10**400]}}, r"numerics.schedule\[2\]"),
+], ids=["tol", "x0", "box", "rate", "schedule", "huge-int"])
+def test_non_finite_numbers_rejected(blocks, path):
+    # Python's json parses the NaN and Infinity literals, and integers of any
+    # size; a config that uses them is rejected at the path, not run
+    text = json.dumps(_solve_with_model({"name": "bs"}, **blocks))
+    text = text.replace('"NaN"', "NaN").replace('"Infinity"', "Infinity")
+    with pytest.raises(SchemaError, match=path):
+        validate_config(text)
+
+
+@pytest.mark.parametrize("blocks, path", [
     ({"driver": {"name": "discount", "params": {"rat": 0.05}}}, "driver.params.rat"),
     ({"terminal": {"name": "put", "params": {"strik": 100}}}, "terminal.params.strik"),
     ({"terminal": {"name": "square", "params": {"strike": 100}}},

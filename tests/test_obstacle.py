@@ -320,9 +320,10 @@ def test_schedule_validation(bs_put_setup):
     with pytest.raises(ValueError):
         solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(),
                         paths, basis, schedule=(4, 2), weight=RHO4)
-    with pytest.raises(ValueError):
-        solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(),
-                        paths, basis, schedule=(1, 2), tol=-1, weight=RHO4)
+    for tol in (-1, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(),
+                            paths, basis, schedule=(1, 2), tol=tol, weight=RHO4)
 
 
 def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
@@ -358,8 +359,9 @@ def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
 
 def test_trace_records_the_step_up_between_levels(bs_put_setup, reflected_put):
     # the least Y^n - Y^{n-1} over the paths before the horizon, against the
-    # levels' own solves.  Levels 4 to 1024 run in one pass, whose caller
-    # steps 4, 16 and 64 and, with two CPUs, whose helper 256 and 1024
+    # levels' own solves.  The six levels and the direct solve run in one
+    # pass, whose caller steps levels 1 to 64 and, with two CPUs, whose
+    # helper 256, 1024 and the direct solve
     model, paths, basis = bs_put_setup
     trace = reflected_put.trace
     assert "min_step_up" not in trace[0]
@@ -378,13 +380,6 @@ def small_put():
     return model, paths, box
 
 
-def _one_chunk(monkeypatch):
-    # the whole schedule in one pass, so that levels run past the one that
-    # meets tol
-    import pidesolve.obstacle as obstacle_mod
-    monkeypatch.setattr(obstacle_mod, "_chunk_end", lambda schedule, *_: len(schedule))
-
-
 def _mass(sol, lvals, states):
     # pi = mean over paths of sum_{k<N} rho(X_k) dK_k, summed backward in time
     # over each step's samples below the obstacle, as the trace sums it
@@ -396,14 +391,13 @@ def _mass(sol, lvals, states):
     return pi
 
 
-@pytest.mark.parametrize("one_chunk", [False, True], ids=["chunks", "one-chunk"])
 @pytest.mark.parametrize("kind", ["local", "poly"])
-def test_one_pass_equals_per_level_solves(small_put, kind, one_chunk, monkeypatch):
+def test_one_pass_equals_per_level_solves(small_put, kind, monkeypatch):
     # the schedule run as separate solves, one penalized solve per level up to
     # the one that meets tol and then the direct reflection, gives the same
-    # bits, the trace's path sums included.  Levels 16 and 64 run in one pass
-    # on two groups, the caller's and the helper's; with chunks, level 4
-    # starts a pass that overwrites level 1's path arrays
+    # bits, the trace's path sums included.  The levels and the direct solve
+    # run in one pass on two groups, the caller's and the helper's; a level
+    # that meets tol before the last is solved again alone
     _two_cpus(monkeypatch)
     model, paths, box = small_put
     basis = LocalAffineBasis(20, box) if kind == "local" else PolynomialBasis(3, box)
@@ -412,8 +406,6 @@ def test_one_pass_equals_per_level_solves(small_put, kind, one_chunk, monkeypatc
     lvals = obstacle_along_paths(obst, paths)
     direct = solve_bsde(model, drv, put_payoff, paths, basis, clamp=clamp, obstacle=obst,
                         reflect=True)
-    if one_chunk:
-        _one_chunk(monkeypatch)
     for schedule, tol in (((1, 4, 16, 64), 1e-12), ((0, 1, 4), 1e-12),
                           ((1, 4, 16, 64), 3e-5), ((1, 4, 16, 64), 1e12)):
         refl = solve_reflected(model, drv, put_payoff, obst, paths, basis,
@@ -453,17 +445,18 @@ def test_one_pass_equals_per_level_solves(small_put, kind, one_chunk, monkeypatc
 
 
 def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
-    # each pass builds one regression setup per step for all its levels, and
-    # the obstacle is read once per time node along the paths.  The first
-    # pass runs the first level and the direct solve; while the penalty norm
-    # falls no faster than 1/n in the level (as here), a run that stops early
-    # makes exactly the backward steps of separate solves of its levels and
-    # the direct solve, and fewer setups
+    # one pass builds one regression setup per step for the whole schedule
+    # and the direct solve, and steps each of them at every step; a run that
+    # stops before the last level solves that level once more alone, with one
+    # more setup and one more step per step.  The obstacle is read once per
+    # time node along the paths either way
     import pidesolve.bsde as bsde_mod
+    import pidesolve.obstacle as obstacle_mod
     model, paths, box = small_put
     n = paths.grid.n_steps
-    prepared, steps, along = [], [], []
+    prepared, steps, along, passes = [], [], [], []
     prepare, step = LocalAffineBasis.prepare, bsde_mod._Variant.step
+    backward_pass = obstacle_mod._backward_pass
 
     def counted_prepare(self, x):
         prepared.append(x.shape[0])
@@ -473,6 +466,10 @@ def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
         steps.append(self.penalty_level)
         return step(self, *args)
 
+    def counted_pass(*args, **kwargs):
+        passes.append(len(args[5]))
+        return backward_pass(*args, **kwargs)
+
     def h(t, X):
         if X.shape[0] == paths.n_paths:
             along.append(t)
@@ -480,31 +477,39 @@ def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
 
     monkeypatch.setattr(LocalAffineBasis, "prepare", counted_prepare)
     monkeypatch.setattr(bsde_mod._Variant, "step", counted_step)
+    monkeypatch.setattr(obstacle_mod, "_backward_pass", counted_pass)
     obst = ObstacleSpec(h=h, iota=K + 1, kappa=1.0)
-    for tol, n_levels, n_passes in ((1e12, 1, 1), (6e-6, 7, 3), (1e-12, 13, 2)):
+    n_schedule = len(default_schedule())
+    for tol, n_levels in ((1e12, 1), (6e-6, 7), (1e-12, 13)):
         prepared.clear()
         steps.clear()
         along.clear()
+        passes.clear()
         # an explicit clamp: the default bound reads the obstacle on its own
         refl = solve_reflected(model, discount_driver(0.05), put_payoff, obst, paths,
                                LocalAffineBasis(20, box), tol=tol, weight=RHO4, clamp=1e6)
         assert len(refl.levels) == n_levels
-        assert len(prepared) == n_passes * n
-        assert len(steps) == (n_levels + 1) * n
+        resolved = n_levels < n_schedule
+        assert passes == [n_schedule + 1] + [1] * resolved
+        assert len(prepared) == (1 + resolved) * n
+        assert len(steps) == (n_schedule + 1 + resolved) * n
+        assert Counter(steps)[refl.final_level] == (1 + resolved) * n
         # each time node once along the paths, the horizon check included
         assert np.array_equal(np.sort(along), paths.grid.nodes)
 
 
-@pytest.mark.parametrize("one_chunk", [False, True], ids=["chunks", "one-chunk"])
-def test_later_levels_cannot_change_or_break_the_result(small_put, one_chunk, monkeypatch):
+@pytest.mark.parametrize("errors, raised", [("ignore", NumericError),
+                                             ("raise", FloatingPointError)],
+                         ids=["ignore", "raise"])
+def test_later_levels_cannot_change_or_break_the_result(small_put, errors, raised):
+    # an infinite level goes non-finite at its first step and stops there,
+    # with NumericError or, under NumPy's "raise", FloatingPointError; a
+    # result that stops before it neither changes nor raises
     model, paths, box = small_put
     args = (model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
             LocalAffineBasis(20, box))
-    ref = solve_reflected(*args, schedule=(1,), tol=1e12, weight=RHO4)
-    if one_chunk:
-        _one_chunk(monkeypatch)
-    # an infinite level goes non-finite at its first step and stops there
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all=errors):
+        ref = solve_reflected(*args, schedule=(1,), tol=1e12, weight=RHO4)
         refl = solve_reflected(*args, schedule=(1, 2, math.inf), tol=1e12, weight=RHO4)
         assert refl.levels == (1,)
         assert refl.trace == ref.trace
@@ -515,7 +520,7 @@ def test_later_levels_cannot_change_or_break_the_result(small_put, one_chunk, mo
             for name in ("y", "z", "vbar"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
         # a schedule that reaches the level raises, as its own solve would
-        with pytest.raises(NumericError, match="non-finite"):
+        with pytest.raises(raised):
             solve_reflected(*args, schedule=(1, 2, math.inf), tol=1e-12, weight=RHO4)
 
 
@@ -552,7 +557,8 @@ def test_threaded_pass_equals_separate_solves(small_put, kind, levels, monkeypat
     names, seen = set(), Counter()
     drv, obst = _thread_recording_driver(names), put_obstacle()
     clamp = default_clamp_bound(drv, put_payoff, paths, obst)
-    variants = [(level, False, True) for level in levels] + [(0.0, True, True)]
+    every = ("y", "z", "vbar")
+    variants = [(level, False, every) for level in levels] + [(0.0, True, every)]
     ys = {}
 
     def observe(k, i, y):
@@ -619,7 +625,6 @@ def test_helper_error_surfaces_from_solve_reflected(small_put, monkeypatch):
     # runs levels 1 and 2): the error reaches the caller once both groups
     # are done with the step, and the helper is joined
     _two_cpus(monkeypatch)
-    _one_chunk(monkeypatch)
     model, paths, box = small_put
     drv = discount_driver(0.05)
     steps = Counter()
@@ -643,7 +648,6 @@ def test_helper_error_surfaces_from_solve_reflected(small_put, monkeypatch):
 
 def test_callers_error_wins_when_both_groups_raise(small_put, monkeypatch):
     _two_cpus(monkeypatch)
-    _one_chunk(monkeypatch)
     model, paths, box = small_put
     names = []
 
@@ -681,7 +685,7 @@ def test_variants_stopping_while_a_setup_is_built_ahead(small_put, ahead_fails, 
     drv = discount_driver(0.05)
     bad = dataclasses.replace(
         drv, f=lambda t, x, y, z, v: drv.f(t, x, y, z, v) * (np.nan if t == t_stop else 1.0))
-    variants = [(1.0, False, True), (2.0, False, False), (0.0, True, True)]
+    variants = [(1.0, False, ("y", "z", "vbar")), (2.0, False, ()), (0.0, True, ("y",))]
     with np.errstate(invalid="ignore"):
         runs = _backward_pass(model, bad, put_payoff, paths, SlowAhead(20, box), variants, 3,
                               None, put_obstacle())
@@ -704,7 +708,7 @@ def test_setup_ahead_error_raises_at_the_step_that_needs_it(small_put, monkeypat
 
     with pytest.raises(LookupError, match="setup failed"):
         _backward_pass(model, discount_driver(0.05), put_payoff, paths, FailsAhead(20, box),
-                       [(1.0, False, True), (0.0, True, True)], 3, None, put_obstacle(),
+                       [(1.0, False, ("y",)), (0.0, True, ("y",))], 3, None, put_obstacle(),
                        lambda k, i, y: observed.add(k))
     # steps 19..12 ran; step 11 never started
     assert observed == set(range(12, paths.grid.n_steps))
