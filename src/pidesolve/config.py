@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,19 +24,9 @@ __all__ = ["ExperimentConfig", "validate_config", "TASKS"]
 
 TASKS = ("simulate", "solve", "solve-obstacle", "oracle", "normcheck", "compare")
 
-_NUMERIC_DEFAULTS = {
-    "grid_n": 50,
-    "paths": 100_000,
-    "x0": 0.0,
-    "x0_spread": 0.0,
-    "picard": 3,
-    "tol": 1e-3,
-    "schedule_max_exp": 12,
-    "dump_paths": "none",
-}
-_BASIS_DEFAULTS = {"kind": "poly", "degree": 4, "cells": 40, "box": None}
-_NORMCHECK_DEFAULTS = {"radius": 9.0, "n_panels": 18, "nodes_per_panel": 8,
-                       "s_list": (0.1, 0.5, 1.0)}
+# a count's largest value, and a seed's: the per-step streams key on 64 bits
+_COUNT_MAX = int(np.iinfo(np.intp).max)
+_SEED_MAX = 2**64 - 1
 # the market keys of the oracle task's closed forms (merton series, binomial
 # tree) and the values the runner uses for keys its block leaves out; a
 # compare oracle's market is derived from the config (_compare_market)
@@ -94,23 +85,64 @@ def _expect_num(value, path):
     return number
 
 
-def _expect_choice(value, choices, path):
+def _expect_choice(value, path, choices):
     """A string among the choices; anything else is rejected with the choices."""
     if _expect(value, str, path) not in choices:
         raise ConfigError(f"{path} must be one of {sorted(choices)}, got {value!r}")
     return value
 
 
-def _expect_count(value, path, minimum=1):
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise SchemaError(f"{path}: expected int >= {minimum}")
+def _expect_count(value, path, minimum=1, maximum=_COUNT_MAX):
+    """An int from minimum to maximum, as given; a count's maximum is the
+    largest size NumPy can index."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{path}: expected int, got {_type_name(value)}")
+    if not minimum <= value <= maximum:
+        raise SchemaError(f"{path}: expected int from {minimum} to {maximum}, got {value}")
     return value
+
+
+def _expect_nums(value, path):
+    """A list of finite numbers as floats."""
+    return [_expect_num(v, f"{path}[{i}]") for i, v in enumerate(_expect(value, list, path))]
+
+
+def _expect_pair(value, path):
+    """A [lo, hi] pair of finite numbers as floats; null means none."""
+    if value is None:
+        return None
+    if len(_expect(value, list, path)) != 2:
+        raise SchemaError(f"{path}: expected [lo, hi]")
+    return _expect_nums(value, path)
 
 
 def _check_keys(block, allowed, path):
     for key in block:
         if key not in allowed:
             raise ConfigError(f"unknown key at {path}.{key}" if path else f"unknown key {key}")
+
+
+def _typed(block, table, path):
+    """A block checked against its table of typed keys, over its defaults
+    (``_DEFAULTS`` at the block's path).
+
+    An unknown key is rejected with its path.  Each given value goes through
+    its entry: a checker ``(value, path)`` returning the value normalized
+    (a ``None``, for a null pair or model, leaves the key at its default or
+    absent), or a nested table, checked the same way and filled with its
+    defaults also when not given.
+    """
+    _check_keys(_expect(block, dict, path or "config"), table, path)
+    out = dict(_DEFAULTS.get(path, {}))
+    for key, check in table.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(check, dict):
+            out[key] = _typed(block.get(key, {}), check, sub)
+        elif key in block:
+            value = check(block[key], sub)
+            if value is not None:
+                out[key] = value
+    return out
 
 
 @dataclass
@@ -208,10 +240,6 @@ def _build_custom_model(params):
 # validation
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"task", "seed", "output", "model", "driver", "terminal", "obstacle",
-             "weight", "numerics", "oracle", "normcheck", "compare"}
-
-
 def validate_config(raw):
     """Validate raw JSON (text or dict) into an ExperimentConfig.
 
@@ -224,60 +252,42 @@ def validate_config(raw):
             raw = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from None
-    _expect(raw, dict, "config")
-    _check_keys(raw, _TOP_KEYS, "")
-
-    task = _expect_choice(raw.get("task"), TASKS, "task")
-    if "seed" not in raw:
+    out = _typed(raw, _TOP, "")
+    if "task" not in out:
+        raise SchemaError(f"task is required, one of {sorted(TASKS)}")
+    if "seed" not in out:
         raise ConfigError("seed is required (no silent nondeterminism)")
-    seed = raw["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaError(f"seed: expected int, got {_type_name(seed)}")
-
-    out = {"task": task, "seed": seed}
-    if "output" in raw:
-        out["output"] = _expect(raw["output"], str, "output")
-
-    out["model"] = _norm_model(raw.get("model"), task)
-    for path, known in (("driver", _DRIVER_PARAMS), ("terminal", _PAYOFF_PARAMS),
-                        ("obstacle", _OBSTACLE_PARAMS)):
-        if path in raw:
-            out[path] = _norm_named_block(raw[path], path, known)
-    weight_block = raw.get("weight", {"p": 4.0})
-    _expect(weight_block, dict, "weight")
-    _check_keys(weight_block, {"p"}, "weight")
-    out["weight"] = {"p": _expect_num(weight_block.get("p", 4.0), "weight.p")}
+    task = out["task"]
+    if "model" not in out:
+        if task != "oracle":
+            raise ConfigError("model block is required")
+        out["model"] = {"name": "bs", "params": {}}
     if out["weight"]["p"] <= 0:
         raise ConfigError("weight.p must be positive")
-
-    out["numerics"] = _norm_numerics(raw.get("numerics", {}))
-
-    if "oracle" in raw:
-        out["oracle"] = _norm_oracle(raw["oracle"], "oracle", (*_ORACLE_MARKET, "option"))
-    if "normcheck" in raw:
-        out["normcheck"] = _norm_normcheck(raw["normcheck"])
-    if "compare" in raw:
-        out["compare"] = _norm_compare(raw["compare"])
-
+    if not out["numerics"]["tol"] > 0:
+        raise ConfigError("numerics.tol must be positive")
+    schedule = out["numerics"].get("schedule", [])
+    for i, level in enumerate(schedule):
+        if level <= 0:
+            raise SchemaError(f"numerics.schedule[{i}]: expected positive number")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ConfigError("numerics.schedule must be increasing")
     _check_task_requirements(task, out)
-    return ExperimentConfig(task=task, seed=seed, raw=out)
+    return ExperimentConfig(task=task, seed=out["seed"], raw=out)
 
 
-def _norm_model(block, task):
-    if block is None:
-        if task == "oracle":
-            return {"name": "bs", "params": {}}
-        raise ConfigError("model block is required")
-    _expect(block, dict, "model")
-    _check_keys(block, {"name", "params"}, "model")
-    name = _expect_choice(block.get("name"), {*PRESET_PARAMS, "custom"}, "model.name")
+def _norm_model(block, path):
+    if block is None:  # no model; the oracle task's default is filled later
+        return None
+    _check_keys(_expect(block, dict, path), {"name", "params"}, path)
+    name = _expect_choice(block.get("name"), f"{path}.name", {*PRESET_PARAMS, "custom"})
     params = block.get("params", {})
     if name == "custom":
-        _check_custom_params(params, "model.params")
+        _check_custom_params(params, f"{path}.params")
     else:
-        _check_params(params, PRESET_PARAMS[name], "model.params")
+        _check_params(params, PRESET_PARAMS[name], f"{path}.params")
         if "n_nodes" in params:
-            _expect_count(params["n_nodes"], "model.params.n_nodes")
+            _expect_count(params["n_nodes"], f"{path}.params.n_nodes")
     return {"name": name, "params": params}
 
 
@@ -297,11 +307,11 @@ def _check_custom_params(params, path):
     for key in ("drift", "diffusion"):
         if key in params:
             _check_params(params[key], ("slope", "intercept"), f"{path}.{key}")
-    jump = _expect_choice(params.get("jump", "none"), _CUSTOM_JUMPS, f"{path}.jump")
+    jump = _expect_choice(params.get("jump", "none"), f"{path}.jump", _CUSTOM_JUMPS)
     measure = _expect(params.get("measure", {}), dict, f"{path}.measure")
     if measure:
-        kind = _expect_choice(measure.get("kind", "uniform"), _CUSTOM_MEASURES,
-                              f"{path}.measure.kind")
+        kind = _expect_choice(measure.get("kind", "uniform"), f"{path}.measure.kind",
+                              _CUSTOM_MEASURES)
         _check_params(measure, {"kind", "intensity", *_CUSTOM_MEASURES[kind][1]},
                       f"{path}.measure", other=("kind",))
     # the model has jumps only with both a jump kind and a measure
@@ -313,61 +323,9 @@ def _check_custom_params(params, path):
 def _norm_named_block(block, path, known):
     _expect(block, dict, path)
     _check_keys(block, {"name", "params"}, path)
-    name = _expect_choice(block.get("name"), known, f"{path}.name")
+    name = _expect_choice(block.get("name"), f"{path}.name", known)
     params = _check_params(block.get("params", {}), known[name], f"{path}.params")
     return {"name": name, "params": dict(params)}
-
-
-def _norm_numerics(block):
-    _expect(block, dict, "numerics")
-    allowed = set(_NUMERIC_DEFAULTS) | {"basis", "schedule", "eval_points"}
-    _check_keys(block, allowed, "numerics")
-    num = dict(_NUMERIC_DEFAULTS)
-    for key in ("grid_n", "paths", "picard", "schedule_max_exp"):
-        if key in block:
-            val = block[key]
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise SchemaError(f"numerics.{key}: expected int, got {_type_name(val)}")
-            if val < 1:
-                raise ConfigError(f"numerics.{key} must be >= 1")
-            num[key] = val
-    for key in ("x0", "x0_spread", "tol"):
-        if key in block:
-            num[key] = _expect_num(block[key], f"numerics.{key}")
-    if not num["tol"] > 0:
-        raise ConfigError("numerics.tol must be positive")
-    if "dump_paths" in block:
-        num["dump_paths"] = _expect_choice(block["dump_paths"], ("none", "csv", "binary"),
-                                           "numerics.dump_paths")
-    if "schedule" in block:
-        sched = _expect(block["schedule"], list, "numerics.schedule")
-        vals = []
-        for i, v in enumerate(sched):
-            vals.append(_expect_num(v, f"numerics.schedule[{i}]"))
-            if vals[-1] <= 0:
-                raise SchemaError(f"numerics.schedule[{i}]: expected positive number")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            raise ConfigError("numerics.schedule must be increasing")
-        num["schedule"] = vals
-    if "eval_points" in block:
-        num["eval_points"] = _expect_count(block["eval_points"], "numerics.eval_points", 2)
-    basis = dict(_BASIS_DEFAULTS)
-    if "basis" in block:
-        bb = _expect(block["basis"], dict, "numerics.basis")
-        _check_keys(bb, set(_BASIS_DEFAULTS), "numerics.basis")
-        if "kind" in bb:
-            basis["kind"] = _expect_choice(bb["kind"], ("poly", "local"), "numerics.basis.kind")
-        for key in ("degree", "cells"):
-            if key in bb:
-                basis[key] = _expect_count(bb[key], f"numerics.basis.{key}")
-        if bb.get("box") is not None:
-            box = _expect(bb["box"], list, "numerics.basis.box")
-            if len(box) != 2:
-                raise SchemaError("numerics.basis.box: expected [lo, hi]")
-            basis["box"] = [_expect_num(box[0], "numerics.basis.box[0]"),
-                            _expect_num(box[1], "numerics.basis.box[1]")]
-    num["basis"] = basis
-    return num
 
 
 def _norm_oracle(block, path, market=()):
@@ -375,47 +333,17 @@ def _norm_oracle(block, path, market=()):
     and the market keys given that it prices with; a compare oracle takes
     none (its market is the config's own), and the fd oracle prices the
     config's model on its grid."""
-    _expect(block, dict, path)
-    kind = _expect_choice(block.get("kind"), _ORACLE_KEYS, f"{path}.kind")
+    kind = _expect_choice(_expect(block, dict, path).get("kind"), f"{path}.kind", _ORACLE_KEYS)
     market = {"fd": (), "merton": market,
               "binomial": [k for k in market if k not in _JUMP_KEYS]}[kind]
-    allowed = {"kind", "horizon", *_ORACLE_KEYS[kind], *market}
-    _check_keys(block, allowed, path)
-    out = {"kind": kind}
-    for key in allowed - {"kind", "option", "bc", "steps", "n_space", "n_time", "n_terms"}:
-        if key in block:
-            out[key] = _expect_num(block[key], f"{path}.{key}")
-    for key in ("steps", "n_space", "n_time", "n_terms"):
-        if key in block:
-            out[key] = _expect_count(block[key], f"{path}.{key}")
-    for key, choices in (("option", ("call", "put")), ("bc", ("dirichlet", "linear"))):
-        if key in block:
-            out[key] = _expect_choice(block[key], choices, f"{path}.{key}")
-    return out
+    keys = ("kind", "horizon", *_ORACLE_KEYS[kind], *market)
+    return _typed(block, {key: _ORACLE[key] for key in keys}, path)
 
 
-def _norm_normcheck(block):
-    _expect(block, dict, "normcheck")
-    _check_keys(block, set(_NORMCHECK_DEFAULTS), "normcheck")
-    out = dict(_NORMCHECK_DEFAULTS)
-    if "radius" in block:
-        out["radius"] = _expect_num(block["radius"], "normcheck.radius")
-    for key in ("n_panels", "nodes_per_panel"):
-        if key in block:
-            out[key] = _expect_count(block[key], f"normcheck.{key}")
-    if "s_list" in block:
-        sl = _expect(block["s_list"], list, "normcheck.s_list")
-        out["s_list"] = [_expect_num(v, f"normcheck.s_list[{i}]") for i, v in enumerate(sl)]
-    return out
-
-
-def _norm_compare(block):
-    _expect(block, dict, "compare")
-    _check_keys(block, {"oracle", "tol_rel", "region", "x_grid_n"}, "compare")
-    if "oracle" not in block:
+def _norm_compare(block, path):
+    out = _typed(block, _COMPARE, path)
+    if "oracle" not in out:
         raise ConfigError("compare.oracle is required")
-    out = {"oracle": _norm_oracle(block["oracle"], "compare.oracle"),
-           "tol_rel": _expect_num(block.get("tol_rel", 0.01), "compare.tol_rel")}
     # the solver grid spans [0, 1]; an oracle on another horizon would
     # answer a different problem
     if out["oracle"].get("horizon", 1.0) != 1.0:
@@ -424,14 +352,6 @@ def _norm_compare(block):
             f"solver horizon is 1.0; set it to 1.0 or drop it")
     if out["tol_rel"] <= 0:
         raise ConfigError("compare.tol_rel must be positive")
-    region = block.get("region")
-    if region is not None:
-        region = _expect(region, list, "compare.region")
-        if len(region) != 2:
-            raise SchemaError("compare.region: expected [lo, hi]")
-        out["region"] = [_expect_num(region[0], "compare.region[0]"),
-                         _expect_num(region[1], "compare.region[1]")]
-    out["x_grid_n"] = _expect_count(block.get("x_grid_n", 1), "compare.x_grid_n")
     # a closed-form oracle prices the one spot x0; every other grid point
     # would be checked against that one price
     if out["x_grid_n"] > 1 and out["oracle"]["kind"] != "fd":
@@ -506,3 +426,48 @@ def _check_task_requirements(task, out):
                 f"weight.p = {weight.p} below the obstacle floor "
                 f"kappa + dim + 1 = {weight.exponent_floor(1, kappa)}; "
                 f"raise the weight exponent")
+
+
+# ---------------------------------------------------------------------------
+# the typed-key tables: each key's checker, or a nested table
+# ---------------------------------------------------------------------------
+
+_ORACLE = {"kind": partial(_expect_choice, choices=_ORACLE_KEYS), "horizon": _expect_num,
+           "x_lo": _expect_num, "x_hi": _expect_num, "n_space": _expect_count,
+           "n_time": _expect_count, "bc": partial(_expect_choice, choices=("dirichlet", "linear")),
+           "n_terms": _expect_count, "steps": _expect_count,
+           **dict.fromkeys(_ORACLE_MARKET, _expect_num),
+           "option": partial(_expect_choice, choices=("call", "put"))}
+_COMPARE = {"oracle": _norm_oracle, "tol_rel": _expect_num, "region": _expect_pair,
+            "x_grid_n": _expect_count}
+_NUMERICS = {"grid_n": _expect_count, "paths": _expect_count, "x0": _expect_num,
+             "x0_spread": _expect_num, "picard": _expect_count, "tol": _expect_num,
+             "schedule_max_exp": _expect_count, "schedule": _expect_nums,
+             "eval_points": partial(_expect_count, minimum=2),
+             "dump_paths": partial(_expect_choice, choices=("none", "csv", "binary")),
+             "basis": {"kind": partial(_expect_choice, choices=("poly", "local")),
+                       "degree": _expect_count, "cells": _expect_count,
+                       "box": _expect_pair}}
+_NORMCHECK = {"radius": _expect_num, "n_panels": _expect_count,
+              "nodes_per_panel": _expect_count, "s_list": _expect_nums}
+_TOP = {"task": partial(_expect_choice, choices=TASKS),
+        "seed": partial(_expect_count, minimum=0, maximum=_SEED_MAX),
+        "output": lambda value, path: _expect(value, str, path),
+        "model": _norm_model,
+        "driver": partial(_norm_named_block, known=_DRIVER_PARAMS),
+        "terminal": partial(_norm_named_block, known=_PAYOFF_PARAMS),
+        "obstacle": partial(_norm_named_block, known=_OBSTACLE_PARAMS),
+        "weight": {"p": _expect_num},
+        "numerics": _NUMERICS,
+        "oracle": partial(_norm_oracle, market=(*_ORACLE_MARKET, "option")),
+        "normcheck": lambda value, path: _typed(value, _NORMCHECK, path),
+        "compare": _norm_compare}
+# the defaults of each block, by its path
+_DEFAULTS = {"numerics": {"grid_n": 50, "paths": 100_000, "x0": 0.0, "x0_spread": 0.0,
+                          "picard": 3, "tol": 1e-3, "schedule_max_exp": 12,
+                          "dump_paths": "none"},
+             "numerics.basis": {"kind": "poly", "degree": 4, "cells": 40, "box": None},
+             "weight": {"p": 4.0},
+             "normcheck": {"radius": 9.0, "n_panels": 18, "nodes_per_panel": 8,
+                           "s_list": (0.1, 0.5, 1.0)},
+             "compare": {"tol_rel": 0.01, "x_grid_n": 1}}

@@ -265,9 +265,12 @@ def simulate_paths(model, grid, x0, n_paths, seed, key_offset=0):
     ``x0`` is a point (all paths start there) or an (n_paths, dim) array of
     per-path starts for dispersed-start experiments.  Identical
     (model, grid, x0, n_paths, seed, key_offset) give a bit-identical bundle.
+    The seed is an int in [0, 2^64), the range of the streams' 64-bit key.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
+    if not 0 <= seed <= _KEY_MASK:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     dt = grid.dt
     x = _as_start(x0, n_paths, model.dim)
     n = grid.n_steps

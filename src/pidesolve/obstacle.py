@@ -167,7 +167,7 @@ class SkorokhodReport:
     normalized: float
 
 
-def skorokhod_gap(sol, obstacle_values, k_increments):
+def skorokhod_gap(sol, obstacle_values):
     """Discrete flat-off defect of a penalized solution.
 
     Averages sum_k |Y_k - L_k| dK_k over paths: the magnitude of the signed
@@ -175,15 +175,16 @@ def skorokhod_gap(sol, obstacle_values, k_increments):
     to zero.  (Pairing dK with the positive part at the same step is zero by
     construction, since the penalty acts only below the obstacle.)  The
     headline diagnostic is the defect normalized by mean K_T times the
-    largest |Y - L|.  ``obstacle_values`` are L along the paths (N+1, M) and
-    ``k_increments`` the increments dK (N, M), which vanish where Y >= L.
-    The sums run backward in time, as in the backward pass of
+    largest |Y - L|.  ``obstacle_values`` are L along the paths (N+1, M);
+    the increments dK, which vanish where Y >= L, are formed one step at a
+    time on the samples below the obstacle, as ``penalty_increments`` forms
+    them.  The sums run backward in time, as in the backward pass of
     ``solve_reflected``.
     """
     defect = _FlatOffDefect(sol.y[-1], obstacle_values[-1])
     for k in range(sol.n_steps - 1, -1, -1):
         gap, below, short = _shortfall(sol.y[k], obstacle_values[k])
-        defect.add(gap, short, k_increments[k][below])
+        defect.add(gap, short, _increments(sol, sol.y[k][below], obstacle_values[k][below]))
     return defect.report()
 
 

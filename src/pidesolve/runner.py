@@ -21,12 +21,12 @@ import numpy as np
 
 from . import forward, normcheck, obstacle as obstacle_mod, oracle as oracle_mod
 from .bsde import _zv_coeffs, evaluate_u, make_basis, solve_bsde
-from .config import (_NORMCHECK_DEFAULTS, _ORACLE_MARKET, ExperimentConfig, _compare_market,
+from .config import (_DEFAULTS, _ORACLE_MARKET, ExperimentConfig, _compare_market,
                      validate_config)
 from .errors import ConfigError, GridMismatchError, SolverError
 from .forward import TimeGrid, simulate_paths
 
-__all__ = ["Report", "run_experiment", "run_config_file", "compare_report", "CompareTable"]
+__all__ = ["Report", "run_experiment", "compare_report", "CompareTable"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -349,7 +349,7 @@ def _task_oracle(cfg, out_dir):
 def _task_normcheck(cfg, out_dir):
     model = cfg.build_model()
     weight = cfg.build_weight()
-    nc = cfg.raw.get("normcheck", _NORMCHECK_DEFAULTS)
+    nc = cfg.raw.get("normcheck", _DEFAULTS["normcheck"])
     quad = normcheck.gauss_legendre_panels(nc["radius"], nc["n_panels"],
                                            nc["nodes_per_panel"])
     fam = normcheck.shipped_phi_family()
@@ -544,11 +544,3 @@ def _lock_is_stale(lock_path):
         pass
     return False
 
-
-def run_config_file(path, out_dir=None, flags=None, seed_override=None):
-    with open(path) as fh:
-        raw = json.load(fh)
-    if seed_override is not None:
-        raw["seed"] = seed_override
-    cfg = validate_config(raw)
-    return run_experiment(cfg, out_dir=out_dir, flags=flags)

@@ -158,6 +158,83 @@ def test_non_finite_numbers_rejected(blocks, path):
         validate_config(text)
 
 
+COUNT_PATHS = [
+    *(f"numerics.{key}" for key in ("grid_n", "paths", "picard", "schedule_max_exp",
+                                    "eval_points", "basis.degree", "basis.cells")),
+    "model.params.n_nodes", "oracle.steps", "oracle.n_space", "oracle.n_time",
+    "oracle.n_terms", "normcheck.n_panels", "normcheck.nodes_per_panel", "compare.x_grid_n"]
+
+
+def _config_with(path, value):
+    """A valid config of a task that reads the count at ``path``, set to value."""
+    kind = {"oracle.steps": "binomial", "oracle.n_terms": "merton"}.get(path, "fd")
+    raw = {"numerics": heat_solve_config(),
+           "model": _solve_with_model({"name": "merton", "params": {}}),
+           "oracle": {"task": "oracle", "seed": 1, "oracle": {"kind": kind}},
+           "normcheck": {"task": "normcheck", "seed": 1, "model": {"name": "toy-uniform"}},
+           "compare": fd_put_compare_config()}[path.split(".")[0]]
+    *heads, last = path.split(".")
+    block = raw
+    for key in heads:
+        block = block.setdefault(key, {})
+    block[last] = value
+    return raw
+
+
+@pytest.mark.parametrize("path", COUNT_PATHS)
+def test_count_beyond_array_sizes_rejected(path, tmp_path, capsys):
+    # a count NumPy cannot size an array with is a schema error naming its
+    # path, not a run that fails inside the simulation or the oracle
+    raw = _config_with(path, 10**30)
+    with pytest.raises(SchemaError, match=re.escape(path)) as err:
+        validate_config(raw)
+    assert err.value.code == "E_SCHEMA"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main([raw["task"], "--config", str(cfg_path), "--out",
+                     str(tmp_path / "run")]) == EXIT_ERROR
+    err_text = capsys.readouterr().err
+    assert "[E_SCHEMA]" in err_text and path in err_text
+    validate_config(_config_with(path, 2))
+
+
+def test_counts_below_their_minimum_share_one_code():
+    codes = set()
+    for path in ("numerics.paths", "numerics.basis.cells"):
+        with pytest.raises(SchemaError, match=re.escape(path)) as err:
+            validate_config(_config_with(path, 0))
+        codes.add(err.value.code)
+    assert codes == {"E_SCHEMA"}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 10**30, 1.0, True],
+                         ids=["negative", "2^64", "10^30", "float", "bool"])
+def test_seed_outside_the_stream_key_rejected(seed, tmp_path, capsys):
+    # seeds key 64-bit streams: one outside [0, 2^64) would alias another
+    raw = heat_solve_config()
+    raw["seed"] = seed
+    with pytest.raises(SchemaError, match="seed") as err:
+        validate_config(raw)
+    assert err.value.code == "E_SCHEMA"
+    for ok in (0, 2**64 - 1):
+        assert validate_config(dict(raw, seed=ok)).seed == ok
+    if seed == -1:  # the command line's override is checked the same way
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(heat_solve_config()))
+        assert cli_main(["solve", "--config", str(cfg_path), "--seed", "-1", "--out",
+                         str(tmp_path / "run")]) == EXIT_ERROR
+        assert "[E_SCHEMA]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+def test_null_region_means_none():
+    raw = fd_put_compare_config()
+    raw["compare"]["region"] = None
+    assert "region" not in validate_config(raw).raw["compare"]
+    raw["compare"]["region"] = [90, 110]
+    assert validate_config(raw).raw["compare"]["region"] == [90.0, 110.0]
+
+
 @pytest.mark.parametrize("blocks, path", [
     ({"driver": {"name": "discount", "params": {"rat": 0.05}}}, "driver.params.rat"),
     ({"terminal": {"name": "put", "params": {"strik": 100}}}, "terminal.params.strik"),
@@ -232,6 +309,12 @@ def american_put_compare_config(**oracle):
                          "basis": {"kind": "poly", "degree": 3}},
             "compare": {"oracle": dict({"kind": "binomial", "steps": 200}, **oracle),
                         "tol_rel": 0.05}}
+
+
+def fd_put_compare_config():
+    raw = american_put_compare_config()
+    raw["compare"]["oracle"] = {"kind": "fd"}
+    return raw
 
 
 def merton_compare_config(**oracle):

@@ -88,6 +88,16 @@ def test_determinism_bit_identical(toy_model):
     assert not np.array_equal(a.states, c.states)
 
 
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 7 + 2**64], ids=["negative", "2^64", "7+2^64"])
+def test_seed_outside_the_stream_key_rejected(toy_model, seed):
+    # the per-step streams key on 64 bits: a seed outside [0, 2^64) would run
+    # as another seed (7 + 2^64 as 7, -1 as 2^64 - 1)
+    with pytest.raises(ValueError, match="seed"):
+        simulate_paths(toy_model, TimeGrid(0, 1, 2), 0.0, 10, seed=seed)
+    last = simulate_paths(toy_model, TimeGrid(0, 1, 2), 0.0, 10, seed=2**64 - 1)
+    assert np.isfinite(last.states).all()
+
 def test_many_jumps_per_step_group_by_count():
     # lambda * dt = 3: the paths of one step fall into many count groups,
     # with gaps among the counts, and every group is simulated in its turn

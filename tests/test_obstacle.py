@@ -161,8 +161,7 @@ def test_skorokhod_trivia(bs_put_setup):
                        kappa=1.0)
     pen = solve_penalized(model, drv, put_payoff, low, paths, basis, 16)
     lvals = obstacle_along_paths(low, pen)
-    dk = penalty_increments(pen, lvals)
-    rep = skorokhod_gap(pen, lvals, dk)
+    rep = skorokhod_gap(pen, lvals)
     assert rep.raw == 0.0 and rep.normalized == 0.0
 
 
@@ -182,7 +181,7 @@ def test_flat_off_defect_equals_its_formula(reflected_put):
         raw += float(np.sum(gap[below] * dk[k][below]))
         k_total += float(np.sum(dk[k][below]))
         sup_gap = max(sup_gap, float(np.abs(gap).max()))
-    rep = skorokhod_gap(sol, lvals, dk)
+    rep = skorokhod_gap(sol, lvals)
     assert rep.raw == raw / m > 0.0
     assert rep.normalized == rep.raw / (k_total / m * sup_gap)
 
@@ -440,8 +439,7 @@ def test_one_pass_equals_per_level_solves(small_put, kind, monkeypatch):
             assert np.array_equal(evaluate_z(refl.direct, k, paths.states[k]), direct.z[k]), k
         assert np.array_equal(refl.obstacle_values, lvals)
         assert np.array_equal(refl.k_increments, penalty_increments(sol, lvals))
-        assert refl.trace[-1]["skorokhod"] == skorokhod_gap(sol, lvals,
-                                                            refl.k_increments).normalized
+        assert refl.trace[-1]["skorokhod"] == skorokhod_gap(sol, lvals).normalized
 
 
 def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
