@@ -115,17 +115,16 @@ class _Regression:
 
     def fit(self, targets):
         (coeffs,) = self.fits([targets])
-        if isinstance(coeffs, Exception):
-            raise coeffs
         return coeffs, self.info
 
     def fits(self, targets):
         """The coefficients of each target array of a batch, with one trailing
-        target axis, or the error of a target whose coefficients are not
-        finite.  Each target takes its own right-hand-side product, freed
-        before the next, and all take one solve, stacked on a leading axis:
-        bit for bit the separate fits (more right-hand-side columns would
-        not be).  A singular normal system raises for the whole batch."""
+        target axis.  Each target takes its own right-hand-side product,
+        freed before the next, and all take one solve, stacked on a leading
+        axis: bit for bit the separate fits (more right-hand-side columns
+        would not be).  A singular normal system, or coefficients of any
+        target that are not finite, raise SingularRegressionError for the
+        whole batch."""
         targets = (_as_columns(t) for t in targets)
         if self.info["degenerate"]:
             out = []
@@ -135,8 +134,9 @@ class _Regression:
                 out.append(coeffs)
             return out
         coeffs = self._solve(np.stack([self.phi_t @ t for t in targets]))
-        return [c if np.isfinite(c).all() else
-                SingularRegressionError("non-finite regression coefficients") for c in coeffs]
+        if not np.isfinite(coeffs).all():
+            raise SingularRegressionError("non-finite regression coefficients")
+        return list(coeffs)
 
     def predict(self, coeffs):
         single = coeffs.ndim == len(self.coef_shape)
@@ -311,7 +311,7 @@ def _solve_ridged(gram, rhs):
 
     The ridge makes every system positive definite, so a failure can only
     come from non-finite data, which no larger ridge repairs.  Non-finite
-    coefficients are the caller's to check, per right-hand side.
+    coefficients are the caller's to check.
     """
     try:
         return np.linalg.solve(gram, rhs)
@@ -340,11 +340,12 @@ class BsdeSolution:
 
     Which path arrays a solution keeps depends on who reads them:
     ``solve_bsde`` keeps all three; of the solutions of ``solve_reflected``,
-    the final level keeps all three, the direct-reflection solve only ``y``,
-    and the level solutions none.  A path array not kept is None; the
-    coefficients are always kept, and ``evaluate_u``/``evaluate_z`` need no
-    more.  ``u0``, ``check_z_representation`` and ``check_apriori_estimate``
-    read path arrays and raise ValueError on a solution without them.
+    the schedule's last level (its result) keeps all three, the
+    direct-reflection solve only ``y``, and the level solutions none.  A
+    path array not kept is None; the coefficients are always kept, and
+    ``evaluate_u``/``evaluate_z`` need no more.  ``u0``,
+    ``check_z_representation`` and ``check_apriori_estimate`` read path
+    arrays and raise ValueError on a solution without them.
     """
 
     grid: object
@@ -480,14 +481,7 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
     (sol,) = _backward_pass(model, driver, terminal, paths, basis,
                             [(penalty_level, reflect, ("y", "z", "vbar"))], picard_iters,
                             clamp, obstacle)
-    return _solution(sol)
-
-
-def _solution(result):
-    """A variant's solution from ``_backward_pass``, or raise what stopped it."""
-    if isinstance(result, BaseException):
-        raise result
-    return result
+    return sol
 
 
 def _cpu_count():
@@ -507,7 +501,6 @@ class _Variant:
     def __init__(self, index, penalty_level, reflect, keep, y, n, d, q, cshape):
         self.index, self.penalty_level, self.reflect = index, penalty_level, reflect
         self.y = y
-        self.error = None
         self.coef_y = np.zeros((n,) + cshape)
         self.coef_z = np.zeros((n, d) + cshape)
         self.coef_v = np.zeros((n, q) + cshape)
@@ -574,41 +567,17 @@ class _Variant:
             self.v_all[k] = vb
 
 
-def _fit_live(reg, live, targets):
-    """``reg.fits`` of one target per live variant: the (variant, coefficients)
-    pairs of the variants it fits, after a variant it cannot fit takes the
-    error that stops it (all of them, if the shared normal system is
-    singular)."""
-    if not live:
-        return []
-    try:
-        fits = reg.fits(targets)
-    except SingularRegressionError as exc:
-        fits = [exc] * len(live)
-    done = []
-    for v, coeffs in zip(live, fits):
-        if isinstance(coeffs, Exception):
-            v.error = coeffs
-        else:
-            done.append((v, coeffs))
-    return done
-
-
 def _step_group(k, group, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp, observe):
-    """Step k of a group of live variants on the step's setup ``reg``: all
-    their y fits, then all fits of their ``targets``, then each ``step``,
-    and ``observe(k, i, y)`` for each variant i that it leaves live.  A
-    ``NumericError`` or ``FloatingPointError`` (under a NumPy error state of
-    "raise") from a variant's ``step`` stops that variant alone."""
-    fitted = _fit_live(reg, group, [v.y for v in group])
+    """Step k of a group of variants on the step's setup ``reg``: all their
+    y fits, then all fits of their ``targets``, then each ``step``, and
+    ``observe(k, i, y)`` for each variant i."""
+    if not group:  # the worker's share of a two-variant pass
+        return
+    cys = reg.fits([v.y for v in group])
     # the targets are built one variant at a time, as the fit consumes them
-    for v, czv in _fit_live(reg, [v for v, _ in fitted],
-                            (v.targets(k, reg, cy, paths, dmu) for v, cy in fitted)):
-        try:
-            v.step(k, reg, czv, paths, driver, t_k, h_k, picard_iters, clamp)
-        except (NumericError, FloatingPointError) as exc:
-            v.error = exc
-            continue
+    czvs = reg.fits(v.targets(k, reg, cy, paths, dmu) for v, cy in zip(group, cys))
+    for v, czv in zip(group, czvs):
+        v.step(k, reg, czv, paths, driver, t_k, h_k, picard_iters, clamp)
         if observe is not None:
             observe(k, v.index, v.y)
 
@@ -619,20 +588,21 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
 
     Each step builds the regression setup ``basis.prepare(x_k)`` and the
     obstacle values h(t_k, x_k) once (or reads them from
-    ``obstacle_values``, h along the paths), and runs the live variants in
-    two stages on them.  First all y fits, then, after each variant's
+    ``obstacle_values``, h along the paths), and runs the variants in two
+    stages on them.  First all y fits, then, after each variant's
     ``targets``, all fits of the z and jump-functional targets; each stage
     takes one right-hand-side product per variant and one solve for all
     (``fits``), and ``step`` finishes each variant.  A solve with a leading
     variant axis repeats each variant's own solve, so every variant's
     coefficients and values are those of a pass of its own, bit for bit.
-    A variant whose fit or value goes non-finite stops updating and comes
-    back as the error that stopped it; the others go on.  A singular shared
-    normal system stops them all.
+    A fit or value that goes non-finite raises from the pass, as from the
+    variant's own: ``SingularRegressionError`` for the fit's whole batch,
+    ``NumericError`` (or, under a NumPy error state of "raise",
+    ``FloatingPointError``) for a value.
 
-    With two or more variants and more than one CPU, each step splits its
-    live variants into two groups, each with its own two stages: the
-    calling thread runs the first, and a one-worker executor (thread
+    With two or more variants and more than one CPU, each step splits the
+    variants into two groups, each with its own two stages: the calling
+    thread runs the first, and a one-worker executor (thread
     ``pidesolve-backward_0``, under the caller's NumPy error state) the
     rest, and then the next step's setup ahead.  The outputs are those of
     one thread, bit for bit; the driver and ``observe`` may be called from
@@ -643,10 +613,9 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
 
     ``keep`` names the path arrays a variant stores, ``("y", "z", "vbar")``
     or any of them, ``()`` for none; one not named comes back None.
-    ``observe(k, i, y)``, if given, sees variant i's new values
-    y at every step it leaves the variant live, on the thread that stepped
-    it.  Without ``clamp`` one default bound, with the obstacle if any
-    variant uses it, serves all.
+    ``observe(k, i, y)``, if given, sees variant i's new values y at every
+    step, on the thread that stepped it.  Without ``clamp`` one default
+    bound, with the obstacle if any variant uses it, serves all.
     """
     grid = paths.grid
     dt = grid.dt
@@ -682,9 +651,6 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     ahead = None  # the future of this step's setup, if the worker built it
     try:
         for k in range(n - 1, -1, -1):
-            live = [v for v in runs if v.error is None]
-            if not live:
-                break
             xk = paths.states[k]
             t_k = grid.nodes[k]
             reg = basis.prepare(xk) if ahead is None else ahead.result()
@@ -693,16 +659,16 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
                 h_k = obstacle(t_k, xk) if obstacle_values is None else obstacle_values[k]
             args = (reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp, observe)
             if pool is None:
-                _step_group(k, live, *args)
+                _step_group(k, runs, *args)
             else:
                 # the caller runs one more than half: the worker also builds
                 # the next setup, which costs about two variants' steps (so
                 # with two variants it builds only that)
-                cut = min((len(live) + 2) // 2, len(live))
-                theirs = pool.submit(_step_group, k, live[cut:], *args)
+                cut = len(runs) // 2 + 1
+                theirs = pool.submit(_step_group, k, runs[cut:], *args)
                 ahead = pool.submit(basis.prepare, paths.states[k - 1]) if k else None
                 try:
-                    _step_group(k, live[:cut], *args)
+                    _step_group(k, runs[:cut], *args)
                 finally:
                     theirs.exception()  # the caller's error waits for their group
                 theirs.result()
@@ -711,7 +677,7 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    return [v.error if v.error is not None else BsdeSolution(
+    return [BsdeSolution(
         grid=grid, basis=basis, driver=driver, terminal=terminal,
         coef_y=v.coef_y, coef_z=v.coef_z, coef_v=v.coef_v,
         y=v.y_all, z=v.z_all, vbar=v.v_all, states=paths.states,

@@ -149,7 +149,7 @@ class PathBundle:
 
 
 def _step_stream(seed, key):
-    bits = np.array([seed & _KEY_MASK, key & _KEY_MASK], dtype=np.uint64)
+    bits = np.array([seed, key], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=bits))
 
 
@@ -265,12 +265,16 @@ def simulate_paths(model, grid, x0, n_paths, seed, key_offset=0):
     ``x0`` is a point (all paths start there) or an (n_paths, dim) array of
     per-path starts for dispersed-start experiments.  Identical
     (model, grid, x0, n_paths, seed, key_offset) give a bit-identical bundle.
-    The seed is an int in [0, 2^64), the range of the streams' 64-bit key.
+    The seed and every step's key ``key_offset + k`` are ints in [0, 2^64),
+    the range of the streams' 64-bit key.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
     if not 0 <= seed <= _KEY_MASK:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    if not 0 <= key_offset <= _KEY_MASK - (grid.n_steps - 1):
+        raise ValueError(f"key_offset + k must be in [0, 2**64) for every step k < "
+                         f"{grid.n_steps}, got key_offset {key_offset}")
     dt = grid.dt
     x = _as_start(x0, n_paths, model.dim)
     n = grid.n_steps

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BsdeSolution, _backward_pass, _solution, default_clamp_bound, solve_bsde
+from .bsde import BsdeSolution, _backward_pass, default_clamp_bound, solve_bsde
 from .errors import NoConvergenceError
 from .model import WeightFunction, time_weights
 
@@ -121,7 +121,7 @@ def penalty_norm(y, obstacle_values, states, weight, dt):
 class ReflectedSolution:
     """Penalized-limit solution with convergence trace and cross-checks.
 
-    ``solution`` is the final penalized level, with all its path arrays;
+    ``solution`` is the schedule's last level, with all its path arrays;
     ``obstacle_values`` the obstacle along the paths (N+1, M);
     ``level_solutions`` every level's solution, coefficients only
     (``evaluate_u`` needs no more).  ``direct`` is the direct-reflection
@@ -216,9 +216,13 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
                     picard_iters=3, clamp=None, strict=False):
     """Penalization scheme along an increasing schedule of levels.
 
-    The result is the first level whose penalty norm (``penalty_norm`` of
-    the level's path values) falls below ``tol``, else the last.  The trace
-    records per level the penalty norm, the flat-off defect
+    The result is the schedule's last level.  The penalized solutions
+    increase to the reflected one as the level grows, with a penalty error
+    of order 1/level, so the last level is the most accurate.  ``converged``
+    says whether its penalty norm (``penalty_norm`` of its path values) is
+    below ``tol``; with ``strict`` a norm at or above ``tol`` raises
+    ``NoConvergenceError``, otherwise the result is returned flagged.  The
+    trace records per level the penalty norm, the flat-off defect
     (``skorokhod_gap``), the value at the initial time and ``pi``, the
     weighted mass mean(sum_{k<N} rho(X_k) dK_k) of the reflection measure,
     and after the first level ``min_step_up``, the least Y^n_k - Y^{n-1}_k
@@ -226,16 +230,9 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     path values as the backward pass steps them.  Also runs the
     direct-reflection cross-check (y <- max(y, h) inside the backward loop)
     on the same paths and reports the weighted distance between the two
-    along the paths.  With ``strict`` the exhausted schedule raises;
-    otherwise the result is returned flagged.
-
-    The whole schedule and the direct solve run as one backward pass, which
-    builds each step's regression setup once for all of them; the level
-    that meets ``tol`` is picked from the trace after the pass.  A level
-    after it cannot change the result or raise (its error is kept, not
-    raised), but its steps are paid for: a loose ``tol`` costs the whole
-    schedule, and the level that meets it, if not the last, is solved once
-    more alone for its path arrays.
+    along the paths.  The whole schedule and the direct solve run as one
+    backward pass, which builds each step's regression setup once for all
+    of them; a level whose fit or value goes non-finite raises from it.
 
     Without ``clamp``, one a-priori bound (``default_clamp_bound`` with the
     obstacle) serves every level and the direct solve.  A schedule that
@@ -310,41 +307,26 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
             step_up[i + 1] = min(step_up[i + 1],
                                  float(np.subtract(upper[1], y, out=gap).min()))
 
-    every = ("y", "z", "vbar")
-    variants = [(level, False, every if i == len(schedule) - 1 else ())
+    variants = [(level, False, ("y", "z", "vbar") if i == len(schedule) - 1 else ())
                 for i, level in enumerate(schedule)] + [(0.0, True, ("y",))]
     runs = _backward_pass(model, driver, terminal, paths, basis, variants,
                           picard_iters, clamp, obstacle, observe, lvals)
     latest.clear()  # the levels' last values, which nothing else holds
-    direct = runs.pop()
-    level_sols = []
+    sol, direct = runs[-2:]
+    level_sols = [dataclasses.replace(run, y=None, z=None, vbar=None) for run in runs[:-1]]
     trace = []
-    converged = False
     for i, level in enumerate(schedule):
-        pnorm = math.sqrt(norm2[i])
-        entry = {"level": level, "penalty_norm": pnorm,
+        entry = {"level": level, "penalty_norm": math.sqrt(norm2[i]),
                  "skorokhod": defects[i].report().normalized, "u0": u0s[i], "pi": pis[i]}
-        level_sols.append(dataclasses.replace(_solution(runs[i]), y=None, z=None, vbar=None))
         if i:
             entry["min_step_up"] = step_up[i]
         trace.append(entry)
-        if pnorm < tol:
-            converged = True
-            break
-    levels, sol = schedule[:i + 1], runs[i]
-    del runs
+    converged = trace[-1]["penalty_norm"] < tol
     if not converged and strict:
         raise NoConvergenceError(
             f"penalty norm {trace[-1]['penalty_norm']:.3g} above tol {tol:.3g} "
-            f"after level {levels[-1]}", trace=trace)
+            f"after level {schedule[-1]}", trace=trace)
 
-    direct = _solution(direct)
-    if sol.y is None:
-        # the level that met tol is not the last: solve it alone for its
-        # path arrays, on the obstacle values already taken
-        sol = _solution(_backward_pass(model, driver, terminal, paths, basis,
-                                       [(levels[-1], False, every)], picard_iters, clamp,
-                                       obstacle, obstacle_values=lvals)[0])
     diff2 = base2 = 0.0
     for k in range(n, -1, -1):
         rho = weight(paths.states[k])
@@ -352,7 +334,7 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         base2 += wt[k] * float(np.mean(rho * direct.y[k] ** 2))
 
     return ReflectedSolution(
-        solution=sol, obstacle_values=lvals, levels=levels,
+        solution=sol, obstacle_values=lvals, levels=schedule,
         level_solutions=level_sols, trace=trace, converged=converged, direct=direct,
         direct_gap=math.sqrt(diff2),
         direct_gap_rel=math.sqrt(diff2 / base2) if base2 > 0 else 0.0, weight=weight,

@@ -253,24 +253,26 @@ def test_batched_fits_equal_each_targets_own_fit(kind, dim, cols):
 
 @pytest.mark.parametrize("kind", ["local", "poly"])
 def test_batched_fit_overflow_flags_only_its_target(kind):
-    # a target whose cell sums overflow to inf fails alone; the others keep
-    # the bits of their own fits
+    # a target whose cell sums overflow to inf makes the whole batch raise,
+    # as its own fit does; each good target alone, and a batch of the good
+    # ones, still fits bit for bit
     x, reg = _batch_case(kind, 1)
     good = [np.cos(x[:, 0]), x[:, 0] ** 2]
     huge = np.full(x.shape[0], 1e308)
     with np.errstate(over="ignore", invalid="ignore"):
-        fits = reg.fits([good[0], huge, good[1]])
-        with pytest.raises(SingularRegressionError):
+        with pytest.raises(SingularRegressionError, match="non-finite"):
+            reg.fits([good[0], huge, good[1]])
+        with pytest.raises(SingularRegressionError, match="non-finite"):
             reg.fit(huge)
-    assert isinstance(fits[1], SingularRegressionError)
-    for t, coeffs in zip(good, fits[::2]):
+    for t, coeffs in zip(good, reg.fits(good)):
         assert np.array_equal(coeffs, reg.fit(t)[0])
+        assert np.array_equal(coeffs, _fit_alone(reg, t))
 
 
 @pytest.mark.parametrize("kind", ["local", "poly"])
 def test_solve_whose_only_fit_overflows_raises_singular(heat_model, kind):
-    # with no variant left after the y fit, the pass stops with that fit's
-    # error instead of stacking an empty batch of residual targets
+    # a y fit that overflows raises from the pass, before any residual
+    # target is built
     paths = simulate_paths(heat_model, TimeGrid(0, 1, 5), 0.0, 2000, seed=1)
     basis = make_basis(kind, (-6.0, 6.0), degree=2, cells=4)
     with np.errstate(over="ignore", invalid="ignore"):

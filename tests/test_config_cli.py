@@ -802,6 +802,33 @@ def test_solve_obstacle_task(tmp_path):
     assert {"u_level_1.csv", "nu_histogram.csv", "trace.json"} <= set(os.listdir(tmp_path))
 
 
+def test_default_tol_returns_the_last_level(tmp_path):
+    # numerics.tol left at its default: every level of the schedule is
+    # written, and the result is the last one, whichever level met tol
+    cfg = {"task": "solve-obstacle", "seed": 4,
+           "model": {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}},
+           "driver": {"name": "discount", "params": {"rate": 0.05}},
+           "terminal": {"name": "put", "params": {"strike": 100}},
+           "obstacle": {"name": "put", "params": {"strike": 100, "kappa": 1.0,
+                                                  "iota": 101.0}},
+           "weight": {"p": 4},
+           "numerics": {"grid_n": 10, "paths": 5000, "x0": 100.0,
+                        "basis": {"kind": "local", "cells": 12},
+                        "schedule": [1, 8, 64]}}
+    report, code = run_experiment(cfg, out_dir=tmp_path)
+    (criterion,) = report.body["criteria"]
+    assert criterion["threshold"] == 1e-3
+    levels = sorted(f for f in os.listdir(tmp_path) if f.startswith("u_level_"))
+    assert levels == [f"u_level_{v}.csv" for v in (1, 64, 8)]
+    headline = report.body["headline"]
+    assert headline["final_level"] == 64.0
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert [entry["level"] for entry in trace["levels"]] == [1, 8, 64]
+    assert headline["converged"] == (trace["levels"][-1]["penalty_norm"] < 1e-3)
+    assert criterion["value"] == trace["levels"][-1]["penalty_norm"]
+    assert code == (EXIT_OK if headline["converged"] else EXIT_CRITERION)
+
+
 def test_fractional_levels_write_one_file_each(tmp_path):
     # levels 1.2 and 1.4 round to the same integer; each still gets its own
     # u_level file, and the report lists every artifact once

@@ -98,6 +98,19 @@ def test_seed_outside_the_stream_key_rejected(toy_model, seed):
     last = simulate_paths(toy_model, TimeGrid(0, 1, 2), 0.0, 10, seed=2**64 - 1)
     assert np.isfinite(last.states).all()
 
+
+@pytest.mark.parametrize("key_offset", [-1, 2**64, 2**64 - 2],
+                         ids=["negative", "2^64", "last-key+1"])
+def test_key_offset_outside_the_stream_key_rejected(toy_model, key_offset):
+    # step k draws from the stream keyed key_offset + k, k < n_steps: an
+    # offset whose keys leave [0, 2^64) would run as another offset (2^64 as
+    # 0, -1 as 2^64 - 1)
+    with pytest.raises(ValueError, match="key_offset"):
+        simulate_paths(toy_model, TimeGrid(0, 1, 3), 0.0, 10, seed=7, key_offset=key_offset)
+    last = simulate_paths(toy_model, TimeGrid(0, 1, 3), 0.0, 10, seed=7, key_offset=2**64 - 3)
+    assert last.key_offset == 2**64 - 3 and np.isfinite(last.states).all()
+
+
 def test_many_jumps_per_step_group_by_count():
     # lambda * dt = 3: the paths of one step fall into many count groups,
     # with gaps among the counts, and every group is simulated in its turn

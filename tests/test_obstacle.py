@@ -291,7 +291,9 @@ def test_inactive_obstacle_converges_immediately(bs_put_setup):
                        kappa=1.0)
     refl = solve_reflected(model, discount_driver(0.05), put_payoff, low,
                            paths, basis, schedule=(1, 2, 4), tol=1e-6, weight=RHO4)
-    assert refl.converged and refl.levels == (1,)
+    # every level's penalty vanishes: the last level is the plain solve
+    assert refl.converged and refl.levels == (1, 2, 4)
+    assert all(entry["penalty_norm"] == 0.0 for entry in refl.trace)
     plain = solve_bsde(model, discount_driver(0.05), put_payoff, paths, basis)
     assert np.array_equal(refl.solution.y, plain.y)
 
@@ -327,8 +329,7 @@ def test_schedule_validation(bs_put_setup):
 
 def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
     # the a-priori bound does not depend on the level: computed once, it
-    # clamps every level and the direct solve alike, also a level that meets
-    # tol early and is solved again alone
+    # clamps every level and the direct solve alike, whatever tol
     import pidesolve.bsde as bsde_mod
     import pidesolve.obstacle as obstacle_mod
     model, paths, basis = bs_put_setup
@@ -345,12 +346,12 @@ def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
     monkeypatch.setattr(obstacle_mod, "default_clamp_bound", counted_bound)
     monkeypatch.setattr(bsde_mod, "default_clamp_bound", counted_bound)
     monkeypatch.setattr(bsde_mod, "_step_value", recorded_step)
-    for tol, n_levels in ((1e-12, 3), (1e12, 1)):
+    for tol in (1e-12, 1e12):
         bounds.clear()
         clamps.clear()
         refl = solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(),
                                paths, basis, schedule=(0, 1, 2), tol=tol, weight=RHO4)
-        assert len(refl.levels) == n_levels
+        assert refl.levels == (0, 1, 2) and refl.converged == (tol == 1e12)
         assert len(bounds) == 1
         assert clamps and all(c == bounds[0] for c in clamps)
         assert refl.solution.clamp_bound == refl.direct.clamp_bound == bounds[0]
@@ -392,11 +393,10 @@ def _mass(sol, lvals, states):
 
 @pytest.mark.parametrize("kind", ["local", "poly"])
 def test_one_pass_equals_per_level_solves(small_put, kind, monkeypatch):
-    # the schedule run as separate solves, one penalized solve per level up to
-    # the one that meets tol and then the direct reflection, gives the same
-    # bits, the trace's path sums included.  The levels and the direct solve
-    # run in one pass on two groups, the caller's and the helper's; a level
-    # that meets tol before the last is solved again alone
+    # the schedule run as separate solves, one penalized solve per level and
+    # then the direct reflection, gives the same bits, the trace's path sums
+    # included, whatever tol.  The levels and the direct solve run in one
+    # pass on two groups, the caller's and the helper's
     _two_cpus(monkeypatch)
     model, paths, box = small_put
     basis = LocalAffineBasis(20, box) if kind == "local" else PolynomialBasis(3, box)
@@ -424,9 +424,7 @@ def test_one_pass_equals_per_level_solves(small_put, kind, monkeypatch):
             else:
                 assert refl.trace[i]["min_step_up"] == float(np.min(sol.y[:-1] - below.y[:-1]))
             below = sol
-            if pnorm < tol:
-                break
-        assert refl.levels == schedule[:i + 1]
+        assert refl.levels == schedule and refl.converged == (pnorm < tol)
         for got, want in ((refl.solution, sol), (refl.direct, direct)):
             for name in ("y", "coef_y", "coef_z", "coef_v"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -443,11 +441,9 @@ def test_one_pass_equals_per_level_solves(small_put, kind, monkeypatch):
 
 
 def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
-    # one pass builds one regression setup per step for the whole schedule
-    # and the direct solve, and steps each of them at every step; a run that
-    # stops before the last level solves that level once more alone, with one
-    # more setup and one more step per step.  The obstacle is read once per
-    # time node along the paths either way
+    # one pass, whatever tol, builds one regression setup per step for the
+    # whole schedule and the direct solve, and steps each of them at every
+    # step.  The obstacle is read once per time node along the paths
     import pidesolve.bsde as bsde_mod
     import pidesolve.obstacle as obstacle_mod
     model, paths, box = small_put
@@ -478,7 +474,7 @@ def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
     monkeypatch.setattr(obstacle_mod, "_backward_pass", counted_pass)
     obst = ObstacleSpec(h=h, iota=K + 1, kappa=1.0)
     n_schedule = len(default_schedule())
-    for tol, n_levels in ((1e12, 1), (6e-6, 7), (1e-12, 13)):
+    for tol in (1e12, 6e-6, 1e-12):
         prepared.clear()
         steps.clear()
         along.clear()
@@ -486,12 +482,11 @@ def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
         # an explicit clamp: the default bound reads the obstacle on its own
         refl = solve_reflected(model, discount_driver(0.05), put_payoff, obst, paths,
                                LocalAffineBasis(20, box), tol=tol, weight=RHO4, clamp=1e6)
-        assert len(refl.levels) == n_levels
-        resolved = n_levels < n_schedule
-        assert passes == [n_schedule + 1] + [1] * resolved
-        assert len(prepared) == (1 + resolved) * n
-        assert len(steps) == (n_schedule + 1 + resolved) * n
-        assert Counter(steps)[refl.final_level] == (1 + resolved) * n
+        assert refl.levels == default_schedule()
+        assert passes == [n_schedule + 1]
+        assert len(prepared) == n
+        assert len(steps) == (n_schedule + 1) * n
+        assert Counter(steps)[refl.final_level] == n
         # each time node once along the paths, the horizon check included
         assert np.array_equal(np.sort(along), paths.grid.nodes)
 
@@ -500,26 +495,42 @@ def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
                                              ("raise", FloatingPointError)],
                          ids=["ignore", "raise"])
 def test_later_levels_cannot_change_or_break_the_result(small_put, errors, raised):
-    # an infinite level goes non-finite at its first step and stops there,
-    # with NumericError or, under NumPy's "raise", FloatingPointError; a
-    # result that stops before it neither changes nor raises
+    # an infinite level goes non-finite at its first step, with NumericError
+    # or, under NumPy's "raise", FloatingPointError, as its own solve does.
+    # The schedule's last level is the result whatever tol, so a schedule
+    # that reaches the level raises for every tol
     model, paths, box = small_put
     args = (model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
             LocalAffineBasis(20, box))
     with np.errstate(all=errors):
-        ref = solve_reflected(*args, schedule=(1,), tol=1e12, weight=RHO4)
-        refl = solve_reflected(*args, schedule=(1, 2, math.inf), tol=1e12, weight=RHO4)
-        assert refl.levels == (1,)
-        assert refl.trace == ref.trace
-        for name in ("coef_y", "coef_z", "coef_v"):
-            assert np.array_equal(getattr(refl.level_solutions[0], name),
-                                  getattr(ref.level_solutions[0], name))
-        for got, want in ((refl.solution, ref.solution), (refl.direct, ref.direct)):
-            for name in ("y", "z", "vbar"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-        # a schedule that reaches the level raises, as its own solve would
         with pytest.raises(raised):
-            solve_reflected(*args, schedule=(1, 2, math.inf), tol=1e-12, weight=RHO4)
+            solve_penalized(*args, math.inf)
+        for tol in (1e12, 1e-3, 1e-12):
+            with pytest.raises(raised):
+                solve_reflected(*args, schedule=(1, 2, math.inf), tol=tol, weight=RHO4)
+
+
+def test_result_is_the_last_level_whatever_tol(small_put):
+    # the schedule's last level is the most accurate: a loose tol returns it
+    # too, bit for bit, and converged reads its penalty norm alone
+    model, paths, box = small_put
+    args = (model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
+            LocalAffineBasis(20, box))
+    tight = solve_reflected(*args, tol=1e-9, weight=RHO4)
+    loose = solve_reflected(*args, tol=1e-3, weight=RHO4)
+    final = tight.trace[-1]["penalty_norm"]
+    # an earlier level meets the loose tol, which the result ignores
+    assert any(entry["penalty_norm"] < 1e-3 for entry in tight.trace[:-1])
+    assert loose.levels == tight.levels == default_schedule()
+    assert loose.u0() == tight.u0()
+    assert np.array_equal(loose.solution.y, tight.solution.y)
+    assert loose.trace == tight.trace
+    assert loose.converged == (final < 1e-3) and tight.converged == (final < 1e-9)
+    at = solve_reflected(*args, tol=final, weight=RHO4)
+    above = solve_reflected(*args, tol=np.nextafter(final, math.inf), weight=RHO4)
+    assert not at.converged and above.converged
+    with pytest.raises(NoConvergenceError):
+        solve_reflected(*args, tol=final, weight=RHO4, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +674,7 @@ def test_callers_error_wins_when_both_groups_raise(small_put, monkeypatch):
 @pytest.mark.parametrize("ahead_fails", [False, True], ids=["built", "fails"])
 def test_variants_stopping_while_a_setup_is_built_ahead(small_put, ahead_fails, monkeypatch):
     # every variant goes non-finite at step 12 while the helper still builds
-    # step 11's setup: the pass ends with each variant's error, whether that
+    # step 11's setup: the pass raises NumericError at step 12, whether that
     # setup is built or fails, and joins the helper
     from pidesolve.bsde import _backward_pass
     _two_cpus(monkeypatch)
@@ -684,11 +695,10 @@ def test_variants_stopping_while_a_setup_is_built_ahead(small_put, ahead_fails, 
     bad = dataclasses.replace(
         drv, f=lambda t, x, y, z, v: drv.f(t, x, y, z, v) * (np.nan if t == t_stop else 1.0))
     variants = [(1.0, False, ("y", "z", "vbar")), (2.0, False, ()), (0.0, True, ("y",))]
-    with np.errstate(invalid="ignore"):
-        runs = _backward_pass(model, bad, put_payoff, paths, SlowAhead(20, box), variants, 3,
-                              None, put_obstacle())
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="step 12"):
+        _backward_pass(model, bad, put_payoff, paths, SlowAhead(20, box), variants, 3,
+                       None, put_obstacle())
     assert building == ["pidesolve-backward_0"]
-    assert all(isinstance(r, NumericError) and "step 12" in str(r) for r in runs)
     assert not [t for t in threading.enumerate() if t.name == "pidesolve-backward_0"]
 
 
