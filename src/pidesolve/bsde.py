@@ -62,16 +62,15 @@ def _is_degenerate(x):
 # ---------------------------------------------------------------------------
 
 class _BoxBasis:
-    """The box [lo, hi] a basis is defined on, with its ridge scale."""
+    """The box [lo, hi] a basis is defined on."""
 
-    def __init__(self, box, ridge_scale):
+    def __init__(self, box):
         lo = np.atleast_1d(np.asarray(box[0], float))
         hi = np.atleast_1d(np.asarray(box[1], float))
         if np.any(hi <= lo):
             raise ValueError("box must have positive extent")
         self.lo, self.hi = lo, hi
         self.dim = lo.size
-        self.ridge_scale = ridge_scale
 
     def fit(self, x, targets):
         """Least squares of each target column on the basis: (coeffs, info),
@@ -147,7 +146,7 @@ class _Regression:
 class _PolyRegression(_Regression):
     def _gram(self, basis):
         gram = self.phi_t @ self.phi
-        ridge = basis.ridge_scale * np.trace(gram) / gram.shape[0]
+        ridge = _RIDGE_SCALE * np.trace(gram) / gram.shape[0]
         self.ridged = gram + ridge * np.eye(gram.shape[0])
         return np.linalg.cond(self.ridged), ridge
 
@@ -166,8 +165,8 @@ class PolynomialBasis(_BoxBasis):
     kind = "poly"
     _setup = _PolyRegression
 
-    def __init__(self, degree, box, ridge_scale=_RIDGE_SCALE):
-        super().__init__(box, ridge_scale)
+    def __init__(self, degree, box):
+        super().__init__(box)
         self.degree = int(degree)
         self._powers = _total_degree_powers(self.dim, self.degree)
         # each monomial after the constant is an earlier one, its powers with
@@ -210,7 +209,7 @@ class _LocalRegression(_Regression):
         self.thin = filled & (self.counts < _MIN_POINTS)
         self.full = filled & ~self.thin
         g = gram[self.full]
-        ridge = basis.ridge_scale * np.trace(g, axis1=1, axis2=2) / p
+        ridge = _RIDGE_SCALE * np.trace(g, axis1=1, axis2=2) / p
         self.blocks = g + ridge[:, None, None] * np.eye(p)
         self.empty, self.donor = basis._donors(filled)
         eig = np.linalg.eigvalsh(self.blocks)
@@ -240,8 +239,8 @@ class LocalAffineBasis(_BoxBasis):
     kind = "local"
     _setup = _LocalRegression
 
-    def __init__(self, cells, box, ridge_scale=_RIDGE_SCALE):
-        super().__init__(box, ridge_scale)
+    def __init__(self, cells, box):
+        super().__init__(box)
         self.cells = np.broadcast_to(np.asarray(cells, int), (self.dim,)).copy()
         if np.any(self.cells < 1):
             raise ValueError("need at least one cell per axis")
@@ -287,11 +286,11 @@ class LocalAffineBasis(_BoxBasis):
         return empty, donor
 
 
-def make_basis(kind, box, degree=4, cells=40, ridge_scale=_RIDGE_SCALE):
+def make_basis(kind, box, degree=4, cells=40):
     if kind == "poly":
-        return PolynomialBasis(degree, box, ridge_scale)
+        return PolynomialBasis(degree, box)
     if kind == "local":
-        return LocalAffineBasis(cells, box, ridge_scale)
+        return LocalAffineBasis(cells, box)
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
@@ -728,25 +727,23 @@ def evaluate_z(sol, k, x):
     return sol.basis.predict(_zv_coeffs(sol, k), x)[:, :sol.states.shape[2]]
 
 
-def check_z_representation(sol, model, fd_step_rel=1e-3, weight=None, max_steps=None):
+def check_z_representation(sol, model, weight=None):
     """Weighted relative gap between regressed z and sigma^T grad of the field.
 
     The gradient of the fitted value function is taken by central differences
-    of ``evaluate_u`` with step fd_step_rel * (1 + |x|); the comparison is a
+    of ``evaluate_u`` with step 1e-3 * (1 + |x|); the comparison is a
     rho-weighted relative L2 norm along the paths.  Steps with degenerate
     designs are skipped; returns 0 when both sides vanish.
     """
     ys, zs = _path_arrays(sol, "y", "z")
     n = sol.n_steps
     steps = [k for k in range(n) if not sol.diagnostics["degenerate"][k]]
-    if max_steps is not None and len(steps) > max_steps:
-        steps = steps[:: max(1, len(steps) // max_steps)]
     num = 0.0
     den = 0.0
     yscale = 0.0
     for k in steps:
         xk = sol.states[k]
-        h = fd_step_rel * (1.0 + np.abs(xk))
+        h = 1e-3 * (1.0 + np.abs(xk))
         mask = sol.basis.contains(xk) & sol.basis.contains(xk - h) & sol.basis.contains(xk + h)
         if not mask.any():
             continue
@@ -766,7 +763,7 @@ def check_z_representation(sol, model, fd_step_rel=1e-3, weight=None, max_steps=
     return math.sqrt(num / den)
 
 
-def check_apriori_estimate(solutions, terminal, driver, weight, x_weights=None):
+def check_apriori_estimate(solutions, terminal, driver, weight):
     """Energy-to-data ratio of the backward solution over a grid of starts.
 
     ``solutions`` maps starting points x0 to solutions computed from bundles
@@ -784,14 +781,12 @@ def check_apriori_estimate(solutions, terminal, driver, weight, x_weights=None):
     x0s = np.array([float(np.atleast_1d(key)[0]) for key, _ in items])
     sols = [v for _, v in items]
     paths = [_path_arrays(sol, "y", "z", "vbar") for sol in sols]
-    if x_weights is None:
-        x_weights = trapezoid_weights(x0s)
     grid = sols[0].grid
     dt = grid.dt
     n = grid.n_steps
 
     rho = np.array([float(np.asarray(weight(np.atleast_2d(x))).ravel()[0]) for x in x0s])
-    qw = x_weights * rho
+    qw = trapezoid_weights(x0s) * rho
 
     y_norms = np.zeros(n + 1)
     zv_sum = 0.0

@@ -48,7 +48,7 @@ _OBSTACLE_PARAMS = {name: keys + ("iota", "kappa")
                     for name, keys in _PAYOFF_PARAMS.items() if name != "square"}
 # the custom model's params: affine drift and diffusion, and a jump part
 # made of a jump kind and a measure whose keys and defaults depend on its kind
-_CUSTOM_KEYS = {"drift", "diffusion", "measure", "jump", "k_jump", "k_coef"}
+_CUSTOM_KEYS = {"drift", "diffusion", "measure", "jump"}
 _CUSTOM_JUMPS = {"none": None,
                  "translation": translation_jump,
                  "proportional-exp": lambda x, e: x * (np.exp(e) - 1.0)}
@@ -107,13 +107,24 @@ def _expect_nums(value, path):
     return [_expect_num(v, f"{path}[{i}]") for i, v in enumerate(_expect(value, list, path))]
 
 
+def _expect_nonnegative(value, path):
+    """A finite number >= 0 as float."""
+    number = _expect_num(value, path)
+    if number < 0:
+        raise ConfigError(f"{path}: expected a number >= 0, got {number}")
+    return number
+
+
 def _expect_pair(value, path):
-    """A [lo, hi] pair of finite numbers as floats; null means none."""
+    """A [lo, hi] pair of finite numbers, lo < hi, as floats; null means none."""
     if value is None:
         return None
     if len(_expect(value, list, path)) != 2:
         raise SchemaError(f"{path}: expected [lo, hi]")
-    return _expect_nums(value, path)
+    lo, hi = _expect_nums(value, path)
+    if not lo < hi:
+        raise ConfigError(f"{path}: expected lo < hi, got [{lo}, {hi}]")
+    return [lo, hi]
 
 
 def _check_keys(block, allowed, path):
@@ -231,9 +242,7 @@ def _build_custom_model(params):
         jump = _CUSTOM_JUMPS[params["jump"]]
     return scalar_model(drift=coef(params.get("drift"), 0.0, 0.0),
                         diffusion=coef(params.get("diffusion"), 0.0, 1.0),
-                        jump=jump, jump_measure=measure,
-                        k_jump=params.get("k_jump", 4.0),
-                        k_coef=params.get("k_coef", 1.0))
+                        jump=jump, jump_measure=measure)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +312,7 @@ def _check_params(block, allowed, path, other=()):
 
 def _check_custom_params(params, path):
     """Reject keys the custom model would ignore, also inside its blocks."""
-    _check_params(params, _CUSTOM_KEYS, path, other=("drift", "diffusion", "measure", "jump"))
+    _check_params(params, _CUSTOM_KEYS, path, other=_CUSTOM_KEYS)
     for key in ("drift", "diffusion"):
         if key in params:
             _check_params(params[key], ("slope", "intercept"), f"{path}.{key}")
@@ -441,7 +450,7 @@ _ORACLE = {"kind": partial(_expect_choice, choices=_ORACLE_KEYS), "horizon": _ex
 _COMPARE = {"oracle": _norm_oracle, "tol_rel": _expect_num, "region": _expect_pair,
             "x_grid_n": _expect_count}
 _NUMERICS = {"grid_n": _expect_count, "paths": _expect_count, "x0": _expect_num,
-             "x0_spread": _expect_num, "picard": _expect_count, "tol": _expect_num,
+             "x0_spread": _expect_nonnegative, "picard": _expect_count, "tol": _expect_num,
              "schedule_max_exp": _expect_count, "schedule": _expect_nums,
              "eval_points": partial(_expect_count, minimum=2),
              "dump_paths": partial(_expect_choice, choices=("none", "csv", "binary")),

@@ -75,11 +75,11 @@ class TimeGrid:
     def nodes(self):
         return self.t0 + self.dt * np.arange(self.n_steps + 1)
 
-    def node_index(self, t, tol=1e-9):
+    def node_index(self, t):
         """Index of t among the nodes, or GridError if t is not a node."""
         k = (t - self.t0) / self.dt
         kr = round(k)
-        if abs(k - kr) > tol * max(1.0, abs(k)) or not 0 <= kr <= self.n_steps:
+        if abs(k - kr) > 1e-9 * max(1.0, abs(k)) or not 0 <= kr <= self.n_steps:
             raise GridError(f"time {t} is not a node of the grid")
         return int(kr)
 

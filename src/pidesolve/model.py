@@ -1,9 +1,9 @@
 """Problem data for the PIDE solver.
 
 Declares the coefficients of the state dynamics (drift, diffusion, jump
-coefficient, finite-activity jump measure), the nonlinear driver, terminal
-condition, obstacle and weight function, together with validation helpers
-for the structural assumptions they must satisfy.  Also evaluates the two
+coefficient, finite-activity jump measure), the nonlinear driver, obstacle
+and weight function, together with validation helpers for the structural
+assumptions they must satisfy.  Also evaluates the two
 pieces of the integro-differential generator and the strong-form PIDE
 residual used by the diagnostic checks.
 
@@ -25,13 +25,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericError, QuadratureError
+from .errors import NumericError
 
 __all__ = [
     "JumpMeasure",
     "ModelSpec",
     "DriverSpec",
-    "TerminalSpec",
     "ObstacleSpec",
     "WeightFunction",
     "JumpMapReport",
@@ -108,31 +107,6 @@ class JumpMeasure:
             return 0.0
         return float(np.sum(self.weights * np.asarray(f(self.nodes), dtype=float)))
 
-    def mean_mark(self):
-        if not self.is_active:
-            return 0.0
-        return float(np.sum(self.weights * self.nodes) / self.total_intensity)
-
-    def second_moment(self):
-        if not self.is_active:
-            return 0.0
-        return float(np.sum(self.weights * self.nodes**2) / self.total_intensity)
-
-    def sampler_moment_gap(self, rng, n=200_000):
-        """Monte-Carlo check of the sampler against the quadrature moments.
-
-        Returns the largest z-score of (sample mean, sample second moment)
-        against the quadrature values.  Large values flag a mismatch.
-        """
-        if not self.is_active:
-            return 0.0
-        marks = np.asarray(self.mark_sampler(rng, n), dtype=float)
-        m1, m2 = self.mean_mark(), self.second_moment()
-        z1 = abs(marks.mean() - m1) / (marks.std(ddof=1) / math.sqrt(n) + 1e-300)
-        sq = marks**2
-        z2 = abs(sq.mean() - m2) / (sq.std(ddof=1) / math.sqrt(n) + 1e-300)
-        return float(max(z1, z2))
-
     # -- built-in constructors ------------------------------------------------
 
     @classmethod
@@ -186,9 +160,7 @@ class JumpMeasure:
 class ModelSpec:
     """State dynamics: drift, diffusion, jump coefficient and jump measure.
 
-    ``k_jump`` is the user-declared bound in |beta(x, e)| <= k_jump * (1 ^ |e|)
-    and ``k_coef`` a joint Lipschitz/growth constant for (drift, diffusion);
-    both are spot-checked, not proven.  The spec holds no Jacobians:
+    The spec holds no Jacobians:
     ``forward.tangent_flow`` differentiates the simulated flow itself and
     ``check_jump_map`` the jump coefficient, both by the central differences
     of ``_fd_jacobian``.
@@ -199,15 +171,10 @@ class ModelSpec:
     diffusion: Callable
     jump_coeff: Optional[Callable] = None
     jump_measure: JumpMeasure = field(default_factory=JumpMeasure.none)
-    k_jump: float = 1.0
-    k_coef: float = 1.0
-    sample_box: tuple = (-1.0, 1.0)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.k_jump <= 0 or self.k_coef <= 0:
-            raise ValueError("declared constants must be positive")
         if self.jump_measure.is_active and self.jump_coeff is None:
             raise ValueError("active jump measure requires a jump coefficient")
         # a translation jump's compensator sum_j w_j e_j is one constant, summed
@@ -248,22 +215,6 @@ class ModelSpec:
             out = out + w_j * np.asarray(self.jump_coeff(x, np.full(x.shape[:-1], e_j)))
         return out
 
-    def spot_check_jump_bound(self, rng, n=256):
-        """Max of |beta(x,e)| / (k_jump * (1 ^ |e|)) over sampled (x, e).
-
-        Values <= 1 are consistent with the declared bound; the check samples
-        x from ``sample_box`` and marks from the measure's sampler.
-        """
-        if not self.has_jumps:
-            return 0.0
-        lo, hi = self.sample_box
-        x = rng.uniform(lo, hi, size=(n, self.dim))
-        e = np.asarray(self.jump_measure.mark_sampler(rng, n), dtype=float)
-        beta = np.asarray(self.jump_coeff(x, e), dtype=float)
-        denom = self.k_jump * np.minimum(1.0, np.abs(e))
-        denom = np.maximum(denom, 1e-300)
-        return float(np.max(np.linalg.norm(beta, axis=-1) / denom))
-
 
 def translation_jump(x, e):
     """beta(x, e) = e: the jump shifts every coordinate of x by the mark."""
@@ -271,7 +222,7 @@ def translation_jump(x, e):
     return np.broadcast_to(np.asarray(e, dtype=float)[..., None], x.shape).astype(float)
 
 
-def scalar_model(drift, diffusion, jump=None, jump_measure=None, **kw):
+def scalar_model(drift, diffusion, jump=None, jump_measure=None):
     """Build a 1-d ModelSpec from plain scalar callables.
 
     ``drift`` and ``diffusion`` map a batch ``(m,)`` of states to ``(m,)``
@@ -295,7 +246,7 @@ def scalar_model(drift, diffusion, jump=None, jump_measure=None, **kw):
             return np.asarray(_f(x[..., 0], np.asarray(e, dtype=float)), dtype=float)[..., None]
 
     return ModelSpec(dim=1, drift=_drift, diffusion=_diff, jump_coeff=_jump,
-                     jump_measure=jm, **kw)
+                     jump_measure=jm)
 
 
 # default parameters of each preset; ``named_model`` and config validation
@@ -336,8 +287,6 @@ def named_model(name, **params):
         return scalar_model(
             drift=lambda x: r * x,
             diffusion=lambda x: sigma * x,
-            k_coef=max(abs(r), sigma, 1e-6),
-            sample_box=(1.0, 200.0),
         )
     if name == "toy-uniform":
         half_width = p["half_width"]
@@ -347,9 +296,6 @@ def named_model(name, **params):
             diffusion=lambda x: np.ones_like(x),
             jump=translation_jump,
             jump_measure=jm,
-            k_jump=max(1.0, half_width),
-            k_coef=1.0,
-            sample_box=(-3.0, 3.0),
         )
     r, sigma, intensity = p["r"], p["sigma"], p["intensity"]
     if name == "merton":
@@ -370,14 +316,11 @@ def named_model(name, **params):
         diffusion=lambda x: np.broadcast_to(sigma, x.shape),
         jump=translation_jump,
         jump_measure=jm,
-        k_jump=4.0,
-        k_coef=max(abs(b), sigma, 1e-6),
-        sample_box=(2.0, 7.0),
     )
 
 
 # ---------------------------------------------------------------------------
-# driver / terminal / obstacle / weight
+# driver / obstacle / weight
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -418,33 +361,6 @@ class DriverSpec:
         v = np.zeros((m, max(1, self.n_functionals)))
         return np.asarray(self.f(t, x, y, z, v), dtype=float)
 
-    def spot_check_lipschitz(self, rng, x_box=(-1.0, 1.0), dim=1, t_range=(0.0, 1.0),
-                             n=512, scale=1.0):
-        """Max secant slope of f in (y, z, vbar) over random pairs.
-
-        Returns the largest |f(a) - f(b)| / (|y_a-y_b| + |z_a-z_b| + |v_a-v_b|)
-        found; values <= declared ``lipschitz`` (within slack) are consistent.
-        """
-        q = max(1, self.n_functionals)
-        t = rng.uniform(*t_range, size=n)
-        x = rng.uniform(x_box[0], x_box[1], size=(n, dim))
-        worst = 0.0
-        for _ in range(2):
-            ya, yb = rng.normal(0, scale, (2, n))
-            za, zb = rng.normal(0, scale, (2, n, dim))
-            va, vb = rng.normal(0, scale, (2, n, q))
-            num = np.zeros(n)
-            for i in range(n):
-                fa = self.f(t[i], x[i:i + 1], ya[i:i + 1], za[i:i + 1], va[i:i + 1])
-                fb = self.f(t[i], x[i:i + 1], yb[i:i + 1], zb[i:i + 1], vb[i:i + 1])
-                num[i] = abs(float(np.asarray(fa).ravel()[0]) - float(np.asarray(fb).ravel()[0]))
-            den = (np.abs(ya - yb) + np.linalg.norm(za - zb, axis=-1)
-                   + np.linalg.norm(va - vb, axis=-1))
-            ok = den > 1e-12
-            if ok.any():
-                worst = max(worst, float(np.max(num[ok] / den[ok])))
-        return worst
-
 
 def zero_driver():
     return DriverSpec(f=lambda t, x, y, z, v: np.zeros_like(y), lipschitz=0.0)
@@ -468,29 +384,6 @@ def borrowing_rate_driver(rate, borrow_rate, risk_premium):
         return -(rate * y + risk_premium * zs + spread * np.minimum(y - zs, 0.0))
 
     return DriverSpec(f=f, lipschitz=abs(rate) + abs(risk_premium) + 2 * abs(spread))
-
-
-@dataclass(frozen=True)
-class TerminalSpec:
-    """Terminal condition g with a declared polynomial growth bound."""
-
-    g: Callable
-    growth_scale: float = 1.0
-    growth_power: float = 1.0
-
-    def __call__(self, x):
-        return np.asarray(self.g(np.asarray(x, dtype=float)), dtype=float)
-
-    def check_square_integrable(self, weight, radius=200.0, n=4001):
-        """Numerical check that g^2 * rho is integrable (1-d helper)."""
-        x = np.linspace(-radius, radius, n)[:, None]
-        vals = self(x) ** 2 * weight(x)
-        total = np.sum(vals * trapezoid_weights(x[:, 0]))
-        tail = vals[-20:].mean() * radius
-        if not np.isfinite(total) or (total > 0 and tail > 0.05 * total):
-            raise QuadratureError("terminal condition is not square integrable "
-                                  "against the configured weight")
-        return float(total)
 
 
 @dataclass(frozen=True)
@@ -594,13 +487,13 @@ def _fd_jacobian(fn, x, h=None):
     return np.stack(cols, axis=-1)
 
 
-def numerical_gradient(phi, x, h=None):
-    return _fd_jacobian(phi, x, fd_step(x) if h is None else h)
+def numerical_gradient(phi, x):
+    return _fd_jacobian(phi, x, fd_step(x))
 
 
-def numerical_hessian(phi, x, h=None):
+def numerical_hessian(phi, x):
     x = np.asarray(x, dtype=float)
-    h = fd_step(x) if h is None else np.broadcast_to(np.asarray(h, float), x.shape).copy()
+    h = fd_step(x)
     d = x.size
     hess = np.empty((d, d))
     f0 = phi(x)
@@ -627,16 +520,16 @@ def numerical_hessian(phi, x, h=None):
 # generator pieces and residual
 # ---------------------------------------------------------------------------
 
-def generator_local(model, phi, x, grad=None, hess=None):
+def generator_local(model, phi, x, grad=None):
     """Drift-diffusion part of the generator at a point.
 
     Returns sum_i b^i d_i phi + 1/2 sum_ij a^ij d_ij phi with a = sigma sigma^T.
-    ``grad``/``hess`` are analytic derivatives when supplied, central finite
-    differences otherwise.
+    ``grad`` is the gradient when supplied; otherwise, and for the Hessian
+    always, central finite differences are used.
     """
     x = np.asarray(x, dtype=float).reshape(model.dim)
     g = np.asarray(grad(x), dtype=float) if grad is not None else numerical_gradient(phi, x)
-    h = np.asarray(hess(x), dtype=float) if hess is not None else numerical_hessian(phi, x)
+    h = numerical_hessian(phi, x)
     b = np.asarray(model.drift(x[None, :]), dtype=float)[0]
     a = model.diffusion_matrix(x[None, :])[0]
     out = float(b @ g + 0.5 * np.sum(a * h))
@@ -667,16 +560,16 @@ def generator_jump(model, phi, x, grad=None):
     return out
 
 
-def pide_residual(model, driver, u, t, x, t_step=None):
+def pide_residual(model, driver, u, t, x):
     """Strong-form residual of the PIDE at (t, x).
 
     ``u(t, x)`` is a scalar time-space field; the time derivative is one-sided
-    (forward difference).  Returns d_t u + (local + jump generator) u
+    (forward difference, step 1e-6 * (1 + |t|)).  Returns d_t u + (local + jump generator) u
     + f(t, x, u, sigma^T grad u, vbar[u]) where the i-th jump functional of u
     is sum_j w_j gamma_i(e_j) (u(t, x + beta(x, e_j)) - u(t, x)).
     """
     x = np.asarray(x, dtype=float).reshape(model.dim)
-    ht = 1e-6 * (1.0 + abs(t)) if t_step is None else t_step
+    ht = 1e-6 * (1.0 + abs(t))
     u0 = u(t, x)
     ut = (u(t + ht, x) - u0) / ht
 

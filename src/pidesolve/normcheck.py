@@ -30,6 +30,9 @@ __all__ = [
     "shipped_phi_family",
 ]
 
+# the finest grid ``_grid_containing`` builds over a set of horizons
+_MAX_GRID_STEPS = 4000
+
 
 @dataclass(frozen=True)
 class XQuadrature:
@@ -85,10 +88,10 @@ class NormRatioReport:
         return self.min_ratio, self.max_ratio
 
 
-def _grid_containing(t, s_list, max_steps=4000):
+def _grid_containing(t, s_list):
     """Smallest uniform grid from t whose nodes contain every s.
 
-    A grid over ``max_steps`` steps is halved while it can be; a grid
+    A grid over ``_MAX_GRID_STEPS`` steps is halved while it can be; a grid
     still over the cap, or a horizon that is then no longer a node, raises
     GridError.
     """
@@ -98,13 +101,13 @@ def _grid_containing(t, s_list, max_steps=4000):
         denom = denom * f.denominator // math.gcd(denom, f.denominator)
     smax = max(s_list)
     n = int(round((smax - t) * denom))
-    while n > max_steps and n % 2 == 0:
+    while n > _MAX_GRID_STEPS and n % 2 == 0:
         n //= 2
     if n < 1:
         raise ValueError("horizons collapse onto the start time")
-    if n > max_steps:
+    if n > _MAX_GRID_STEPS:
         raise GridError(f"horizons {list(s_list)} need a grid of {n} steps from {t}, "
-                        f"over the cap of {max_steps} steps")
+                        f"over the cap of {_MAX_GRID_STEPS} steps")
     grid = TimeGrid(t, smax, n)
     for s in s_list:
         try:
@@ -112,7 +115,7 @@ def _grid_containing(t, s_list, max_steps=4000):
         except GridError:
             raise GridError(
                 f"horizon {s} is not a node of the {n}-step grid on [{t}, {smax}]; "
-                f"grids are coarsened to at most {max_steps} steps") from None
+                f"grids are coarsened to at most {_MAX_GRID_STEPS} steps") from None
     return grid
 
 

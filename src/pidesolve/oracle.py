@@ -76,9 +76,9 @@ class FdSolution:
     values_padded: np.ndarray
     diagnostics: dict
 
-    def at_time(self, t, tol=1e-9):
+    def at_time(self, t):
         i = int(round((t - self.times[0]) / (self.times[1] - self.times[0])))
-        if not (0 <= i < len(self.times)) or abs(self.times[i] - t) > tol * max(1.0, abs(t)):
+        if not (0 <= i < len(self.times)) or abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"{t} is not a time slice of the solution")
         return self.values[i]
 
@@ -279,8 +279,12 @@ def black_scholes(s0, strike, rate, sigma, horizon, kind="call"):
     """Black-Scholes European price."""
     if kind not in ("call", "put"):
         raise ValueError("kind must be 'call' or 'put'")
-    if horizon <= 0 or sigma <= 0:
-        intrinsic = max(s0 - strike, 0.0) if kind == "call" else max(strike - s0, 0.0)
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
+    if horizon <= 0 or sigma == 0:
+        # a riskless stock: the payoff of the strike discounted to today
+        discounted = strike * math.exp(-rate * max(horizon, 0.0))
+        intrinsic = max(s0 - discounted, 0.0) if kind == "call" else max(discounted - s0, 0.0)
         return float(intrinsic)
     sq = sigma * math.sqrt(horizon)
     d1 = (math.log(s0 / strike) + (rate + 0.5 * sigma**2) * horizon) / sq
@@ -291,7 +295,7 @@ def black_scholes(s0, strike, rate, sigma, horizon, kind="call"):
 
 
 def merton_price(s0, strike, rate, sigma, horizon, jump_intensity,
-                 jump_mean, jump_sd, n_terms=60, kind="call", tail_tol=1e-12):
+                 jump_mean, jump_sd, n_terms=60, kind="call"):
     """Jump-diffusion call/put price by the conditional-Poisson series.
 
     Sums Black-Scholes prices over the number of jumps with the standard
@@ -321,7 +325,7 @@ def merton_price(s0, strike, rate, sigma, horizon, jump_intensity,
             sig_n = math.sqrt(sigma**2 + n2 * jump_sd**2 / horizon)
             r_n = rate - jump_intensity * kbar + n2 * (jump_mean + 0.5 * jump_sd**2) / horizon
             extra += math.exp(lw) * black_scholes(s0, strike, r_n, sig_n, horizon, kind)
-        if extra > tail_tol * max(1.0, abs(total)):
+        if extra > 1e-12 * max(1.0, abs(total)):
             raise TailError(
                 f"series tail {extra:.3g} above tolerance after {n_terms} terms")
     return float(total)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pidesolve import bsde
 from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis,
                             check_apriori_estimate, check_z_representation,
                             default_clamp_bound, evaluate_u, evaluate_z,
@@ -166,7 +167,7 @@ def test_local_design_matches_per_cell_sums(local_2d):
     assert reg.thin.any() and reg.empty.size and reg.full.any()
     assert np.array_equal(reg.counts, gram[:, 0, 0])
     g = gram[reg.full]
-    ridge = basis.ridge_scale * np.trace(g, axis1=1, axis2=2) / p
+    ridge = bsde._RIDGE_SCALE * np.trace(g, axis1=1, axis2=2) / p
     assert np.array_equal(reg.blocks, g + ridge[:, None, None] * np.eye(p))
     assert np.array_equal((reg.phi_t @ targets).reshape(rhs.shape), rhs)
     # the fit on these sums: thin cells their mean, empty cells their donor's

@@ -89,6 +89,8 @@ def _solve_with_model(model, **blocks):
      "model.params.measure.lo"),
     ({"jump": "translation", "measure": {"kind": "levy"}}, "model.params.measure.kind"),
     ({"jump": "shift", "measure": {"kind": "uniform"}}, "model.params.jump"),
+    ({"k_jump": 4.0}, "model.params.k_jump"),
+    ({"k_coef": 1.0}, "model.params.k_coef"),
 ])
 def test_custom_model_unknown_params_rejected(params, path):
     # before validation named them, these ran silently with the defaults
@@ -225,6 +227,21 @@ def test_seed_outside_the_stream_key_rejected(seed, tmp_path, capsys):
                          str(tmp_path / "run")]) == EXIT_ERROR
         assert "[E_SCHEMA]" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("config, path", [
+    (lambda: heat_solve_config(basis={"box": [200, 50]}), "numerics.basis.box"),
+    (lambda: heat_solve_config(basis={"box": [1.0, 1.0]}), "numerics.basis.box"),
+    (lambda: heat_solve_config(x0_spread=-0.5), "numerics.x0_spread"),
+    (lambda: dict(fd_put_compare_config(), compare={"oracle": {"kind": "fd"},
+                                                    "region": [110, 90]}), "compare.region"),
+], ids=["box-reversed", "box-empty", "negative-spread", "region-reversed"])
+def test_inconsistent_ranges_rejected_at_validation(config, path):
+    # a reversed box used to simulate every path and only then fail as
+    # E_ERROR; a negative spread silently meant point starts
+    with pytest.raises(ConfigError, match=re.escape(path)) as err:
+        validate_config(config())
+    assert err.value.code == "E_CONFIG"
 
 
 def test_null_region_means_none():

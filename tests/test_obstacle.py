@@ -203,8 +203,7 @@ def test_reflected_put_in_two_dimensions():
     # reads: the reflected solve, its measure and its support check run in
     # two dimensions, and u0 is the one-dimensional put's
     model = ModelSpec(dim=2, drift=lambda x: 0.05 * x,
-                      diffusion=lambda x: 0.2 * x[..., :, None] * np.eye(2),
-                      k_coef=0.2, sample_box=(1.0, 200.0))
+                      diffusion=lambda x: 0.2 * x[..., :, None] * np.eye(2))
     paths = simulate_paths(model, TimeGrid(0, 1, 25), np.array([100.0, 100.0]), 40_000,
                            seed=1)
     box = (paths.states.min(axis=(0, 1)) - 1.0, paths.states.max(axis=(0, 1)) + 1.0)

@@ -90,7 +90,7 @@ def test_fd_boundary_guard():
     wide = JumpMeasure.two_point(-50.0, 50.0, 0.5, 1.0)
     model = scalar_model(drift=lambda x: 0 * x, diffusion=lambda x: np.ones_like(x),
                          jump=lambda x, e: np.broadcast_to(e, x.shape).astype(float),
-                         jump_measure=wide, k_jump=60.0)
+                         jump_measure=wide)
     with pytest.raises(BoundaryError):
         fd_solve_pide(model, zero_driver(), lambda X: X[:, 0] ** 2,
                       FdGrid(-2, 2, 50, 50))
@@ -231,11 +231,23 @@ def test_norm_cdf_matches_scipy():
 
 @pytest.mark.parametrize("s0, strike, rate, sigma, horizon", [
     (100, 100, 0.05, 0.2, 1.0), (100, 60, 0.0, 0.5, 2.0), (80, 120, 0.1, 0.05, 0.25),
+    (100, 100, 0.05, 0.0, 1.0), (90, 100, 0.05, 0.0, 1.0),
 ])
 def test_black_scholes_put_call_parity(s0, strike, rate, sigma, horizon):
     call = black_scholes(s0, strike, rate, sigma, horizon, "call")
     put = black_scholes(s0, strike, rate, sigma, horizon, "put")
     assert abs(call - put - (s0 - strike * math.exp(-rate * horizon))) <= 1e-12
+
+
+def test_black_scholes_zero_volatility_discounts_the_strike():
+    # with sigma = 0 the stock grows at the rate: the call is worth
+    # max(s0 - K e^{-rT}, 0), not the undiscounted intrinsic value 0
+    call = black_scholes(100, 100, 0.05, 0.0, 1.0, "call")
+    assert call == pytest.approx(100 - 100 * math.exp(-0.05), rel=1e-15)
+    assert call == pytest.approx(4.877, abs=5e-4)
+    assert black_scholes(100, 100, 0.05, 0.0, 1.0, "put") == 0.0
+    # the zero-intensity Merton price is the Black-Scholes one
+    assert merton_price(100, 100, 0.05, 0.0, 1.0, 0.0, -0.1, 0.15) == call
 
 
 def test_merton_price_benchmark_value():
@@ -247,12 +259,13 @@ def test_merton_price_benchmark_value():
 @pytest.mark.parametrize("price", [
     lambda: black_scholes(100, 100, 0.05, 0.2, 1.0, kind="Call"),
     lambda: black_scholes(100, 100, 0.05, 0.2, 0.0, kind="Call"),
+    lambda: black_scholes(100, 100, 0.05, -0.2, 1.0),
     lambda: merton_price(100, 100, 0.05, 0.2, 1.0, 1.0, -0.1, 0.15, kind="calll"),
     lambda: binomial_european(100, 100, 0.05, 0.2, 1.0, 50, kind="Put"),
     lambda: binomial_european(100, 100, 0.05, 0.2, 1.0, 0),
     lambda: binomial_american(100, 100, 0.05, 0.2, 1.0, 50, kind="Put"),
-], ids=["bs", "bs-expired", "merton", "binomial-european", "binomial-european-steps",
-        "binomial-american"])
+], ids=["bs", "bs-expired", "bs-negative-sigma", "merton", "binomial-european",
+        "binomial-european-steps", "binomial-american"])
 def test_closed_forms_reject_bad_input(price):
     with pytest.raises(ValueError):
         price()
