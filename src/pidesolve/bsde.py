@@ -492,13 +492,12 @@ def _cpu_count():
 
 
 class _Variant:
-    """One variant of a backward pass: its place in the pass, its penalty
-    level and reflection, the current values, and the per-step coefficients
-    and diagnostics.  Only the path arrays that ``keep`` names ("y", "z",
-    "vbar") are stored."""
+    """One variant of a backward pass: its penalty level and reflection, the
+    current values, and the per-step coefficients and diagnostics.  Only the
+    path arrays that ``keep`` names ("y", "z", "vbar") are stored."""
 
-    def __init__(self, index, penalty_level, reflect, keep, y, n, d, q, cshape):
-        self.index, self.penalty_level, self.reflect = index, penalty_level, reflect
+    def __init__(self, penalty_level, reflect, keep, y, n, d, q, cshape):
+        self.penalty_level, self.reflect = penalty_level, reflect
         self.y = y
         self.coef_y = np.zeros((n,) + cshape)
         self.coef_z = np.zeros((n, d) + cshape)
@@ -566,10 +565,9 @@ class _Variant:
             self.v_all[k] = vb
 
 
-def _step_group(k, group, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp, observe):
+def _step_group(k, group, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp):
     """Step k of a group of variants on the step's setup ``reg``: all their
-    y fits, then all fits of their ``targets``, then each ``step``, and
-    ``observe(k, i, y)`` for each variant i."""
+    y fits, then all fits of their ``targets``, then each ``step``."""
     if not group:  # the worker's share of a two-variant pass
         return
     cys = reg.fits([v.y for v in group])
@@ -577,8 +575,6 @@ def _step_group(k, group, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp
     czvs = reg.fits(v.targets(k, reg, cy, paths, dmu) for v, cy in zip(group, cys))
     for v, czv in zip(group, czvs):
         v.step(k, reg, czv, paths, driver, t_k, h_k, picard_iters, clamp)
-        if observe is not None:
-            observe(k, v.index, v.y)
 
 
 def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters,
@@ -604,17 +600,19 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     thread runs the first, and a one-worker executor (thread
     ``pidesolve-backward_0``, under the caller's NumPy error state) the
     rest, and then the next step's setup ahead.  The outputs are those of
-    one thread, bit for bit; the driver and ``observe`` may be called from
-    both threads at once.  An exception that a group raises reaches the
-    caller once both groups are done with the step, the caller's first; one
-    that the setup ahead raises, at the step that needs it.  The worker is
-    joined before the pass returns or raises.
+    one thread, bit for bit; the driver may be called from both threads at
+    once, the obstacle and ``observe`` only from the calling thread.  An
+    exception that a group raises reaches the caller once both groups are
+    done with the step, the caller's first; one that the setup ahead raises,
+    at the step that needs it.  The worker is joined before the pass returns
+    or raises.
 
     ``keep`` names the path arrays a variant stores, ``("y", "z", "vbar")``
     or any of them, ``()`` for none; one not named comes back None.
-    ``observe(k, i, y)``, if given, sees variant i's new values y at every
-    step, on the thread that stepped it.  Without ``clamp`` one default
-    bound, with the obstacle if any variant uses it, serves all.
+    ``observe(k, ys)``, if given, sees every variant's new values ``ys``, in
+    variant order, once per step after all have stepped it.  Without
+    ``clamp`` one default bound, with the obstacle if any variant uses it,
+    serves all.
     """
     grid = paths.grid
     dt = grid.dt
@@ -640,8 +638,8 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     y = np.asarray(terminal(paths.states[-1]), dtype=float).reshape(m)
     if not np.isfinite(y).all():
         raise NumericError("non-finite terminal values")
-    runs = [_Variant(i, level, reflect, keep, y, n, d, q, basis.coef_shape)
-            for i, (level, reflect, keep) in enumerate(variants)]
+    runs = [_Variant(level, reflect, keep, y, n, d, q, basis.coef_shape)
+            for level, reflect, keep in variants]
 
     pool = None
     if len(runs) > 1 and _cpu_count() > 1:
@@ -656,7 +654,7 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
             h_k = None
             if obstacle is not None:
                 h_k = obstacle(t_k, xk) if obstacle_values is None else obstacle_values[k]
-            args = (reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp, observe)
+            args = (reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp)
             if pool is None:
                 _step_group(k, runs, *args)
             else:
@@ -671,6 +669,8 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
                 finally:
                     theirs.exception()  # the caller's error waits for their group
                 theirs.result()
+            if observe is not None:
+                observe(k, [v.y for v in runs])
             del reg, args  # one step's design at a time, and the one built ahead
     finally:
         if pool is not None:

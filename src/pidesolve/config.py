@@ -33,6 +33,8 @@ _SEED_MAX = 2**64 - 1
 _ORACLE_MARKET = {"s0": 100.0, "strike": 100.0, "rate": 0.05, "sigma": 0.2,
                   "horizon": 1.0, "intensity": 0.0, "jump_mean": 0.0, "jump_sd": 1e-8}
 _JUMP_KEYS = ("intensity", "jump_mean", "jump_sd")
+# the fd oracle's space interval where its block leaves it out
+_FD_SPACE = {"x_lo": -8.0, "x_hi": 8.0}
 # the keys each oracle kind reads besides its kind, horizon and market
 _ORACLE_KEYS = {"fd": ("x_lo", "x_hi", "n_space", "n_time", "bc"),
                 "merton": ("n_terms",), "binomial": ("steps",)}
@@ -346,7 +348,12 @@ def _norm_oracle(block, path, market=()):
     market = {"fd": (), "merton": market,
               "binomial": [k for k in market if k not in _JUMP_KEYS]}[kind]
     keys = ("kind", "horizon", *_ORACLE_KEYS[kind], *market)
-    return _typed(block, {key: _ORACLE[key] for key in keys}, path)
+    out = _typed(block, {key: _ORACLE[key] for key in keys}, path)
+    lo, hi = ({**_FD_SPACE, **out}[key] for key in ("x_lo", "x_hi"))
+    if kind == "fd" and not lo < hi:
+        raise ConfigError(f"{path}: expected x_lo < x_hi (defaults {_FD_SPACE['x_lo']} and "
+                          f"{_FD_SPACE['x_hi']}), got {lo} and {hi}")
+    return out
 
 
 def _norm_compare(block, path):
@@ -411,6 +418,18 @@ def _compare_market(out):
     return market
 
 
+def _check_compare_grid(block, x0):
+    """The compare x-grid: x_grid_n points spread over the region, or x0
+    alone, which a region given with it must contain."""
+    region, n = block.get("region"), block["x_grid_n"]
+    if n > 1 and region is None:
+        raise ConfigError(f"compare.x_grid_n = {n} but no compare.region to spread "
+                          f"the points over; give a region or x_grid_n = 1")
+    if n == 1 and region is not None and not region[0] <= x0 <= region[1]:
+        raise ConfigError(f"compare.region = {region} does not contain numerics.x0 = {x0}, "
+                          f"the one point compared at compare.x_grid_n = 1")
+
+
 def _check_task_requirements(task, out):
     def need(block):
         if block not in out:
@@ -425,6 +444,8 @@ def _check_task_requirements(task, out):
         need("compare")
     if task == "oracle":
         need("oracle")
+    if task == "compare":
+        _check_compare_grid(out["compare"], out["numerics"]["x0"])
     if task == "compare" and out["compare"]["oracle"]["kind"] != "fd":
         _compare_market(out)
     if task == "solve-obstacle" or (task == "compare" and "obstacle" in out):
@@ -442,9 +463,10 @@ def _check_task_requirements(task, out):
 # ---------------------------------------------------------------------------
 
 _ORACLE = {"kind": partial(_expect_choice, choices=_ORACLE_KEYS), "horizon": _expect_num,
-           "x_lo": _expect_num, "x_hi": _expect_num, "n_space": _expect_count,
+           "x_lo": _expect_num, "x_hi": _expect_num,
+           "n_space": partial(_expect_count, minimum=3),
            "n_time": _expect_count, "bc": partial(_expect_choice, choices=("dirichlet", "linear")),
-           "n_terms": _expect_count, "steps": _expect_count,
+           "n_terms": _expect_count, "steps": partial(_expect_count, minimum=2),
            **dict.fromkeys(_ORACLE_MARKET, _expect_num),
            "option": partial(_expect_choice, choices=("call", "put"))}
 _COMPARE = {"oracle": _norm_oracle, "tol_rel": _expect_num, "region": _expect_pair,

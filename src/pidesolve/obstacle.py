@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BsdeSolution, _backward_pass, default_clamp_bound, solve_bsde
+from .bsde import BsdeSolution, _backward_pass, solve_bsde
 from .errors import NoConvergenceError
 from .model import WeightFunction, time_weights
 
@@ -226,17 +225,18 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     (``skorokhod_gap``), the value at the initial time and ``pi``, the
     weighted mass mean(sum_{k<N} rho(X_k) dK_k) of the reflection measure,
     and after the first level ``min_step_up``, the least Y^n_k - Y^{n-1}_k
-    over the paths and the steps before the horizon.  Each is taken from the
-    path values as the backward pass steps them.  Also runs the
+    over the paths and the steps before the horizon.  Also runs the
     direct-reflection cross-check (y <- max(y, h) inside the backward loop)
     on the same paths and reports the weighted distance between the two
     along the paths.  The whole schedule and the direct solve run as one
     backward pass, which builds each step's regression setup once for all
     of them; a level whose fit or value goes non-finite raises from it.
+    The pass hands every variant's values to the trace and the distance
+    once per step on the calling thread, where the weight is evaluated once.
 
-    Without ``clamp``, one a-priori bound (``default_clamp_bound`` with the
-    obstacle) serves every level and the direct solve.  A schedule that
-    starts at level 0 thus clamps that level with the obstacle-inclusive
+    Without ``clamp``, the pass's one a-priori bound (``default_clamp_bound``
+    with the obstacle) serves every level and the direct solve.  A schedule
+    that starts at level 0 thus clamps that level with the obstacle-inclusive
     bound, which is never tighter than the bound of a plain solve.
     """
     schedule = tuple(schedule) if schedule is not None else default_schedule()
@@ -250,19 +250,20 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     # compatibility of the data: the obstacle may not exceed the terminal
     # condition at the horizon, else the limit problem is ill-posed
     n, m, dt = paths.grid.n_steps, paths.n_paths, paths.grid.dt
-    g_T = np.asarray(terminal(paths.states[-1]), float)
+    g_T = np.asarray(terminal(paths.states[-1]), float).reshape(m)
     lvals = obstacle_along_paths(obstacle, paths)
     bad = float(np.mean(lvals[n] > g_T + 1e-9 * (1 + np.abs(g_T))))
     if bad > 0.001:
         raise ValueError(
             f"obstacle exceeds the terminal condition at the horizon on "
             f"{bad:.1%} of the cloud; reflected problems require h(T, .) <= g")
-    if clamp is None:
-        clamp = default_clamp_bound(driver, terminal, paths, obstacle)
     wt = time_weights(n, dt)
-    # the horizon's term of every level's squared penalty norm
+    # the horizon's terms of the squared penalty norms and of the direct
+    # gap's squared norms (every solve starts from g: the distance's is 0)
+    rho = weight(paths.states[n])
     _, below, short = _shortfall(g_T, lvals[n])
-    norm2_T = wt[n] * (_weighted_sums(short, weight(paths.states[n])[below])[0] / m)
+    norm2_T = wt[n] * (_weighted_sums(short, rho[below])[0] / m)
+    diff2, base2 = 0.0, wt[n] * float(np.mean(rho * g_T ** 2))
 
     # one backward pass for every level and the direct solve; per level it
     # keeps coefficients, u0 and the running sums of the trace, and path
@@ -273,45 +274,29 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     pis = [0.0] * len(schedule)
     u0s = [None] * len(schedule)
     step_up = [math.inf] * len(schedule)
-    latest = {}  # the values each level last left, (step, y), for the step up
-    lock = threading.Lock()
-    step_rho = [(None, None)]  # (k, rho(X_k)) of the step being run
 
-    def observe(k, i, y):
-        # called per level from the thread that stepped it (the direct
-        # solve, the last variant, keeps no trace)
-        if i == len(schedule):
-            return
-        gap, below, short = _shortfall(y, lvals[k])
-        dk = short * schedule[i]  # n (h - y)^+ dt, as penalty_increments forms it
-        dk *= dt
-        defects[i].add(gap, short, dk)
-        at, rho = step_rho[0]
-        if at != k:  # the step's first level evaluates it (either thread's serves)
-            rho = weight(paths.states[k])
-            step_rho[0] = (k, rho)
-        short2, mass = _weighted_sums(short, rho[below], dk)
-        norm2[i] += wt[k] * (short2 / m)
-        pis[i] += mass / m
-        if k == 0:
-            u0s[i] = float(y.mean())
-        with lock:
-            latest[i] = (k, y)
-            lower, upper = latest.get(i - 1), latest.get(i + 1)
-        # whichever of two adjacent levels comes second at step k takes
-        # their step up (in the spent gap's memory); the levels may run on
-        # two threads
-        if lower is not None and lower[0] == k:
-            step_up[i] = min(step_up[i], float(np.subtract(y, lower[1], out=gap).min()))
-        if upper is not None and upper[0] == k:
-            step_up[i + 1] = min(step_up[i + 1],
-                                 float(np.subtract(upper[1], y, out=gap).min()))
+    def observe(k, ys):
+        # every variant's values at step k, the levels' then the direct solve's
+        nonlocal diff2, base2
+        rho = weight(paths.states[k])
+        for i, level in enumerate(schedule):
+            gap, below, short = _shortfall(ys[i], lvals[k])
+            dk = short * level * dt  # n (h - y)^+ dt, as penalty_increments forms it
+            defects[i].add(gap, short, dk)
+            short2, mass = _weighted_sums(short, rho[below], dk)
+            norm2[i] += wt[k] * (short2 / m)
+            pis[i] += mass / m
+            if k == 0:
+                u0s[i] = float(ys[i].mean())
+            if i:  # the step up, in the spent gap's memory
+                step_up[i] = min(step_up[i], float(np.subtract(ys[i], ys[i - 1], out=gap).min()))
+        diff2 += wt[k] * float(np.mean(rho * (ys[-2] - ys[-1]) ** 2))
+        base2 += wt[k] * float(np.mean(rho * ys[-1] ** 2))
 
     variants = [(level, False, ("y", "z", "vbar") if i == len(schedule) - 1 else ())
                 for i, level in enumerate(schedule)] + [(0.0, True, ("y",))]
     runs = _backward_pass(model, driver, terminal, paths, basis, variants,
                           picard_iters, clamp, obstacle, observe, lvals)
-    latest.clear()  # the levels' last values, which nothing else holds
     sol, direct = runs[-2:]
     level_sols = [dataclasses.replace(run, y=None, z=None, vbar=None) for run in runs[:-1]]
     trace = []
@@ -326,12 +311,6 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         raise NoConvergenceError(
             f"penalty norm {trace[-1]['penalty_norm']:.3g} above tol {tol:.3g} "
             f"after level {schedule[-1]}", trace=trace)
-
-    diff2 = base2 = 0.0
-    for k in range(n, -1, -1):
-        rho = weight(paths.states[k])
-        diff2 += wt[k] * float(np.mean(rho * (sol.y[k] - direct.y[k]) ** 2))
-        base2 += wt[k] * float(np.mean(rho * direct.y[k] ** 2))
 
     return ReflectedSolution(
         solution=sol, obstacle_values=lvals, levels=schedule,

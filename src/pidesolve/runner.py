@@ -21,8 +21,8 @@ import numpy as np
 
 from . import forward, normcheck, obstacle as obstacle_mod, oracle as oracle_mod
 from .bsde import _zv_coeffs, evaluate_u, make_basis, solve_bsde
-from .config import (_DEFAULTS, _ORACLE_MARKET, ExperimentConfig, _compare_market,
-                     validate_config)
+from .config import (_DEFAULTS, _FD_SPACE, _ORACLE_MARKET, ExperimentConfig,
+                     _compare_market, validate_config)
 from .errors import ConfigError, GridMismatchError, SolverError
 from .forward import TimeGrid, simulate_paths
 
@@ -323,9 +323,9 @@ def _oracle_eval(spec, cfg, out_dir, tag=""):
     driver = cfg.build_driver()
     terminal = cfg.build_terminal()
     obst = cfg.build_obstacle()
+    space = {**_FD_SPACE, **spec}
     grid = oracle_mod.FdGrid(
-        spec.get("x_lo", -8.0), spec.get("x_hi", 8.0),
-        spec.get("n_space", 800), spec.get("n_time", 400),
+        space["x_lo"], space["x_hi"], spec.get("n_space", 800), spec.get("n_time", 400),
         bc=spec.get("bc", "dirichlet"))
     fd = oracle_mod.fd_solve_pide(model, driver, terminal, grid,
                                   obstacle=obst, horizon=spec.get("horizon", 1.0))
@@ -375,12 +375,10 @@ def _task_compare(cfg, out_dir):
     obst = cfg.build_obstacle()
     weight = cfg.build_weight()
 
-    region = cmp_block.get("region")
+    # validation pairs an x-grid with a region, and a region with x0 at one point
     n_grid = cmp_block["x_grid_n"]
-    if region is not None and n_grid > 1:
-        xq = np.linspace(region[0], region[1], n_grid)
-    else:
-        xq = np.array([cfg.numerics["x0"]])
+    xq = (np.linspace(*cmp_block["region"], n_grid) if n_grid > 1
+          else np.array([cfg.numerics["x0"]]))
 
     if obst is None:
         sol = solve_bsde(model, driver, terminal, paths, basis,

@@ -175,6 +175,8 @@ def _config_with(path, value):
            "oracle": {"task": "oracle", "seed": 1, "oracle": {"kind": kind}},
            "normcheck": {"task": "normcheck", "seed": 1, "model": {"name": "toy-uniform"}},
            "compare": fd_put_compare_config()}[path.split(".")[0]]
+    if path == "compare.x_grid_n":  # an x-grid spreads over a region
+        raw["compare"]["region"] = [90.0, 110.0]
     *heads, last = path.split(".")
     block = raw
     for key in heads:
@@ -197,7 +199,7 @@ def test_count_beyond_array_sizes_rejected(path, tmp_path, capsys):
                      str(tmp_path / "run")]) == EXIT_ERROR
     err_text = capsys.readouterr().err
     assert "[E_SCHEMA]" in err_text and path in err_text
-    validate_config(_config_with(path, 2))
+    validate_config(_config_with(path, 3))
 
 
 def test_counts_below_their_minimum_share_one_code():
@@ -378,9 +380,10 @@ def test_compare_horizon_must_match_solver():
 def test_closed_form_compare_oracle_prices_one_spot():
     # a merton or binomial oracle prices x0 alone: on an x-grid every point
     # would be checked against that one price
-    for raw in (merton_compare_config(), american_put_compare_config()):
+    for raw, region in ((merton_compare_config(), [4.5, 4.7]),
+                        (american_put_compare_config(), [95.0, 105.0])):
         validate_config(raw)
-        raw["compare"].update(region=[4.5, 4.7], x_grid_n=5)
+        raw["compare"].update(region=region, x_grid_n=5)
         with pytest.raises(ConfigError, match="compare.x_grid_n") as err:
             validate_config(raw)
         assert err.value.code == "E_CONFIG"
@@ -404,7 +407,59 @@ def test_compare_oracle_market_keys_rejected(key, value):
     assert cfg.raw["oracle"][key] == value
 
 
+@pytest.mark.parametrize("compare, message", [
+    ({"x_grid_n": 5}, "compare.x_grid_n = 5 but no compare.region"),
+    ({"region": [95.0, 99.0]}, "compare.region = [95.0, 99.0] does not contain numerics.x0"),
+], ids=["grid-without-region", "region-without-x0"])
+def test_inconsistent_compare_grid_rejected(compare, message, tmp_path):
+    # an x-grid used to shrink to x0 alone without a region, and a region
+    # without x0 was ignored at one point: both compared elsewhere than asked
+    raw = fd_put_compare_config()
+    raw["compare"].update(compare)
+    with pytest.raises(ConfigError, match=re.escape(message)) as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["compare", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    assert not (tmp_path / "run").exists()
+    raw["compare"]["region"] = [95.0, 105.0]  # spreads the grid, or contains x0
+    validate_config(raw)
+
+
 ORACLE_TASK = {"task": "oracle", "seed": 1}
+
+
+@pytest.mark.parametrize("task", ["oracle", "compare"])
+@pytest.mark.parametrize("oracle, path, code", [
+    ({"kind": "binomial", "steps": 1}, "oracle.steps", "E_SCHEMA"),
+    ({"kind": "fd", "n_space": 2}, "oracle.n_space", "E_SCHEMA"),
+    ({"kind": "fd", "x_lo": 200.0, "x_hi": 50.0}, "oracle", "E_CONFIG"),
+    ({"kind": "fd", "x_lo": 10.0}, "oracle", "E_CONFIG"),
+], ids=["one-step-tree", "two-node-grid", "reversed-interval", "above-default-x_hi"])
+def test_oracle_grid_that_cannot_be_built_rejected(task, oracle, path, code, tmp_path,
+                                                   capsys):
+    # each used to validate and then exit with E_ERROR from the oracle: the
+    # tree's error estimate prices steps // 2, and the fd grid needs three
+    # nodes on a nonempty interval (x_lo and x_hi default to -8 and 8)
+    if task == "oracle":
+        raw = dict(ORACLE_TASK, oracle=oracle)
+    elif oracle["kind"] == "binomial":
+        raw = american_put_compare_config(**oracle)
+    else:
+        raw = fd_put_compare_config()
+        raw["compare"]["oracle"] = oracle
+    path = f"{'compare.' if task == 'compare' else ''}{path}"
+    with pytest.raises((ConfigError, SchemaError), match=re.escape(path)) as err:
+        validate_config(raw)
+    assert err.value.code == code
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main([task, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    assert f"[{code}]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("task, oracle, key", [

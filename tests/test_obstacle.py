@@ -15,7 +15,7 @@ from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis, check_apriori_est
 from pidesolve.errors import NoConvergenceError, NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (ModelSpec, ObstacleSpec, WeightFunction, discount_driver,
-                             named_model, zero_driver)
+                             named_model, time_weights, zero_driver)
 from pidesolve.obstacle import (default_schedule, estimate_reflection_measure,
                                 obstacle_along_paths, penalty_increments, penalty_norm,
                                 skorokhod_gap, solve_penalized, solve_reflected,
@@ -330,7 +330,6 @@ def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
     # the a-priori bound does not depend on the level: computed once, it
     # clamps every level and the direct solve alike, whatever tol
     import pidesolve.bsde as bsde_mod
-    import pidesolve.obstacle as obstacle_mod
     model, paths, basis = bs_put_setup
     bound, step, bounds, clamps = bsde_mod.default_clamp_bound, bsde_mod._step_value, [], []
 
@@ -342,7 +341,6 @@ def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
         clamps.append(args[-1])
         return step(*args)
 
-    monkeypatch.setattr(obstacle_mod, "default_clamp_bound", counted_bound)
     monkeypatch.setattr(bsde_mod, "default_clamp_bound", counted_bound)
     monkeypatch.setattr(bsde_mod, "_step_value", recorded_step)
     for tol in (1e-12, 1e12):
@@ -556,8 +554,8 @@ def _thread_recording_driver(names):
 @pytest.mark.parametrize("kind", ["local", "poly"])
 def test_threaded_pass_equals_separate_solves(small_put, kind, levels, monkeypatch):
     # the levels and the direct solve in one pass on two threads: each gives
-    # the bits of its own solve, and observe sees each (step, variant) once,
-    # with the values the variant keeps
+    # the bits of its own solve, and observe sees each step once, on the
+    # calling thread, with every variant's values in variant order
     from pidesolve.bsde import _backward_pass
     _two_cpus(monkeypatch)
     model, paths, box = small_put
@@ -569,15 +567,16 @@ def test_threaded_pass_equals_separate_solves(small_put, kind, levels, monkeypat
     variants = [(level, False, every) for level in levels] + [(0.0, True, every)]
     ys = {}
 
-    def observe(k, i, y):
-        seen[k, i] += 1
-        ys[k, i] = y.copy()
+    def observe(k, values):
+        seen[k, threading.current_thread().name] += 1
+        ys[k] = [y.copy() for y in values]
 
     runs = _backward_pass(model, drv, put_payoff, paths, basis, variants, 3, clamp, obst,
                           observe)
     assert names == {"MainThread", "pidesolve-backward_0"}
     n = paths.grid.n_steps
-    assert seen == Counter({(k, i): 1 for k in range(n) for i in range(len(variants))})
+    assert seen == Counter({(k, "MainThread"): 1 for k in range(n)})
+    assert all(len(ys[k]) == len(variants) for k in range(n))
     for i, (got, (level, reflect, _)) in enumerate(zip(runs, variants)):
         want = solve_bsde(model, drv, put_payoff, paths, basis, clamp=clamp, obstacle=obst,
                           penalty_level=level, reflect=reflect)
@@ -586,7 +585,39 @@ def test_threaded_pass_equals_separate_solves(small_put, kind, levels, monkeypat
         for name, diag in want.diagnostics.items():
             assert np.array_equal(got.diagnostics[name], diag)
         for k in range(n):
-            assert np.array_equal(ys[k, i], want.y[k])
+            assert np.array_equal(ys[k][i], want.y[k])
+
+
+def test_two_cpu_reflected_solve_measures_on_the_calling_thread(small_put, monkeypatch):
+    # the weight and the obstacle run on the calling thread only, and the
+    # direct gap is the weighted L2 distance along the paths, summed backward
+    # in time over the two solves' path values
+    _two_cpus(monkeypatch)
+    model, paths, box = small_put
+    names, weighed = set(), set()
+
+    def weight(x):
+        weighed.add(threading.current_thread().name)
+        return RHO4(x)
+
+    def h(t, x):
+        weighed.add(threading.current_thread().name)
+        return np.maximum(K - x[:, 0], 0.0)
+
+    obst = ObstacleSpec(h=h, iota=K + 1, kappa=1.0)
+    refl = solve_reflected(model, _thread_recording_driver(names), put_payoff, obst, paths,
+                           LocalAffineBasis(20, box), schedule=(1, 2, 4, 8, 16, 32), tol=1e-12,
+                           weight=weight)
+    assert names == {"MainThread", "pidesolve-backward_0"}
+    assert weighed == {"MainThread"}
+    wt = time_weights(paths.grid.n_steps, paths.grid.dt)
+    diff2 = base2 = 0.0
+    for k in range(paths.grid.n_steps, -1, -1):
+        rho = RHO4(paths.states[k])
+        diff2 += wt[k] * float(np.mean(rho * (refl.solution.y[k] - refl.direct.y[k]) ** 2))
+        base2 += wt[k] * float(np.mean(rho * refl.direct.y[k] ** 2))
+    assert refl.direct_gap == math.sqrt(diff2)
+    assert refl.direct_gap_rel == math.sqrt(diff2 / base2)
 
 
 def test_threaded_solve_under_frequent_thread_switches(small_put, monkeypatch):
@@ -705,7 +736,7 @@ def test_setup_ahead_error_raises_at_the_step_that_needs_it(small_put, monkeypat
     from pidesolve.bsde import _backward_pass
     _two_cpus(monkeypatch)
     model, paths, box = small_put
-    observed = set()
+    observed = Counter()
 
     class FailsAhead(LocalAffineBasis):
         def prepare(self, x):
@@ -713,12 +744,16 @@ def test_setup_ahead_error_raises_at_the_step_that_needs_it(small_put, monkeypat
                 raise LookupError("setup failed")
             return super().prepare(x)
 
+    def observe(k, ys):
+        assert len(ys) == 2 and threading.current_thread().name == "MainThread"
+        observed[k] += 1
+
     with pytest.raises(LookupError, match="setup failed"):
         _backward_pass(model, discount_driver(0.05), put_payoff, paths, FailsAhead(20, box),
                        [(1.0, False, ("y",)), (0.0, True, ("y",))], 3, None, put_obstacle(),
-                       lambda k, i, y: observed.add(k))
-    # steps 19..12 ran; step 11 never started
-    assert observed == set(range(12, paths.grid.n_steps))
+                       observe)
+    # steps 19..12 ran, each observed once; step 11 never started
+    assert observed == Counter(range(12, paths.grid.n_steps))
 
 
 def test_helper_carries_the_callers_error_state(small_put, monkeypatch):
