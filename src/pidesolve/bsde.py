@@ -328,9 +328,10 @@ class BsdeSolution:
 
     ``y`` has shape (n_steps+1, n_paths); ``z`` (n_steps, n_paths, dim);
     ``vbar`` (n_steps, n_paths, q).  Coefficient arrays are scaled so that
-    ``basis.predict`` returns the corresponding field directly; the z and
-    vbar path values are predicted from exactly these dt-scaled
-    coefficients, and ``evaluate_u`` runs the same backward step
+    ``basis.predict`` returns the corresponding field directly; ``coef_zv``
+    (n_steps, *coef_shape, dim + q) holds each step's z and vbar
+    coefficients as the one array the backward step predicted the z and
+    vbar path values from, and ``evaluate_u`` runs the same backward step
     (``_step_value``), so on the bundle's own states it repeats the path
     values bit for bit, whatever the driver.  For penalized solves
     ``penalty_level``/``obstacle`` record the penalty; for direct-reflection
@@ -352,8 +353,7 @@ class BsdeSolution:
     driver: object
     terminal: Callable
     coef_y: np.ndarray
-    coef_z: np.ndarray
-    coef_v: np.ndarray
+    coef_zv: np.ndarray
     y: np.ndarray
     z: np.ndarray
     vbar: np.ndarray
@@ -500,8 +500,7 @@ class _Variant:
         self.penalty_level, self.reflect = penalty_level, reflect
         self.y = y
         self.coef_y = np.zeros((n,) + cshape)
-        self.coef_z = np.zeros((n, d) + cshape)
-        self.coef_v = np.zeros((n, q) + cshape)
+        self.coef_zv = np.zeros((n,) + cshape + (d + q,))
         self.diag = {"cond": np.zeros(n), "resid": np.zeros(n),
                      "clamped": np.zeros(n, dtype=int),
                      "degenerate": np.zeros(n, dtype=bool), "ridge": np.zeros(n)}
@@ -540,9 +539,7 @@ class _Variant:
         pred = reg.predict(czv)
         z = pred[:, :d]
         vb = pred[:, d:]
-
-        self.coef_z[k] = np.moveaxis(czv[..., :d], -1, 0)
-        self.coef_v[k] = np.moveaxis(czv[..., d:], -1, 0)
+        self.coef_zv[k] = czv
 
         ynew, n_clamped, finite = _step_value(driver, t_k, paths.states[k], self.cond_exp, z,
                                               vb, dt, picard_iters, h_k,
@@ -621,8 +618,10 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
             f"dt * C_f = {dt * driver.lipschitz:.3g} >= 1; refine the grid")
     if picard_iters < 1:
         raise ValueError("picard_iters must be >= 1")
-    if any(level < 0 for level, _, _ in variants):
-        raise ValueError("penalty level must be >= 0")
+    if not all(0 <= level < math.inf for level, _, _ in variants):
+        raise ValueError("penalty level must be finite and >= 0")
+    if clamp is not None and not clamp > 0:
+        raise ValueError("clamp must be positive")
     uses = [level > 0 or reflect for level, reflect, _ in variants]
     if not any(uses):
         obstacle = None
@@ -678,7 +677,7 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
 
     return [BsdeSolution(
         grid=grid, basis=basis, driver=driver, terminal=terminal,
-        coef_y=v.coef_y, coef_z=v.coef_z, coef_v=v.coef_v,
+        coef_y=v.coef_y, coef_zv=v.coef_zv,
         y=v.y_all, z=v.z_all, vbar=v.v_all, states=paths.states,
         diagnostics=v.diag, picard_iters=picard_iters, clamp_bound=clamp,
         penalty_level=v.penalty_level, obstacle=obstacle if used else None,
@@ -706,7 +705,7 @@ def evaluate_u(sol, k, x):
     d = sol.states.shape[2]
     at = sol.basis._setup(sol.basis, x, gram=False)
     cond_exp = at.predict(sol.coef_y[k])
-    pred = at.predict(_zv_coeffs(sol, k))
+    pred = at.predict(sol.coef_zv[k])
     z, vb = pred[:, :d], pred[:, d:]
     dt = sol.grid.dt
     t_k = sol.grid.nodes[k]
@@ -715,16 +714,9 @@ def evaluate_u(sol, k, x):
                        sol.penalty_level * dt, sol.reflected, sol.clamp_bound)[0]
 
 
-def _zv_coeffs(sol, k):
-    """Step k's z and vbar coefficients as the one multi-target array the
-    backward step predicted from, so predictions repeat it bit for bit."""
-    zv = np.concatenate([sol.coef_z[k], sol.coef_v[k]])
-    return np.ascontiguousarray(np.moveaxis(zv, 0, -1))
-
-
 def evaluate_z(sol, k, x):
     """Fitted z-field (regression representation) at (t_k, x)."""
-    return sol.basis.predict(_zv_coeffs(sol, k), x)[:, :sol.states.shape[2]]
+    return sol.basis.predict(sol.coef_zv[k], x)[:, :sol.states.shape[2]]
 
 
 def check_z_representation(sol, model, weight=None):

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .config import TASKS, validate_config
-from .errors import SolverError
+from .errors import SchemaError, SolverError
 from .runner import EXIT_ERROR, run_experiment
 
 __all__ = ["main", "build_parser"]
@@ -68,9 +68,11 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.seed is not None:
-        raw["seed"] = args.seed
     try:
+        if not isinstance(raw, dict):
+            raise SchemaError(f"config: expected a JSON object, got {type(raw).__name__}")
+        if args.seed is not None:
+            raw["seed"] = args.seed
         cfg = validate_config(raw)
         if cfg.task != args.task:
             print(f"error: config task {cfg.task!r} does not match "

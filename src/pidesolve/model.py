@@ -340,8 +340,8 @@ class DriverSpec:
     MAX_FUNCTIONALS = 8
 
     def __post_init__(self):
-        if self.lipschitz < 0:
-            raise ValueError("Lipschitz constant must be >= 0")
+        if not self.lipschitz >= 0:
+            raise ValueError("lipschitz must be >= 0")
         object.__setattr__(self, "functionals", tuple(self.functionals))
         if len(self.functionals) > self.MAX_FUNCTIONALS:
             raise ValueError(
@@ -395,8 +395,9 @@ class ObstacleSpec:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.iota <= 0 or self.kappa <= 0:
-            raise ValueError("growth constants must be positive")
+        for name in ("iota", "kappa"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
     def __call__(self, t, x):
         return np.asarray(self.h(t, np.asarray(x, dtype=float)), dtype=float)
@@ -419,8 +420,8 @@ class WeightFunction:
     p: float
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError("weight exponent must be positive")
+        if not self.p > 0:
+            raise ValueError("weight exponent p must be positive")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

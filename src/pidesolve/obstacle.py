@@ -240,8 +240,9 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     bound, which is never tighter than the bound of a plain solve.
     """
     schedule = tuple(schedule) if schedule is not None else default_schedule()
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be nonempty and increasing")
+    if (not schedule or not all(0 <= level < math.inf for level in schedule)
+            or any(b <= a for a, b in zip(schedule, schedule[1:]))):
+        raise ValueError("schedule must be nonempty, increasing, finite and >= 0")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if weight is None:
@@ -346,6 +347,9 @@ def estimate_reflection_measure(reflected, t_bins=10, x_bins=20):
     samples (t_k, X_k) that fall in the cell; the masses pi_n of every level
     come from the trace, so their stabilization can be asserted.
     """
+    for name, bins in (("t_bins", t_bins), ("x_bins", x_bins)):
+        if not (isinstance(bins, (int, np.integer)) and bins > 0):
+            raise ValueError(f"{name} must be a positive integer")
     sol = reflected.solution
     times = sol.grid.nodes
     lo, hi = sol.basis.lo[0], sol.basis.hi[0]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forward, normcheck, obstacle as obstacle_mod, oracle as oracle_mod
-from .bsde import _zv_coeffs, evaluate_u, make_basis, solve_bsde
+from .bsde import evaluate_u, make_basis, solve_bsde
 from .config import (_DEFAULTS, _FD_SPACE, _ORACLE_MARKET, ExperimentConfig,
                      _compare_market, validate_config)
 from .errors import ConfigError, GridMismatchError, SolverError
@@ -115,11 +115,17 @@ def compare_report(solver_csv, oracle_csv, tol_rel, region=None, weight=None):
             f"x-grids differ on the region: {xs.size} vs {xo.size} points")
     if not np.allclose(xs, xo, rtol=0, atol=1e-9 * (1 + np.abs(xs).max())):
         raise GridMismatchError("x-grids differ on the region")
+    return _compare_table(xs, us, uo, tol_rel, weight)
+
+
+def _compare_table(x, us, uo, tol_rel, weight):
+    """The comparison of solver values ``us`` with oracle values ``uo`` on
+    the shared grid ``x``."""
     scale = np.maximum(np.abs(uo), 1e-12 * max(1.0, float(np.abs(uo).max())))
     rel = np.abs(us - uo) / scale
-    w = weight(xs[:, None]) if weight is not None else np.ones_like(xs)
+    w = weight(x[:, None]) if weight is not None else np.ones_like(x)
     l2 = float(math.sqrt(np.sum(w * (us - uo) ** 2) / max(np.sum(w * uo**2), 1e-300)))
-    return CompareTable(x=xs, solver=us, oracle=uo, rel_err=rel,
+    return CompareTable(x=x, solver=us, oracle=uo, rel_err=rel,
                         sup_rel=float(rel.max()), l2_weighted=l2, tol_rel=tol_rel)
 
 
@@ -134,20 +140,39 @@ def _read_xu_csv(path):
     return x[order], u[order]
 
 
-def _write_xu_csv(path, x, u):
-    with open(path, "w") as fh:
-        fh.write("x,u\n")
-        for xi, ui in zip(x, u):
-            fh.write(f"{xi:.17g},{ui:.17g}\n")
+class _Artifacts:
+    """The files of one run in its output directory: each is written once,
+    through ``path``, and the report lists exactly the names recorded."""
+
+    def __init__(self, out_dir):
+        self.out_dir = out_dir
+        self.names = []
+
+    def path(self, name):
+        """Record ``name`` and return its path; a name already written in
+        this run raises ValueError."""
+        if name in self.names:
+            raise ValueError(f"artifact {name!r} written twice")
+        self.names.append(name)
+        return os.path.join(self.out_dir, name)
+
+    def csv(self, name, header, rows):
+        """A header line, then one line per row: a string as it is, any
+        other value as ``format(v, ".17g")``."""
+        with open(self.path(name), "w") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(v if isinstance(v, str) else format(v, ".17g")
+                                  for v in row) + "\n")
+
+    def json(self, name, payload):
+        with open(self.path(name), "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
 # pipeline pieces
 # ---------------------------------------------------------------------------
-
-def _build_grid(cfg):
-    return TimeGrid(0.0, 1.0, cfg.numerics["grid_n"])
-
 
 def _starts(cfg, rng):
     num = cfg.numerics
@@ -169,7 +194,7 @@ def _basis_from(cfg, paths):
 
 
 def _simulate(cfg, model):
-    grid = _build_grid(cfg)
+    grid = TimeGrid(0.0, 1.0, cfg.numerics["grid_n"])
     rng = np.random.default_rng(cfg.seed)
     x0 = _starts(cfg, rng)
     return simulate_paths(model, grid, x0, cfg.numerics["paths"], cfg.seed)
@@ -183,21 +208,18 @@ def _backward_problem(cfg):
     return model, driver, cfg.build_terminal(), paths, _basis_from(cfg, paths)
 
 
-def _solution_csv(path, sol, eval_x):
-    d, q = sol.states.shape[2], sol.vbar.shape[2]
-    with open(path, "w") as fh:
-        head = "step,time,x,u,z" + "".join(f",vbar_{i+1}" for i in range(q))
-        fh.write(head + "\n")
-        pts = eval_x[:, None]
-        for k in range(sol.n_steps + 1):
-            u = evaluate_u(sol, k, pts)
-            # z (first coordinate) and vbar from one predict, as evaluate_z does
-            zv = (sol.basis.predict(_zv_coeffs(sol, k), pts) if k < sol.n_steps
-                  else np.zeros((eval_x.size, d + q)))
-            t = sol.grid.nodes[k]
-            for j, xj in enumerate(eval_x):
-                extras = "".join(f",{v:.17g}" for v in zv[j, d:])
-                fh.write(f"{k},{t:.17g},{xj:.17g},{u[j]:.17g},{zv[j, 0]:.17g}{extras}\n")
+def _solution_rows(sol, eval_x):
+    """(step, time, x, u, z, vbar...) on ``eval_x`` at every time step."""
+    d = sol.states.shape[2]
+    pts = eval_x[:, None]
+    for k in range(sol.n_steps + 1):
+        u = evaluate_u(sol, k, pts)
+        # z (first coordinate) and vbar from one predict, as evaluate_z does
+        zv = (sol.basis.predict(sol.coef_zv[k], pts) if k < sol.n_steps
+              else np.zeros((eval_x.size, sol.coef_zv.shape[-1])))
+        t = sol.grid.nodes[k]
+        for j, xj in enumerate(eval_x):
+            yield (k, t, xj, u[j], zv[j, 0], *zv[j, d:])
 
 
 def _eval_grid(cfg, paths):
@@ -211,7 +233,7 @@ def _eval_grid(cfg, paths):
 # tasks
 # ---------------------------------------------------------------------------
 
-def _task_simulate(cfg, out_dir):
+def _task_simulate(cfg, art):
     model = cfg.build_model()
     paths = _simulate(cfg, model)
     term = paths.states[-1][:, 0]
@@ -220,41 +242,35 @@ def _task_simulate(cfg, out_dir):
         "terminal_var": float(term.var()),
         "mean_jumps_per_path": float(paths.total_jumps_per_path().mean()),
     }
-    artifacts = []
     dump = cfg.numerics["dump_paths"]
     if dump == "csv":
-        forward.dump_paths_csv(paths, os.path.join(out_dir, "paths.csv"))
-        artifacts.append("paths.csv")
+        forward.dump_paths_csv(paths, art.path("paths.csv"))
     elif dump == "binary":
-        forward.dump_paths_binary(paths, os.path.join(out_dir, "paths.bin"))
-        artifacts.append("paths.bin")
-    return headline, [], artifacts
+        forward.dump_paths_binary(paths, art.path("paths.bin"))
+    return headline, []
 
 
-def _task_solve(cfg, out_dir):
+def _task_solve(cfg, art):
     model, driver, terminal, paths, basis = _backward_problem(cfg)
     sol = solve_bsde(model, driver, terminal, paths, basis,
                      picard_iters=cfg.numerics["picard"])
     eval_x = _eval_grid(cfg, paths)
-    _solution_csv(os.path.join(out_dir, "solution.csv"), sol, eval_x)
-    diags = {
+    vbar_cols = "".join(f",vbar_{i+1}" for i in range(driver.n_functionals))
+    art.csv("solution.csv", "step,time,x,u,z" + vbar_cols, _solution_rows(sol, eval_x))
+    art.json("diagnostics.json", {
         "residual_norms": _py(sol.diagnostics["resid"]),
         "condition_numbers": _py(sol.diagnostics["cond"]),
         "clamp_counts": _py(sol.diagnostics["clamped"]),
         "degenerate_steps": _py(sol.diagnostics["degenerate"].astype(int)),
-    }
-    with open(os.path.join(out_dir, "diagnostics.json"), "w") as fh:
-        json.dump(diags, fh, indent=2, sort_keys=True)
-    u0 = sol.u0()
-    headline = {"u0": u0, "u0_stderr": sol.u0_stderr(),
+    })
+    headline = {"u0": sol.u0(), "u0_stderr": sol.u0_stderr(),
                 "clamped_total": int(sol.diagnostics["clamped"].sum())}
     # also emit the t=0 slice as (x, u) for downstream comparison
-    _write_xu_csv(os.path.join(out_dir, "u0_grid.csv"), eval_x,
-                  evaluate_u(sol, 0, eval_x[:, None]))
-    return headline, [], ["solution.csv", "diagnostics.json", "u0_grid.csv"]
+    art.csv("u0_grid.csv", "x,u", zip(eval_x, evaluate_u(sol, 0, eval_x[:, None])))
+    return headline, []
 
 
-def _task_solve_obstacle(cfg, out_dir):
+def _task_solve_obstacle(cfg, art):
     model, driver, terminal, paths, basis = _backward_problem(cfg)
     obst = cfg.build_obstacle()
     weight = cfg.build_weight()
@@ -263,29 +279,20 @@ def _task_solve_obstacle(cfg, out_dir):
         model, driver, terminal, obst, paths, basis,
         schedule=cfg.schedule(), tol=cfg.numerics["tol"],
         weight=weight, picard_iters=cfg.numerics["picard"])
-    artifacts = []
     for lvl, lsol in zip(refl.levels, refl.level_solutions):
-        name = f"u_level_{lvl:.17g}.csv"
-        u0 = evaluate_u(lsol, 0, eval_x[:, None])
-        _write_xu_csv(os.path.join(out_dir, name), eval_x, u0)
-        artifacts.append(name)
+        art.csv(f"u_level_{lvl:.17g}.csv", "x,u",
+                zip(eval_x, evaluate_u(lsol, 0, eval_x[:, None])))
     meas = obstacle_mod.estimate_reflection_measure(refl)
-    with open(os.path.join(out_dir, "nu_histogram.csv"), "w") as fh:
-        fh.write("t_bin,x_bin,t_center,x_center,density\n")
-        tc = 0.5 * (meas.t_edges[:-1] + meas.t_edges[1:])
-        xc = 0.5 * (meas.x_edges[:-1] + meas.x_edges[1:])
-        for i in range(tc.size):
-            for j in range(xc.size):
-                fh.write(f"{i},{j},{tc[i]:.17g},{xc[j]:.17g},{meas.density[i, j]:.17g}\n")
-    artifacts.append("nu_histogram.csv")
-    trace = {"levels": _py(refl.trace), "pi_sequence": _py(list(meas.pi_sequence)),
-             "converged": refl.converged, "direct_gap_rel": refl.direct_gap_rel}
-    with open(os.path.join(out_dir, "trace.json"), "w") as fh:
-        json.dump(trace, fh, indent=2, sort_keys=True)
-    artifacts.append("trace.json")
-    _write_xu_csv(os.path.join(out_dir, "u0_grid.csv"), eval_x,
-                  evaluate_u(refl.solution, 0, eval_x[:, None]))
-    artifacts.append("u0_grid.csv")
+    tc = 0.5 * (meas.t_edges[:-1] + meas.t_edges[1:])
+    xc = 0.5 * (meas.x_edges[:-1] + meas.x_edges[1:])
+    art.csv("nu_histogram.csv", "t_bin,x_bin,t_center,x_center,density",
+            ((i, j, tc[i], xc[j], meas.density[i, j])
+             for i in range(tc.size) for j in range(xc.size)))
+    art.json("trace.json", {"levels": _py(refl.trace),
+                            "pi_sequence": _py(list(meas.pi_sequence)),
+                            "converged": refl.converged,
+                            "direct_gap_rel": refl.direct_gap_rel})
+    art.csv("u0_grid.csv", "x,u", zip(eval_x, evaluate_u(refl.solution, 0, eval_x[:, None])))
     headline = {"u0": refl.u0(), "converged": refl.converged,
                 "final_level": float(refl.final_level),
                 "penalty_norm": refl.trace[-1]["penalty_norm"],
@@ -294,12 +301,12 @@ def _task_solve_obstacle(cfg, out_dir):
     criteria = [{"name": "penalization_converged", "passed": bool(refl.converged),
                  "value": refl.trace[-1]["penalty_norm"],
                  "threshold": cfg.numerics["tol"]}]
-    return headline, criteria, artifacts
+    return headline, criteria
 
 
-def _oracle_eval(spec, cfg, out_dir, tag=""):
-    """Run the oracle; returns (payload, artifacts, u0_at), where u0_at(x)
-    is the oracle's value at time 0 on the points x."""
+def _oracle_eval(spec, cfg, art, tag=""):
+    """Run the oracle and write its file; returns (payload, u0_at), where
+    u0_at(x) is the oracle's value at time 0 on the points x."""
     kind = spec["kind"]
     prefix = f"oracle{tag}"
     if kind in ("merton", "binomial"):
@@ -315,9 +322,8 @@ def _oracle_eval(spec, cfg, out_dir, tag=""):
             price = oracle_mod.binomial_american(*market, steps, option)
             error = abs(price - oracle_mod.binomial_american(*market, steps // 2, option))
         payload = {"price": price, "error_estimate": error}
-        with open(os.path.join(out_dir, f"{prefix}_price.json"), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        return payload, [f"{prefix}_price.json"], lambda x: np.full(x.size, price)
+        art.json(f"{prefix}_price.json", payload)
+        return payload, lambda x: np.full(x.size, price)
     # finite difference
     model = cfg.build_model()
     driver = cfg.build_driver()
@@ -329,24 +335,21 @@ def _oracle_eval(spec, cfg, out_dir, tag=""):
         bc=spec.get("bc", "dirichlet"))
     fd = oracle_mod.fd_solve_pide(model, driver, terminal, grid,
                                   obstacle=obst, horizon=spec.get("horizon", 1.0))
-    name = f"{prefix}_fd.csv"
-    with open(os.path.join(out_dir, name), "w") as fh:
-        fh.write("time,x,u\n")
-        stride = max(1, fd.times.size // 11)
-        for i in range(0, fd.times.size, stride):
-            for xj, uj in zip(fd.x, fd.values[i]):
-                fh.write(f"{fd.times[i]:.17g},{xj:.17g},{uj:.17g}\n")
+    stride = max(1, fd.times.size // 11)
+    art.csv(f"{prefix}_fd.csv", "time,x,u",
+            ((fd.times[i], xj, uj) for i in range(0, fd.times.size, stride)
+             for xj, uj in zip(fd.x, fd.values[i])))
     payload = {"u0_mid": float(fd.interp(0.0, 0.5 * (grid.x_lo + grid.x_hi))),
                "cfl": fd.diagnostics["cfl"]}
-    return payload, [name], lambda x: fd.interp(0.0, x)
+    return payload, lambda x: fd.interp(0.0, x)
 
 
-def _task_oracle(cfg, out_dir):
-    payload, artifacts, _ = _oracle_eval(cfg.raw["oracle"], cfg, out_dir)
-    return dict(payload), [], artifacts
+def _task_oracle(cfg, art):
+    payload, _ = _oracle_eval(cfg.raw["oracle"], cfg, art)
+    return dict(payload), []
 
 
-def _task_normcheck(cfg, out_dir):
+def _task_normcheck(cfg, art):
     model = cfg.build_model()
     weight = cfg.build_weight()
     nc = cfg.raw.get("normcheck", _DEFAULTS["normcheck"])
@@ -355,21 +358,17 @@ def _task_normcheck(cfg, out_dir):
     fam = normcheck.shipped_phi_family()
     report = normcheck.norm_ratio(model, weight, fam, 0.0, nc["s_list"], quad,
                                   cfg.numerics["paths"], cfg.seed)
-    with open(os.path.join(out_dir, "norm_ratios.csv"), "w") as fh:
-        fh.write("phi_id,s,ratio,stderr\n")
-        for pid, s, ratio, se in report.rows:
-            fh.write(f"{pid},{s:.17g},{ratio:.17g},{se:.17g}\n")
+    art.csv("norm_ratios.csv", "phi_id,s,ratio,stderr", report.rows)
     lo, hi = report.bracket()
     summary = {"min_ratio": lo, "max_ratio": hi}
-    with open(os.path.join(out_dir, "norm_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    art.json("norm_summary.json", summary)
     ok = bool(np.isfinite(report.ratios).all() and lo > 0)
     criteria = [{"name": "ratios_positive_finite", "passed": ok,
                  "value": lo, "threshold": 0.0}]
-    return summary, criteria, ["norm_ratios.csv", "norm_summary.json"]
+    return summary, criteria
 
 
-def _task_compare(cfg, out_dir):
+def _task_compare(cfg, art):
     cmp_block = cfg.raw["compare"]
     model, driver, terminal, paths, basis = _backward_problem(cfg)
     obst = cfg.build_obstacle()
@@ -389,27 +388,22 @@ def _task_compare(cfg, out_dir):
             schedule=cfg.schedule(), tol=cfg.numerics["tol"],
             weight=weight, picard_iters=cfg.numerics["picard"]).solution
     u_solver = evaluate_u(sol, 0, xq[:, None])
-    _write_xu_csv(os.path.join(out_dir, "solver_u0.csv"), xq, u_solver)
+    art.csv("solver_u0.csv", "x,u", zip(xq, u_solver))
 
     spec = cmp_block["oracle"]
     if spec["kind"] != "fd":
         spec = {**spec, **_compare_market(cfg.raw)}
-    _, oracle_artifacts, u0_at = _oracle_eval(spec, cfg, out_dir, tag="_cmp")
-    artifacts = ["solver_u0.csv", "oracle_u0.csv", "compare.csv"] + oracle_artifacts
-    _write_xu_csv(os.path.join(out_dir, "oracle_u0.csv"), xq, u0_at(xq))
+    _, u0_at = _oracle_eval(spec, cfg, art, tag="_cmp")
+    u_oracle = u0_at(xq)
+    art.csv("oracle_u0.csv", "x,u", zip(xq, u_oracle))
 
-    table = compare_report(os.path.join(out_dir, "solver_u0.csv"),
-                           os.path.join(out_dir, "oracle_u0.csv"),
-                           cmp_block["tol_rel"], region=None, weight=weight)
-    with open(os.path.join(out_dir, "compare.csv"), "w") as fh:
-        fh.write("x,solver,oracle,rel_err\n")
-        for x, us, uo, re in table.rows():
-            fh.write(f"{x:.17g},{us:.17g},{uo:.17g},{re:.17g}\n")
+    table = _compare_table(xq, u_solver, u_oracle, cmp_block["tol_rel"], weight)
+    art.csv("compare.csv", "x,solver,oracle,rel_err", table.rows())
     headline = {"sup_rel_err": table.sup_rel, "l2_weighted_rel": table.l2_weighted,
                 "tol_rel": table.tol_rel}
     criteria = [{"name": "solver_matches_oracle", "passed": table.passed,
                  "value": table.sup_rel, "threshold": table.tol_rel}]
-    return headline, criteria, artifacts
+    return headline, criteria
 
 
 _TASK_FNS = {
@@ -451,11 +445,12 @@ def run_experiment(cfg, out_dir=None, flags=None):
                       "threads": int(flags.get("threads", 1)),
                       "deterministic": bool(flags.get("deterministic", True))},
         }
+        art = _Artifacts(out_dir)
         try:
-            headline, criteria, artifacts = _TASK_FNS[cfg.task](cfg, out_dir)
+            headline, criteria = _TASK_FNS[cfg.task](cfg, art)
             body["headline"] = _py(headline)
             body["criteria"] = _py(criteria)
-            body["artifacts"] = sorted(artifacts + ["report.json"])
+            body["artifacts"] = sorted(art.names + ["report.json"])
             code = EXIT_OK if all(c["passed"] for c in criteria) else EXIT_CRITERION
             body["status"] = "ok" if code == EXIT_OK else "criterion-failure"
         except Exception as exc:  # noqa: BLE001 - report, then fail with code 1

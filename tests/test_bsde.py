@@ -466,7 +466,7 @@ def test_unused_obstacle_is_ignored(heat_model, heat_bundle, poly_basis):
                         obstacle=high)
     assert unused.clamp_bound == plain.clamp_bound
     assert unused.obstacle is None
-    for name in ("y", "z", "vbar", "coef_y", "coef_z"):
+    for name in ("y", "z", "vbar", "coef_y", "coef_zv"):
         assert np.array_equal(getattr(unused, name), getattr(plain, name)), name
     with pytest.raises(ValueError, match="penalty level"):
         solve_bsde(heat_model, discount_driver(0.05), g, heat_bundle, poly_basis,

@@ -30,6 +30,21 @@ def heat_solve_config(**numerics):
             "numerics": num}
 
 
+def obstacle_put_config(**numerics):
+    # an American put without jumps along a penalty schedule
+    num = {"grid_n": 10, "paths": 5000, "x0": 100.0,
+           "basis": {"kind": "local", "cells": 12}}
+    num.update(numerics)
+    return {"task": "solve-obstacle", "seed": 4,
+            "model": {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}},
+            "driver": {"name": "discount", "params": {"rate": 0.05}},
+            "terminal": {"name": "put", "params": {"strike": 100}},
+            "obstacle": {"name": "put", "params": {"strike": 100, "kappa": 1.0,
+                                                   "iota": 101.0}},
+            "weight": {"p": 4},
+            "numerics": num}
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -677,10 +692,81 @@ def test_deterministic_reports(tmp_path):
     assert "timestamp" in r1.meta and "timestamp" not in r1.body
 
 
-def test_all_artifacts_listed(tmp_path):
-    report, code = run_experiment(heat_solve_config(), out_dir=tmp_path)
-    files = {f for f in os.listdir(tmp_path) if f != ".lock"}
-    assert files == set(report.body["artifacts"])
+def _simulate_config(dump):
+    return {"task": "simulate", "seed": 2, "model": {"name": "toy-uniform"},
+            "numerics": {"grid_n": 5, "paths": 100, "x0": 0.0, "dump_paths": dump}}
+
+
+def _fd_put_oracle_config():
+    raw = fd_put_compare_config()
+    raw.update(task="oracle", oracle={"kind": "fd", "x_lo": 50.0, "x_hi": 150.0,
+                                      "n_space": 60, "n_time": 30})
+    del raw["compare"]
+    return raw
+
+
+def _small_merton_compare_config():
+    raw = merton_compare_config()
+    raw["numerics"].update(grid_n=10, paths=5000)
+    return raw
+
+
+def _fd_grid_compare_config():
+    raw = fd_put_compare_config()
+    raw["compare"].update(region=[95.0, 105.0], x_grid_n=5)
+    raw["compare"]["oracle"].update(x_lo=50.0, x_hi=150.0, n_space=80, n_time=40)
+    return raw
+
+
+ARTIFACT_RUNS = {
+    "simulate-csv": (lambda: _simulate_config("csv"), {"paths.csv"}),
+    "simulate-binary": (lambda: _simulate_config("binary"), {"paths.bin"}),
+    "solve": (heat_solve_config, {"solution.csv", "diagnostics.json", "u0_grid.csv"}),
+    "solve-obstacle-fractional": (
+        lambda: obstacle_put_config(paths=2000, tol=1e-12, schedule=[1.2, 1.4]),
+        {"u_level_1.2.csv", "u_level_1.3999999999999999.csv", "nu_histogram.csv",
+         "trace.json", "u0_grid.csv"}),
+    "oracle-fd": (_fd_put_oracle_config, {"oracle_fd.csv"}),
+    "oracle-merton": (lambda: {"task": "oracle", "seed": 1, "oracle": {"kind": "merton"}},
+                      {"oracle_price.json"}),
+    "oracle-binomial": (lambda: {"task": "oracle", "seed": 1,
+                                 "oracle": {"kind": "binomial", "steps": 100}},
+                        {"oracle_price.json"}),
+    "normcheck": (lambda: {"task": "normcheck", "seed": 1, "model": {"name": "toy-uniform"},
+                           "numerics": {"paths": 400},
+                           "normcheck": {"radius": 4.0, "n_panels": 4, "nodes_per_panel": 4,
+                                         "s_list": [0.1, 0.5]}},
+                  {"norm_ratios.csv", "norm_summary.json"}),
+    "compare-fd-grid": (_fd_grid_compare_config, {"oracle_cmp_fd.csv"}),
+    "compare-merton": (_small_merton_compare_config, {"oracle_cmp_price.json"}),
+    "compare-binomial": (american_put_compare_config, {"oracle_cmp_price.json"}),
+}
+COMPARE_FILES = {"solver_u0.csv", "oracle_u0.csv", "compare.csv"}
+
+
+@pytest.mark.parametrize("run", list(ARTIFACT_RUNS))
+def test_all_artifacts_listed(run, tmp_path):
+    # the report lists exactly the files the run wrote, each once
+    make_config, written = ARTIFACT_RUNS[run]
+    report, code = run_experiment(make_config(), out_dir=tmp_path)
+    assert report.body["status"] != "error", report.body.get("error")
+    if run.startswith("compare"):
+        written = written | COMPARE_FILES
+    artifacts = report.body["artifacts"]
+    assert artifacts == sorted(written | {"report.json"})
+    assert set(os.listdir(tmp_path)) == set(artifacts)
+
+
+def test_artifact_writer_refuses_a_repeated_name(tmp_path):
+    from pidesolve.runner import _Artifacts
+    art = _Artifacts(str(tmp_path))
+    art.csv("a.csv", "x,u", [(1.0, "b")])
+    with pytest.raises(ValueError, match="a.csv"):
+        art.path("a.csv")
+    with pytest.raises(ValueError, match="a.csv"):
+        art.json("a.csv", {})
+    assert art.names == ["a.csv"]
+    assert (tmp_path / "a.csv").read_text() == "x,u\n1,b\n"
 
 
 def test_lock_file_serializes(tmp_path):
@@ -821,6 +907,9 @@ def test_exit_code_on_error(tmp_path):
     report, code = run_experiment(cfg, out_dir=tmp_path)
     assert code == EXIT_ERROR
     assert report.body["status"] == "error"
+    # an error run lists only its report
+    assert report.body["artifacts"] == ["report.json"]
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 def test_simulate_task_dumps(tmp_path):
@@ -841,32 +930,14 @@ def test_simulate_task_dumps(tmp_path):
 
 
 def test_solve_obstacle_nonconvergence_exit_code(tmp_path):
-    cfg = {"task": "solve-obstacle", "seed": 4,
-           "model": {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}},
-           "driver": {"name": "discount", "params": {"rate": 0.05}},
-           "terminal": {"name": "put", "params": {"strike": 100}},
-           "obstacle": {"name": "put", "params": {"strike": 100, "kappa": 1.0,
-                                                  "iota": 101.0}},
-           "weight": {"p": 4},
-           "numerics": {"grid_n": 10, "paths": 5000, "x0": 100.0, "tol": 1e-12,
-                        "basis": {"kind": "local", "cells": 12},
-                        "schedule": [1, 2]}}
+    cfg = obstacle_put_config(tol=1e-12, schedule=[1, 2])
     report, code = run_experiment(cfg, out_dir=tmp_path)
     assert code == EXIT_CRITERION
     assert not report.body["headline"]["converged"]
 
 
 def test_solve_obstacle_task(tmp_path):
-    cfg = {"task": "solve-obstacle", "seed": 4,
-           "model": {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}},
-           "driver": {"name": "discount", "params": {"rate": 0.05}},
-           "terminal": {"name": "put", "params": {"strike": 100}},
-           "obstacle": {"name": "put", "params": {"strike": 100, "kappa": 1.0,
-                                                  "iota": 101.0}},
-           "weight": {"p": 4},
-           "numerics": {"grid_n": 10, "paths": 5000, "x0": 100.0, "tol": 5.0,
-                        "basis": {"kind": "local", "cells": 12},
-                        "schedule": [1, 8, 64]}}
+    cfg = obstacle_put_config(tol=5.0, schedule=[1, 8, 64])
     report, code = run_experiment(cfg, out_dir=tmp_path)
     assert code == EXIT_OK
     trace = json.loads((tmp_path / "trace.json").read_text())
@@ -877,16 +948,7 @@ def test_solve_obstacle_task(tmp_path):
 def test_default_tol_returns_the_last_level(tmp_path):
     # numerics.tol left at its default: every level of the schedule is
     # written, and the result is the last one, whichever level met tol
-    cfg = {"task": "solve-obstacle", "seed": 4,
-           "model": {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}},
-           "driver": {"name": "discount", "params": {"rate": 0.05}},
-           "terminal": {"name": "put", "params": {"strike": 100}},
-           "obstacle": {"name": "put", "params": {"strike": 100, "kappa": 1.0,
-                                                  "iota": 101.0}},
-           "weight": {"p": 4},
-           "numerics": {"grid_n": 10, "paths": 5000, "x0": 100.0,
-                        "basis": {"kind": "local", "cells": 12},
-                        "schedule": [1, 8, 64]}}
+    cfg = obstacle_put_config(schedule=[1, 8, 64])
     report, code = run_experiment(cfg, out_dir=tmp_path)
     (criterion,) = report.body["criteria"]
     assert criterion["threshold"] == 1e-3
@@ -904,16 +966,7 @@ def test_default_tol_returns_the_last_level(tmp_path):
 def test_fractional_levels_write_one_file_each(tmp_path):
     # levels 1.2 and 1.4 round to the same integer; each still gets its own
     # u_level file, and the report lists every artifact once
-    cfg = {"task": "solve-obstacle", "seed": 4,
-           "model": {"name": "bs", "params": {"r": 0.05, "sigma": 0.2}},
-           "driver": {"name": "discount", "params": {"rate": 0.05}},
-           "terminal": {"name": "put", "params": {"strike": 100}},
-           "obstacle": {"name": "put", "params": {"strike": 100, "kappa": 1.0,
-                                                  "iota": 101.0}},
-           "weight": {"p": 4},
-           "numerics": {"grid_n": 10, "paths": 2000, "x0": 100.0, "tol": 1e-12,
-                        "basis": {"kind": "local", "cells": 12},
-                        "schedule": [1.2, 1.4]}}
+    cfg = obstacle_put_config(paths=2000, tol=1e-12, schedule=[1.2, 1.4])
     report, _ = run_experiment(cfg, out_dir=tmp_path)
     levels = sorted(f for f in os.listdir(tmp_path) if f.startswith("u_level_"))
     assert levels == [f"u_level_{v:.17g}.csv" for v in (1.2, 1.4)]
@@ -1005,6 +1058,23 @@ def test_cli_bad_config(tmp_path):
     assert cli_main(["solve", "--config", str(cfg_path)]) == EXIT_ERROR
     cfg_path.write_text(json.dumps({"task": "solve", "seed": 1}))
     assert cli_main(["solve", "--config", str(cfg_path)]) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("seed", [None, "3"], ids=["no-seed", "seed"])
+@pytest.mark.parametrize("text", ["[]", "3", '"x"'], ids=["list", "number", "string"])
+def test_cli_config_not_an_object(text, seed, tmp_path, capsys):
+    # JSON that parses but is not an object is a schema error, before the
+    # seed override touches it; a string is not parsed a second time
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    if seed is not None:
+        argv += ["--seed", seed]
+    assert cli_main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error [E_SCHEMA]: config: expected a JSON object")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_threads_env_fallback(tmp_path, monkeypatch, capsys):

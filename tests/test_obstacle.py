@@ -14,8 +14,8 @@ from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis, check_apriori_est
                             solve_bsde)
 from pidesolve.errors import NoConvergenceError, NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
-from pidesolve.model import (ModelSpec, ObstacleSpec, WeightFunction, discount_driver,
-                             named_model, time_weights, zero_driver)
+from pidesolve.model import (DriverSpec, ModelSpec, ObstacleSpec, WeightFunction,
+                             discount_driver, named_model, time_weights, zero_driver)
 from pidesolve.obstacle import (default_schedule, estimate_reflection_measure,
                                 obstacle_along_paths, penalty_increments, penalty_norm,
                                 skorokhod_gap, solve_penalized, solve_reflected,
@@ -24,6 +24,8 @@ from pidesolve.oracle import binomial_american
 
 K = 100.0
 RHO4 = WeightFunction(4)
+# a finite penalty level whose penalty level * dt * h overflows at the first step
+HUGE_LEVEL = sys.float_info.max
 
 
 def put_obstacle():
@@ -326,6 +328,44 @@ def test_schedule_validation(bs_put_setup):
                             paths, basis, schedule=(1, 2), tol=tol, weight=RHO4)
 
 
+def _reflect(model, paths, basis, **kw):
+    return solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
+                           basis, weight=RHO4, **kw)
+
+
+def _solve(model, paths, basis, **kw):
+    return solve_bsde(model, discount_driver(0.05), put_payoff, paths, basis,
+                      obstacle=put_obstacle(), **kw)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda m, p, b, r: _reflect(m, p, b, schedule=(1, math.nan)), "schedule"),
+    (lambda m, p, b, r: _reflect(m, p, b, schedule=(1, math.inf)), "schedule"),
+    (lambda m, p, b, r: _reflect(m, p, b, schedule=(-1, 1)), "schedule"),
+    (lambda m, p, b, r: _solve(m, p, b, penalty_level=math.nan), "penalty level"),
+    (lambda m, p, b, r: _solve(m, p, b, penalty_level=math.inf), "penalty level"),
+    (lambda m, p, b, r: _solve(m, p, b, clamp=-1.0), "clamp"),
+    (lambda m, p, b, r: _solve(m, p, b, clamp=0.0), "clamp"),
+    (lambda m, p, b, r: _solve(m, p, b, clamp=math.nan), "clamp"),
+    (lambda m, p, b, r: DriverSpec(f=None, lipschitz=math.nan), "lipschitz"),
+    (lambda m, p, b, r: WeightFunction(math.nan), "exponent p"),
+    (lambda m, p, b, r: ObstacleSpec(h=None, iota=math.nan), "iota"),
+    (lambda m, p, b, r: ObstacleSpec(h=None, kappa=math.nan), "kappa"),
+    (lambda m, p, b, r: estimate_reflection_measure(r, t_bins=0), "t_bins"),
+    (lambda m, p, b, r: estimate_reflection_measure(r, x_bins=0), "x_bins"),
+    (lambda m, p, b, r: estimate_reflection_measure(r, t_bins=2.5), "t_bins"),
+], ids=["schedule-nan", "schedule-inf", "schedule-negative", "level-nan", "level-inf",
+        "clamp-negative", "clamp-zero", "clamp-nan", "lipschitz-nan", "weight-p-nan",
+        "iota-nan", "kappa-nan", "t-bins-zero", "x-bins-zero", "t-bins-fraction"])
+def test_argument_checks_reject_nan_and_wrong_signs(small_put, reflected_put, call, match):
+    # a guard written as x < 0 or x <= 0 lets NaN through: each of these
+    # ran (a NaN level as level 0, a NaN clamp as none), or failed late with
+    # another error, before the check that names its argument
+    model, paths, box = small_put
+    with pytest.raises(ValueError, match=match):
+        call(model, paths, LocalAffineBasis(20, box), reflected_put)
+
+
 def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
     # the a-priori bound does not depend on the level: computed once, it
     # clamps every level and the direct solve alike, whatever tol
@@ -410,7 +450,7 @@ def test_one_pass_equals_per_level_solves(small_put, kind, monkeypatch):
         for i, level in enumerate(schedule):
             sol = solve_penalized(model, drv, put_payoff, obst, paths, basis, level,
                                   clamp=clamp)
-            for name in ("coef_y", "coef_z", "coef_v"):
+            for name in ("coef_y", "coef_zv"):
                 assert np.array_equal(getattr(refl.level_solutions[i], name), getattr(sol, name))
             pnorm = penalty_norm(sol.y, lvals, paths.states, RHO4, dt)
             assert refl.trace[i]["penalty_norm"] == pnorm
@@ -423,7 +463,7 @@ def test_one_pass_equals_per_level_solves(small_put, kind, monkeypatch):
             below = sol
         assert refl.levels == schedule and refl.converged == (pnorm < tol)
         for got, want in ((refl.solution, sol), (refl.direct, direct)):
-            for name in ("y", "coef_y", "coef_z", "coef_v"):
+            for name in ("y", "coef_y", "coef_zv"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             assert got.clamp_bound == want.clamp_bound
         for name in ("z", "vbar"):
@@ -492,19 +532,19 @@ def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
                                              ("raise", FloatingPointError)],
                          ids=["ignore", "raise"])
 def test_later_levels_cannot_change_or_break_the_result(small_put, errors, raised):
-    # an infinite level goes non-finite at its first step, with NumericError
-    # or, under NumPy's "raise", FloatingPointError, as its own solve does.
-    # The schedule's last level is the result whatever tol, so a schedule
-    # that reaches the level raises for every tol
+    # a level whose penalty overflows goes non-finite at its first step, with
+    # NumericError or, under NumPy's "raise", FloatingPointError, as its own
+    # solve does.  The schedule's last level is the result whatever tol, so
+    # a schedule that reaches the level raises for every tol
     model, paths, box = small_put
     args = (model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
             LocalAffineBasis(20, box))
     with np.errstate(all=errors):
         with pytest.raises(raised):
-            solve_penalized(*args, math.inf)
+            solve_penalized(*args, HUGE_LEVEL)
         for tol in (1e12, 1e-3, 1e-12):
             with pytest.raises(raised):
-                solve_reflected(*args, schedule=(1, 2, math.inf), tol=tol, weight=RHO4)
+                solve_reflected(*args, schedule=(1, 2, HUGE_LEVEL), tol=tol, weight=RHO4)
 
 
 def test_result_is_the_last_level_whatever_tol(small_put):
@@ -580,7 +620,7 @@ def test_threaded_pass_equals_separate_solves(small_put, kind, levels, monkeypat
     for i, (got, (level, reflect, _)) in enumerate(zip(runs, variants)):
         want = solve_bsde(model, drv, put_payoff, paths, basis, clamp=clamp, obstacle=obst,
                           penalty_level=level, reflect=reflect)
-        for name in ("y", "z", "vbar", "coef_y", "coef_z", "coef_v"):
+        for name in ("y", "z", "vbar", "coef_y", "coef_zv"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         for name, diag in want.diagnostics.items():
             assert np.array_equal(got.diagnostics[name], diag)
@@ -638,7 +678,7 @@ def test_threaded_solve_under_frequent_thread_switches(small_put, monkeypatch):
         sys.setswitchinterval(interval)
     assert got.trace == want.trace
     for a, b in zip(got.level_solutions, want.level_solutions):
-        for name in ("coef_y", "coef_z", "coef_v"):
+        for name in ("coef_y", "coef_zv"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
     for name in ("k_increments", "obstacle_values"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -757,8 +797,8 @@ def test_setup_ahead_error_raises_at_the_step_that_needs_it(small_put, monkeypat
 
 
 def test_helper_carries_the_callers_error_state(small_put, monkeypatch):
-    # the infinite level runs on the helper (the caller's group is levels 2
-    # and 4): it raises FloatingPointError as its own solve does under
+    # the overflowing level runs on the helper (the caller's group is levels
+    # 1, 2 and 4): it raises FloatingPointError as its own solve does under
     # "raise", and stops quietly under "ignore", also with warnings as errors
     _two_cpus(monkeypatch)
     model, paths, box = small_put
@@ -766,13 +806,13 @@ def test_helper_carries_the_callers_error_state(small_put, monkeypatch):
             LocalAffineBasis(20, box))
     with np.errstate(all="raise"):
         with pytest.raises(FloatingPointError):
-            solve_penalized(*args, math.inf)
+            solve_penalized(*args, HUGE_LEVEL)
         with pytest.raises(FloatingPointError):
-            solve_reflected(*args, schedule=(1, 2, 4, math.inf), tol=1e-12, weight=RHO4)
-    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            solve_reflected(*args, schedule=(1, 2, 4, HUGE_LEVEL), tol=1e-12, weight=RHO4)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="non-finite"):
-            solve_reflected(*args, schedule=(1, 2, 4, math.inf), tol=1e-12, weight=RHO4)
+            solve_reflected(*args, schedule=(1, 2, 4, HUGE_LEVEL), tol=1e-12, weight=RHO4)
 
 
 def test_reflected_solve_stores_only_the_path_arrays_it_reads(monkeypatch):
