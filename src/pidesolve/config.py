@@ -117,6 +117,21 @@ def _expect_nonnegative(value, path):
     return number
 
 
+def _expect_positive(value, path):
+    """A finite number > 0 as float."""
+    number = _expect_num(value, path)
+    if not number > 0:
+        raise ConfigError(f"{path}: expected a number > 0, got {number}")
+    return number
+
+
+def _expect_positives(value, path):
+    """A nonempty list of finite numbers > 0 as floats."""
+    if not _expect(value, list, path):
+        raise ConfigError(f"{path}: expected a nonempty list")
+    return [_expect_positive(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _expect_pair(value, path):
     """A [lo, hi] pair of finite numbers, lo < hi, as floats; null means none."""
     if value is None:
@@ -273,10 +288,6 @@ def validate_config(raw):
         if task != "oracle":
             raise ConfigError("model block is required")
         out["model"] = {"name": "bs", "params": {}}
-    if out["weight"]["p"] <= 0:
-        raise ConfigError("weight.p must be positive")
-    if not out["numerics"]["tol"] > 0:
-        raise ConfigError("numerics.tol must be positive")
     schedule = out["numerics"].get("schedule", [])
     for i, level in enumerate(schedule):
         if level <= 0:
@@ -366,8 +377,6 @@ def _norm_compare(block, path):
         raise ConfigError(
             f"compare.oracle.horizon = {out['oracle']['horizon']} but the "
             f"solver horizon is 1.0; set it to 1.0 or drop it")
-    if out["tol_rel"] <= 0:
-        raise ConfigError("compare.tol_rel must be positive")
     # a closed-form oracle prices the one spot x0; every other grid point
     # would be checked against that one price
     if out["x_grid_n"] > 1 and out["oracle"]["kind"] != "fd":
@@ -444,6 +453,12 @@ def _check_task_requirements(task, out):
         need("compare")
     if task == "oracle":
         need("oracle")
+    if task == "normcheck":
+        nc = out.get("normcheck", _DEFAULTS["normcheck"])
+        nodes, paths = nc["n_panels"] * nc["nodes_per_panel"], out["numerics"]["paths"]
+        if paths < 2 * nodes:
+            raise ConfigError(f"numerics.paths = {paths} is below 2 per quadrature node: "
+                              f"normcheck.n_panels * nodes_per_panel = {nodes}")
     if task == "compare":
         _check_compare_grid(out["compare"], out["numerics"]["x0"])
     if task == "compare" and out["compare"]["oracle"]["kind"] != "fd":
@@ -469,18 +484,18 @@ _ORACLE = {"kind": partial(_expect_choice, choices=_ORACLE_KEYS), "horizon": _ex
            "n_terms": _expect_count, "steps": partial(_expect_count, minimum=2),
            **dict.fromkeys(_ORACLE_MARKET, _expect_num),
            "option": partial(_expect_choice, choices=("call", "put"))}
-_COMPARE = {"oracle": _norm_oracle, "tol_rel": _expect_num, "region": _expect_pair,
+_COMPARE = {"oracle": _norm_oracle, "tol_rel": _expect_positive, "region": _expect_pair,
             "x_grid_n": _expect_count}
 _NUMERICS = {"grid_n": _expect_count, "paths": _expect_count, "x0": _expect_num,
-             "x0_spread": _expect_nonnegative, "picard": _expect_count, "tol": _expect_num,
+             "x0_spread": _expect_nonnegative, "picard": _expect_count, "tol": _expect_positive,
              "schedule_max_exp": _expect_count, "schedule": _expect_nums,
              "eval_points": partial(_expect_count, minimum=2),
              "dump_paths": partial(_expect_choice, choices=("none", "csv", "binary")),
              "basis": {"kind": partial(_expect_choice, choices=("poly", "local")),
                        "degree": _expect_count, "cells": _expect_count,
                        "box": _expect_pair}}
-_NORMCHECK = {"radius": _expect_num, "n_panels": _expect_count,
-              "nodes_per_panel": _expect_count, "s_list": _expect_nums}
+_NORMCHECK = {"radius": _expect_positive, "n_panels": _expect_count,
+              "nodes_per_panel": _expect_count, "s_list": _expect_positives}
 _TOP = {"task": partial(_expect_choice, choices=TASKS),
         "seed": partial(_expect_count, minimum=0, maximum=_SEED_MAX),
         "output": lambda value, path: _expect(value, str, path),
@@ -488,7 +503,7 @@ _TOP = {"task": partial(_expect_choice, choices=TASKS),
         "driver": partial(_norm_named_block, known=_DRIVER_PARAMS),
         "terminal": partial(_norm_named_block, known=_PAYOFF_PARAMS),
         "obstacle": partial(_norm_named_block, known=_OBSTACLE_PARAMS),
-        "weight": {"p": _expect_num},
+        "weight": {"p": _expect_positive},
         "numerics": _NUMERICS,
         "oracle": partial(_norm_oracle, market=(*_ORACLE_MARKET, "option")),
         "normcheck": lambda value, path: _typed(value, _NORMCHECK, path),

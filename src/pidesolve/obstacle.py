@@ -57,18 +57,14 @@ def solve_penalized(model, driver, terminal, obstacle, paths, basis, level,
 
 def penalty_increments(sol, obstacle_values):
     """Per path and step compensation increments n (Y_k - L_k)^- dt, (N, M)."""
-    return _increments(sol, sol.y[:-1], obstacle_values[:-1])
+    return _increments(np.maximum(obstacle_values[:-1] - sol.y[:-1], 0.0),
+                       sol.penalty_level, sol.grid.dt)
 
 
-def _increments(sol, y, h):
-    """n (h - y)^+ dt of the penalized solution ``sol``, elementwise over
-    matching arrays of its values y and the obstacle values h."""
-    if sol.penalty_level <= 0:
-        return np.zeros(np.shape(y))
-    dk = np.subtract(h, y)
-    np.maximum(dk, 0.0, out=dk)
-    dk *= sol.penalty_level
-    dk *= sol.grid.dt
+def _increments(short, level, dt):
+    """The compensation increments n (L - Y)^+ dt from the shortfall (L - Y)^+."""
+    dk = np.multiply(short, level)
+    dk *= dt
     return dk
 
 
@@ -79,23 +75,46 @@ def obstacle_along_paths(obstacle, paths):
                      for k in range(paths.grid.n_steps + 1)])
 
 
-def _shortfall(y, h):
-    """One step's h - y, the samples where it is positive (the only ones
-    with a shortfall (h - y)^+ or a compensation increment) and the
-    shortfall there."""
-    gap = np.subtract(h, y)
-    below = np.flatnonzero(gap > 0)
-    return gap, below, gap[below]
+class _LevelSums:
+    """One penalty level's sums along the paths, fed one step at a time
+    backward from the horizon: the squared penalty norm
+    sum_k w_k mean(rho(X_k) ((L_k - Y_k)^+)^2), the weighted mass
+    pi = mean(sum_{k<N} rho(X_k) dK_k) of the reflection measure, and the
+    flat-off sums over paths of |Y_k - L_k| dK_k and of dK_k with the largest
+    |Y_k - L_k|.  The first step fed is the horizon, which has no increment:
+    it adds its norm term and its |Y - L| only."""
 
+    def __init__(self, level, dt):
+        self.level, self.dt, self.at_horizon = level, dt, True
+        self.norm2 = self.pi = self.raw = self.k_total = self.sup_gap = 0.0
 
-def _weighted_sums(short, rho, dk=None):
-    """Sums of rho short^2 and, given the increments ``dk``, of rho dk over
-    one step's samples below the obstacle, with rho the weight at their
-    states."""
-    t = np.multiply(rho, short)
-    t *= short
-    short2 = float(np.sum(t))
-    return short2, 0.0 if dk is None else float(np.sum(np.multiply(rho, dk, out=t)))
+    def add(self, y, h, w, rho):
+        """Step k's values Y_k, obstacle values L_k, time weight w_k and
+        weights rho(X_k).  Only the samples below the obstacle have a
+        shortfall (L - Y)^+ or an increment dK, so the sums run over them."""
+        gap = np.subtract(h, y)
+        below = np.flatnonzero(gap > 0)
+        short, rho = gap[below], rho[below]
+        self.n_paths = gap.size
+        t = np.multiply(rho, short)
+        t *= short
+        self.norm2 += w * (float(np.sum(t)) / self.n_paths)
+        self.sup_gap = max(self.sup_gap, float(gap.max()), -float(gap.min()))
+        if self.at_horizon:
+            self.at_horizon = False
+            return
+        dk = _increments(short, self.level, self.dt)
+        self.raw += float(np.sum(short * dk))
+        self.k_total += float(np.sum(dk))
+        self.pi += float(np.sum(np.multiply(rho, dk, out=t))) / self.n_paths
+
+    def norm(self):
+        return math.sqrt(self.norm2)
+
+    def flat_off(self):
+        raw = self.raw / self.n_paths
+        denom = self.k_total / self.n_paths * self.sup_gap
+        return SkorokhodReport(raw=raw, normalized=raw / denom if denom > 0 else 0.0)
 
 
 def penalty_norm(y, obstacle_values, states, weight, dt):
@@ -103,17 +122,15 @@ def penalty_norm(y, obstacle_values, states, weight, dt):
 
     sqrt(sum_k w_k mean(rho(X_k) ((L_k - Y_k)^+)^2)) over the path arrays
     ``y`` and ``obstacle_values`` (N+1, M) and ``states`` (N+1, M, d), with
-    the trapezoid time weights w_k of step dt.  The sum runs backward in
-    time, as in the backward pass of ``solve_reflected``, whose trace
-    reports exactly this value.
+    the trapezoid time weights w_k of step dt, summed by the accumulator
+    that measures each level of ``solve_reflected`` for its trace.
     """
-    n, m = y.shape[0] - 1, y.shape[1]
+    n = y.shape[0] - 1
     wt = time_weights(n, dt)
-    total = 0.0
+    sums = _LevelSums(0.0, dt)  # the norm reads no increment
     for k in range(n, -1, -1):
-        _, below, short = _shortfall(y[k], obstacle_values[k])
-        total += wt[k] * (_weighted_sums(short, weight(states[k])[below])[0] / m)
-    return math.sqrt(total)
+        sums.add(y[k], obstacle_values[k], wt[k], weight(states[k]))
+    return sums.norm()
 
 
 @dataclass
@@ -155,10 +172,6 @@ class ReflectedSolution:
         """The final level's increments dK (N, M), formed anew on each access."""
         return penalty_increments(self.solution, self.obstacle_values)
 
-    def k_terminal(self):
-        """Total compensation per path, K_T, exactly the sum of increments."""
-        return self.k_increments.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class SkorokhodReport:
@@ -175,39 +188,14 @@ def skorokhod_gap(sol, obstacle_values):
     construction, since the penalty acts only below the obstacle.)  The
     headline diagnostic is the defect normalized by mean K_T times the
     largest |Y - L|.  ``obstacle_values`` are L along the paths (N+1, M);
-    the increments dK, which vanish where Y >= L, are formed one step at a
-    time on the samples below the obstacle, as ``penalty_increments`` forms
-    them.  The sums run backward in time, as in the backward pass of
-    ``solve_reflected``.
+    the sums are the accumulator's that measures each level of
+    ``solve_reflected`` for its trace.
     """
-    defect = _FlatOffDefect(sol.y[-1], obstacle_values[-1])
-    for k in range(sol.n_steps - 1, -1, -1):
-        gap, below, short = _shortfall(sol.y[k], obstacle_values[k])
-        defect.add(gap, short, _increments(sol, sol.y[k][below], obstacle_values[k][below]))
-    return defect.report()
-
-
-class _FlatOffDefect:
-    """Running flat-off defect, fed one step at a time: the sums over paths
-    of |Y_k - L_k| dK_k and of dK_k, and the running max of |Y_k - L_k|."""
-
-    def __init__(self, y_terminal, h_terminal):
-        self.n_paths = np.size(y_terminal)
-        self.raw = self.k_total = 0.0
-        self.sup_gap = float(np.abs(y_terminal - h_terminal).max())
-
-    def add(self, gap, short, dk):
-        """Step k's L - Y (``gap``), and the shortfall (L - Y)^+ (``short``)
-        and increments dK on the samples below the obstacle, from
-        ``_shortfall``; off them dK vanishes and adds nothing."""
-        self.sup_gap = max(self.sup_gap, float(gap.max()), -float(gap.min()))
-        self.raw += float(np.sum(short * dk))
-        self.k_total += float(np.sum(dk))
-
-    def report(self):
-        raw = self.raw / self.n_paths
-        denom = self.k_total / self.n_paths * self.sup_gap
-        return SkorokhodReport(raw=raw, normalized=raw / denom if denom > 0 else 0.0)
+    sums = _LevelSums(sol.penalty_level, sol.grid.dt)
+    ones = np.ones(sol.y.shape[1])  # the defect reads no weight
+    for k in range(sol.n_steps, -1, -1):
+        sums.add(sol.y[k], obstacle_values[k], 0.0, ones)
+    return sums.flat_off()
 
 
 def solve_reflected(model, driver, terminal, obstacle, paths, basis,
@@ -259,20 +247,16 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
             f"obstacle exceeds the terminal condition at the horizon on "
             f"{bad:.1%} of the cloud; reflected problems require h(T, .) <= g")
     wt = time_weights(n, dt)
-    # the horizon's terms of the squared penalty norms and of the direct
-    # gap's squared norms (every solve starts from g: the distance's is 0)
-    rho = weight(paths.states[n])
-    _, below, short = _shortfall(g_T, lvals[n])
-    norm2_T = wt[n] * (_weighted_sums(short, rho[below])[0] / m)
-    diff2, base2 = 0.0, wt[n] * float(np.mean(rho * g_T ** 2))
-
     # one backward pass for every level and the direct solve; per level it
     # keeps coefficients, u0 and the running sums of the trace, and path
     # arrays only for the last level and the direct solve (its y alone, the
-    # one path array anything reads)
-    defects = [_FlatOffDefect(g_T, lvals[n]) for _ in schedule]
-    norm2 = [norm2_T] * len(schedule)
-    pis = [0.0] * len(schedule)
+    # one path array anything reads).  The sums start at the horizon, where
+    # every solve is g (the direct gap's distance term is 0)
+    rho = weight(paths.states[n])
+    sums = [_LevelSums(level, dt) for level in schedule]
+    for level_sums in sums:
+        level_sums.add(g_T, lvals[n], wt[n], rho)
+    diff2, base2 = 0.0, wt[n] * float(np.mean(rho * g_T ** 2))
     u0s = [None] * len(schedule)
     step_up = [math.inf] * len(schedule)
 
@@ -280,17 +264,12 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         # every variant's values at step k, the levels' then the direct solve's
         nonlocal diff2, base2
         rho = weight(paths.states[k])
-        for i, level in enumerate(schedule):
-            gap, below, short = _shortfall(ys[i], lvals[k])
-            dk = short * level * dt  # n (h - y)^+ dt, as penalty_increments forms it
-            defects[i].add(gap, short, dk)
-            short2, mass = _weighted_sums(short, rho[below], dk)
-            norm2[i] += wt[k] * (short2 / m)
-            pis[i] += mass / m
+        for i, level_sums in enumerate(sums):
+            level_sums.add(ys[i], lvals[k], wt[k], rho)
             if k == 0:
                 u0s[i] = float(ys[i].mean())
-            if i:  # the step up, in the spent gap's memory
-                step_up[i] = min(step_up[i], float(np.subtract(ys[i], ys[i - 1], out=gap).min()))
+            if i:
+                step_up[i] = min(step_up[i], float(np.min(ys[i] - ys[i - 1])))
         diff2 += wt[k] * float(np.mean(rho * (ys[-2] - ys[-1]) ** 2))
         base2 += wt[k] * float(np.mean(rho * ys[-1] ** 2))
 
@@ -302,8 +281,8 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     level_sols = [dataclasses.replace(run, y=None, z=None, vbar=None) for run in runs[:-1]]
     trace = []
     for i, level in enumerate(schedule):
-        entry = {"level": level, "penalty_norm": math.sqrt(norm2[i]),
-                 "skorokhod": defects[i].report().normalized, "u0": u0s[i], "pi": pis[i]}
+        entry = {"level": level, "penalty_norm": sums[i].norm(),
+                 "skorokhod": sums[i].flat_off().normalized, "u0": u0s[i], "pi": sums[i].pi}
         if i:
             entry["min_step_up"] = step_up[i]
         trace.append(entry)
@@ -336,7 +315,6 @@ class ReflectionMeasureEstimate:
     density: np.ndarray
     pi_total: float
     pi_sequence: tuple
-    level: float
 
 
 def estimate_reflection_measure(reflected, t_bins=10, x_bins=20):
@@ -362,15 +340,15 @@ def estimate_reflection_measure(reflected, t_bins=10, x_bins=20):
     for k, row in enumerate(t_idx):
         x_idx = ((sol.states[k, :, 0] - lo) * (x_bins / (hi - lo))).astype(np.intp)
         np.clip(x_idx, 0, x_bins - 1, out=x_idx)
-        _, below, short = _shortfall(sol.y[k], reflected.obstacle_values[k])
+        short = np.maximum(reflected.obstacle_values[k] - sol.y[k], 0.0)
         counts[row] += np.bincount(x_idx, minlength=x_bins)
-        density[row] += np.bincount(x_idx[below], weights=level * short, minlength=x_bins)
+        density[row] += np.bincount(x_idx, weights=level * short, minlength=x_bins)
     filled = counts > 0
     density[filled] /= counts[filled]
     pis = tuple(entry["pi"] for entry in reflected.trace)
     return ReflectionMeasureEstimate(
         t_edges=t_edges, x_edges=x_edges, density=density, pi_total=pis[-1],
-        pi_sequence=pis, level=level,
+        pi_sequence=pis,
     )
 
 
@@ -397,7 +375,8 @@ def support_check(reflected, measure, delta):
     sol = reflected.solution
     total = off = 0.0
     for k in range(sol.n_steps):
-        dk = _increments(sol, sol.y[k], reflected.obstacle_values[k])
+        dk = _increments(np.maximum(reflected.obstacle_values[k] - sol.y[k], 0.0),
+                         sol.penalty_level, sol.grid.dt)
         charged = np.flatnonzero(dk > 0)
         mass = reflected.weight(sol.states[k][charged]) * dk[charged]
         gap = reflected.direct.y[k][charged] - reflected.obstacle_values[k][charged]

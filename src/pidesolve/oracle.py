@@ -303,31 +303,27 @@ def merton_price(s0, strike, rate, sigma, horizon, jump_intensity,
     """
     if n_terms < 1:
         raise ValueError("need at least one series term")
+    if not (sigma >= 0 and jump_intensity >= 0 and jump_sd >= 0):
+        raise ValueError("sigma, jump intensity and jump sd must be >= 0")
     kbar = math.exp(jump_mean + 0.5 * jump_sd**2) - 1.0
     lam_p = jump_intensity * (1.0 + kbar)
     if lam_p * horizon <= 0:
         return black_scholes(s0, strike, rate, sigma, horizon, kind)
-    total = 0.0
+    # the first n_terms terms are the price; the next 40 check the dropped tail
+    total = extra = 0.0
     log_w = -lam_p * horizon
-    for n in range(n_terms):
+    for n in range(n_terms + 40):
         if n > 0:
             log_w += math.log(lam_p * horizon) - math.log(n)
-        w = math.exp(log_w)
         sig_n = math.sqrt(sigma**2 + n * jump_sd**2 / horizon)
         r_n = rate - jump_intensity * kbar + n * (jump_mean + 0.5 * jump_sd**2) / horizon
-        total += w * black_scholes(s0, strike, r_n, sig_n, horizon, kind)
-    # check the dropped tail by direct extension
-    if jump_intensity > 0:
-        extra = 0.0
-        lw = log_w
-        for n2 in range(n_terms, n_terms + 40):
-            lw += math.log(lam_p * horizon) - math.log(n2)
-            sig_n = math.sqrt(sigma**2 + n2 * jump_sd**2 / horizon)
-            r_n = rate - jump_intensity * kbar + n2 * (jump_mean + 0.5 * jump_sd**2) / horizon
-            extra += math.exp(lw) * black_scholes(s0, strike, r_n, sig_n, horizon, kind)
-        if extra > 1e-12 * max(1.0, abs(total)):
-            raise TailError(
-                f"series tail {extra:.3g} above tolerance after {n_terms} terms")
+        term = math.exp(log_w) * black_scholes(s0, strike, r_n, sig_n, horizon, kind)
+        if n < n_terms:
+            total += term
+        else:
+            extra += term
+    if extra > 1e-12 * max(1.0, abs(total)):
+        raise TailError(f"series tail {extra:.3g} above tolerance after {n_terms} terms")
     return float(total)
 
 
@@ -335,8 +331,10 @@ def binomial_american(s0, strike, rate, sigma, horizon, steps, kind="put"):
     """Cox-Ross-Rubinstein tree with early exercise."""
     if steps < 1:
         raise ValueError("need at least one step")
+    if not sigma >= 0:
+        raise ValueError("sigma must be >= 0")
     dt = horizon / steps
-    if sigma <= 0:
+    if sigma == 0:
         sigma = 1e-12
     u = math.exp(sigma * math.sqrt(dt))
     d = 1.0 / u

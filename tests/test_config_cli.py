@@ -261,6 +261,42 @@ def test_inconsistent_ranges_rejected_at_validation(config, path):
     assert err.value.code == "E_CONFIG"
 
 
+def _normcheck_config(paths=400, **normcheck):
+    raw = {"task": "normcheck", "seed": 1, "model": {"name": "toy-uniform"},
+           "numerics": {"paths": paths}}
+    if normcheck:
+        raw["normcheck"] = dict({"radius": 4.0, "n_panels": 4, "nodes_per_panel": 4,
+                                 "s_list": [0.1, 0.5]}, **normcheck)
+    return raw
+
+
+@pytest.mark.parametrize("raw, path", [
+    (_normcheck_config(paths=287), "numerics.paths"),
+    (_normcheck_config(paths=31, radius=4.0), "numerics.paths"),
+    (_normcheck_config(radius=0.0), "normcheck.radius"),
+    (_normcheck_config(radius=-9.0), "normcheck.radius"),
+    (_normcheck_config(s_list=[]), "normcheck.s_list"),
+    (_normcheck_config(s_list=[0.0]), "normcheck.s_list[0]"),
+    (_normcheck_config(s_list=[-0.5, 1.0]), "normcheck.s_list[0]"),
+], ids=["paths-defaults", "paths-block", "radius-zero", "radius-negative", "s-list-empty",
+        "s-list-zero", "s-list-negative"])
+def test_normcheck_ranges_rejected_at_validation(raw, path, tmp_path, capsys):
+    # each of these validated and then failed in the run: too few paths per
+    # quadrature node or an empty horizon list as E_ERROR, a radius <= 0 as
+    # E_QUAD after simulating every path, a horizon <= 0 as E_ERROR or E_GRID
+    with pytest.raises(ConfigError, match=re.escape(path)) as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["normcheck", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    assert "[E_CONFIG]" in capsys.readouterr().err
+    # two paths per node, 144 at the defaults and 16 in the block, validate
+    validate_config(_normcheck_config(paths=288))
+    validate_config(_normcheck_config(paths=32, radius=4.0))
+
+
 def test_null_region_means_none():
     raw = fd_put_compare_config()
     raw["compare"]["region"] = None

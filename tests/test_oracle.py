@@ -264,8 +264,14 @@ def test_merton_price_benchmark_value():
     lambda: binomial_european(100, 100, 0.05, 0.2, 1.0, 50, kind="Put"),
     lambda: binomial_european(100, 100, 0.05, 0.2, 1.0, 0),
     lambda: binomial_american(100, 100, 0.05, 0.2, 1.0, 50, kind="Put"),
+    lambda: merton_price(100, 100, 0.05, -0.2, 1.0, 1.0, -0.1, 0.15),
+    lambda: merton_price(100, 100, 0.05, 0.2, 1.0, -1.0, -0.1, 0.15),
+    lambda: merton_price(100, 100, 0.05, 0.2, 1.0, 1.0, -0.1, -0.15),
+    lambda: binomial_american(100, 100, 0.05, -0.2, 1.0, 50),
 ], ids=["bs", "bs-expired", "bs-negative-sigma", "merton", "binomial-european",
-        "binomial-european-steps", "binomial-american"])
+        "binomial-european-steps", "binomial-american", "merton-negative-sigma",
+        "merton-negative-intensity", "merton-negative-jump-sd",
+        "binomial-american-negative-sigma"])
 def test_closed_forms_reject_bad_input(price):
     with pytest.raises(ValueError):
         price()
@@ -327,10 +333,10 @@ def _binomial_american_by_powers(s0, strike, rate, sigma, horizon, steps, kind):
 @pytest.mark.parametrize("kind", ["put", "call"])
 def test_binomial_american_equals_per_step_powers(kind, steps):
     # the tree takes u^j and d^j once and slices them per step; the prices
-    # must be the per-step powers bit for bit, also where sigma <= 0 stands in
-    # for a tiny volatility
+    # must be the per-step powers bit for bit, also where sigma = 0 stands in
+    # for a tiny volatility (a negative sigma is rejected)
     for s0, strike, rate, sigma in ((100.0, 100.0, 0.05, 0.2), (90.0, 110.0, 0.03, 0.45),
-                                    (100.0, 95.0, 0.05, 0.0), (100.0, 105.0, 0.02, -0.1)):
+                                    (100.0, 95.0, 0.05, 0.0)):
         got = binomial_american(s0, strike, rate, sigma, 1.0, steps, kind)
         assert got == _binomial_american_by_powers(s0, strike, rate, sigma, 1.0, steps, kind)
 
