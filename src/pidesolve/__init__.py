@@ -12,9 +12,8 @@ from .errors import SolverError
 from .forward import (PathBundle, TimeGrid, check_flow_property, moment_report,
                       simulate_paths, tangent_flow)
 from .model import (DriverSpec, JumpMeasure, ModelSpec, ObstacleSpec,
-                    WeightFunction, check_jump_map,
-                    discount_driver, generator_jump, generator_local,
-                    named_model, pide_residual, scalar_model, zero_driver)
+                    WeightFunction, discount_driver, named_model, scalar_model,
+                    zero_driver)
 from .normcheck import gauss_legendre_panels, norm_ratio, spacetime_norm_ratio
 from .obstacle import (ReflectedSolution, ReflectionMeasureEstimate,
                        estimate_reflection_measure, skorokhod_gap,

@@ -453,6 +453,8 @@ def _check_task_requirements(task, out):
         need("compare")
     if task == "oracle":
         need("oracle")
+        if out["oracle"]["kind"] == "fd":
+            need("terminal")
     if task == "normcheck":
         nc = out.get("normcheck", _DEFAULTS["normcheck"])
         nodes, paths = nc["n_panels"] * nc["nodes_per_panel"], out["numerics"]["paths"]
@@ -477,12 +479,14 @@ def _check_task_requirements(task, out):
 # the typed-key tables: each key's checker, or a nested table
 # ---------------------------------------------------------------------------
 
-_ORACLE = {"kind": partial(_expect_choice, choices=_ORACLE_KEYS), "horizon": _expect_num,
+_ORACLE = {"kind": partial(_expect_choice, choices=_ORACLE_KEYS),
            "x_lo": _expect_num, "x_hi": _expect_num,
            "n_space": partial(_expect_count, minimum=3),
            "n_time": _expect_count, "bc": partial(_expect_choice, choices=("dirichlet", "linear")),
            "n_terms": _expect_count, "steps": partial(_expect_count, minimum=2),
-           **dict.fromkeys(_ORACLE_MARKET, _expect_num),
+           "rate": _expect_num, "jump_mean": _expect_num,
+           **dict.fromkeys(("s0", "strike", "horizon"), _expect_positive),
+           **dict.fromkeys(("sigma", "intensity", "jump_sd"), _expect_nonnegative),
            "option": partial(_expect_choice, choices=("call", "put"))}
 _COMPARE = {"oracle": _norm_oracle, "tol_rel": _expect_positive, "region": _expect_pair,
             "x_grid_n": _expect_count}

@@ -3,9 +3,8 @@
 Declares the coefficients of the state dynamics (drift, diffusion, jump
 coefficient, finite-activity jump measure), the nonlinear driver, obstacle
 and weight function, together with validation helpers for the structural
-assumptions they must satisfy.  Also evaluates the two
-pieces of the integro-differential generator and the strong-form PIDE
-residual used by the diagnostic checks.
+assumptions they must satisfy.  The PIDE's generator is discretised in
+one place only, the finite-difference oracle (``oracle.fd_solve_pide``).
 
 Vectorization contract: all user-supplied coefficient callables accept
 batched inputs.  For a model of dimension ``d``:
@@ -25,25 +24,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericError
-
 __all__ = [
     "JumpMeasure",
     "ModelSpec",
     "DriverSpec",
     "ObstacleSpec",
     "WeightFunction",
-    "JumpMapReport",
     "scalar_model",
     "translation_jump",
     "named_model",
-    "generator_local",
-    "generator_jump",
-    "pide_residual",
-    "check_jump_map",
-    "fd_step",
-    "numerical_gradient",
-    "numerical_hessian",
 ]
 
 
@@ -160,10 +149,8 @@ class JumpMeasure:
 class ModelSpec:
     """State dynamics: drift, diffusion, jump coefficient and jump measure.
 
-    The spec holds no Jacobians:
-    ``forward.tangent_flow`` differentiates the simulated flow itself and
-    ``check_jump_map`` the jump coefficient, both by the central differences
-    of ``_fd_jacobian``.
+    The spec holds no Jacobians: ``forward.tangent_flow`` differentiates the
+    simulated flow itself, by the central differences of ``_fd_jacobian``.
     """
 
     dim: int
@@ -461,11 +448,6 @@ def time_weights(n_steps, dt):
     return w
 
 
-def fd_step(x):
-    """Default relative finite-difference step 1e-4 * (1 + |x|)."""
-    return 1e-4 * (1.0 + np.abs(np.asarray(x, dtype=float)))
-
-
 def _fd_jacobian(fn, x, h=None):
     """Central-difference Jacobian of fn at the points x (..., d).
 
@@ -486,159 +468,3 @@ def _fd_jacobian(fn, x, h=None):
         step = np.reshape(2.0 * hk, np.shape(hk) + (1,) * (np.ndim(diff) - np.ndim(hk)))
         cols.append(diff / step)
     return np.stack(cols, axis=-1)
-
-
-def numerical_gradient(phi, x):
-    return _fd_jacobian(phi, x, fd_step(x))
-
-
-def numerical_hessian(phi, x):
-    x = np.asarray(x, dtype=float)
-    h = fd_step(x)
-    d = x.size
-    hess = np.empty((d, d))
-    f0 = phi(x)
-    for i in range(d):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        hess[i, i] = (phi(xp) - 2.0 * f0 + phi(xm)) / h[i] ** 2
-        for j in range(i + 1, d):
-            xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-            xpp[[i, j]] += [h[i], h[j]]
-            xpm[i] += h[i]
-            xpm[j] -= h[j]
-            xmp[i] -= h[i]
-            xmp[j] += h[j]
-            xmm[[i, j]] -= [h[i], h[j]]
-            hess[i, j] = hess[j, i] = (
-                phi(xpp) - phi(xpm) - phi(xmp) + phi(xmm)
-            ) / (4.0 * h[i] * h[j])
-    return hess
-
-
-# ---------------------------------------------------------------------------
-# generator pieces and residual
-# ---------------------------------------------------------------------------
-
-def generator_local(model, phi, x, grad=None):
-    """Drift-diffusion part of the generator at a point.
-
-    Returns sum_i b^i d_i phi + 1/2 sum_ij a^ij d_ij phi with a = sigma sigma^T.
-    ``grad`` is the gradient when supplied; otherwise, and for the Hessian
-    always, central finite differences are used.
-    """
-    x = np.asarray(x, dtype=float).reshape(model.dim)
-    g = np.asarray(grad(x), dtype=float) if grad is not None else numerical_gradient(phi, x)
-    h = numerical_hessian(phi, x)
-    b = np.asarray(model.drift(x[None, :]), dtype=float)[0]
-    a = model.diffusion_matrix(x[None, :])[0]
-    out = float(b @ g + 0.5 * np.sum(a * h))
-    if not math.isfinite(out):
-        raise NumericError(f"non-finite local generator value at x={x!r}")
-    return out
-
-
-def generator_jump(model, phi, x, grad=None):
-    """Compensated jump part of the generator at a point.
-
-    Returns sum_j w_j [phi(x + beta(x, e_j)) - phi(x) - beta(x, e_j) . grad phi(x)].
-    Vanishes identically when the model has no jumps and on affine phi.
-    """
-    x = np.asarray(x, dtype=float).reshape(model.dim)
-    if not model.has_jumps:
-        return 0.0
-    nodes = model.jump_measure.nodes
-    weights = model.jump_measure.weights
-    g = np.asarray(grad(x), dtype=float) if grad is not None else numerical_gradient(phi, x)
-    xb = np.broadcast_to(x, (nodes.size, model.dim))
-    beta = np.asarray(model.jump_coeff(xb, nodes), dtype=float)
-    shifted = xb + beta
-    vals = np.array([phi(shifted[j]) for j in range(nodes.size)], dtype=float)
-    out = float(np.sum(weights * (vals - phi(x) - beta @ g)))
-    if not math.isfinite(out):
-        raise NumericError(f"non-finite jump generator value at x={x!r}")
-    return out
-
-
-def pide_residual(model, driver, u, t, x):
-    """Strong-form residual of the PIDE at (t, x).
-
-    ``u(t, x)`` is a scalar time-space field; the time derivative is one-sided
-    (forward difference, step 1e-6 * (1 + |t|)).  Returns d_t u + (local + jump generator) u
-    + f(t, x, u, sigma^T grad u, vbar[u]) where the i-th jump functional of u
-    is sum_j w_j gamma_i(e_j) (u(t, x + beta(x, e_j)) - u(t, x)).
-    """
-    x = np.asarray(x, dtype=float).reshape(model.dim)
-    ht = 1e-6 * (1.0 + abs(t))
-    u0 = u(t, x)
-    ut = (u(t + ht, x) - u0) / ht
-
-    def phi(xx):
-        return u(t, xx)
-
-    # one central-difference gradient serves both generator parts and z
-    grad = numerical_gradient(phi, x)
-    val_local = generator_local(model, phi, x, grad=lambda _x: grad)
-    val_jump = generator_jump(model, phi, x, grad=lambda _x: grad)
-
-    sig = np.asarray(model.diffusion(x[None, :]), dtype=float)[0]
-    z = (sig.T @ grad)[None, :]
-    q = max(1, driver.n_functionals)
-    vbar = np.zeros((1, q))
-    if driver.n_functionals and model.has_jumps:
-        nodes = model.jump_measure.nodes
-        weights = model.jump_measure.weights
-        xb = np.broadcast_to(x, (nodes.size, model.dim))
-        beta = np.asarray(model.jump_coeff(xb, nodes), dtype=float)
-        jumps_u = np.array([u(t, (xb + beta)[j]) for j in range(nodes.size)]) - u0
-        for i, gamma in enumerate(driver.functionals):
-            vbar[0, i] = np.sum(weights * np.asarray(gamma(nodes), dtype=float) * jumps_u)
-    fval = float(np.asarray(driver.f(t, x[None, :], np.array([u0]), z, vbar)).ravel()[0])
-    out = float(ut + val_local + val_jump + fval)
-    if not math.isfinite(out):
-        raise NumericError(f"non-finite PIDE residual at (t={t}, x={x!r})")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# jump-map diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JumpMapReport:
-    injective: bool
-    min_jacobian: float
-
-
-def check_jump_map(model, e, box, grid_pts=64):
-    """Diagnose whether x -> x + beta(x, e) is invertible on a box.
-
-    Evaluates the map on a grid, reports injectivity violations (strict
-    monotonicity in 1-d, near-duplicate images otherwise) and the minimum
-    determinant of I + d beta/dx estimated by finite differences.  A failed
-    check is a report, not an error.
-    """
-    if grid_pts < 2:
-        raise ValueError("need at least 2 grid points per axis")
-    d = model.dim
-    lo, hi = box
-    axes = [np.linspace(lo, hi, grid_pts) for _ in range(d)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    marks = np.full(mesh.shape[0], float(e))
-    images = mesh + np.asarray(model.jump_coeff(mesh, marks), dtype=float)
-
-    jac = _fd_jacobian(lambda x: model.jump_coeff(x, marks), mesh, 1e-5 * (hi - lo))
-    dets = np.linalg.det(np.eye(d)[None, :, :] + jac)
-    min_det = float(dets.min())
-
-    if d == 1:
-        vals = images[:, 0]
-        diffs = np.diff(vals)
-        injective = bool(np.all(diffs > 1e-12 * (hi - lo)) or np.all(diffs < -1e-12 * (hi - lo)))
-    else:
-        order = np.lexsort(images.T)
-        sorted_imgs = images[order]
-        gaps = np.linalg.norm(np.diff(sorted_imgs, axis=0), axis=1)
-        injective = bool(np.all(gaps > 1e-10 * (hi - lo))) and min_det > 0
-    return JumpMapReport(injective=injective, min_jacobian=min_det)

@@ -192,6 +192,8 @@ def _config_with(path, value):
            "compare": fd_put_compare_config()}[path.split(".")[0]]
     if path == "compare.x_grid_n":  # an x-grid spreads over a region
         raw["compare"]["region"] = [90.0, 110.0]
+    if raw["task"] == "oracle" and kind == "fd":  # it solves from the terminal
+        raw["terminal"] = {"name": "square"}
     *heads, last = path.split(".")
     block = raw
     for key in heads:
@@ -561,12 +563,48 @@ def test_oracle_kinds_keep_their_own_keys():
               "n_terms": 40, "option": "put"}
     fd = {"kind": "fd", "x_lo": -4.0, "x_hi": 4.0, "n_space": 200, "n_time": 100,
           "bc": "linear", "horizon": 0.5}
-    for oracle in (binomial, merton, fd):
-        assert validate_config(dict(ORACLE_TASK, oracle=oracle)).raw["oracle"] == oracle
+    terminal = {"terminal": {"name": "put", "params": {"strike": 1.0}}}
+    for oracle, blocks in ((binomial, {}), (merton, {}), (fd, terminal)):
+        assert validate_config(dict(ORACLE_TASK, oracle=oracle, **blocks)).raw["oracle"] == oracle
     for raw in (american_put_compare_config(steps=100, horizon=1.0),
                 merton_compare_config(n_terms=40, horizon=1.0),
                 merton_compare_config(**dict(fd, horizon=1.0))):
         validate_config(raw)
+
+
+@pytest.mark.parametrize("oracle, path", [
+    ({"kind": "binomial", "sigma": -0.2}, "oracle.sigma"),
+    ({"kind": "merton", "sigma": -0.2}, "oracle.sigma"),
+    ({"kind": "merton", "intensity": -1.0}, "oracle.intensity"),
+    ({"kind": "merton", "jump_sd": -0.15}, "oracle.jump_sd"),
+    ({"kind": "merton", "s0": 0.0}, "oracle.s0"),
+    ({"kind": "binomial", "strike": -100.0}, "oracle.strike"),
+    ({"kind": "merton", "horizon": -1.0}, "oracle.horizon"),
+    ({"kind": "binomial", "horizon": 0.0}, "oracle.horizon"),
+    ({"kind": "fd", "horizon": -1.0}, "oracle.horizon"),
+    ({"kind": "fd"}, "requires a terminal block"),
+], ids=["binomial-negative-sigma", "merton-negative-sigma", "merton-negative-intensity",
+        "merton-negative-jump-sd", "merton-zero-s0", "binomial-negative-strike",
+        "merton-negative-horizon", "binomial-zero-horizon", "fd-negative-horizon",
+        "fd-without-terminal"])
+def test_unrunnable_oracle_task_rejected_at_validation(oracle, path, tmp_path, capsys):
+    # each used to validate and then exit with E_ERROR from the oracle: a
+    # negative sigma, intensity or jump sd as ValueError, a spot, strike or
+    # horizon <= 0 as a math domain error or ZeroDivisionError, and an fd
+    # oracle, which solves from the config's terminal, as KeyError: 'terminal'
+    raw = dict(ORACLE_TASK, oracle=oracle)
+    with pytest.raises(ConfigError, match=re.escape(path)) as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["oracle", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    assert "[E_CONFIG]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    # zero volatility, intensity and jump sd validate
+    validate_config(dict(ORACLE_TASK, oracle={"kind": "merton", "sigma": 0.0,
+                                              "intensity": 0.0, "jump_sd": 0.0}))
 
 
 def _merton_with(**changes):

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from pidesolve.config import _build_custom_model
-from pidesolve.errors import NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (DriverSpec, JumpMeasure, ObstacleSpec,
-                             WeightFunction, check_jump_map,
-                             discount_driver, borrowing_rate_driver,
-                             generator_jump, generator_local, named_model,
-                             pide_residual, scalar_model, translation_jump,
+                             WeightFunction, borrowing_rate_driver,
+                             discount_driver, named_model, translation_jump,
                              zero_driver)
+from pidesolve.oracle import FdGrid, fd_solve_pide
 
 
 # ---------------------------------------------------------------------------
@@ -71,162 +69,24 @@ def test_measure_rejects_bad_weights():
 
 
 # ---------------------------------------------------------------------------
-# generator pieces (spec examples)
+# the simulator's law against the FD oracle's generator
 # ---------------------------------------------------------------------------
-
-def test_local_generator_pure_diffusion(heat_model):
-    assert generator_local(heat_model, lambda x: float(x[0] ** 2), [3.0]) \
-        == pytest.approx(1.0, abs=1e-6)
-
-
-def test_local_generator_drift_only():
-    m = scalar_model(drift=lambda x: 2.0 + 0 * x, diffusion=lambda x: 0 * x)
-    assert generator_local(m, lambda x: float(x[0]), [0.7]) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_local_generator_combined():
-    m = scalar_model(drift=lambda x: np.ones_like(x),
-                     diffusion=lambda x: 2.0 * np.ones_like(x))
-    assert generator_local(m, lambda x: float(x[0] ** 2), [1.0]) \
-        == pytest.approx(6.0, abs=1e-6)
-
-
-def test_jump_generator_no_jumps(heat_model):
-    assert generator_jump(heat_model, lambda x: float(np.exp(x[0])), [0.3]) == 0.0
-
-
-def test_jump_generator_affine_exact(toy_model):
-    # compensation cancels affine terms exactly
-    for a, b in [(3.0, 2.0), (-1.5, 0.0), (0.0, 7.0)]:
-        val = generator_jump(toy_model, lambda x: float(a * x[0] + b), [0.4],
-                             grad=lambda x: np.array([a]))
-        assert val == pytest.approx(0.0, abs=1e-12)
-
-
-def test_jump_generator_quadratic(toy_model):
-    # oracle: exact integral of e^2 against the uniform measure = 1/3
-    val = generator_jump(toy_model, lambda x: float(x[0] ** 2), [0.0],
-                         grad=lambda x: np.array([0.0]))
-    assert val == pytest.approx(1.0 / 3.0, rel=1e-10)
-
-
-def test_generator_linearity(toy_model):
-    rng = np.random.default_rng(3)
-    x = [0.6]
-    phi = lambda x_: float(np.sin(x_[0]) + x_[0] ** 2)
-    psi = lambda x_: float(np.cos(2 * x_[0]))
-    alpha = 1.7
-
-    def combo(x_):
-        return alpha * phi(x_) + psi(x_)
-
-    for op in (generator_local, generator_jump):
-        lhs = op(toy_model, combo, x)
-        rhs = alpha * op(toy_model, phi, x) + op(toy_model, psi, x)
-        assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-9)
-
-
-def test_full_operator_reduces_to_local_without_jumps(heat_model):
-    phi = lambda x_: float(np.sin(x_[0]))
-    x = [0.3]
-    assert generator_jump(heat_model, phi, x) == 0.0
-    total = generator_local(heat_model, phi, x) + generator_jump(heat_model, phi, x)
-    assert total == generator_local(heat_model, phi, x)
-
-
-def test_generator_nonfinite_raises():
-    m = scalar_model(drift=lambda x: np.full_like(x, np.nan),
-                     diffusion=lambda x: np.ones_like(x))
-    with pytest.raises(NumericError):
-        generator_local(m, lambda x: float(x[0]), [0.0])
-
 
 def test_mc_generator_consistency(toy_model):
-    # (E[phi(X_delta)] - phi(x)) / delta approximates the generator
-    phi_vec = lambda x: np.exp(-x**2)
-    phi = lambda x_: float(np.exp(-x_[0] ** 2))
+    # (E[phi(X_delta)] - phi(x0)) / delta and (u(0, x0) - phi(x0)) / delta,
+    # u the FD oracle's solution from phi at the horizon delta, both
+    # approximate the generator at x0; dx = 0.02 puts x0 on a grid node, so
+    # no interpolation error is divided by delta
+    phi = lambda x: np.exp(-x**2)
     x0 = 0.4
-    gen = generator_local(toy_model, phi, [x0]) + generator_jump(toy_model, phi, [x0])
+    grid = FdGrid(-6.0, 6.0, 601, 20, "linear")
     for delta, m in ((1e-2, 200_000), (1e-3, 400_000)):
+        fd = fd_solve_pide(toy_model, zero_driver(), lambda x: phi(x[:, 0]), grid, horizon=delta)
+        gen = (float(fd.interp(0.0, x0)) - phi(x0)) / delta
         b = simulate_paths(toy_model, TimeGrid(0.0, delta, 1), x0, m, seed=17)
-        samples = (phi_vec(b.states[-1][:, 0]) - phi(np.array([x0]))) / delta
+        samples = (phi(b.states[-1][:, 0]) - phi(x0)) / delta
         se = samples.std(ddof=1) / math.sqrt(m)
         assert abs(samples.mean() - gen) < 3 * se + 0.6 * delta * abs(gen)
-
-
-# ---------------------------------------------------------------------------
-# PIDE residual (spec examples)
-# ---------------------------------------------------------------------------
-
-def test_residual_heat_solution(heat_model):
-    u = lambda t, x: float(x[0] ** 2) + (1.0 - t)
-    assert pide_residual(heat_model, zero_driver(), u, 0.25, [0.8]) \
-        == pytest.approx(0.0, abs=1e-6)
-
-
-def test_residual_constant(toy_model):
-    u = lambda t, x: 5.0
-    assert pide_residual(toy_model, zero_driver(), u, 0.5, [1.2]) \
-        == pytest.approx(0.0, abs=1e-9)
-
-
-def test_residual_toy_jump_solution(toy_model):
-    # oracle: jump generator of x^2 is exactly 1/3, so u solves the PIDE
-    u = lambda t, x: float(x[0] ** 2) + (1.0 - t) * (1.0 + 1.0 / 3.0)
-    assert pide_residual(toy_model, zero_driver(), u, 0.3, [0.5]) \
-        == pytest.approx(0.0, abs=1e-6)
-
-
-def test_residual_shares_gradient_and_value(merton_model):
-    # one central-difference gradient for both generator parts and one value
-    # u(t, x) for the time difference and the driver: 1 + 1 + 2 + 3 + 33
-    # calls on the 32-node merton quadrature
-    calls = []
-
-    def u(t, x):
-        calls.append(t)
-        x = np.asarray(x, float)
-        return float(math.exp(-t) * math.sin(x[0]) + 0.1 * x[0] ** 2)
-
-    drv = discount_driver(0.05)
-    t, x = 0.3, np.array([4.6])
-    res = pide_residual(merton_model, drv, u, t, x)
-    assert len(calls) == 40
-    # the same residual from its parts, each taking its own derivatives
-    phi = lambda xx: u(t, xx)
-    ht = 1e-6 * (1.0 + t)
-    ref = ((u(t + ht, x) - u(t, x)) / ht + generator_local(merton_model, phi, x)
-           + generator_jump(merton_model, phi, x) + -0.05 * u(t, x))
-    assert res == ref
-
-
-# ---------------------------------------------------------------------------
-# jump map diagnostics (spec examples)
-# ---------------------------------------------------------------------------
-
-def test_jump_map_translation(toy_model):
-    rep = check_jump_map(toy_model, 0.5, (-3.0, 3.0), 64)
-    assert rep.injective
-    assert rep.min_jacobian == pytest.approx(1.0, abs=1e-7)
-
-
-def test_jump_map_collapse():
-    m = scalar_model(drift=lambda x: 0 * x, diffusion=lambda x: np.ones_like(x),
-                     jump=lambda x, e: -x, jump_measure=JumpMeasure.uniform())
-    rep = check_jump_map(m, 0.5, (-3.0, 3.0), 64)
-    assert not rep.injective
-    assert rep.min_jacobian == pytest.approx(0.0, abs=1e-6)
-
-
-def test_jump_map_sin_contraction():
-    m = scalar_model(drift=lambda x: 0 * x, diffusion=lambda x: np.ones_like(x),
-                     jump=lambda x, e: 0.5 * np.sin(x) * np.minimum(1.0, np.abs(e)),
-                     jump_measure=JumpMeasure.uniform())
-    rep = check_jump_map(m, 2.0, (-4.0, 4.0), 201)
-    assert rep.injective
-    # oracle: derivative 1 + 0.5 cos(x) has minimum 0.5 on the grid
-    assert rep.min_jacobian == pytest.approx(0.5, abs=2e-3)
-    assert rep.min_jacobian >= 0.5 - 2e-3
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +220,11 @@ def test_fd_jacobian_matches_analytic(h):
 
 
 def test_fd_jacobian_scalar_field_of_one_point():
-    # the numerical_gradient contract: phi of one point returns a Python float
-    from pidesolve.model import _fd_jacobian, numerical_gradient
+    # phi of one point returns a Python float
+    from pidesolve.model import _fd_jacobian
     phi = lambda x: float(np.sin(x[0]) * x[1])
     x = np.array([0.3, -1.2])
     grad = np.array([np.cos(0.3) * -1.2, np.sin(0.3)])
     for h in (None, 1e-5):
         assert _fd_jacobian(phi, x, h).shape == (2,)
         assert np.allclose(_fd_jacobian(phi, x, h), grad, rtol=0, atol=1e-7)
-    assert np.allclose(numerical_gradient(phi, x), grad, rtol=0, atol=1e-7)
