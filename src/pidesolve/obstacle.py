@@ -49,10 +49,25 @@ def solve_penalized(model, driver, terminal, obstacle, paths, basis, level,
 
     ``level`` = 0 reproduces the unpenalized solve exactly.  The penalty is
     resolved in closed form inside the backward step, so arbitrarily large
-    levels stay stable.
+    levels stay stable.  At a schedule's last level, if positive, it is the
+    solution ``solve_reflected`` returns, bit for bit, without the lower
+    levels, the direct solve or the trace: an obstacle ``compare`` solves
+    only this level of ``numerics.schedule`` and reads no ``numerics.tol``.
     """
     return solve_bsde(model, driver, terminal, paths, basis, picard_iters=picard_iters,
                       clamp=clamp, penalty_level=level, obstacle=obstacle)
+
+
+def check_horizon(g_T, h_T):
+    """Compatibility of the data: the obstacle h(T, X_N) may not exceed the
+    terminal values g(X_N) at the horizon, else the limit problem is
+    ill-posed.  Raises ``ValueError`` if it does on more than 0.1% of the
+    cloud, beyond a relative slack of 1e-9."""
+    bad = float(np.mean(h_T > g_T + 1e-9 * (1 + np.abs(g_T))))
+    if bad > 0.001:
+        raise ValueError(
+            f"obstacle exceeds the terminal condition at the horizon on "
+            f"{bad:.1%} of the cloud; reflected problems require h(T, .) <= g")
 
 
 def penalty_increments(sol, obstacle_values):
@@ -236,16 +251,10 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     if weight is None:
         weight = WeightFunction(obstacle.kappa + model.dim + 1)
 
-    # compatibility of the data: the obstacle may not exceed the terminal
-    # condition at the horizon, else the limit problem is ill-posed
     n, m, dt = paths.grid.n_steps, paths.n_paths, paths.grid.dt
     g_T = np.asarray(terminal(paths.states[-1]), float).reshape(m)
     lvals = obstacle_along_paths(obstacle, paths)
-    bad = float(np.mean(lvals[n] > g_T + 1e-9 * (1 + np.abs(g_T))))
-    if bad > 0.001:
-        raise ValueError(
-            f"obstacle exceeds the terminal condition at the horizon on "
-            f"{bad:.1%} of the cloud; reflected problems require h(T, .) <= g")
+    check_horizon(g_T, lvals[n])
     wt = time_weights(n, dt)
     # one backward pass for every level and the direct solve; per level it
     # keeps coefficients, u0 and the running sums of the trace, and path

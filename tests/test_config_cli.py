@@ -735,6 +735,51 @@ def test_binomial_compare_prices_the_configured_put(tmp_path):
     assert payload["price"] == binomial_american(110.0, 105, 0.04, 0.25, 1.0, 200, "put")
 
 
+def test_obstacle_compare_solves_only_the_last_level(tmp_path, monkeypatch):
+    # the comparison reads the schedule's last level only: one backward pass
+    # of that one level, whose values are solve_reflected's, bit for bit
+    import pidesolve.bsde as bsde_mod
+    import pidesolve.obstacle as obstacle_mod
+    from pidesolve.bsde import evaluate_u
+    from pidesolve.runner import _backward_problem
+    cfg = validate_config(american_put_compare_config())
+    passes = []
+    for mod in (bsde_mod, obstacle_mod):
+        def counted(*args, _pass=mod._backward_pass, **kwargs):
+            passes.append([(level, reflect) for level, reflect, _ in args[5]])
+            return _pass(*args, **kwargs)
+        monkeypatch.setattr(mod, "_backward_pass", counted)
+    report, _ = run_experiment(cfg, out_dir=tmp_path)
+    assert report.body["status"] != "error", report.body.get("error")
+    assert passes == [[(cfg.schedule()[-1], False)]]
+    monkeypatch.undo()
+    model, driver, terminal, paths, basis = _backward_problem(cfg)
+    refl = obstacle_mod.solve_reflected(
+        model, driver, terminal, cfg.build_obstacle(), paths, basis,
+        schedule=cfg.schedule(), tol=cfg.numerics["tol"], weight=cfg.build_weight(),
+        picard_iters=cfg.numerics["picard"])
+    xq = np.array([cfg.numerics["x0"]])
+    rows = (tmp_path / "solver_u0.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == xq.tolist()
+    assert ([float(row.split(",")[1]) for row in rows]
+            == evaluate_u(refl.solution, 0, xq[:, None]).tolist())
+
+
+def test_obstacle_compare_checks_the_horizon(tmp_path, capsys):
+    # a put terminal at strike 90 under a put obstacle at strike 100 leaves
+    # the obstacle above the terminal condition at the horizon
+    raw = fd_put_compare_config()
+    raw["terminal"]["params"]["strike"] = 90
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert cli_main(["compare", "--config", str(cfg_path), "--out", str(out)]) == EXIT_ERROR
+    assert "h(T, .) <= g" in capsys.readouterr().err
+    assert not (out / "solver_u0.csv").exists()
+    report = json.loads((out / "report.json").read_text())
+    assert "h(T, .) <= g" in report["body"]["error"]["message"]
+
+
 def test_readme_example_is_a_valid_config():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", text, re.S)

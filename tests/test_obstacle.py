@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
 import time
@@ -16,7 +17,7 @@ from pidesolve.errors import NoConvergenceError, NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (DriverSpec, ModelSpec, ObstacleSpec, WeightFunction,
                              discount_driver, named_model, time_weights, zero_driver)
-from pidesolve.obstacle import (default_schedule, estimate_reflection_measure,
+from pidesolve.obstacle import (check_horizon, default_schedule, estimate_reflection_measure,
                                 obstacle_along_paths, penalty_increments, penalty_norm,
                                 skorokhod_gap, solve_penalized, solve_reflected,
                                 support_check)
@@ -51,6 +52,29 @@ def bs_put_setup():
 def test_schedule_default():
     sched = default_schedule(12)
     assert sched[0] == 1 and sched[-1] == 4096 and len(sched) == 13
+
+
+def test_reflected_requires_obstacle_below_terminal(bs_put_setup):
+    # a put terminal at strike 90 under a put obstacle at strike 100
+    model, paths, basis = bs_put_setup
+    with pytest.raises(ValueError, match=re.escape("h(T, .) <= g")):
+        solve_reflected(model, discount_driver(0.05),
+                        lambda X: np.maximum(90.0 - X[:, 0], 0.0), put_obstacle(),
+                        paths, basis)
+
+
+def test_horizon_check_tolerance():
+    # up to 0.1% of the cloud may exceed g, and then by a relative 1e-9 only
+    g = np.linspace(1.0, 2.0, 10_000)
+    check_horizon(g, g * (1 + 5e-10))
+    h = g.copy()
+    h[:10] += 1.0
+    check_horizon(g, h)
+    h[10] += 1.0
+    with pytest.raises(ValueError, match=r"0\.1% of the cloud"):
+        check_horizon(g, h)
+    with pytest.raises(ValueError, match=re.escape("h(T, .) <= g")):
+        check_horizon(g, g * (1 + 4e-9))
 
 
 def test_zero_penalty_matches_unpenalized(bs_put_setup):
