@@ -10,11 +10,13 @@ Exit codes: 0 success, 2 criterion failure, 1 error.
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import json
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,11 +144,13 @@ def _read_xu_csv(path):
 
 class _Artifacts:
     """The files of one run in its output directory: each is written once,
-    through ``path``, and the report lists exactly the names recorded."""
+    through ``path``, and the report lists exactly the names recorded.
+    ``meta`` holds the timings a task adds to the report's unhashed meta."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.names = []
+        self.meta = {}
 
     def path(self, name):
         """Record ``name`` and return its path; a name already written in
@@ -304,11 +308,12 @@ def _task_solve_obstacle(cfg, art):
     return headline, criteria
 
 
-def _oracle_eval(spec, cfg, art, tag=""):
-    """Run the oracle and write its file; returns (payload, u0_at), where
-    u0_at(x) is the oracle's value at time 0 on the points x."""
+def _oracle_solve(spec, cfg):
+    """The oracle's answer: a closed form's ``{"price", "error_estimate"}``
+    or the FD oracle's ``FdSolution``.  It builds its own model, driver,
+    terminal and obstacle from the config and writes nothing, so ``compare``
+    runs it on a helper thread."""
     kind = spec["kind"]
-    prefix = f"oracle{tag}"
     if kind in ("merton", "binomial"):
         spec = {**_ORACLE_MARKET, **spec}
         market = tuple(spec[key] for key in ("s0", "strike", "rate", "sigma", "horizon"))
@@ -321,9 +326,7 @@ def _oracle_eval(spec, cfg, art, tag=""):
             steps, option = spec.get("steps", 2000), spec.get("option", "put")
             price = oracle_mod.binomial_american(*market, steps, option)
             error = abs(price - oracle_mod.binomial_american(*market, steps // 2, option))
-        payload = {"price": price, "error_estimate": error}
-        art.json(f"{prefix}_price.json", payload)
-        return payload, lambda x: np.full(x.size, price)
+        return {"price": price, "error_estimate": error}
     # finite difference
     model = cfg.build_model()
     driver = cfg.build_driver()
@@ -333,19 +336,29 @@ def _oracle_eval(spec, cfg, art, tag=""):
     grid = oracle_mod.FdGrid(
         space["x_lo"], space["x_hi"], spec.get("n_space", 800), spec.get("n_time", 400),
         bc=spec.get("bc", "dirichlet"))
-    fd = oracle_mod.fd_solve_pide(model, driver, terminal, grid,
-                                  obstacle=obst, horizon=spec.get("horizon", 1.0))
+    return oracle_mod.fd_solve_pide(model, driver, terminal, grid,
+                                    obstacle=obst, horizon=spec.get("horizon", 1.0))
+
+
+def _oracle_write(result, art, prefix):
+    """Write the file of an ``_oracle_solve`` result; returns (payload,
+    u0_at), where u0_at(x) is the oracle's value at time 0 on the points x."""
+    if isinstance(result, dict):
+        art.json(f"{prefix}_price.json", result)
+        return result, lambda x: np.full(x.size, result["price"])
+    fd = result
     stride = max(1, fd.times.size // 11)
     art.csv(f"{prefix}_fd.csv", "time,x,u",
             ((fd.times[i], xj, uj) for i in range(0, fd.times.size, stride)
              for xj, uj in zip(fd.x, fd.values[i])))
-    payload = {"u0_mid": float(fd.interp(0.0, 0.5 * (grid.x_lo + grid.x_hi))),
+    # the base grid's ends are the configured x_lo and x_hi, bit for bit
+    payload = {"u0_mid": float(fd.interp(0.0, 0.5 * (fd.x[0] + fd.x[-1]))),
                "cfl": fd.diagnostics["cfl"]}
     return payload, lambda x: fd.interp(0.0, x)
 
 
 def _task_oracle(cfg, art):
-    payload, _ = _oracle_eval(cfg.raw["oracle"], cfg, art)
+    payload, _ = _oracle_write(_oracle_solve(cfg.raw["oracle"], cfg), art, "oracle")
     return dict(payload), []
 
 
@@ -368,35 +381,53 @@ def _task_normcheck(cfg, art):
     return summary, criteria
 
 
+def _timed_oracle_solve(spec, cfg):
+    """``_oracle_solve``'s result and its wall time in seconds."""
+    start = time.perf_counter()
+    result = _oracle_solve(spec, cfg)
+    return result, time.perf_counter() - start
+
+
 def _task_compare(cfg, art):
     cmp_block = cfg.raw["compare"]
-    model, driver, terminal, paths, basis = _backward_problem(cfg)
-    obst = cfg.build_obstacle()
-    weight = cfg.build_weight()
-
-    # validation pairs an x-grid with a region, and a region with x0 at one point
-    n_grid = cmp_block["x_grid_n"]
-    xq = (np.linspace(*cmp_block["region"], n_grid) if n_grid > 1
-          else np.array([cfg.numerics["x0"]]))
-
-    if obst is None:
-        sol = solve_bsde(model, driver, terminal, paths, basis,
-                         picard_iters=cfg.numerics["picard"])
-    else:
-        # the comparison reads the schedule's last level only, which alone
-        # gives the solution of solve_reflected bit for bit
-        x_T = paths.states[-1]
-        obstacle_mod.check_horizon(terminal(x_T), obst(paths.grid.nodes[-1], x_T))
-        sol = obstacle_mod.solve_penalized(
-            model, driver, terminal, obst, paths, basis, cfg.schedule()[-1],
-            picard_iters=cfg.numerics["picard"])
-    u_solver = evaluate_u(sol, 0, xq[:, None])
-    art.csv("solver_u0.csv", "x,u", zip(xq, u_solver))
-
     spec = cmp_block["oracle"]
     if spec["kind"] != "fd":
         spec = {**spec, **_compare_market(cfg.raw)}
-    _, u0_at = _oracle_eval(spec, cfg, art, tag="_cmp")
+    # the oracle shares no data with the solve and does not depend on the
+    # seed, so the worker solves it while this thread simulates and solves;
+    # its result, or its error, is read where the serial order ran it, after
+    # the solver's file, and a solver error leaves it unread
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="pidesolve-oracle",
+                            initializer=functools.partial(np.seterr, **np.geterr())) as pool:
+        oracle_run = pool.submit(_timed_oracle_solve, spec, cfg)
+        model, driver, terminal, paths, basis = _backward_problem(cfg)
+        obst = cfg.build_obstacle()
+        weight = cfg.build_weight()
+
+        # validation pairs an x-grid with a region, and a region with x0 at one point
+        n_grid = cmp_block["x_grid_n"]
+        xq = (np.linspace(*cmp_block["region"], n_grid) if n_grid > 1
+              else np.array([cfg.numerics["x0"]]))
+
+        if obst is None:
+            sol = solve_bsde(model, driver, terminal, paths, basis,
+                             picard_iters=cfg.numerics["picard"])
+        else:
+            # the comparison reads the schedule's last level only, which alone
+            # gives the solution of solve_reflected bit for bit
+            x_T = paths.states[-1]
+            obstacle_mod.check_horizon(terminal(x_T), obst(paths.grid.nodes[-1], x_T))
+            sol = obstacle_mod.solve_penalized(
+                model, driver, terminal, obst, paths, basis, cfg.schedule()[-1],
+                picard_iters=cfg.numerics["picard"])
+        u_solver = evaluate_u(sol, 0, xq[:, None])
+        art.csv("solver_u0.csv", "x,u", zip(xq, u_solver))
+
+        wait_start = time.perf_counter()
+        result, oracle_s = oracle_run.result()
+        art.meta.update(oracle_s=round(oracle_s, 3),
+                        oracle_wait_s=round(time.perf_counter() - wait_start, 3))
+    _, u0_at = _oracle_write(result, art, "oracle_cmp")
     u_oracle = u0_at(xq)
     art.csv("oracle_u0.csv", "x,u", zip(xq, u_oracle))
 
@@ -466,7 +497,7 @@ def run_experiment(cfg, out_dir=None, flags=None):
             code = EXIT_ERROR
         meta = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                 "elapsed_s": round(time.time() - start, 3),
-                "out_dir": os.path.abspath(out_dir)}
+                "out_dir": os.path.abspath(out_dir), **art.meta}
         report = Report(body=body, meta=meta)
         report.write(os.path.join(out_dir, "report.json"))
         return report, code

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -778,6 +779,51 @@ def test_obstacle_compare_checks_the_horizon(tmp_path, capsys):
     assert not (out / "solver_u0.csv").exists()
     report = json.loads((out / "report.json").read_text())
     assert "h(T, .) <= g" in report["body"]["error"]["message"]
+
+
+def test_compare_solves_its_oracle_on_a_helper_thread(tmp_path, monkeypatch):
+    import pidesolve.oracle as oracle_mod
+    threads = []
+
+    def spy(*args, _solve=oracle_mod.fd_solve_pide, **kwargs):
+        threads.append(threading.current_thread().name)
+        return _solve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "fd_solve_pide", spy)
+    report, _ = run_experiment(fd_put_compare_config(), out_dir=tmp_path)
+    assert report.body["status"] != "error", report.body.get("error")
+    assert threads == ["pidesolve-oracle_0"]
+    assert not [t for t in threading.enumerate() if t.name.startswith("pidesolve-oracle")]
+    # the timings of the overlap stay out of the hashed body
+    assert report.meta["oracle_s"] >= 0 and report.meta["oracle_wait_s"] >= 0
+    assert "oracle_s" not in json.dumps(report.body)
+
+
+def unstable_fd_compare_config(**terminal):
+    # dt * intensity = 0.1 * 20 = 2: the FD oracle raises E_STABILITY
+    raw = fd_put_compare_config()
+    raw["model"] = {"name": "merton", "params": {"r": 0.05, "sigma": 0.2, "intensity": 20.0}}
+    raw["terminal"]["params"].update(terminal)
+    raw["compare"]["oracle"]["n_time"] = 10
+    return raw
+
+
+def test_solver_error_takes_precedence_over_the_oracle_error(tmp_path):
+    # the h(T, .) <= g problem of the horizon check, with an oracle that fails too
+    report, code = run_experiment(unstable_fd_compare_config(strike=90), out_dir=tmp_path)
+    assert code == EXIT_ERROR
+    assert "h(T, .) <= g" in report.body["error"]["message"]
+    assert report.body["error"]["code"] != "E_STABILITY"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_oracle_error_after_a_valid_solve(tmp_path):
+    report, code = run_experiment(unstable_fd_compare_config(), out_dir=tmp_path)
+    assert code == EXIT_ERROR
+    assert report.body["error"]["code"] == "E_STABILITY"
+    assert report.body["artifacts"] == ["report.json"]
+    # the solver's file is written before the oracle's error is read
+    assert sorted(os.listdir(tmp_path)) == ["report.json", "solver_u0.csv"]
 
 
 def test_readme_example_is_a_valid_config():
