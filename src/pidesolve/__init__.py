@@ -20,6 +20,6 @@ from .obstacle import (ReflectedSolution, ReflectionMeasureEstimate,
                        solve_penalized, solve_reflected, support_check)
 from .oracle import (FdGrid, binomial_american, black_scholes, fd_solve_pide,
                      merton_price)
-from .runner import Report, compare_report, run_experiment
+from .runner import Report, run_experiment
 
 __version__ = "0.1.0"

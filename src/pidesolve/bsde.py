@@ -324,28 +324,25 @@ def _solve_ridged(gram, rhs):
 
 @dataclass
 class BsdeSolution:
-    """Backward solution: per-step regression coefficients and path values.
+    """Backward solution: per-step regression coefficients and the y path.
 
-    ``y`` has shape (n_steps+1, n_paths); ``z`` (n_steps, n_paths, dim);
-    ``vbar`` (n_steps, n_paths, q).  Coefficient arrays are scaled so that
-    ``basis.predict`` returns the corresponding field directly; ``coef_zv``
-    (n_steps, *coef_shape, dim + q) holds each step's z and vbar
-    coefficients as the one array the backward step predicted the z and
-    vbar path values from, and ``evaluate_u`` runs the same backward step
-    (``_step_value``), so on the bundle's own states it repeats the path
-    values bit for bit, whatever the driver.  For penalized solves
-    ``penalty_level``/``obstacle`` record the penalty; for direct-reflection
-    solves ``reflected`` is set.  ``obstacle`` is None when neither uses it.
-    ``clamp_bound`` is the bound |Y| <= B the step clamps to.
+    ``y`` has shape (n_steps+1, n_paths).  Coefficient arrays are scaled so
+    that ``basis.predict`` returns the corresponding field directly;
+    ``coef_zv`` (n_steps, *coef_shape, dim + q) holds each step's z and vbar
+    coefficients as the one array the backward step predicted z and vbar
+    from, so ``evaluate_z`` on the bundle's own states repeats the step's z
+    bit for bit, and ``evaluate_u`` runs the same backward step
+    (``_step_value``), so there it repeats ``y`` bit for bit, whatever the
+    driver.  For penalized solves ``penalty_level``/``obstacle`` record the
+    penalty; for direct-reflection solves ``reflected`` is set.
+    ``obstacle`` is None when neither uses it.  ``clamp_bound`` is the bound
+    |Y| <= B the step clamps to.
 
-    Which path arrays a solution keeps depends on who reads them:
-    ``solve_bsde`` keeps all three; of the solutions of ``solve_reflected``,
-    the schedule's last level (its result) keeps all three, the
-    direct-reflection solve only ``y``, and the level solutions none.  A
-    path array not kept is None; the coefficients are always kept, and
-    ``evaluate_u``/``evaluate_z`` need no more.  ``u0``,
-    ``check_z_representation`` and ``check_apriori_estimate`` read path
-    arrays and raise ValueError on a solution without them.
+    ``y`` is None on the level solutions of ``solve_reflected`` except its
+    last level, which nothing reads along the paths; the coefficients are
+    always kept, and ``evaluate_u``/``evaluate_z`` need no more.  ``u0``,
+    ``check_z_representation`` and ``check_apriori_estimate`` read ``y`` and
+    raise ValueError on a solution without it.
     """
 
     grid: object
@@ -355,8 +352,6 @@ class BsdeSolution:
     coef_y: np.ndarray
     coef_zv: np.ndarray
     y: np.ndarray
-    z: np.ndarray
-    vbar: np.ndarray
     states: np.ndarray
     diagnostics: dict
     picard_iters: int
@@ -375,8 +370,7 @@ class BsdeSolution:
 
     def u0(self):
         """Value at the initial time, averaged over paths."""
-        (y,) = _path_arrays(self, "y")
-        return float(y[0].mean())
+        return float(_y_path(self)[0].mean())
 
     def u0_stderr(self):
         """Monte-Carlo scale for u0: stderr of the terminal payoff mean.
@@ -388,14 +382,12 @@ class BsdeSolution:
         return float(g.std(ddof=1) / math.sqrt(g.size))
 
 
-def _path_arrays(sol, *names):
-    """The path arrays ``names`` of a solution, or a ValueError that names
-    those it does not keep."""
-    missing = [name for name in names if getattr(sol, name) is None]
-    if missing:
-        raise ValueError(f"the solution keeps no {' or '.join(missing)} path array "
+def _y_path(sol):
+    """The y path array of a solution, or a ValueError if it keeps none."""
+    if sol.y is None:
+        raise ValueError("the solution keeps no y path array "
                          "(only its coefficients, which evaluate_u and evaluate_z read)")
-    return [getattr(sol, name) for name in names]
+    return sol.y
 
 
 def default_clamp_bound(driver, terminal, paths, obstacle=None):
@@ -478,7 +470,7 @@ def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
     Requires dt * lipschitz(f) < 1 for the sweeps to contract.
     """
     (sol,) = _backward_pass(model, driver, terminal, paths, basis,
-                            [(penalty_level, reflect, ("y", "z", "vbar"))], picard_iters,
+                            [(penalty_level, reflect, True)], picard_iters,
                             clamp, obstacle)
     return sol
 
@@ -493,10 +485,10 @@ def _cpu_count():
 
 class _Variant:
     """One variant of a backward pass: its penalty level and reflection, the
-    current values, and the per-step coefficients and diagnostics.  Only the
-    path arrays that ``keep`` names ("y", "z", "vbar") are stored."""
+    current values, and the per-step coefficients and diagnostics.  The y
+    path array is stored only with ``keep_y``."""
 
-    def __init__(self, penalty_level, reflect, keep, y, n, d, q, cshape):
+    def __init__(self, penalty_level, reflect, keep_y, y, n, d, q, cshape):
         self.penalty_level, self.reflect = penalty_level, reflect
         self.y = y
         self.coef_y = np.zeros((n,) + cshape)
@@ -504,10 +496,8 @@ class _Variant:
         self.diag = {"cond": np.zeros(n), "resid": np.zeros(n),
                      "clamped": np.zeros(n, dtype=int),
                      "degenerate": np.zeros(n, dtype=bool), "ridge": np.zeros(n)}
-        self.y_all = np.empty((n + 1, y.size)) if "y" in keep else None
-        self.z_all = np.zeros((n, y.size, d)) if "z" in keep else None
-        self.v_all = np.zeros((n, y.size, q)) if "vbar" in keep else None
-        if self.y_all is not None:
+        self.y_all = np.empty((n + 1, y.size)) if keep_y else None
+        if keep_y:
             self.y_all[n] = y
 
     def targets(self, k, reg, cy, paths, dmu):
@@ -537,12 +527,10 @@ class _Variant:
         # stored coefficients, as in evaluate_u
         czv = czv / dt
         pred = reg.predict(czv)
-        z = pred[:, :d]
-        vb = pred[:, d:]
         self.coef_zv[k] = czv
 
-        ynew, n_clamped, finite = _step_value(driver, t_k, paths.states[k], self.cond_exp, z,
-                                              vb, dt, picard_iters, h_k,
+        ynew, n_clamped, finite = _step_value(driver, t_k, paths.states[k], self.cond_exp,
+                                              pred[:, :d], pred[:, d:], dt, picard_iters, h_k,
                                               self.penalty_level * dt, self.reflect, clamp)
         self.cond_exp = None
         if not finite:
@@ -556,10 +544,6 @@ class _Variant:
         self.y = ynew
         if self.y_all is not None:
             self.y_all[k] = ynew
-        if self.z_all is not None:
-            self.z_all[k] = z
-        if self.v_all is not None:
-            self.v_all[k] = vb
 
 
 def _step_group(k, group, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp):
@@ -576,7 +560,7 @@ def _step_group(k, group, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp
 
 def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters,
                    clamp, obstacle, observe=None, obstacle_values=None):
-    """Backward induction for several (penalty_level, reflect, keep) variants.
+    """Backward induction for several (penalty_level, reflect, keep_y) variants.
 
     Each step builds the regression setup ``basis.prepare(x_k)`` and the
     obstacle values h(t_k, x_k) once (or reads them from
@@ -604,8 +588,8 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     at the step that needs it.  The worker is joined before the pass returns
     or raises.
 
-    ``keep`` names the path arrays a variant stores, ``("y", "z", "vbar")``
-    or any of them, ``()`` for none; one not named comes back None.
+    A variant stores its y path array only with ``keep_y``; without, its
+    ``y`` comes back None.
     ``observe(k, ys)``, if given, sees every variant's new values ``ys``, in
     variant order, once per step after all have stepped it.  Without
     ``clamp`` one default bound, with the obstacle if any variant uses it,
@@ -637,8 +621,8 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     y = np.asarray(terminal(paths.states[-1]), dtype=float).reshape(m)
     if not np.isfinite(y).all():
         raise NumericError("non-finite terminal values")
-    runs = [_Variant(level, reflect, keep, y, n, d, q, basis.coef_shape)
-            for level, reflect, keep in variants]
+    runs = [_Variant(level, reflect, keep_y, y, n, d, q, basis.coef_shape)
+            for level, reflect, keep_y in variants]
 
     pool = None
     if len(runs) > 1 and _cpu_count() > 1:
@@ -678,7 +662,7 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     return [BsdeSolution(
         grid=grid, basis=basis, driver=driver, terminal=terminal,
         coef_y=v.coef_y, coef_zv=v.coef_zv,
-        y=v.y_all, z=v.z_all, vbar=v.v_all, states=paths.states,
+        y=v.y_all, states=paths.states,
         diagnostics=v.diag, picard_iters=picard_iters, clamp_bound=clamp,
         penalty_level=v.penalty_level, obstacle=obstacle if used else None,
         reflected=v.reflect) for v, used in zip(runs, uses)]
@@ -727,7 +711,7 @@ def check_z_representation(sol, model, weight=None):
     rho-weighted relative L2 norm along the paths.  Steps with degenerate
     designs are skipped; returns 0 when both sides vanish.
     """
-    ys, zs = _path_arrays(sol, "y", "z")
+    ys = _y_path(sol)
     n = sol.n_steps
     steps = [k for k in range(n) if not sol.diagnostics["degenerate"][k]]
     num = 0.0
@@ -740,13 +724,15 @@ def check_z_representation(sol, model, weight=None):
         if not mask.any():
             continue
         x = xk[mask]
+        # predicted on all of x_k, as the backward step did: the same bits
+        zk = evaluate_z(sol, k, xk)[mask]
         grad = _fd_jacobian(lambda xx: evaluate_u(sol, k, xx), x, h[mask])
         sig = np.asarray(model.diffusion(x), dtype=float)
         zg = np.einsum("mji,mj->mi", sig, grad)
         w = weight(x) if weight is not None else np.ones(x.shape[0])
-        diff = zs[k][mask] - zg
+        diff = zk - zg
         num += float(np.sum(w * np.sum(diff**2, axis=1)))
-        den += float(np.sum(w * np.sum(zs[k][mask] ** 2, axis=1)))
+        den += float(np.sum(w * np.sum(zk ** 2, axis=1)))
         yscale += float(np.sum(w * ys[k][mask] ** 2))
     # a z-field that is pure regression noise relative to the value scale
     # counts as zero on both sides (the constant-data convention)
@@ -764,7 +750,9 @@ def check_apriori_estimate(solutions, terminal, driver, weight):
     path-mean squares.  Denominator: the same quadrature of g(x0)^2 +
     sum_k dt f(t_k, x0, 0,0,0)^2.  The useful assertion is boundedness and
     stability of the ratio across configurations, not a particular value.
-    The x0 quadrature is one-dimensional, so the states must be too.
+    The x0 quadrature is one-dimensional, so the states must be too, and
+    the sums run on one time grid, so all solutions must share it.  z and
+    vbar come from each step's ``coef_zv`` on the bundle's states.
     """
     if any(sol.states.shape[2] > 1 for sol in solutions.values()):
         raise ValueError("the start-point quadrature is one-dimensional; "
@@ -772,8 +760,11 @@ def check_apriori_estimate(solutions, terminal, driver, weight):
     items = sorted(solutions.items(), key=lambda kv: float(np.atleast_1d(kv[0])[0]))
     x0s = np.array([float(np.atleast_1d(key)[0]) for key, _ in items])
     sols = [v for _, v in items]
-    paths = [_path_arrays(sol, "y", "z", "vbar") for sol in sols]
     grid = sols[0].grid
+    other = next((sol.grid for sol in sols if sol.grid != grid), None)
+    if other is not None:
+        raise ValueError(f"the solutions' time grids differ: {grid} and {other}")
+    ys = [_y_path(sol) for sol in sols]
     dt = grid.dt
     n = grid.n_steps
 
@@ -782,10 +773,13 @@ def check_apriori_estimate(solutions, terminal, driver, weight):
 
     y_norms = np.zeros(n + 1)
     zv_sum = 0.0
-    for w, (y, z, vbar) in zip(qw, paths):
+    for w, sol, y in zip(qw, sols, ys):
         y_norms += w * np.mean(y**2, axis=1)
-        zsq = np.mean(np.sum(z**2, axis=2), axis=1)
-        vsq = np.mean(np.sum(vbar**2, axis=2), axis=1)
+        zsq, vsq = np.empty(n), np.empty(n)
+        for k in range(n):
+            zv = sol.basis.predict(sol.coef_zv[k], sol.states[k])
+            zsq[k] = np.mean(np.sum(zv[:, :1] ** 2, axis=1))
+            vsq[k] = np.mean(np.sum(zv[:, 1:] ** 2, axis=1))
         zv_sum += w * dt * float(np.sum(zsq + vsq))
     numerator = float(y_norms.max()) + zv_sum
 

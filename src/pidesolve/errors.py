@@ -91,9 +91,3 @@ class SchemaError(SolverError):
     """Experiment configuration has a type mismatch."""
 
     code = "E_SCHEMA"
-
-
-class GridMismatchError(SolverError):
-    """Two tables that must share an x-grid do not."""
-
-    code = "E_GRIDMISMATCH"

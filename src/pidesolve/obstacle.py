@@ -152,14 +152,15 @@ def penalty_norm(y, obstacle_values, states, weight, dt):
 class ReflectedSolution:
     """Penalized-limit solution with convergence trace and cross-checks.
 
-    ``solution`` is the schedule's last level, with all its path arrays;
+    ``solution`` is the schedule's last level, with its y path array;
     ``obstacle_values`` the obstacle along the paths (N+1, M);
     ``level_solutions`` every level's solution, coefficients only
     (``evaluate_u`` needs no more).  ``direct`` is the direct-reflection
-    solve on the same paths, which keeps its ``y`` path array only (its z
-    comes from ``evaluate_z``), and ``direct_gap`` the weighted L2 distance
-    between the two along the paths (the mutual-validation diagnostic),
-    ``direct_gap_rel`` that distance relative to the direct solve's norm.
+    solve on the same paths, also with its y path array, and ``direct_gap``
+    the weighted L2 distance between the two along the paths (the
+    mutual-validation diagnostic), ``direct_gap_rel`` that distance relative
+    to the direct solve's norm.  z and vbar of any of them come from its
+    ``coef_zv`` (``evaluate_z`` for z).
     ``k_increments``, the final level's compensation increments (N, M), is
     computed on each access, not stored.
     """
@@ -257,9 +258,9 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     check_horizon(g_T, lvals[n])
     wt = time_weights(n, dt)
     # one backward pass for every level and the direct solve; per level it
-    # keeps coefficients, u0 and the running sums of the trace, and path
-    # arrays only for the last level and the direct solve (its y alone, the
-    # one path array anything reads).  The sums start at the horizon, where
+    # keeps coefficients, u0 and the running sums of the trace, and the y
+    # path array only for the last level and the direct solve, the two that
+    # something reads along the paths.  The sums start at the horizon, where
     # every solve is g (the direct gap's distance term is 0)
     rho = weight(paths.states[n])
     sums = [_LevelSums(level, dt) for level in schedule]
@@ -282,12 +283,12 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         diff2 += wt[k] * float(np.mean(rho * (ys[-2] - ys[-1]) ** 2))
         base2 += wt[k] * float(np.mean(rho * ys[-1] ** 2))
 
-    variants = [(level, False, ("y", "z", "vbar") if i == len(schedule) - 1 else ())
-                for i, level in enumerate(schedule)] + [(0.0, True, ("y",))]
+    variants = [(level, False, i == len(schedule) - 1)
+                for i, level in enumerate(schedule)] + [(0.0, True, True)]
     runs = _backward_pass(model, driver, terminal, paths, basis, variants,
                           picard_iters, clamp, obstacle, observe, lvals)
     sol, direct = runs[-2:]
-    level_sols = [dataclasses.replace(run, y=None, z=None, vbar=None) for run in runs[:-1]]
+    level_sols = [dataclasses.replace(run, y=None) for run in runs[:-1]]
     trace = []
     for i, level in enumerate(schedule):
         entry = {"level": level, "penalty_norm": sums[i].norm(),

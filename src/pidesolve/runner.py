@@ -25,10 +25,10 @@ from . import forward, normcheck, obstacle as obstacle_mod, oracle as oracle_mod
 from .bsde import evaluate_u, make_basis, solve_bsde
 from .config import (_DEFAULTS, _FD_SPACE, _ORACLE_MARKET, ExperimentConfig,
                      _compare_market, validate_config)
-from .errors import ConfigError, GridMismatchError, SolverError
+from .errors import ConfigError, SolverError
 from .forward import TimeGrid, simulate_paths
 
-__all__ = ["Report", "run_experiment", "compare_report", "CompareTable"]
+__all__ = ["Report", "run_experiment", "CompareTable"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -96,30 +96,6 @@ class CompareTable:
             yield (self.x[i], self.solver[i], self.oracle[i], self.rel_err[i])
 
 
-def compare_report(solver_csv, oracle_csv, tol_rel, region=None, weight=None):
-    """Compare two (x, u) CSV tables on their shared grid.
-
-    Both files must carry the same x-grid on the comparison region (interior;
-    points outside ``region`` are dropped first).  Returns per-point relative
-    errors with sup and weighted-L2 summaries; passes iff the sup over the
-    region is within ``tol_rel``.
-    """
-    xs, us = _read_xu_csv(solver_csv)
-    xo, uo = _read_xu_csv(oracle_csv)
-    if region is not None:
-        lo, hi = region
-        ms = (xs >= lo - 1e-12) & (xs <= hi + 1e-12)
-        mo = (xo >= lo - 1e-12) & (xo <= hi + 1e-12)
-        xs, us = xs[ms], us[ms]
-        xo, uo = xo[mo], uo[mo]
-    if xs.size != xo.size or xs.size == 0:
-        raise GridMismatchError(
-            f"x-grids differ on the region: {xs.size} vs {xo.size} points")
-    if not np.allclose(xs, xo, rtol=0, atol=1e-9 * (1 + np.abs(xs).max())):
-        raise GridMismatchError("x-grids differ on the region")
-    return _compare_table(xs, us, uo, tol_rel, weight)
-
-
 def _compare_table(x, us, uo, tol_rel, weight):
     """The comparison of solver values ``us`` with oracle values ``uo`` on
     the shared grid ``x``."""
@@ -129,17 +105,6 @@ def _compare_table(x, us, uo, tol_rel, weight):
     l2 = float(math.sqrt(np.sum(w * (us - uo) ** 2) / max(np.sum(w * uo**2), 1e-300)))
     return CompareTable(x=x, solver=us, oracle=uo, rel_err=rel,
                         sup_rel=float(rel.max()), l2_weighted=l2, tol_rel=tol_rel)
-
-
-def _read_xu_csv(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = data.dtype.names
-    if names is None or "x" not in names or "u" not in names:
-        raise GridMismatchError(f"{path}: expected columns x,u")
-    x = np.atleast_1d(np.asarray(data["x"], float))
-    u = np.atleast_1d(np.asarray(data["u"], float))
-    order = np.argsort(x)
-    return x[order], u[order]
 
 
 class _Artifacts:

@@ -307,7 +307,8 @@ def test_constant_terminal_exact(heat_model, heat_bundle, poly_basis):
     sol = solve_bsde(heat_model, zero_driver(),
                      lambda X: np.full(X.shape[0], 3.0), heat_bundle, poly_basis)
     assert np.allclose(sol.y, 3.0, atol=1e-9)
-    assert np.abs(sol.z).max() < 1e-4
+    for k in range(sol.n_steps):
+        assert np.abs(evaluate_z(sol, k, heat_bundle.states[k])).max() < 1e-4, k
     u = evaluate_u(sol, 0, np.array([[0.5]]))
     assert u[0] == pytest.approx(3.0, abs=1e-6)
 
@@ -319,7 +320,11 @@ def test_constant_with_jumps_vbar_vanishes(toy_model):
     sol = solve_bsde(toy_model, drv, lambda X: np.full(X.shape[0], 2.0), b,
                      PolynomialBasis(4, (-6, 6)))
     assert np.allclose(sol.y, 2.0, atol=1e-9)
-    assert np.abs(sol.vbar).max() < 1e-4
+    # vbar is the coef_zv field after the z columns
+    for k in range(sol.n_steps):
+        vbar = sol.basis.predict(sol.coef_zv[k], b.states[k])[:, 1:]
+        assert vbar.shape == (b.n_paths, 1)
+        assert np.abs(vbar).max() < 1e-4, k
 
 
 def test_terminal_values_exact(heat_model, heat_bundle, poly_basis):
@@ -374,7 +379,10 @@ def test_linearity_in_terminal(heat_model, heat_bundle, poly_basis):
     s12 = solve_bsde(heat_model, zero_driver(),
                      lambda X: a * g1(X) + g2(X), heat_bundle, poly_basis, clamp=big)
     assert np.allclose(s12.y, a * s1.y + s2.y, atol=1e-7)
-    assert np.allclose(s12.z, a * s1.z + s2.z, atol=1e-7)
+    for k in range(s12.n_steps):
+        x = heat_bundle.states[k]
+        assert np.allclose(evaluate_z(s12, k, x), a * evaluate_z(s1, k, x) + evaluate_z(s2, k, x),
+                           atol=1e-7), k
 
 
 def test_grid_refinement_ode(heat_model):
@@ -409,7 +417,7 @@ def test_zero_jump_reduction_bit_for_bit(heat_model, heat_bundle, poly_basis):
             ynew = cond + dt * drv.f(grid.nodes[k], xk, ynew, z, np.zeros((len(y), 0)))
         y = ynew
         assert np.array_equal(sol.y[k], y)
-        assert np.array_equal(sol.z[k], z)
+        assert np.array_equal(evaluate_z(sol, k, xk), z)
 
 
 def test_borrowing_driver_reduces_to_discount(heat_model, heat_bundle, poly_basis):
@@ -466,11 +474,29 @@ def test_unused_obstacle_is_ignored(heat_model, heat_bundle, poly_basis):
                         obstacle=high)
     assert unused.clamp_bound == plain.clamp_bound
     assert unused.obstacle is None
-    for name in ("y", "z", "vbar", "coef_y", "coef_zv"):
+    for name in ("y", "coef_y", "coef_zv"):
         assert np.array_equal(getattr(unused, name), getattr(plain, name)), name
     with pytest.raises(ValueError, match="penalty level"):
         solve_bsde(heat_model, discount_driver(0.05), g, heat_bundle, poly_basis,
                    penalty_level=-1, obstacle=high)
+
+
+def test_solve_stores_the_y_path_and_coefficients_only(heat_model, small_heat_bundle):
+    # in units of one (N+1, M) float array: after return the solution holds
+    # its y path and the per-step coefficients, no z or vbar path array
+    import tracemalloc
+    paths = small_heat_bundle
+    unit = paths.states[..., 0].nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sol = solve_bsde(heat_model, discount_driver(0.05), lambda X: X[:, 0] ** 2, paths,
+                         PolynomialBasis(4, (-8, 8)))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sol.y.shape == paths.states.shape[:2]
+    assert (held - base) / unit < 1.5
 
 
 def test_evaluate_u_domain_guard(heat_model, heat_bundle, poly_basis):
@@ -487,7 +513,8 @@ def test_evaluate_u_domain_guard(heat_model, heat_bundle, poly_basis):
 def test_evaluate_u_reproduces_path_values(kind, mode):
     # evaluate_u on the bundle's own states repeats the backward step bit
     # for bit, so the fitted field and the path values are one quantity; the
-    # borrowing driver depends on z, so z must be formed alike on both sides
+    # borrowing driver depends on z, so z must be formed alike on both sides:
+    # evaluate_z gives the z the step predicted through its prepared setup
     from pidesolve.model import ObstacleSpec, borrowing_rate_driver
     model = named_model("merton")
     x0 = math.log(100.0)
@@ -503,7 +530,8 @@ def test_evaluate_u_reproduces_path_values(kind, mode):
         for k in range(sol.n_steps + 1):
             assert np.array_equal(evaluate_u(sol, k, paths.states[k]), sol.y[k]), k
         for k in range(sol.n_steps):
-            assert np.array_equal(evaluate_z(sol, k, paths.states[k]), sol.z[k]), k
+            stepped = basis.prepare(paths.states[k]).predict(sol.coef_zv[k])[:, :1]
+            assert np.array_equal(evaluate_z(sol, k, paths.states[k]), stepped), k
         # and on no points at all it returns no values
         assert evaluate_u(sol, 0, np.empty((0, 1))).shape == (0,)
 
@@ -567,6 +595,26 @@ def test_apriori_rejects_multidimensional_starts():
         sols[x0] = solve_bsde(model, zero_driver(), g, b, PolynomialBasis(2, ([-9, -9], [9, 9])))
     with pytest.raises(ValueError, match="one-dimensional"):
         check_apriori_estimate(sols, g, zero_driver(), RHO4)
+
+
+def test_apriori_rejects_solutions_on_different_grids(heat_model):
+    # the energy sums run on one time grid: a second horizon or step count
+    # is refused with both grids named, not summed on the first one's dt
+    g = lambda X: X[:, 0] ** 2
+
+    def solve(t1, n, x0):
+        b = simulate_paths(heat_model, TimeGrid(0, t1, n), x0, 2000, seed=107)
+        return solve_bsde(heat_model, zero_driver(), g, b, PolynomialBasis(2, (-9, 9)))
+
+    base = solve(1.0, 20, -1.0)
+    for t1, n in ((2.0, 20), (1.0, 10)):
+        other = solve(t1, n, 1.0)
+        with pytest.raises(ValueError, match="time grids differ") as err:
+            check_apriori_estimate({-1.0: base, 1.0: other}, g, zero_driver(), RHO4)
+        assert str(base.grid) in str(err.value) and str(other.grid) in str(err.value)
+    # one grid for all passes
+    assert check_apriori_estimate({-1.0: base, 1.0: solve(1.0, 20, 1.0)}, g, zero_driver(),
+                                  RHO4) > 0
 
 
 def test_apriori_stability_and_scaling(heat_model):

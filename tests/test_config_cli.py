@@ -13,10 +13,10 @@ import pytest
 import pidesolve
 from pidesolve.cli import main as cli_main
 from pidesolve.config import _compare_market, validate_config
-from pidesolve.errors import ConfigError, GridMismatchError, SchemaError
+from pidesolve.errors import ConfigError, SchemaError
 from pidesolve.oracle import binomial_american
-from pidesolve.runner import (EXIT_CRITERION, EXIT_ERROR, EXIT_OK,
-                              compare_report, run_experiment)
+from pidesolve.runner import (EXIT_CRITERION, EXIT_ERROR, EXIT_OK, _compare_table,
+                              run_experiment)
 
 
 def heat_solve_config(**numerics):
@@ -1141,45 +1141,22 @@ def test_fractional_levels_write_one_file_each(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# compare fixtures
+# compare table
 # ---------------------------------------------------------------------------
 
-def _write_xu(path, x, u):
-    with open(path, "w") as fh:
-        fh.write("x,u\n")
-        for xi, ui in zip(x, u):
-            fh.write(f"{xi},{ui}\n")
-
-
-def test_compare_identical_files(tmp_path):
+def test_compare_identical_values_pass():
     x = np.linspace(0, 1, 11)
     u = 1.0 + x**2
-    _write_xu(tmp_path / "a.csv", x, u)
-    _write_xu(tmp_path / "b.csv", x, u)
-    table = compare_report(tmp_path / "a.csv", tmp_path / "b.csv", tol_rel=0.01)
-    assert table.passed and table.sup_rel == 0.0
+    table = _compare_table(x, u, u.copy(), tol_rel=0.01, weight=None)
+    assert table.passed and table.sup_rel == 0.0 and table.l2_weighted == 0.0
 
 
-def test_compare_shifted_oracle_fails(tmp_path):
+def test_compare_shifted_oracle_fails():
     x = np.linspace(0, 1, 11)
     u = 1.0 + x**2
-    _write_xu(tmp_path / "a.csv", x, u)
-    _write_xu(tmp_path / "b.csv", x, 1.1 * u)
-    table = compare_report(tmp_path / "a.csv", tmp_path / "b.csv", tol_rel=0.05)
+    table = _compare_table(x, u, 1.1 * u, tol_rel=0.05, weight=None)
     assert not table.passed
     assert 0.09 <= table.sup_rel <= 0.101
-
-
-def test_compare_grid_mismatch(tmp_path):
-    _write_xu(tmp_path / "a.csv", [0.0, 1.0], [1.0, 2.0])
-    _write_xu(tmp_path / "b.csv", [0.0, 0.5, 1.0], [1.0, 1.5, 2.0])
-    with pytest.raises(GridMismatchError):
-        compare_report(tmp_path / "a.csv", tmp_path / "b.csv", tol_rel=0.1)
-    # restricting to a region with matching points passes
-    _write_xu(tmp_path / "c.csv", [0.0, 0.3, 1.0], [1.0, 9.0, 2.0])
-    table = compare_report(tmp_path / "a.csv", tmp_path / "c.csv", tol_rel=0.1,
-                           region=(0.9, 1.1))
-    assert table.passed
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis, check_apriori_estimate,
-                            check_z_representation, default_clamp_bound, evaluate_z,
-                            solve_bsde)
+                            check_z_representation, default_clamp_bound, solve_bsde)
 from pidesolve.errors import NoConvergenceError, NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (DriverSpec, ModelSpec, ObstacleSpec, WeightFunction,
@@ -83,7 +82,7 @@ def test_zero_penalty_matches_unpenalized(bs_put_setup):
     plain = solve_bsde(model, drv, put_payoff, paths, basis)
     pen0 = solve_penalized(model, drv, put_payoff, put_obstacle(), paths, basis, 0)
     assert np.array_equal(plain.y, pen0.y)
-    assert np.array_equal(plain.z, pen0.z)
+    assert np.array_equal(plain.coef_zv, pen0.coef_zv)
 
 
 def test_inactive_obstacle_no_compensation(bs_put_setup):
@@ -502,12 +501,6 @@ def test_one_pass_equals_per_level_solves(small_put, kind, monkeypatch):
             for name in ("y", "coef_y", "coef_zv"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             assert got.clamp_bound == want.clamp_bound
-        for name in ("z", "vbar"):
-            assert np.array_equal(getattr(refl.solution, name), getattr(sol, name))
-        # the direct solve keeps y alone; its coefficients give its z bit for bit
-        assert refl.direct.z is None and refl.direct.vbar is None
-        for k in range(paths.grid.n_steps):
-            assert np.array_equal(evaluate_z(refl.direct, k, paths.states[k]), direct.z[k]), k
         assert np.array_equal(refl.obstacle_values, lvals)
         assert np.array_equal(refl.k_increments, penalty_increments(sol, lvals))
         assert refl.trace[-1]["skorokhod"] == skorokhod_gap(sol, lvals).normalized
@@ -639,8 +632,7 @@ def test_threaded_pass_equals_separate_solves(small_put, kind, levels, monkeypat
     names, seen = set(), Counter()
     drv, obst = _thread_recording_driver(names), put_obstacle()
     clamp = default_clamp_bound(drv, put_payoff, paths, obst)
-    every = ("y", "z", "vbar")
-    variants = [(level, False, every) for level in levels] + [(0.0, True, every)]
+    variants = [(level, False, True) for level in levels] + [(0.0, True, True)]
     ys = {}
 
     def observe(k, values):
@@ -656,7 +648,7 @@ def test_threaded_pass_equals_separate_solves(small_put, kind, levels, monkeypat
     for i, (got, (level, reflect, _)) in enumerate(zip(runs, variants)):
         want = solve_bsde(model, drv, put_payoff, paths, basis, clamp=clamp, obstacle=obst,
                           penalty_level=level, reflect=reflect)
-        for name in ("y", "z", "vbar", "coef_y", "coef_zv"):
+        for name in ("y", "coef_y", "coef_zv"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         for name, diag in want.diagnostics.items():
             assert np.array_equal(got.diagnostics[name], diag)
@@ -800,7 +792,7 @@ def test_variants_stopping_while_a_setup_is_built_ahead(small_put, ahead_fails, 
     drv = discount_driver(0.05)
     bad = dataclasses.replace(
         drv, f=lambda t, x, y, z, v: drv.f(t, x, y, z, v) * (np.nan if t == t_stop else 1.0))
-    variants = [(1.0, False, ("y", "z", "vbar")), (2.0, False, ()), (0.0, True, ("y",))]
+    variants = [(1.0, False, True), (2.0, False, False), (0.0, True, True)]
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="step 12"):
         _backward_pass(model, bad, put_payoff, paths, SlowAhead(20, box), variants, 3,
                        None, put_obstacle())
@@ -826,7 +818,7 @@ def test_setup_ahead_error_raises_at_the_step_that_needs_it(small_put, monkeypat
 
     with pytest.raises(LookupError, match="setup failed"):
         _backward_pass(model, discount_driver(0.05), put_payoff, paths, FailsAhead(20, box),
-                       [(1.0, False, ("y",)), (0.0, True, ("y",))], 3, None, put_obstacle(),
+                       [(1.0, False, True), (0.0, True, True)], 3, None, put_obstacle(),
                        observe)
     # steps 19..12 ran, each observed once; step 11 never started
     assert observed == Counter(range(12, paths.grid.n_steps))
@@ -853,8 +845,8 @@ def test_helper_carries_the_callers_error_state(small_put, monkeypatch):
 
 def test_reflected_solve_stores_only_the_path_arrays_it_reads(monkeypatch):
     # in units of one (N+1, M) float array: after return the solve holds the
-    # obstacle values, the final level's y and z and the direct solve's y,
-    # and the support check forms no (N, M) array of increments
+    # obstacle values and the y paths of the final level and the direct
+    # solve, and the support check forms no (N, M) array of increments
     import tracemalloc
     _two_cpus(monkeypatch)
     model = named_model("bs")
@@ -874,14 +866,15 @@ def test_reflected_solve_stores_only_the_path_arrays_it_reads(monkeypatch):
     finally:
         tracemalloc.stop()
     assert refl.levels == (1, 4, 16, 64)
-    assert (held - base) / unit < 4.5
-    assert (peak - base) / unit < 5.5
+    assert (held - base) / unit < 3.5
+    assert (peak - base) / unit < 4.5
     assert (checked - held) / unit < 0.5
 
 
 @pytest.fixture(scope="module")
 def coefficient_only(small_put):
-    # every level solution keeps coefficients only, the direct solve y alone
+    # every level solution keeps coefficients only, the direct solve its y
+    # path as well
     model, paths, box = small_put
     return solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
                            LocalAffineBasis(20, box), schedule=(1, 4), tol=1e-12, weight=RHO4)
@@ -893,18 +886,29 @@ def test_u0_of_a_coefficient_only_solution_names_the_missing_array(coefficient_o
     assert coefficient_only.direct.u0() == float(coefficient_only.direct.y[0].mean())
 
 
-def test_z_representation_names_the_missing_arrays(small_put, coefficient_only):
+@pytest.fixture(scope="module")
+def direct_alone(small_put, coefficient_only):
+    # the direct solve of coefficient_only as a solve of its own
+    model, paths, box = small_put
+    return solve_bsde(model, discount_driver(0.05), put_payoff, paths, LocalAffineBasis(20, box),
+                      clamp=coefficient_only.direct.clamp_bound, obstacle=put_obstacle(),
+                      reflect=True)
+
+
+def test_z_representation_names_the_missing_arrays(small_put, coefficient_only, direct_alone):
     model = small_put[0]
-    with pytest.raises(ValueError, match="no y or z path array"):
+    with pytest.raises(ValueError, match="no y path array"):
         check_z_representation(coefficient_only.level_solutions[0], model)
-    with pytest.raises(ValueError, match="no z path array"):
-        check_z_representation(coefficient_only.direct, model)
+    # the direct solve keeps y and reads z from its coefficients
+    assert (check_z_representation(coefficient_only.direct, model, weight=RHO4)
+            == check_z_representation(direct_alone, model, weight=RHO4))
 
 
-def test_apriori_estimate_names_the_missing_arrays(coefficient_only):
+def test_apriori_estimate_names_the_missing_arrays(coefficient_only, direct_alone):
     drv = discount_driver(0.05)
-    with pytest.raises(ValueError, match="no y or z or vbar path array"):
+    with pytest.raises(ValueError, match="no y path array"):
         check_apriori_estimate({90.0: coefficient_only.level_solutions[1]}, put_payoff, drv,
                                RHO4)
-    with pytest.raises(ValueError, match="no z or vbar path array"):
-        check_apriori_estimate({90.0: coefficient_only.direct}, put_payoff, drv, RHO4)
+    ratio = check_apriori_estimate({90.0: coefficient_only.direct}, put_payoff, drv, RHO4)
+    assert ratio > 0
+    assert ratio == check_apriori_estimate({90.0: direct_alone}, put_payoff, drv, RHO4)
