@@ -364,10 +364,6 @@ class BsdeSolution:
     def n_steps(self):
         return self.grid.n_steps
 
-    @property
-    def times(self):
-        return self.grid.nodes
-
     def u0(self):
         """Value at the initial time, averaged over paths."""
         return float(_y_path(self)[0].mean())
@@ -703,7 +699,7 @@ def evaluate_z(sol, k, x):
     return sol.basis.predict(sol.coef_zv[k], x)[:, :sol.states.shape[2]]
 
 
-def check_z_representation(sol, model, weight=None):
+def check_z_representation(sol, model, weight):
     """Weighted relative gap between regressed z and sigma^T grad of the field.
 
     The gradient of the fitted value function is taken by central differences
@@ -729,7 +725,7 @@ def check_z_representation(sol, model, weight=None):
         grad = _fd_jacobian(lambda xx: evaluate_u(sol, k, xx), x, h[mask])
         sig = np.asarray(model.diffusion(x), dtype=float)
         zg = np.einsum("mji,mj->mi", sig, grad)
-        w = weight(x) if weight is not None else np.ones(x.shape[0])
+        w = weight(x)
         diff = zk - zg
         num += float(np.sum(w * np.sum(diff**2, axis=1)))
         den += float(np.sum(w * np.sum(zk ** 2, axis=1)))
@@ -769,7 +765,7 @@ def check_apriori_estimate(solutions, terminal, driver, weight):
     n = grid.n_steps
 
     rho = np.array([float(np.asarray(weight(np.atleast_2d(x))).ravel()[0]) for x in x0s])
-    qw = trapezoid_weights(x0s) * rho
+    qw = trapezoid_weights(np.diff(x0s)) * rho
 
     y_norms = np.zeros(n + 1)
     zv_sum = 0.0

@@ -198,6 +198,8 @@ class ExperimentConfig:
         block = self.raw.get("driver") or {"name": "zero", "params": {}}
         name = block["name"]
         params = {**dict.fromkeys(_DRIVER_PARAMS[name], 0.0), **block.get("params", {})}
+        if name == "borrowing":
+            params["sigma"] = _stock_sigma(self.raw["model"])
         return _DRIVERS[name](**params)
 
     def build_terminal(self):
@@ -222,6 +224,19 @@ class ExperimentConfig:
         if num.get("schedule"):
             return tuple(num["schedule"])
         return default_schedule(num["schedule_max_exp"])
+
+
+def _stock_sigma(model):
+    """The stock's volatility of a ``bs``, ``merton`` or ``kou`` model: a
+    borrowing driver divides z by it to get the amount held in the stock."""
+    name = model["name"]
+    if name not in ("bs", "merton", "kou"):
+        raise ConfigError(f"a borrowing driver reads the stock's volatility of a bs, "
+                          f"merton or kou model, not {name!r}")
+    sigma = {**PRESET_PARAMS[name], **model["params"]}["sigma"]
+    if not sigma > 0:
+        raise ConfigError(f"a borrowing driver needs model.params.sigma > 0, got {sigma}")
+    return sigma
 
 
 def _build_payoff(name, params, path):
@@ -288,6 +303,8 @@ def validate_config(raw):
         if task != "oracle":
             raise ConfigError("model block is required")
         out["model"] = {"name": "bs", "params": {}}
+    if out.get("driver", {}).get("name") == "borrowing":
+        _stock_sigma(out["model"])
     schedule = out["numerics"].get("schedule", [])
     for i, level in enumerate(schedule):
         if level <= 0:
@@ -406,12 +423,14 @@ def _compare_market(out):
         raise ConfigError(f"a {kind} compare oracle discounts at model.params.r = {params['r']}"
                           f", driver {driver['name']!r} "
                           + ("is not linear" if rate is None else f"at {rate}"))
-    x0 = out["numerics"]["x0"]
+    x0, strike = out["numerics"]["x0"], terminal["params"].get("strike", 1.0)
     if name == "bs" and x0 <= 0:
         raise ConfigError(f"a {kind} compare oracle needs a positive spot, not numerics.x0 = {x0}")
-    market = {"s0": math.exp(x0) if name == "merton" else x0,
-              "strike": terminal["params"].get("strike", 1.0), "rate": params["r"],
-              "sigma": params["sigma"], "horizon": 1.0,
+    if strike <= 0:
+        raise ConfigError(f"a {kind} compare oracle needs a positive strike, "
+                          f"not terminal.params.strike = {strike}")
+    market = {"s0": math.exp(x0) if name == "merton" else x0, "strike": strike,
+              "rate": params["r"], "sigma": params["sigma"], "horizon": 1.0,
               "intensity": params.get("intensity", 0.0), "jump_mean": params.get("jump_mean", 0.0),
               "jump_sd": params.get("jump_sd", 0.0), "option": options[terminal["name"]]}
     if kind == "merton" and obstacle is not None:

@@ -47,16 +47,6 @@ class ZeroDenominatorError(SolverError):
     code = "E_DIVZERO"
 
 
-class NoConvergenceError(SolverError):
-    """Penalty schedule exhausted before reaching tolerance."""
-
-    code = "E_NOCONVERGE"
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
-
-
 class StabilityError(SolverError):
     """Explicit part of the FD scheme violates its stability bound."""
 

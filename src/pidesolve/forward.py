@@ -51,6 +51,9 @@ __all__ = [
 _KEY_MASK = (1 << 64) - 1
 # steps the draw thread may draw ahead of the step being advanced
 _LOOKAHEAD = 2
+# moment_report's bootstrap: resamples, and the key of their stream
+_N_BOOT = 200
+_BOOT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -90,19 +93,16 @@ class PathBundle:
 
     ``states`` has shape (n_steps+1, n_paths, dim), ``brownian`` the per-step
     Brownian increments (n_steps, n_paths, dim).  Jumps are stored per step
-    as parallel arrays (owning path index, absolute time, mark), sorted by
-    path then time.  These are the bundle's only path arrays: the per-step
-    jump counts are derived from ``jump_paths`` when read.
+    as parallel arrays (owning path index, mark), sorted by path then time.
+    These are the bundle's only path arrays: the per-step jump counts are
+    derived from ``jump_paths`` when read.
     """
 
     grid: TimeGrid
     states: np.ndarray
     brownian: np.ndarray
     jump_paths: tuple
-    jump_times: tuple
     jump_marks: tuple
-    seed: int
-    key_offset: int = 0
 
     @property
     def n_paths(self):
@@ -196,8 +196,7 @@ def _advance(model, x, dt, drawn):
     """Advance all paths over one step of length dt on the step's draws.
 
     ``drawn`` is what ``_draw`` returned for the step.  Returns (new_x, dW,
-    jump_paths, jump_offsets, jump_marks), the jumps sorted by path, then
-    time.
+    jump_paths, jump_marks), the jumps sorted by path, then time.
 
     Every path's first segment, up to its first jump or to the end of the
     step, runs in one Euler call over all paths in path order.  Only the
@@ -208,15 +207,15 @@ def _advance(model, x, dt, drawn):
     m = x.shape[0]
     if not offsets.size:
         new_x, dW = _euler_segment(model, x, dt, normals)
-        return new_x, dW, np.empty(0, dtype=np.intp), offsets, marks
+        return new_x, dW, np.empty(0, dtype=np.intp), marks
 
     seg_start = np.cumsum(counts)
     seg_start -= counts
     seg_start += np.arange(m)
     jumped = np.flatnonzero(counts > 0)
     n_jumps = counts[jumped]
-    # sort each jumped path's jumps in time, in place in the drawn arrays; its
-    # first segment ends at the first of them
+    # sort each jumped path's jumps in time, their marks in place in the
+    # drawn array; its first segment ends at the first of them
     tau = np.full((m, 1), dt)
     groups = []
     for c in np.flatnonzero(np.bincount(n_jumps)):
@@ -226,7 +225,6 @@ def _advance(model, x, dt, drawn):
         order = np.argsort(times, axis=1)
         times = np.take_along_axis(times, order, axis=1)
         mk = np.take_along_axis(marks[jcols], order, axis=1)
-        offsets[jcols] = times
         marks[jcols] = mk
         tau[idx, 0] = times[:, 0]
         groups.append((idx, times, mk))
@@ -243,7 +241,7 @@ def _advance(model, x, dt, drawn):
             cur, dw = _euler_segment(model, cur, seg, np.take(normals, rows + s, axis=0))
             dW[idx] += dw
         new_x[idx] = cur
-    return new_x, dW, np.repeat(jumped, n_jumps), offsets, marks
+    return new_x, dW, np.repeat(jumped, n_jumps), marks
 
 
 def _as_start(x0, n_paths, dim):
@@ -281,7 +279,7 @@ def simulate_paths(model, grid, x0, n_paths, seed, key_offset=0):
     states = np.empty((n + 1, n_paths, model.dim))
     states[0] = x
     brownian = np.empty((n, n_paths, model.dim))
-    jp, jt, jm = [], [], []
+    jp, jm = [], []
 
     def draw(key):
         return _draw(model, n_paths, model.dim, dt, _step_stream(seed, key))
@@ -298,7 +296,7 @@ def simulate_paths(model, grid, x0, n_paths, seed, key_offset=0):
             drawn = ahead.popleft().result()
             if k + _LOOKAHEAD < n:
                 ahead.append(pool.submit(draw, key_offset + k + _LOOKAHEAD))
-            x, dw, paths_k, offs_k, marks_k = _advance(model, x, dt, drawn)
+            x, dw, paths_k, marks_k = _advance(model, x, dt, drawn)
             if not np.isfinite(x).all():
                 bad = np.argwhere(~np.isfinite(x))
                 p, comp = bad[0]
@@ -307,15 +305,12 @@ def simulate_paths(model, grid, x0, n_paths, seed, key_offset=0):
             states[k + 1] = x
             brownian[k] = dw
             jp.append(paths_k)
-            jt.append(grid.t0 + k * dt + offs_k)
             jm.append(marks_k)
     finally:
         pool.shutdown(cancel_futures=True)
 
-    return PathBundle(
-        grid=grid, states=states, brownian=brownian, jump_paths=tuple(jp),
-        jump_times=tuple(jt), jump_marks=tuple(jm), seed=seed, key_offset=key_offset,
-    )
+    return PathBundle(grid=grid, states=states, brownian=brownian,
+                      jump_paths=tuple(jp), jump_marks=tuple(jm))
 
 
 def check_flow_property(model, t, s, r, x0, n_paths, seed, n_steps):
@@ -344,11 +339,11 @@ class MomentReport:
     stderr: float
 
 
-def moment_report(bundle, x0, p, n_boot=200, boot_seed=0):
+def moment_report(bundle, x0, p):
     """Empirical ratio E[sup_k |X_k - x0|^p] / ((t1 - t0) (1 + |x0|^p)).
 
-    Bootstrap standard error over paths.  Certifies the uniform moment bound
-    of the flow when scanned over starting points.
+    Bootstrap standard error over paths, from 200 resamples.  Certifies the
+    uniform moment bound of the flow when scanned over starting points.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -357,13 +352,14 @@ def moment_report(bundle, x0, p, n_boot=200, boot_seed=0):
     sup_p = dev.max(axis=0) ** p
     denom = (bundle.grid.t1 - bundle.grid.t0) * (1.0 + np.linalg.norm(x0) ** p)
     ratio = float(sup_p.mean() / denom)
-    rng = np.random.Generator(np.random.Philox(key=np.array([boot_seed, 0xB0507], dtype=np.uint64)))
+    rng = np.random.Generator(np.random.Philox(key=np.array([_BOOT_SEED, 0xB0507],
+                                                            dtype=np.uint64)))
     m = sup_p.size
-    boots = np.empty(n_boot)
+    boots = np.empty(_N_BOOT)
     # resamples drawn and averaged 16 at a time bound the memory; the chunks
-    # continue one index stream, so they draw what one (n_boot, m) call draws
-    for s in range(0, n_boot, 16):
-        idx = rng.integers(0, m, size=(min(16, n_boot - s), m))
+    # continue one index stream, so they draw what one (200, m) call draws
+    for s in range(0, _N_BOOT, 16):
+        idx = rng.integers(0, m, size=(min(16, _N_BOOT - s), m))
         boots[s:s + idx.shape[0]] = sup_p[idx].mean(axis=1) / denom
     return MomentReport(ratio=ratio, stderr=float(boots.std(ddof=1)))
 

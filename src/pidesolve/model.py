@@ -110,8 +110,8 @@ class JumpMeasure:
         nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
         weights = intensity * w / 2.0
 
-        def sampler(rng, n, _lo=lo, _hi=hi):
-            return rng.uniform(_lo, _hi, n)
+        def sampler(rng, n):
+            return rng.uniform(lo, hi, n)
 
         return cls(intensity, sampler, nodes, weights)
 
@@ -122,8 +122,8 @@ class JumpMeasure:
         nodes = mean + math.sqrt(2.0) * sd * x
         weights = intensity * w / math.sqrt(math.pi)
 
-        def sampler(rng, n, _m=mean, _s=sd):
-            return rng.normal(_m, _s, n)
+        def sampler(rng, n):
+            return rng.normal(mean, sd, n)
 
         return cls(intensity, sampler, nodes, weights)
 
@@ -135,8 +135,8 @@ class JumpMeasure:
         nodes = np.array([down, up])
         weights = intensity * np.array([1.0 - p_up, p_up])
 
-        def sampler(rng, n, _d=down, _u=up, _p=p_up):
-            return np.where(rng.random(n) < _p, _u, _d)
+        def sampler(rng, n):
+            return np.where(rng.random(n) < p_up, up, down)
 
         return cls(intensity, sampler, nodes, weights)
 
@@ -218,19 +218,19 @@ def scalar_model(drift, diffusion, jump=None, jump_measure=None):
     """
     jm = jump_measure if jump_measure is not None else JumpMeasure.none()
 
-    def _drift(x, _f=drift):
+    def _drift(x):
         x = np.asarray(x, dtype=float)
-        return np.asarray(_f(x[..., 0]), dtype=float)[..., None]
+        return np.asarray(drift(x[..., 0]), dtype=float)[..., None]
 
-    def _diff(x, _f=diffusion):
+    def _diff(x):
         x = np.asarray(x, dtype=float)
-        return np.asarray(_f(x[..., 0]), dtype=float)[..., None, None]
+        return np.asarray(diffusion(x[..., 0]), dtype=float)[..., None, None]
 
     _jump = jump
     if jump is not None and jump is not translation_jump:
-        def _jump(x, e, _f=jump):
+        def _jump(x, e):
             x = np.asarray(x, dtype=float)
-            return np.asarray(_f(x[..., 0], np.asarray(e, dtype=float)), dtype=float)[..., None]
+            return np.asarray(jump(x[..., 0], np.asarray(e, dtype=float)), dtype=float)[..., None]
 
     return ModelSpec(dim=1, drift=_drift, diffusion=_diff, jump_coeff=_jump,
                      jump_measure=jm)
@@ -358,19 +358,28 @@ def discount_driver(rate):
     return DriverSpec(f=lambda t, x, y, z, v: -rate * y, lipschitz=abs(rate))
 
 
-def borrowing_rate_driver(rate, borrow_rate, risk_premium):
-    """Driver for hedging with a higher interest rate for borrowing.
+def borrowing_rate_driver(rate, borrow_rate, risk_premium, sigma):
+    """Driver for hedging one stock of volatility ``sigma`` when borrowing
+    costs more than lending (El Karoui, Peng & Quenez 1997, section 1.1).
 
+    z is sigma times the amount held in the stock, so the cash is
+    y - sum(z) / sigma, and cash below zero pays ``borrow_rate``:
     f(t,x,y,z,v) = -(rate*y + risk_premium*sum(z)
-                     + (borrow_rate - rate) * min(y - sum(z), 0)).
+                     + (borrow_rate - rate) * min(y - sum(z) / sigma, 0)).
+    Its slope is rate or borrow_rate in y and risk_premium or
+    risk_premium - (borrow_rate - rate) / sigma in z; the Lipschitz
+    constant is the sum of the larger of each pair.
     """
+    if not sigma > 0:
+        raise ValueError("sigma must be > 0")
     spread = borrow_rate - rate
 
     def f(t, x, y, z, v):
         zs = np.sum(z, axis=-1)
-        return -(rate * y + risk_premium * zs + spread * np.minimum(y - zs, 0.0))
+        return -(rate * y + risk_premium * zs + spread * np.minimum(y - zs / sigma, 0.0))
 
-    return DriverSpec(f=f, lipschitz=abs(rate) + abs(risk_premium) + 2 * abs(spread))
+    return DriverSpec(f=f, lipschitz=max(abs(rate), abs(borrow_rate))
+                      + max(abs(risk_premium), abs(risk_premium - spread / sigma)))
 
 
 @dataclass(frozen=True)
@@ -389,9 +398,10 @@ class ObstacleSpec:
     def __call__(self, t, x):
         return np.asarray(self.h(t, np.asarray(x, dtype=float)), dtype=float)
 
-    def spot_check_growth(self, box, t_grid, n=64):
-        """Max of |h| / (iota*(1+|x|^kappa)) on a (t, x) grid; <= 1 passes."""
-        xs = np.linspace(box[0], box[1], n)[:, None]
+    def spot_check_growth(self, box, t_grid):
+        """Max of |h| / (iota*(1+|x|^kappa)) on the times t_grid and 64
+        points of the box; <= 1 passes."""
+        xs = np.linspace(box[0], box[1], 64)[:, None]
         worst = 0.0
         for t in t_grid:
             vals = np.abs(self(t, xs))
@@ -429,23 +439,14 @@ class WeightFunction:
 # quadrature and derivatives of user fields
 # ---------------------------------------------------------------------------
 
-def trapezoid_weights(x):
-    """Trapezoid quadrature weights on the sorted nodes x."""
-    if x.size == 1:
+def trapezoid_weights(h):
+    """Trapezoid quadrature weights on the nodes whose spacings are h: each
+    node weighs half the spacings beside it; a node alone weighs 1."""
+    if not h.size:
         return np.ones(1)
-    w = np.empty_like(x)
-    w[0] = (x[1] - x[0]) / 2
-    w[-1] = (x[-1] - x[-2]) / 2
-    w[1:-1] = (x[2:] - x[:-2]) / 2
-    return w
-
-
-def time_weights(n_steps, dt):
-    """Trapezoid quadrature weights on a uniform grid of n_steps steps of dt."""
-    w = np.full(n_steps + 1, dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+    w = np.append(h, 0.0)
+    w[1:] += h
+    return w / 2
 
 
 def _fd_jacobian(fn, x, h=None):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GridError, QuadratureError
 from .forward import TimeGrid, simulate_paths
-from .model import time_weights
+from .model import trapezoid_weights
 
 __all__ = [
     "XQuadrature",
@@ -193,7 +193,7 @@ def spacetime_norm_ratio(model, weight, psi_family, t, horizon, x_quadrature,
     grid = TimeGrid(t, horizon, n_steps)
     bundle = _dispersed_paths(model, grid, quad, n_paths, seed)
     w = quad.weights * weight(quad.nodes[:, None])
-    wt = time_weights(n_steps, grid.dt)
+    wt = trapezoid_weights(np.full(n_steps, grid.dt))
 
     rows = []
     for pid, psi in psi_family:

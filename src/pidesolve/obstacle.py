@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import BsdeSolution, _backward_pass, solve_bsde
-from .errors import NoConvergenceError
-from .model import WeightFunction, time_weights
+from .model import WeightFunction, trapezoid_weights
 
 __all__ = [
     "ReflectedSolution",
@@ -141,7 +140,7 @@ def penalty_norm(y, obstacle_values, states, weight, dt):
     that measures each level of ``solve_reflected`` for its trace.
     """
     n = y.shape[0] - 1
-    wt = time_weights(n, dt)
+    wt = trapezoid_weights(np.full(n, dt))
     sums = _LevelSums(0.0, dt)  # the norm reads no increment
     for k in range(n, -1, -1):
         sums.add(y[k], obstacle_values[k], wt[k], weight(states[k]))
@@ -216,15 +215,14 @@ def skorokhod_gap(sol, obstacle_values):
 
 def solve_reflected(model, driver, terminal, obstacle, paths, basis,
                     schedule=None, tol=1e-3, weight=None,
-                    picard_iters=3, clamp=None, strict=False):
+                    picard_iters=3, clamp=None):
     """Penalization scheme along an increasing schedule of levels.
 
     The result is the schedule's last level.  The penalized solutions
     increase to the reflected one as the level grows, with a penalty error
     of order 1/level, so the last level is the most accurate.  ``converged``
     says whether its penalty norm (``penalty_norm`` of its path values) is
-    below ``tol``; with ``strict`` a norm at or above ``tol`` raises
-    ``NoConvergenceError``, otherwise the result is returned flagged.  The
+    below ``tol``; a result that misses it is returned flagged.  The
     trace records per level the penalty norm, the flat-off defect
     (``skorokhod_gap``), the value at the initial time and ``pi``, the
     weighted mass mean(sum_{k<N} rho(X_k) dK_k) of the reflection measure,
@@ -256,7 +254,7 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     g_T = np.asarray(terminal(paths.states[-1]), float).reshape(m)
     lvals = obstacle_along_paths(obstacle, paths)
     check_horizon(g_T, lvals[n])
-    wt = time_weights(n, dt)
+    wt = trapezoid_weights(np.full(n, dt))
     # one backward pass for every level and the direct solve; per level it
     # keeps coefficients, u0 and the running sums of the trace, and the y
     # path array only for the last level and the direct solve, the two that
@@ -296,15 +294,9 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
         if i:
             entry["min_step_up"] = step_up[i]
         trace.append(entry)
-    converged = trace[-1]["penalty_norm"] < tol
-    if not converged and strict:
-        raise NoConvergenceError(
-            f"penalty norm {trace[-1]['penalty_norm']:.3g} above tol {tol:.3g} "
-            f"after level {schedule[-1]}", trace=trace)
-
     return ReflectedSolution(
-        solution=sol, obstacle_values=lvals, levels=schedule,
-        level_solutions=level_sols, trace=trace, converged=converged, direct=direct,
+        solution=sol, obstacle_values=lvals, levels=schedule, level_solutions=level_sols,
+        trace=trace, converged=trace[-1]["penalty_norm"] < tol, direct=direct,
         direct_gap=math.sqrt(diff2),
         direct_gap_rel=math.sqrt(diff2 / base2) if base2 > 0 else 0.0, weight=weight,
     )

@@ -67,13 +67,11 @@ class FdGrid:
 
 @dataclass
 class FdSolution:
-    """Backward-in-time field on the padded grid plus the base-grid view."""
+    """Backward-in-time field on the base grid (the padding is dropped)."""
 
     x: np.ndarray            # base grid nodes
     times: np.ndarray        # ascending, times[0] = 0
     values: np.ndarray       # (n_time+1, n_base): values[i] at times[i]
-    x_padded: np.ndarray
-    values_padded: np.ndarray
     diagnostics: dict
 
     def at_time(self, t):
@@ -86,14 +84,13 @@ class FdSolution:
         return np.interp(np.asarray(xq, float), self.x, self.at_time(t))
 
 
-def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
-                  picard_sweeps=2):
+def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0):
     """Solve the 1-d PIDE backward from ``horizon`` to 0 on the grid.
 
     Implicit drift/diffusion step (a banded matrix factored once, before the
     time loop), explicit quadrature of the nonlocal part with linear
     interpolation at the shifted nodes (sparse operators built once too),
-    driver handled by frozen-gradient Picard sweeps; with an obstacle the
+    driver handled by two frozen-gradient Picard sweeps; with an obstacle the
     field is projected onto {u >= h} after every step.  The grid is padded
     by the largest jump shift so shifted evaluations interpolate instead of
     extrapolate.
@@ -157,15 +154,16 @@ def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
     if obstacle is not None:
         u = np.maximum(u, np.asarray(obstacle(horizon, xp[:, None]), float).reshape(jp))
     n_time = grid.n_time
-    out = np.empty((n_time + 1, jp))
-    out[n_time] = u
+    base = slice(n_lo, n_lo + x_base.size)
+    out = np.empty((n_time + 1, x_base.size))
+    out[n_time] = u[base]
     g_ends = (u[0], u[-1])
 
     for step in range(n_time - 1, -1, -1):
         t_k = step * dt
         u_next = u
         u_star = u_next
-        for _ in range(max(1, picard_sweeps)):
+        for _ in range(2):
             du = np.gradient(u_star, dx)
             k2, vbar = nonlocal_term(u_star, du)
             z = (sig_xp * du)[:, None]
@@ -179,13 +177,11 @@ def fd_solve_pide(model, driver, terminal, grid, obstacle=None, horizon=1.0,
         u = u_star
         if obstacle is not None:
             u = np.maximum(u, np.asarray(obstacle(t_k, xp[:, None]), float).reshape(jp))
-        out[step] = u
+        out[step] = u[base]
 
-    base = slice(n_lo, n_lo + x_base.size)
     times = np.linspace(0.0, horizon, n_time + 1)
     return FdSolution(
-        x=x_base, times=times, values=out[:, base],
-        x_padded=xp, values_padded=out,
+        x=x_base, times=times, values=out,
         diagnostics={"cfl": cfl, "dt": dt, "dx": dx, "n_pad": (n_lo, n_hi)},
     )
 
@@ -279,6 +275,8 @@ def black_scholes(s0, strike, rate, sigma, horizon, kind="call"):
     """Black-Scholes European price."""
     if kind not in ("call", "put"):
         raise ValueError("kind must be 'call' or 'put'")
+    if not (s0 > 0 and strike > 0):
+        raise ValueError("s0 and strike must be > 0")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if horizon <= 0 or sigma == 0:
@@ -299,7 +297,8 @@ def merton_price(s0, strike, rate, sigma, horizon, jump_intensity,
     """Jump-diffusion call/put price by the conditional-Poisson series.
 
     Sums Black-Scholes prices over the number of jumps with the standard
-    parameter shifts.  Raises when the truncated tail is not negligible.
+    parameter shifts, so it rejects what ``black_scholes`` rejects.  Raises
+    when the truncated tail is not negligible.
     """
     if n_terms < 1:
         raise ValueError("need at least one series term")
@@ -327,53 +326,41 @@ def merton_price(s0, strike, rate, sigma, horizon, jump_intensity,
     return float(total)
 
 
-def binomial_american(s0, strike, rate, sigma, horizon, steps, kind="put"):
-    """Cox-Ross-Rubinstein tree with early exercise."""
+def _crr(s0, strike, rate, sigma, horizon, steps, kind):
+    """The Cox-Ross-Rubinstein tree both pricers walk: one step's discount
+    and up probability, s0 u^j and d^j for j = 0..steps (step i's prices are
+    (s0 u^j) d^(i-j), j = 0..i), and the payoff.  sigma = 0 takes a
+    volatility of 1e-12, a tree that barely moves."""
     if steps < 1:
         raise ValueError("need at least one step")
     if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
-    dt = horizon / steps
-    if sigma == 0:
-        sigma = 1e-12
-    u = math.exp(sigma * math.sqrt(dt))
-    d = 1.0 / u
-    disc = math.exp(-rate * dt)
-    p = (math.exp(rate * dt) - d) / (u - d)
-    p = min(max(p, 0.0), 1.0)
-
-    # s0 u^j and d^j once; step i's prices are (s0 u^j) d^(i-j), j = 0..i
-    j = np.arange(steps + 1)
-    up, down = s0 * u**j, d**j
-    prices = up * down[::-1]
-    if kind == "call":
-        payoff = lambda s: np.maximum(s - strike, 0.0)
-    elif kind == "put":
-        payoff = lambda s: np.maximum(strike - s, 0.0)
-    else:
+    if kind not in ("call", "put"):
         raise ValueError("kind must be 'call' or 'put'")
-    values = payoff(prices)
+    dt = horizon / steps
+    u = math.exp((sigma or 1e-12) * math.sqrt(dt))
+    d = 1.0 / u
+    p = (math.exp(rate * dt) - d) / (u - d)
+    j = np.arange(steps + 1)
+    payoff = ((lambda s: np.maximum(s - strike, 0.0)) if kind == "call"
+              else (lambda s: np.maximum(strike - s, 0.0)))
+    return math.exp(-rate * dt), min(max(p, 0.0), 1.0), s0 * u**j, d**j, payoff
+
+
+def binomial_american(s0, strike, rate, sigma, horizon, steps, kind="put"):
+    """Cox-Ross-Rubinstein tree with early exercise."""
+    disc, p, up, down, payoff = _crr(s0, strike, rate, sigma, horizon, steps, kind)
+    values = payoff(up * down[::-1])
     for i in range(steps - 1, -1, -1):
         values = disc * (p * values[1:i + 2] + (1 - p) * values[:i + 1])
-        prices = up[:i + 1] * down[i::-1]
-        values = np.maximum(values, payoff(prices))
+        values = np.maximum(values, payoff(up[:i + 1] * down[i::-1]))
     return float(values[0])
 
 
 def binomial_european(s0, strike, rate, sigma, horizon, steps, kind="put"):
     """Same tree without early exercise (for the r = 0 equivalence check)."""
-    if steps < 1:
-        raise ValueError("need at least one step")
-    if kind not in ("call", "put"):
-        raise ValueError("kind must be 'call' or 'put'")
-    dt = horizon / steps
-    u = math.exp(sigma * math.sqrt(dt))
-    d = 1.0 / u
-    disc = math.exp(-rate * dt)
-    p = (math.exp(rate * dt) - d) / (u - d)
-    j = np.arange(steps + 1)
-    prices = s0 * u**j * d ** (steps - j)
-    values = np.maximum(strike - prices, 0.0) if kind == "put" else np.maximum(prices - strike, 0.0)
+    disc, p, up, down, payoff = _crr(s0, strike, rate, sigma, horizon, steps, kind)
+    values = payoff(up * down[::-1])
     for i in range(steps - 1, -1, -1):
         values = disc * (p * values[1:i + 2] + (1 - p) * values[:i + 1])
     return float(values[0])

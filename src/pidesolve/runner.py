@@ -28,7 +28,7 @@ from .config import (_DEFAULTS, _FD_SPACE, _ORACLE_MARKET, ExperimentConfig,
 from .errors import ConfigError, SolverError
 from .forward import TimeGrid, simulate_paths
 
-__all__ = ["Report", "run_experiment", "CompareTable"]
+__all__ = ["Report", "run_experiment"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -47,10 +47,6 @@ class Report:
         return hashlib.sha256(
             json.dumps(self.body, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
-
-    @property
-    def passed(self):
-        return all(c["passed"] for c in self.body.get("criteria", []))
 
     def to_json(self):
         return json.dumps({"body": self.body, "hash": self.hash, "meta": self.meta},
@@ -75,36 +71,15 @@ def _py(x):
     return x
 
 
-@dataclass
-class CompareTable:
-    """Pointwise solver-vs-oracle comparison on a shared x-grid."""
-
-    x: np.ndarray
-    solver: np.ndarray
-    oracle: np.ndarray
-    rel_err: np.ndarray
-    sup_rel: float
-    l2_weighted: float
-    tol_rel: float
-
-    @property
-    def passed(self):
-        return bool(self.sup_rel <= self.tol_rel)
-
-    def rows(self):
-        for i in range(self.x.size):
-            yield (self.x[i], self.solver[i], self.oracle[i], self.rel_err[i])
-
-
-def _compare_table(x, us, uo, tol_rel, weight):
+def _compare_table(x, us, uo, weight):
     """The comparison of solver values ``us`` with oracle values ``uo`` on
-    the shared grid ``x``."""
+    the shared grid ``x``: the pointwise relative errors, their largest and
+    the weighted relative L2 distance."""
     scale = np.maximum(np.abs(uo), 1e-12 * max(1.0, float(np.abs(uo).max())))
     rel = np.abs(us - uo) / scale
-    w = weight(x[:, None]) if weight is not None else np.ones_like(x)
+    w = weight(x[:, None])
     l2 = float(math.sqrt(np.sum(w * (us - uo) ** 2) / max(np.sum(w * uo**2), 1e-300)))
-    return CompareTable(x=x, solver=us, oracle=uo, rel_err=rel,
-                        sup_rel=float(rel.max()), l2_weighted=l2, tol_rel=tol_rel)
+    return rel, float(rel.max()), l2
 
 
 class _Artifacts:
@@ -396,12 +371,12 @@ def _task_compare(cfg, art):
     u_oracle = u0_at(xq)
     art.csv("oracle_u0.csv", "x,u", zip(xq, u_oracle))
 
-    table = _compare_table(xq, u_solver, u_oracle, cmp_block["tol_rel"], weight)
-    art.csv("compare.csv", "x,solver,oracle,rel_err", table.rows())
-    headline = {"sup_rel_err": table.sup_rel, "l2_weighted_rel": table.l2_weighted,
-                "tol_rel": table.tol_rel}
-    criteria = [{"name": "solver_matches_oracle", "passed": table.passed,
-                 "value": table.sup_rel, "threshold": table.tol_rel}]
+    rel, sup_rel, l2 = _compare_table(xq, u_solver, u_oracle, weight)
+    art.csv("compare.csv", "x,solver,oracle,rel_err", zip(xq, u_solver, u_oracle, rel))
+    tol = cmp_block["tol_rel"]
+    headline = {"sup_rel_err": sup_rel, "l2_weighted_rel": l2, "tol_rel": tol}
+    criteria = [{"name": "solver_matches_oracle", "passed": sup_rel <= tol,
+                 "value": sup_rel, "threshold": tol}]
     return headline, criteria
 
 

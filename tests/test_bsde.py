@@ -423,7 +423,7 @@ def test_zero_jump_reduction_bit_for_bit(heat_model, heat_bundle, poly_basis):
 def test_borrowing_driver_reduces_to_discount(heat_model, heat_bundle, poly_basis):
     from pidesolve.model import borrowing_rate_driver
     g = lambda X: X[:, 0] ** 2
-    flat = borrowing_rate_driver(0.05, 0.05, 0.0)  # no spread, no premium
+    flat = borrowing_rate_driver(0.05, 0.05, 0.0, 1.0)  # no spread, no premium
     plain = discount_driver(0.05)
     s1 = solve_bsde(heat_model, flat, g, heat_bundle, poly_basis, clamp=1e12)
     s2 = solve_bsde(heat_model, plain, g, heat_bundle, poly_basis, clamp=1e12)
@@ -433,12 +433,32 @@ def test_borrowing_driver_reduces_to_discount(heat_model, heat_bundle, poly_basi
 def test_borrowing_driver_spread_raises_value(heat_model, heat_bundle, poly_basis):
     from pidesolve.model import borrowing_rate_driver
     g = lambda X: X[:, 0] ** 2
-    spread = borrowing_rate_driver(0.05, 0.08, 0.0)
+    spread = borrowing_rate_driver(0.05, 0.08, 0.0, 1.0)
     plain = discount_driver(0.05)
     s1 = solve_bsde(heat_model, spread, g, heat_bundle, poly_basis)
     s2 = solve_bsde(heat_model, plain, g, heat_bundle, poly_basis)
-    # -(R - r) min(y - sum z, 0) >= 0 adds to the driver
+    # -(R - r) min(y - sum z / sigma, 0) >= 0 adds to the driver
     assert s1.u0() >= s2.u0() - 1e-9
+
+
+def test_borrowing_call_prices_at_the_borrowing_rate():
+    # z is sigma times the amount held in the stock.  A call's hedge holds
+    # more stock than the call is worth, so it borrows all along, and its
+    # price is Black-Scholes at the borrowing rate R = 0.08 (El Karoui, Peng
+    # & Quenez 1997, section 1.1): 12.106, where the lending rate gives
+    # 10.451.  At this size u0 - 12.106 has mean 0.005 and sd 0.117 over 30
+    # seeds (100-129), and u0_stderr is 0.11
+    from pidesolve.model import borrowing_rate_driver
+    from pidesolve.oracle import black_scholes
+    model = named_model("bs", r=0.05, sigma=0.2)
+    driver = borrowing_rate_driver(0.05, 0.08, 0.0, 0.2)
+    call = lambda X: np.maximum(X[:, 0] - 100.0, 0.0)
+    paths = simulate_paths(model, TimeGrid(0, 1, 25), 100.0, 20_000, seed=7)
+    box = (float(paths.states.min()) - 1.0, float(paths.states.max()) + 1.0)
+    sol = solve_bsde(model, driver, call, paths, LocalAffineBasis(40, box))
+    ref = black_scholes(100.0, 100.0, 0.08, 0.2, 1.0)
+    assert ref == pytest.approx(12.106, abs=1e-3)
+    assert abs(sol.u0() - ref) <= 4 * sol.u0_stderr()
 
 
 def test_contraction_guard(heat_model, heat_bundle, poly_basis):
@@ -525,7 +545,7 @@ def test_evaluate_u_reproduces_path_values(kind, mode):
     obstacle = ObstacleSpec(h=lambda t, X: put(X), iota=101.0, kappa=1.0)
     extra = {"plain": {}, "penalized": {"penalty_level": 64.0, "obstacle": obstacle},
              "reflected": {"reflect": True, "obstacle": obstacle}}[mode]
-    for driver in (discount_driver(0.05), borrowing_rate_driver(0.05, 0.08, 0.1)):
+    for driver in (discount_driver(0.05), borrowing_rate_driver(0.05, 0.08, 0.1, 0.2)):
         sol = solve_bsde(model, driver, put, paths, basis, **extra)
         for k in range(sol.n_steps + 1):
             assert np.array_equal(evaluate_u(sol, k, paths.states[k]), sol.y[k]), k

@@ -14,6 +14,7 @@ import pidesolve
 from pidesolve.cli import main as cli_main
 from pidesolve.config import _compare_market, validate_config
 from pidesolve.errors import ConfigError, SchemaError
+from pidesolve.model import WeightFunction
 from pidesolve.oracle import binomial_american
 from pidesolve.runner import (EXIT_CRITERION, EXIT_ERROR, EXIT_OK, _compare_table,
                               run_experiment)
@@ -340,6 +341,31 @@ def test_driver_params_default_to_zero():
     z = np.zeros((2, 1))
     # rate = risk_premium = 0: f = -0.1 * min(y, 0)
     assert np.array_equal(drv.f(0.0, None, y, z, None), [0.1, -0.0])
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"name": "custom", "params": {}}, "not 'custom'"),
+    ({"name": "toy-uniform"}, "not 'toy-uniform'"),
+    ({"name": "bs", "params": {"sigma": 0.0}}, "model.params.sigma > 0"),
+])
+def test_borrowing_driver_needs_a_stock_volatility(model, message, tmp_path, capsys):
+    # the borrowing driver's cash is y - z / sigma, with the sigma of a bs,
+    # merton or kou model; any other model has no such sigma
+    raw = _solve_with_model(model, driver={"name": "borrowing",
+                                           "params": {"rate": 0.05, "borrow_rate": 0.08}})
+    with pytest.raises(ConfigError, match=re.escape(message)) as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["solve", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    assert "[E_CONFIG]" in capsys.readouterr().err
+    # a preset's sigma, given or its default, reaches the driver
+    for model, sigma in (({"name": "merton", "params": {"sigma": 0.3}}, 0.3),
+                         ({"name": "kou"}, 0.2)):
+        driver = validate_config(dict(raw, model=model)).build_driver()
+        assert driver.lipschitz == pytest.approx(0.08 + 0.03 / sigma)
 
 
 def test_obstacle_weight_floor_rule():
@@ -690,6 +716,10 @@ def test_closed_form_compare_of_another_problem_rejected(row, tmp_path):
           compare={"oracle": {"kind": "binomial"}}), "no jumps"),
     (dict(_american_put_with(), obstacle={"name": "call", "params": {"strike": 100}}),
      "American claim"),
+    (dict(merton_compare_config(), terminal={"name": "exp-call", "params": {"strike": 0}}),
+     r"positive strike, not terminal\.params\.strike = 0"),
+    (bs_call_compare_config(terminal={"name": "put", "params": {"strike": -5.0}}),
+     r"positive strike, not terminal\.params\.strike = -5"),
 ])
 def test_closed_form_compare_needs_a_problem_it_prices(raw, message):
     with pytest.raises(ConfigError, match=message) as err:
@@ -1063,7 +1093,7 @@ def test_exit_code_on_criterion_failure(tmp_path):
            "compare": {"oracle": {"kind": "binomial", "steps": 200}, "tol_rel": 1e-9}}
     report, code = run_experiment(cfg, out_dir=tmp_path)
     assert code == EXIT_CRITERION
-    assert not report.passed
+    assert [c["passed"] for c in report.body["criteria"]] == [False]
 
 
 def test_exit_code_on_error(tmp_path):
@@ -1147,16 +1177,15 @@ def test_fractional_levels_write_one_file_each(tmp_path):
 def test_compare_identical_values_pass():
     x = np.linspace(0, 1, 11)
     u = 1.0 + x**2
-    table = _compare_table(x, u, u.copy(), tol_rel=0.01, weight=None)
-    assert table.passed and table.sup_rel == 0.0 and table.l2_weighted == 0.0
+    rel, sup_rel, l2 = _compare_table(x, u, u.copy(), WeightFunction(4))
+    assert not rel.any() and sup_rel == 0.0 and l2 == 0.0
 
 
 def test_compare_shifted_oracle_fails():
     x = np.linspace(0, 1, 11)
     u = 1.0 + x**2
-    table = _compare_table(x, u, 1.1 * u, tol_rel=0.05, weight=None)
-    assert not table.passed
-    assert 0.09 <= table.sup_rel <= 0.101
+    rel, sup_rel, l2 = _compare_table(x, u, 1.1 * u, WeightFunction(4))
+    assert sup_rel == rel.max() and 0.09 <= sup_rel <= 0.101 and l2 > 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,11 @@ def test_discount_driver_lipschitz():
 
 
 def test_borrowing_driver_lipschitz_spot_check():
-    for driver in (borrowing_rate_driver(0.04, 0.06, 0.1), borrowing_rate_driver(0.05, 0.08, 0.0)):
-        assert_lipschitz_bounds_slope(driver, 6)
+    for args in ((0.04, 0.06, 0.1), (0.05, 0.08, 0.0)):
+        for sigma in (0.2, 1.0):
+            assert_lipschitz_bounds_slope(borrowing_rate_driver(*args, sigma), 6)
+    with pytest.raises(ValueError, match="sigma"):
+        borrowing_rate_driver(0.05, 0.08, 0.0, 0.0)
 
 
 def test_driver_functional_cap():

@@ -12,10 +12,10 @@ import pytest
 
 from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis, check_apriori_estimate,
                             check_z_representation, default_clamp_bound, solve_bsde)
-from pidesolve.errors import NoConvergenceError, NumericError
+from pidesolve.errors import NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (DriverSpec, ModelSpec, ObstacleSpec, WeightFunction,
-                             discount_driver, named_model, time_weights, zero_driver)
+                             discount_driver, named_model, trapezoid_weights)
 from pidesolve.obstacle import (check_horizon, default_schedule, estimate_reflection_measure,
                                 obstacle_along_paths, penalty_increments, penalty_norm,
                                 skorokhod_gap, solve_penalized, solve_reflected,
@@ -320,15 +320,6 @@ def test_inactive_obstacle_converges_immediately(bs_put_setup):
     assert np.array_equal(refl.solution.y, plain.y)
 
 
-def test_strict_raises_on_exhausted_schedule(bs_put_setup):
-    model, paths, basis = bs_put_setup
-    with pytest.raises(NoConvergenceError) as err:
-        solve_reflected(model, discount_driver(0.05), put_payoff, put_obstacle(),
-                        paths, basis, schedule=(1, 2), tol=1e-12, weight=RHO4,
-                        strict=True)
-    assert err.value.trace is not None
-
-
 def test_incompatible_terminal_rejected(bs_put_setup):
     model, paths, basis = bs_put_setup
     above = ObstacleSpec(h=lambda t, X: np.maximum(K - X[:, 0], 0.0) + 5.0,
@@ -453,7 +444,7 @@ def _norm(sol, lvals, states):
     # sqrt(sum_k w_k mean(rho(X_k) ((L_k - Y_k)^+)^2)), summed backward in time
     # over each step's samples below the obstacle
     n, m = sol.n_steps, sol.y.shape[1]
-    wt = time_weights(n, sol.grid.dt)
+    wt = trapezoid_weights(np.full(n, sol.grid.dt))
     total = 0.0
     for k in range(n, -1, -1):
         below = sol.y[k] < lvals[k]
@@ -595,8 +586,6 @@ def test_result_is_the_last_level_whatever_tol(small_put):
     at = solve_reflected(*args, tol=final, weight=RHO4)
     above = solve_reflected(*args, tol=np.nextafter(final, math.inf), weight=RHO4)
     assert not at.converged and above.converged
-    with pytest.raises(NoConvergenceError):
-        solve_reflected(*args, tol=final, weight=RHO4, strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +667,7 @@ def test_two_cpu_reflected_solve_measures_on_the_calling_thread(small_put, monke
                            weight=weight)
     assert names == {"MainThread", "pidesolve-backward_0"}
     assert weighed == {"MainThread"}
-    wt = time_weights(paths.grid.n_steps, paths.grid.dt)
+    wt = trapezoid_weights(np.full(paths.grid.n_steps, paths.grid.dt))
     diff2 = base2 = 0.0
     for k in range(paths.grid.n_steps, -1, -1):
         rho = RHO4(paths.states[k])
@@ -898,7 +887,7 @@ def direct_alone(small_put, coefficient_only):
 def test_z_representation_names_the_missing_arrays(small_put, coefficient_only, direct_alone):
     model = small_put[0]
     with pytest.raises(ValueError, match="no y path array"):
-        check_z_representation(coefficient_only.level_solutions[0], model)
+        check_z_representation(coefficient_only.level_solutions[0], model, RHO4)
     # the direct solve keeps y and reads z from its coefficients
     assert (check_z_representation(coefficient_only.direct, model, weight=RHO4)
             == check_z_representation(direct_alone, model, weight=RHO4))

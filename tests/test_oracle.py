@@ -123,12 +123,15 @@ def test_fd_linear_bc_variant(heat_model):
 def test_fd_linear_bc_banded_matches_dense():
     # the implicit step of bc="linear" against a dense solve of the same
     # system: central differences inside, zero-curvature rows [1, -2, 1] at
-    # the ends, right-hand side zero there
+    # the ends, right-hand side zero there.  Without jumps the grid has no
+    # padding, and under the zero driver the second Picard sweep repeats the
+    # first bit for bit
     model = scalar_model(drift=lambda x: 0.3 - 0.2 * x, diffusion=lambda x: 0.5 + 0.1 * x**2)
     g = lambda X: np.exp(-X[:, 0] ** 2) + 0.2 * X[:, 0]
     grid = FdGrid(-3.0, 3.0, 61, 3, bc="linear")
-    sol = fd_solve_pide(model, zero_driver(), g, grid, picard_sweeps=1)
-    x, dt, dx = sol.x_padded, 1.0 / grid.n_time, grid.dx
+    sol = fd_solve_pide(model, zero_driver(), g, grid)
+    assert sol.diagnostics["n_pad"] == (0, 0)
+    x, dt, dx = sol.x, 1.0 / grid.n_time, grid.dx
     a = 0.5 + 0.1 * x**2
     a, b = a**2, 0.3 - 0.2 * x
     lower = -dt * (0.5 * a / dx**2 - 0.5 * b / dx)
@@ -144,7 +147,7 @@ def test_fd_linear_bc_banded_matches_dense():
         rhs = u.copy()
         rhs[0] = rhs[-1] = 0.0
         u = np.linalg.solve(dense, rhs)
-        assert np.abs(sol.values_padded[step] - u).max() <= 1e-10 * np.abs(u).max()
+        assert np.abs(sol.values[step] - u).max() <= 1e-10 * np.abs(u).max()
 
 
 def _looped_nonlocal_term(model, functionals, xp, u, du):
@@ -268,10 +271,18 @@ def test_merton_price_benchmark_value():
     lambda: merton_price(100, 100, 0.05, 0.2, 1.0, -1.0, -0.1, 0.15),
     lambda: merton_price(100, 100, 0.05, 0.2, 1.0, 1.0, -0.1, -0.15),
     lambda: binomial_american(100, 100, 0.05, -0.2, 1.0, 50),
+    lambda: binomial_european(100, 100, 0.05, -0.2, 1.0, 50),
+    lambda: black_scholes(0.0, 100, 0.05, 0.2, 1.0),
+    lambda: black_scholes(100, 0.0, 0.05, 0.2, 1.0),
+    lambda: black_scholes(100, -1.0, 0.05, 0.0, 1.0),
+    lambda: merton_price(0.0, 100, 0.05, 0.2, 1.0, 1.0, -0.1, 0.15),
+    lambda: merton_price(100, 0.0, 0.05, 0.2, 1.0, 1.0, -0.1, 0.15),
 ], ids=["bs", "bs-expired", "bs-negative-sigma", "merton", "binomial-european",
         "binomial-european-steps", "binomial-american", "merton-negative-sigma",
         "merton-negative-intensity", "merton-negative-jump-sd",
-        "binomial-american-negative-sigma"])
+        "binomial-american-negative-sigma", "binomial-european-negative-sigma",
+        "bs-zero-spot", "bs-zero-strike", "bs-negative-strike-riskless",
+        "merton-zero-spot", "merton-zero-strike"])
 def test_closed_forms_reject_bad_input(price):
     with pytest.raises(ValueError):
         price()
@@ -353,6 +364,9 @@ def test_binomial_zero_rate_put_no_early_exercise():
         amer = binomial_american(100, 100, 0.0, 0.2, 1.0, steps, "put")
         euro = binomial_european(100, 100, 0.0, 0.2, 1.0, steps, "put")
         assert amer == pytest.approx(euro, abs=1e-12)
+    # sigma = 0 takes the 1e-12 stand-in in both trees: at r = 0 the stock
+    # stays put and the put is worth its intrinsic value
+    assert binomial_european(100, 105, 0.0, 0.0, 1.0, 50, "put") == pytest.approx(5.0)
 
 
 def test_binomial_convergence_oscillation():
