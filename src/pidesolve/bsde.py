@@ -369,10 +369,12 @@ class BsdeSolution:
         return float(_y_path(self)[0].mean())
 
     def u0_stderr(self):
-        """Monte-Carlo scale for u0: stderr of the terminal payoff mean.
+        """The standard error of the undiscounted terminal payoff's mean,
+        taken on the bundle's own paths.
 
-        The regression smooths path values, so this is a conservative scale
-        for the error of ``u0``.
+        It sets the Monte-Carlo scale only and does not bound the error of
+        ``u0``, which also carries the regression's bias: a Merton call at
+        100,000 paths and 50 steps was 1.8 of these from its closed form.
         """
         g = np.asarray(self.terminal(self.states[-1]), float)
         return float(g.std(ddof=1) / math.sqrt(g.size))

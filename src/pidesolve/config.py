@@ -19,6 +19,7 @@ from .model import (PRESET_PARAMS, JumpMeasure, ObstacleSpec, WeightFunction,
                     borrowing_rate_driver, discount_driver, named_model,
                     scalar_model, translation_jump, zero_driver)
 from .obstacle import default_schedule
+from .oracle import _crr
 
 __all__ = ["ExperimentConfig", "validate_config", "TASKS"]
 
@@ -446,6 +447,20 @@ def _compare_market(out):
     return market
 
 
+def _check_tree(spec, path):
+    """A binomial oracle's tree must be one the CRR pricer admits at
+    steps // 2 (steps 2000 unless given, as in the runner), the coarser tree
+    its error estimate prices, and so at steps too; else E_CONFIG naming
+    the volatility at ``path``."""
+    spec = {**_ORACLE_MARKET, **spec}
+    try:
+        _crr(*(spec[key] for key in ("s0", "strike", "rate", "sigma", "horizon")),
+             spec.get("steps", 2000) // 2, spec.get("option", "put"))
+    except ValueError as exc:
+        raise ConfigError(f"{path} = {spec['sigma']} is too small for the binomial "
+                          f"oracle: {exc}") from None
+
+
 def _check_compare_grid(block, x0):
     """The compare x-grid: x_grid_n points spread over the region, or x0
     alone, which a region given with it must contain."""
@@ -483,7 +498,11 @@ def _check_task_requirements(task, out):
     if task == "compare":
         _check_compare_grid(out["compare"], out["numerics"]["x0"])
     if task == "compare" and out["compare"]["oracle"]["kind"] != "fd":
-        _compare_market(out)
+        market = _compare_market(out)
+        if out["compare"]["oracle"]["kind"] == "binomial":
+            _check_tree({**out["compare"]["oracle"], **market}, "model.params.sigma")
+    if task == "oracle" and out["oracle"]["kind"] == "binomial":
+        _check_tree(out["oracle"], "oracle.sigma")
     if task == "solve-obstacle" or (task == "compare" and "obstacle" in out):
         kappa = out["obstacle"]["params"].get("kappa", 1.0)
         weight = WeightFunction(out["weight"]["p"])

@@ -308,15 +308,14 @@ class ReflectionMeasureEstimate:
 
     ``density`` has shape (t_bins, x_bins) over (t, x_1) and approximates
     the measure's Lebesgue density in time on each cell; ``pi_total`` is the
-    final level's weighted mass pi_n and ``pi_sequence`` the masses of every
-    level of the schedule, from the trace.
+    final level's weighted mass pi_n, from the trace, which holds every
+    level's.
     """
 
     t_edges: np.ndarray
     x_edges: np.ndarray
     density: np.ndarray
     pi_total: float
-    pi_sequence: tuple
 
 
 def estimate_reflection_measure(reflected, t_bins=10, x_bins=20):
@@ -324,8 +323,7 @@ def estimate_reflection_measure(reflected, t_bins=10, x_bins=20):
 
     The x_1 cells split the first coordinate of the basis box into equal
     widths.  Cell values average n (h - Y_n)^+ over the final level's path
-    samples (t_k, X_k) that fall in the cell; the masses pi_n of every level
-    come from the trace, so their stabilization can be asserted.
+    samples (t_k, X_k) that fall in the cell.
     """
     for name, bins in (("t_bins", t_bins), ("x_bins", x_bins)):
         if not (isinstance(bins, (int, np.integer)) and bins > 0):
@@ -347,11 +345,8 @@ def estimate_reflection_measure(reflected, t_bins=10, x_bins=20):
         density[row] += np.bincount(x_idx, weights=level * short, minlength=x_bins)
     filled = counts > 0
     density[filled] /= counts[filled]
-    pis = tuple(entry["pi"] for entry in reflected.trace)
-    return ReflectionMeasureEstimate(
-        t_edges=t_edges, x_edges=x_edges, density=density, pi_total=pis[-1],
-        pi_sequence=pis,
-    )
+    return ReflectionMeasureEstimate(t_edges=t_edges, x_edges=x_edges, density=density,
+                                     pi_total=reflected.trace[-1]["pi"])
 
 
 @dataclass(frozen=True)

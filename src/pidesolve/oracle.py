@@ -329,22 +329,24 @@ def merton_price(s0, strike, rate, sigma, horizon, jump_intensity,
 def _crr(s0, strike, rate, sigma, horizon, steps, kind):
     """The Cox-Ross-Rubinstein tree both pricers walk: one step's discount
     and up probability, s0 u^j and d^j for j = 0..steps (step i's prices are
-    (s0 u^j) d^(i-j), j = 0..i), and the payoff.  sigma = 0 takes a
-    volatility of 1e-12, a tree that barely moves."""
+    (s0 u^j) d^(i-j), j = 0..i), and the payoff.  The up probability lies in
+    (0, 1) only when sigma sqrt(dt) > |rate| dt; any other tree, sigma = 0
+    included, is a ValueError."""
     if steps < 1:
         raise ValueError("need at least one step")
-    if not sigma >= 0:
-        raise ValueError("sigma must be >= 0")
     if kind not in ("call", "put"):
         raise ValueError("kind must be 'call' or 'put'")
     dt = horizon / steps
-    u = math.exp((sigma or 1e-12) * math.sqrt(dt))
+    if not sigma * math.sqrt(dt) > abs(rate) * dt:
+        raise ValueError(f"a CRR tree needs sigma * sqrt(dt) > |rate| * dt, got sigma {sigma} "
+                         f"and rate {rate} at {steps} steps to horizon {horizon}")
+    u = math.exp(sigma * math.sqrt(dt))
     d = 1.0 / u
     p = (math.exp(rate * dt) - d) / (u - d)
     j = np.arange(steps + 1)
     payoff = ((lambda s: np.maximum(s - strike, 0.0)) if kind == "call"
               else (lambda s: np.maximum(strike - s, 0.0)))
-    return math.exp(-rate * dt), min(max(p, 0.0), 1.0), s0 * u**j, d**j, payoff
+    return math.exp(-rate * dt), p, s0 * u**j, d**j, payoff
 
 
 def binomial_american(s0, strike, rate, sigma, horizon, steps, kind="put"):

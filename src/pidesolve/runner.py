@@ -209,8 +209,6 @@ def _task_solve(cfg, art):
     })
     headline = {"u0": sol.u0(), "u0_stderr": sol.u0_stderr(),
                 "clamped_total": int(sol.diagnostics["clamped"].sum())}
-    # also emit the t=0 slice as (x, u) for downstream comparison
-    art.csv("u0_grid.csv", "x,u", zip(eval_x, evaluate_u(sol, 0, eval_x[:, None])))
     return headline, []
 
 
@@ -232,11 +230,8 @@ def _task_solve_obstacle(cfg, art):
     art.csv("nu_histogram.csv", "t_bin,x_bin,t_center,x_center,density",
             ((i, j, tc[i], xc[j], meas.density[i, j])
              for i in range(tc.size) for j in range(xc.size)))
-    art.json("trace.json", {"levels": _py(refl.trace),
-                            "pi_sequence": _py(list(meas.pi_sequence)),
-                            "converged": refl.converged,
+    art.json("trace.json", {"levels": _py(refl.trace), "converged": refl.converged,
                             "direct_gap_rel": refl.direct_gap_rel})
-    art.csv("u0_grid.csv", "x,u", zip(eval_x, evaluate_u(refl.solution, 0, eval_x[:, None])))
     headline = {"u0": refl.u0(), "converged": refl.converged,
                 "final_level": float(refl.final_level),
                 "penalty_norm": refl.trace[-1]["penalty_norm"],
@@ -397,10 +392,10 @@ _TASK_FNS = {
 def run_experiment(cfg, out_dir=None, flags=None):
     """Run one experiment; returns (Report, exit_code) and writes report.json.
 
-    A lock file holding the running process's pid serializes experiments
-    per output directory; a lock left by a process that no longer runs is
-    removed.  Flags (seed, threads, deterministic) are echoed into the
-    hashed body; timestamps and paths stay in the unhashed meta block.
+    An exclusive ``flock`` on ``out_dir/.lock``, held for the whole run,
+    serializes experiments per output directory (see ``_take_lock``).
+    Flags (seed, threads, deterministic) are echoed into the hashed body;
+    timestamps and paths stay in the unhashed meta block.
     """
     if not isinstance(cfg, ExperimentConfig):
         cfg = validate_config(cfg)
@@ -446,68 +441,43 @@ def run_experiment(cfg, out_dir=None, flags=None):
 
 
 def _take_lock(lock_path, out_dir):
-    """Create the lock file with this process's pid and return its descriptor.
+    """Hold an exclusive ``flock`` on the lock file; returns its descriptor,
+    which child processes do not inherit.
 
-    An existing lock whose pid no longer runs is stale: it is removed and
-    the lock taken again.  The verdict and the removal happen under an
-    exclusive ``flock`` of the output directory, so of two runs that find
-    the same stale lock the second finds the first's new one.  A lock of a
-    running process, or one without a readable pid, is refused with
-    ``ConfigError``.
+    The kernel drops the flock when the process ends, however it ends, so
+    no lock outlives its run.  A flock held through another open file, by
+    another process or thread, is refused with ``ConfigError``; a file
+    removed or replaced before the flock took hold is opened again.
     """
-    for _ in range(2):
+    while True:
+        fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY)
+        held = False
         try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            dir_fd = os.open(out_dir, os.O_RDONLY)
-            try:
-                fcntl.flock(dir_fd, fcntl.LOCK_EX)
-                stale = _lock_is_stale(lock_path)
-                if stale:
-                    os.unlink(lock_path)
-            except FileNotFoundError:
-                # its run ended meanwhile; another run may create the lock
-                # now, so nothing is removed
-                stale = True
-            finally:
-                os.close(dir_fd)  # and with it the flock
-            if not stale:
-                break
-            continue
-        os.write(fd, str(os.getpid()).encode())
-        return fd
-    raise ConfigError(f"output directory {out_dir!r} is locked by another "
-                      f"experiment (remove {lock_path} if stale)")
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            held = _is_lock_file(fd, lock_path)
+        except BlockingIOError:
+            raise ConfigError(f"output directory {out_dir!r} is locked by "
+                              f"another experiment") from None
+        finally:
+            if not held:
+                os.close(fd)
+        if held:
+            return fd
 
 
 def _release_lock(fd, lock_path):
-    """Close the lock and remove it if it is still the file this run created."""
+    """Remove the lock file if it is still the one this run locked, then
+    close it and with it the flock."""
     try:
-        mine = os.path.samestat(os.fstat(fd), os.stat(lock_path))
+        if _is_lock_file(fd, lock_path):
+            os.unlink(lock_path)
+    finally:
+        os.close(fd)
+
+
+def _is_lock_file(fd, lock_path):
+    """True when ``lock_path`` names the file open on ``fd``."""
+    try:
+        return os.path.samestat(os.fstat(fd), os.stat(lock_path))
     except FileNotFoundError:
-        mine = False
-    if mine:
-        os.unlink(lock_path)
-    os.close(fd)
-
-
-def _lock_is_stale(lock_path):
-    """True when the lock names a pid that no longer runs; raises
-    ``FileNotFoundError`` when it is gone."""
-    try:
-        with open(lock_path) as fh:
-            pid = int(fh.read().strip())
-    except FileNotFoundError:
-        raise
-    except (OSError, ValueError):
         return False
-    if pid <= 0:  # 0 and negative pids name process groups
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (PermissionError, OverflowError):  # runs under another user; no pid
-        pass
-    return False
-

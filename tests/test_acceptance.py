@@ -216,7 +216,7 @@ def test_criterion_8_reflection_measure_support(american_put_run):
     refl = american_put_run["refl"]
     measure = american_put_run["measure"]
     sup = support_check(refl, measure, delta=0.005 * K)
-    pis = measure.pi_sequence
+    pis = [tr["pi"] for tr in refl.trace]
     pi_change = abs(pis[-1] - pis[-2]) / abs(pis[-2])
     ok = sup.fraction <= 0.05 and pi_change <= 0.10 and not sup.trivial_mass
     report(8, ok, f"measure mass off contact {sup.fraction:.4f} <= 0.05 "

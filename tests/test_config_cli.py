@@ -610,15 +610,20 @@ def test_oracle_kinds_keep_their_own_keys():
     ({"kind": "binomial", "horizon": 0.0}, "oracle.horizon"),
     ({"kind": "fd", "horizon": -1.0}, "oracle.horizon"),
     ({"kind": "fd"}, "requires a terminal block"),
+    ({"kind": "binomial", "sigma": 0.0}, "oracle.sigma = 0.0"),
+    ({"kind": "binomial", "sigma": 0.05, "steps": 2}, "oracle.sigma = 0.05"),
 ], ids=["binomial-negative-sigma", "merton-negative-sigma", "merton-negative-intensity",
         "merton-negative-jump-sd", "merton-zero-s0", "binomial-negative-strike",
         "merton-negative-horizon", "binomial-zero-horizon", "fd-negative-horizon",
-        "fd-without-terminal"])
+        "fd-without-terminal", "binomial-zero-sigma", "binomial-coarse-tree"])
 def test_unrunnable_oracle_task_rejected_at_validation(oracle, path, tmp_path, capsys):
     # each used to validate and then exit with E_ERROR from the oracle: a
     # negative sigma, intensity or jump sd as ValueError, a spot, strike or
     # horizon <= 0 as a math domain error or ZeroDivisionError, and an fd
-    # oracle, which solves from the config's terminal, as KeyError: 'terminal'
+    # oracle, which solves from the config's terminal, as KeyError: 'terminal'.
+    # A binomial tree whose up probability leaves (0, 1), at sigma 0 or on
+    # the error estimate's tree of steps // 2 (here 1 step, where
+    # sigma sqrt(dt) = rate dt), priced with a clipped one and exited 0
     raw = dict(ORACLE_TASK, oracle=oracle)
     with pytest.raises(ConfigError, match=re.escape(path)) as err:
         validate_config(raw)
@@ -720,6 +725,13 @@ def test_closed_form_compare_of_another_problem_rejected(row, tmp_path):
      r"positive strike, not terminal\.params\.strike = 0"),
     (bs_call_compare_config(terminal={"name": "put", "params": {"strike": -5.0}}),
      r"positive strike, not terminal\.params\.strike = -5"),
+    # a tree the CRR pricer refuses, at steps or at steps // 2: the compare
+    # used to run its whole Monte-Carlo solve before the oracle's error
+    (dict(american_put_compare_config(), model={"name": "bs", "params": {"sigma": 0.0}}),
+     r"model\.params\.sigma = 0\.0 is too small"),
+    (dict(american_put_compare_config(steps=2),
+          model={"name": "bs", "params": {"r": 0.05, "sigma": 0.05}}),
+     r"model\.params\.sigma = 0\.05 is too small"),
 ])
 def test_closed_form_compare_needs_a_problem_it_prices(raw, message):
     with pytest.raises(ConfigError, match=message) as err:
@@ -916,11 +928,11 @@ def _fd_grid_compare_config():
 ARTIFACT_RUNS = {
     "simulate-csv": (lambda: _simulate_config("csv"), {"paths.csv"}),
     "simulate-binary": (lambda: _simulate_config("binary"), {"paths.bin"}),
-    "solve": (heat_solve_config, {"solution.csv", "diagnostics.json", "u0_grid.csv"}),
+    "solve": (heat_solve_config, {"solution.csv", "diagnostics.json"}),
     "solve-obstacle-fractional": (
         lambda: obstacle_put_config(paths=2000, tol=1e-12, schedule=[1.2, 1.4]),
         {"u_level_1.2.csv", "u_level_1.3999999999999999.csv", "nu_histogram.csv",
-         "trace.json", "u0_grid.csv"}),
+         "trace.json"}),
     "oracle-fd": (_fd_put_oracle_config, {"oracle_fd.csv"}),
     "oracle-merton": (lambda: {"task": "oracle", "seed": 1, "oracle": {"kind": "merton"}},
                       {"oracle_price.json"}),
@@ -965,12 +977,20 @@ def test_artifact_writer_refuses_a_repeated_name(tmp_path):
 
 
 def test_lock_file_serializes(tmp_path):
-    (tmp_path / ".lock").write_text("")
-    with pytest.raises(ConfigError, match="locked"):
-        run_experiment(heat_solve_config(), out_dir=tmp_path)
-    (tmp_path / ".lock").unlink()
-    run_experiment(heat_solve_config(), out_dir=tmp_path)
-    assert not (tmp_path / ".lock").exists()
+    # a lock held through another open file, as another run in this process
+    # or another holds it, is refused and its file left as it is
+    import fcntl
+    lock = tmp_path / ".lock"
+    with open(lock, "w") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        before = os.stat(lock)
+        with pytest.raises(ConfigError, match="locked") as err:
+            run_experiment(heat_solve_config(), out_dir=tmp_path)
+        assert err.value.code == "E_CONFIG"
+        assert os.path.samestat(os.stat(lock), before) and lock.read_text() == ""
+    report, code = run_experiment(heat_solve_config(), out_dir=tmp_path)
+    assert code == EXIT_OK
+    assert not lock.exists()
 
 
 def _dead_pid():
@@ -980,81 +1000,88 @@ def _dead_pid():
 
 
 def test_stale_lock_is_removed(tmp_path):
-    # a lock whose pid no longer runs is stale: it is removed and the run
-    # goes ahead; a running pid's lock is still refused
+    # a lock file that no run holds does not block: the run takes it and
+    # removes it when it ends
     (tmp_path / ".lock").write_text(str(_dead_pid()))
     report, code = run_experiment(heat_solve_config(), out_dir=tmp_path)
     assert code == EXIT_OK
     assert not (tmp_path / ".lock").exists()
-    for content in (str(os.getpid()), "not a pid", "0"):
-        (tmp_path / ".lock").write_text(content)
-        with pytest.raises(ConfigError, match="locked") as err:
-            run_experiment(heat_solve_config(), out_dir=tmp_path)
-        assert err.value.code == "E_CONFIG"
-        assert (tmp_path / ".lock").read_text() == content
 
 
-def test_two_takers_of_one_stale_lock(tmp_path, monkeypatch):
-    # one run takes a stale lock while another sits between its own stale
-    # verdict and the takeover: afterwards exactly one of them holds it
-    import threading
-    import pidesolve.runner as runner_mod
-    lock = str(tmp_path / ".lock")
-    (tmp_path / ".lock").write_text(str(_dead_pid()))
-    checking, other_done = threading.Event(), threading.Event()
-    is_stale = runner_mod._lock_is_stale
-
-    def slow_first_verdict(path):
-        stale = is_stale(path)
-        if not checking.is_set():
-            checking.set()
-            other_done.wait(timeout=1.0)
-        return stale
-
-    monkeypatch.setattr(runner_mod, "_lock_is_stale", slow_first_verdict)
-    held = []
-
-    def take():
-        try:
-            held.append(runner_mod._take_lock(lock, str(tmp_path)))
-        except ConfigError:
-            pass
-
-    first = threading.Thread(target=take)
-    first.start()
-    checking.wait()
-    take()
-    other_done.set()
-    first.join()
-    assert len(held) == 1
-    assert (tmp_path / ".lock").read_text() == str(os.getpid())
-    runner_mod._release_lock(held[0], lock)
+def test_lock_naming_a_live_process_does_not_block(tmp_path):
+    # a killed run's lock file may name a pid that a live process took over
+    # later; without a holder of its flock it is no lock
+    sleeper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    try:
+        (tmp_path / ".lock").write_text(str(sleeper.pid))
+        report, code = run_experiment(heat_solve_config(), out_dir=tmp_path)
+    finally:
+        sleeper.kill()
+        sleeper.wait()
+    assert code == EXIT_OK
     assert not (tmp_path / ".lock").exists()
 
 
-def test_lock_created_after_the_verdict_is_kept(tmp_path, monkeypatch):
-    # the lock is gone when a run looks at it, and another run creates its
-    # own before the first acts on the verdict: that new lock stays and
-    # the first run is refused
+def test_lock_of_a_killed_run_is_released(tmp_path):
+    # a process that holds the lock blocks every run until SIGKILL ends it;
+    # the kernel then drops its flock, and the next run takes the lock
+    import signal
+    src = str(Path(pidesolve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, time; from pidesolve.runner import _take_lock; "
+            "fd = _take_lock(sys.argv[1], sys.argv[2]); "
+            "print('held', flush=True); time.sleep(60)")
+    lock = str(tmp_path / ".lock")
+    holder = subprocess.Popen([sys.executable, "-c", code, lock, str(tmp_path)],
+                              env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "held\n"
+        with pytest.raises(ConfigError, match="locked") as err:
+            run_experiment(heat_solve_config(), out_dir=tmp_path)
+        assert err.value.code == "E_CONFIG"
+    finally:
+        holder.send_signal(signal.SIGKILL)
+        holder.wait()
+        holder.stdout.close()
+    assert holder.returncode == -signal.SIGKILL
+    assert os.path.exists(lock)
+    report, code = run_experiment(heat_solve_config(), out_dir=tmp_path)
+    assert code == EXIT_OK
+    assert not os.path.exists(lock)
+
+
+@pytest.mark.parametrize("recreate", [False, True])
+def test_lock_file_replaced_before_the_flock(tmp_path, monkeypatch, recreate):
+    # the file one run opened is removed, and maybe re-created and locked by
+    # another run, before the first run's flock takes hold: the first run
+    # opens the path again, so the two never both hold a lock
+    import fcntl
+    import types
     import pidesolve.runner as runner_mod
-    lock = tmp_path / ".lock"
-    lock.write_text(str(_dead_pid()))
-    is_stale, looked = runner_mod._lock_is_stale, []
+    lock = str(tmp_path / ".lock")
+    held = []
 
-    def gone_then_created(path):
-        if looked:
-            return is_stale(path)
-        looked.append(path)
-        lock.unlink()
-        try:
-            return is_stale(path)
-        finally:
-            lock.write_text("other")
+    def flock(fd, op):
+        if not held:
+            held.append(None)
+            os.unlink(lock)
+            if recreate:
+                held[0] = runner_mod._take_lock(lock, str(tmp_path))
+        fcntl.flock(fd, op)
 
-    monkeypatch.setattr(runner_mod, "_lock_is_stale", gone_then_created)
-    with pytest.raises(ConfigError, match="locked"):
-        runner_mod._take_lock(str(lock), str(tmp_path))
-    assert lock.read_text() == "other"
+    monkeypatch.setattr(runner_mod, "fcntl", types.SimpleNamespace(
+        flock=flock, LOCK_EX=fcntl.LOCK_EX, LOCK_NB=fcntl.LOCK_NB))
+    if recreate:
+        with pytest.raises(ConfigError, match="locked"):
+            runner_mod._take_lock(lock, str(tmp_path))
+        fd = held[0]
+    else:
+        fd = runner_mod._take_lock(lock, str(tmp_path))
+    assert not os.get_inheritable(fd)
+    assert os.path.samestat(os.fstat(fd), os.stat(lock))
+    runner_mod._release_lock(fd, lock)
+    assert not os.path.exists(lock)
 
 
 def test_lock_of_another_run_is_not_removed(tmp_path):
@@ -1066,20 +1093,6 @@ def test_lock_of_another_run_is_not_removed(tmp_path):
     (tmp_path / ".lock").write_text("other")
     runner_mod._release_lock(fd, lock)
     assert (tmp_path / ".lock").read_text() == "other"
-
-
-def test_lock_holds_the_running_pid(tmp_path, monkeypatch):
-    import pidesolve.runner as runner_mod
-    seen = []
-    task = runner_mod._TASK_FNS["solve"]
-
-    def spy(cfg, out_dir):
-        seen.append((tmp_path / ".lock").read_text())
-        return task(cfg, out_dir)
-
-    monkeypatch.setitem(runner_mod._TASK_FNS, "solve", spy)
-    run_experiment(heat_solve_config(), out_dir=tmp_path)
-    assert seen == [str(os.getpid())]
 
 
 def test_exit_code_on_criterion_failure(tmp_path):
@@ -1137,6 +1150,7 @@ def test_solve_obstacle_task(tmp_path):
     assert code == EXIT_OK
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["converged"]
+    assert set(trace) == {"levels", "converged", "direct_gap_rel"}
     assert {"u_level_1.csv", "nu_histogram.csv", "trace.json"} <= set(os.listdir(tmp_path))
 
 

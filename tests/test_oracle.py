@@ -322,11 +322,10 @@ def test_binomial_one_step_hand_value():
 def _binomial_american_by_powers(s0, strike, rate, sigma, horizon, steps, kind):
     # the tree with each step's prices taken by their own powers
     dt = horizon / steps
-    sigma = sigma if sigma > 0 else 1e-12
     u = math.exp(sigma * math.sqrt(dt))
     d = 1.0 / u
     disc = math.exp(-rate * dt)
-    p = min(max((math.exp(rate * dt) - d) / (u - d), 0.0), 1.0)
+    p = (math.exp(rate * dt) - d) / (u - d)
     if kind == "call":
         payoff = lambda s: np.maximum(s - strike, 0.0)
     else:
@@ -344,12 +343,13 @@ def _binomial_american_by_powers(s0, strike, rate, sigma, horizon, steps, kind):
 @pytest.mark.parametrize("kind", ["put", "call"])
 def test_binomial_american_equals_per_step_powers(kind, steps):
     # the tree takes u^j and d^j once and slices them per step; the prices
-    # must be the per-step powers bit for bit, also where sigma = 0 stands in
-    # for a tiny volatility (a negative sigma is rejected)
-    for s0, strike, rate, sigma in ((100.0, 100.0, 0.05, 0.2), (90.0, 110.0, 0.03, 0.45),
-                                    (100.0, 95.0, 0.05, 0.0)):
+    # must be the per-step powers bit for bit.  sigma = 0 has no tree: its up
+    # probability would leave (0, 1)
+    for s0, strike, rate, sigma in ((100.0, 100.0, 0.05, 0.2), (90.0, 110.0, 0.03, 0.45)):
         got = binomial_american(s0, strike, rate, sigma, 1.0, steps, kind)
         assert got == _binomial_american_by_powers(s0, strike, rate, sigma, 1.0, steps, kind)
+    with pytest.raises(ValueError, match="sigma"):
+        binomial_american(100.0, 95.0, 0.05, 0.0, 1.0, steps, kind)
 
 
 def test_binomial_american_dominates_european():
@@ -364,9 +364,10 @@ def test_binomial_zero_rate_put_no_early_exercise():
         amer = binomial_american(100, 100, 0.0, 0.2, 1.0, steps, "put")
         euro = binomial_european(100, 100, 0.0, 0.2, 1.0, steps, "put")
         assert amer == pytest.approx(euro, abs=1e-12)
-    # sigma = 0 takes the 1e-12 stand-in in both trees: at r = 0 the stock
-    # stays put and the put is worth its intrinsic value
-    assert binomial_european(100, 105, 0.0, 0.0, 1.0, 50, "put") == pytest.approx(5.0)
+    # sigma = 0 is refused by both trees, also at r = 0 where p = 0/0
+    for tree in (binomial_american, binomial_european):
+        with pytest.raises(ValueError, match="sigma"):
+            tree(100, 105, 0.0, 0.0, 1.0, 50, "put")
 
 
 def test_binomial_convergence_oscillation():
