@@ -7,6 +7,7 @@ blocks resolve to model / driver / terminal / obstacle / weight objects.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -28,47 +29,46 @@ TASKS = ("simulate", "solve", "solve-obstacle", "oracle", "normcheck", "compare"
 # a count's largest value, and a seed's: the per-step streams key on 64 bits
 _COUNT_MAX = int(np.iinfo(np.intp).max)
 _SEED_MAX = 2**64 - 1
-# the market keys of the oracle task's closed forms (merton series, binomial
-# tree) and the values the runner uses for keys its block leaves out; a
-# compare oracle's market is derived from the config (_compare_market)
-_ORACLE_MARKET = {"s0": 100.0, "strike": 100.0, "rate": 0.05, "sigma": 0.2,
-                  "horizon": 1.0, "intensity": 0.0, "jump_mean": 0.0, "jump_sd": 1e-8}
+# the solver's time grid spans [0, 1]; an oracle's horizon defaults to it
+_HORIZON = 1.0
+# the keys each oracle kind reads besides its kind and horizon, and the market
+# the oracle task's closed forms price, with their defaults
+_ORACLE_KEYS = {"fd": {"x_lo": -8.0, "x_hi": 8.0, "n_space": 800, "n_time": 400,
+                       "bc": "dirichlet"},
+                "merton": {"n_terms": 60}, "binomial": {"steps": 2000}}
+_MARKET = {"s0": 100.0, "strike": 100.0, "rate": 0.05, "sigma": 0.2}
 _JUMP_KEYS = ("intensity", "jump_mean", "jump_sd")
-# the fd oracle's space interval where its block leaves it out
-_FD_SPACE = {"x_lo": -8.0, "x_hi": 8.0}
-# the keys each oracle kind reads besides its kind, horizon and market
-_ORACLE_KEYS = {"fd": ("x_lo", "x_hi", "n_space", "n_time", "bc"),
-                "merton": ("n_terms",), "binomial": ("steps",)}
-# the params each named block accepts; driver params default to 0 and an
-# obstacle also takes its growth constants iota and kappa
-_DRIVER_PARAMS = {"zero": (), "discount": ("rate",),
-                  "borrowing": ("rate", "borrow_rate", "risk_premium")}
+_ORACLE_MARKETS = {"merton": {**_MARKET, "intensity": 0.0, "jump_mean": 0.0, "jump_sd": 1e-8,
+                              "option": "call"},
+                   "binomial": {**_MARKET, "option": "put"}}
+# the params each named block takes, with their defaults; an obstacle also
+# takes its growth constants, iota with none here (build_obstacle derives it)
+_DRIVER_PARAMS = {"zero": {}, "discount": {"rate": 0.0},
+                  "borrowing": {"rate": 0.0, "borrow_rate": 0.0, "risk_premium": 0.0}}
 _DRIVERS = {"zero": zero_driver, "discount": discount_driver,
             "borrowing": borrowing_rate_driver}
-_PAYOFF_PARAMS = {"square": (), "constant": ("value",), "call": ("strike",),
-                  "put": ("strike",), "exp-call": ("strike",), "exp-put": ("strike",)}
-_OBSTACLE_PARAMS = {name: keys + ("iota", "kappa")
-                    for name, keys in _PAYOFF_PARAMS.items() if name != "square"}
-# the custom model's params: affine drift and diffusion, and a jump part
-# made of a jump kind and a measure whose keys and defaults depend on its kind
-_CUSTOM_KEYS = {"drift", "diffusion", "measure", "jump"}
+_PAYOFF_PARAMS = {"square": {}, "constant": {"value": 0.0},
+                  **dict.fromkeys(("call", "put", "exp-call", "exp-put"), {"strike": 1.0})}
+_OBSTACLE_PARAMS = {name: {**params, "kappa": 1.0, "iota": None}
+                    for name, params in _PAYOFF_PARAMS.items() if name != "square"}
+# the custom model's params: affine drift and diffusion, and a jump part made
+# of a jump kind and a measure, whose keys and defaults depend on its kind
+_CUSTOM_DEFAULTS = {"drift": {"slope": 0.0, "intercept": 0.0},
+                    "diffusion": {"slope": 0.0, "intercept": 1.0}, "jump": "none"}
 _CUSTOM_JUMPS = {"none": None,
                  "translation": translation_jump,
                  "proportional-exp": lambda x, e: x * (np.exp(e) - 1.0)}
+_CUSTOM_MEASURE = {"kind": "uniform", "intensity": 1.0}
 _CUSTOM_MEASURES = {"uniform": (JumpMeasure.uniform, {"lo": -1.0, "hi": 1.0}),
                     "gaussian": (JumpMeasure.gaussian, {"mean": 0.0, "sd": 1.0}),
                     "two-point": (JumpMeasure.two_point,
                                   {"down": -0.1, "up": 0.1, "p_up": 0.5})}
 
 
-def _type_name(v):
-    return type(v).__name__
-
-
 def _expect(value, types, path):
     if not isinstance(value, types):
         wanted = "/".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
-        raise SchemaError(f"{path}: expected {wanted}, got {_type_name(value)}")
+        raise SchemaError(f"{path}: expected {wanted}, got {type(value).__name__}")
     if isinstance(value, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
         raise SchemaError(f"{path}: expected number, got bool")
     return value
@@ -78,7 +78,7 @@ def _expect_num(value, path):
     """A finite number as float: JSON's NaN and Infinity, and integers beyond
     the float range, are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected number, got {_type_name(value)}")
+        raise SchemaError(f"{path}: expected number, got {type(value).__name__}")
     try:
         number = float(value)
     except OverflowError:
@@ -99,7 +99,7 @@ def _expect_count(value, path, minimum=1, maximum=_COUNT_MAX):
     """An int from minimum to maximum, as given; a count's maximum is the
     largest size NumPy can index."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: expected int, got {_type_name(value)}")
+        raise SchemaError(f"{path}: expected int, got {type(value).__name__}")
     if not minimum <= value <= maximum:
         raise SchemaError(f"{path}: expected int from {minimum} to {maximum}, got {value}")
     return value
@@ -152,17 +152,15 @@ def _check_keys(block, allowed, path):
 
 
 def _typed(block, table, path):
-    """A block checked against its table of typed keys, over its defaults
-    (``_DEFAULTS`` at the block's path).
-
-    An unknown key is rejected with its path.  Each given value goes through
-    its entry: a checker ``(value, path)`` returning the value normalized
-    (a ``None``, for a null pair or model, leaves the key at its default or
-    absent), or a nested table, checked the same way and filled with its
-    defaults also when not given.
+    """A block checked against its table of typed keys, over a copy of its
+    defaults (``_DEFAULTS`` at the block's path).  An unknown key is rejected
+    with its path.  Each given value goes through its entry: a checker
+    ``(value, path)`` returning the value normalized (a ``None``, for a null
+    pair or model, leaves the key at its default or absent), or a nested
+    table, checked the same way and filled also when not given.
     """
     _check_keys(_expect(block, dict, path or "config"), table, path)
-    out = dict(_DEFAULTS.get(path, {}))
+    out = copy.deepcopy(_DEFAULTS.get(path, {}))
     for key, check in table.items():
         sub = f"{path}.{key}" if path else key
         if isinstance(check, dict):
@@ -191,40 +189,43 @@ class ExperimentConfig:
 
     def build_model(self):
         block = self.raw["model"]
-        if block["name"] != "custom":
-            return named_model(block["name"], **block.get("params", {}))
-        return _build_custom_model(block.get("params", {}))
+        if block["name"] == "custom":
+            return _build_custom_model(block["params"])
+        return named_model(block["name"], **block["params"])
 
     def build_driver(self):
-        block = self.raw.get("driver") or {"name": "zero", "params": {}}
-        name = block["name"]
-        params = {**dict.fromkeys(_DRIVER_PARAMS[name], 0.0), **block.get("params", {})}
-        if name == "borrowing":
+        block = self.raw["driver"]
+        params = dict(block["params"])
+        if block["name"] == "borrowing":
             params["sigma"] = _stock_sigma(self.raw["model"])
-        return _DRIVERS[name](**params)
+        return _DRIVERS[block["name"]](**params)
 
     def build_terminal(self):
         block = self.raw["terminal"]
-        return _build_payoff(block["name"], dict(block.get("params", {})),
-                             "terminal")
+        return _build_payoff(block["name"], block["params"])
 
     def build_obstacle(self):
         block = self.raw.get("obstacle")
         if block is None:
             return None
-        fn = _build_payoff(block["name"], dict(block.get("params", {})), "obstacle")
-        params = block.get("params", {})
-        return ObstacleSpec(h=lambda t, X: fn(X), iota=params.get("iota", 1.0 + params.get("strike", 1.0)),
-                            kappa=params.get("kappa", 1.0))
+        params = block["params"]
+        fn = _build_payoff(block["name"], params)
+        # iota's default bounds the payoff: 1 + strike, or 1 + |value| for a constant
+        bound = params["strike"] if "strike" in params else abs(params["value"])
+        return ObstacleSpec(h=lambda t, X: fn(X), iota=params.get("iota", 1.0 + bound),
+                            kappa=params["kappa"])
 
     def build_weight(self):
         return WeightFunction(self.raw["weight"]["p"])
 
     def schedule(self):
-        num = self.numerics
-        if num.get("schedule"):
-            return tuple(num["schedule"])
-        return default_schedule(num["schedule_max_exp"])
+        """``numerics.schedule``, or ``default_schedule()`` where it is left out."""
+        return tuple(self.numerics.get("schedule") or default_schedule())
+
+    def compare_oracle(self):
+        """The compare oracle's block, a closed form's with its market."""
+        spec = self.raw["compare"]["oracle"]
+        return spec if spec["kind"] == "fd" else {**spec, **_compare_market(self.raw)}
 
 
 def _stock_sigma(model):
@@ -234,47 +235,38 @@ def _stock_sigma(model):
     if name not in ("bs", "merton", "kou"):
         raise ConfigError(f"a borrowing driver reads the stock's volatility of a bs, "
                           f"merton or kou model, not {name!r}")
-    sigma = {**PRESET_PARAMS[name], **model["params"]}["sigma"]
+    sigma = model["params"]["sigma"]
     if not sigma > 0:
         raise ConfigError(f"a borrowing driver needs model.params.sigma > 0, got {sigma}")
     return sigma
 
 
-def _build_payoff(name, params, path):
-    strike = params.get("strike", 1.0)
+def _build_payoff(name, params):
+    """The payoff of a terminal or obstacle block, on the first coordinate."""
     if name == "square":
         return lambda X: X[:, 0] ** 2
     if name == "constant":
-        value = params.get("value", 0.0)
+        value = params["value"]
         return lambda X: np.full(X.shape[0], float(value))
-    if name == "call":
-        return lambda X: np.maximum(X[:, 0] - strike, 0.0)
-    if name == "put":
-        return lambda X: np.maximum(strike - X[:, 0], 0.0)
-    if name == "exp-call":
-        return lambda X: np.maximum(np.exp(X[:, 0]) - strike, 0.0)
-    if name == "exp-put":
-        return lambda X: np.maximum(strike - np.exp(X[:, 0]), 0.0)
-    raise ConfigError(f"unknown {path} preset {name!r}")
+    strike = params["strike"]
+    return {"call": lambda X: np.maximum(X[:, 0] - strike, 0.0),
+            "put": lambda X: np.maximum(strike - X[:, 0], 0.0),
+            "exp-call": lambda X: np.maximum(np.exp(X[:, 0]) - strike, 0.0),
+            "exp-put": lambda X: np.maximum(strike - np.exp(X[:, 0]), 0.0)}[name]
 
 
 def _build_custom_model(params):
-    def coef(spec, default_slope, default_icpt):
-        if spec is None:
-            return lambda x: default_slope * x + default_icpt
-        slope = spec.get("slope", 0.0)
-        icpt = spec.get("intercept", 0.0)
+    """The custom model of params normalized by ``_norm_custom``."""
+    def coef(spec):
+        slope, icpt = spec["slope"], spec["intercept"]
         return lambda x: slope * x + icpt
 
-    measure, jump = JumpMeasure.none(), None
-    spec = params.get("measure")
-    if spec:  # validation pairs a measure with a jump kind other than none
-        make, defaults = _CUSTOM_MEASURES[spec.get("kind", "uniform")]
-        measure = make(*(spec.get(k, v) for k, v in defaults.items()),
-                       intensity=spec.get("intensity", 1.0))
-        jump = _CUSTOM_JUMPS[params["jump"]]
-    return scalar_model(drift=coef(params.get("drift"), 0.0, 0.0),
-                        diffusion=coef(params.get("diffusion"), 0.0, 1.0),
+    measure, jump = JumpMeasure.none(), _CUSTOM_JUMPS[params["jump"]]
+    if jump is not None:  # validation pairs a jump kind other than none with a measure
+        spec = params["measure"]
+        make, keys = _CUSTOM_MEASURES[spec["kind"]]
+        measure = make(*(spec[k] for k in keys), intensity=spec["intensity"])
+    return scalar_model(drift=coef(params["drift"]), diffusion=coef(params["diffusion"]),
                         jump=jump, jump_measure=measure)
 
 
@@ -283,11 +275,11 @@ def _build_custom_model(params):
 # ---------------------------------------------------------------------------
 
 def validate_config(raw):
-    """Validate raw JSON (text or dict) into an ExperimentConfig.
+    """Validate raw JSON (text or dict) into a complete ExperimentConfig.
 
-    Rejects unknown keys with their path, checks types, injects documented
-    defaults (grid_n=50, paths=1e5, degree-4 polynomial basis), and enforces
-    the weight-exponent floor p >= kappa + dim + 1 for obstacle tasks.
+    Rejects unknown keys with their path, checks types, fills every default
+    but ``numerics.schedule``'s from this module's tables, which the README
+    lists, and enforces the weight floor p >= kappa + dim + 1 for obstacles.
     """
     if isinstance(raw, (str, bytes)):
         try:
@@ -303,7 +295,7 @@ def validate_config(raw):
     if "model" not in out:
         if task != "oracle":
             raise ConfigError("model block is required")
-        out["model"] = {"name": "bs", "params": {}}
+        out["model"] = _norm_model({"name": "bs"}, "model")
     if out.get("driver", {}).get("name") == "borrowing":
         _stock_sigma(out["model"])
     schedule = out["numerics"].get("schedule", [])
@@ -312,76 +304,77 @@ def validate_config(raw):
             raise SchemaError(f"numerics.schedule[{i}]: expected positive number")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("numerics.schedule must be increasing")
-    _check_task_requirements(task, out)
-    return ExperimentConfig(task=task, seed=out["seed"], raw=out)
+    cfg = ExperimentConfig(task=task, seed=out["seed"], raw=out)
+    _check_task_requirements(cfg)
+    return cfg
 
 
 def _norm_model(block, path):
+    """A model block with its params filled: a preset's from
+    ``PRESET_PARAMS``, the custom model's by ``_norm_custom``."""
     if block is None:  # no model; the oracle task's default is filled later
         return None
     _check_keys(_expect(block, dict, path), {"name", "params"}, path)
     name = _expect_choice(block.get("name"), f"{path}.name", {*PRESET_PARAMS, "custom"})
     params = block.get("params", {})
     if name == "custom":
-        _check_custom_params(params, f"{path}.params")
-    else:
-        _check_params(params, PRESET_PARAMS[name], f"{path}.params")
-        if "n_nodes" in params:
-            _expect_count(params["n_nodes"], f"{path}.params.n_nodes")
+        return {"name": name, "params": _norm_custom(params, f"{path}.params")}
+    params = _params(params, PRESET_PARAMS[name], f"{path}.params")
+    if "n_nodes" in params:
+        _expect_count(params["n_nodes"], f"{path}.params.n_nodes")
     return {"name": name, "params": params}
 
 
-def _check_params(block, allowed, path, other=()):
-    """A params block: only the allowed keys, each a number unless in other."""
-    _expect(block, dict, path)
-    _check_keys(block, allowed, path)
+def _params(block, defaults, path, other=()):
+    """A params block over its defaults: only their keys (a None default is
+    a key without one), each a number unless in other."""
+    _check_keys(_expect(block, dict, path), defaults, path)
     for key, val in block.items():
         if key not in other:
             _expect_num(val, f"{path}.{key}")
-    return block
+    return {**{k: v for k, v in defaults.items() if v is not None}, **block}
 
 
-def _check_custom_params(params, path):
-    """Reject keys the custom model would ignore, also inside its blocks."""
-    _check_params(params, _CUSTOM_KEYS, path, other=_CUSTOM_KEYS)
+def _norm_custom(params, path):
+    """The custom model's params, filled; jumps need a jump kind and a measure,
+    and a key left out of a given drift or diffusion is 0."""
+    out = _params(params, {**_CUSTOM_DEFAULTS, "measure": None}, path,
+                  other=(*_CUSTOM_DEFAULTS, "measure"))
     for key in ("drift", "diffusion"):
-        if key in params:
-            _check_params(params[key], ("slope", "intercept"), f"{path}.{key}")
-    jump = _expect_choice(params.get("jump", "none"), f"{path}.jump", _CUSTOM_JUMPS)
-    measure = _expect(params.get("measure", {}), dict, f"{path}.measure")
+        out[key] = (_params(params[key], dict.fromkeys(("slope", "intercept"), 0.0),
+                            f"{path}.{key}") if key in params else dict(out[key]))
+    jump = _expect_choice(out["jump"], f"{path}.jump", _CUSTOM_JUMPS)
+    measure = _expect(out.pop("measure", {}), dict, f"{path}.measure")
     if measure:
-        kind = _expect_choice(measure.get("kind", "uniform"), f"{path}.measure.kind",
+        kind = _expect_choice({**_CUSTOM_MEASURE, **measure}["kind"], f"{path}.measure.kind",
                               _CUSTOM_MEASURES)
-        _check_params(measure, {"kind", "intensity", *_CUSTOM_MEASURES[kind][1]},
-                      f"{path}.measure", other=("kind",))
-    # the model has jumps only with both a jump kind and a measure
+        out["measure"] = _params(measure, {**_CUSTOM_MEASURE, **_CUSTOM_MEASURES[kind][1]},
+                                 f"{path}.measure", other=("kind",))
     if (jump != "none") != bool(measure):
         raise ConfigError(f"{path}: jump {jump!r} {'with' if measure else 'without'} "
                           f"a measure; jumps need both a jump kind and a measure")
+    return out
 
 
 def _norm_named_block(block, path, known):
-    _expect(block, dict, path)
-    _check_keys(block, {"name", "params"}, path)
+    """A driver, terminal or obstacle block: its name and its params."""
+    _check_keys(_expect(block, dict, path), {"name", "params"}, path)
     name = _expect_choice(block.get("name"), f"{path}.name", known)
-    params = _check_params(block.get("params", {}), known[name], f"{path}.params")
-    return {"name": name, "params": dict(params)}
+    return {"name": name, "params": _params(block.get("params", {}), known[name],
+                                            f"{path}.params")}
 
 
-def _norm_oracle(block, path, market=()):
-    """An oracle block: its kind, the horizon and the keys that kind reads,
-    and the market keys given that it prices with; a compare oracle takes
-    none (its market is the config's own), and the fd oracle prices the
-    config's model on its grid."""
+def _norm_oracle(block, path, market=False):
+    """An oracle block filled: its kind, the horizon and that kind's keys, and
+    with ``market`` the oracle task's market; a compare oracle prices the
+    config's own (``ExperimentConfig.compare_oracle``)."""
     kind = _expect_choice(_expect(block, dict, path).get("kind"), f"{path}.kind", _ORACLE_KEYS)
-    market = {"fd": (), "merton": market,
-              "binomial": [k for k in market if k not in _JUMP_KEYS]}[kind]
-    keys = ("kind", "horizon", *_ORACLE_KEYS[kind], *market)
-    out = _typed(block, {key: _ORACLE[key] for key in keys}, path)
-    lo, hi = ({**_FD_SPACE, **out}[key] for key in ("x_lo", "x_hi"))
-    if kind == "fd" and not lo < hi:
-        raise ConfigError(f"{path}: expected x_lo < x_hi (defaults {_FD_SPACE['x_lo']} and "
-                          f"{_FD_SPACE['x_hi']}), got {lo} and {hi}")
+    defaults = {"horizon": _HORIZON, **_ORACLE_KEYS[kind],
+                **(_ORACLE_MARKETS.get(kind, {}) if market else {})}
+    out = {**defaults, **_typed(block, {key: _ORACLE[key] for key in ("kind", *defaults)}, path)}
+    if kind == "fd" and not out["x_lo"] < out["x_hi"]:
+        raise ConfigError(f"{path}: expected x_lo < x_hi (defaults {defaults['x_lo']} and "
+                          f"{defaults['x_hi']}), got {out['x_lo']} and {out['x_hi']}")
     return out
 
 
@@ -391,10 +384,9 @@ def _norm_compare(block, path):
         raise ConfigError("compare.oracle is required")
     # the solver grid spans [0, 1]; an oracle on another horizon would
     # answer a different problem
-    if out["oracle"].get("horizon", 1.0) != 1.0:
-        raise ConfigError(
-            f"compare.oracle.horizon = {out['oracle']['horizon']} but the "
-            f"solver horizon is 1.0; set it to 1.0 or drop it")
+    if out["oracle"]["horizon"] != _HORIZON:
+        raise ConfigError(f"compare.oracle.horizon = {out['oracle']['horizon']} but the "
+                          f"solver horizon is {_HORIZON}; set it to {_HORIZON} or drop it")
     # a closed-form oracle prices the one spot x0; every other grid point
     # would be checked against that one price
     if out["x_grid_n"] > 1 and out["oracle"]["kind"] != "fd":
@@ -414,31 +406,33 @@ def _compare_market(out):
     if name not in ("bs", "merton"):
         raise ConfigError(f"a {kind} compare oracle prices a bs or merton model, "
                           f"not {name!r}; use an fd oracle")
-    params = {**PRESET_PARAMS[name], **out["model"]["params"]}
+    params = out["model"]["params"]
     options = {("exp-" if name == "merton" else "") + o: o for o in ("call", "put")}
     if terminal["name"] not in options:
         raise ConfigError(f"a {kind} compare oracle prices a {' or '.join(options)} "
                           f"terminal under model {name!r}, not {terminal['name']!r}")
-    rate = {"zero": 0.0, "discount": driver["params"].get("rate", 0.0)}.get(driver["name"])
+    rate = {"zero": 0.0, "discount": driver["params"].get("rate")}.get(driver["name"])
     if rate != params["r"]:
         raise ConfigError(f"a {kind} compare oracle discounts at model.params.r = {params['r']}"
                           f", driver {driver['name']!r} "
                           + ("is not linear" if rate is None else f"at {rate}"))
-    x0, strike = out["numerics"]["x0"], terminal["params"].get("strike", 1.0)
+    x0, strike = out["numerics"]["x0"], terminal["params"]["strike"]
     if name == "bs" and x0 <= 0:
         raise ConfigError(f"a {kind} compare oracle needs a positive spot, not numerics.x0 = {x0}")
     if strike <= 0:
         raise ConfigError(f"a {kind} compare oracle needs a positive strike, "
                           f"not terminal.params.strike = {strike}")
+    # a bs model has no jumps
+    jumps = ({key: params[key] for key in _JUMP_KEYS} if name == "merton"
+             else dict.fromkeys(_JUMP_KEYS, 0.0))
     market = {"s0": math.exp(x0) if name == "merton" else x0, "strike": strike,
-              "rate": params["r"], "sigma": params["sigma"], "horizon": 1.0,
-              "intensity": params.get("intensity", 0.0), "jump_mean": params.get("jump_mean", 0.0),
-              "jump_sd": params.get("jump_sd", 0.0), "option": options[terminal["name"]]}
+              "rate": params["r"], "sigma": params["sigma"], "horizon": _HORIZON,
+              **jumps, "option": options[terminal["name"]]}
     if kind == "merton" and obstacle is not None:
         raise ConfigError("a merton compare oracle prices a European claim; "
                           "drop the obstacle or use a binomial or fd oracle")
     if kind == "binomial" and (obstacle is None or obstacle["name"] != terminal["name"] or
-                               obstacle["params"].get("strike", 1.0) != market["strike"]):
+                               obstacle["params"]["strike"] != market["strike"]):
         raise ConfigError("a binomial compare oracle prices an American claim; "
                           "the obstacle must be the terminal payoff, strike included")
     if kind == "binomial" and market["intensity"] != 0:
@@ -448,14 +442,11 @@ def _compare_market(out):
 
 
 def _check_tree(spec, path):
-    """A binomial oracle's tree must be one the CRR pricer admits at
-    steps // 2 (steps 2000 unless given, as in the runner), the coarser tree
-    its error estimate prices, and so at steps too; else E_CONFIG naming
-    the volatility at ``path``."""
-    spec = {**_ORACLE_MARKET, **spec}
+    """A binomial oracle's tree must be one the CRR pricer admits at steps // 2,
+    its error estimate's tree, and so at steps; else E_CONFIG naming ``path``."""
     try:
         _crr(*(spec[key] for key in ("s0", "strike", "rate", "sigma", "horizon")),
-             spec.get("steps", 2000) // 2, spec.get("option", "put"))
+             spec["steps"] // 2, spec["option"])
     except ValueError as exc:
         raise ConfigError(f"{path} = {spec['sigma']} is too small for the binomial "
                           f"oracle: {exc}") from None
@@ -463,7 +454,8 @@ def _check_tree(spec, path):
 
 def _check_compare_grid(block, x0):
     """The compare x-grid: x_grid_n points spread over the region, or x0
-    alone, which a region given with it must contain."""
+    alone, which a region given with it must contain; an fd oracle's grid
+    contains them, as its values beyond are its ends'."""
     region, n = block.get("region"), block["x_grid_n"]
     if n > 1 and region is None:
         raise ConfigError(f"compare.x_grid_n = {n} but no compare.region to spread "
@@ -471,9 +463,18 @@ def _check_compare_grid(block, x0):
     if n == 1 and region is not None and not region[0] <= x0 <= region[1]:
         raise ConfigError(f"compare.region = {region} does not contain numerics.x0 = {x0}, "
                           f"the one point compared at compare.x_grid_n = 1")
+    spec = block["oracle"]
+    lo, hi = region if n > 1 else (x0, x0)
+    if spec["kind"] == "fd" and not spec["x_lo"] <= lo <= hi <= spec["x_hi"]:
+        raise ConfigError(f"compare.oracle: the fd grid [{spec['x_lo']}, {spec['x_hi']}] does "
+                          f"not contain the points compared, [{lo}, {hi}]")
 
 
-def _check_task_requirements(task, out):
+def _check_task_requirements(cfg):
+    """The blocks a task needs, the zero driver and the normcheck block
+    filled where a task may leave them out, and the checks across blocks."""
+    task, out = cfg.task, cfg.raw
+
     def need(block):
         if block not in out:
             raise ConfigError(f"task {task!r} requires a {block} block")
@@ -489,22 +490,22 @@ def _check_task_requirements(task, out):
         need("oracle")
         if out["oracle"]["kind"] == "fd":
             need("terminal")
+    out.setdefault("driver", {"name": "zero", "params": {}})
     if task == "normcheck":
-        nc = out.get("normcheck", _DEFAULTS["normcheck"])
+        nc = out.setdefault("normcheck", _typed({}, _NORMCHECK, "normcheck"))
         nodes, paths = nc["n_panels"] * nc["nodes_per_panel"], out["numerics"]["paths"]
         if paths < 2 * nodes:
             raise ConfigError(f"numerics.paths = {paths} is below 2 per quadrature node: "
                               f"normcheck.n_panels * nodes_per_panel = {nodes}")
     if task == "compare":
         _check_compare_grid(out["compare"], out["numerics"]["x0"])
-    if task == "compare" and out["compare"]["oracle"]["kind"] != "fd":
-        market = _compare_market(out)
-        if out["compare"]["oracle"]["kind"] == "binomial":
-            _check_tree({**out["compare"]["oracle"], **market}, "model.params.sigma")
+        spec = cfg.compare_oracle()
+        if spec["kind"] == "binomial":
+            _check_tree(spec, "model.params.sigma")
     if task == "oracle" and out["oracle"]["kind"] == "binomial":
         _check_tree(out["oracle"], "oracle.sigma")
     if task == "solve-obstacle" or (task == "compare" and "obstacle" in out):
-        kappa = out["obstacle"]["params"].get("kappa", 1.0)
+        kappa = out["obstacle"]["params"]["kappa"]
         weight = WeightFunction(out["weight"]["p"])
         if not weight.admits_obstacle(1, kappa):
             raise ConfigError(
@@ -530,8 +531,7 @@ _COMPARE = {"oracle": _norm_oracle, "tol_rel": _expect_positive, "region": _expe
             "x_grid_n": _expect_count}
 _NUMERICS = {"grid_n": _expect_count, "paths": _expect_count, "x0": _expect_num,
              "x0_spread": _expect_nonnegative, "picard": _expect_count, "tol": _expect_positive,
-             "schedule_max_exp": _expect_count, "schedule": _expect_nums,
-             "eval_points": partial(_expect_count, minimum=2),
+             "schedule": _expect_nums, "eval_points": partial(_expect_count, minimum=2),
              "dump_paths": partial(_expect_choice, choices=("none", "csv", "binary")),
              "basis": {"kind": partial(_expect_choice, choices=("poly", "local")),
                        "degree": _expect_count, "cells": _expect_count,
@@ -547,15 +547,15 @@ _TOP = {"task": partial(_expect_choice, choices=TASKS),
         "obstacle": partial(_norm_named_block, known=_OBSTACLE_PARAMS),
         "weight": {"p": _expect_positive},
         "numerics": _NUMERICS,
-        "oracle": partial(_norm_oracle, market=(*_ORACLE_MARKET, "option")),
+        "oracle": partial(_norm_oracle, market=True),
         "normcheck": lambda value, path: _typed(value, _NORMCHECK, path),
         "compare": _norm_compare}
-# the defaults of each block, by its path
-_DEFAULTS = {"numerics": {"grid_n": 50, "paths": 100_000, "x0": 0.0, "x0_spread": 0.0,
-                          "picard": 3, "tol": 1e-3, "schedule_max_exp": 12,
-                          "dump_paths": "none"},
+# the defaults of the other blocks, by their path ("" the top level)
+_DEFAULTS = {"": {"output": "out"},
+             "numerics": {"grid_n": 50, "paths": 100_000, "x0": 0.0, "x0_spread": 0.0,
+                          "picard": 3, "tol": 1e-3, "eval_points": 101, "dump_paths": "none"},
              "numerics.basis": {"kind": "poly", "degree": 4, "cells": 40, "box": None},
              "weight": {"p": 4.0},
              "normcheck": {"radius": 9.0, "n_panels": 18, "nodes_per_panel": 8,
-                           "s_list": (0.1, 0.5, 1.0)},
+                           "s_list": [0.1, 0.5, 1.0]},
              "compare": {"tol_rel": 0.01, "x_grid_n": 1}}

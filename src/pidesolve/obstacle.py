@@ -37,9 +37,9 @@ __all__ = [
 ]
 
 
-def default_schedule(max_exponent=12):
-    """Geometric penalty schedule 1, 2, 4, ..., 2^max_exponent."""
-    return tuple(2**k for k in range(max_exponent + 1))
+def default_schedule():
+    """Geometric penalty schedule 1, 2, 4, ..., 4096: 13 levels."""
+    return tuple(2**k for k in range(13))
 
 
 def solve_penalized(model, driver, terminal, obstacle, paths, basis, level,

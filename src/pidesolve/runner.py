@@ -23,8 +23,7 @@ import numpy as np
 
 from . import forward, normcheck, obstacle as obstacle_mod, oracle as oracle_mod
 from .bsde import evaluate_u, make_basis, solve_bsde
-from .config import (_DEFAULTS, _FD_SPACE, _ORACLE_MARKET, ExperimentConfig,
-                     _compare_market, validate_config)
+from .config import ExperimentConfig, validate_config
 from .errors import ConfigError, SolverError
 from .forward import TimeGrid, simulate_paths
 
@@ -167,10 +166,9 @@ def _solution_rows(sol, eval_x):
 
 
 def _eval_grid(cfg, paths):
-    n_pts = cfg.numerics.get("eval_points", 101)
     # both quantiles from one partitioned copy of the states
     lo, hi = (float(v) for v in np.quantile(paths.states, [0.005, 0.995]))
-    return np.linspace(lo, hi, n_pts)
+    return np.linspace(lo, hi, cfg.numerics["eval_points"])
 
 
 # ---------------------------------------------------------------------------
@@ -245,20 +243,20 @@ def _task_solve_obstacle(cfg, art):
 
 def _oracle_solve(spec, cfg):
     """The oracle's answer: a closed form's ``{"price", "error_estimate"}``
-    or the FD oracle's ``FdSolution``.  It builds its own model, driver,
+    or the FD oracle's ``FdSolution``.  ``spec`` is a validated oracle block,
+    a closed form's with its market.  It builds its own model, driver,
     terminal and obstacle from the config and writes nothing, so ``compare``
     runs it on a helper thread."""
     kind = spec["kind"]
     if kind in ("merton", "binomial"):
-        spec = {**_ORACLE_MARKET, **spec}
         market = tuple(spec[key] for key in ("s0", "strike", "rate", "sigma", "horizon"))
         if kind == "merton":
             price = oracle_mod.merton_price(
                 *market, spec["intensity"], spec["jump_mean"], spec["jump_sd"],
-                n_terms=spec.get("n_terms", 60), kind=spec.get("option", "call"))
+                n_terms=spec["n_terms"], kind=spec["option"])
             error = 1e-10
         else:
-            steps, option = spec.get("steps", 2000), spec.get("option", "put")
+            steps, option = spec["steps"], spec["option"]
             price = oracle_mod.binomial_american(*market, steps, option)
             error = abs(price - oracle_mod.binomial_american(*market, steps // 2, option))
         return {"price": price, "error_estimate": error}
@@ -267,12 +265,10 @@ def _oracle_solve(spec, cfg):
     driver = cfg.build_driver()
     terminal = cfg.build_terminal()
     obst = cfg.build_obstacle()
-    space = {**_FD_SPACE, **spec}
-    grid = oracle_mod.FdGrid(
-        space["x_lo"], space["x_hi"], spec.get("n_space", 800), spec.get("n_time", 400),
-        bc=spec.get("bc", "dirichlet"))
+    grid = oracle_mod.FdGrid(spec["x_lo"], spec["x_hi"], spec["n_space"], spec["n_time"],
+                             bc=spec["bc"])
     return oracle_mod.fd_solve_pide(model, driver, terminal, grid,
-                                    obstacle=obst, horizon=spec.get("horizon", 1.0))
+                                    obstacle=obst, horizon=spec["horizon"])
 
 
 def _oracle_write(result, art, prefix):
@@ -300,7 +296,7 @@ def _task_oracle(cfg, art):
 def _task_normcheck(cfg, art):
     model = cfg.build_model()
     weight = cfg.build_weight()
-    nc = cfg.raw.get("normcheck", _DEFAULTS["normcheck"])
+    nc = cfg.raw["normcheck"]
     quad = normcheck.gauss_legendre_panels(nc["radius"], nc["n_panels"],
                                            nc["nodes_per_panel"])
     fam = normcheck.shipped_phi_family()
@@ -325,9 +321,7 @@ def _timed_oracle_solve(spec, cfg):
 
 def _task_compare(cfg, art):
     cmp_block = cfg.raw["compare"]
-    spec = cmp_block["oracle"]
-    if spec["kind"] != "fd":
-        spec = {**spec, **_compare_market(cfg.raw)}
+    spec = cfg.compare_oracle()
     # the oracle shares no data with the solve and does not depend on the
     # seed, so the worker solves it while this thread simulates and solves;
     # its result, or its error, is read where the serial order ran it, after
@@ -400,7 +394,7 @@ def run_experiment(cfg, out_dir=None, flags=None):
     if not isinstance(cfg, ExperimentConfig):
         cfg = validate_config(cfg)
     flags = dict(flags or {})
-    out_dir = out_dir or cfg.raw.get("output") or "out"
+    out_dir = out_dir or cfg.raw["output"]
     os.makedirs(out_dir, exist_ok=True)
     lock_path = os.path.join(out_dir, ".lock")
     lock_fd = _take_lock(lock_path, out_dir)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -178,8 +179,8 @@ def test_non_finite_numbers_rejected(blocks, path):
 
 
 COUNT_PATHS = [
-    *(f"numerics.{key}" for key in ("grid_n", "paths", "picard", "schedule_max_exp",
-                                    "eval_points", "basis.degree", "basis.cells")),
+    *(f"numerics.{key}" for key in ("grid_n", "paths", "picard", "eval_points",
+                                    "basis.degree", "basis.cells")),
     "model.params.n_nodes", "oracle.steps", "oracle.n_space", "oracle.n_time",
     "oracle.n_terms", "normcheck.n_panels", "normcheck.nodes_per_panel", "compare.x_grid_n"]
 
@@ -412,7 +413,7 @@ def american_put_compare_config(**oracle):
 
 def fd_put_compare_config():
     raw = american_put_compare_config()
-    raw["compare"]["oracle"] = {"kind": "fd"}
+    raw["compare"]["oracle"] = {"kind": "fd", "x_lo": 50.0, "x_hi": 150.0}
     return raw
 
 
@@ -508,6 +509,34 @@ def test_inconsistent_compare_grid_rejected(compare, message, tmp_path):
     validate_config(raw)
 
 
+@pytest.mark.parametrize("compare, points", [
+    ({"oracle": {"kind": "fd"}}, "[-8.0, 8.0] does not contain the points compared, "
+                                 "[100.0, 100.0]"),
+    ({"oracle": {"kind": "fd", "x_lo": 50.0, "x_hi": 100.0}, "region": [95.0, 105.0],
+      "x_grid_n": 5}, "[50.0, 100.0] does not contain the points compared, [95.0, 105.0]"),
+    ({"oracle": {"kind": "fd", "x_lo": 96.0, "x_hi": 150.0}, "region": [95.0, 105.0],
+      "x_grid_n": 5}, "[96.0, 150.0] does not contain the points compared, [95.0, 105.0]"),
+], ids=["x0-beyond-default-grid", "region-beyond-x_hi", "region-below-x_lo"])
+def test_fd_compare_grid_must_contain_the_compared_points(compare, points, tmp_path):
+    # the fd oracle's values beyond its grid are its end values: on the
+    # default grid [-8, 8] a put at x0 = 100 was compared with u(0, 8) = 92,
+    # and the run reported criterion-failure with sup_rel_err 0.93
+    raw = american_put_compare_config()
+    raw["compare"] = dict(compare, tol_rel=0.05)
+    with pytest.raises(ConfigError, match=re.escape(points)) as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+    assert str(err.value).startswith("compare.oracle: ")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["compare", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    assert not (tmp_path / "run").exists()
+    # a grid that reaches the points, at its ends included, validates
+    raw["compare"]["oracle"].update(x_lo=95.0, x_hi=105.0)
+    validate_config(raw)
+
+
 ORACLE_TASK = {"task": "oracle", "seed": 1}
 
 
@@ -595,7 +624,8 @@ def test_oracle_kinds_keep_their_own_keys():
         assert validate_config(dict(ORACLE_TASK, oracle=oracle, **blocks)).raw["oracle"] == oracle
     for raw in (american_put_compare_config(steps=100, horizon=1.0),
                 merton_compare_config(n_terms=40, horizon=1.0),
-                merton_compare_config(**dict(fd, horizon=1.0))):
+                # a compare's fd grid contains x0 = log 100
+                merton_compare_config(**dict(fd, horizon=1.0, x_lo=1.0, x_hi=8.0))):
         validate_config(raw)
 
 
@@ -771,7 +801,7 @@ def test_binomial_compare_prices_the_configured_put(tmp_path):
     raw["numerics"]["x0"] = 110.0
     raw["terminal"]["params"]["strike"] = raw["obstacle"]["params"]["strike"] = 105
     cfg = validate_config(raw)
-    assert cfg.raw["compare"]["oracle"] == {"kind": "binomial", "steps": 200}
+    assert cfg.raw["compare"]["oracle"] == {"kind": "binomial", "steps": 200, "horizon": 1.0}
     report, code = run_experiment(cfg, out_dir=tmp_path)
     assert report.body["status"] != "error"
     payload = json.loads((tmp_path / "oracle_cmp_price.json").read_text())
@@ -841,6 +871,22 @@ def test_compare_solves_its_oracle_on_a_helper_thread(tmp_path, monkeypatch):
     assert "oracle_s" not in json.dumps(report.body)
 
 
+def test_kou_call_matches_the_fd_oracle(tmp_path):
+    # the kou preset's two-point jumps against the FD oracle on log K +- 3;
+    # over seeds 1-60 at this size sup_rel_err ran from 0.02% to 1.67%
+    # (mean 0.54%, sd 0.38%), so tol_rel 2.5% is 1.5 times the worst
+    log_k = math.log(100.0)
+    raw = {"task": "compare", "seed": 1, "model": {"name": "kou"},
+           "driver": {"name": "discount", "params": {"rate": 0.05}},
+           "terminal": {"name": "exp-call", "params": {"strike": 100}},
+           "numerics": {"grid_n": 25, "paths": 50_000, "x0": log_k},
+           "compare": {"oracle": {"kind": "fd", "x_lo": log_k - 3.0, "x_hi": log_k + 3.0,
+                                  "n_space": 600, "n_time": 200}, "tol_rel": 0.025}}
+    report, code = run_experiment(raw, out_dir=tmp_path)
+    assert code == EXIT_OK, report.body
+    assert report.body["headline"]["sup_rel_err"] <= 0.025
+
+
 def unstable_fd_compare_config(**terminal):
     # dt * intensity = 0.1 * 20 = 2: the FD oracle raises E_STABILITY
     raw = fd_put_compare_config()
@@ -874,6 +920,83 @@ def test_readme_example_is_a_valid_config():
     assert len(blocks) == 1
     cfg = validate_config(json.loads(blocks[0]))
     assert cfg.task == "compare" and cfg.raw["compare"]["oracle"]["kind"] == "merton"
+
+
+def _readme_defaults():
+    """The README's defaults table: (block, names, defaults) per row."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| block | name or kind | defaults |\n| --- | --- | --- |\n")[1]
+    rows = []
+    for line in table.split("\n\n")[0].splitlines():
+        block, names, defaults = (cell.strip() for cell in line.strip("|").split("|"))
+        names = re.findall(r"`([\w-]+)`", names.split(":")[0])
+        rows.append((block.strip("`"), names or [None], json.loads(defaults.strip("`"))))
+    return rows
+
+
+def _filled(block, name):
+    """What validation fills in ``block`` (of that name or kind) for a
+    config that gives it no keys of its own."""
+    raw = {"task": "solve", "seed": 1, "model": {"name": "bs"}, "driver": {"name": "zero"},
+           "terminal": {"name": "square"}}
+    if block in ("model", "driver", "terminal", "obstacle"):
+        raw[block] = {"name": name}
+        return validate_config(raw).raw[block]["params"]
+    if block == "model.params.measure":
+        raw["model"] = {"name": "custom", "params": {"jump": "translation",
+                                                     "measure": {"kind": name}}}
+        filled = validate_config(raw).raw["model"]["params"]["measure"]
+        assert filled.pop("kind") == name
+        return filled
+    if block == "oracle":
+        filled = validate_config({"task": "oracle", "seed": 1, "oracle": {"kind": name},
+                                  "terminal": {"name": "square"}}).raw["oracle"]
+        assert filled.pop("kind") == name
+        return filled
+    if block == "normcheck":
+        return validate_config(_normcheck_config()).raw["normcheck"]
+    if block == "compare":
+        raw = fd_put_compare_config()
+        raw["compare"] = {"oracle": raw["compare"]["oracle"]}
+        return {k: v for k, v in validate_config(raw).raw["compare"].items() if k != "oracle"}
+    filled = validate_config(raw).raw
+    if block == "config":
+        return {"output": filled["output"]}
+    for key in block.split("."):
+        filled = filled[key]
+    return {k: v for k, v in filled.items() if not isinstance(v, dict)}
+
+
+def test_readme_defaults_table_is_what_validation_fills():
+    rows = _readme_defaults()
+    for block, names, defaults in rows:
+        for name in names:
+            assert _filled(block, name) == defaults, (block, name)
+    # every name and kind validation admits has its row, save those without params
+    named = {(block, name) for block, names, _ in rows for name in names}
+    base = {"task": "solve", "seed": 1, "model": {"name": "bs"}, "driver": {"name": "zero"},
+            "terminal": {"name": "square"}}
+    for block, raw in (
+            ("model", dict(base, model={"name": "?"})),
+            ("driver", dict(base, driver={"name": "?"})),
+            ("terminal", dict(base, terminal={"name": "?"})),
+            ("obstacle", dict(base, obstacle={"name": "?"})),
+            ("model.params.measure", dict(base, model={"name": "custom", "params": {
+                "jump": "translation", "measure": {"kind": "?"}}})),
+            ("oracle", {"task": "oracle", "seed": 1, "oracle": {"kind": "?"}})):
+        with pytest.raises(ConfigError, match="must be one of") as err:
+            validate_config(raw)
+        choices = json.loads(re.search(r"one of (\[.*?\])", str(err.value))[1].replace("'", '"'))
+        without_params = {"driver": {"zero"}, "terminal": {"square"}}.get(block, set())
+        assert {name for b, name in named if b == block} == set(choices) - without_params
+    # a compare oracle takes its kind's keys less the market, at the same defaults
+    for raw in (fd_put_compare_config(), bs_call_compare_config(),
+                american_put_compare_config()):
+        given = raw["compare"]["oracle"]
+        filled = validate_config(raw).raw["compare"]["oracle"]
+        row = _filled("oracle", given["kind"])
+        assert {k: v for k, v in filled.items() if k not in given} == {
+            k: row[k] for k in filled if k not in given}
 
 
 def test_config_hash_semantics(tmp_path):
@@ -962,6 +1085,58 @@ def test_all_artifacts_listed(run, tmp_path):
     artifacts = report.body["artifacts"]
     assert artifacts == sorted(written | {"report.json"})
     assert set(os.listdir(tmp_path)) == set(artifacts)
+
+
+def _readme_config():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(re.findall(r"```json\n(.*?)```", text, re.S)[0])
+
+
+# every config helper of the tests, with the blocks each leaves to its defaults
+CONFIG_HELPERS = {
+    "heat-solve": heat_solve_config,
+    "obstacle-put": obstacle_put_config,
+    "obstacle-put-schedule": lambda: obstacle_put_config(schedule=[1, 8, 64]),
+    "custom-model": lambda: _solve_with_model({"name": "custom", "params": {
+        "jump": "translation", "drift": {"slope": 1}, "measure": {"kind": "two-point"}}}),
+    "borrowing-driver": lambda: _solve_with_model(
+        {"name": "kou"}, driver={"name": "borrowing", "params": {"borrow_rate": 0.1}}),
+    "constant-obstacle": lambda: dict(obstacle_put_config(),
+                                      obstacle={"name": "constant", "params": {"value": -1}}),
+    "normcheck-defaults": lambda: _normcheck_config(paths=288),
+    "normcheck-block": lambda: _normcheck_config(radius=4.0),
+    "american-put-compare": american_put_compare_config,
+    "fd-put-compare": fd_put_compare_config,
+    "merton-compare": merton_compare_config,
+    "bs-call-compare": bs_call_compare_config,
+    "merton-with": _merton_with,
+    "american-put-with": _american_put_with,
+    "unstable-fd-compare": unstable_fd_compare_config,
+    "simulate": lambda: _simulate_config("binary"),
+    "fd-put-oracle": _fd_put_oracle_config,
+    "small-merton-compare": _small_merton_compare_config,
+    "fd-grid-compare": _fd_grid_compare_config,
+    "oracle-merton": lambda: {"task": "oracle", "seed": 1, "oracle": {"kind": "merton"}},
+    "oracle-binomial": lambda: {"task": "oracle", "seed": 1, "oracle": {"kind": "binomial"}},
+    **{f"count-{path}": functools.partial(_config_with, path, 3) for path in COUNT_PATHS},
+    "readme": _readme_config,
+}
+
+
+@pytest.mark.parametrize("helper", list(CONFIG_HELPERS))
+def test_normalized_config_validates_to_itself(helper):
+    # validation fills every default, so a second pass changes nothing
+    cfg = validate_config(CONFIG_HELPERS[helper]())
+    again = validate_config(json.loads(cfg.canonical_json()))
+    assert again.canonical_json() == cfg.canonical_json()
+    assert again.schedule() == cfg.schedule()
+
+
+def test_schedule_max_exp_is_an_unknown_key():
+    # the default schedule's one length was its only value in use
+    with pytest.raises(ConfigError, match="unknown key at numerics.schedule_max_exp"):
+        validate_config(heat_solve_config(schedule_max_exp=12))
+    assert validate_config(heat_solve_config()).schedule() == tuple(2**k for k in range(13))
 
 
 def test_artifact_writer_refuses_a_repeated_name(tmp_path):

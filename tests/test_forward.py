@@ -6,13 +6,19 @@ import warnings
 import numpy as np
 import pytest
 
-from pidesolve.config import _build_custom_model
+from pidesolve.config import validate_config
 from pidesolve.errors import GridError, NumericError
 from pidesolve.forward import (TimeGrid, check_flow_property, dump_paths_binary,
                                dump_paths_csv, load_paths_binary, moment_report,
                                simulate_paths, tangent_flow)
 from pidesolve.model import (JumpMeasure, ModelSpec, named_model, scalar_model,
                              translation_jump)
+
+
+def custom_model(params):
+    # a custom config model, normalized and built as a run builds it
+    return validate_config({"task": "simulate", "seed": 0,
+                            "model": {"name": "custom", "params": params}}).build_model()
 
 
 def test_grid_basics():
@@ -523,9 +529,9 @@ def test_kou_preset_risk_neutral():
     (named_model("merton"), math.log(100.0)),
     (named_model("kou"), math.log(100.0)),
     (named_model("toy-uniform"), 0.0),
-    (_build_custom_model({"jump": "translation",
-                          "measure": {"kind": "two-point", "down": -0.2, "up": 0.1,
-                                      "p_up": 0.25, "intensity": 2.0}}), 0.5),
+    (custom_model({"jump": "translation",
+                   "measure": {"kind": "two-point", "down": -0.2, "up": 0.1,
+                               "p_up": 0.25, "intensity": 2.0}}), 0.5),
 ], ids=["merton", "kou", "toy-uniform", "custom"])
 def test_constant_compensator_keeps_paths_bitwise(model, x0):
     # the same jump map behind another callable falls back to the quadrature

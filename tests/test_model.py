@@ -3,13 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from pidesolve.config import _build_custom_model
+from pidesolve.config import validate_config
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (DriverSpec, JumpMeasure, ObstacleSpec,
                              WeightFunction, borrowing_rate_driver,
                              discount_driver, named_model, translation_jump,
                              zero_driver)
 from pidesolve.oracle import FdGrid, fd_solve_pide
+
+
+def custom_model(params):
+    # a custom config model, normalized and built as a run builds it
+    return validate_config({"task": "simulate", "seed": 0,
+                            "model": {"name": "custom", "params": params}}).build_model()
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +169,9 @@ def quadrature_compensator(model, x):
 
 @pytest.mark.parametrize("model", [
     named_model("merton"), named_model("kou"), named_model("toy-uniform"),
-    _build_custom_model({"jump": "translation",
-                         "measure": {"kind": "gaussian", "mean": -0.1, "sd": 0.2,
-                                     "intensity": 2.0}}),
+    custom_model({"jump": "translation",
+                  "measure": {"kind": "gaussian", "mean": -0.1, "sd": 0.2,
+                              "intensity": 2.0}}),
 ], ids=["merton", "kou", "toy-uniform", "custom"])
 def test_translation_compensator_is_one_constant(model):
     assert model.jump_coeff is translation_jump
@@ -176,9 +182,9 @@ def test_translation_compensator_is_one_constant(model):
 
 
 def test_compensator_state_dependent_jumps_is_the_quadrature():
-    model = _build_custom_model({"jump": "proportional-exp", "drift": {"slope": 0.05},
-                                 "diffusion": {"slope": 0.2},
-                                 "measure": {"kind": "uniform", "lo": -0.2, "hi": 0.2}})
+    model = custom_model({"jump": "proportional-exp", "drift": {"slope": 0.05},
+                          "diffusion": {"slope": 0.2},
+                          "measure": {"kind": "uniform", "lo": -0.2, "hi": 0.2}})
     x = np.linspace(50.0, 150.0, 9)[:, None]
     comp = model.compensator_drift(x)
     assert np.array_equal(comp, quadrature_compensator(model, x))

@@ -49,7 +49,7 @@ def bs_put_setup():
 
 
 def test_schedule_default():
-    sched = default_schedule(12)
+    sched = default_schedule()
     assert sched[0] == 1 and sched[-1] == 4096 and len(sched) == 13
 
 

@@ -8,13 +8,19 @@ import numpy as np
 import pytest
 
 import pidesolve
-from pidesolve.config import _build_custom_model
+from pidesolve.config import validate_config
 from pidesolve.errors import BoundaryError, NumericError, StabilityError, TailError
 from pidesolve.model import (JumpMeasure, ObstacleSpec, discount_driver,
                              named_model, scalar_model, zero_driver)
 from pidesolve.oracle import (FdGrid, _nonlocal_term, _norm_cdf, binomial_american,
                               binomial_european, black_scholes, fd_solve_pide,
                               merton_price)
+
+
+def custom_model(params):
+    # a custom config model, normalized and built as a run builds it
+    return validate_config({"task": "simulate", "seed": 0,
+                            "model": {"name": "custom", "params": params}}).build_model()
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +172,9 @@ def _looped_nonlocal_term(model, functionals, xp, u, du):
 
 @pytest.mark.parametrize("model, lo, hi", [
     (named_model("merton"), math.log(100.0) - 1.0, math.log(100.0) + 1.0),
-    (_build_custom_model({"jump": "proportional-exp", "drift": {"slope": 0.05},
-                          "diffusion": {"slope": 0.2},
-                          "measure": {"kind": "uniform", "lo": -0.3, "hi": 0.3}}),
+    (custom_model({"jump": "proportional-exp", "drift": {"slope": 0.05},
+                   "diffusion": {"slope": 0.2},
+                   "measure": {"kind": "uniform", "lo": -0.3, "hi": 0.3}}),
      60.0, 140.0),
 ], ids=["merton", "proportional-exp"])
 def test_fd_jump_operators_match_interpolation_loop(model, lo, hi):
