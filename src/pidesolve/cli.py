@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-    solver <task> --config <path> [--seed S] [--threads K] [--deterministic]
-                  [--out DIR]
+    solver <task> --config <path> [--seed S] [--out DIR]
 
 Tasks: simulate, solve, solve-obstacle, oracle, normcheck, compare.  The
-task on the command line must match the config's task field.  Exit codes:
+task on the command line must match the config's task field.  The config,
+with ``--seed`` in place of its seed, is the run's whole input.  Exit codes:
 0 success, 1 error (a usage error included), 2 criterion failure.
 """
 
@@ -41,27 +41,12 @@ def build_parser():
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's seed")
-        p.add_argument("--threads", default=None, metavar="K",
-                       help="worker threads, a positive integer (echoed into the "
-                            "report; SOLVER_THREADS is the fallback, then 1)")
-        p.add_argument("--deterministic", action="store_true", default=True,
-                       help="fixed-order reductions for bit-reproducible reports "
-                            "(always on in this implementation)")
         p.add_argument("--out", default=None, help="output directory")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    source, text = (("--threads", args.threads) if args.threads is not None
-                    else ("SOLVER_THREADS", os.environ.get("SOLVER_THREADS", "1")))
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        print(f"error: {source} must be a positive integer, got {text!r}", file=sys.stderr)
-        return EXIT_ERROR
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -78,9 +63,7 @@ def main(argv=None):
             print(f"error: config task {cfg.task!r} does not match "
                   f"command {args.task!r}", file=sys.stderr)
             return EXIT_ERROR
-        report, code = run_experiment(
-            cfg, out_dir=args.out,
-            flags={"threads": threads, "deterministic": args.deterministic})
+        report, code = run_experiment(cfg, out_dir=args.out)
     except SolverError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -31,18 +31,14 @@ _COUNT_MAX = int(np.iinfo(np.intp).max)
 _SEED_MAX = 2**64 - 1
 # the solver's time grid spans [0, 1]; an oracle's horizon defaults to it
 _HORIZON = 1.0
-# the keys each oracle kind reads besides its kind and horizon, and the market
-# the oracle task's closed forms price, with their defaults
+# the keys each oracle kind reads besides its kind and horizon, with their
+# defaults; a closed form's market is the config's (ExperimentConfig.oracle)
 _ORACLE_KEYS = {"fd": {"x_lo": -8.0, "x_hi": 8.0, "n_space": 800, "n_time": 400,
                        "bc": "dirichlet"},
                 "merton": {"n_terms": 60}, "binomial": {"steps": 2000}}
-_MARKET = {"s0": 100.0, "strike": 100.0, "rate": 0.05, "sigma": 0.2}
 _JUMP_KEYS = ("intensity", "jump_mean", "jump_sd")
-_ORACLE_MARKETS = {"merton": {**_MARKET, "intensity": 0.0, "jump_mean": 0.0, "jump_sd": 1e-8,
-                              "option": "call"},
-                   "binomial": {**_MARKET, "option": "put"}}
 # the params each named block takes, with their defaults; an obstacle also
-# takes its growth constants, iota with none here (build_obstacle derives it)
+# takes its growth constants, iota with none here (_norm_obstacle derives it)
 _DRIVER_PARAMS = {"zero": {}, "discount": {"rate": 0.0},
                   "borrowing": {"rate": 0.0, "borrow_rate": 0.0, "risk_premium": 0.0}}
 _DRIVERS = {"zero": zero_driver, "discount": discount_driver,
@@ -133,6 +129,20 @@ def _expect_positives(value, path):
     return [_expect_positive(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _expect_schedule(value, path):
+    """Penalty levels: a nonempty increasing list of finite numbers > 0, kept
+    as given, so the default's int levels re-validate to themselves."""
+    levels = _expect_nums(value, path)
+    if not levels:
+        raise ConfigError(f"{path}: expected a nonempty list")
+    for i, level in enumerate(levels):
+        if level <= 0:
+            raise SchemaError(f"{path}[{i}]: expected positive number")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"{path} must be increasing")
+    return list(value)
+
+
 def _expect_pair(value, path):
     """A [lo, hi] pair of finite numbers, lo < hi, as floats; null means none."""
     if value is None:
@@ -210,22 +220,17 @@ class ExperimentConfig:
             return None
         params = block["params"]
         fn = _build_payoff(block["name"], params)
-        # iota's default bounds the payoff: 1 + strike, or 1 + |value| for a constant
-        bound = params["strike"] if "strike" in params else abs(params["value"])
-        return ObstacleSpec(h=lambda t, X: fn(X), iota=params.get("iota", 1.0 + bound),
-                            kappa=params["kappa"])
+        return ObstacleSpec(h=lambda t, X: fn(X), iota=params["iota"], kappa=params["kappa"])
 
     def build_weight(self):
         return WeightFunction(self.raw["weight"]["p"])
 
-    def schedule(self):
-        """``numerics.schedule``, or ``default_schedule()`` where it is left out."""
-        return tuple(self.numerics.get("schedule") or default_schedule())
-
-    def compare_oracle(self):
-        """The compare oracle's block, a closed form's with its market."""
-        spec = self.raw["compare"]["oracle"]
-        return spec if spec["kind"] == "fd" else {**spec, **_compare_market(self.raw)}
+    def oracle(self):
+        """The task's oracle block, ``compare.oracle`` or ``oracle``; a closed
+        form's with the market it prices, read off the config by
+        ``_closed_form_market``."""
+        spec = self.raw["compare"]["oracle"] if self.task == "compare" else self.raw["oracle"]
+        return spec if spec["kind"] == "fd" else {**spec, **_closed_form_market(self.raw, spec)}
 
 
 def _stock_sigma(model):
@@ -278,8 +283,8 @@ def validate_config(raw):
     """Validate raw JSON (text or dict) into a complete ExperimentConfig.
 
     Rejects unknown keys with their path, checks types, fills every default
-    but ``numerics.schedule``'s from this module's tables, which the README
-    lists, and enforces the weight floor p >= kappa + dim + 1 for obstacles.
+    from this module's tables, which the README lists, and enforces the
+    weight floor p >= kappa + dim + 1 for obstacles.
     """
     if isinstance(raw, (str, bytes)):
         try:
@@ -291,20 +296,11 @@ def validate_config(raw):
         raise SchemaError(f"task is required, one of {sorted(TASKS)}")
     if "seed" not in out:
         raise ConfigError("seed is required (no silent nondeterminism)")
-    task = out["task"]
     if "model" not in out:
-        if task != "oracle":
-            raise ConfigError("model block is required")
-        out["model"] = _norm_model({"name": "bs"}, "model")
+        raise ConfigError("model block is required")
     if out.get("driver", {}).get("name") == "borrowing":
         _stock_sigma(out["model"])
-    schedule = out["numerics"].get("schedule", [])
-    for i, level in enumerate(schedule):
-        if level <= 0:
-            raise SchemaError(f"numerics.schedule[{i}]: expected positive number")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigError("numerics.schedule must be increasing")
-    cfg = ExperimentConfig(task=task, seed=out["seed"], raw=out)
+    cfg = ExperimentConfig(task=out["task"], seed=out["seed"], raw=out)
     _check_task_requirements(cfg)
     return cfg
 
@@ -312,7 +308,7 @@ def validate_config(raw):
 def _norm_model(block, path):
     """A model block with its params filled: a preset's from
     ``PRESET_PARAMS``, the custom model's by ``_norm_custom``."""
-    if block is None:  # no model; the oracle task's default is filled later
+    if block is None:  # no model, which validation rejects
         return None
     _check_keys(_expect(block, dict, path), {"name", "params"}, path)
     name = _expect_choice(block.get("name"), f"{path}.name", {*PRESET_PARAMS, "custom"})
@@ -322,6 +318,9 @@ def _norm_model(block, path):
     params = _params(params, PRESET_PARAMS[name], f"{path}.params")
     if "n_nodes" in params:
         _expect_count(params["n_nodes"], f"{path}.params.n_nodes")
+    for key in ("sigma", "intensity", "jump_sd"):
+        if key in params:
+            _expect_nonnegative(params[key], f"{path}.params.{key}")
     return {"name": name, "params": params}
 
 
@@ -364,13 +363,22 @@ def _norm_named_block(block, path, known):
                                             f"{path}.params")}
 
 
-def _norm_oracle(block, path, market=False):
-    """An oracle block filled: its kind, the horizon and that kind's keys, and
-    with ``market`` the oracle task's market; a compare oracle prices the
-    config's own (``ExperimentConfig.compare_oracle``)."""
+def _norm_obstacle(block, path):
+    """An obstacle block with its growth constants, both > 0: iota's default
+    bounds the payoff, 1 + strike, or 1 + |value| for a constant."""
+    out = _norm_named_block(block, path, _OBSTACLE_PARAMS)
+    params = out["params"]
+    if "iota" not in params:
+        params["iota"] = 1.0 + (params["strike"] if "strike" in params else abs(params["value"]))
+    for key in ("iota", "kappa"):
+        _expect_positive(params[key], f"{path}.params.{key}")
+    return out
+
+
+def _norm_oracle(block, path):
+    """An oracle block filled: its kind, the horizon and that kind's keys."""
     kind = _expect_choice(_expect(block, dict, path).get("kind"), f"{path}.kind", _ORACLE_KEYS)
-    defaults = {"horizon": _HORIZON, **_ORACLE_KEYS[kind],
-                **(_ORACLE_MARKETS.get(kind, {}) if market else {})}
+    defaults = {"horizon": _HORIZON, **_ORACLE_KEYS[kind]}
     out = {**defaults, **_typed(block, {key: _ORACLE[key] for key in ("kind", *defaults)}, path)}
     if kind == "fd" and not out["x_lo"] < out["x_hi"]:
         raise ConfigError(f"{path}: expected x_lo < x_hi (defaults {defaults['x_lo']} and "
@@ -396,60 +404,61 @@ def _norm_compare(block, path):
     return out
 
 
-def _compare_market(out):
-    """The market a closed-form compare oracle prices, read off the config:
-    a ``bs`` model in price space, a ``merton`` one in log-price with its
-    jump law, the terminal's strike and option, the solver's horizon.  A
+def _closed_form_market(out, spec):
+    """The market a closed-form oracle ``spec`` prices at its horizon, read
+    off the config: a ``bs`` model in price space, a ``merton`` one in
+    log-price with its jump law, and the terminal's strike and option.  A
     problem the closed form does not price is a ``ConfigError``."""
-    kind, name = out["compare"]["oracle"]["kind"], out["model"]["name"]
+    kind, name = spec["kind"], out["model"]["name"]
     terminal, driver, obstacle = out["terminal"], out["driver"], out.get("obstacle")
     if name not in ("bs", "merton"):
-        raise ConfigError(f"a {kind} compare oracle prices a bs or merton model, "
+        raise ConfigError(f"a {kind} oracle prices a bs or merton model, "
                           f"not {name!r}; use an fd oracle")
     params = out["model"]["params"]
     options = {("exp-" if name == "merton" else "") + o: o for o in ("call", "put")}
     if terminal["name"] not in options:
-        raise ConfigError(f"a {kind} compare oracle prices a {' or '.join(options)} "
+        raise ConfigError(f"a {kind} oracle prices a {' or '.join(options)} "
                           f"terminal under model {name!r}, not {terminal['name']!r}")
     rate = {"zero": 0.0, "discount": driver["params"].get("rate")}.get(driver["name"])
     if rate != params["r"]:
-        raise ConfigError(f"a {kind} compare oracle discounts at model.params.r = {params['r']}"
+        raise ConfigError(f"a {kind} oracle discounts at model.params.r = {params['r']}"
                           f", driver {driver['name']!r} "
                           + ("is not linear" if rate is None else f"at {rate}"))
     x0, strike = out["numerics"]["x0"], terminal["params"]["strike"]
     if name == "bs" and x0 <= 0:
-        raise ConfigError(f"a {kind} compare oracle needs a positive spot, not numerics.x0 = {x0}")
+        raise ConfigError(f"a {kind} oracle needs a positive spot, not numerics.x0 = {x0}")
     if strike <= 0:
-        raise ConfigError(f"a {kind} compare oracle needs a positive strike, "
+        raise ConfigError(f"a {kind} oracle needs a positive strike, "
                           f"not terminal.params.strike = {strike}")
     # a bs model has no jumps
     jumps = ({key: params[key] for key in _JUMP_KEYS} if name == "merton"
              else dict.fromkeys(_JUMP_KEYS, 0.0))
     market = {"s0": math.exp(x0) if name == "merton" else x0, "strike": strike,
-              "rate": params["r"], "sigma": params["sigma"], "horizon": _HORIZON,
+              "rate": params["r"], "sigma": params["sigma"],
               **jumps, "option": options[terminal["name"]]}
     if kind == "merton" and obstacle is not None:
-        raise ConfigError("a merton compare oracle prices a European claim; "
+        raise ConfigError("a merton oracle prices a European claim; "
                           "drop the obstacle or use a binomial or fd oracle")
     if kind == "binomial" and (obstacle is None or obstacle["name"] != terminal["name"] or
                                obstacle["params"]["strike"] != market["strike"]):
-        raise ConfigError("a binomial compare oracle prices an American claim; "
+        raise ConfigError("a binomial oracle prices an American claim; "
                           "the obstacle must be the terminal payoff, strike included")
     if kind == "binomial" and market["intensity"] != 0:
-        raise ConfigError(f"a binomial compare oracle has no jumps but "
+        raise ConfigError(f"a binomial oracle has no jumps but "
                           f"model.params.intensity = {market['intensity']}")
     return market
 
 
-def _check_tree(spec, path):
+def _check_tree(spec):
     """A binomial oracle's tree must be one the CRR pricer admits at steps // 2,
-    its error estimate's tree, and so at steps; else E_CONFIG naming ``path``."""
+    its error estimate's tree, and so at steps; else E_CONFIG naming the
+    model's sigma, which sets the tree's moves."""
     try:
         _crr(*(spec[key] for key in ("s0", "strike", "rate", "sigma", "horizon")),
              spec["steps"] // 2, spec["option"])
     except ValueError as exc:
-        raise ConfigError(f"{path} = {spec['sigma']} is too small for the binomial "
-                          f"oracle: {exc}") from None
+        raise ConfigError(f"model.params.sigma = {spec['sigma']} is too small for the "
+                          f"binomial oracle: {exc}") from None
 
 
 def _check_compare_grid(block, x0):
@@ -479,17 +488,14 @@ def _check_task_requirements(cfg):
         if block not in out:
             raise ConfigError(f"task {task!r} requires a {block} block")
 
-    if task in ("solve", "solve-obstacle", "compare"):
+    if task in ("compare", "oracle"):
+        need(task)
+    if task in ("solve", "solve-obstacle", "compare", "oracle"):
         need("terminal")
+    if task in ("solve", "solve-obstacle", "compare"):
         need("driver")
     if task == "solve-obstacle":
         need("obstacle")
-    if task == "compare":
-        need("compare")
-    if task == "oracle":
-        need("oracle")
-        if out["oracle"]["kind"] == "fd":
-            need("terminal")
     out.setdefault("driver", {"name": "zero", "params": {}})
     if task == "normcheck":
         nc = out.setdefault("normcheck", _typed({}, _NORMCHECK, "normcheck"))
@@ -499,11 +505,10 @@ def _check_task_requirements(cfg):
                               f"normcheck.n_panels * nodes_per_panel = {nodes}")
     if task == "compare":
         _check_compare_grid(out["compare"], out["numerics"]["x0"])
-        spec = cfg.compare_oracle()
+    if task in ("compare", "oracle"):
+        spec = cfg.oracle()  # a closed form's market is derived, or refused, here
         if spec["kind"] == "binomial":
-            _check_tree(spec, "model.params.sigma")
-    if task == "oracle" and out["oracle"]["kind"] == "binomial":
-        _check_tree(out["oracle"], "oracle.sigma")
+            _check_tree(spec)
     if task == "solve-obstacle" or (task == "compare" and "obstacle" in out):
         kappa = out["obstacle"]["params"]["kappa"]
         weight = WeightFunction(out["weight"]["p"])
@@ -523,15 +528,12 @@ _ORACLE = {"kind": partial(_expect_choice, choices=_ORACLE_KEYS),
            "n_space": partial(_expect_count, minimum=3),
            "n_time": _expect_count, "bc": partial(_expect_choice, choices=("dirichlet", "linear")),
            "n_terms": _expect_count, "steps": partial(_expect_count, minimum=2),
-           "rate": _expect_num, "jump_mean": _expect_num,
-           **dict.fromkeys(("s0", "strike", "horizon"), _expect_positive),
-           **dict.fromkeys(("sigma", "intensity", "jump_sd"), _expect_nonnegative),
-           "option": partial(_expect_choice, choices=("call", "put"))}
+           "horizon": _expect_positive}
 _COMPARE = {"oracle": _norm_oracle, "tol_rel": _expect_positive, "region": _expect_pair,
             "x_grid_n": _expect_count}
 _NUMERICS = {"grid_n": _expect_count, "paths": _expect_count, "x0": _expect_num,
              "x0_spread": _expect_nonnegative, "picard": _expect_count, "tol": _expect_positive,
-             "schedule": _expect_nums, "eval_points": partial(_expect_count, minimum=2),
+             "schedule": _expect_schedule, "eval_points": partial(_expect_count, minimum=2),
              "dump_paths": partial(_expect_choice, choices=("none", "csv", "binary")),
              "basis": {"kind": partial(_expect_choice, choices=("poly", "local")),
                        "degree": _expect_count, "cells": _expect_count,
@@ -544,16 +546,17 @@ _TOP = {"task": partial(_expect_choice, choices=TASKS),
         "model": _norm_model,
         "driver": partial(_norm_named_block, known=_DRIVER_PARAMS),
         "terminal": partial(_norm_named_block, known=_PAYOFF_PARAMS),
-        "obstacle": partial(_norm_named_block, known=_OBSTACLE_PARAMS),
+        "obstacle": _norm_obstacle,
         "weight": {"p": _expect_positive},
         "numerics": _NUMERICS,
-        "oracle": partial(_norm_oracle, market=True),
+        "oracle": _norm_oracle,
         "normcheck": lambda value, path: _typed(value, _NORMCHECK, path),
         "compare": _norm_compare}
 # the defaults of the other blocks, by their path ("" the top level)
 _DEFAULTS = {"": {"output": "out"},
              "numerics": {"grid_n": 50, "paths": 100_000, "x0": 0.0, "x0_spread": 0.0,
-                          "picard": 3, "tol": 1e-3, "eval_points": 101, "dump_paths": "none"},
+                          "picard": 3, "tol": 1e-3, "eval_points": 101, "dump_paths": "none",
+                          "schedule": list(default_schedule())},
              "numerics.basis": {"kind": "poly", "degree": 4, "cells": 40, "box": None},
              "weight": {"p": 4.0},
              "normcheck": {"radius": 9.0, "n_panels": 18, "nodes_per_panel": 8,

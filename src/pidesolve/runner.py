@@ -1,10 +1,11 @@
 """Experiment runner: dispatch a validated config to the solvers and write
 reproducible reports.
 
-The report body (task, config hash, flags, headline numbers, per-criterion
-pass/fail, artifact list) is hashed; timestamps and environment live outside
-the hashed body so identical config and seed reproduce identical hashes.
-Exit codes: 0 success, 2 criterion failure, 1 error.
+The validated config is a run's whole input.  The report body (task,
+config hash, seed, headline numbers, per-criterion pass/fail, artifact list)
+is hashed; timestamps and environment live outside the hashed body so
+identical config and seed reproduce identical hashes.  Exit codes: 0
+success, 2 criterion failure, 1 error.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def _task_solve_obstacle(cfg, art):
     eval_x = _eval_grid(cfg, paths)
     refl = obstacle_mod.solve_reflected(
         model, driver, terminal, obst, paths, basis,
-        schedule=cfg.schedule(), tol=cfg.numerics["tol"],
+        schedule=cfg.numerics["schedule"], tol=cfg.numerics["tol"],
         weight=weight, picard_iters=cfg.numerics["picard"])
     for lvl, lsol in zip(refl.levels, refl.level_solutions):
         art.csv(f"u_level_{lvl:.17g}.csv", "x,u",
@@ -243,8 +244,8 @@ def _task_solve_obstacle(cfg, art):
 
 def _oracle_solve(spec, cfg):
     """The oracle's answer: a closed form's ``{"price", "error_estimate"}``
-    or the FD oracle's ``FdSolution``.  ``spec`` is a validated oracle block,
-    a closed form's with its market.  It builds its own model, driver,
+    or the FD oracle's ``FdSolution``.  ``spec`` is ``cfg.oracle()``, a
+    closed form's block with its market.  It builds its own model, driver,
     terminal and obstacle from the config and writes nothing, so ``compare``
     runs it on a helper thread."""
     kind = spec["kind"]
@@ -289,7 +290,7 @@ def _oracle_write(result, art, prefix):
 
 
 def _task_oracle(cfg, art):
-    payload, _ = _oracle_write(_oracle_solve(cfg.raw["oracle"], cfg), art, "oracle")
+    payload, _ = _oracle_write(_oracle_solve(cfg.oracle(), cfg), art, "oracle")
     return dict(payload), []
 
 
@@ -321,7 +322,7 @@ def _timed_oracle_solve(spec, cfg):
 
 def _task_compare(cfg, art):
     cmp_block = cfg.raw["compare"]
-    spec = cfg.compare_oracle()
+    spec = cfg.oracle()
     # the oracle shares no data with the solve and does not depend on the
     # seed, so the worker solves it while this thread simulates and solves;
     # its result, or its error, is read where the serial order ran it, after
@@ -347,7 +348,7 @@ def _task_compare(cfg, art):
             x_T = paths.states[-1]
             obstacle_mod.check_horizon(terminal(x_T), obst(paths.grid.nodes[-1], x_T))
             sol = obstacle_mod.solve_penalized(
-                model, driver, terminal, obst, paths, basis, cfg.schedule()[-1],
+                model, driver, terminal, obst, paths, basis, cfg.numerics["schedule"][-1],
                 picard_iters=cfg.numerics["picard"])
         u_solver = evaluate_u(sol, 0, xq[:, None])
         art.csv("solver_u0.csv", "x,u", zip(xq, u_solver))
@@ -383,17 +384,16 @@ _TASK_FNS = {
 # runner
 # ---------------------------------------------------------------------------
 
-def run_experiment(cfg, out_dir=None, flags=None):
+def run_experiment(cfg, out_dir=None):
     """Run one experiment; returns (Report, exit_code) and writes report.json.
 
     An exclusive ``flock`` on ``out_dir/.lock``, held for the whole run,
-    serializes experiments per output directory (see ``_take_lock``).
-    Flags (seed, threads, deterministic) are echoed into the hashed body;
-    timestamps and paths stay in the unhashed meta block.
+    serializes experiments per output directory (see ``_take_lock``).  The
+    seed goes into the hashed body beside the config's hash; timestamps and
+    paths stay in the unhashed meta block.
     """
     if not isinstance(cfg, ExperimentConfig):
         cfg = validate_config(cfg)
-    flags = dict(flags or {})
     out_dir = out_dir or cfg.raw["output"]
     os.makedirs(out_dir, exist_ok=True)
     lock_path = os.path.join(out_dir, ".lock")
@@ -401,13 +401,7 @@ def run_experiment(cfg, out_dir=None, flags=None):
     start = time.time()
     try:
         config_hash = hashlib.sha256(cfg.canonical_json().encode()).hexdigest()
-        body = {
-            "task": cfg.task,
-            "config_hash": config_hash,
-            "flags": {"seed": cfg.seed,
-                      "threads": int(flags.get("threads", 1)),
-                      "deterministic": bool(flags.get("deterministic", True))},
-        }
+        body = {"task": cfg.task, "config_hash": config_hash, "seed": cfg.seed}
         art = _Artifacts(out_dir)
         try:
             headline, criteria = _TASK_FNS[cfg.task](cfg, art)

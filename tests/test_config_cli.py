@@ -13,7 +13,7 @@ import pytest
 
 import pidesolve
 from pidesolve.cli import main as cli_main
-from pidesolve.config import _compare_market, validate_config
+from pidesolve.config import validate_config
 from pidesolve.errors import ConfigError, SchemaError
 from pidesolve.model import WeightFunction
 from pidesolve.oracle import binomial_american
@@ -190,13 +190,11 @@ def _config_with(path, value):
     kind = {"oracle.steps": "binomial", "oracle.n_terms": "merton"}.get(path, "fd")
     raw = {"numerics": heat_solve_config(),
            "model": _solve_with_model({"name": "merton", "params": {}}),
-           "oracle": {"task": "oracle", "seed": 1, "oracle": {"kind": kind}},
+           "oracle": oracle_task_config(kind),
            "normcheck": {"task": "normcheck", "seed": 1, "model": {"name": "toy-uniform"}},
            "compare": fd_put_compare_config()}[path.split(".")[0]]
     if path == "compare.x_grid_n":  # an x-grid spreads over a region
         raw["compare"]["region"] = [90.0, 110.0]
-    if raw["task"] == "oracle" and kind == "fd":  # it solves from the terminal
-        raw["terminal"] = {"name": "square"}
     *heads, last = path.split(".")
     block = raw
     for key in heads:
@@ -394,8 +392,19 @@ def test_task_requirements():
     with pytest.raises(ConfigError, match="terminal"):
         validate_config({"task": "solve", "seed": 1, "model": {"name": "bs"},
                          "driver": {"name": "zero"}})
-    with pytest.raises(ConfigError, match="oracle"):
-        validate_config({"task": "oracle", "seed": 1})
+    with pytest.raises(ConfigError, match="requires a oracle block"):
+        validate_config({"task": "oracle", "seed": 1, "model": {"name": "bs"}})
+    # every task that prices needs a model: the oracle task has no default one
+    raw = oracle_task_config("binomial")
+    del raw["model"]
+    with pytest.raises(ConfigError, match="model block is required") as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+    # a closed form also prices the terminal
+    raw = oracle_task_config("merton")
+    del raw["terminal"]
+    with pytest.raises(ConfigError, match="requires a terminal block"):
+        validate_config(raw)
 
 
 def american_put_compare_config(**oracle):
@@ -440,7 +449,23 @@ def bs_call_compare_config(**blocks):
     return raw
 
 
-def test_compare_horizon_must_match_solver():
+def as_oracle_task(raw):
+    """The compare config ``raw`` as an oracle task on its compare oracle."""
+    raw = dict(raw, task="oracle", oracle=raw["compare"]["oracle"])
+    del raw["compare"]
+    return raw
+
+
+def oracle_task_config(kind, **oracle):
+    """An oracle task of that kind on a problem it prices: the fd put, the
+    README's merton call or the American put, with the oracle's keys given."""
+    raw = as_oracle_task({"fd": fd_put_compare_config, "merton": merton_compare_config,
+                          "binomial": american_put_compare_config}[kind]())
+    raw["oracle"] = dict(oracle, kind=kind)
+    return raw
+
+
+def test_compare_horizon_must_match_solver(tmp_path):
     # the solver grid spans [0, 1]: a compare oracle on another horizon
     # would be checked against a different problem
     raw = american_put_compare_config(horizon=0.5)
@@ -451,11 +476,13 @@ def test_compare_horizon_must_match_solver():
     validate_config(raw)
     del raw["compare"]["oracle"]["horizon"]
     validate_config(raw)
-    # the standalone oracle task answers its own problem and keeps its horizon
-    oracle = {"kind": "binomial", "s0": 100, "strike": 100, "rate": 0.05,
-              "sigma": 0.2, "horizon": 0.5, "steps": 200, "option": "put"}
-    cfg = validate_config({"task": "oracle", "seed": 1, "oracle": oracle})
-    assert cfg.raw["oracle"]["horizon"] == 0.5
+    # the oracle task prices the config's market at its own horizon
+    cfg = validate_config(as_oracle_task(american_put_compare_config(horizon=0.5)))
+    assert cfg.oracle()["horizon"] == 0.5
+    report, code = run_experiment(cfg, out_dir=tmp_path)
+    assert code == EXIT_OK, report.body
+    payload = json.loads((tmp_path / "oracle_price.json").read_text())
+    assert payload["price"] == binomial_american(100.0, 100, 0.05, 0.2, 0.5, 200, "put")
 
 
 def test_closed_form_compare_oracle_prices_one_spot():
@@ -479,13 +506,13 @@ def test_closed_form_compare_oracle_prices_one_spot():
     ("s0", 100), ("strike", 100), ("rate", 0.05), ("sigma", 0.2), ("intensity", 1.0),
     ("jump_mean", -0.1), ("jump_sd", 0.15), ("option", "call")])
 def test_compare_oracle_market_keys_rejected(key, value):
-    # a compare oracle's market is the config's own; the oracle task's is not
+    # an oracle's market is the config's own, in the compare and the oracle task
     with pytest.raises(ConfigError, match=f"unknown key at compare.oracle.{key}") as err:
         validate_config(merton_compare_config(**{key: value}))
     assert err.value.code == "E_CONFIG"
-    cfg = validate_config({"task": "oracle", "seed": 1,
-                           "oracle": {"kind": "merton", key: value}})
-    assert cfg.raw["oracle"][key] == value
+    with pytest.raises(ConfigError, match=f"^unknown key at oracle.{key}$") as err:
+        validate_config(oracle_task_config("merton", **{key: value}))
+    assert err.value.code == "E_CONFIG"
 
 
 @pytest.mark.parametrize("compare, message", [
@@ -537,9 +564,6 @@ def test_fd_compare_grid_must_contain_the_compared_points(compare, points, tmp_p
     validate_config(raw)
 
 
-ORACLE_TASK = {"task": "oracle", "seed": 1}
-
-
 @pytest.mark.parametrize("task", ["oracle", "compare"])
 @pytest.mark.parametrize("oracle, path, code", [
     ({"kind": "binomial", "steps": 1}, "oracle.steps", "E_SCHEMA"),
@@ -553,7 +577,7 @@ def test_oracle_grid_that_cannot_be_built_rejected(task, oracle, path, code, tmp
     # tree's error estimate prices steps // 2, and the fd grid needs three
     # nodes on a nonempty interval (x_lo and x_hi default to -8 and 8)
     if task == "oracle":
-        raw = dict(ORACLE_TASK, oracle=oracle)
+        raw = oracle_task_config(**oracle)
     elif oracle["kind"] == "binomial":
         raw = american_put_compare_config(**oracle)
     else:
@@ -593,9 +617,9 @@ def test_oracle_grid_that_cannot_be_built_rejected(task, oracle, path, code, tmp
 ])
 def test_oracle_keys_belong_to_their_kind(task, oracle, key, tmp_path):
     # each kind takes the keys it reads: a binomial tree has no jumps, a
-    # series no grid and an fd grid no market of its own
+    # series no grid, and no kind a market of its own
     if task == "oracle":
-        raw = dict(ORACLE_TASK, oracle=oracle)
+        raw = oracle_task_config(**oracle)
     elif oracle["kind"] == "binomial":
         raw = american_put_compare_config(**oracle)
     else:
@@ -612,49 +636,76 @@ def test_oracle_keys_belong_to_their_kind(task, oracle, key, tmp_path):
 
 
 def test_oracle_kinds_keep_their_own_keys():
-    binomial = {"kind": "binomial", "s0": 90, "strike": 100, "rate": 0.04, "sigma": 0.3,
-                "horizon": 0.5, "steps": 100, "option": "call"}
-    merton = {"kind": "merton", "s0": 90, "strike": 100, "rate": 0.04, "sigma": 0.3,
-              "horizon": 0.5, "intensity": 1.0, "jump_mean": -0.1, "jump_sd": 0.15,
-              "n_terms": 40, "option": "put"}
-    fd = {"kind": "fd", "x_lo": -4.0, "x_hi": 4.0, "n_space": 200, "n_time": 100,
-          "bc": "linear", "horizon": 0.5}
-    terminal = {"terminal": {"name": "put", "params": {"strike": 1.0}}}
-    for oracle, blocks in ((binomial, {}), (merton, {}), (fd, terminal)):
-        assert validate_config(dict(ORACLE_TASK, oracle=oracle, **blocks)).raw["oracle"] == oracle
+    # in the oracle task each kind keeps its keys and its own horizon
+    for oracle in ({"kind": "binomial", "horizon": 0.5, "steps": 100},
+                   {"kind": "merton", "horizon": 0.5, "n_terms": 40},
+                   {"kind": "fd", "x_lo": -4.0, "x_hi": 4.0, "n_space": 200, "n_time": 100,
+                    "bc": "linear", "horizon": 0.5}):
+        assert validate_config(oracle_task_config(**oracle)).raw["oracle"] == oracle
     for raw in (american_put_compare_config(steps=100, horizon=1.0),
                 merton_compare_config(n_terms=40, horizon=1.0),
                 # a compare's fd grid contains x0 = log 100
-                merton_compare_config(**dict(fd, horizon=1.0, x_lo=1.0, x_hi=8.0))):
+                merton_compare_config(kind="fd", x_lo=1.0, x_hi=8.0, n_space=200,
+                                      n_time=100, bc="linear", horizon=1.0)):
         validate_config(raw)
 
 
-@pytest.mark.parametrize("oracle, path", [
-    ({"kind": "binomial", "sigma": -0.2}, "oracle.sigma"),
-    ({"kind": "merton", "sigma": -0.2}, "oracle.sigma"),
-    ({"kind": "merton", "intensity": -1.0}, "oracle.intensity"),
-    ({"kind": "merton", "jump_sd": -0.15}, "oracle.jump_sd"),
-    ({"kind": "merton", "s0": 0.0}, "oracle.s0"),
-    ({"kind": "binomial", "strike": -100.0}, "oracle.strike"),
-    ({"kind": "merton", "horizon": -1.0}, "oracle.horizon"),
-    ({"kind": "binomial", "horizon": 0.0}, "oracle.horizon"),
-    ({"kind": "fd", "horizon": -1.0}, "oracle.horizon"),
-    ({"kind": "fd"}, "requires a terminal block"),
-    ({"kind": "binomial", "sigma": 0.0}, "oracle.sigma = 0.0"),
-    ({"kind": "binomial", "sigma": 0.05, "steps": 2}, "oracle.sigma = 0.05"),
+def _oracle_task_with(kind, model=None, terminal=None, **oracle):
+    """An oracle task of that kind with its model params or its terminal (and
+    a payoff obstacle alike) changed, or its oracle keys given."""
+    raw = oracle_task_config(kind, **oracle)
+    if model is not None:
+        raw["model"] = {"name": raw["model"]["name"],
+                        "params": dict(raw["model"]["params"], **model)}
+    if terminal is not None:
+        raw["terminal"] = terminal
+        if "obstacle" in raw:
+            raw["obstacle"] = {"name": terminal["name"],
+                               "params": dict(terminal["params"], iota=1.0)}
+    return raw
+
+
+def _bs_call_oracle_task(**numerics):
+    raw = as_oracle_task(bs_call_compare_config())
+    raw["numerics"].update(numerics)
+    return raw
+
+
+def _without_terminal(raw):
+    del raw["terminal"]
+    return raw
+
+
+@pytest.mark.parametrize("make, path", [
+    (lambda: _oracle_task_with("binomial", model={"sigma": -0.2}), "model.params.sigma"),
+    (lambda: _oracle_task_with("merton", model={"sigma": -0.2}), "model.params.sigma"),
+    (lambda: _oracle_task_with("merton", model={"intensity": -1.0}), "model.params.intensity"),
+    (lambda: _oracle_task_with("merton", model={"jump_sd": -0.15}), "model.params.jump_sd"),
+    (lambda: _bs_call_oracle_task(x0=0.0), "numerics.x0 = 0.0"),
+    (lambda: _oracle_task_with("binomial", terminal={"name": "put",
+                                                     "params": {"strike": -100.0}}),
+     "terminal.params.strike = -100.0"),
+    (lambda: _oracle_task_with("merton", horizon=-1.0), "oracle.horizon"),
+    (lambda: _oracle_task_with("binomial", horizon=0.0), "oracle.horizon"),
+    (lambda: _oracle_task_with("fd", horizon=-1.0), "oracle.horizon"),
+    (lambda: _without_terminal(oracle_task_config("fd")), "requires a terminal block"),
+    (lambda: _oracle_task_with("binomial", model={"sigma": 0.0}), "model.params.sigma = 0.0"),
+    (lambda: _oracle_task_with("binomial", model={"sigma": 0.05}, steps=2),
+     "model.params.sigma = 0.05"),
 ], ids=["binomial-negative-sigma", "merton-negative-sigma", "merton-negative-intensity",
         "merton-negative-jump-sd", "merton-zero-s0", "binomial-negative-strike",
         "merton-negative-horizon", "binomial-zero-horizon", "fd-negative-horizon",
         "fd-without-terminal", "binomial-zero-sigma", "binomial-coarse-tree"])
-def test_unrunnable_oracle_task_rejected_at_validation(oracle, path, tmp_path, capsys):
+def test_unrunnable_oracle_task_rejected_at_validation(make, path, tmp_path, capsys):
     # each used to validate and then exit with E_ERROR from the oracle: a
     # negative sigma, intensity or jump sd as ValueError, a spot, strike or
     # horizon <= 0 as a math domain error or ZeroDivisionError, and an fd
     # oracle, which solves from the config's terminal, as KeyError: 'terminal'.
     # A binomial tree whose up probability leaves (0, 1), at sigma 0 or on
     # the error estimate's tree of steps // 2 (here 1 step, where
-    # sigma sqrt(dt) = rate dt), priced with a clipped one and exited 0
-    raw = dict(ORACLE_TASK, oracle=oracle)
+    # sigma sqrt(dt) = rate dt), priced with a clipped one and exited 0.
+    # The market is the config's, so each is refused where it is given
+    raw = make()
     with pytest.raises(ConfigError, match=re.escape(path)) as err:
         validate_config(raw)
     assert err.value.code == "E_CONFIG"
@@ -665,8 +716,8 @@ def test_unrunnable_oracle_task_rejected_at_validation(oracle, path, tmp_path, c
     assert "[E_CONFIG]" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
     # zero volatility, intensity and jump sd validate
-    validate_config(dict(ORACLE_TASK, oracle={"kind": "merton", "sigma": 0.0,
-                                              "intensity": 0.0, "jump_sd": 0.0}))
+    validate_config(_oracle_task_with("merton", model={"sigma": 0.0, "intensity": 0.0,
+                                                       "jump_sd": 0.0}))
 
 
 def _merton_with(**changes):
@@ -774,16 +825,17 @@ def test_compare_market_is_derived():
                model={"name": "bs", "params": {"sigma": 0.3}},
                terminal={"name": "put", "params": {"strike": 110}},
                obstacle={"name": "put", "params": {"strike": 110, "kappa": 0.5}})
-    assert _compare_market(validate_config(raw).raw) == {
-        "s0": 100.0, "strike": 110, "rate": 0.05, "sigma": 0.3, "horizon": 1.0,
-        "intensity": 0.0, "jump_mean": 0.0, "jump_sd": 0.0, "option": "put"}
+    assert validate_config(raw).oracle() == {
+        "kind": "binomial", "steps": 200, "s0": 100.0, "strike": 110, "rate": 0.05,
+        "sigma": 0.3, "horizon": 1.0, "intensity": 0.0, "jump_mean": 0.0, "jump_sd": 0.0,
+        "option": "put"}
     raw = merton_compare_config()
     raw["model"]["params"] = {"r": 0.03, "intensity": 0.5, "jump_sd": 0.1}
     raw["driver"]["params"]["rate"] = 0.03
     raw["terminal"]["params"]["strike"] = 90
     raw["numerics"]["x0"] = math.log(95.0)
-    assert _compare_market(validate_config(raw).raw) == {
-        "s0": math.exp(math.log(95.0)),
+    assert validate_config(raw).oracle() == {
+        "kind": "merton", "n_terms": 60, "s0": math.exp(math.log(95.0)),
         "strike": 90, "rate": 0.03, "sigma": 0.2, "horizon": 1.0, "intensity": 0.5,
         "jump_mean": -0.1, "jump_sd": 0.1, "option": "call"}
     # a merton model without jumps has an American tree too
@@ -791,7 +843,7 @@ def test_compare_market_is_derived():
                terminal={"name": "exp-put", "params": {"strike": 100}},
                obstacle={"name": "exp-put", "params": {"strike": 100}},
                compare={"oracle": {"kind": "binomial"}})
-    assert _compare_market(validate_config(raw).raw)["option"] == "put"
+    assert validate_config(raw).oracle()["option"] == "put"
 
 
 def test_binomial_compare_prices_the_configured_put(tmp_path):
@@ -806,6 +858,22 @@ def test_binomial_compare_prices_the_configured_put(tmp_path):
     assert report.body["status"] != "error"
     payload = json.loads((tmp_path / "oracle_cmp_price.json").read_text())
     assert payload["price"] == binomial_american(110.0, 105, 0.04, 0.25, 1.0, 200, "put")
+
+
+@pytest.mark.parametrize("make", [lambda: _small_merton_compare_config(),
+                                  american_put_compare_config],
+                         ids=["merton-readme", "binomial-american-put"])
+def test_oracle_task_prices_what_compare_prices(make, tmp_path):
+    # one config run as compare and, on its compare oracle, as the oracle
+    # task: both price the market the config derives, and write the same
+    # price and error estimate bit for bit
+    raw = make()
+    report, _ = run_experiment(raw, out_dir=tmp_path / "compare")
+    assert report.body["status"] != "error", report.body.get("error")
+    report, code = run_experiment(as_oracle_task(raw), out_dir=tmp_path / "oracle")
+    assert code == EXIT_OK, report.body
+    compared = (tmp_path / "compare" / "oracle_cmp_price.json").read_text()
+    assert (tmp_path / "oracle" / "oracle_price.json").read_text() == compared
 
 
 def test_obstacle_compare_solves_only_the_last_level(tmp_path, monkeypatch):
@@ -824,12 +892,12 @@ def test_obstacle_compare_solves_only_the_last_level(tmp_path, monkeypatch):
         monkeypatch.setattr(mod, "_backward_pass", counted)
     report, _ = run_experiment(cfg, out_dir=tmp_path)
     assert report.body["status"] != "error", report.body.get("error")
-    assert passes == [[(cfg.schedule()[-1], False)]]
+    assert passes == [[(cfg.numerics["schedule"][-1], False)]]
     monkeypatch.undo()
     model, driver, terminal, paths, basis = _backward_problem(cfg)
     refl = obstacle_mod.solve_reflected(
         model, driver, terminal, cfg.build_obstacle(), paths, basis,
-        schedule=cfg.schedule(), tol=cfg.numerics["tol"], weight=cfg.build_weight(),
+        schedule=cfg.numerics["schedule"], tol=cfg.numerics["tol"], weight=cfg.build_weight(),
         picard_iters=cfg.numerics["picard"])
     xq = np.array([cfg.numerics["x0"]])
     rows = (tmp_path / "solver_u0.csv").read_text().splitlines()[1:]
@@ -885,6 +953,27 @@ def test_kou_call_matches_the_fd_oracle(tmp_path):
     report, code = run_experiment(raw, out_dir=tmp_path)
     assert code == EXIT_OK, report.body
     assert report.body["headline"]["sup_rel_err"] <= 0.025
+
+
+def test_borrowing_merton_call_matches_the_fd_oracle(tmp_path):
+    # the borrowing driver (lend at 5%, borrow at 8%) under the merton preset
+    # against the FD oracle on log K +- 3; over seeds 1-30 at this size
+    # sup_rel_err ran from 0.04% to 1.22% (mean 0.47%, sd 0.29%), so tol_rel
+    # 2% is 1.6 times the worst.  The oracle's 14.36 is well above the
+    # lending-rate series price, 12.76: the call's hedge borrows
+    from pidesolve.oracle import merton_price
+    log_k = math.log(100.0)
+    raw = {"task": "compare", "seed": 1, "model": {"name": "merton"},
+           "driver": {"name": "borrowing", "params": {"rate": 0.05, "borrow_rate": 0.08}},
+           "terminal": {"name": "exp-call", "params": {"strike": 100}},
+           "numerics": {"grid_n": 25, "paths": 50_000, "x0": log_k},
+           "compare": {"oracle": {"kind": "fd", "x_lo": log_k - 3.0, "x_hi": log_k + 3.0,
+                                  "n_space": 600, "n_time": 200}, "tol_rel": 0.02}}
+    report, code = run_experiment(raw, out_dir=tmp_path)
+    assert code == EXIT_OK, report.body
+    assert report.body["headline"]["sup_rel_err"] <= 0.02
+    oracle_u0 = float((tmp_path / "oracle_u0.csv").read_text().splitlines()[1].split(",")[1])
+    assert oracle_u0 > 1.1 * merton_price(100.0, 100.0, 0.05, 0.2, 1.0, 1.0, -0.1, 0.15)
 
 
 def unstable_fd_compare_config(**terminal):
@@ -949,8 +1038,7 @@ def _filled(block, name):
         assert filled.pop("kind") == name
         return filled
     if block == "oracle":
-        filled = validate_config({"task": "oracle", "seed": 1, "oracle": {"kind": name},
-                                  "terminal": {"name": "square"}}).raw["oracle"]
+        filled = validate_config(oracle_task_config(name)).raw["oracle"]
         assert filled.pop("kind") == name
         return filled
     if block == "normcheck":
@@ -989,7 +1077,7 @@ def test_readme_defaults_table_is_what_validation_fills():
         choices = json.loads(re.search(r"one of (\[.*?\])", str(err.value))[1].replace("'", '"'))
         without_params = {"driver": {"zero"}, "terminal": {"square"}}.get(block, set())
         assert {name for b, name in named if b == block} == set(choices) - without_params
-    # a compare oracle takes its kind's keys less the market, at the same defaults
+    # a compare oracle takes its kind's keys, at the same defaults
     for raw in (fd_put_compare_config(), bs_call_compare_config(),
                 american_put_compare_config()):
         given = raw["compare"]["oracle"]
@@ -1057,10 +1145,8 @@ ARTIFACT_RUNS = {
         {"u_level_1.2.csv", "u_level_1.3999999999999999.csv", "nu_histogram.csv",
          "trace.json"}),
     "oracle-fd": (_fd_put_oracle_config, {"oracle_fd.csv"}),
-    "oracle-merton": (lambda: {"task": "oracle", "seed": 1, "oracle": {"kind": "merton"}},
-                      {"oracle_price.json"}),
-    "oracle-binomial": (lambda: {"task": "oracle", "seed": 1,
-                                 "oracle": {"kind": "binomial", "steps": 100}},
+    "oracle-merton": (lambda: oracle_task_config("merton"), {"oracle_price.json"}),
+    "oracle-binomial": (lambda: oracle_task_config("binomial", steps=100),
                         {"oracle_price.json"}),
     "normcheck": (lambda: {"task": "normcheck", "seed": 1, "model": {"name": "toy-uniform"},
                            "numerics": {"paths": 400},
@@ -1116,8 +1202,8 @@ CONFIG_HELPERS = {
     "fd-put-oracle": _fd_put_oracle_config,
     "small-merton-compare": _small_merton_compare_config,
     "fd-grid-compare": _fd_grid_compare_config,
-    "oracle-merton": lambda: {"task": "oracle", "seed": 1, "oracle": {"kind": "merton"}},
-    "oracle-binomial": lambda: {"task": "oracle", "seed": 1, "oracle": {"kind": "binomial"}},
+    "oracle-merton": lambda: oracle_task_config("merton"),
+    "oracle-binomial": lambda: oracle_task_config("binomial"),
     **{f"count-{path}": functools.partial(_config_with, path, 3) for path in COUNT_PATHS},
     "readme": _readme_config,
 }
@@ -1129,14 +1215,70 @@ def test_normalized_config_validates_to_itself(helper):
     cfg = validate_config(CONFIG_HELPERS[helper]())
     again = validate_config(json.loads(cfg.canonical_json()))
     assert again.canonical_json() == cfg.canonical_json()
-    assert again.schedule() == cfg.schedule()
 
 
 def test_schedule_max_exp_is_an_unknown_key():
     # the default schedule's one length was its only value in use
     with pytest.raises(ConfigError, match="unknown key at numerics.schedule_max_exp"):
         validate_config(heat_solve_config(schedule_max_exp=12))
-    assert validate_config(heat_solve_config()).schedule() == tuple(2**k for k in range(13))
+
+
+def test_default_schedule_is_filled():
+    # a config without numerics.schedule holds the 13 default levels once
+    # validated, and re-validates to itself
+    cfg = validate_config(obstacle_put_config())
+    assert cfg.numerics["schedule"] == [2**k for k in range(13)]
+    again = validate_config(json.loads(cfg.canonical_json()))
+    assert again.canonical_json() == cfg.canonical_json()
+
+
+@pytest.mark.parametrize("schedule, message, code", [
+    ([], "numerics.schedule: expected a nonempty list", "E_CONFIG"),
+    ([0, 1], "numerics.schedule[0]: expected positive number", "E_SCHEMA"),
+    ([1, 4, 2], "numerics.schedule must be increasing", "E_CONFIG"),
+], ids=["empty", "zero-level", "decreasing"])
+def test_schedule_levels_checked(schedule, message, code, tmp_path, capsys):
+    # an empty list used to validate and run the 13-level default
+    raw = obstacle_put_config(schedule=schedule)
+    with pytest.raises((ConfigError, SchemaError), match=f"^{re.escape(message)}$") as err:
+        validate_config(raw)
+    assert err.value.code == code
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["solve-obstacle", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    assert f"[{code}]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def _put_obstacle_at(strike, **params):
+    raw = obstacle_put_config()
+    raw["terminal"]["params"]["strike"] = strike
+    raw["obstacle"]["params"] = dict(params, strike=strike)
+    return raw
+
+
+@pytest.mark.parametrize("raw, path", [
+    (_put_obstacle_at(-2.0), "obstacle.params.iota: expected a number > 0, got -1.0"),
+    (_put_obstacle_at(100, kappa=0.0), "obstacle.params.kappa: expected a number > 0, got 0.0"),
+    (_put_obstacle_at(100, iota=-5.0), "obstacle.params.iota: expected a number > 0, got -5.0"),
+], ids=["iota-default-below-zero", "kappa-zero", "iota-negative"])
+def test_obstacle_growth_constants_checked_at_validation(raw, path, tmp_path, capsys):
+    # each used to validate and then exit with E_ERROR "must be positive"
+    # from ObstacleSpec: iota's default, 1 + strike, is -1 at strike -2
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}$") as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["solve-obstacle", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    assert "[E_CONFIG]" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    # the filled iota bounds the payoff: 1 + strike, 1 + abs(value) for a constant
+    assert validate_config(_put_obstacle_at(100)).raw["obstacle"]["params"]["iota"] == 101.0
+    raw = dict(_put_obstacle_at(100), obstacle={"name": "constant", "params": {"value": -3}})
+    assert validate_config(raw).raw["obstacle"]["params"]["iota"] == 4.0
 
 
 def test_artifact_writer_refuses_a_repeated_name(tmp_path):
@@ -1391,7 +1533,7 @@ def test_cli_solve_roundtrip(tmp_path, capsys):
     assert "report:" in out and "u0:" in out
     payload = json.loads((tmp_path / "run" / "report.json").read_text())
     assert payload["body"]["task"] == "solve"
-    assert payload["body"]["flags"]["seed"] == 3
+    assert payload["body"]["seed"] == 3
 
 
 def test_cli_seed_override_changes_hash(tmp_path):
@@ -1437,40 +1579,34 @@ def test_cli_config_not_an_object(text, seed, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_threads_env_fallback(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("option", [["--threads", "2"], ["--deterministic"]],
+                         ids=["threads", "deterministic"])
+def test_cli_run_options_are_usage_errors(option, tmp_path, capsys):
+    # the config and the seed are a run's whole input: the echo-only thread
+    # count and determinism flag are gone, and no report is written
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(heat_solve_config()))
-    monkeypatch.setenv("SOLVER_THREADS", "4")
-    assert cli_main(["solve", "--config", str(cfg_path), "--out",
-                     str(tmp_path / "run")]) == EXIT_OK
-    payload = json.loads((tmp_path / "run" / "report.json").read_text())
-    assert payload["body"]["flags"]["threads"] == 4
-    assert payload["body"]["flags"]["deterministic"] is True
-
-
-@pytest.mark.parametrize("env, flag", [("abc", None), ("0", None), ("1", "-3"), ("2", "x")],
-                         ids=["env-text", "env-zero", "flag-negative", "flag-text"])
-def test_cli_threads_rejected(tmp_path, monkeypatch, capsys, env, flag):
-    # a thread count that is not a positive integer is an input error, from
-    # the flag or from its environment fallback, and no report is written
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(heat_solve_config()))
-    monkeypatch.setenv("SOLVER_THREADS", env)
-    argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
-    if flag is not None:
-        argv += ["--threads", flag]
-    assert cli_main(argv) == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and ("--threads" if flag else "SOLVER_THREADS") in err
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["solve", "--config", str(cfg_path), *option, "--out", str(tmp_path / "run")])
+    assert exc.value.code == EXIT_ERROR
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_help_with_bad_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("SOLVER_THREADS", "abc")
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["solve", "--help"])
-    assert exc.value.code == 0
-    assert "--threads" in capsys.readouterr().out
+def test_cli_report_ignores_the_thread_environment(tmp_path, monkeypatch):
+    # SOLVER_THREADS set or not, one config and seed give one report hash
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(heat_solve_config()))
+    hashes = []
+    for run, env in (("a", None), ("b", "4"), ("c", "abc")):
+        if env is None:
+            monkeypatch.delenv("SOLVER_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SOLVER_THREADS", env)
+        assert cli_main(["solve", "--config", str(cfg_path),
+                         "--out", str(tmp_path / run)]) == EXIT_OK
+        hashes.append(json.loads((tmp_path / run / "report.json").read_text())["hash"])
+    assert len(set(hashes)) == 1
 
 
 @pytest.mark.parametrize("argv", [
