@@ -318,10 +318,22 @@ def _norm_model(block, path):
     params = _params(params, PRESET_PARAMS[name], f"{path}.params")
     if "n_nodes" in params:
         _expect_count(params["n_nodes"], f"{path}.params.n_nodes")
-    for key in ("sigma", "intensity", "jump_sd"):
-        if key in params:
-            _expect_nonnegative(params[key], f"{path}.params.{key}")
+    _check_model_params(params, f"{path}.params")
     return {"name": name, "params": params}
+
+
+def _check_model_params(params, path):
+    """Refuse what the model builders and the jump samplers refuse: a
+    negative scale, width or intensity, a p_up outside [0, 1] and a uniform
+    measure's hi below its lo."""
+    for key in ("sigma", "intensity", "jump_sd", "half_width", "sd"):
+        if key in params:
+            _expect_nonnegative(params[key], f"{path}.{key}")
+    if "p_up" in params and not 0 <= params["p_up"] <= 1:
+        raise ConfigError(f"{path}.p_up: expected a number in [0, 1], got {params['p_up']}")
+    if "lo" in params and params["hi"] < params["lo"]:
+        raise ConfigError(f"{path}.hi: expected a number >= lo ({params['lo']}), "
+                          f"got {params['hi']}")
 
 
 def _params(block, defaults, path, other=()):
@@ -349,6 +361,7 @@ def _norm_custom(params, path):
                               _CUSTOM_MEASURES)
         out["measure"] = _params(measure, {**_CUSTOM_MEASURE, **_CUSTOM_MEASURES[kind][1]},
                                  f"{path}.measure", other=("kind",))
+        _check_model_params(out["measure"], f"{path}.measure")
     if (jump != "none") != bool(measure):
         raise ConfigError(f"{path}: jump {jump!r} {'with' if measure else 'without'} "
                           f"a measure; jumps need both a jump kind and a measure")

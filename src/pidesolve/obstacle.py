@@ -1,13 +1,15 @@
 """Reflected problem via penalization.
 
 Runs the backward solver with the penalty driver f + n (y - h)^- along an
-increasing schedule of levels, extracts the nondecreasing compensation
-process from the penalty terms, and measures the penalization along the
-simulated paths: the weighted norm of (Y_n - h)^-, the weighted mass of the
-reflection measure, the flat-off (Skorokhod) defect, a space-time histogram
-of n (Y_n - h)^- and the support check.  A direct-reflection solve on the
-same paths serves as a cross-check where no exact solution exists.  No step
-reads an evaluation grid, so the problem runs in any dimension.
+increasing schedule of levels, by default 1, 4, 16, ..., 4096, whose last
+level is the answer and whose lower levels feed the convergence trace.  It
+extracts the nondecreasing compensation process from the penalty terms and
+measures the penalization along the simulated paths: the weighted norm of
+(Y_n - h)^-, the weighted mass of the reflection measure, the flat-off
+(Skorokhod) defect, a space-time histogram of n (Y_n - h)^- and the support
+check.  A direct-reflection solve on the same paths serves as a cross-check
+where no exact solution exists.  No step reads an evaluation grid, so the
+problem runs in any dimension.
 """
 
 from __future__ import annotations
@@ -38,8 +40,14 @@ __all__ = [
 
 
 def default_schedule():
-    """Geometric penalty schedule 1, 2, 4, ..., 4096: 13 levels."""
-    return tuple(2**k for k in range(13))
+    """Geometric penalty schedule 1, 4, 16, ..., 4096: 7 levels.
+
+    The penalization increases to the reflected solution along any increasing
+    sequence of levels, with a penalty error of order 1/level, so the last
+    level fixes the answer.  The levels below it feed only the trace; ratio 4
+    covers the same decades as ratio 2 in half the solves.
+    """
+    return tuple(4**k for k in range(7))
 
 
 def solve_penalized(model, driver, terminal, obstacle, paths, basis, level,

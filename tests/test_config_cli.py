@@ -139,6 +139,60 @@ def test_custom_model_with_jumps_builds():
     assert np.allclose(model.drift(np.array([[2.0]])), [[-1.0]])
 
 
+def _custom_measure(**measure):
+    return {"name": "custom", "params": {"jump": "translation", "measure": measure}}
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"name": "toy-uniform", "params": {"half_width": -1.0}},
+     "model.params.half_width: expected a number >= 0, got -1.0"),
+    ({"name": "kou", "params": {"p_up": 1.5}},
+     "model.params.p_up: expected a number in [0, 1], got 1.5"),
+    ({"name": "kou", "params": {"p_up": -0.5}},
+     "model.params.p_up: expected a number in [0, 1], got -0.5"),
+    (_custom_measure(kind="uniform", intensity=-1.0),
+     "model.params.measure.intensity: expected a number >= 0, got -1.0"),
+    (_custom_measure(kind="two-point", p_up=1.5),
+     "model.params.measure.p_up: expected a number in [0, 1], got 1.5"),
+    (_custom_measure(kind="gaussian", sd=-1.0),
+     "model.params.measure.sd: expected a number >= 0, got -1.0"),
+    (_custom_measure(kind="uniform", lo=1.0, hi=-1.0),
+     "model.params.measure.hi: expected a number >= lo (1.0), got -1.0"),
+], ids=["toy-half-width", "kou-p-up", "kou-p-up-negative", "custom-intensity",
+        "two-point-p-up", "gaussian-sd", "uniform-hi-below-lo"])
+def test_model_params_the_builder_refuses_rejected_at_validation(model, message, tmp_path,
+                                                                 capsys):
+    # each used to validate and then exit with E_ERROR ValueError from the
+    # model's builder or its jump sampler ("high - low < 0", "p_up must lie
+    # in [0, 1]", "total intensity must be finite and >= 0", "scale < 0")
+    raw = dict(_simulate_config("none"), model=model)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as err:
+        validate_config(raw)
+    assert err.value.code == "E_CONFIG"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli_main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == EXIT_ERROR
+    assert "[E_CONFIG]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [
+    {"name": "toy-uniform", "params": {"half_width": 0.0}},
+    {"name": "kou", "params": {"p_up": 0.0}},
+    {"name": "kou", "params": {"p_up": 1.0}},
+    _custom_measure(kind="uniform", intensity=0.0),
+    _custom_measure(kind="uniform", lo=1.0, hi=1.0),
+    _custom_measure(kind="gaussian", sd=0.0),
+    _custom_measure(kind="two-point", p_up=1.0),
+], ids=["toy-half-width-zero", "kou-p-up-zero", "kou-p-up-one", "custom-intensity-zero",
+        "uniform-hi-equals-lo", "gaussian-sd-zero", "two-point-p-up-one"])
+def test_model_params_at_the_builders_bounds_run(model, tmp_path):
+    # the bounds themselves build and simulate
+    out = tmp_path / "run"
+    _, code = run_experiment(dict(_simulate_config("none"), model=model), str(out))
+    assert code == EXIT_OK and (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("model, path", [
     ({"name": "bs", "params": {"sigmaa": 0.2}}, "model.params.sigmaa"),
     ({"name": "kou", "params": {"n_nodes": 16}}, "model.params.n_nodes"),
@@ -1224,10 +1278,10 @@ def test_schedule_max_exp_is_an_unknown_key():
 
 
 def test_default_schedule_is_filled():
-    # a config without numerics.schedule holds the 13 default levels once
+    # a config without numerics.schedule holds the 7 default levels once
     # validated, and re-validates to itself
     cfg = validate_config(obstacle_put_config())
-    assert cfg.numerics["schedule"] == [2**k for k in range(13)]
+    assert cfg.numerics["schedule"] == [1, 4, 16, 64, 256, 1024, 4096]
     again = validate_config(json.loads(cfg.canonical_json()))
     assert again.canonical_json() == cfg.canonical_json()
 
@@ -1238,7 +1292,7 @@ def test_default_schedule_is_filled():
     ([1, 4, 2], "numerics.schedule must be increasing", "E_CONFIG"),
 ], ids=["empty", "zero-level", "decreasing"])
 def test_schedule_levels_checked(schedule, message, code, tmp_path, capsys):
-    # an empty list used to validate and run the 13-level default
+    # an empty list used to validate and run the default schedule
     raw = obstacle_put_config(schedule=schedule)
     with pytest.raises((ConfigError, SchemaError), match=f"^{re.escape(message)}$") as err:
         validate_config(raw)
@@ -1291,6 +1345,39 @@ def test_artifact_writer_refuses_a_repeated_name(tmp_path):
         art.json("a.csv", {})
     assert art.names == ["a.csv"]
     assert (tmp_path / "a.csv").read_text() == "x,u\n1,b\n"
+
+
+_AWKWARD_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, math.inf, -math.inf,
+                   2.0**53 + 2, 1e300, -123456789012345678.0, 0.1, 1 / 3]
+
+
+def test_csv_writer_bytes_are_per_value_format(tmp_path):
+    # rows of NumPy scalars, Python floats from tolist, large ints, strings
+    # and values formatted once where they repeat give the bytes of
+    # format(v, ".17g") applied to each value on its own
+    from pidesolve.runner import _Artifacts, _oracle_write
+    from pidesolve.oracle import FdSolution
+    vals = np.array(_AWKWARD_FLOATS)
+    ints = [0, -7, 2**53 + 1, 10**20, np.int64(-(2**62))]
+    rows = [(i, v, w, "id", format(v, ".17g")) for i, v, w in zip(ints * 3, vals, vals.tolist())]
+    art = _Artifacts(str(tmp_path))
+    art.csv("a.csv", "i,v,w,s,f", rows)
+    want = "i,v,w,s,f\n" + "".join(
+        ",".join(v if isinstance(v, str) else format(v, ".17g") for v in row) + "\n"
+        for row in [(i, v, v, "id", v) for i, v in zip(ints * 3, vals)])
+    assert (tmp_path / "a.csv").read_text() == want
+    # the FD oracle's slices: every stride-th time, all of the x column
+    times = np.linspace(0.0, 1.0, 23)
+    x = np.concatenate([vals[:6], np.linspace(-3.0, 3.0, 5)])
+    values = np.tile(np.resize(vals, x.size), (times.size, 1))
+    values[:, -1] = times
+    fd = FdSolution(x=x, times=times, values=values, diagnostics={"cfl": 0.5})
+    _oracle_write(fd, art, "o")
+    want = "time,x,u\n" + "".join(f"{format(times[i], '.17g')},{format(xj, '.17g')},"
+                                  f"{format(uj, '.17g')}\n"
+                                  for i in range(0, times.size, 2)
+                                  for xj, uj in zip(x, values[i]))
+    assert (tmp_path / "o_fd.csv").read_text() == want
 
 
 def test_lock_file_serializes(tmp_path):

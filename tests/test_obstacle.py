@@ -26,6 +26,8 @@ K = 100.0
 RHO4 = WeightFunction(4)
 # a finite penalty level whose penalty level * dt * h overflows at the first step
 HUGE_LEVEL = sys.float_info.max
+# the ratio-2 schedule 1, 2, 4, ..., 4096 below the default's last level
+RATIO2_SCHEDULE = tuple(2**k for k in range(13))
 
 
 def put_obstacle():
@@ -50,7 +52,7 @@ def bs_put_setup():
 
 def test_schedule_default():
     sched = default_schedule()
-    assert sched[0] == 1 and sched[-1] == 4096 and len(sched) == 13
+    assert sched == (1, 4, 16, 64, 256, 1024, 4096)
 
 
 def test_reflected_requires_obstacle_below_terminal(bs_put_setup):
@@ -588,6 +590,40 @@ def test_result_is_the_last_level_whatever_tol(small_put):
     assert not at.converged and above.converged
 
 
+def test_default_schedule_gives_the_ratio_2_answer(small_put):
+    # the default thins the ratio-2 schedule below the same last level: the
+    # answer, the direct solve and every last-level diagnostic keep their
+    # bits, and each level the two share is the same solve with the same
+    # trace entry; only min_step_up reads the level below
+    model, paths, box = small_put
+    args = (model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
+            LocalAffineBasis(20, box))
+    new = solve_reflected(*args, weight=RHO4)
+    old = solve_reflected(*args, schedule=RATIO2_SCHEDULE, weight=RHO4)
+    assert new.levels == default_schedule() and old.levels[-1] == new.final_level
+    for name in ("coef_y", "coef_zv", "y"):
+        assert np.array_equal(getattr(new.solution, name), getattr(old.solution, name))
+    assert np.array_equal(new.direct.y, old.direct.y)
+    assert new.u0() == old.u0() and new.converged == old.converged
+    assert new.direct_gap == old.direct_gap and new.direct_gap_rel == old.direct_gap_rel
+    assert np.array_equal(new.obstacle_values, old.obstacle_values)
+
+    def measured(entry):
+        return {key: entry[key] for key in ("penalty_norm", "skorokhod", "pi", "u0")}
+
+    assert measured(new.trace[-1]) == measured(old.trace[-1])
+    for i, level in enumerate(new.levels):
+        j = old.levels.index(level)
+        assert measured(new.trace[i]) == measured(old.trace[j])
+        for name in ("coef_y", "coef_zv"):
+            assert np.array_equal(getattr(new.level_solutions[i], name),
+                                  getattr(old.level_solutions[j], name))
+    new_meas, old_meas = estimate_reflection_measure(new), estimate_reflection_measure(old)
+    assert np.array_equal(new_meas.density, old_meas.density)
+    assert new_meas.pi_total == old_meas.pi_total
+    assert support_check(new, new_meas, 0.5) == support_check(old, old_meas, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # the backward pass's helper thread
 # ---------------------------------------------------------------------------
@@ -608,7 +644,7 @@ def _thread_recording_driver(names):
     return dataclasses.replace(drv, f=f)
 
 
-@pytest.mark.parametrize("levels", [(1, 4), default_schedule()], ids=["V3", "V14"])
+@pytest.mark.parametrize("levels", [(1, 4), RATIO2_SCHEDULE], ids=["V3", "V14"])
 @pytest.mark.parametrize("kind", ["local", "poly"])
 def test_threaded_pass_equals_separate_solves(small_put, kind, levels, monkeypatch):
     # the levels and the direct solve in one pass on two threads: each gives
