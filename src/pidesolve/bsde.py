@@ -32,6 +32,7 @@ __all__ = [
     "make_basis",
     "BsdeSolution",
     "solve_bsde",
+    "evaluate_fields",
     "evaluate_u",
     "evaluate_z",
     "check_z_representation",
@@ -83,8 +84,12 @@ class _BoxBasis:
         info); its ``fit(targets)`` and ``predict(coeffs)`` reuse it."""
         return self._setup(self, x)
 
+    def predictor(self, x):
+        """Predict-only setup on the point set x: the design, for ``predict``."""
+        return self._setup(self, x, gram=False)
+
     def predict(self, coeffs, x):
-        return self._setup(self, x, gram=False).predict(coeffs)
+        return self.predictor(x).predict(coeffs)
 
     def contains(self, x):
         x = np.atleast_2d(np.asarray(x, float))
@@ -329,18 +334,19 @@ class BsdeSolution:
     ``y`` has shape (n_steps+1, n_paths).  Coefficient arrays are scaled so
     that ``basis.predict`` returns the corresponding field directly;
     ``coef_zv`` (n_steps, *coef_shape, dim + q) holds each step's z and vbar
-    coefficients as the one array the backward step predicted z and vbar
-    from, so ``evaluate_z`` on the bundle's own states repeats the step's z
-    bit for bit, and ``evaluate_u`` runs the same backward step
-    (``_step_value``), so there it repeats ``y`` bit for bit, whatever the
-    driver.  For penalized solves ``penalty_level``/``obstacle`` record the
-    penalty; for direct-reflection solves ``reflected`` is set.
-    ``obstacle`` is None when neither uses it.  ``clamp_bound`` is the bound
-    |Y| <= B the step clamps to.
+    coefficients as one array, which ``zv_fields`` predicts and splits.
+    ``backward_step`` is the one backward step, which the pass runs on its
+    prepared setups and ``evaluate_fields`` on the coefficients it left, so
+    on the bundle's own states ``evaluate_u`` repeats ``y`` and
+    ``evaluate_z`` the step's z bit for bit, whatever the driver.  For
+    penalized solves ``penalty_level``/``obstacle`` record the penalty; for
+    direct-reflection solves ``reflected`` is set.  ``obstacle`` is None
+    when neither uses it.  ``clamp_bound`` is the bound |Y| <= B the step
+    clamps to.
 
     ``y`` is None on the level solutions of ``solve_reflected`` except its
     last level, which nothing reads along the paths; the coefficients are
-    always kept, and ``evaluate_u``/``evaluate_z`` need no more.  ``u0``,
+    always kept, and ``evaluate_fields`` needs no more.  ``u0``,
     ``check_z_representation`` and ``check_apriori_estimate`` read ``y`` and
     raise ValueError on a solution without it.
     """
@@ -379,12 +385,64 @@ class BsdeSolution:
         g = np.asarray(self.terminal(self.states[-1]), float)
         return float(g.std(ddof=1) / math.sqrt(g.size))
 
+    def zv_fields(self, k, at):
+        """z and vbar at step k on the points of the regression setup ``at``:
+        ``coef_zv[k]`` predicted once, its first dim columns z and the rest
+        vbar; both zero at the horizon (k = n_steps)."""
+        zv = (at.predict(self.coef_zv[k]) if k < self.n_steps
+              else np.zeros((at.phi.shape[0], self.coef_zv.shape[-1])))
+        d = self.states.shape[2]
+        return zv[:, :d], zv[:, d:]
+
+    def backward_step(self, k, x, at, cond_exp, h):
+        """Step k at the points x of the regression setup ``at``: the values,
+        z and vbar (``zv_fields``), how many values were clamped, and whether
+        they are finite.  Solves y = cond_exp + dt * f(t_k, x, y, z, vbar)
+        by ``picard_iters`` sweeps, resolving the penalty level * dt *
+        (y - h)^- in closed form inside each sweep at a positive level; a
+        reflected solution then applies y = max(y, h), and |y| is clamped to
+        ``clamp_bound``.  The sweeps run in two alternating buffers, so the
+        driver never reads the array being written, and the penalty in one
+        scratch buffer: a sweep allocates nothing beyond what the driver
+        returns, and does the operations of one that allocates, in the same
+        order.  One min/max pair of the result serves as the clamp test and
+        the finiteness check (a NaN shows in the pair); only a pair outside
+        the clamp counts and clips.
+        """
+        z, vbar = self.zv_fields(k, at)
+        dt, t = self.grid.dt, self.grid.nodes[k]
+        level_dt, clamp = self.penalty_level * dt, self.clamp_bound
+        if level_dt > 0:
+            # y = a + level_dt (y - h)^- is y = max(a, (a + level_dt h) / (1 + level_dt))
+            level_h, lift = level_dt * h, 1.0 + level_dt
+            scratch = np.empty_like(cond_exp)
+        bufs = (np.empty_like(cond_exp), np.empty_like(cond_exp))
+        y = cond_exp
+        for i in range(self.picard_iters):
+            out = bufs[i % 2]
+            np.multiply(dt, np.asarray(self.driver.f(t, x, y, z, vbar), dtype=float), out=out)
+            y = np.add(cond_exp, out, out=out)
+            if level_dt > 0:
+                np.add(y, level_h, out=scratch)
+                np.divide(scratch, lift, out=scratch)
+                np.maximum(y, scratch, out=y)
+        if self.reflected:
+            np.maximum(y, h, out=y)
+        lo, hi = (y.min(), y.max()) if y.size else (0.0, 0.0)
+        n_clamped = 0
+        if not -clamp <= lo <= hi <= clamp:
+            n_clamped = int(np.count_nonzero(np.abs(y) > clamp))
+            if n_clamped:
+                np.clip(y, -clamp, clamp, out=y)
+                lo, hi = y.min(), y.max()
+        return y, z, vbar, n_clamped, bool(np.isfinite(lo) and np.isfinite(hi))
+
 
 def _y_path(sol):
     """The y path array of a solution, or a ValueError if it keeps none."""
     if sol.y is None:
         raise ValueError("the solution keeps no y path array "
-                         "(only its coefficients, which evaluate_u and evaluate_z read)")
+                         "(only its coefficients, which evaluate_fields reads)")
     return sol.y
 
 
@@ -407,48 +465,6 @@ def default_clamp_bound(driver, terminal, paths, obstacle=None):
             hmax = max(hmax, float(np.abs(hv).max()))
     base = float(g.max(initial=0.0)) + horizon * f0max + hmax
     return 1.1 * base * math.exp(driver.lipschitz * horizon) + 1e-12
-
-
-def _step_value(driver, t, x, cond_exp, z, vbar, dt, picard_iters, h, level_dt,
-                reflect, clamp):
-    """The value of one backward step at the points x, how many were clamped,
-    and whether it is finite.
-
-    Solves y = cond_exp + dt * f(t, x, y, z, vbar) by ``picard_iters``
-    sweeps, resolving the penalty level_dt * (y - h)^- in closed form inside
-    each sweep when level_dt > 0; ``reflect`` then applies y = max(y, h) and
-    finally |y| is clamped to ``clamp``.  The sweeps run in two alternating
-    buffers, so the driver never reads the array being written, and the
-    penalty in one scratch buffer: a sweep allocates nothing beyond what the
-    driver returns, and does the operations of one that allocates, in the
-    same order.  One min/max pair of the result serves as the clamp test
-    and the finiteness check (a NaN shows in the pair); only a pair outside
-    the clamp counts and clips.
-    """
-    if level_dt > 0:
-        # y = a + level_dt (y - h)^- is y = max(a, (a + level_dt h) / (1 + level_dt))
-        level_h, lift = level_dt * h, 1.0 + level_dt
-        scratch = np.empty_like(cond_exp)
-    bufs = (np.empty_like(cond_exp), np.empty_like(cond_exp))
-    y = cond_exp
-    for i in range(picard_iters):
-        out = bufs[i % 2]
-        np.multiply(dt, np.asarray(driver.f(t, x, y, z, vbar), dtype=float), out=out)
-        y = np.add(cond_exp, out, out=out)
-        if level_dt > 0:
-            np.add(y, level_h, out=scratch)
-            np.divide(scratch, lift, out=scratch)
-            np.maximum(y, scratch, out=y)
-    if reflect:
-        np.maximum(y, h, out=y)
-    lo, hi = (y.min(), y.max()) if y.size else (0.0, 0.0)
-    n_clamped = 0
-    if not -clamp <= lo <= hi <= clamp:
-        n_clamped = int(np.count_nonzero(np.abs(y) > clamp))
-        if n_clamped:
-            np.clip(y, -clamp, clamp, out=y)
-            lo, hi = y.min(), y.max()
-    return y, n_clamped, bool(np.isfinite(lo) and np.isfinite(hi))
 
 
 def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
@@ -481,94 +497,66 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-class _Variant:
-    """One variant of a backward pass: its penalty level and reflection, the
-    current values, and the per-step coefficients and diagnostics.  The y
-    path array is stored only with ``keep_y``."""
-
-    def __init__(self, penalty_level, reflect, keep_y, y, n, d, q, cshape):
-        self.penalty_level, self.reflect = penalty_level, reflect
-        self.y = y
-        self.coef_y = np.zeros((n,) + cshape)
-        self.coef_zv = np.zeros((n,) + cshape + (d + q,))
-        self.diag = {"cond": np.zeros(n), "resid": np.zeros(n),
-                     "clamped": np.zeros(n, dtype=int),
-                     "degenerate": np.zeros(n, dtype=bool), "ridge": np.zeros(n)}
-        self.y_all = np.empty((n + 1, y.size)) if keep_y else None
-        if keep_y:
-            self.y_all[n] = y
-
-    def targets(self, k, reg, cy, paths, dmu):
-        """Step k up to its second fit, from the y fit ``cy``: the conditional
-        expectation, kept for ``step``, and the z and jump-functional
-        regression targets, which it returns."""
-        d = paths.dim
-        self.coef_y[k] = cy[..., 0]
-        self.cond_exp = reg.predict(self.coef_y[k])
-        # center the martingale-increment regressions on the fitted
-        # conditional expectation: same projection, exact on constants,
-        # much lower variance
-        resid = self.y - self.cond_exp
-        targets = np.empty((resid.size, d + dmu.shape[0]))
-        np.multiply(resid[:, None], paths.brownian[k], out=targets[:, :d])
-        for i in range(dmu.shape[0]):
-            np.multiply(resid, dmu[i, k], out=targets[:, d + i])
-        self.diag["resid"][k] = float(np.sqrt(np.mean(np.square(resid, out=resid))))
-        return targets
-
-    def step(self, k, reg, czv, paths, driver, t_k, h_k, picard_iters, clamp):
-        """The rest of step k, from the fit ``czv`` of the ``targets``: the
-        z and jump-functional fields, ``_step_value`` and the diagnostics."""
-        dt = paths.grid.dt
-        d = paths.dim
-        # scale before predicting: the path values come from exactly the
-        # stored coefficients, as in evaluate_u
-        czv = czv / dt
-        pred = reg.predict(czv)
-        self.coef_zv[k] = czv
-
-        ynew, n_clamped, finite = _step_value(driver, t_k, paths.states[k], self.cond_exp,
-                                              pred[:, :d], pred[:, d:], dt, picard_iters, h_k,
-                                              self.penalty_level * dt, self.reflect, clamp)
-        self.cond_exp = None
-        if not finite:
-            raise NumericError(f"non-finite backward value at step {k}")
-
-        self.diag["cond"][k] = reg.info["cond"]
-        self.diag["degenerate"][k] = reg.info["degenerate"]
-        self.diag["ridge"][k] = reg.info["ridge"]
-        self.diag["clamped"][k] = n_clamped
-
-        self.y = ynew
-        if self.y_all is not None:
-            self.y_all[k] = ynew
-
-
-def _step_group(k, group, reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp):
-    """Step k of a group of variants on the step's setup ``reg``: all their
-    y fits, then all fits of their ``targets``, then each ``step``."""
+def _step_group(k, group, ys, reg, paths, dmu, h_k):
+    """Step k of a group of solutions on the step's setup ``reg``: all their
+    y fits, then all fits of their z and jump-functional targets, then each
+    ``backward_step``.  Fills each solution's step-k coefficients,
+    diagnostics and, if it keeps one, y path, and replaces its value at step
+    k + 1 in the list ``ys`` by its value at step k, freeing the old one."""
     if not group:  # the worker's share of a two-variant pass
         return
-    cys = reg.fits([v.y for v in group])
-    # the targets are built one variant at a time, as the fit consumes them
-    czvs = reg.fits(v.targets(k, reg, cy, paths, dmu) for v, cy in zip(group, cys))
-    for v, czv in zip(group, czvs):
-        v.step(k, reg, czv, paths, driver, t_k, h_k, picard_iters, clamp)
+    d, dt = paths.dim, paths.grid.dt
+    cond_exps = []
+
+    def zv_targets(cys):
+        # built one solution at a time, as the fit consumes them
+        for sol, y, cy in zip(group, ys, cys):
+            sol.coef_y[k] = cy[..., 0]
+            cond_exps.append(reg.predict(sol.coef_y[k]))
+            # center the martingale-increment regressions on the fitted
+            # conditional expectation: same projection, exact on constants,
+            # much lower variance
+            resid = y - cond_exps[-1]
+            out = np.empty((resid.size, d + dmu.shape[0]))
+            np.multiply(resid[:, None], paths.brownian[k], out=out[:, :d])
+            for i in range(dmu.shape[0]):
+                np.multiply(resid, dmu[i, k], out=out[:, d + i])
+            sol.diagnostics["resid"][k] = float(np.sqrt(np.mean(np.square(resid, out=resid))))
+            yield out
+
+    czvs = reg.fits(zv_targets(reg.fits(ys)))
+    for i, (sol, czv) in enumerate(zip(group, czvs)):
+        # scale before predicting: the path values come from exactly the
+        # stored coefficients, as in evaluate_fields
+        sol.coef_zv[k] = czv / dt
+        y, _, _, n_clamped, finite = sol.backward_step(k, paths.states[k], reg,
+                                                       cond_exps[i], h_k)
+        cond_exps[i] = None  # freed before the next solution's step allocates
+        if not finite:
+            raise NumericError(f"non-finite backward value at step {k}")
+        # the setup's fit info (cond, degenerate, ridge) and the clamp count
+        for key, value in (*reg.info.items(), ("clamped", n_clamped)):
+            sol.diagnostics[key][k] = value
+        if sol.y is not None:
+            sol.y[k] = y
+        ys[i] = y
 
 
 def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters,
                    clamp, obstacle, observe=None, obstacle_values=None):
-    """Backward induction for several (penalty_level, reflect, keep_y) variants.
+    """Backward induction for several (penalty_level, reflect, keep_y)
+    variants: one ``BsdeSolution`` each, built before the first step, which
+    the pass fills and returns in variant order.
 
     Each step builds the regression setup ``basis.prepare(x_k)`` and the
     obstacle values h(t_k, x_k) once (or reads them from
-    ``obstacle_values``, h along the paths), and runs the variants in two
-    stages on them.  First all y fits, then, after each variant's
-    ``targets``, all fits of the z and jump-functional targets; each stage
-    takes one right-hand-side product per variant and one solve for all
-    (``fits``), and ``step`` finishes each variant.  A solve with a leading
-    variant axis repeats each variant's own solve, so every variant's
-    coefficients and values are those of a pass of its own, bit for bit.
+    ``obstacle_values``, h along the paths), and runs the solutions in two
+    stages on them.  First all y fits, then all fits of the z and
+    jump-functional targets; each stage takes one right-hand-side product
+    per solution and one solve for all (``fits``), and each solution's
+    ``backward_step`` finishes it.  A solve with a leading variant axis
+    repeats each variant's own solve, so every variant's coefficients and
+    values are those of a pass of its own, bit for bit.
     A fit or value that goes non-finite raises from the pass, as from the
     variant's own: ``SingularRegressionError`` for the fit's whole batch,
     ``NumericError`` (or, under a NumPy error state of "raise",
@@ -586,8 +574,8 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     at the step that needs it.  The worker is joined before the pass returns
     or raises.
 
-    A variant stores its y path array only with ``keep_y``; without, its
-    ``y`` comes back None.
+    A solution stores its y path array only with ``keep_y``; without, its
+    ``y`` is None.
     ``observe(k, ys)``, if given, sees every variant's new values ``ys``, in
     variant order, once per step after all have stepped it.  Without
     ``clamp`` one default bound, with the obstacle if any variant uses it,
@@ -604,8 +592,7 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
         raise ValueError("penalty level must be finite and >= 0")
     if clamp is not None and not clamp > 0:
         raise ValueError("clamp must be positive")
-    uses = [level > 0 or reflect for level, reflect, _ in variants]
-    if not any(uses):
+    if not any(level > 0 or reflect for level, reflect, _ in variants):
         obstacle = None
     elif obstacle is None:
         raise ValueError("penalty or reflection requires an obstacle")
@@ -619,86 +606,100 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
     y = np.asarray(terminal(paths.states[-1]), dtype=float).reshape(m)
     if not np.isfinite(y).all():
         raise NumericError("non-finite terminal values")
-    runs = [_Variant(level, reflect, keep_y, y, n, d, q, basis.coef_shape)
-            for level, reflect, keep_y in variants]
+    sols = [BsdeSolution(
+        grid=grid, basis=basis, driver=driver, terminal=terminal,
+        coef_y=np.zeros((n,) + basis.coef_shape),
+        coef_zv=np.zeros((n,) + basis.coef_shape + (d + q,)),
+        y=np.empty((n + 1, m)) if keep_y else None, states=paths.states,
+        diagnostics={"cond": np.zeros(n), "resid": np.zeros(n),
+                     "clamped": np.zeros(n, dtype=int),
+                     "degenerate": np.zeros(n, dtype=bool), "ridge": np.zeros(n)},
+        picard_iters=picard_iters, clamp_bound=clamp, penalty_level=level,
+        obstacle=obstacle if level > 0 or reflect else None, reflected=reflect)
+        for level, reflect, keep_y in variants]
+    for sol in sols:
+        if sol.y is not None:
+            sol.y[n] = y
+    ys = [y] * len(sols)
 
     pool = None
-    if len(runs) > 1 and _cpu_count() > 1:
+    if len(sols) > 1 and _cpu_count() > 1:
         pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="pidesolve-backward",
                                   initializer=functools.partial(np.seterr, **np.geterr()))
     ahead = None  # the future of this step's setup, if the worker built it
     try:
         for k in range(n - 1, -1, -1):
             xk = paths.states[k]
-            t_k = grid.nodes[k]
             reg = basis.prepare(xk) if ahead is None else ahead.result()
             h_k = None
             if obstacle is not None:
-                h_k = obstacle(t_k, xk) if obstacle_values is None else obstacle_values[k]
-            args = (reg, paths, dmu, driver, t_k, h_k, picard_iters, clamp)
+                h_k = (obstacle(grid.nodes[k], xk) if obstacle_values is None
+                       else obstacle_values[k])
+            args = (reg, paths, dmu, h_k)
             if pool is None:
-                _step_group(k, runs, *args)
+                _step_group(k, sols, ys, *args)
             else:
                 # the caller runs one more than half: the worker also builds
                 # the next setup, which costs about two variants' steps (so
                 # with two variants it builds only that)
-                cut = len(runs) // 2 + 1
-                theirs = pool.submit(_step_group, k, runs[cut:], *args)
+                cut = len(sols) // 2 + 1
+                ys, theirs_ys = ys[:cut], ys[cut:]  # each group's values in one list
+                theirs = pool.submit(_step_group, k, sols[cut:], theirs_ys, *args)
                 ahead = pool.submit(basis.prepare, paths.states[k - 1]) if k else None
                 try:
-                    _step_group(k, runs[:cut], *args)
+                    _step_group(k, sols[:cut], ys, *args)
                 finally:
                     theirs.exception()  # the caller's error waits for their group
                 theirs.result()
+                ys += theirs_ys
             if observe is not None:
-                observe(k, [v.y for v in runs])
+                observe(k, ys)
             del reg, args  # one step's design at a time, and the one built ahead
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-
-    return [BsdeSolution(
-        grid=grid, basis=basis, driver=driver, terminal=terminal,
-        coef_y=v.coef_y, coef_zv=v.coef_zv,
-        y=v.y_all, states=paths.states,
-        diagnostics=v.diag, picard_iters=picard_iters, clamp_bound=clamp,
-        penalty_level=v.penalty_level, obstacle=obstacle if used else None,
-        reflected=v.reflect) for v, used in zip(runs, uses)]
+    return sols
 
 
-def evaluate_u(sol, k, x):
-    """Fitted value function at (t_k, x); x is a point or (m, dim) batch.
-
-    Runs the backward pass's own step on the frozen coefficients: driver
-    sweeps, the recorded penalty or reflection, and the clamp.  Refuses to
-    extrapolate outside the basis box.
-    """
+def _checked_setup(sol, k, x):
+    """x as an (m, dim) batch and the predict-only setup on it, after the
+    evaluators' checks."""
     x = np.atleast_2d(np.asarray(x, float))
     if x.shape[1] != sol.states.shape[2]:
         raise ValueError("point dimension does not match the solution")
     outside = ~sol.basis.contains(x)
     if outside.any():
         raise DomainError(f"evaluation point {x[outside][0]!r} outside the basis domain box")
-    n = sol.n_steps
-    if k == n:
-        return np.asarray(sol.terminal(x), dtype=float).reshape(x.shape[0])
-    if not 0 <= k < n:
-        raise ValueError(f"step {k} outside 0..{n}")
-    d = sol.states.shape[2]
-    at = sol.basis._setup(sol.basis, x, gram=False)
-    cond_exp = at.predict(sol.coef_y[k])
-    pred = at.predict(sol.coef_zv[k])
-    z, vb = pred[:, :d], pred[:, d:]
-    dt = sol.grid.dt
-    t_k = sol.grid.nodes[k]
-    h_k = sol.obstacle(t_k, x) if sol.obstacle is not None else None
-    return _step_value(sol.driver, t_k, x, cond_exp, z, vb, dt, sol.picard_iters, h_k,
-                       sol.penalty_level * dt, sol.reflected, sol.clamp_bound)[0]
+    if not 0 <= k <= sol.n_steps:
+        raise ValueError(f"step {k} outside 0..{sol.n_steps}")
+    return x, sol.basis.predictor(x)
+
+
+def evaluate_fields(sol, k, x):
+    """Fitted fields (u, z, vbar) at (t_k, x) from one design; x is a point
+    or (m, dim) batch.  u runs the pass's own ``backward_step`` on the frozen
+    coefficients, which reads z (m, dim) and vbar (m, q); at the horizon u is
+    the terminal value and z and vbar are zero.  Refuses points outside the
+    basis box (``DomainError``), of another dimension or at a step outside
+    0..n_steps (``ValueError``)."""
+    x, at = _checked_setup(sol, k, x)
+    if k == sol.n_steps:
+        return (np.asarray(sol.terminal(x), dtype=float).reshape(x.shape[0]),
+                *sol.zv_fields(k, at))
+    h = sol.obstacle(sol.grid.nodes[k], x) if sol.obstacle is not None else None
+    u, z, vbar, _, _ = sol.backward_step(k, x, at, at.predict(sol.coef_y[k]), h)
+    return u, z, vbar
+
+
+def evaluate_u(sol, k, x):
+    """Fitted value function at (t_k, x): the u of ``evaluate_fields``."""
+    return evaluate_fields(sol, k, x)[0]
 
 
 def evaluate_z(sol, k, x):
-    """Fitted z-field (regression representation) at (t_k, x)."""
-    return sol.basis.predict(sol.coef_zv[k], x)[:, :sol.states.shape[2]]
+    """The z of ``evaluate_fields``, under its checks, without the sweeps."""
+    x, at = _checked_setup(sol, k, x)
+    return sol.zv_fields(k, at)[0]
 
 
 def check_z_representation(sol, model, weight):
@@ -723,7 +724,7 @@ def check_z_representation(sol, model, weight):
             continue
         x = xk[mask]
         # predicted on all of x_k, as the backward step did: the same bits
-        zk = evaluate_z(sol, k, xk)[mask]
+        zk = sol.zv_fields(k, sol.basis.predictor(xk))[0][mask]
         grad = _fd_jacobian(lambda xx: evaluate_u(sol, k, xx), x, h[mask])
         sig = np.asarray(model.diffusion(x), dtype=float)
         zg = np.einsum("mji,mj->mi", sig, grad)
@@ -775,9 +776,9 @@ def check_apriori_estimate(solutions, terminal, driver, weight):
         y_norms += w * np.mean(y**2, axis=1)
         zsq, vsq = np.empty(n), np.empty(n)
         for k in range(n):
-            zv = sol.basis.predict(sol.coef_zv[k], sol.states[k])
-            zsq[k] = np.mean(np.sum(zv[:, :1] ** 2, axis=1))
-            vsq[k] = np.mean(np.sum(zv[:, 1:] ** 2, axis=1))
+            z, vbar = sol.zv_fields(k, sol.basis.predictor(sol.states[k]))
+            zsq[k] = np.mean(np.sum(z ** 2, axis=1))
+            vsq[k] = np.mean(np.sum(vbar ** 2, axis=1))
         zv_sum += w * dt * float(np.sum(zsq + vsq))
     numerator = float(y_norms.max()) + zv_sum
 

@@ -162,12 +162,12 @@ class ReflectedSolution:
     ``solution`` is the schedule's last level, with its y path array;
     ``obstacle_values`` the obstacle along the paths (N+1, M);
     ``level_solutions`` every level's solution, coefficients only
-    (``evaluate_u`` needs no more).  ``direct`` is the direct-reflection
+    (``evaluate_fields`` needs no more).  ``direct`` is the direct-reflection
     solve on the same paths, also with its y path array, and ``direct_gap``
     the weighted L2 distance between the two along the paths (the
     mutual-validation diagnostic), ``direct_gap_rel`` that distance relative
-    to the direct solve's norm.  z and vbar of any of them come from its
-    ``coef_zv`` (``evaluate_z`` for z).
+    to the direct solve's norm.  u, z and vbar of any of them come from
+    ``evaluate_fields``.
     ``k_increments``, the final level's compensation increments (N, M), is
     computed on each access, not stored.
     """

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forward, normcheck, obstacle as obstacle_mod, oracle as oracle_mod
-from .bsde import evaluate_u, make_basis, solve_bsde
+from .bsde import evaluate_fields, evaluate_u, make_basis, solve_bsde
 from .config import ExperimentConfig, validate_config
 from .errors import ConfigError, SolverError
 from .forward import TimeGrid, simulate_paths
@@ -155,16 +155,12 @@ def _backward_problem(cfg):
 
 def _solution_rows(sol, eval_x):
     """(step, time, x, u, z, vbar...) on ``eval_x`` at every time step."""
-    d = sol.states.shape[2]
     pts = eval_x[:, None]
     for k in range(sol.n_steps + 1):
-        u = evaluate_u(sol, k, pts)
-        # z (first coordinate) and vbar from one predict, as evaluate_z does
-        zv = (sol.basis.predict(sol.coef_zv[k], pts) if k < sol.n_steps
-              else np.zeros((eval_x.size, sol.coef_zv.shape[-1])))
+        u, z, vbar = evaluate_fields(sol, k, pts)
         t = sol.grid.nodes[k]
         for j, xj in enumerate(eval_x):
-            yield (k, t, xj, u[j], zv[j, 0], *zv[j, d:])
+            yield (k, t, xj, u[j], z[j, 0], *vbar[j])
 
 
 def _eval_grid(cfg, paths):
@@ -206,6 +202,7 @@ def _task_solve(cfg, art):
         "condition_numbers": _py(sol.diagnostics["cond"]),
         "clamp_counts": _py(sol.diagnostics["clamped"]),
         "degenerate_steps": _py(sol.diagnostics["degenerate"].astype(int)),
+        "ridges": _py(sol.diagnostics["ridge"]),
     })
     headline = {"u0": sol.u0(), "u0_stderr": sol.u0_stderr(),
                 "clamped_total": int(sol.diagnostics["clamped"].sum())}

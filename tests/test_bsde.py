@@ -6,7 +6,7 @@ import pytest
 from pidesolve import bsde
 from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis,
                             check_apriori_estimate, check_z_representation,
-                            default_clamp_bound, evaluate_u, evaluate_z,
+                            default_clamp_bound, evaluate_fields, evaluate_u, evaluate_z,
                             make_basis, solve_bsde)
 from pidesolve.errors import (ContractionError, DomainError,
                               SingularRegressionError, ZeroDenominatorError)
@@ -551,13 +551,19 @@ def test_solve_stores_the_y_path_and_coefficients_only(heat_model, small_heat_bu
     assert (held - base) / unit < 1.5
 
 
-def test_evaluate_u_domain_guard(heat_model, heat_bundle, poly_basis):
+@pytest.mark.parametrize("reader", [evaluate_u, evaluate_z], ids=lambda f: f.__name__)
+def test_evaluate_u_domain_guard(heat_model, heat_bundle, poly_basis, reader):
+    # both readers refuse to extrapolate outside the basis box, and refuse a
+    # step outside 0..n and a point of another dimension
     sol = solve_bsde(heat_model, zero_driver(), lambda X: X[:, 0] ** 2,
                      heat_bundle, poly_basis)
     with pytest.raises(DomainError):
-        evaluate_u(sol, 5, np.array([[100.0]]))
-    with pytest.raises(ValueError):
-        evaluate_u(sol, 99, np.array([[0.0]]))
+        reader(sol, 5, np.array([[100.0]]))
+    for k in (99, sol.n_steps + 1, -1):
+        with pytest.raises(ValueError, match=f"step {k} outside"):
+            reader(sol, k, np.array([[0.0]]))
+    with pytest.raises(ValueError, match="dimension"):
+        reader(sol, 5, np.array([[0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("kind", ["poly", "local"])
@@ -593,6 +599,10 @@ def test_evaluate_u_terminal_slice(heat_model, heat_bundle, poly_basis):
     sol = solve_bsde(heat_model, zero_driver(), g, heat_bundle, poly_basis)
     xq = np.array([[0.5], [1.0]])
     assert np.allclose(evaluate_u(sol, sol.n_steps, xq), [0.25, 1.0])
+    # at the horizon z and vbar are zero, as solution.csv writes them
+    _, z, vbar = evaluate_fields(sol, sol.n_steps, xq)
+    assert np.array_equal(z, np.zeros((2, 1))) and vbar.shape == (2, 0)
+    assert np.array_equal(evaluate_z(sol, sol.n_steps, xq), z)
 
 
 # ---------------------------------------------------------------------------

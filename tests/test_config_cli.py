@@ -1227,6 +1227,52 @@ def test_all_artifacts_listed(run, tmp_path):
     assert set(os.listdir(tmp_path)) == set(artifacts)
 
 
+def _solve_kept(monkeypatch, tmp_path):
+    # the solve task run on heat_solve_config, and the solution it wrote
+    import pidesolve.runner as runner_mod
+    sols = []
+
+    def kept(*args, _solve=runner_mod.solve_bsde, **kwargs):
+        sols.append(_solve(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(runner_mod, "solve_bsde", kept)
+    report, code = run_experiment(heat_solve_config(), out_dir=tmp_path)
+    assert code == EXIT_OK, report.body.get("error")
+    (sol,) = sols
+    return sol
+
+
+def test_solution_csv_holds_the_fitted_fields(tmp_path, monkeypatch):
+    # each row of solution.csv, read back from its .17g text, is the fitted
+    # u and z at its grid point and step; z is 0 at the horizon
+    from pidesolve.bsde import evaluate_u, evaluate_z
+    sol = _solve_kept(monkeypatch, tmp_path)
+    header, *lines = (tmp_path / "solution.csv").read_text().splitlines()
+    assert header == "step,time,x,u,z"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+    steps = rows[:, 0].astype(int)
+    n = sol.n_steps
+    assert np.array_equal(np.unique(steps), np.arange(n + 1))
+    for k in range(n + 1):
+        at = rows[steps == k]
+        assert np.all(at[:, 1] == sol.grid.nodes[k])
+        assert np.array_equal(at[:, 3], evaluate_u(sol, k, at[:, 2:3])), k
+        assert np.array_equal(at[:, 4], evaluate_z(sol, k, at[:, 2:3])[:, 0]), k
+    assert not rows[steps == n, 4].any()
+
+
+def test_solve_writes_the_ridge_it_used(tmp_path, monkeypatch):
+    # diagnostics.json records each step's ridge, positive wherever the
+    # design is not degenerate (the first step, at one start point, is)
+    sol = _solve_kept(monkeypatch, tmp_path)
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert diag["ridges"] == sol.diagnostics["ridge"].tolist()
+    assert len(diag["ridges"]) == sol.n_steps == heat_solve_config()["numerics"]["grid_n"]
+    assert diag["degenerate_steps"][0] == 1
+    assert all(r > 0 for r, deg in zip(diag["ridges"], diag["degenerate_steps"]) if not deg)
+
+
 def _readme_config():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return json.loads(re.findall(r"```json\n(.*?)```", text, re.S)[0])

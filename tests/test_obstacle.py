@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis, check_apriori_estimate,
-                            check_z_representation, default_clamp_bound, solve_bsde)
+                            check_z_representation, default_clamp_bound, evaluate_fields,
+                            evaluate_u, solve_bsde)
 from pidesolve.errors import NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (DriverSpec, ModelSpec, ObstacleSpec, WeightFunction,
@@ -239,6 +240,18 @@ def test_reflected_put_in_two_dimensions():
     assert not rep.trivial_mass and rep.fraction <= 0.05
     bench = binomial_american(100.0, K, 0.05, 0.2, 1.0, 2000, "put")
     assert abs(refl.u0() - bench) <= 3 * refl.solution.u0_stderr()
+    # the field split at d = 2: on the bundle's own states u repeats both
+    # solves' y, z is the first two columns of the step's coef_zv field, and
+    # without jump functionals vbar has none
+    for sol in (refl.solution, refl.direct):
+        for k in range(sol.n_steps + 1):
+            xk = paths.states[k]
+            assert np.array_equal(evaluate_u(sol, k, xk), sol.y[k]), k
+            _, z, vbar = evaluate_fields(sol, k, xk)
+            assert z.shape == (paths.n_paths, 2) and vbar.shape == (paths.n_paths, 0)
+            if k < sol.n_steps:
+                stepped = sol.basis.prepare(xk).predict(sol.coef_zv[k])[:, :2]
+                assert np.array_equal(z, stepped), k
 
 
 def test_reflection_measure_masses(bs_put_setup, reflected_put):
@@ -385,18 +398,19 @@ def test_clamp_bound_once_per_schedule(bs_put_setup, monkeypatch):
     # clamps every level and the direct solve alike, whatever tol
     import pidesolve.bsde as bsde_mod
     model, paths, basis = bs_put_setup
-    bound, step, bounds, clamps = bsde_mod.default_clamp_bound, bsde_mod._step_value, [], []
+    bound, step = bsde_mod.default_clamp_bound, bsde_mod.BsdeSolution.backward_step
+    bounds, clamps = [], []
 
     def counted_bound(*args, **kwargs):
         bounds.append(bound(*args, **kwargs))
         return bounds[-1]
 
-    def recorded_step(*args):
-        clamps.append(args[-1])
-        return step(*args)
+    def recorded_step(self, *args):
+        clamps.append(self.clamp_bound)
+        return step(self, *args)
 
     monkeypatch.setattr(bsde_mod, "default_clamp_bound", counted_bound)
-    monkeypatch.setattr(bsde_mod, "_step_value", recorded_step)
+    monkeypatch.setattr(bsde_mod.BsdeSolution, "backward_step", recorded_step)
     for tol in (1e-12, 1e12):
         bounds.clear()
         clamps.clear()
@@ -508,7 +522,7 @@ def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
     model, paths, box = small_put
     n = paths.grid.n_steps
     prepared, steps, along, passes = [], [], [], []
-    prepare, step = LocalAffineBasis.prepare, bsde_mod._Variant.step
+    prepare, step = LocalAffineBasis.prepare, bsde_mod.BsdeSolution.backward_step
     backward_pass = obstacle_mod._backward_pass
 
     def counted_prepare(self, x):
@@ -529,7 +543,7 @@ def test_setups_and_backward_steps_per_schedule(small_put, monkeypatch):
         return np.maximum(K - X[:, 0], 0.0)
 
     monkeypatch.setattr(LocalAffineBasis, "prepare", counted_prepare)
-    monkeypatch.setattr(bsde_mod._Variant, "step", counted_step)
+    monkeypatch.setattr(bsde_mod.BsdeSolution, "backward_step", counted_step)
     monkeypatch.setattr(obstacle_mod, "_backward_pass", counted_pass)
     obst = ObstacleSpec(h=h, iota=K + 1, kappa=1.0)
     n_schedule = len(default_schedule())
