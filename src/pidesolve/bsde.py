@@ -347,8 +347,9 @@ class BsdeSolution:
     ``y`` is None on the level solutions of ``solve_reflected`` except its
     last level, which nothing reads along the paths; the coefficients are
     always kept, and ``evaluate_fields`` needs no more.  ``u0``,
-    ``check_z_representation`` and ``check_apriori_estimate`` read ``y`` and
-    raise ValueError on a solution without it.
+    ``check_z_representation``, ``check_apriori_estimate``, ``skorokhod_gap``
+    and ``penalty_increments`` read ``y`` and raise ValueError on a solution
+    without it.
     """
 
     grid: object
@@ -446,6 +447,18 @@ def _y_path(sol):
     return sol.y
 
 
+def check_horizon(g_T, h_T):
+    """Compatibility of the data: the obstacle h(T, X_N) may not exceed the
+    terminal values g(X_N) at the horizon, else the limit problem is
+    ill-posed.  Raises ``ValueError`` if it does on more than 0.1% of the
+    cloud, beyond a relative slack of 1e-9."""
+    bad = float(np.mean(h_T > g_T + 1e-9 * (1 + np.abs(g_T))))
+    if bad > 0.001:
+        raise ValueError(
+            f"obstacle exceeds the terminal condition at the horizon on "
+            f"{bad:.1%} of the cloud; reflected problems require h(T, .) <= g")
+
+
 def default_clamp_bound(driver, terminal, paths, obstacle=None):
     """A-priori bound |Y| <= B from terminal and driver growth.
 
@@ -467,26 +480,20 @@ def default_clamp_bound(driver, terminal, paths, obstacle=None):
     return 1.1 * base * math.exp(driver.lipschitz * horizon) + 1e-12
 
 
-def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3,
-               clamp=None, penalty_level=0.0, obstacle=None, reflect=False):
-    """Backward induction over a path bundle.
+def solve_bsde(model, driver, terminal, paths, basis, picard_iters=3, clamp=None):
+    """Backward induction over a path bundle: the PIDE without an obstacle.
 
     Per step: regress the next value on the basis, then regress the products
     of the centered value with the Brownian and compensated jump increments
     (divided by dt these estimate the z-field and the jump functionals), and
     solve the implicit relation y = E[Y_next | X] + dt * f(t, X, y, z, vbar)
-    by ``picard_iters`` fixed-point sweeps.  ``penalty_level`` > 0 adds the
-    obstacle penalty, resolved in closed form inside each sweep; ``reflect``
-    instead applies the direct pointwise reflection y = max(y, h) after the
-    driver update.  An obstacle that neither uses is ignored, also by the
-    default clamp bound.
+    by ``picard_iters`` fixed-point sweeps.  A penalized obstacle solve is
+    ``obstacle.solve_penalized``'s, a reflected one ``solve_reflected``'s.
 
     Requires dt * lipschitz(f) < 1 for the sweeps to contract.
     """
-    (sol,) = _backward_pass(model, driver, terminal, paths, basis,
-                            [(penalty_level, reflect, True)], picard_iters,
-                            clamp, obstacle)
-    return sol
+    return _backward_pass(model, driver, terminal, paths, basis, [(0.0, False, True)],
+                          picard_iters, clamp, None)[0]
 
 
 def _cpu_count():
@@ -576,10 +583,12 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
 
     A solution stores its y path array only with ``keep_y``; without, its
     ``y`` is None.
-    ``observe(k, ys)``, if given, sees every variant's new values ``ys``, in
-    variant order, once per step after all have stepped it.  Without
-    ``clamp`` one default bound, with the obstacle if any variant uses it,
-    serves all.
+    The pass evaluates g(X_N) once and, if any variant uses the obstacle,
+    refuses h(T, .) > g there (``check_horizon``) before it steps.
+    ``observe(k, ys)``, if given, sees every variant's values ``ys``, in
+    variant order, for k = N, ..., 0, each once: g(X_N) before the first
+    step, then each step's after all have stepped it.  Without ``clamp``
+    one default bound, with the obstacle if any variant uses it, serves all.
     """
     grid = paths.grid
     dt = grid.dt
@@ -598,14 +607,17 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
         raise ValueError("penalty or reflection requires an obstacle")
 
     n, m, d, q = grid.n_steps, paths.n_paths, paths.dim, driver.n_functionals
+    y = np.asarray(terminal(paths.states[n]), dtype=float).reshape(m)
+    if not np.isfinite(y).all():
+        raise NumericError("non-finite terminal values")
+    if obstacle is not None:
+        check_horizon(y, obstacle(grid.nodes[n], paths.states[n]) if obstacle_values is None
+                      else obstacle_values[n])
     dmu = paths.compensated_increments(driver.functionals, model.jump_measure)
 
     if clamp is None:
         clamp = default_clamp_bound(driver, terminal, paths, obstacle)
 
-    y = np.asarray(terminal(paths.states[-1]), dtype=float).reshape(m)
-    if not np.isfinite(y).all():
-        raise NumericError("non-finite terminal values")
     sols = [BsdeSolution(
         grid=grid, basis=basis, driver=driver, terminal=terminal,
         coef_y=np.zeros((n,) + basis.coef_shape),
@@ -621,6 +633,8 @@ def _backward_pass(model, driver, terminal, paths, basis, variants, picard_iters
         if sol.y is not None:
             sol.y[n] = y
     ys = [y] * len(sols)
+    if observe is not None:
+        observe(n, ys)
 
     pool = None
     if len(sols) > 1 and _cpu_count() > 1:

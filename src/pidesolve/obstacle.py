@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import BsdeSolution, _backward_pass, solve_bsde
+from .bsde import BsdeSolution, _backward_pass, _y_path
 from .model import WeightFunction, trapezoid_weights
 
 __all__ = [
@@ -52,34 +52,23 @@ def default_schedule():
 
 def solve_penalized(model, driver, terminal, obstacle, paths, basis, level,
                     picard_iters=3, clamp=None):
-    """One penalized solve: driver plus level * (y - h(t, x))^-.
-
-    ``level`` = 0 reproduces the unpenalized solve exactly.  The penalty is
-    resolved in closed form inside the backward step, so arbitrarily large
-    levels stay stable.  At a schedule's last level, if positive, it is the
-    solution ``solve_reflected`` returns, bit for bit, without the lower
-    levels, the direct solve or the trace: an obstacle ``compare`` solves
-    only this level of ``numerics.schedule`` and reads no ``numerics.tol``.
+    """One penalized solve, driver plus level * (y - h(t, x))^-: the backward
+    pass with this one variant, which refuses h(T, .) > g at a positive
+    level.  ``level`` = 0 reproduces ``solve_bsde`` exactly, and neither
+    reads nor checks the obstacle.  The penalty is resolved in closed form
+    inside the backward step, so arbitrarily large levels stay stable.  At a
+    schedule's last level, if positive, it is the solution
+    ``solve_reflected`` returns, bit for bit, without the lower levels, the
+    direct solve or the trace: an obstacle ``compare`` solves only this
+    level of ``numerics.schedule`` and reads no ``numerics.tol``.
     """
-    return solve_bsde(model, driver, terminal, paths, basis, picard_iters=picard_iters,
-                      clamp=clamp, penalty_level=level, obstacle=obstacle)
-
-
-def check_horizon(g_T, h_T):
-    """Compatibility of the data: the obstacle h(T, X_N) may not exceed the
-    terminal values g(X_N) at the horizon, else the limit problem is
-    ill-posed.  Raises ``ValueError`` if it does on more than 0.1% of the
-    cloud, beyond a relative slack of 1e-9."""
-    bad = float(np.mean(h_T > g_T + 1e-9 * (1 + np.abs(g_T))))
-    if bad > 0.001:
-        raise ValueError(
-            f"obstacle exceeds the terminal condition at the horizon on "
-            f"{bad:.1%} of the cloud; reflected problems require h(T, .) <= g")
+    return _backward_pass(model, driver, terminal, paths, basis, [(level, False, True)],
+                          picard_iters, clamp, obstacle)[0]
 
 
 def penalty_increments(sol, obstacle_values):
     """Per path and step compensation increments n (Y_k - L_k)^- dt, (N, M)."""
-    return _increments(np.maximum(obstacle_values[:-1] - sol.y[:-1], 0.0),
+    return _increments(np.maximum(obstacle_values[:-1] - _y_path(sol)[:-1], 0.0),
                        sol.penalty_level, sol.grid.dt)
 
 
@@ -214,10 +203,11 @@ def skorokhod_gap(sol, obstacle_values):
     the sums are the accumulator's that measures each level of
     ``solve_reflected`` for its trace.
     """
+    y = _y_path(sol)
     sums = _LevelSums(sol.penalty_level, sol.grid.dt)
-    ones = np.ones(sol.y.shape[1])  # the defect reads no weight
+    ones = np.ones(y.shape[1])  # the defect reads no weight
     for k in range(sol.n_steps, -1, -1):
-        sums.add(sol.y[k], obstacle_values[k], 0.0, ones)
+        sums.add(y[k], obstacle_values[k], 0.0, ones)
     return sums.flat_off()
 
 
@@ -241,8 +231,9 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     along the paths.  The whole schedule and the direct solve run as one
     backward pass, which builds each step's regression setup once for all
     of them; a level whose fit or value goes non-finite raises from it.
-    The pass hands every variant's values to the trace and the distance
-    once per step on the calling thread, where the weight is evaluated once.
+    The pass refuses h(T, .) > g before its first step, and hands every
+    variant's values to the trace and the distance on the calling thread,
+    from the horizon on, once per step, where the weight is evaluated once.
 
     Without ``clamp``, the pass's one a-priori bound (``default_clamp_bound``
     with the obstacle) serves every level and the direct solve.  A schedule
@@ -258,21 +249,16 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
     if weight is None:
         weight = WeightFunction(obstacle.kappa + model.dim + 1)
 
-    n, m, dt = paths.grid.n_steps, paths.n_paths, paths.grid.dt
-    g_T = np.asarray(terminal(paths.states[-1]), float).reshape(m)
+    n, dt = paths.grid.n_steps, paths.grid.dt
     lvals = obstacle_along_paths(obstacle, paths)
-    check_horizon(g_T, lvals[n])
     wt = trapezoid_weights(np.full(n, dt))
     # one backward pass for every level and the direct solve; per level it
     # keeps coefficients, u0 and the running sums of the trace, and the y
     # path array only for the last level and the direct solve, the two that
     # something reads along the paths.  The sums start at the horizon, where
     # every solve is g (the direct gap's distance term is 0)
-    rho = weight(paths.states[n])
     sums = [_LevelSums(level, dt) for level in schedule]
-    for level_sums in sums:
-        level_sums.add(g_T, lvals[n], wt[n], rho)
-    diff2, base2 = 0.0, wt[n] * float(np.mean(rho * g_T ** 2))
+    diff2 = base2 = 0.0
     u0s = [None] * len(schedule)
     step_up = [math.inf] * len(schedule)
 
@@ -284,7 +270,7 @@ def solve_reflected(model, driver, terminal, obstacle, paths, basis,
             level_sums.add(ys[i], lvals[k], wt[k], rho)
             if k == 0:
                 u0s[i] = float(ys[i].mean())
-            if i:
+            if i and k < n:
                 step_up[i] = min(step_up[i], float(np.min(ys[i] - ys[i - 1])))
         diff2 += wt[k] * float(np.mean(rho * (ys[-2] - ys[-1]) ** 2))
         base2 += wt[k] * float(np.mean(rho * ys[-1] ** 2))

@@ -346,8 +346,6 @@ def _task_compare(cfg, art):
         else:
             # the comparison reads the schedule's last level only, which alone
             # gives the solution of solve_reflected bit for bit
-            x_T = paths.states[-1]
-            obstacle_mod.check_horizon(terminal(x_T), obst(paths.grid.nodes[-1], x_T))
             sol = obstacle_mod.solve_penalized(
                 model, driver, terminal, obst, paths, basis, cfg.numerics["schedule"][-1],
                 picard_iters=cfg.numerics["picard"])

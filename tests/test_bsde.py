@@ -516,21 +516,24 @@ def test_default_clamp_bound(heat_model, heat_bundle):
 
 
 def test_unused_obstacle_is_ignored(heat_model, heat_bundle, poly_basis):
-    # without penalty or reflection the obstacle plays no part, not even in
-    # the default clamp bound
+    # at penalty level 0 the obstacle plays no part, not even in the default
+    # clamp bound or the horizon check: a put terminal at strike 90 under a
+    # put obstacle at strike 100 solves as the terminal alone
     from pidesolve.model import ObstacleSpec
-    g = lambda X: X[:, 0] ** 2
-    high = ObstacleSpec(h=lambda t, X: np.full(X.shape[0], 50.0), iota=50.0, kappa=1.0)
+    from pidesolve.obstacle import solve_penalized
+    g = lambda X: np.maximum(90.0 - X[:, 0], 0.0)
+    high = ObstacleSpec(h=lambda t, X: np.maximum(100.0 - X[:, 0], 0.0), iota=101.0,
+                        kappa=1.0)
     plain = solve_bsde(heat_model, discount_driver(0.05), g, heat_bundle, poly_basis)
-    unused = solve_bsde(heat_model, discount_driver(0.05), g, heat_bundle, poly_basis,
-                        obstacle=high)
+    unused = solve_penalized(heat_model, discount_driver(0.05), g, high, heat_bundle,
+                             poly_basis, 0)
     assert unused.clamp_bound == plain.clamp_bound
     assert unused.obstacle is None
     for name in ("y", "coef_y", "coef_zv"):
         assert np.array_equal(getattr(unused, name), getattr(plain, name)), name
     with pytest.raises(ValueError, match="penalty level"):
-        solve_bsde(heat_model, discount_driver(0.05), g, heat_bundle, poly_basis,
-                   penalty_level=-1, obstacle=high)
+        solve_penalized(heat_model, discount_driver(0.05), g, high, heat_bundle, poly_basis,
+                        -1)
 
 
 def test_solve_stores_the_y_path_and_coefficients_only(heat_model, small_heat_bundle):
@@ -573,7 +576,9 @@ def test_evaluate_u_reproduces_path_values(kind, mode):
     # for bit, so the fitted field and the path values are one quantity; the
     # borrowing driver depends on z, so z must be formed alike on both sides:
     # evaluate_z gives the z the step predicted through its prepared setup
+    from pidesolve.bsde import _backward_pass
     from pidesolve.model import ObstacleSpec, borrowing_rate_driver
+    from pidesolve.obstacle import solve_penalized
     model = named_model("merton")
     x0 = math.log(100.0)
     paths = simulate_paths(model, TimeGrid(0, 1, 10), x0, 4000, seed=17)
@@ -581,10 +586,16 @@ def test_evaluate_u_reproduces_path_values(kind, mode):
     basis = make_basis(kind, box, degree=4, cells=20)
     put = lambda X: np.maximum(100.0 - np.exp(X[:, 0]), 0.0)
     obstacle = ObstacleSpec(h=lambda t, X: put(X), iota=101.0, kappa=1.0)
-    extra = {"plain": {}, "penalized": {"penalty_level": 64.0, "obstacle": obstacle},
-             "reflected": {"reflect": True, "obstacle": obstacle}}[mode]
+    solve = {
+        "plain": lambda driver: solve_bsde(model, driver, put, paths, basis),
+        "penalized": lambda driver: solve_penalized(model, driver, put, obstacle, paths,
+                                                    basis, 64.0),
+        "reflected": lambda driver: _backward_pass(model, driver, put, paths, basis,
+                                                   [(0.0, True, True)], 3, None,
+                                                   obstacle)[0],
+    }[mode]
     for driver in (discount_driver(0.05), borrowing_rate_driver(0.05, 0.08, 0.1, 0.2)):
-        sol = solve_bsde(model, driver, put, paths, basis, **extra)
+        sol = solve(driver)
         for k in range(sol.n_steps + 1):
             assert np.array_equal(evaluate_u(sol, k, paths.states[k]), sol.y[k]), k
         for k in range(sol.n_steps):

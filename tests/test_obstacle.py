@@ -10,14 +10,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis, check_apriori_estimate,
-                            check_z_representation, default_clamp_bound, evaluate_fields,
-                            evaluate_u, solve_bsde)
+from pidesolve.bsde import (LocalAffineBasis, PolynomialBasis, _backward_pass,
+                            check_apriori_estimate, check_horizon, check_z_representation,
+                            default_clamp_bound, evaluate_fields, evaluate_u, solve_bsde)
 from pidesolve.errors import NumericError
 from pidesolve.forward import TimeGrid, simulate_paths
 from pidesolve.model import (DriverSpec, ModelSpec, ObstacleSpec, WeightFunction,
                              discount_driver, named_model, trapezoid_weights)
-from pidesolve.obstacle import (check_horizon, default_schedule, estimate_reflection_measure,
+from pidesolve.obstacle import (default_schedule, estimate_reflection_measure,
                                 obstacle_along_paths, penalty_increments, penalty_norm,
                                 skorokhod_gap, solve_penalized, solve_reflected,
                                 support_check)
@@ -56,13 +56,21 @@ def test_schedule_default():
     assert sched == (1, 4, 16, 64, 256, 1024, 4096)
 
 
-def test_reflected_requires_obstacle_below_terminal(bs_put_setup):
-    # a put terminal at strike 90 under a put obstacle at strike 100
+@pytest.mark.parametrize("solve", ["reflected", "penalized", "direct"])
+def test_reflected_requires_obstacle_below_terminal(bs_put_setup, solve):
+    # a put terminal at strike 90 under a put obstacle at strike 100, solved
+    # along a schedule, at one penalty level or by direct reflection alone:
+    # the backward pass refuses it before its first step
     model, paths, basis = bs_put_setup
+    drv, g90 = discount_driver(0.05), lambda X: np.maximum(90.0 - X[:, 0], 0.0)
     with pytest.raises(ValueError, match=re.escape("h(T, .) <= g")):
-        solve_reflected(model, discount_driver(0.05),
-                        lambda X: np.maximum(90.0 - X[:, 0], 0.0), put_obstacle(),
-                        paths, basis)
+        if solve == "reflected":
+            solve_reflected(model, drv, g90, put_obstacle(), paths, basis)
+        elif solve == "penalized":
+            solve_penalized(model, drv, g90, put_obstacle(), paths, basis, 1)
+        else:
+            _backward_pass(model, drv, g90, paths, basis, [(0.0, True, True)], 3, None,
+                           put_obstacle())
 
 
 def test_horizon_check_tolerance():
@@ -360,17 +368,23 @@ def _reflect(model, paths, basis, **kw):
                            basis, weight=RHO4, **kw)
 
 
-def _solve(model, paths, basis, **kw):
-    return solve_bsde(model, discount_driver(0.05), put_payoff, paths, basis,
-                      obstacle=put_obstacle(), **kw)
+def _direct(model, drv, paths, basis, clamp=None):
+    # the direct reflection alone: the backward pass with that one variant
+    return _backward_pass(model, drv, put_payoff, paths, basis, [(0.0, True, True)], 3,
+                          clamp, put_obstacle())[0]
+
+
+def _solve(model, paths, basis, level=0.0, **kw):
+    return solve_penalized(model, discount_driver(0.05), put_payoff, put_obstacle(), paths,
+                           basis, level, **kw)
 
 
 @pytest.mark.parametrize("call, match", [
     (lambda m, p, b, r: _reflect(m, p, b, schedule=(1, math.nan)), "schedule"),
     (lambda m, p, b, r: _reflect(m, p, b, schedule=(1, math.inf)), "schedule"),
     (lambda m, p, b, r: _reflect(m, p, b, schedule=(-1, 1)), "schedule"),
-    (lambda m, p, b, r: _solve(m, p, b, penalty_level=math.nan), "penalty level"),
-    (lambda m, p, b, r: _solve(m, p, b, penalty_level=math.inf), "penalty level"),
+    (lambda m, p, b, r: _solve(m, p, b, level=math.nan), "penalty level"),
+    (lambda m, p, b, r: _solve(m, p, b, level=math.inf), "penalty level"),
     (lambda m, p, b, r: _solve(m, p, b, clamp=-1.0), "clamp"),
     (lambda m, p, b, r: _solve(m, p, b, clamp=0.0), "clamp"),
     (lambda m, p, b, r: _solve(m, p, b, clamp=math.nan), "clamp"),
@@ -481,8 +495,7 @@ def test_one_pass_equals_per_level_solves(small_put, kind, monkeypatch):
     drv, obst, dt = discount_driver(0.05), put_obstacle(), paths.grid.dt
     clamp = default_clamp_bound(drv, put_payoff, paths, obst)
     lvals = obstacle_along_paths(obst, paths)
-    direct = solve_bsde(model, drv, put_payoff, paths, basis, clamp=clamp, obstacle=obst,
-                        reflect=True)
+    direct = _direct(model, drv, paths, basis, clamp)
     for schedule, tol in (((1, 4, 16, 64), 1e-12), ((0, 1, 4), 1e-12),
                           ((1, 4, 16, 64), 3e-5), ((1, 4, 16, 64), 1e12)):
         refl = solve_reflected(model, drv, put_payoff, obst, paths, basis,
@@ -663,8 +676,8 @@ def _thread_recording_driver(names):
 def test_threaded_pass_equals_separate_solves(small_put, kind, levels, monkeypatch):
     # the levels and the direct solve in one pass on two threads: each gives
     # the bits of its own solve, and observe sees each step once, on the
-    # calling thread, with every variant's values in variant order
-    from pidesolve.bsde import _backward_pass
+    # calling thread, with every variant's values in variant order, the
+    # horizon's before the first step
     _two_cpus(monkeypatch)
     model, paths, box = small_put
     basis = LocalAffineBasis(20, box) if kind == "local" else PolynomialBasis(3, box)
@@ -682,16 +695,16 @@ def test_threaded_pass_equals_separate_solves(small_put, kind, levels, monkeypat
                           observe)
     assert names == {"MainThread", "pidesolve-backward_0"}
     n = paths.grid.n_steps
-    assert seen == Counter({(k, "MainThread"): 1 for k in range(n)})
-    assert all(len(ys[k]) == len(variants) for k in range(n))
-    for i, (got, (level, reflect, _)) in enumerate(zip(runs, variants)):
-        want = solve_bsde(model, drv, put_payoff, paths, basis, clamp=clamp, obstacle=obst,
-                          penalty_level=level, reflect=reflect)
+    assert seen == Counter({(k, "MainThread"): 1 for k in range(n + 1)})
+    assert all(len(ys[k]) == len(variants) for k in range(n + 1))
+    for i, (got, variant) in enumerate(zip(runs, variants)):
+        (want,) = _backward_pass(model, drv, put_payoff, paths, basis, [variant], 3, clamp,
+                                 obst)
         for name in ("y", "coef_y", "coef_zv"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         for name, diag in want.diagnostics.items():
             assert np.array_equal(got.diagnostics[name], diag)
-        for k in range(n):
+        for k in range(n + 1):
             assert np.array_equal(ys[k][i], want.y[k])
 
 
@@ -813,7 +826,6 @@ def test_variants_stopping_while_a_setup_is_built_ahead(small_put, ahead_fails, 
     # every variant goes non-finite at step 12 while the helper still builds
     # step 11's setup: the pass raises NumericError at step 12, whether that
     # setup is built or fails, and joins the helper
-    from pidesolve.bsde import _backward_pass
     _two_cpus(monkeypatch)
     model, paths, box = small_put
     t_stop = paths.grid.nodes[12]
@@ -840,7 +852,6 @@ def test_variants_stopping_while_a_setup_is_built_ahead(small_put, ahead_fails, 
 
 
 def test_setup_ahead_error_raises_at_the_step_that_needs_it(small_put, monkeypatch):
-    from pidesolve.bsde import _backward_pass
     _two_cpus(monkeypatch)
     model, paths, box = small_put
     observed = Counter()
@@ -859,8 +870,8 @@ def test_setup_ahead_error_raises_at_the_step_that_needs_it(small_put, monkeypat
         _backward_pass(model, discount_driver(0.05), put_payoff, paths, FailsAhead(20, box),
                        [(1.0, False, True), (0.0, True, True)], 3, None, put_obstacle(),
                        observe)
-    # steps 19..12 ran, each observed once; step 11 never started
-    assert observed == Counter(range(12, paths.grid.n_steps))
+    # the horizon and steps 19..12 were observed once each; step 11 never started
+    assert observed == Counter(range(12, paths.grid.n_steps + 1))
 
 
 def test_helper_carries_the_callers_error_state(small_put, monkeypatch):
@@ -925,13 +936,20 @@ def test_u0_of_a_coefficient_only_solution_names_the_missing_array(coefficient_o
     assert coefficient_only.direct.u0() == float(coefficient_only.direct.y[0].mean())
 
 
+@pytest.mark.parametrize("reader", [skorokhod_gap, penalty_increments],
+                         ids=lambda f: f.__name__)
+def test_path_readers_of_a_coefficient_only_solution_name_the_missing_array(
+        coefficient_only, reader):
+    with pytest.raises(ValueError, match="no y path array"):
+        reader(coefficient_only.level_solutions[0], coefficient_only.obstacle_values)
+
+
 @pytest.fixture(scope="module")
 def direct_alone(small_put, coefficient_only):
     # the direct solve of coefficient_only as a solve of its own
     model, paths, box = small_put
-    return solve_bsde(model, discount_driver(0.05), put_payoff, paths, LocalAffineBasis(20, box),
-                      clamp=coefficient_only.direct.clamp_bound, obstacle=put_obstacle(),
-                      reflect=True)
+    return _direct(model, discount_driver(0.05), paths, LocalAffineBasis(20, box),
+                   coefficient_only.direct.clamp_bound)
 
 
 def test_z_representation_names_the_missing_arrays(small_put, coefficient_only, direct_alone):
